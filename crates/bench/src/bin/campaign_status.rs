@@ -41,8 +41,8 @@ struct ShardStream {
     path: String,
     /// Truncation-tolerant byte-offset tail over the stream file.
     tail: JsonlTail,
-    /// Shard label from the stream itself (heartbeat / shard_finished);
-    /// the file name until one arrives.
+    /// The run's `start..end` point range from the stream itself
+    /// (heartbeat / shard_finished); the file name until one arrives.
     label: Option<String>,
     batches: usize,
     units_planned: usize,
@@ -155,7 +155,7 @@ impl ShardStream {
                 milli_units_per_sec,
                 metrics,
             } => {
-                self.label = Some(shard.to_string());
+                self.label = Some(format!("{}..{}", shard.start, shard.end));
                 self.units_done = self.units_done.max(*units_done);
                 self.units_planned = self.units_planned.max(*units_planned);
                 self.milli_units_per_sec = *milli_units_per_sec;
@@ -165,7 +165,7 @@ impl ShardStream {
             CampaignEvent::ShardFinished {
                 shard, executed, ..
             } => {
-                self.label = Some(shard.to_string());
+                self.label = Some(format!("{}..{}", shard.start, shard.end));
                 self.units_done = self.units_done.max(*executed);
                 self.finished = true;
             }

@@ -7,19 +7,20 @@
 //!                    [--events-jsonl FILE]
 //!        table1_bugs merge STATE.json STATE.json [...]
 //!
-//! `--shard I/N` runs only shard I of N (round-robin over fault points);
-//! `--state FILE` checkpoints the campaign state there after every batch
-//! and resumes from it when the file exists. A complete shard set is
-//! recombined with the `merge` subcommand, whose output is identical to
-//! the unsharded hunt's. `--events-jsonl FILE` streams every campaign
-//! event to FILE as one JSON line each, flushed per event — point
-//! `campaign_status` at the files of concurrent shards for a merged live
-//! view of the hunt.
+//! `--shard I/N` runs only shard I of N: the contiguous fault-point range
+//! `[I·P/N, (I+1)·P/N)` of the P-point space. `--state FILE` checkpoints
+//! the campaign state there after every batch and resumes from it when the
+//! file exists. A complete shard set is recombined with the `merge`
+//! subcommand, whose output is identical to the unsharded hunt's; a
+//! missing shard fails the merge, naming the range it leaves uncovered.
+//! `--events-jsonl FILE` streams every campaign event to FILE as one JSON
+//! line each, flushed per event — point `campaign_status` at the files of
+//! concurrent shards for a merged live view of the hunt.
 
 use std::process::exit;
 
 use lfi_bench::{table1_campaign, table1_merge, HuntOptions, HuntStrategy};
-use lfi_campaign::CampaignState;
+use lfi_campaign::{parse_shard, CampaignState};
 
 fn usage() -> ! {
     eprintln!(
@@ -110,7 +111,13 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--shard" => options.shard = parse_or_usage(args.next()),
+            "--shard" => {
+                let spec = args.next().unwrap_or_else(|| usage());
+                options.shard = parse_shard(&spec).unwrap_or_else(|err| {
+                    eprintln!("table1_bugs: {err}");
+                    usage()
+                });
+            }
             "--state" => options.state = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--events-jsonl" => {
                 options.events_jsonl = Some(args.next().unwrap_or_else(|| usage()).into())
@@ -171,15 +178,17 @@ fn main() {
             );
         }
     }
-    if result.shard.is_full() {
+    if result.lease.points() == result.report.space_size {
         println!("{}", result.table);
     } else {
         // A lone shard sees only its slice of the space; known-bug
         // accounting is meaningful after `merge`.
+        let (index, count) = options.shard;
         println!(
-            "shard {}: {} records held{} — run the remaining shards and `table1_bugs merge` \
-             the state files for the full Table 1",
-            result.shard,
+            "shard {index}/{count} (points {}..{}): {} records held{} — run the remaining \
+             shards and `table1_bugs merge` the state files for the full Table 1",
+            result.lease.start,
+            result.lease.end,
             result.report.records.len(),
             options
                 .state

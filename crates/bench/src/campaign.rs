@@ -11,8 +11,8 @@ use std::path::PathBuf;
 
 use lfi_campaign::{
     Campaign, CampaignReport, CampaignState, CoverageAdaptive, ExecBackend, Exhaustive, FaultSpace,
-    InjectionGuided, JsonlSink, OutcomeKind, RandomSample, ShardMergeError, ShardOutcome,
-    ShardSpec, StandardExecutor, Strategy, DEFAULT_SNAPSHOT_BUDGET,
+    InjectionGuided, JsonlSink, Lease, LeaseMergeError, LeaseOutcome, OutcomeKind, RandomSample,
+    StandardExecutor, Strategy, DEFAULT_SNAPSHOT_BUDGET,
 };
 use lfi_targets::{standard_controller, KNOWN_BUGS};
 
@@ -56,10 +56,11 @@ pub struct HuntOptions {
     /// Byte cap on resident snapshot-tree nodes (snapshot backend only);
     /// the executor evicts least-recently-forked non-root nodes past it.
     pub snapshot_budget: u64,
-    /// Which round-robin slice of the fault space to run
-    /// ([`ShardSpec::FULL`] for the whole hunt). Sibling processes run the
-    /// other slices; [`table1_merge`] recombines their persisted states.
-    pub shard: ShardSpec,
+    /// Which shard of the fault space to run, as `(index, count)`: the
+    /// contiguous point range [`Lease::shard`] carves (`(0, 1)` for the
+    /// whole hunt). Sibling processes run the other shards;
+    /// [`table1_merge`] recombines their persisted states.
+    pub shard: (usize, usize),
     /// Checkpoint path: the campaign state is persisted here after every
     /// batch and resumed from here when the file already exists.
     pub state: Option<PathBuf>,
@@ -77,7 +78,7 @@ impl Default for HuntOptions {
             seed: 7,
             backend: ExecBackend::Fresh,
             snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
-            shard: ShardSpec::FULL,
+            shard: (0, 1),
             state: None,
             events_jsonl: None,
         }
@@ -93,12 +94,12 @@ pub struct Table1Campaign {
     /// sharded hunt this covers only the shard's slice; for
     /// [`table1_merge`] it is the recombined whole.
     pub report: CampaignReport,
-    /// Which slice produced the report ([`ShardSpec::FULL`] for unsharded
-    /// hunts and merged results).
-    pub shard: ShardSpec,
+    /// The fault-point range that produced the report (the whole space
+    /// for unsharded hunts and merged results).
+    pub lease: Lease,
     /// The checkpoint tag the hunt ran under
-    /// (`fingerprint@plan-hash#i/n`; the shared plan tag, without a shard
-    /// suffix, for merged results). Callers use it to tell a genuine
+    /// (`fingerprint@plan-hash%start..end`; the shared plan tag, without a
+    /// range suffix, for merged results). Callers use it to tell a genuine
     /// resume from a checkpoint the engine discarded as mismatched.
     pub tag: String,
 }
@@ -108,10 +109,17 @@ pub struct Table1Campaign {
 /// target restricted to its harness functions — annotated with analyzer
 /// classifications and baseline reachability.
 pub fn table1_fault_space(executor: &StandardExecutor, seed: u64) -> FaultSpace {
+    let mut space = unannotated_space(executor);
+    executor.annotate_baseline_reachability(&mut space, seed);
+    space
+}
+
+/// The Table 1 fault points before annotation — annotation never adds or
+/// removes a point, so this also sizes the space.
+fn unannotated_space(executor: &StandardExecutor) -> FaultSpace {
     let profile = standard_controller().profile_libraries();
     let mut space = executor.fault_space(&HUNT_TARGETS, &profile);
     space.retain(|p| p.target != "bft-lite" || BFT_FUNCTIONS.contains(&p.function.as_str()));
-    executor.annotate_baseline_reachability(&mut space, seed);
     space
 }
 
@@ -128,7 +136,7 @@ fn hunt_strategy(options: &HuntOptions) -> Box<dyn Strategy> {
         // keeps passing, its remaining *checked* call sites are dropped, and
         // statically demoted points are skipped after a single corroborating
         // pass — 240 units instead of guided's 272, still 11/11 known bugs.
-        // (Pruning decisions read the shard-local history, so a sharded
+        // (Pruning decisions read the lease-local history, so a sharded
         // adaptive hunt may cover a slightly different unit set than the
         // unsharded one; the static strategies shard loss-free.)
         HuntStrategy::Adaptive => Box::new(CoverageAdaptive {
@@ -139,10 +147,18 @@ fn hunt_strategy(options: &HuntOptions) -> Box<dyn Strategy> {
 }
 
 /// Run the Table 1 bug hunt as a campaign (or one shard of it).
+///
+/// # Panics
+///
+/// Panics when `options.shard` is not a valid `(index, count)` pair —
+/// parse user input with [`lfi_campaign::parse_shard`] first.
 pub fn table1_campaign(options: &HuntOptions) -> Table1Campaign {
     // Only the four hunted targets are loaded; httpd-lite stays cold.
     let executor = StandardExecutor::new(&HUNT_TARGETS);
     let space = table1_fault_space(&executor, options.seed);
+    let (index, count) = options.shard;
+    let lease = Lease::shard(index, count, space.len())
+        .unwrap_or_else(|err| panic!("invalid Table 1 shard: {err}"));
     let events = options.events_jsonl.as_ref().map(|path| {
         JsonlSink::create(path)
             .unwrap_or_else(|err| panic!("create event stream {}: {err}", path.display()))
@@ -153,7 +169,7 @@ pub fn table1_campaign(options: &HuntOptions) -> Table1Campaign {
         .seed(options.seed)
         .backend(options.backend)
         .snapshot_budget(options.snapshot_budget)
-        .shard(options.shard);
+        .lease(lease);
     if let Some(path) = &options.state {
         builder = builder.checkpoint(path);
     }
@@ -166,30 +182,32 @@ pub fn table1_campaign(options: &HuntOptions) -> Table1Campaign {
     }
     Table1Campaign {
         table: match_known_bugs(&outcome.report),
-        shard: outcome.shard,
+        lease,
         tag: outcome.tag,
         report: outcome.report,
     }
 }
 
 /// Merge the persisted states of a complete shard set back into one Table 1
-/// result — the `table1_bugs merge` step. The states must cover every
-/// shard of one hunt (same strategy, seed, and fault space); the merged
-/// records and triage are identical to the equivalent unsharded hunt's,
-/// so the known-bug matching sees exactly what a single process would.
-pub fn table1_merge(states: &[CampaignState]) -> Result<Table1Campaign, ShardMergeError> {
+/// result — the `table1_bugs merge` step. The states' ranges must tile the
+/// Table 1 space of one hunt (same strategy, seed, and fault space), so a
+/// missing shard is reported as the gap it leaves; the merged records and
+/// triage are identical to the equivalent unsharded hunt's, so the
+/// known-bug matching sees exactly what a single process would.
+pub fn table1_merge(states: &[CampaignState]) -> Result<Table1Campaign, LeaseMergeError> {
     let outcomes = states
         .iter()
-        .map(ShardOutcome::from_state)
+        .map(LeaseOutcome::from_state)
         .collect::<Result<Vec<_>, _>>()?;
     let tag = outcomes
         .first()
         .map(|outcome| outcome.plan_tag().to_string())
         .unwrap_or_default();
-    let report = CampaignReport::merge(outcomes)?;
+    let points = unannotated_space(&StandardExecutor::new(&HUNT_TARGETS)).len();
+    let report = CampaignReport::merge_leases(outcomes, points)?;
     Ok(Table1Campaign {
         table: match_known_bugs(&report),
-        shard: ShardSpec::FULL,
+        lease: Lease::full(points),
         tag,
         report,
     })

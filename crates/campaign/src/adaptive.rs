@@ -129,7 +129,7 @@ impl CoverageAdaptive {
         // Broadcast signatures from sibling workers carry the same two
         // escalation signals as a local crash record — the injected
         // function and the implicated frame — so a supervised campaign's
-        // adaptive shards learn globally, not per-slice.
+        // adaptive workers learn globally, not per-slice.
         for hint in history.signature_hints() {
             digest
                 .hot_functions

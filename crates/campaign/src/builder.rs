@@ -1,22 +1,23 @@
 //! Fluent campaign construction and orchestration: [`CampaignBuilder`] →
 //! [`CampaignDriver`].
 //!
-//! The builder replaces ad-hoc `CampaignConfig` construction with one
-//! chain that names every orchestration choice:
+//! One chain names every orchestration choice:
 //!
 //! ```no_run
-//! use lfi_campaign::{Campaign, CoverageAdaptive, ExecBackend, ShardSpec, StandardExecutor};
+//! use lfi_campaign::{Campaign, CoverageAdaptive, ExecBackend, Lease, StandardExecutor};
 //!
 //! let executor = StandardExecutor::new(&["git-lite"]);
 //! let profile = lfi_targets::standard_controller().profile_libraries();
 //! let space = executor.fault_space(&["git-lite"], &profile);
+//! // Shard 0 of 2: the first half of the fault points.
+//! let half = Lease::shard(0, 2, space.len()).unwrap();
 //!
 //! let driver = Campaign::builder(space, &executor)
 //!     .strategy(CoverageAdaptive::default())
 //!     .backend(ExecBackend::Snapshot)
 //!     .jobs(4)
 //!     .seed(7)
-//!     .shard(ShardSpec { index: 0, count: 2 })
+//!     .lease(half)
 //!     .build();
 //! let outcome = driver.run_to_completion();
 //! println!("{}", outcome.report);
@@ -24,19 +25,18 @@
 //!
 //! The driver is the unit a multi-process (or multi-machine) supervisor
 //! orchestrates: each process builds the same plan with its own
-//! [`ShardSpec`] slice, streams progress through an
+//! [`Lease`] range, streams progress through an
 //! [`EventSink`](crate::events::EventSink), checkpoints after every batch,
-//! and hands back a mergeable [`ShardOutcome`] —
-//! [`CampaignReport::merge`](crate::CampaignReport::merge) recombines a
-//! complete shard set into a report record- and triage-identical to the
-//! unsharded run.
+//! and hands back a mergeable [`LeaseOutcome`] —
+//! [`CampaignReport::merge_leases`](crate::CampaignReport::merge_leases)
+//! recombines outcomes that tile the space into a report record- and
+//! triage-identical to the single-lease run.
 
 use std::path::PathBuf;
 
-use crate::control::Lease;
 use crate::engine::{Campaign, CampaignConfig, ExecBackend, Executor};
 use crate::events::EventSink;
-use crate::shard::{ShardOutcome, ShardSpec};
+use crate::lease::{Lease, LeaseOutcome};
 use crate::space::FaultSpace;
 use crate::state::CampaignState;
 use crate::strategy::{Exhaustive, Strategy};
@@ -46,14 +46,13 @@ use crate::triage::CrashSignature;
 /// [`Campaign::builder`] and finished by [`CampaignBuilder::build`].
 ///
 /// Defaults: [`Exhaustive`] strategy, [`ExecBackend::Fresh`], 1 job, seed
-/// 7, the full (unsharded) shard, no event sink, no checkpoint path.
+/// 7, the whole space as one lease, no event sink, no checkpoint path.
 pub struct CampaignBuilder<'a> {
     space: FaultSpace,
     executor: &'a dyn Executor,
     config: CampaignConfig,
     strategy: Box<dyn Strategy + 'a>,
-    shard: ShardSpec,
-    lease: Option<Lease>,
+    lease: Lease,
     known_signatures: Vec<CrashSignature>,
     sink: Option<&'a dyn EventSink>,
     checkpoint: Option<PathBuf>,
@@ -62,12 +61,11 @@ pub struct CampaignBuilder<'a> {
 impl<'a> CampaignBuilder<'a> {
     pub(crate) fn new(space: FaultSpace, executor: &'a dyn Executor) -> CampaignBuilder<'a> {
         CampaignBuilder {
+            lease: Lease::full(space.len()),
             space,
             executor,
             config: CampaignConfig::default(),
             strategy: Box::new(Exhaustive),
-            shard: ShardSpec::FULL,
-            lease: None,
             known_signatures: Vec::new(),
             sink: None,
             checkpoint: None,
@@ -132,24 +130,16 @@ impl<'a> CampaignBuilder<'a> {
         self
     }
 
-    /// Run only one round-robin slice of the fault space (default:
-    /// [`ShardSpec::FULL`], the whole space). Sibling processes run the
-    /// other slices of the same `count`; their outcomes merge with
-    /// [`crate::CampaignReport::merge`].
-    pub fn shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// Run only one leased contiguous fault-point range (default: none —
-    /// the whole shard). This is the supervisor's scheduling quantum,
-    /// much finer than a shard: the checkpoint tag becomes
+    /// Run only one contiguous fault-point range (default:
+    /// [`Lease::full`], the whole space). Sibling processes run the other
+    /// ranges — a supervisor's small leases, or the `--shard i/n` slices
+    /// of [`Lease::shard`] — and their outcomes merge with
+    /// [`crate::CampaignReport::merge_leases`]. The checkpoint tag is
     /// `fingerprint@plan-hash%start..end`, keyed by the *range*, so a
     /// lease reassigned to another worker resumes the previous worker's
-    /// checkpoint. Composes with [`CampaignBuilder::shard`] (supervised
-    /// workers normally keep the full shard and confine by lease alone).
+    /// checkpoint.
     pub fn lease(mut self, lease: Lease) -> Self {
-        self.lease = Some(lease);
+        self.lease = lease;
         self
     }
 
@@ -177,8 +167,8 @@ impl<'a> CampaignBuilder<'a> {
 
     /// Persist the campaign state to `path` after every batch, and let
     /// [`CampaignDriver::run_to_completion`] resume from the file when it
-    /// already exists (default: no checkpointing). An interrupted sharded
-    /// run thus loses at most one batch.
+    /// already exists (default: no checkpointing). An interrupted run thus
+    /// loses at most one batch.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
@@ -189,20 +179,16 @@ impl<'a> CampaignBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the shard spec is invalid (`count == 0` or
-    /// `index >= count`) — specs from user input should be validated
-    /// first via [`ShardSpec::new`] or `str::parse`.
+    /// Panics when the lease range is inverted (`start > end`) — ranges
+    /// from user input should be built with [`Lease::shard`] or checked
+    /// with [`Lease::validate`] first.
     pub fn build(self) -> CampaignDriver<'a> {
-        if let Err(err) = self.shard.validate() {
-            panic!("invalid campaign shard: {err}");
-        }
-        if let Some(Err(err)) = self.lease.map(|lease| lease.validate()) {
+        if let Err(err) = self.lease.validate() {
             panic!("invalid campaign lease: {err}");
         }
         CampaignDriver {
             campaign: Campaign::new(self.space, self.executor, self.config),
             strategy: self.strategy,
-            shard: self.shard,
             lease: self.lease,
             known_signatures: self.known_signatures,
             sink: self.sink,
@@ -218,8 +204,7 @@ impl<'a> CampaignBuilder<'a> {
 pub struct CampaignDriver<'a> {
     campaign: Campaign<'a>,
     strategy: Box<dyn Strategy + 'a>,
-    shard: ShardSpec,
-    lease: Option<Lease>,
+    lease: Lease,
     known_signatures: Vec<CrashSignature>,
     sink: Option<&'a dyn EventSink>,
     checkpoint: Option<PathBuf>,
@@ -232,19 +217,9 @@ impl<'a> CampaignDriver<'a> {
         &self.campaign
     }
 
-    /// Which slice of the space this driver runs.
-    pub fn shard(&self) -> ShardSpec {
-        self.shard
-    }
-
-    /// The leased fault-point range this driver is confined to, if any.
-    pub fn lease(&self) -> Option<Lease> {
+    /// The fault-point range this driver is confined to.
+    pub fn lease(&self) -> Lease {
         self.lease
-    }
-
-    /// Canonical work units owned by this driver's shard.
-    pub fn shard_units(&self) -> usize {
-        self.campaign.shard_units(self.shard)
     }
 
     /// The state this run would start from: the parsed checkpoint file
@@ -271,26 +246,25 @@ impl<'a> CampaignDriver<'a> {
         })
     }
 
-    /// Run this shard to completion and return its mergeable outcome.
+    /// Run this lease to completion and return its mergeable outcome.
     ///
     /// With a checkpoint path configured this is a *resumable* entry
     /// point: the state is loaded from the file when it exists (completed
     /// units are skipped; a mismatched tag starts fresh), and persisted
     /// back after every batch. Without one it always starts fresh.
-    pub fn run_to_completion(&self) -> ShardOutcome {
+    pub fn run_to_completion(&self) -> LeaseOutcome {
         let mut state = self.load_state();
         self.run_with_state(&mut state)
     }
 
-    /// Run this shard against caller-owned state (updated in place) —
+    /// Run this lease against caller-owned state (updated in place) —
     /// the resumable entry point for callers that manage persistence
     /// themselves. Events stream into the registered sink; the checkpoint
     /// path, when configured, is still written after every batch.
-    pub fn run_with_state(&self, state: &mut CampaignState) -> ShardOutcome {
+    pub fn run_with_state(&self, state: &mut CampaignState) -> LeaseOutcome {
         self.campaign.run_driven(
             self.strategy.as_ref(),
             state,
-            self.shard,
             self.lease,
             &self.known_signatures,
             self.sink,
@@ -375,42 +349,16 @@ mod tests {
     fn builder_defaults_match_the_legacy_config() {
         let executor = FakeExecutor::new();
         let driver = Campaign::builder(demo_space(3), &executor).build();
-        assert_eq!(driver.shard(), ShardSpec::FULL);
-        assert_eq!(driver.shard_units(), driver.campaign().total_units());
+        assert_eq!(driver.lease(), Lease::full(3));
+        assert_eq!(
+            driver.campaign().lease_units(driver.lease()),
+            driver.campaign().total_units()
+        );
         let outcome = driver.run_to_completion();
         assert_eq!(outcome.report.strategy, "exhaustive");
         assert_eq!(outcome.report.executed_now, 6, "3 points x 2 workloads");
         assert_eq!(outcome.seed, CampaignConfig::default().seed);
-        assert!(outcome.tag.ends_with("#0/1"), "tag: {}", outcome.tag);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn the_deprecated_run_shim_matches_the_driver() {
-        let executor = FakeExecutor::new();
-        let driver = Campaign::builder(demo_space(5), &executor).jobs(2).build();
-        let via_driver = driver.run_to_completion().report;
-
-        let campaign = Campaign::new(
-            demo_space(5),
-            &executor,
-            CampaignConfig {
-                jobs: 2,
-                ..CampaignConfig::default()
-            },
-        );
-        let via_shim = campaign.run(&Exhaustive, &mut CampaignState::default());
-        assert_eq!(via_shim.records, via_driver.records);
-        assert_eq!(via_shim.triage.buckets, via_driver.triage.buckets);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid campaign shard")]
-    fn building_with_an_invalid_shard_panics() {
-        let executor = FakeExecutor::new();
-        let _ = Campaign::builder(demo_space(3), &executor)
-            .shard(ShardSpec { index: 2, count: 2 })
-            .build();
+        assert!(outcome.tag.ends_with("%0..3"), "tag: {}", outcome.tag);
     }
 
     #[test]
@@ -423,26 +371,29 @@ mod tests {
 
         let count = 3;
         let mut outcomes = Vec::new();
-        let mut per_shard_units = 0;
+        let mut units_across_shards = 0;
         for index in 0..count {
             let executor = FakeExecutor::new();
+            let shard = Lease::shard(index, count, 7).unwrap();
             let driver = Campaign::builder(demo_space(7), &executor)
                 .jobs(2)
-                .shard(ShardSpec::new(index, count).unwrap())
+                .lease(shard)
                 .build();
-            per_shard_units += driver.shard_units();
+            let units = driver.campaign().lease_units(shard);
+            units_across_shards += units;
             let outcome = driver.run_to_completion();
             assert_eq!(
-                outcome.report.executed_now,
-                driver.shard_units(),
+                outcome.report.executed_now, units,
                 "shard {index} runs exactly its own units"
             );
-            assert!(outcome.tag.ends_with(&format!("#{index}/{count}")));
+            assert!(outcome
+                .tag
+                .ends_with(&format!("%{}..{}", shard.start, shard.end)));
             outcomes.push(outcome);
         }
-        assert_eq!(per_shard_units, unsharded.report.units_total);
+        assert_eq!(units_across_shards, unsharded.report.units_total);
 
-        let merged = CampaignReport::merge(outcomes).unwrap();
+        let merged = CampaignReport::merge_leases(outcomes, 7).unwrap();
         assert_eq!(merged.records, unsharded.report.records);
         assert_eq!(merged.triage, unsharded.report.triage);
         assert_eq!(merged.units_total, unsharded.report.units_total);
@@ -453,7 +404,7 @@ mod tests {
     fn a_shard_checkpoint_cannot_be_resumed_by_another_shard() {
         let executor = FakeExecutor::new();
         let shard0 = Campaign::builder(demo_space(6), &executor)
-            .shard(ShardSpec::new(0, 2).unwrap())
+            .lease(Lease::shard(0, 2, 6).unwrap())
             .build();
         let mut state = CampaignState::default();
         let first = shard0.run_with_state(&mut state);
@@ -462,7 +413,7 @@ mod tests {
         // The sibling shard must not adopt shard 0's records...
         let executor1 = FakeExecutor::new();
         let shard1 = Campaign::builder(demo_space(6), &executor1)
-            .shard(ShardSpec::new(1, 2).unwrap())
+            .lease(Lease::shard(1, 2, 6).unwrap())
             .build();
         let hijack = shard1.run_with_state(&mut state);
         assert_eq!(
@@ -619,11 +570,13 @@ mod tests {
             );
             // The cross-process handoff: state → JSON → LeaseOutcome.
             let parsed = CampaignState::from_json(&state.to_json()).unwrap();
-            outcomes.push(crate::control::LeaseOutcome::from_state(&parsed).unwrap());
+            outcomes.push(LeaseOutcome::from_state(&parsed).unwrap());
         }
         let merged = CampaignReport::merge_leases(outcomes, 7).unwrap();
         assert_eq!(merged.records, unsharded.report.records);
         assert_eq!(merged.triage, unsharded.report.triage);
+        // Parsed outcomes carry no space size; the merge restores it.
+        assert_eq!(merged.space_size, unsharded.report.space_size);
     }
 
     #[test]
@@ -721,13 +674,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid campaign lease")]
-    fn building_with_an_empty_lease_panics() {
+    fn building_with_an_inverted_lease_panics() {
         let executor = FakeExecutor::new();
         let _ = Campaign::builder(demo_space(3), &executor)
             .lease(Lease {
                 id: 0,
                 start: 2,
-                end: 2,
+                end: 1,
             })
             .build();
     }
@@ -739,14 +692,14 @@ mod tests {
         let mut outcomes = Vec::new();
         for index in 0..count {
             let driver = Campaign::builder(demo_space(5), &executor)
-                .shard(ShardSpec::new(index, count).unwrap())
+                .lease(Lease::shard(index, count, 5).unwrap())
                 .build();
             let mut state = CampaignState::default();
             let live = driver.run_with_state(&mut state);
-            // The cross-process handoff: state → JSON → ShardOutcome.
+            // The cross-process handoff: state → JSON → LeaseOutcome.
             let parsed = CampaignState::from_json(&state.to_json()).unwrap();
-            let outcome = ShardOutcome::from_state(&parsed).unwrap();
-            assert_eq!(outcome.shard, live.shard);
+            let outcome = LeaseOutcome::from_state(&parsed).unwrap();
+            assert_eq!((outcome.start, outcome.end), (live.start, live.end));
             assert_eq!(outcome.tag, live.tag);
             assert_eq!(outcome.seed, live.seed);
             assert_eq!(
@@ -761,7 +714,7 @@ mod tests {
         let unsharded = Campaign::builder(demo_space(5), &executor_full)
             .build()
             .run_to_completion();
-        let merged = CampaignReport::merge(outcomes).unwrap();
+        let merged = CampaignReport::merge_leases(outcomes, 5).unwrap();
         assert_eq!(merged.records, unsharded.report.records);
         assert_eq!(merged.triage, unsharded.report.triage);
     }

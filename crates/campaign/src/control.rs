@@ -1,103 +1,18 @@
-//! The supervisor control plane: unit-range leases and the typed
-//! [`ControlMessage`]s a campaign supervisor sends its workers.
-//!
-//! A [`Lease`] is the supervisor's scheduling quantum: one contiguous
-//! range of canonical fault-point indices, much finer than a
-//! [`ShardSpec`](crate::shard::ShardSpec)'s static round-robin slice.
-//! Because canonical unit ids are positions in the point × workload
-//! expansion (and `unit_base` is ascending), a contiguous point range is
-//! also a contiguous unit range — so a lease names the same work on
-//! every worker, and a lease reassigned after a worker death resumes
-//! from the dead worker's checkpoint with at most its in-flight batch
-//! re-executed.
-//!
-//! Lease identity is the **range**, not the lease id: the checkpoint tag
-//! is `fingerprint@plan-hash%start..end` (the `%` marker keeps lease
-//! tags disjoint from `#`-suffixed shard tags, so neither kind of
-//! checkpoint can be resumed as the other). A reassigned lease gets a
-//! fresh id but the same range, adopts the previous worker's checkpoint
-//! file, and skips its completed units.
-//!
-//! A finished lease persists a sealed [`CampaignState`];
-//! [`LeaseOutcome::from_state`] recovers the mergeable outcome and
-//! [`CampaignReport::merge_leases`] recombines a set of outcomes that
-//! tile the whole space into a report record- and triage-identical to
-//! the unsharded run (for schedules whose covered unit set does not
-//! depend on observed history — the same caveat as shard merging).
+//! The supervisor control plane: the typed [`ControlMessage`]s a
+//! campaign supervisor sends its workers.
 //!
 //! [`ControlMessage`] is the downstream half of the supervisor wire
 //! protocol (the upstream half is the [`CampaignEvent`](crate::events::
 //! CampaignEvent) stream plus the worker protocol): it has the same
 //! total line-oriented JSON codec as events, discriminated by a
 //! `"control"` key so the two kinds can share a pipe without ambiguity.
-
-use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
+//! Its [`Lease`] grants are the [`crate::lease`] partition type.
 
 use lfi_json::{JsonError, Value};
 
-use crate::engine::RunRecord;
-use crate::state::{int_field, invalid, opt_str_field, str_field, CampaignState};
-use crate::triage::{triage, CampaignReport, CrashSignature, Triage};
-
-/// One contiguous slice of the fault space, leased to a worker.
-///
-/// `start..end` are canonical fault-point indices (half-open). The `id`
-/// distinguishes grants — a range reassigned after a worker death gets a
-/// new id — but checkpoint identity is keyed by the range alone, so the
-/// new grant resumes the old grant's persisted progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Lease {
-    /// Grant id, unique per supervisor run.
-    pub id: u64,
-    /// First fault-point index of the range.
-    pub start: usize,
-    /// One past the last fault-point index of the range.
-    pub end: usize,
-}
-
-impl Lease {
-    /// Whether this lease owns the fault point at canonical index
-    /// `point`.
-    pub fn owns_point(&self, point: usize) -> bool {
-        (self.start..self.end).contains(&point)
-    }
-
-    /// Number of fault points in the range.
-    pub fn points(&self) -> usize {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Check the `start < end` invariant.
-    pub fn validate(&self) -> Result<(), LeaseError> {
-        if self.start >= self.end {
-            return Err(LeaseError(format!(
-                "empty lease range {}..{} (start must be below end)",
-                self.start, self.end
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for Lease {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lease {} [{}..{})", self.id, self.start, self.end)
-    }
-}
-
-/// Why a lease failed to validate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeaseError(String);
-
-impl fmt::Display for LeaseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl Error for LeaseError {}
+use crate::lease::Lease;
+use crate::state::{int_field, invalid, opt_str_field, str_field};
+use crate::triage::CrashSignature;
 
 /// A message from the supervisor to one worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,277 +115,9 @@ impl ControlMessage {
     }
 }
 
-/// The finished result of one lease: everything a merge step needs to
-/// recombine the campaign from lease-grained slices.
-#[derive(Debug, Clone)]
-pub struct LeaseOutcome {
-    /// First fault-point index of the range.
-    pub start: usize,
-    /// One past the last fault-point index of the range.
-    pub end: usize,
-    /// The full checkpoint tag the lease ran under
-    /// (`fingerprint@plan-hash%start..end`).
-    pub tag: String,
-    /// The campaign seed the lease's unit seeds were derived from.
-    pub seed: u64,
-    /// The lease's own report: its records and its triage slice.
-    pub report: CampaignReport,
-}
-
-impl LeaseOutcome {
-    /// The plan identity shared by every lease of one campaign: the tag
-    /// with the `%start..end` suffix stripped.
-    pub fn plan_tag(&self) -> &str {
-        self.tag
-            .rsplit_once('%')
-            .map_or(&*self.tag, |(base, _)| base)
-    }
-
-    /// Reconstruct a lease outcome from a persisted [`CampaignState`] —
-    /// the cross-process handoff: each worker checkpoints every lease to
-    /// its own file, and the supervisor's merge step parses the files
-    /// back into outcomes. Mid-run checkpoints of interrupted leases are
-    /// rejected, exactly like interrupted shards.
-    pub fn from_state(state: &CampaignState) -> Result<LeaseOutcome, LeaseMergeError> {
-        let tag = state.tag().to_string();
-        let Some((plan, suffix)) = tag.rsplit_once('%') else {
-            return Err(LeaseMergeError::UntaggedState(tag));
-        };
-        let strategy = plan.split_once('@').map_or(plan, |(fp, _)| fp).to_string();
-        let bad = || LeaseMergeError::BadLeaseTag(tag.clone());
-        let (start, end) = suffix.split_once("..").ok_or_else(bad)?;
-        let start: usize = start.parse().map_err(|_| bad())?;
-        let end: usize = end.parse().map_err(|_| bad())?;
-        if start >= end {
-            return Err(bad());
-        }
-        if !state.is_complete() {
-            return Err(LeaseMergeError::IncompleteLeaseState { start, end });
-        }
-        let records = state.records().to_vec();
-        Ok(LeaseOutcome {
-            start,
-            end,
-            tag,
-            seed: state.seed(),
-            report: CampaignReport {
-                strategy,
-                space_size: 0,
-                planned_points: 0,
-                units_total: records.len(),
-                batches: 0,
-                peak_workers: 0,
-                executed_now: 0,
-                triage: triage(&records),
-                records,
-                metrics: None,
-            },
-        })
-    }
-}
-
-/// Why a set of lease outcomes could not be merged into one report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseMergeError {
-    /// No outcomes were supplied.
-    Empty,
-    /// A persisted state carries no `%start..end` lease suffix.
-    UntaggedState(String),
-    /// A persisted state's lease suffix failed to parse (or names an
-    /// empty range).
-    BadLeaseTag(String),
-    /// A persisted state is a mid-run checkpoint of an interrupted
-    /// lease, not a finished one.
-    IncompleteLeaseState {
-        /// First fault-point index of the interrupted range.
-        start: usize,
-        /// One past the last fault-point index of the interrupted range.
-        end: usize,
-    },
-    /// Two outcomes ran different plans (strategy fingerprint, space, or
-    /// workload suites differ).
-    MixedPlans(String, String),
-    /// Two outcomes ran under different campaign seeds.
-    MixedSeeds(u64, u64),
-    /// Two ranges overlap: the second starts before the first ends.
-    Overlap {
-        /// End of the earlier range.
-        end: usize,
-        /// Start of the later, overlapping range.
-        start: usize,
-    },
-    /// The sorted ranges leave fault points uncovered.
-    Gap {
-        /// First uncovered point.
-        from: usize,
-        /// One past the last uncovered point.
-        to: usize,
-    },
-    /// Two outcomes both recorded the same canonical unit — the
-    /// partition was violated.
-    DuplicateUnit(usize),
-}
-
-impl fmt::Display for LeaseMergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LeaseMergeError::Empty => write!(f, "no lease outcomes to merge"),
-            LeaseMergeError::UntaggedState(tag) => write!(
-                f,
-                "campaign state tag `{tag}` carries no lease suffix (`%start..end`)"
-            ),
-            LeaseMergeError::BadLeaseTag(tag) => {
-                write!(f, "campaign state tag `{tag}` has a malformed lease suffix")
-            }
-            LeaseMergeError::IncompleteLeaseState { start, end } => write!(
-                f,
-                "lease {start}..{end}'s state is a mid-run checkpoint (its run was \
-                 interrupted); re-run the lease to completion before merging"
-            ),
-            LeaseMergeError::MixedPlans(a, b) => write!(
-                f,
-                "leases ran different plans: `{a}` vs `{b}` (strategy, space, or suites differ)"
-            ),
-            LeaseMergeError::MixedSeeds(a, b) => {
-                write!(f, "leases ran under different campaign seeds: {a} vs {b}")
-            }
-            LeaseMergeError::Overlap { end, start } => write!(
-                f,
-                "lease ranges overlap: one ends at {end} but another starts at {start}"
-            ),
-            LeaseMergeError::Gap { from, to } => {
-                write!(f, "lease ranges leave fault points {from}..{to} uncovered")
-            }
-            LeaseMergeError::DuplicateUnit(unit) => write!(
-                f,
-                "unit {unit} was recorded by more than one lease (partition violated)"
-            ),
-        }
-    }
-}
-
-impl Error for LeaseMergeError {}
-
-impl CampaignReport {
-    /// Recombine lease outcomes that tile the whole space into one
-    /// report — the lease-grained sibling of [`CampaignReport::merge`].
-    ///
-    /// The outcomes must share one plan tag and campaign seed, and their
-    /// sorted ranges must cover `0..total_points` exactly: no gaps, no
-    /// overlaps. For schedules whose covered unit set does not depend on
-    /// observed history, the merged records and triage are
-    /// byte-identical to the equivalent unsharded run's.
-    pub fn merge_leases(
-        outcomes: Vec<LeaseOutcome>,
-        total_points: usize,
-    ) -> Result<CampaignReport, LeaseMergeError> {
-        let Some(first) = outcomes.first() else {
-            return Err(LeaseMergeError::Empty);
-        };
-        let plan = first.plan_tag().to_string();
-        let seed = first.seed;
-        for outcome in &outcomes {
-            if outcome.plan_tag() != plan {
-                return Err(LeaseMergeError::MixedPlans(
-                    plan,
-                    outcome.plan_tag().to_string(),
-                ));
-            }
-            if outcome.seed != seed {
-                return Err(LeaseMergeError::MixedSeeds(seed, outcome.seed));
-            }
-        }
-        let mut ranges: Vec<(usize, usize)> = outcomes.iter().map(|o| (o.start, o.end)).collect();
-        ranges.sort_unstable();
-        let mut covered = 0usize;
-        for (start, end) in ranges {
-            match start.cmp(&covered) {
-                std::cmp::Ordering::Less => {
-                    return Err(LeaseMergeError::Overlap {
-                        end: covered,
-                        start,
-                    })
-                }
-                std::cmp::Ordering::Greater => {
-                    return Err(LeaseMergeError::Gap {
-                        from: covered,
-                        to: start,
-                    })
-                }
-                std::cmp::Ordering::Equal => covered = end,
-            }
-        }
-        if covered < total_points {
-            return Err(LeaseMergeError::Gap {
-                from: covered,
-                to: total_points,
-            });
-        }
-
-        let mut merged: BTreeMap<usize, RunRecord> = BTreeMap::new();
-        let mut report = CampaignReport {
-            strategy: first.report.strategy.clone(),
-            space_size: 0,
-            planned_points: 0,
-            units_total: 0,
-            batches: 0,
-            peak_workers: 0,
-            executed_now: 0,
-            triage: Triage::default(),
-            records: Vec::new(),
-            metrics: None,
-        };
-        for outcome in outcomes {
-            report.space_size = report.space_size.max(outcome.report.space_size);
-            report.planned_points += outcome.report.planned_points;
-            report.units_total += outcome.report.units_total;
-            report.batches += outcome.report.batches;
-            report.peak_workers = report.peak_workers.max(outcome.report.peak_workers);
-            report.executed_now += outcome.report.executed_now;
-            if let Some(lease_metrics) = &outcome.report.metrics {
-                report
-                    .metrics
-                    .get_or_insert_with(Default::default)
-                    .merge(lease_metrics);
-            }
-            for record in outcome.report.records {
-                let unit = record.unit;
-                if merged.insert(unit, record).is_some() {
-                    return Err(LeaseMergeError::DuplicateUnit(unit));
-                }
-            }
-        }
-        report.records = merged.into_values().collect();
-        report.triage = triage(&report.records);
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lease_ranges_are_half_open() {
-        let lease = Lease {
-            id: 3,
-            start: 4,
-            end: 7,
-        };
-        assert!(lease.validate().is_ok());
-        assert_eq!(lease.points(), 3);
-        assert!(!lease.owns_point(3));
-        assert!(lease.owns_point(4) && lease.owns_point(6));
-        assert!(!lease.owns_point(7));
-        assert_eq!(lease.to_string(), "lease 3 [4..7)");
-        assert!(Lease {
-            id: 0,
-            start: 5,
-            end: 5
-        }
-        .validate()
-        .is_err());
-    }
 
     #[test]
     fn control_messages_round_trip_through_json_lines() {
@@ -515,94 +162,5 @@ mod tests {
         // An event line is not a control line: the discriminating key
         // keeps the two wire formats disjoint on a shared pipe.
         assert!(ControlMessage::from_json_line(r#"{"event":"shutdown"}"#).is_err());
-    }
-
-    fn outcome(start: usize, end: usize) -> LeaseOutcome {
-        LeaseOutcome {
-            start,
-            end,
-            tag: format!("exhaustive@00000000deadbeef%{start}..{end}"),
-            seed: 7,
-            report: CampaignReport {
-                strategy: "exhaustive".to_string(),
-                space_size: 0,
-                planned_points: end - start,
-                units_total: 0,
-                batches: 1,
-                peak_workers: 1,
-                executed_now: 0,
-                triage: Triage::default(),
-                records: Vec::new(),
-                metrics: None,
-            },
-        }
-    }
-
-    #[test]
-    fn merge_requires_a_gapless_tiling() {
-        assert_eq!(
-            CampaignReport::merge_leases(Vec::new(), 4).unwrap_err(),
-            LeaseMergeError::Empty
-        );
-        // 0..2, 2..5, 5..9 tiles 0..9 exactly.
-        let report =
-            CampaignReport::merge_leases(vec![outcome(2, 5), outcome(0, 2), outcome(5, 9)], 9)
-                .unwrap();
-        assert_eq!(report.planned_points, 9);
-        assert_eq!(report.batches, 3);
-
-        assert_eq!(
-            CampaignReport::merge_leases(vec![outcome(0, 2), outcome(3, 9)], 9).unwrap_err(),
-            LeaseMergeError::Gap { from: 2, to: 3 }
-        );
-        assert_eq!(
-            CampaignReport::merge_leases(vec![outcome(0, 4), outcome(3, 9)], 9).unwrap_err(),
-            LeaseMergeError::Overlap { end: 4, start: 3 }
-        );
-        assert_eq!(
-            CampaignReport::merge_leases(vec![outcome(0, 9)], 12).unwrap_err(),
-            LeaseMergeError::Gap { from: 9, to: 12 }
-        );
-    }
-
-    #[test]
-    fn merge_rejects_mixed_plans_and_seeds() {
-        let mut foreign = outcome(2, 4);
-        foreign.tag = "guided@00000000deadbeef%2..4".to_string();
-        assert!(matches!(
-            CampaignReport::merge_leases(vec![outcome(0, 2), foreign], 4).unwrap_err(),
-            LeaseMergeError::MixedPlans(..)
-        ));
-        let mut reseeded = outcome(2, 4);
-        reseeded.seed = 8;
-        assert_eq!(
-            CampaignReport::merge_leases(vec![outcome(0, 2), reseeded], 4).unwrap_err(),
-            LeaseMergeError::MixedSeeds(7, 8)
-        );
-    }
-
-    #[test]
-    fn lease_states_round_trip_and_reject_interruptions() {
-        let mut state = CampaignState::default();
-        state.adopt("exhaustive@0000000000000000%3..6", 7);
-        let interrupted = CampaignState::from_json(&state.to_json()).unwrap();
-        assert_eq!(
-            LeaseOutcome::from_state(&interrupted).unwrap_err(),
-            LeaseMergeError::IncompleteLeaseState { start: 3, end: 6 }
-        );
-
-        let mut sharded = CampaignState::default();
-        sharded.adopt("exhaustive@0000000000000000#0/2", 7);
-        assert!(matches!(
-            LeaseOutcome::from_state(&sharded).unwrap_err(),
-            LeaseMergeError::UntaggedState(_)
-        ));
-
-        let mut bad = CampaignState::default();
-        bad.adopt("exhaustive@0000000000000000%6..3", 7);
-        assert!(matches!(
-            LeaseOutcome::from_state(&bad).unwrap_err(),
-            LeaseMergeError::BadLeaseTag(_)
-        ));
     }
 }

@@ -11,7 +11,8 @@
 //!
 //! ## Execution backends
 //!
-//! Two backends run units ([`ExecBackend`] in [`CampaignConfig`]):
+//! Two backends run units ([`ExecBackend`], chosen with
+//! [`CampaignBuilder::backend`]):
 //!
 //! * **Fresh** — every unit builds a fresh VM via [`Executor::execute`];
 //!   runs share nothing but the immutable target modules.
@@ -25,7 +26,7 @@
 //!   *tree*, so a unit injecting deep in the workload forks the deepest
 //!   snapshot preceding its function's first call instead of replaying
 //!   from the first injectable call; resident snapshots are bounded by
-//!   [`CampaignConfig::snapshot_budget`]. Sessions are prepared lazily in
+//!   [`CampaignBuilder::snapshot_budget`]. Sessions are prepared lazily in
 //!   an engine-owned cache shared across worker threads; targets that
 //!   cannot snapshot (multi-process cluster targets return `None` from
 //!   `prepare`) fall back to fresh VMs.
@@ -34,19 +35,20 @@
 //! results stay independent of the backend, the worker count, and the
 //! interleaving, and resumable state is backend-agnostic.
 //!
-//! ## Unit identity, resumability, and sharding
+//! ## Unit identity, resumability, and partitioning
 //!
 //! Unit ids are **canonical**: unit `id` is the position of its
 //! `(fault point, workload)` pair in the full expansion of the space in
 //! enumeration order, independent of the strategy's schedule. Persisted
-//! state is tagged `fingerprint@plan-hash#shard`, where the plan hash
+//! state is tagged `fingerprint@plan-hash%start..end`, where the plan hash
 //! covers every point's full identity (target, function, offset, caller,
 //! injected retval/errno, analyzer class, baseline reachability) and a
-//! digest of each target's workload suite, and the shard suffix is the
-//! run's [`ShardSpec`]. Any change that could shift unit ids or swap the
-//! scenario behind an id — re-annotation, a different fault profile, an
-//! edited test suite, a different shard spec — therefore invalidates the
-//! checkpoint instead of silently misapplying it.
+//! digest of each target's workload suite, and the suffix is the run's
+//! [`Lease`] range (`0..P` for the whole space). Any change that could
+//! shift unit ids or swap the scenario behind an id — re-annotation, a
+//! different fault profile, an edited test suite, a different range —
+//! therefore invalidates the checkpoint instead of silently misapplying
+//! it.
 //!
 //! ## Driving a campaign
 //!
@@ -54,14 +56,13 @@
 //! [`CampaignBuilder`](crate::builder::CampaignBuilder) /
 //! [`CampaignDriver`](crate::builder::CampaignDriver) API
 //! (`Campaign::builder(space, &executor).strategy(...).build()`), which
-//! adds shard selection, streamed [`CampaignEvent`]s, and per-batch
-//! checkpointing on top of the engine loop. The old blocking
-//! [`Campaign::run`] remains as a deprecated shim over the same loop.
+//! adds lease selection, streamed [`CampaignEvent`]s, and per-batch
+//! checkpointing on top of the engine loop.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -70,10 +71,9 @@ use lfi_core::Scenario;
 use lfi_telemetry::Telemetry;
 
 use crate::builder::CampaignBuilder;
-use crate::control::Lease;
 use crate::events::{CampaignEvent, EventSink};
 use crate::history::CampaignHistory;
-use crate::shard::{ShardOutcome, ShardSpec};
+use crate::lease::{format_range, Lease, LeaseOutcome};
 use crate::space::{FaultPoint, FaultSpace};
 use crate::state::CampaignState;
 use crate::strategy::{DepthOracle, Strategy};
@@ -352,7 +352,7 @@ pub trait Executor: Sync {
 }
 
 /// Default cap on resident snapshot bytes under the snapshot backend
-/// (see [`CampaignConfig::snapshot_budget`]).
+/// (see [`CampaignBuilder::snapshot_budget`]).
 pub const DEFAULT_SNAPSHOT_BUDGET: u64 = 256 << 20;
 
 /// How the engine runs work units — see the module docs.
@@ -411,9 +411,9 @@ impl std::str::FromStr for ExecBackend {
     }
 }
 
-/// Campaign configuration.
+/// Campaign configuration, filled in by the [`CampaignBuilder`].
 #[derive(Debug, Clone, Copy)]
-pub struct CampaignConfig {
+pub(crate) struct CampaignConfig {
     /// Number of worker threads (clamped to at least 1, and never more than
     /// the pending units of a batch).
     pub jobs: usize,
@@ -437,7 +437,7 @@ pub struct CampaignConfig {
 }
 
 /// Default minimum interval between heartbeat events (see
-/// [`CampaignConfig::heartbeat_interval`]).
+/// [`CampaignBuilder::heartbeat`]).
 pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 
 impl Default for CampaignConfig {
@@ -485,11 +485,13 @@ struct RunProgress {
     telemetry: Telemetry,
     unit_execute_micros: lfi_telemetry::Histogram,
     units_executed: lfi_telemetry::Counter,
-    shard: ShardSpec,
+    lease: Lease,
     run_start: Instant,
     heartbeat_interval: Option<Duration>,
     /// Run time (micros since `run_start`) of the last emitted heartbeat.
-    last_heartbeat_micros: AtomicU64,
+    /// Held across the snapshot and the sink call, so heartbeats reach
+    /// the sink in the order their progress was read.
+    last_heartbeat_micros: Mutex<u64>,
     /// Units executed this session so far.
     executed: AtomicUsize,
     /// Units planned this session so far (grows batch by batch).
@@ -497,15 +499,15 @@ struct RunProgress {
 }
 
 impl RunProgress {
-    fn new(telemetry: Telemetry, shard: ShardSpec, heartbeat_interval: Option<Duration>) -> Self {
+    fn new(telemetry: Telemetry, lease: Lease, heartbeat_interval: Option<Duration>) -> Self {
         RunProgress {
             unit_execute_micros: telemetry.histogram("unit_execute_micros"),
             units_executed: telemetry.counter("units_executed"),
             telemetry,
-            shard,
+            lease,
             run_start: Instant::now(),
             heartbeat_interval,
-            last_heartbeat_micros: AtomicU64::new(0),
+            last_heartbeat_micros: Mutex::new(0),
             executed: AtomicUsize::new(0),
             planned: AtomicUsize::new(0),
         }
@@ -523,24 +525,21 @@ impl RunProgress {
     }
 
     /// Emit a heartbeat if a full interval has elapsed since the last one.
-    /// Workers race on the claim; the compare-exchange lets exactly one
-    /// win per interval.
+    /// A worker that finds another one mid-heartbeat skips its own: the
+    /// claim is a `try_lock` held until the event is delivered, so
+    /// successive heartbeats never report progress out of order.
     fn maybe_heartbeat(&self, sink: &dyn EventSink) {
         let Some(interval) = self.heartbeat_interval else {
             return;
         };
+        let Ok(mut last) = self.last_heartbeat_micros.try_lock() else {
+            return;
+        };
         let elapsed = self.run_start.elapsed().as_micros() as u64;
-        let last = self.last_heartbeat_micros.load(Ordering::Relaxed);
-        if elapsed.saturating_sub(last) < interval.as_micros() as u64 {
+        if elapsed.saturating_sub(*last) < interval.as_micros() as u64 {
             return;
         }
-        if self
-            .last_heartbeat_micros
-            .compare_exchange(last, elapsed, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
+        *last = elapsed;
         let units_done = self.executed.load(Ordering::Relaxed);
         // units/sec scaled by 1000 (the wire format is integer-only):
         // done / (elapsed/1e6) * 1000 = done * 1e9 / elapsed_micros.
@@ -549,7 +548,7 @@ impl RunProgress {
             .checked_div(elapsed)
             .unwrap_or(0);
         sink.event(&CampaignEvent::Heartbeat {
-            shard: self.shard,
+            shard: self.lease.start..self.lease.end,
             units_done,
             units_planned: self.planned.load(Ordering::Relaxed),
             milli_units_per_sec,
@@ -635,7 +634,7 @@ pub struct Campaign<'a> {
 
 impl<'a> Campaign<'a> {
     /// Start building a campaign over `space` with the fluent
-    /// [`CampaignBuilder`] API — strategy, backend, jobs, seed, shard,
+    /// [`CampaignBuilder`] API — strategy, backend, jobs, seed, lease,
     /// event sink, and checkpoint path — finished by
     /// [`CampaignBuilder::build`] into a
     /// [`CampaignDriver`](crate::builder::CampaignDriver).
@@ -646,7 +645,11 @@ impl<'a> Campaign<'a> {
     /// Create a campaign over `space`, executing with `executor`. The
     /// canonical unit layout (every point × its target's workload suite) is
     /// fixed here; workload suites are queried once per target.
-    pub fn new(space: FaultSpace, executor: &'a dyn Executor, config: CampaignConfig) -> Self {
+    pub(crate) fn new(
+        space: FaultSpace,
+        executor: &'a dyn Executor,
+        config: CampaignConfig,
+    ) -> Self {
         let mut suites: Vec<(String, Vec<Vec<String>>)> = Vec::new();
         let mut unit_base = Vec::with_capacity(space.len());
         let mut total_units = 0usize;
@@ -715,19 +718,9 @@ impl<'a> Campaign<'a> {
         self.total_units
     }
 
-    /// Number of canonical work units owned by `shard`: the units of its
-    /// round-robin slice of fault points. Shards partition [`Campaign::
-    /// total_units`]: summing over `0..count` gives the total exactly.
-    pub fn shard_units(&self, shard: ShardSpec) -> usize {
-        (0..self.space.len())
-            .filter(|&point| shard.owns_point(point))
-            .map(|point| self.point_units(point))
-            .sum()
-    }
-
     /// Number of canonical work units covered by `lease`'s point range
     /// (clamped to the space). Leases that tile the space partition
-    /// [`Campaign::total_units`] exactly, like shards do.
+    /// [`Campaign::total_units`] exactly.
     pub fn lease_units(&self, lease: Lease) -> usize {
         (lease.start..lease.end.min(self.space.len()))
             .map(|point| self.point_units(point))
@@ -889,66 +882,49 @@ impl<'a> Campaign<'a> {
     }
 
     /// The engine loop behind [`CampaignDriver`](crate::builder::
-    /// CampaignDriver) (and the deprecated [`Campaign::run`] shim):
-    /// repeatedly request a batch from the strategy, execute its units that
-    /// `state` has not already completed, feed the results back through the
-    /// history, and stop when the strategy has nothing new to schedule.
-    /// Fault points outside `shard` (and outside `lease`, when one is
-    /// set) are pre-marked dispatched, confining any strategy's schedule
-    /// to the run's slice. Progress streams through `sink`, and
+    /// CampaignDriver): repeatedly request a batch from the strategy,
+    /// execute its units that `state` has not already completed, feed the
+    /// results back through the history, and stop when the strategy has
+    /// nothing new to schedule. Fault points outside `lease` are
+    /// pre-marked dispatched, confining any strategy's schedule to the
+    /// run's slice. Progress streams through `sink`, and
     /// `checkpoint` (when set) persists the state after every batch.
     /// `known_signatures` seeds the run with crash signatures first seen
     /// elsewhere (a supervisor's broadcasts): adaptive strategies
     /// escalate around them, and they are not re-announced as
     /// `CrashFound` events.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_driven(
         &self,
         strategy: &dyn Strategy,
         state: &mut CampaignState,
-        shard: ShardSpec,
-        lease: Option<Lease>,
+        lease: Lease,
         known_signatures: &[CrashSignature],
         sink: Option<&dyn EventSink>,
         checkpoint: Option<&Path>,
-    ) -> ShardOutcome {
+    ) -> LeaseOutcome {
         // The state tag covers the strategy's scheduling identity, the plan
         // (point identity incl. annotations + workload suites), AND the
-        // run's slice: unit ids are indices into this exact expansion and
+        // run's range: unit ids are indices into this exact expansion and
         // the record set is one slice of it, so a resume against anything
-        // else — including the same plan under a different shard or lease
-        // range — must start fresh. Lease identity is the *range* (not the
-        // grant id): a reassigned lease adopts the previous worker's
-        // checkpoint and re-executes only unfinished work.
-        let tag = match lease {
-            Some(lease) => format!(
-                "{}@{:016x}%{}..{}",
-                strategy.fingerprint(),
-                self.plan_hash(),
-                lease.start,
-                lease.end
-            ),
-            None => format!(
-                "{}@{:016x}#{}",
-                strategy.fingerprint(),
-                self.plan_hash(),
-                shard
-            ),
-        };
+        // else — including the same plan under a different range — must
+        // start fresh. Lease identity is the *range* (not the grant id): a
+        // reassigned lease adopts the previous worker's checkpoint and
+        // re-executes only unfinished work.
+        let tag = format!(
+            "{}@{:016x}%{}",
+            strategy.fingerprint(),
+            self.plan_hash(),
+            format_range(lease.start, lease.end)
+        );
         state.adopt(&tag, self.config.seed);
 
         let mut history = CampaignHistory::new(self.unit_base.clone(), self.total_units);
-        // Points owned by other shards (or outside the lease range) are
-        // excluded up front: strategies see them as already dispatched and
-        // schedule around them, so the engine never has to second-guess a
-        // batch (a strategy that emits one point at a time still
-        // terminates correctly).
-        for point in 0..self.space.len() {
-            let owned =
-                shard.owns_point(point) && lease.is_none_or(|lease| lease.owns_point(point));
-            if !owned {
-                history.exclude_point(point);
-            }
+        // Points outside the lease range are excluded up front: strategies
+        // see them as already dispatched and schedule around them, so the
+        // engine never has to second-guess a batch (a strategy that emits
+        // one point at a time still terminates correctly).
+        for point in (0..self.space.len()).filter(|&point| !lease.owns_point(point)) {
+            history.exclude_point(point);
         }
         let seen_signatures: Mutex<BTreeSet<CrashSignature>> = Mutex::new(BTreeSet::new());
         // Broadcast signatures steer scheduling (via the history's hint
@@ -970,7 +946,7 @@ impl<'a> Campaign<'a> {
         let telemetry = self.executor.telemetry();
         let triage_micros = telemetry.histogram("triage_micros");
         let checkpoint_write_micros = telemetry.histogram("checkpoint_write_micros");
-        let progress = RunProgress::new(telemetry.clone(), shard, self.config.heartbeat_interval);
+        let progress = RunProgress::new(telemetry.clone(), lease, self.config.heartbeat_interval);
 
         let mut executed_now = 0usize;
         let mut peak_workers = 0usize;
@@ -1045,7 +1021,7 @@ impl<'a> Campaign<'a> {
         }
 
         // The strategy has nothing left: seal the state so a merge step
-        // can tell this finished shard from a mid-run checkpoint of an
+        // can tell this finished lease from a mid-run checkpoint of an
         // interrupted one, and persist the sealed form.
         state.mark_complete();
         if let Some(path) = checkpoint {
@@ -1074,31 +1050,18 @@ impl<'a> Campaign<'a> {
             // close the stream.
             progress.publish_notes(sink);
             sink.event(&CampaignEvent::ShardFinished {
-                shard,
+                shard: lease.start..lease.end,
                 executed: executed_now,
                 records: report.records.len(),
             });
         }
-        ShardOutcome {
-            shard,
+        LeaseOutcome {
+            start: lease.start,
+            end: lease.end,
             tag,
             seed: self.config.seed,
             report,
         }
-    }
-
-    /// Run the whole campaign to completion, blocking, unsharded, with no
-    /// event stream — the pre-builder API, kept for one release.
-    ///
-    /// `state` is updated in place; persist it with
-    /// [`CampaignState::to_json`] to make the campaign resumable.
-    #[deprecated(
-        note = "build a CampaignDriver instead: Campaign::builder(space, &executor)\
-                .strategy(...).build().run_with_state(&mut state)"
-    )]
-    pub fn run(&self, strategy: &dyn Strategy, state: &mut CampaignState) -> CampaignReport {
-        self.run_driven(strategy, state, ShardSpec::FULL, None, &[], None, None)
-            .report
     }
 }
 

@@ -37,6 +37,7 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -44,14 +45,14 @@ use lfi_json::{JsonError, Value};
 use lfi_telemetry::MetricsSnapshot;
 
 use crate::engine::RunRecord;
-use crate::shard::ShardSpec;
+use crate::lease::{format_range, parse_range};
 use crate::state::{int_field, invalid, opt_str_field, record_from_value, record_to_value};
 use crate::triage::CrashSignature;
 
 /// One progress event of a running campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignEvent {
-    /// The strategy scheduled a new batch (after dispatch/shard filtering).
+    /// The strategy scheduled a new batch (after dispatch/lease filtering).
     BatchPlanned {
         /// 1-based batch number within this run.
         batch: usize,
@@ -99,9 +100,9 @@ pub enum CampaignEvent {
     /// Periodic progress telemetry, emitted at most once per configured
     /// heartbeat interval while units are draining.
     Heartbeat {
-        /// Which slice is reporting ([`ShardSpec::FULL`] for unsharded
-        /// runs).
-        shard: ShardSpec,
+        /// The fault-point range of the reporting run (`0..P` for a run
+        /// over the whole space); `"start..end"` on the wire.
+        shard: Range<usize>,
         /// Units executed so far this session.
         units_done: usize,
         /// Units planned so far this session (grows batch by batch).
@@ -124,11 +125,12 @@ pub enum CampaignEvent {
     },
     /// The run is over; no further events follow.
     ShardFinished {
-        /// Which slice finished ([`ShardSpec::FULL`] for unsharded runs).
-        shard: ShardSpec,
+        /// The fault-point range of the finished run (`0..P` for a run over
+        /// the whole space); `"start..end"` on the wire.
+        shard: Range<usize>,
         /// Units executed in this session (excludes resumed ones).
         executed: usize,
-        /// Total records the shard now holds, resumed ones included.
+        /// Total records the run now holds, resumed ones included.
         records: usize,
     },
 }
@@ -225,7 +227,7 @@ impl CampaignEvent {
             } => tagged(
                 "heartbeat",
                 vec![
-                    ("shard".to_string(), Value::Str(shard.to_string())),
+                    ("shard".to_string(), range_to_value(shard)),
                     ("units_done".to_string(), Value::Int(*units_done as i64)),
                     (
                         "units_planned".to_string(),
@@ -252,7 +254,7 @@ impl CampaignEvent {
             } => tagged(
                 "shard_finished",
                 vec![
-                    ("shard".to_string(), Value::Str(shard.to_string())),
+                    ("shard".to_string(), range_to_value(shard)),
                     ("executed".to_string(), Value::Int(*executed as i64)),
                     ("records".to_string(), Value::Int(*records as i64)),
                 ],
@@ -300,7 +302,7 @@ impl CampaignEvent {
                 batch_duration_micros: int_field(value, "batch_duration_micros")? as u64,
             }),
             "heartbeat" => Ok(CampaignEvent::Heartbeat {
-                shard: parse_shard(value)?,
+                shard: range_field(value)?,
                 units_done: int_field(value, "units_done")? as usize,
                 units_planned: int_field(value, "units_planned")? as usize,
                 milli_units_per_sec: int_field(value, "milli_units_per_sec")? as u64,
@@ -316,7 +318,7 @@ impl CampaignEvent {
                 message: crate::state::str_field(value, "message")?,
             }),
             "shard_finished" => Ok(CampaignEvent::ShardFinished {
-                shard: parse_shard(value)?,
+                shard: range_field(value)?,
                 executed: int_field(value, "executed")? as usize,
                 records: int_field(value, "records")? as usize,
             }),
@@ -336,10 +338,15 @@ impl CampaignEvent {
     }
 }
 
-fn parse_shard(value: &Value) -> Result<ShardSpec, JsonError> {
-    crate::state::str_field(value, "shard")?
-        .parse::<ShardSpec>()
-        .map_err(|err| invalid(err.to_string()))
+fn range_to_value(range: &Range<usize>) -> Value {
+    Value::Str(format_range(range.start, range.end))
+}
+
+fn range_field(value: &Value) -> Result<Range<usize>, JsonError> {
+    let text = crate::state::str_field(value, "shard")?;
+    let (start, end) =
+        parse_range(&text).ok_or_else(|| invalid(format!("invalid point range `{text}`")))?;
+    Ok(start..end)
 }
 
 /// A consumer of campaign progress events.
@@ -463,7 +470,7 @@ mod tests {
         };
         log.event(&event);
         log.event(&CampaignEvent::ShardFinished {
-            shard: ShardSpec::FULL,
+            shard: 0..2,
             executed: 4,
             records: 4,
         });
@@ -542,7 +549,7 @@ mod tests {
                 batch_duration_micros: 1_000_000,
             },
             CampaignEvent::Heartbeat {
-                shard: ShardSpec { index: 1, count: 2 },
+                shard: 3..7,
                 units_done: 40,
                 units_planned: 100,
                 milli_units_per_sec: 2_500,
@@ -553,7 +560,7 @@ mod tests {
                 message: "discarded concurrent deepening".into(),
             },
             CampaignEvent::ShardFinished {
-                shard: ShardSpec::FULL,
+                shard: 5..5,
                 executed: 100,
                 records: 100,
             },
@@ -573,11 +580,14 @@ mod tests {
         assert!(CampaignEvent::from_json_line(r#"{"event":"warp_drive"}"#).is_err());
         assert!(CampaignEvent::from_json_line(r#"{"event":"batch_planned"}"#).is_err());
         assert!(CampaignEvent::from_json_line("not json").is_err());
-        // A malformed shard string fails cleanly rather than panicking.
-        assert!(CampaignEvent::from_json_line(
-            r#"{"event":"shard_finished","shard":"x","executed":1,"records":1}"#
-        )
-        .is_err());
+        // A malformed or inverted range fails cleanly rather than
+        // panicking; so does a pre-lease `index/count` shard label.
+        for shard in ["x", "3..1", "0/1"] {
+            let line = format!(
+                r#"{{"event":"shard_finished","shard":"{shard}","executed":1,"records":1}}"#
+            );
+            assert!(CampaignEvent::from_json_line(&line).is_err(), "{shard}");
+        }
     }
 
     #[test]
@@ -597,7 +607,7 @@ mod tests {
         let tail = std::fs::read_to_string(&path).unwrap();
         assert_eq!(tail.lines().count(), 1);
         sink.event(&CampaignEvent::ShardFinished {
-            shard: ShardSpec::FULL,
+            shard: 0..1,
             executed: 2,
             records: 2,
         });

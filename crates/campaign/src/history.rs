@@ -1,9 +1,10 @@
 //! What a running campaign has seen so far — the feedback channel between
 //! the engine and an adaptive [`Strategy`](crate::strategy::Strategy).
 //!
-//! The engine builds one [`CampaignHistory`] per [`Campaign::run`]
-//! (crate::engine::Campaign::run), seeds it with any records resumed from a
-//! checkpoint, and updates it after every drained batch. Strategies read it
+//! The engine builds one [`CampaignHistory`] per run of a
+//! [`CampaignDriver`](crate::builder::CampaignDriver), seeds it with any
+//! records resumed from a checkpoint, and updates it after every drained
+//! batch. Strategies read it
 //! in `next_batch` to decide what to schedule next: which points are still
 //! undispatched, and how the units of already-explored points fared.
 //!
@@ -122,10 +123,10 @@ impl CampaignHistory {
     }
 
     /// Mark a fault point as off-limits for this run *without* counting it
-    /// as planned work — how the engine confines a sharded run: points
-    /// owned by other shards are excluded up front, so strategies treat
-    /// them as already explored while the dispatch/planned counters keep
-    /// reflecting only this shard's slice.
+    /// as planned work — how the engine confines a run to its lease:
+    /// points outside the lease's range are excluded up front, so
+    /// strategies treat them as already explored while the
+    /// dispatch/planned counters keep reflecting only the lease's slice.
     pub(crate) fn exclude_point(&mut self, point: usize) {
         if let Some(slot) = self.dispatched.get_mut(point) {
             *slot = true;

@@ -30,24 +30,22 @@
 //! * [`triage`] — deduplicate failures into crash signatures, so the report
 //!   lists bugs, not runs;
 //! * [`state`] — persist completed units as JSON and resume interrupted
-//!   campaigns; state is tagged `fingerprint@plan-hash#shard`, so
+//!   campaigns; state is tagged `fingerprint@plan-hash%start..end`, so
 //!   re-annotating, re-profiling, editing a workload suite, or changing
-//!   the shard spec invalidates a checkpoint instead of misapplying it;
+//!   the run's point range invalidates a checkpoint instead of
+//!   misapplying it;
 //! * [`builder`] — the fluent [`CampaignBuilder`] → [`CampaignDriver`]
-//!   orchestration API: strategy, backend, jobs, seed, shard, event sink,
+//!   orchestration API: strategy, backend, jobs, seed, lease, event sink,
 //!   and per-batch checkpointing in one chain;
-//! * [`shard`] — [`ShardSpec`] splits one campaign across processes or
-//!   machines (round-robin over fault points; shard identity is part of
-//!   the checkpoint tag), and [`CampaignReport::merge`] recombines the
-//!   per-shard [`ShardOutcome`]s into a report record- and
-//!   triage-identical to the unsharded run;
-//! * [`control`] — the supervisor control plane: unit-range [`Lease`]s
-//!   (a contiguous fault-point slice, finer than a shard, with
-//!   range-keyed checkpoint tags so a reassigned lease resumes the dead
-//!   worker's progress), typed [`ControlMessage`]s with the same total
-//!   JSONL wire codec as events, and
-//!   [`CampaignReport::merge_leases`] recombining lease outcomes that
-//!   tile the space;
+//! * [`lease`] — the one partition type: a [`Lease`] confines a run to a
+//!   contiguous fault-point range (the whole space by default; `--shard
+//!   i/n` is [`Lease::shard`]), its range is part of the checkpoint tag,
+//!   and [`CampaignReport::merge_leases`] recombines [`LeaseOutcome`]s
+//!   that tile the space into a report record- and triage-identical to
+//!   the single-lease run;
+//! * [`control`] — the supervisor control plane: typed
+//!   [`ControlMessage`]s granting leases, with the same total JSONL wire
+//!   codec as events;
 //! * [`events`] — typed [`CampaignEvent`]s streamed through an
 //!   [`EventSink`] while the campaign runs, for progress bars, bench
 //!   harnesses, and cross-machine supervisors; every event has a total
@@ -80,7 +78,7 @@ pub mod control;
 pub mod engine;
 pub mod events;
 pub mod history;
-pub mod shard;
+pub mod lease;
 pub mod space;
 pub mod standard;
 pub mod state;
@@ -89,15 +87,15 @@ pub mod triage;
 
 pub use adaptive::CoverageAdaptive;
 pub use builder::{CampaignBuilder, CampaignDriver};
-pub use control::{ControlMessage, Lease, LeaseError, LeaseMergeError, LeaseOutcome};
+pub use control::ControlMessage;
 pub use engine::{
-    derive_seed, Campaign, CampaignConfig, CrashInfo, ExecBackend, Execution, Executor,
-    InjectedSite, OutcomeKind, ParseBackendError, PrefetchKey, RunRecord, Session, WorkUnit,
-    DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_SNAPSHOT_BUDGET,
+    derive_seed, Campaign, CrashInfo, ExecBackend, Execution, Executor, InjectedSite, OutcomeKind,
+    ParseBackendError, PrefetchKey, RunRecord, Session, WorkUnit, DEFAULT_HEARTBEAT_INTERVAL,
+    DEFAULT_SNAPSHOT_BUDGET,
 };
 pub use events::{CampaignEvent, EventLog, EventSink, JsonlSink};
 pub use history::CampaignHistory;
-pub use shard::{ShardMergeError, ShardOutcome, ShardSpec, ShardSpecError};
+pub use lease::{parse_shard, Lease, LeaseError, LeaseMergeError, LeaseOutcome};
 pub use space::{FaultPoint, FaultSpace, PruneStats};
 pub use standard::{
     default_test_suite, run_target, run_target_with_budget, StandardExecutor, STOCK_TARGETS,

@@ -3,17 +3,17 @@
 //! Long campaigns survive interruption by checkpointing every completed run
 //! record. A resumed campaign skips completed units and re-triages the full
 //! record set, so killing a sweep halfway loses only in-flight units. The
-//! state is tagged `fingerprint@plan-hash#shard` — the strategy
+//! state is tagged `fingerprint@plan-hash%start..end` — the strategy
 //! *fingerprint* (name plus any schedule-affecting parameters, e.g. a
 //! sample size and seed) combined with the engine's plan hash over full
 //! fault-point identity (error cases and annotations included) and every
-//! target's workload suite, and the run's
-//! [`ShardSpec`](crate::shard::ShardSpec) — plus the campaign seed.
-//! Adopting a state recorded under a different tag or seed discards it,
-//! because unit ids are only meaningful within one plan and a record set
-//! is one shard's slice of it: a checkpoint taken under one annotation
-//! set, test suite, or shard must start fresh rather than attribute
-//! records to the wrong units (or hand one shard's records to another).
+//! target's workload suite, and the run's [`Lease`](crate::lease::Lease)
+//! range — plus the campaign seed. Adopting a state recorded under a
+//! different tag or seed discards it, because unit ids are only
+//! meaningful within one plan and a record set is one range's slice of
+//! it: a checkpoint taken under one annotation set, test suite, or range
+//! must start fresh rather than attribute records to the wrong units (or
+//! hand one range's records to another).
 
 use std::collections::BTreeSet;
 
@@ -31,7 +31,7 @@ pub struct CampaignState {
     /// Whether the run that last wrote this state finished its whole
     /// schedule. Mid-run (per-batch) checkpoints persist `false`; the
     /// engine seals the state `true` only when the strategy had nothing
-    /// left to schedule — so a merge step can tell a finished shard from
+    /// left to schedule — so a merge step can tell a finished lease from
     /// an interrupted one.
     complete: bool,
 }
@@ -66,7 +66,7 @@ impl CampaignState {
         self.complete = true;
     }
 
-    /// The `fingerprint@plan-hash#shard` tag this state is bound to (empty
+    /// The `fingerprint@plan-hash%start..end` tag this state is bound to (empty
     /// until first adopted).
     pub fn tag(&self) -> &str {
         &self.strategy
@@ -129,7 +129,7 @@ impl CampaignState {
             strategy,
             seed,
             // States written before completion tracking existed read as
-            // incomplete — their tags predate sharding anyway.
+            // incomplete — their tags predate lease ranges anyway.
             complete: doc
                 .get("complete")
                 .and_then(Value::as_bool)

@@ -5,13 +5,12 @@
 //! crash happened and which library function's failure provoked it — so the
 //! campaign report lists *bugs*, not runs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use lfi_telemetry::MetricsSnapshot;
 
 use crate::engine::{CrashInfo, OutcomeKind, RunRecord};
-use crate::shard::{ShardMergeError, ShardOutcome};
 
 /// A deduplicated crash signature.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,104 +148,8 @@ pub struct CampaignReport {
     /// Final capture of the run's telemetry registry (`None` when the
     /// executor ran with collection disabled, and for outcomes
     /// reconstructed from persisted state, which does not checkpoint
-    /// metrics). Merged reports fold shard snapshots together.
+    /// metrics). Merged reports fold lease snapshots together.
     pub metrics: Option<MetricsSnapshot>,
-}
-
-impl CampaignReport {
-    /// Recombine a complete set of shard outcomes into one report.
-    ///
-    /// The outcomes must form exactly one campaign: every shard index of
-    /// one `count`, exactly once, all recorded under the same plan tag
-    /// (strategy fingerprint, space digest, workload suites) and campaign
-    /// seed. The merged records are the shards' records united in
-    /// canonical unit order, and the triage is recomputed over that union
-    /// — for schedules whose covered unit set does not depend on observed
-    /// history (exhaustive, guided, random, and adaptive without
-    /// saturation pruning), both are **byte-identical** to the equivalent
-    /// unsharded run's.
-    ///
-    /// Scheduling counters are aggregated: planned points, planned units,
-    /// executed units, and batches are summed; `peak_workers` is the
-    /// maximum (shards run concurrently); `space_size` is the maximum (all
-    /// live outcomes agree; outcomes reconstructed by
-    /// [`ShardOutcome::from_state`] carry 0).
-    pub fn merge(outcomes: Vec<ShardOutcome>) -> Result<CampaignReport, ShardMergeError> {
-        let Some(first) = outcomes.first() else {
-            return Err(ShardMergeError::Empty);
-        };
-        let count = first.shard.count;
-        let plan = first.plan_tag().to_string();
-        let seed = first.seed;
-        let mut indices: BTreeSet<usize> = BTreeSet::new();
-        for outcome in &outcomes {
-            // Outcomes normally carry builder-validated specs, but the
-            // fields are public: an out-of-range index would otherwise
-            // satisfy the completeness count below while a real shard's
-            // coverage was silently missing.
-            if let Err(err) = outcome.shard.validate() {
-                return Err(ShardMergeError::InvalidShard(outcome.shard, err));
-            }
-            if outcome.shard.count != count {
-                return Err(ShardMergeError::MixedCounts(count, outcome.shard.count));
-            }
-            if outcome.plan_tag() != plan {
-                return Err(ShardMergeError::MixedPlans(
-                    plan,
-                    outcome.plan_tag().to_string(),
-                ));
-            }
-            if outcome.seed != seed {
-                return Err(ShardMergeError::MixedSeeds(seed, outcome.seed));
-            }
-            if !indices.insert(outcome.shard.index) {
-                return Err(ShardMergeError::DuplicateShard(outcome.shard));
-            }
-        }
-        if indices.len() != count {
-            return Err(ShardMergeError::IncompleteShards {
-                have: indices.len(),
-                count,
-            });
-        }
-
-        let mut merged: BTreeMap<usize, RunRecord> = BTreeMap::new();
-        let mut report = CampaignReport {
-            strategy: first.report.strategy.clone(),
-            space_size: 0,
-            planned_points: 0,
-            units_total: 0,
-            batches: 0,
-            peak_workers: 0,
-            executed_now: 0,
-            triage: Triage::default(),
-            records: Vec::new(),
-            metrics: None,
-        };
-        for outcome in outcomes {
-            report.space_size = report.space_size.max(outcome.report.space_size);
-            report.planned_points += outcome.report.planned_points;
-            report.units_total += outcome.report.units_total;
-            report.batches += outcome.report.batches;
-            report.peak_workers = report.peak_workers.max(outcome.report.peak_workers);
-            report.executed_now += outcome.report.executed_now;
-            if let Some(shard_metrics) = &outcome.report.metrics {
-                report
-                    .metrics
-                    .get_or_insert_with(MetricsSnapshot::default)
-                    .merge(shard_metrics);
-            }
-            for record in outcome.report.records {
-                let unit = record.unit;
-                if merged.insert(unit, record).is_some() {
-                    return Err(ShardMergeError::DuplicateUnit(unit));
-                }
-            }
-        }
-        report.records = merged.into_values().collect();
-        report.triage = triage(&report.records);
-        Ok(report)
-    }
 }
 
 impl fmt::Display for CampaignReport {
@@ -304,6 +207,7 @@ fn plural2(n: usize, one: &str, many: &str) -> String {
 #[cfg(test)]
 mod tests {
     use crate::engine::CrashInfo;
+    use crate::lease::{LeaseMergeError, LeaseOutcome};
 
     use super::*;
 
@@ -336,14 +240,15 @@ mod tests {
         }
     }
 
-    fn outcome(index: usize, count: usize, records: Vec<RunRecord>) -> ShardOutcome {
-        ShardOutcome {
-            shard: crate::shard::ShardSpec { index, count },
-            tag: format!("exhaustive@0000000000000000#{index}/{count}"),
+    fn outcome(start: usize, end: usize, records: Vec<RunRecord>) -> LeaseOutcome {
+        LeaseOutcome {
+            start,
+            end,
+            tag: format!("exhaustive@0000000000000000%{start}..{end}"),
             seed: 7,
             report: CampaignReport {
                 strategy: "exhaustive".to_string(),
-                space_size: 4,
+                space_size: 2,
                 planned_points: records.len(),
                 units_total: records.len(),
                 batches: 1,
@@ -358,36 +263,40 @@ mod tests {
 
     #[test]
     fn merge_rejects_incomplete_duplicate_and_invalid_shard_sets() {
-        let shard0 = || outcome(0, 2, vec![record(0, 4, None)]);
+        let shard0 = || outcome(0, 1, vec![record(0, 4, None)]);
         let shard1 = || outcome(1, 2, vec![record(1, 8, None)]);
 
-        let merged = CampaignReport::merge(vec![shard0(), shard1()]).unwrap();
+        let merged = CampaignReport::merge_leases(vec![shard1(), shard0()], 2).unwrap();
         assert_eq!(merged.records.len(), 2);
+        assert_eq!(merged.records[0].unit, 0, "records in canonical order");
         assert_eq!(merged.strategy, "exhaustive");
 
         assert_eq!(
-            CampaignReport::merge(Vec::new()).unwrap_err(),
-            ShardMergeError::Empty
+            CampaignReport::merge_leases(Vec::new(), 2).unwrap_err(),
+            LeaseMergeError::Empty
+        );
+        // A missing shard leaves its range uncovered.
+        assert_eq!(
+            CampaignReport::merge_leases(vec![shard0()], 2).unwrap_err(),
+            LeaseMergeError::Gap { from: 1, to: 2 }
         );
         assert_eq!(
-            CampaignReport::merge(vec![shard0()]).unwrap_err(),
-            ShardMergeError::IncompleteShards { have: 1, count: 2 }
+            CampaignReport::merge_leases(vec![shard0(), shard0(), shard1()], 2).unwrap_err(),
+            LeaseMergeError::Overlap { end: 1, start: 0 }
         );
+        // An inverted range must not pass for coverage.
         assert!(matches!(
-            CampaignReport::merge(vec![shard0(), shard0()]),
-            Err(ShardMergeError::DuplicateShard(_))
+            CampaignReport::merge_leases(vec![shard0(), outcome(2, 1, vec![])], 2),
+            Err(LeaseMergeError::InvertedRange { .. })
         ));
-        // An out-of-range index must not satisfy the completeness count
-        // while a real shard's coverage is missing.
-        assert!(matches!(
-            CampaignReport::merge(vec![shard0(), outcome(3, 2, vec![record(1, 8, None)])]),
-            Err(ShardMergeError::InvalidShard(_, _))
-        ));
-        // Two shards claiming the same unit violate the partition.
+        // Two slices claiming the same unit violate the partition.
         assert_eq!(
-            CampaignReport::merge(vec![shard0(), outcome(1, 2, vec![record(0, 4, None)])])
-                .unwrap_err(),
-            ShardMergeError::DuplicateUnit(0)
+            CampaignReport::merge_leases(
+                vec![shard0(), outcome(1, 2, vec![record(0, 4, None)])],
+                2
+            )
+            .unwrap_err(),
+            LeaseMergeError::DuplicateUnit(0)
         );
     }
 

@@ -1,7 +1,8 @@
 //! Property test for the campaign event wire format: `decode(encode(e))
 //! == e` for *every* variant of [`CampaignEvent`] over generated payloads
-//! — arbitrary offsets, durations, shard specs, metric snapshots, and
-//! printable-ASCII strings (exercising JSON string escaping). The JSONL
+//! — arbitrary offsets, durations, point ranges (empty ones included),
+//! metric snapshots, and printable-ASCII strings (exercising JSON string
+//! escaping). The JSONL
 //! streams are a cross-process protocol (`table1_bugs --events-jsonl` →
 //! `campaign_status`), so the format must be total in both directions,
 //! not merely round-trip on the handful of shapes unit tests pin.
@@ -9,8 +10,7 @@
 use std::ops::Range;
 
 use lfi_campaign::{
-    CampaignEvent, CrashInfo, CrashSignature, InjectedSite, MetricsSnapshot, OutcomeKind,
-    RunRecord, ShardSpec,
+    CampaignEvent, CrashInfo, CrashSignature, InjectedSite, MetricsSnapshot, OutcomeKind, RunRecord,
 };
 use lfi_telemetry::HistogramSnapshot;
 use proptest::prelude::*;
@@ -33,8 +33,10 @@ fn metric_value() -> Range<u64> {
     0u64..(1u64 << 62)
 }
 
-fn shard() -> impl Strategy<Value = ShardSpec> {
-    (0usize..8, 1usize..9).prop_map(|(index, count)| ShardSpec::new(index % count, count).unwrap())
+/// A run's point range, `start <= end`; a third of them are empty.
+fn shard() -> impl Strategy<Value = Range<usize>> {
+    (0usize..10_000, 0usize..64, 0usize..3)
+        .prop_map(|(start, len, empty)| start..start + if empty == 0 { 0 } else { len })
 }
 
 fn outcome() -> BoxedStrategy<OutcomeKind> {

@@ -1,5 +1,6 @@
 //! Differential tests for sharded campaigns against a real target:
-//! running the git-lite space as two shards and merging the outcomes must
+//! running the git-lite space as `Lease::shard` slices and merging the
+//! outcomes with `CampaignReport::merge_leases` must
 //! reproduce the unsharded run's records and triage **byte for byte** —
 //! under every static strategy and under both execution backends, and
 //! equally when the merge consumes persisted state files instead of live
@@ -7,7 +8,7 @@
 
 use lfi_campaign::{
     Campaign, CampaignReport, CampaignState, ExecBackend, Exhaustive, FaultSpace, InjectionGuided,
-    RandomSample, ShardOutcome, ShardSpec, StandardExecutor, Strategy,
+    Lease, LeaseOutcome, RandomSample, StandardExecutor, Strategy,
 };
 use lfi_targets::standard_controller;
 
@@ -57,13 +58,13 @@ fn assert_merge_matches_unsharded(strategy: &str, backend: ExecBackend, count: u
             .jobs(2)
             .seed(7)
             .backend(backend)
-            .shard(ShardSpec::new(index, count).unwrap())
+            .lease(Lease::shard(index, count, space.len()).unwrap())
             .build()
             .run_to_completion();
         outcomes.push(outcome);
     }
 
-    let merged = CampaignReport::merge(outcomes).unwrap();
+    let merged = CampaignReport::merge_leases(outcomes, space.len()).unwrap();
     assert_eq!(
         merged.records, unsharded.report.records,
         "{strategy}/{backend}: merged records differ from the unsharded run"
@@ -119,16 +120,16 @@ fn merge_from_persisted_states_matches_live_outcomes() {
         let driver = Campaign::builder(space.clone(), &executor)
             .jobs(2)
             .seed(7)
-            .shard(ShardSpec::new(index, 2).unwrap())
+            .lease(Lease::shard(index, 2, space.len()).unwrap())
             .build();
         let mut state = CampaignState::default();
         driver.run_with_state(&mut state);
         let json = state.to_json();
         let state = CampaignState::from_json(&json).unwrap();
-        parsed.push(ShardOutcome::from_state(&state).unwrap());
+        parsed.push(LeaseOutcome::from_state(&state).unwrap());
     }
 
-    let merged = CampaignReport::merge(parsed).unwrap();
+    let merged = CampaignReport::merge_leases(parsed, space.len()).unwrap();
     assert_eq!(merged.records, unsharded.report.records);
     assert_eq!(merged.triage, unsharded.report.triage);
 }

@@ -1,21 +1,22 @@
 //! Property tests for shard determinism: for **any** shard count, the
-//! per-shard unit-id sets partition the unsharded unit set exactly — their
-//! union is the full set and no unit appears in two shards. This is the
-//! invariant `CampaignReport::merge` builds on, so it must hold for every
-//! space shape (uneven workload suites, multiple targets) and survive the
-//! strategy's scheduling.
+//! `Lease::shard` ranges tile the fault space, and the per-shard unit-id
+//! sets partition the unsharded unit set exactly — their union is the full
+//! set and no unit appears in two shards, empty shards included. This is
+//! the invariant `CampaignReport::merge_leases` builds on, so it must hold
+//! for every space shape (uneven workload suites, multiple targets) and
+//! survive the strategy's scheduling.
 
 use std::collections::BTreeSet;
 
 use lfi_campaign::{
-    Campaign, CampaignReport, Execution, Executor, FaultPoint, FaultSpace, OutcomeKind,
-    RandomSample, ShardOutcome, ShardSpec, WorkUnit,
+    Campaign, CampaignReport, Execution, Executor, FaultPoint, FaultSpace, Lease, LeaseOutcome,
+    OutcomeKind, RandomSample, WorkUnit,
 };
 use proptest::prelude::*;
 
 /// A synthetic executor whose workload-suite size differs per target, so
 /// canonical unit ids are not a multiple of the point index and the
-/// round-robin point partition maps onto *uneven* unit slices.
+/// contiguous point partition maps onto *uneven* unit slices.
 struct UnevenExecutor;
 
 impl Executor for UnevenExecutor {
@@ -78,10 +79,11 @@ fn executed_units(report: &CampaignReport) -> BTreeSet<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For any shard count 1..=8 and any space size, the shards' executed
-    /// unit-id sets are pairwise disjoint and their union equals the
-    /// unsharded set — and the merged outcomes reproduce the unsharded
-    /// records byte for byte.
+    /// For any shard count 1..=8 and any space size (fewer points than
+    /// shards leaves some shards empty), the shard ranges tile the space,
+    /// the shards' executed unit-id sets are pairwise disjoint and their
+    /// union equals the unsharded set — and the merged outcomes reproduce
+    /// the unsharded records byte for byte.
     #[test]
     fn shards_partition_the_unsharded_unit_set(points in 1usize..40, count in 1usize..9) {
         let executor = UnevenExecutor;
@@ -91,10 +93,14 @@ proptest! {
         let full_set = executed_units(&unsharded.report);
 
         let mut union: BTreeSet<usize> = BTreeSet::new();
-        let mut outcomes: Vec<ShardOutcome> = Vec::new();
+        let mut outcomes: Vec<LeaseOutcome> = Vec::new();
+        let mut covered = 0;
         for index in 0..count {
+            let shard = Lease::shard(index, count, points).unwrap();
+            prop_assert_eq!(shard.start, covered, "shard {}/{} leaves a gap", index, count);
+            covered = shard.end;
             let outcome = Campaign::builder(uneven_space(points), &executor)
-                .shard(ShardSpec::new(index, count).unwrap())
+                .lease(shard)
                 .build()
                 .run_to_completion();
             let slice = executed_units(&outcome.report);
@@ -105,9 +111,10 @@ proptest! {
             union.extend(&slice);
             outcomes.push(outcome);
         }
+        prop_assert_eq!(covered, points, "the shards tile 0..points");
         prop_assert_eq!(&union, &full_set, "union of shard slices == unsharded set");
 
-        let merged = CampaignReport::merge(outcomes).unwrap();
+        let merged = CampaignReport::merge_leases(outcomes, points).unwrap();
         prop_assert_eq!(&merged.records, &unsharded.report.records);
         prop_assert_eq!(&merged.triage, &unsharded.report.triage);
     }
@@ -130,7 +137,7 @@ proptest! {
         for index in 0..count {
             let outcome = Campaign::builder(uneven_space(points), &executor)
                 .strategy(sample)
-                .shard(ShardSpec::new(index, count).unwrap())
+                .lease(Lease::shard(index, count, points).unwrap())
                 .build()
                 .run_to_completion();
             total += outcome.report.records.len();

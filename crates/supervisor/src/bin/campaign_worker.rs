@@ -1,4 +1,4 @@
-//! One shard worker of a supervised campaign.
+//! One worker process of a supervised campaign.
 //!
 //! Spawned by `campaign_supervisor` (or any harness speaking the same
 //! protocol) with the fault-space spec as flags; speaks JSONL on

@@ -1,10 +1,11 @@
-//! Distributed campaign supervision: elastic shard workers, a live
-//! event transport, and lease-grained work stealing.
+//! Distributed campaign supervision: elastic workers, a live event
+//! transport, and lease-grained work stealing.
 //!
-//! `lfi_campaign` can shard a campaign across processes, but the shards
-//! are static: a fixed round-robin slice each, no rebalancing, and a
-//! dead shard means a manual re-run. This crate adds the missing
-//! control plane on top of the campaign crate's leases and wire
+//! `lfi_campaign` can split a campaign into `--shard i/n` point ranges
+//! run by separate processes, but those shards are static: one fixed
+//! contiguous range each, no rebalancing, and a dead shard means a
+//! manual re-run. This crate adds the missing control plane on top of
+//! the campaign crate's [`Lease`](lfi_campaign::Lease)s and wire
 //! formats:
 //!
 //! * [`plan`] — [`SpaceSpec`], the portable fault-space description

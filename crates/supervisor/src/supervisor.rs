@@ -1,8 +1,8 @@
-//! The campaign supervisor: elastic shard workers under one scheduler.
+//! The campaign supervisor: elastic workers under one scheduler.
 //!
-//! [`run_supervised`] partitions a fault space into unit-range leases
-//! (much finer than a [`ShardSpec`](lfi_campaign::ShardSpec) slice),
-//! spawns `workers` shard worker processes, and drives them over the
+//! [`run_supervised`] partitions a fault space into small
+//! [`Lease`](lfi_campaign::Lease)s (much finer than a `--shard i/n`
+//! range), spawns `workers` worker processes, and drives them over the
 //! JSONL pipe protocol:
 //!
 //! * **Leasing** — every worker keeps a two-deep pipeline (one running
@@ -19,7 +19,7 @@
 //!   by the units of the lease that was actually in flight at the kill.
 //! * **Signature broadcast** — the first time any worker reports a crash
 //!   signature, the supervisor broadcasts it to every other worker; each
-//!   shard's adaptive strategy then learns from the global campaign, not
+//!   worker's adaptive strategy then learns from the global campaign, not
 //!   just its own slice.
 //!
 //! When every lease is done the supervisor merges the per-lease

@@ -1,4 +1,4 @@
-//! The shard worker: one supervised process that runs leases.
+//! The campaign worker: one supervised process that runs leases.
 //!
 //! The `campaign_worker` bin wraps [`run_worker`]. A worker builds its
 //! executor and fault space once, announces itself with a

@@ -6,15 +6,16 @@
 //! coverage-feedback scheduler, stream typed progress events while the
 //! worker pool drains it, triage the crashes into deduplicated signatures,
 //! and resume from the driver's own per-batch checkpoint without
-//! re-running anything. `--shard i/n` runs just one mergeable slice — the
-//! same flag a multi-process sweep would pass to each worker process.
+//! re-running anything. `--shard i/n` runs just one mergeable slice, the
+//! contiguous fault-point range `[i·P/n, (i+1)·P/n)` — the same flag a
+//! multi-process sweep would pass to each worker process.
 //!
 //! Usage: campaign_sweep [--jobs N] [--strategy exhaustive|guided|adaptive|random]
 //!                       [--backend fresh|snapshot] [--shard I/N]
 
 use lfi::campaign::{
     default_test_suite, Campaign, CampaignEvent, CoverageAdaptive, ExecBackend, Exhaustive,
-    InjectionGuided, RandomSample, ShardSpec, StandardExecutor, Strategy, STOCK_TARGETS,
+    InjectionGuided, Lease, RandomSample, StandardExecutor, Strategy, STOCK_TARGETS,
 };
 use lfi::targets::standard_controller;
 
@@ -43,7 +44,7 @@ where
 fn main() {
     let mut jobs = 2usize;
     let mut backend = ExecBackend::Fresh;
-    let mut shard = ShardSpec::FULL;
+    let mut shard = (0, 1);
     let mut strategy: Box<dyn Strategy> = Box::new(CoverageAdaptive::default());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -64,7 +65,13 @@ fn main() {
                 }
             }
             "--backend" => backend = parse_flag(args.next()),
-            "--shard" => shard = parse_flag(args.next()),
+            "--shard" => {
+                let spec = args.next().unwrap_or_else(|| usage());
+                shard = lfi::campaign::parse_shard(&spec).unwrap_or_else(|err| {
+                    eprintln!("campaign_sweep: {err}");
+                    usage()
+                });
+            }
             _ => usage(),
         }
     }
@@ -100,10 +107,10 @@ fn main() {
     // With the adaptive scheduler, completed batches feed back into the
     // schedule: fault points near fresh crash signatures are escalated,
     // repeatedly-passing caller neighborhoods sink to the back.
-    let checkpoint = std::env::temp_dir().join(format!(
-        "lfi_campaign_sweep_{}_of_{}.json",
-        shard.index, shard.count
-    ));
+    let (index, count) = shard;
+    let lease = Lease::shard(index, count, space.len()).expect("parse_shard validated the spec");
+    let checkpoint =
+        std::env::temp_dir().join(format!("lfi_campaign_sweep_{index}_of_{count}.json"));
     let _ = std::fs::remove_file(&checkpoint); // this run starts fresh
     let progress = |event: &CampaignEvent| match event {
         CampaignEvent::BatchPlanned {
@@ -126,21 +133,23 @@ fn main() {
         .jobs(jobs)
         .seed(7)
         .backend(backend)
-        .shard(shard)
+        .lease(lease)
         .events(&progress)
         .checkpoint(&checkpoint)
         .build();
     println!(
-        "shard {shard}: {} of {} canonical units\n",
-        driver.shard_units(),
+        "shard {index}/{count} (points {}..{}): {} of {} canonical units\n",
+        lease.start,
+        lease.end,
+        driver.campaign().lease_units(lease),
         driver.campaign().total_units()
     );
     let outcome = driver.run_to_completion();
     println!("\n{}", outcome.report);
 
     // 3. Resume from the driver's checkpoint: nothing is re-executed. The
-    // state tag (strategy fingerprint @ plan hash # shard) guarantees the
-    // checkpoint is only ever applied to the exact plan and shard that
+    // state tag (strategy fingerprint @ plan hash % point range) guarantees
+    // the checkpoint is only ever applied to the exact plan and range that
     // produced it — re-annotating the space, editing a test suite, or
     // handing the file to another shard would start fresh instead.
     let again = driver.run_to_completion();

@@ -17,14 +17,15 @@
 //!   with pluggable strategies (including the adaptive coverage-feedback
 //!   scheduler) on a worker pool, triage crashes into signatures, resume
 //!   interrupted sweeps from JSON state tagged with the full plan identity,
-//!   shard one campaign across processes/machines with byte-identical
-//!   mergeable results, and stream typed progress events while it runs;
+//!   split one campaign into point-range leases across processes/machines
+//!   with byte-identical mergeable results, and stream typed progress
+//!   events while it runs;
 //! * [`supervisor`](lfi_supervisor) — the distributed control plane on top of
 //!   the campaign layer: spawn elastic worker processes, lease them unit
 //!   ranges, monitor heartbeats, migrate leases off dead or hung workers
 //!   (restarting them from per-lease checkpoints), steal queued leases for
 //!   idle workers, and broadcast first-seen crash signatures so every
-//!   shard's adaptive strategy learns globally;
+//!   worker's adaptive strategy learns globally;
 //! * the substrate: [`arch`](lfi_arch), [`obj`](lfi_obj), [`asm`](lfi_asm),
 //!   [`cc`](lfi_cc), [`vm`](lfi_vm), [`libc`](lfi_libc);
 //! * [`targets`](lfi_targets) — the BIND/MySQL/Git/PBFT/Apache analogues with
@@ -85,9 +86,9 @@ pub mod prelude {
     // The `Strategy` trait itself stays at `lfi::campaign::Strategy`: its
     // name collides with `proptest::prelude::Strategy` under glob imports.
     pub use lfi_campaign::{
-        Campaign, CampaignBuilder, CampaignConfig, CampaignDriver, CampaignEvent, CampaignHistory,
-        CampaignState, CoverageAdaptive, EventLog, EventSink, ExecBackend, Exhaustive, FaultPoint,
-        FaultSpace, InjectionGuided, RandomSample, ShardOutcome, ShardSpec, StandardExecutor,
+        Campaign, CampaignBuilder, CampaignDriver, CampaignEvent, CampaignHistory, CampaignState,
+        CoverageAdaptive, EventLog, EventSink, ExecBackend, Exhaustive, FaultPoint, FaultSpace,
+        InjectionGuided, Lease, LeaseOutcome, RandomSample, StandardExecutor,
     };
     pub use lfi_core::{
         Controller, FrameSpec, FunctionAssoc, InjectionEngine, RunToCompletion, Scenario,
