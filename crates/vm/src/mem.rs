@@ -176,38 +176,59 @@ impl Memory {
         self.write_bytes(addr, &value.to_le_bytes())
     }
 
-    /// Read `buf.len()` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: Addr, buf: &mut [u8]) -> Result<(), MemError> {
-        for (i, slot) in buf.iter_mut().enumerate() {
-            let a = addr
-                .checked_add(i as u64)
-                .ok_or(MemError::AddressOverflow)?;
-            *slot = self.read_u8(a)?;
+    /// Read `buf.len()` bytes starting at `addr`, one page at a time. On a
+    /// fault, the bytes before the faulting address have been read into
+    /// `buf`.
+    pub fn read_bytes(&self, mut addr: Addr, buf: &mut [u8]) -> Result<(), MemError> {
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let offset = (addr % PAGE_SIZE) as usize;
+            let len = rest.len().min(PAGE_SIZE as usize - offset);
+            let (chunk, tail) = rest.split_at_mut(len);
+            chunk.copy_from_slice(&self.page(addr)?[offset..offset + len]);
+            rest = tail;
+            if !rest.is_empty() {
+                addr = next_page(addr, len)?;
+            }
         }
         Ok(())
     }
 
-    /// Write all of `bytes` starting at `addr`.
-    pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), MemError> {
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr
-                .checked_add(i as u64)
-                .ok_or(MemError::AddressOverflow)?;
-            self.write_u8(a, b)?;
+    /// Write all of `bytes` starting at `addr`, one page at a time. On a
+    /// fault, the bytes before the faulting address have been written.
+    pub fn write_bytes(&mut self, mut addr: Addr, bytes: &[u8]) -> Result<(), MemError> {
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let offset = (addr % PAGE_SIZE) as usize;
+            let len = rest.len().min(PAGE_SIZE as usize - offset);
+            let (chunk, tail) = rest.split_at(len);
+            self.page_mut(addr)?[offset..offset + len].copy_from_slice(chunk);
+            rest = tail;
+            if !rest.is_empty() {
+                addr = next_page(addr, len)?;
+            }
         }
         Ok(())
     }
 
-    /// Read a NUL-terminated string of at most `max_len` bytes.
-    pub fn read_cstring(&self, addr: Addr, max_len: usize) -> Result<String, MemError> {
+    /// Read a NUL-terminated string of at most `max_len` bytes, one page at
+    /// a time.
+    pub fn read_cstring(&self, mut addr: Addr, max_len: usize) -> Result<String, MemError> {
         let mut bytes = Vec::new();
-        for i in 0..max_len as u64 {
-            let a = addr.checked_add(i).ok_or(MemError::AddressOverflow)?;
-            let b = self.read_u8(a)?;
-            if b == 0 {
+        let mut remaining = max_len;
+        while remaining > 0 {
+            let offset = (addr % PAGE_SIZE) as usize;
+            let len = remaining.min(PAGE_SIZE as usize - offset);
+            let chunk = &self.page(addr)?[offset..offset + len];
+            if let Some(nul) = chunk.iter().position(|&b| b == 0) {
+                bytes.extend_from_slice(&chunk[..nul]);
                 break;
             }
-            bytes.push(b);
+            bytes.extend_from_slice(chunk);
+            remaining -= len;
+            if remaining > 0 {
+                addr = next_page(addr, len)?;
+            }
         }
         Ok(String::from_utf8_lossy(&bytes).into_owned())
     }
@@ -217,6 +238,13 @@ impl Memory {
         self.write_bytes(addr, s.as_bytes())?;
         self.write_u8(addr + s.len() as u64, 0)
     }
+}
+
+/// The address `len` bytes past `addr`, where a multi-page access
+/// continues on the next page.
+fn next_page(addr: Addr, len: usize) -> Result<Addr, MemError> {
+    addr.checked_add(len as u64)
+        .ok_or(MemError::AddressOverflow)
 }
 
 #[cfg(test)]
