@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use lfi_arch::{Addr, Word};
@@ -26,6 +27,35 @@ type Page = [u8; PAGE_SIZE as usize];
 
 /// Bytes in a machine word.
 const WORD_BYTES: usize = std::mem::size_of::<Word>();
+
+/// Hasher for page indices: one multiply by a 64-bit odd constant
+/// (Fibonacci hashing). The low bits stay distinct for consecutive pages
+/// and the high bits are well mixed, which is all the page map needs, at a
+/// fraction of SipHash's cost. It is deterministic; nothing depends on the
+/// map's iteration order either way. It offers no protection against keys
+/// crafted to collide, which is fine: the keys are pages of the regions the
+/// VM itself maps (data, heap, stacks), not values chosen from outside.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// Page index -> page, keyed with [`PageHasher`].
+type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>;
 
 /// Memory access errors, surfaced to the machine as faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +83,7 @@ impl std::error::Error for MemError {}
 /// Sparse byte-addressable memory with copy-on-write pages.
 #[derive(Debug, Default, Clone)]
 pub struct Memory {
-    pages: HashMap<u64, Arc<Page>>,
+    pages: PageMap,
     mapped_bytes: u64,
 }
 
