@@ -339,6 +339,9 @@ pub struct Machine {
     pub(crate) output: Vec<u8>,
     config: ProcessConfig,
     finished: Option<RunExit>,
+    /// Module of the most recently executed instruction: where `step`
+    /// looks for the next program counter first.
+    code_hint: usize,
 }
 
 impl Machine {
@@ -413,6 +416,7 @@ impl Machine {
             output: Vec::new(),
             config,
             finished: None,
+            code_hint: 0,
         };
         // Pass ARGC/ARGV-style information through the environment.
         machine.threads[0].set_reg(Reg::R(1), machine.config.args.len() as Word);
@@ -636,6 +640,7 @@ impl Machine {
             output: self.output.clone(),
             config: self.config.clone(),
             finished: self.finished.clone(),
+            code_hint: self.code_hint,
         }
     }
 
@@ -879,8 +884,17 @@ impl Machine {
     /// whole process must stop.
     fn step(&mut self, handler: &mut dyn HookHandler) -> Option<RunExit> {
         let pc = self.threads[self.current].pc;
-        let Some((module_idx, offset)) = self.image.find_code(pc) else {
-            return Some(self.fault(FaultKind::BadPc { pc }));
+        // Most steps stay in the module of the previous step; check its
+        // code range before scanning every module.
+        let hinted = &self.image.modules[self.code_hint];
+        let (module_idx, offset) = if hinted.contains_code(pc) {
+            (self.code_hint, pc - hinted.code_base)
+        } else {
+            let Some(found) = self.image.find_code(pc) else {
+                return Some(self.fault(FaultKind::BadPc { pc }));
+            };
+            self.code_hint = found.0;
+            found
         };
         let insn_index = (offset / INSN_SIZE) as usize;
         let Some(&insn) = self.image.modules[module_idx].insns.get(insn_index) else {
