@@ -291,6 +291,17 @@ impl Thread {
     fn set_reg(&mut self, r: Reg, v: Word) {
         self.regs[r.index()] = v;
     }
+
+    /// Store a thread-local variable, allocating its key only on the
+    /// variable's first store.
+    fn set_tls(&mut self, name: &str, v: Word) {
+        match self.tls.get_mut(name) {
+            Some(slot) => *slot = v,
+            None => {
+                self.tls.insert(name.to_string(), v);
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -959,8 +970,7 @@ impl Machine {
                 thread!().set_reg(dst, v);
             }
             Insn::LeaSym { dst, sym } => {
-                let resolution = self.image.resolution(module_idx, sym).clone();
-                let value = match resolution {
+                let value = match *self.image.resolution(module_idx, sym) {
                     Resolution::Data { addr } | Resolution::Func { addr } => addr as Word,
                     Resolution::Hooked {
                         original: Some(addr),
@@ -1060,9 +1070,8 @@ impl Machine {
             }
             Insn::CallSym { sym } => {
                 self.stats.calls += 1;
-                let resolution = self.image.resolution(module_idx, sym).clone();
-                match resolution {
-                    Resolution::Func { addr } => {
+                match self.image.resolution(module_idx, sym) {
+                    &Resolution::Func { addr } => {
                         thread!().frames.push(ShadowFrame {
                             call_site_module: module_idx,
                             call_site_offset: offset,
@@ -1070,7 +1079,16 @@ impl Machine {
                         });
                         next_pc = addr;
                     }
-                    Resolution::Hooked { name, original } => {
+                    Resolution::Hooked { .. } => {
+                        // The handler borrows the machine while it reads the
+                        // intercepted name, so lend it the name through a
+                        // second handle on the image instead of a copy.
+                        let image = Arc::clone(&self.image);
+                        let Resolution::Hooked { name, original } =
+                            image.resolution(module_idx, sym)
+                        else {
+                            unreachable!("resolution matched as hooked")
+                        };
                         self.stats.hooked_calls += 1;
                         let action = {
                             let mut ctx = CallContext {
@@ -1078,10 +1096,10 @@ impl Machine {
                                 call_site_module: module_idx,
                                 call_site_offset: offset,
                             };
-                            handler.on_call(&name, &mut ctx)
+                            handler.on_call(name, &mut ctx)
                         };
                         match action {
-                            HookAction::Forward => match original {
+                            HookAction::Forward => match *original {
                                 Some(addr) => {
                                     thread!().frames.push(ShadowFrame {
                                         call_site_module: module_idx,
@@ -1091,13 +1109,14 @@ impl Machine {
                                     next_pc = addr;
                                 }
                                 None => {
-                                    return Some(self.fault(FaultKind::UnresolvedSymbol { name }))
+                                    let name = name.clone();
+                                    return Some(self.fault(FaultKind::UnresolvedSymbol { name }));
                                 }
                             },
                             HookAction::Return { value, errno } => {
                                 thread!().set_reg(Reg::RET, value);
                                 if let Some(e) = errno {
-                                    thread!().tls.insert(CallConv::ERRNO_SYMBOL.to_string(), e);
+                                    thread!().set_tls(CallConv::ERRNO_SYMBOL, e);
                                 }
                             }
                             HookAction::Pause => {
@@ -1115,7 +1134,8 @@ impl Machine {
                         }
                     }
                     Resolution::Unresolved { name } => {
-                        return Some(self.fault(FaultKind::UnresolvedSymbol { name }))
+                        let name = name.clone();
+                        return Some(self.fault(FaultKind::UnresolvedSymbol { name }));
                     }
                     Resolution::Data { .. } | Resolution::Tls { .. } => {
                         let name = self.image.modules[module_idx].module.symrefs[sym as usize]
@@ -1143,14 +1163,14 @@ impl Machine {
                 }
             }
             Insn::TlsLoad { dst, sym } => {
-                let name = self.tls_name(module_idx, sym);
-                let v = thread!().tls.get(&name).copied().unwrap_or(0);
+                let name = tls_name(&self.image, module_idx, sym);
+                let v = thread!().tls.get(name).copied().unwrap_or(0);
                 thread!().set_reg(dst, v);
             }
             Insn::TlsStore { sym, src } => {
-                let name = self.tls_name(module_idx, sym);
+                let name = tls_name(&self.image, module_idx, sym);
                 let v = thread!().reg(src);
-                thread!().tls.insert(name, v);
+                thread!().set_tls(name, v);
             }
             Insn::Sys { num } => {
                 self.stats.syscalls += 1;
@@ -1169,15 +1189,6 @@ impl Machine {
 
         self.threads[self.current].pc = next_pc;
         None
-    }
-
-    fn tls_name(&self, module_idx: usize, sym: u32) -> String {
-        match self.image.resolution(module_idx, sym) {
-            Resolution::Tls { name } => name.clone(),
-            _ => self.image.modules[module_idx].module.symrefs[sym as usize]
-                .name
-                .clone(),
-        }
     }
 
     pub(crate) fn current_reg(&self, reg: Reg) -> Word {
@@ -1257,6 +1268,14 @@ impl fmt::Debug for MachineSnapshot {
             .field("instructions", &self.machine.stats.instructions)
             .field("finished", &self.machine.finished)
             .finish()
+    }
+}
+
+/// Name of the thread-local variable a `tlsld`/`tlsst` symbol refers to.
+fn tls_name(image: &Image, module_idx: usize, sym: u32) -> &str {
+    match image.resolution(module_idx, sym) {
+        Resolution::Tls { name } => name,
+        _ => &image.modules[module_idx].module.symrefs[sym as usize].name,
     }
 }
 
