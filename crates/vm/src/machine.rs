@@ -912,8 +912,8 @@ impl Machine {
             return Some(self.fault(FaultKind::BadPc { pc }));
         };
         if self.record_coverage {
-            let name = self.image.modules[module_idx].module.name.clone();
-            self.coverage.record(&name, offset);
+            self.coverage
+                .record(&self.image.modules[module_idx].module.name, offset);
         }
         self.stats.instructions += 1;
         self.clock += 1;
