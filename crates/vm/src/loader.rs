@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use lfi_arch::{decode_all, Addr, Insn};
-use lfi_obj::{Module, ModuleKind, SymKind};
+use lfi_obj::{Export, Module, ModuleKind, SymKind};
 
 use crate::mem::PAGE_SIZE;
 
@@ -35,6 +35,10 @@ pub struct LoadedModule {
     pub data_base: Addr,
     /// Predecoded instructions (index = offset / INSN_SIZE).
     pub insns: Vec<Insn>,
+    /// Function exports as `(offset, export index)`, sorted by offset once
+    /// at load time. The sort is stable, so of several exports at one offset
+    /// the last in export order comes last.
+    functions: Vec<(u64, usize)>,
 }
 
 impl LoadedModule {
@@ -51,6 +55,17 @@ impl LoadedModule {
     /// Whether a virtual address falls inside this module's code range.
     pub fn contains_code(&self, addr: Addr) -> bool {
         addr >= self.code_base && addr < self.code_base + self.module.code.len() as u64
+    }
+
+    /// The function export whose code range contains `offset`: the export
+    /// [`Module::containing_function`] returns (the last of several at one
+    /// offset included), found by binary search instead of a scan.
+    pub fn containing_function(&self, offset: u64) -> Option<&Export> {
+        let end = self
+            .functions
+            .partition_point(|&(start, _)| start <= offset);
+        let &(_, index) = self.functions.get(end.checked_sub(1)?)?;
+        Some(&self.module.exports[index])
     }
 }
 
@@ -122,7 +137,7 @@ impl Image {
     pub fn func_name_at(&self, addr: Addr) -> Option<(&str, &str)> {
         let (idx, off) = self.find_code(addr)?;
         let module = &self.modules[idx];
-        let export = module.module.containing_function(off)?;
+        let export = module.containing_function(off)?;
         Some((module.module.name.as_str(), export.name.as_str()))
     }
 
@@ -286,12 +301,21 @@ impl Loader {
             let (insn_pairs, decode_err) = decode_all(&module.code);
             debug_assert!(decode_err.is_none(), "validated module failed to decode");
             let insns = insn_pairs.into_iter().map(|(_, i)| i).collect();
+            let mut functions: Vec<(u64, usize)> = module
+                .exports
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.kind == SymKind::Func)
+                .map(|(i, e)| (e.offset, i))
+                .collect();
+            functions.sort_by_key(|&(offset, _)| offset);
             loaded.push(LoadedModule {
                 module,
                 index,
                 code_base,
                 data_base,
                 insns,
+                functions,
             });
         }
 

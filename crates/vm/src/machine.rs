@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use crate::coverage::Coverage;
 use crate::fs::SimFs;
-use crate::loader::{Image, Resolution};
+use crate::loader::{Image, LoadedModule, Resolution};
 use crate::mem::{Memory, PAGE_SIZE};
 use crate::net::NetHandle;
 
@@ -118,7 +118,7 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A symbolized stack frame, used for fault reports and call-stack triggers.
+/// A symbolized stack frame, used for fault reports and backtraces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Module containing the call site.
@@ -129,6 +129,21 @@ pub struct Frame {
     pub function: Option<String>,
     /// Source location of the call site, if line info is available.
     pub source: Option<(String, u32)>,
+}
+
+impl Frame {
+    /// Symbolize the call site at `offset` in `module`.
+    pub fn at(module: &LoadedModule, offset: u64) -> Frame {
+        Frame {
+            module: module.module.name.clone(),
+            offset,
+            function: module.containing_function(offset).map(|e| e.name.clone()),
+            source: module
+                .module
+                .line_for_offset(offset)
+                .map(|(file, line)| (file.to_string(), line)),
+        }
+    }
 }
 
 /// A fatal process fault.
@@ -540,26 +555,25 @@ impl Machine {
     }
 
     fn backtrace_of(&self, thread_index: usize) -> Vec<Frame> {
-        let thread = &self.threads[thread_index];
-        let mut frames = Vec::new();
-        for shadow in thread.frames.iter().rev() {
-            let module = &self.image.modules[shadow.call_site_module];
-            let function = module
-                .module
-                .containing_function(shadow.call_site_offset)
-                .map(|e| e.name.clone());
-            let source = module
-                .module
-                .line_for_offset(shadow.call_site_offset)
-                .map(|(f, l)| (f.to_string(), l));
-            frames.push(Frame {
-                module: module.module.name.clone(),
-                offset: shadow.call_site_offset,
-                function,
-                source,
-            });
-        }
-        frames
+        self.frame_sites_of(thread_index)
+            .map(|(module, offset)| Frame::at(module, offset))
+            .collect()
+    }
+
+    /// The call sites on a thread's shadow stack as `(module, code offset)`,
+    /// innermost first. This is the one definition of a thread's call stack:
+    /// backtraces symbolize it and call-stack triggers match against it.
+    fn frame_sites_of(&self, thread_index: usize) -> impl Iterator<Item = (&LoadedModule, u64)> {
+        self.threads[thread_index]
+            .frames
+            .iter()
+            .rev()
+            .map(|shadow| {
+                (
+                    &self.image.modules[shadow.call_site_module],
+                    shadow.call_site_offset,
+                )
+            })
     }
 
     /// Id of the currently scheduled thread.
@@ -1337,17 +1351,14 @@ impl CallContext<'_> {
     /// Module name and code offset of the call site.
     pub fn call_site(&self) -> (&str, u64) {
         (
-            self.machine.image.modules[self.call_site_module]
-                .module
-                .name
-                .as_str(),
+            self.call_site_module().module.name.as_str(),
             self.call_site_offset,
         )
     }
 
     /// Source file and line of the call site, if debug info is available.
     pub fn call_site_source(&self) -> Option<(String, u32)> {
-        self.machine.image.modules[self.call_site_module]
+        self.call_site_module()
             .module
             .line_for_offset(self.call_site_offset)
             .map(|(f, l)| (f.to_string(), l))
@@ -1355,30 +1366,31 @@ impl CallContext<'_> {
 
     /// Name of the function containing the call site.
     pub fn caller_function(&self) -> Option<String> {
-        self.machine.image.modules[self.call_site_module]
-            .module
+        self.call_site_module()
             .containing_function(self.call_site_offset)
             .map(|e| e.name.clone())
     }
 
+    fn call_site_module(&self) -> &LoadedModule {
+        &self.machine.image.modules[self.call_site_module]
+    }
+
+    /// The call stack as `(module, code offset)` call sites, innermost
+    /// first: the intercepted call itself (which is not yet on the shadow
+    /// stack), then the calling thread's frames outwards. Nothing is
+    /// symbolized, so call-stack triggers can match a frame on its module
+    /// and offset and look up its function or source line only when they
+    /// need to. [`CallContext::backtrace`] symbolizes exactly these frames.
+    pub fn frame_sites(&self) -> impl Iterator<Item = (&LoadedModule, u64)> {
+        std::iter::once((self.call_site_module(), self.call_site_offset))
+            .chain(self.machine.frame_sites_of(self.machine.current))
+    }
+
     /// Full symbolized backtrace, innermost call site first.
     pub fn backtrace(&self) -> Vec<Frame> {
-        let mut frames = self.machine.backtrace();
-        // The interposed call itself is not yet on the shadow stack; add it
-        // so call-stack triggers can match the innermost frame.
-        frames.insert(
-            0,
-            Frame {
-                module: self.machine.image.modules[self.call_site_module]
-                    .module
-                    .name
-                    .clone(),
-                offset: self.call_site_offset,
-                function: self.caller_function(),
-                source: self.call_site_source(),
-            },
-        );
-        frames
+        self.frame_sites()
+            .map(|(module, offset)| Frame::at(module, offset))
+            .collect()
     }
 
     /// Read an exported global variable.
