@@ -117,6 +117,17 @@ struct CompiledAssoc {
     trigger_indices: Vec<usize>,
 }
 
+/// Per-function state: the compiled associations and the interception
+/// count, kept in one map entry so an interception costs one lookup.
+#[derive(Default)]
+struct HookedFunction {
+    /// Compiled associations, in disjunction order (empty for a function
+    /// that is intercepted but named by no association).
+    assocs: Vec<CompiledAssoc>,
+    /// Interceptions so far.
+    calls: u64,
+}
+
 struct TriggerSlot {
     id: String,
     decl_index: usize,
@@ -128,10 +139,9 @@ struct TriggerSlot {
 pub struct InjectionEngine {
     registry: TriggerRegistry,
     scenario: Scenario,
-    /// function name -> list of compiled associations (disjunction order).
-    assocs: HashMap<String, Vec<CompiledAssoc>>,
+    /// function name -> compiled associations and interception count.
+    functions: HashMap<String, HookedFunction>,
     slots: Vec<TriggerSlot>,
-    call_counts: HashMap<String, u64>,
     /// Structured injection log.
     pub log: InjectionLog,
     /// Virtual-time cost charged per trigger evaluation.
@@ -147,7 +157,15 @@ pub struct InjectionEngine {
 impl std::fmt::Debug for InjectionEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InjectionEngine")
-            .field("functions", &self.assocs.keys().collect::<Vec<_>>())
+            .field(
+                "functions",
+                &self
+                    .functions
+                    .iter()
+                    .filter(|(_, f)| !f.assocs.is_empty())
+                    .map(|(name, _)| name)
+                    .collect::<Vec<_>>(),
+            )
             .field("injections", &self.log.injection_count())
             .finish()
     }
@@ -190,16 +208,17 @@ impl InjectionEngine {
             .enumerate()
             .map(|(i, s)| (s.id.clone(), i))
             .collect();
-        let mut assocs: HashMap<String, Vec<CompiledAssoc>> = HashMap::new();
+        let mut functions: HashMap<String, HookedFunction> = HashMap::new();
         for assoc in &scenario.functions {
             let trigger_indices = assoc
                 .triggers
                 .iter()
                 .filter_map(|id| slot_index.get(id).copied())
                 .collect();
-            assocs
+            functions
                 .entry(assoc.function.clone())
                 .or_default()
+                .assocs
                 .push(CompiledAssoc {
                     retval: assoc.retval,
                     errno: assoc.errno,
@@ -209,9 +228,8 @@ impl InjectionEngine {
         Ok(InjectionEngine {
             registry,
             scenario,
-            assocs,
+            functions,
             slots,
-            call_counts: HashMap::new(),
             log: InjectionLog::default(),
             trigger_eval_cost: 10,
             max_injections: None,
@@ -231,7 +249,7 @@ impl InjectionEngine {
 
     /// Number of times a function has been intercepted so far.
     pub fn call_count(&self, function: &str) -> u64 {
-        self.call_counts.get(function).copied().unwrap_or(0)
+        self.functions.get(function).map_or(0, |f| f.calls)
     }
 
     fn eval_slot(
@@ -255,14 +273,19 @@ impl InjectionEngine {
 
 impl HookHandler for InjectionEngine {
     fn on_call(&mut self, func: &str, ctx: &mut CallContext<'_>) -> HookAction {
-        let count = self.call_counts.entry(func.to_string()).or_insert(0);
-        *count += 1;
-        let count = *count;
+        // One lookup per interception; the name is copied only on a
+        // function's first interception.
+        let hooked = match self.functions.get_mut(func) {
+            Some(hooked) => hooked,
+            None => self.functions.entry(func.to_string()).or_default(),
+        };
+        hooked.calls += 1;
+        let count = hooked.calls;
         self.log.interceptions += 1;
 
-        let Some(assocs) = self.assocs.get(func) else {
+        if hooked.assocs.is_empty() {
             return HookAction::Forward;
-        };
+        }
         if let Some(limit) = self.max_injections {
             if self.log.records.len() as u64 >= limit {
                 return HookAction::Forward;
@@ -270,12 +293,9 @@ impl HookHandler for InjectionEngine {
         }
         // Evaluate each association (disjunction). Within one association the
         // triggers form a conjunction evaluated with short-circuiting.
-        for assoc_idx in 0..assocs.len() {
-            let assoc = &self.assocs[func][assoc_idx];
-            let trigger_indices = assoc.trigger_indices.clone();
-            let (retval, errno) = (assoc.retval, assoc.errno);
-            let mut all_true = !trigger_indices.is_empty() || retval.is_some();
-            for &slot_idx in &trigger_indices {
+        for assoc in &hooked.assocs {
+            let mut all_true = !assoc.trigger_indices.is_empty() || assoc.retval.is_some();
+            for &slot_idx in &assoc.trigger_indices {
                 self.log.trigger_evaluations += 1;
                 ctx.add_cost(self.trigger_eval_cost);
                 let mut trigger_ctx = TriggerCtx {
@@ -299,7 +319,7 @@ impl HookHandler for InjectionEngine {
                 continue;
             }
             // Observational associations (return="unused") never inject.
-            let Some(retval) = retval else {
+            let Some(retval) = assoc.retval else {
                 continue;
             };
             if self.observe_only {
@@ -309,11 +329,12 @@ impl HookHandler for InjectionEngine {
             self.log.records.push(InjectionRecord {
                 function: func.to_string(),
                 retval,
-                errno,
+                errno: assoc.errno,
                 call_count: count,
                 call_site: (module.to_string(), offset),
                 source: ctx.call_site_source(),
-                triggers: trigger_indices
+                triggers: assoc
+                    .trigger_indices
                     .iter()
                     .map(|&i| self.slots[i].id.clone())
                     .collect(),
@@ -321,7 +342,7 @@ impl HookHandler for InjectionEngine {
             });
             return HookAction::Return {
                 value: retval,
-                errno,
+                errno: assoc.errno,
             };
         }
         HookAction::Forward

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use lfi_arch::Word;
-use lfi_vm::CallContext;
+use lfi_vm::{CallContext, LoadedModule};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,35 +203,38 @@ pub struct CallStackTrigger {
     pub frames: Vec<FrameSpec>,
 }
 
-fn frame_matches(spec: &FrameSpec, frame: &lfi_vm::Frame) -> bool {
-    if let Some(module) = &spec.module {
-        if module != &frame.module {
-            return false;
-        }
+/// Whether the call site at `offset` in `module` matches `spec`. The module
+/// and offset are compared first; the containing function and the source
+/// line are looked up only if the spec constrains them.
+fn frame_matches(spec: &FrameSpec, module: &LoadedModule, offset: u64) -> bool {
+    if spec.offset.is_some_and(|want| want != offset) {
+        return false;
     }
-    if let Some(offset) = spec.offset {
-        if offset != frame.offset {
-            return false;
-        }
+    if spec
+        .module
+        .as_ref()
+        .is_some_and(|want| *want != module.module.name)
+    {
+        return false;
     }
     if let Some(function) = &spec.function {
-        if frame.function.as_deref() != Some(function.as_str()) {
+        if module.containing_function(offset).map(|e| e.name.as_str()) != Some(function.as_str()) {
             return false;
         }
     }
     if spec.file.is_some() || spec.line.is_some() {
-        let Some((file, line)) = &frame.source else {
+        let Some((file, line)) = module.module.line_for_offset(offset) else {
             return false;
         };
-        if let Some(want_file) = &spec.file {
-            if !file.ends_with(want_file) {
-                return false;
-            }
+        if spec
+            .file
+            .as_ref()
+            .is_some_and(|want| !file.ends_with(want.as_str()))
+        {
+            return false;
         }
-        if let Some(want_line) = spec.line {
-            if *line != want_line {
-                return false;
-            }
+        if spec.line.is_some_and(|want| want != line) {
+            return false;
         }
     }
     true
@@ -239,10 +242,11 @@ fn frame_matches(spec: &FrameSpec, frame: &lfi_vm::Frame) -> bool {
 
 impl Trigger for CallStackTrigger {
     fn eval(&mut self, ctx: &mut TriggerCtx<'_, '_>) -> bool {
-        let backtrace = ctx.call.backtrace();
-        self.frames
-            .iter()
-            .all(|spec| backtrace.iter().any(|frame| frame_matches(spec, frame)))
+        self.frames.iter().all(|spec| {
+            ctx.call
+                .frame_sites()
+                .any(|(module, offset)| frame_matches(spec, module, offset))
+        })
     }
 }
 
@@ -372,13 +376,13 @@ pub struct CallerFunctionTrigger {
 
 impl Trigger for CallerFunctionTrigger {
     fn eval(&mut self, ctx: &mut TriggerCtx<'_, '_>) -> bool {
-        if !self.anywhere {
-            return ctx.call.caller_function().as_deref() == Some(self.function.as_str());
-        }
-        ctx.call
-            .backtrace()
-            .iter()
-            .any(|f| f.function.as_deref() == Some(self.function.as_str()))
+        // The first frame site is the intercepted call site itself.
+        let frames = if self.anywhere { usize::MAX } else { 1 };
+        ctx.call.frame_sites().take(frames).any(|(module, offset)| {
+            module
+                .containing_function(offset)
+                .is_some_and(|e| e.name == self.function)
+        })
     }
 }
 
@@ -622,34 +626,58 @@ mod tests {
 
     #[test]
     fn frame_spec_matching_rules() {
-        let frame = lfi_vm::Frame {
-            module: "bind-lite".into(),
-            offset: 0x120,
-            function: Some("stats_channel".into()),
-            source: Some(("bind/stats.c".into(), 42)),
-        };
+        use lfi_obj::ModuleKind;
+        let exe = lfi_cc::Compiler::new("bind-lite", ModuleKind::Executable)
+            .add_source(
+                "bind/stats.c",
+                r#"
+                int stats_channel() {
+                    return read(0, 0, 0);
+                }
+                int main() {
+                    return stats_channel();
+                }
+                "#,
+            )
+            .compile()
+            .expect("module compiles");
+        let offset = exe.call_sites_of("read")[0];
+        let line = exe.line_for_offset(offset).expect("line info").1;
+        let image = lfi_vm::Loader::new().load(exe).expect("module loads");
+        let module = image.executable();
+
         let by_offset = FrameSpec {
             module: Some("bind-lite".into()),
-            offset: Some(0x120),
+            offset: Some(offset),
             ..FrameSpec::default()
         };
-        assert!(frame_matches(&by_offset, &frame));
+        assert!(frame_matches(&by_offset, module, offset));
+        let by_function = FrameSpec {
+            function: Some("stats_channel".into()),
+            ..FrameSpec::default()
+        };
+        assert!(frame_matches(&by_function, module, offset));
         let by_line = FrameSpec {
             file: Some("stats.c".into()),
-            line: Some(42),
+            line: Some(line),
             ..FrameSpec::default()
         };
-        assert!(frame_matches(&by_line, &frame));
+        assert!(frame_matches(&by_line, module, offset));
         let wrong = FrameSpec {
             module: Some("git-lite".into()),
             ..FrameSpec::default()
         };
-        assert!(!frame_matches(&wrong, &frame));
-        let wrong_line = FrameSpec {
-            file: Some("stats.c".into()),
-            line: Some(43),
+        assert!(!frame_matches(&wrong, module, offset));
+        let wrong_function = FrameSpec {
+            function: Some("main".into()),
             ..FrameSpec::default()
         };
-        assert!(!frame_matches(&wrong_line, &frame));
+        assert!(!frame_matches(&wrong_function, module, offset));
+        let wrong_line = FrameSpec {
+            file: Some("stats.c".into()),
+            line: Some(line + 1),
+            ..FrameSpec::default()
+        };
+        assert!(!frame_matches(&wrong_line, module, offset));
     }
 }
