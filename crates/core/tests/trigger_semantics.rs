@@ -249,3 +249,70 @@ fn conjunction_of_call_count_and_stack_frame_requires_both() {
         vec!["site".to_string(), "third".to_string()]
     );
 }
+
+/// An app whose first function, at code offset 0, is `first_in_file`.
+/// Every thread's call stack bottoms out in a sentinel frame at offset 0 of
+/// the executable; it must not read as a call made from that function.
+fn offset_zero_app(main_body: &str) -> Module {
+    let source = format!(
+        r#"
+        int first_in_file() {{
+            return read(0, 0, 0);
+        }}
+        int victim() {{
+            return __load8(0);
+        }}
+        int main() {{
+            {main_body}
+        }}
+        "#
+    );
+    let exe = Compiler::new("app", ModuleKind::Executable)
+        .needs("stublib")
+        .add_source("app.c", &source)
+        .compile()
+        .expect("app compiles");
+    assert_eq!(exe.containing_function(0).unwrap().name, "first_in_file");
+    exe
+}
+
+#[test]
+fn crash_backtraces_end_at_the_outermost_real_call() {
+    let exe = offset_zero_app("return victim();");
+    let (exit, _) = run_scripted(&exe, &Scenario::new());
+    let RunExit::Fault(fault) = exit else {
+        panic!("expected a fault, got {exit:?}");
+    };
+    let functions: Vec<Option<String>> = fault.backtrace.into_iter().map(|f| f.function).collect();
+    assert_eq!(functions, vec![Some("main".to_string())]);
+}
+
+#[test]
+fn caller_anywhere_does_not_see_the_function_at_offset_zero_on_every_call() {
+    let exe = offset_zero_app(
+        "int direct = read(0, 0, 0);
+            int nested = first_in_file();
+            return direct * 100 + nested;",
+    );
+    let scenario = Scenario::new()
+        .with_trigger(TriggerDecl {
+            id: "in-first".into(),
+            class: "CallerFunctionTrigger".into(),
+            params: BTreeMap::from([
+                ("function".to_string(), "first_in_file".to_string()),
+                ("anywhere".to_string(), "1".to_string()),
+            ]),
+            frames: vec![],
+        })
+        .with_function(FunctionAssoc {
+            function: "read".into(),
+            argc: 3,
+            retval: Some(-1),
+            errno: None,
+            triggers: vec!["in-first".into()],
+        });
+    let (exit, engine) = run_scripted(&exe, &scenario);
+    // Only the read made from first_in_file is failed.
+    assert_eq!(exit, RunExit::Exited(10 * 100 - 1));
+    assert_eq!(engine.log.injection_count(), 1);
+}

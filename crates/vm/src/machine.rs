@@ -563,11 +563,14 @@ impl Machine {
     /// The call sites on a thread's shadow stack as `(module, code offset)`,
     /// innermost first. This is the one definition of a thread's call stack:
     /// backtraces symbolize it and call-stack triggers match against it.
+    /// The sentinel frame at the bottom of every thread marks where the
+    /// thread started; no call was made there, so it is not a call site.
     fn frame_sites_of(&self, thread_index: usize) -> impl Iterator<Item = (&LoadedModule, u64)> {
         self.threads[thread_index]
             .frames
             .iter()
             .rev()
+            .filter(|shadow| shadow.return_addr != RETURN_SENTINEL)
             .map(|shadow| {
                 (
                     &self.image.modules[shadow.call_site_module],
