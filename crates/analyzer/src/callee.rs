@@ -40,7 +40,7 @@ pub struct StaticFunctionProfile {
     pub error_cases: Vec<ErrorCase>,
     /// Whether some path returns a computed (non-constant) value.
     pub returns_dynamic: bool,
-    /// The path walk hit [`STEP_CAP`] or [`VISIT_CAP`]: the case list is a
+    /// The path walk hit `STEP_CAP` or `VISIT_CAP`: the case list is a
     /// lower bound, not an enumeration.
     pub truncated: bool,
 }

@@ -6,7 +6,7 @@
 //! every one of *its* callers checks it, yet the site inside `xmalloc` looks
 //! unchecked. This pass resolves such sites by walking the call graph
 //! upward: when a call's return value escapes to the containing function's
-//! return ([`SiteFinding::escapes_to_caller`]), the analysis asks whether
+//! return ([`SiteFinding::escapes_to_caller`](crate::callsite::SiteFinding::escapes_to_caller)), the analysis asks whether
 //! every caller of that function checks the forwarded value — recursively,
 //! up to [`AnalysisConfig::max_depth`] levels.
 //!

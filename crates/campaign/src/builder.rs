@@ -26,7 +26,7 @@
 //! The driver is the unit a multi-process (or multi-machine) supervisor
 //! orchestrates: each process builds the same plan with its own
 //! [`Lease`] range, streams progress through an
-//! [`EventSink`](crate::events::EventSink), checkpoints after every batch,
+//! [`EventSink`], checkpoints after every batch,
 //! and hands back a mergeable [`LeaseOutcome`] —
 //! [`CampaignReport::merge_leases`](crate::CampaignReport::merge_leases)
 //! recombines outcomes that tile the space into a report record- and
@@ -120,8 +120,9 @@ impl<'a> CampaignBuilder<'a> {
         self
     }
 
-    /// Minimum interval between [`CampaignEvent::Heartbeat`](crate::events::
-    /// CampaignEvent::Heartbeat) events while units drain (default:
+    /// Minimum interval between
+    /// [`CampaignEvent::Heartbeat`](crate::events::CampaignEvent::Heartbeat)
+    /// events while units drain (default:
     /// [`crate::engine::DEFAULT_HEARTBEAT_INTERVAL`]); `None` disables
     /// heartbeats entirely. Heartbeats only flow when an event sink is
     /// registered.
@@ -147,8 +148,8 @@ impl<'a> CampaignBuilder<'a> {
     /// supervised campaign (default: none). Adaptive strategies escalate
     /// the signatures' caller neighborhoods exactly as if the crash had
     /// been observed locally, and the signatures are not re-announced as
-    /// [`CampaignEvent::CrashFound`](crate::events::CampaignEvent::
-    /// CrashFound) events. Results never change for schedules whose
+    /// [`CampaignEvent::CrashFound`](crate::events::CampaignEvent::CrashFound)
+    /// events. Results never change for schedules whose
     /// covered unit set does not depend on observed history.
     pub fn known_signatures(
         mut self,

@@ -2,8 +2,9 @@
 //! campaign supervisor sends its workers.
 //!
 //! [`ControlMessage`] is the downstream half of the supervisor wire
-//! protocol (the upstream half is the [`CampaignEvent`](crate::events::
-//! CampaignEvent) stream plus the worker protocol): it has the same
+//! protocol (the upstream half is the
+//! [`CampaignEvent`](crate::events::CampaignEvent) stream plus the worker
+//! protocol): it has the same
 //! total line-oriented JSON codec as events, discriminated by a
 //! `"control"` key so the two kinds can share a pipe without ambiguity.
 //! Its [`Lease`] grants are the [`crate::lease`] partition type.

@@ -53,7 +53,7 @@
 //! ## Driving a campaign
 //!
 //! Construction and orchestration live in the fluent
-//! [`CampaignBuilder`](crate::builder::CampaignBuilder) /
+//! [`CampaignBuilder`] /
 //! [`CampaignDriver`](crate::builder::CampaignDriver) API
 //! (`Campaign::builder(space, &executor).strategy(...).build()`), which
 //! adds lease selection, streamed [`CampaignEvent`]s, and per-batch

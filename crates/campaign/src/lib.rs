@@ -27,7 +27,7 @@
 //!   injectable library call runs once per `(target, workload)` pair and
 //!   every unit forks from the captured VM snapshot, with identical
 //!   results either way;
-//! * [`triage`] — deduplicate failures into crash signatures, so the report
+//! * [`mod@triage`] — deduplicate failures into crash signatures, so the report
 //!   lists bugs, not runs;
 //! * [`state`] — persist completed units as JSON and resume interrupted
 //!   campaigns; state is tagged `fingerprint@plan-hash%start..end`, so

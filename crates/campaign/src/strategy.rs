@@ -25,8 +25,9 @@ use crate::space::FaultSpace;
 
 /// Session knowledge a batch ordering may consult: where a function is
 /// first intercepted in a workload's injectable-call trace. The engine
-/// implements it over the executor ([`Executor::first_call_depth`]
-/// (crate::engine::Executor::first_call_depth)); `None` means the depth is
+/// implements it over the executor
+/// ([`Executor::first_call_depth`](crate::engine::Executor::first_call_depth));
+/// `None` means the depth is
 /// unknown and the ordering must treat it as "no information".
 pub trait DepthOracle: Sync {
     /// The 1-based first-call depth of `function` under the

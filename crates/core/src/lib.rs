@@ -3,7 +3,7 @@
 //! This crate is the reproduction of the paper's primary contribution — the
 //! extended LFI tool chain:
 //!
-//! * [`triggers`] — the pluggable [`Trigger`](triggers::Trigger) interface,
+//! * [`triggers`] — the pluggable [`Trigger`] interface,
 //!   the registry used to instantiate trigger classes by name, the six stock
 //!   trigger families of §3.2 (call stack, program state, call count,
 //!   singleton, random, distributed) and several argument-inspecting helpers.

@@ -1,7 +1,7 @@
 //! The campaign supervisor: elastic workers under one scheduler.
 //!
 //! [`run_supervised`] partitions a fault space into small
-//! [`Lease`](lfi_campaign::Lease)s (much finer than a `--shard i/n`
+//! [`Lease`]s (much finer than a `--shard i/n`
 //! range), spawns `workers` worker processes, and drives them over the
 //! JSONL pipe protocol:
 //!

@@ -120,7 +120,7 @@ impl Telemetry {
 
     /// Queue an out-of-band [`Note`] for the next [`take_notes`] drain.
     ///
-    /// Bounded: past [`MAX_PENDING_NOTES`] pending entries new notes are
+    /// Bounded: past `MAX_PENDING_NOTES` pending entries new notes are
     /// dropped and the drop is counted in the `telemetry_notes_dropped`
     /// counter of the next snapshot.
     ///

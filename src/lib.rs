@@ -5,14 +5,14 @@
 //! (Marinescu, Banabic, Candea — USENIX ATC 2010). It re-exports the whole
 //! tool chain:
 //!
-//! * [`core`](lfi_core) — triggers, the XML scenario language, the
+//! * [`core`] — triggers, the XML scenario language, the
 //!   interposition/injection runtime and the test controller (the paper's
 //!   contribution);
-//! * [`profiler`](lfi_profiler) — library fault profiles (error returns and
+//! * [`profiler`] — library fault profiles (error returns and
 //!   errno side effects inferred from binaries);
-//! * [`analyzer`](lfi_analyzer) — call-site analysis (Algorithm 1) and
+//! * [`analyzer`] — call-site analysis (Algorithm 1) and
 //!   recovery-block identification;
-//! * [`campaign`](lfi_campaign) — parallel fault-space exploration: enumerate
+//! * [`campaign`] — parallel fault-space exploration: enumerate
 //!   every (call site × error case) fault point, schedule it batch-by-batch
 //!   with pluggable strategies (including the adaptive coverage-feedback
 //!   scheduler) on a worker pool, triage crashes into signatures, resume
@@ -20,17 +20,17 @@
 //!   split one campaign into point-range leases across processes/machines
 //!   with byte-identical mergeable results, and stream typed progress
 //!   events while it runs;
-//! * [`supervisor`](lfi_supervisor) — the distributed control plane on top of
+//! * [`supervisor`] — the distributed control plane on top of
 //!   the campaign layer: spawn elastic worker processes, lease them unit
 //!   ranges, monitor heartbeats, migrate leases off dead or hung workers
 //!   (restarting them from per-lease checkpoints), steal queued leases for
 //!   idle workers, and broadcast first-seen crash signatures so every
 //!   worker's adaptive strategy learns globally;
-//! * the substrate: [`arch`](lfi_arch), [`obj`](lfi_obj), [`asm`](lfi_asm),
-//!   [`cc`](lfi_cc), [`vm`](lfi_vm), [`libc`](lfi_libc);
-//! * [`targets`](lfi_targets) — the BIND/MySQL/Git/PBFT/Apache analogues with
+//! * the substrate: [`arch`], [`obj`], [`asm`],
+//!   [`cc`], [`vm`], [`libc`];
+//! * [`targets`] — the BIND/MySQL/Git/PBFT/Apache analogues with
 //!   the paper's seeded bugs and workloads;
-//! * [`telemetry`](lfi_telemetry) — the lock-light metrics registry, span
+//! * [`telemetry`] — the lock-light metrics registry, span
 //!   timing, and serializable [`MetricsSnapshot`](lfi_telemetry::MetricsSnapshot)s
 //!   behind campaign observability.
 //!
