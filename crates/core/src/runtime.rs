@@ -157,15 +157,7 @@ pub struct InjectionEngine {
 impl std::fmt::Debug for InjectionEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InjectionEngine")
-            .field(
-                "functions",
-                &self
-                    .functions
-                    .iter()
-                    .filter(|(_, f)| !f.assocs.is_empty())
-                    .map(|(name, _)| name)
-                    .collect::<Vec<_>>(),
-            )
+            .field("functions", &self.functions.keys().collect::<Vec<_>>())
             .field("injections", &self.log.injection_count())
             .finish()
     }

@@ -133,7 +133,7 @@ pub struct Frame {
 
 impl Frame {
     /// Symbolize the call site at `offset` in `module`.
-    pub fn at(module: &LoadedModule, offset: u64) -> Frame {
+    fn at(module: &LoadedModule, offset: u64) -> Frame {
         Frame {
             module: module.module.name.clone(),
             offset,
