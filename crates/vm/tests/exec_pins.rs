@@ -1,24 +1,28 @@
 //! Semantic pins for the interpreter's hot path.
 //!
-//! Each test runs a real target to completion and compares the exact
-//! instruction/call counts, virtual clock and architectural state
-//! fingerprint against constants. The constants were captured from the
-//! byte-at-a-time memory and clone-per-call interpreter; any change to the
-//! fast path that alters guest-visible behaviour — a byte written or not
-//! written before a fault, a missed errno store, a different code lookup —
-//! moves at least one of them. Never re-capture them to make a
-//! performance change pass.
+//! Each test runs a real target or a hand-assembled program and compares
+//! the exact instruction/call counts, virtual clock, architectural state
+//! fingerprint and, for faults, the exact `Fault` against constants. The
+//! bind-lite and cluster constants were captured from the byte-at-a-time
+//! memory and clone-per-call interpreter; the hand-assembled ones (thread
+//! preemption, budget slices and mid-quantum faults) from the interpreter
+//! that executed one `step` per instruction. Any change to the fast path
+//! that alters guest-visible behaviour — a byte written or not written
+//! before a fault, a missed errno store, a different code lookup, a moved
+//! quantum boundary — moves at least one of them. Never re-capture them to
+//! make a performance change pass.
 
 use std::sync::Arc;
 
 use lfi_arch::errno;
+use lfi_asm::assemble_text;
 use lfi_core::{TestConfig, Workload};
 use lfi_targets::{
     bind_lite, run_bft_cluster, standard_controller, BftClusterConfig, BindWorkload,
 };
 use lfi_vm::{
-    CallContext, ExecStats, HookAction, HookHandler, Image, Machine, NetHandle, NoHooks,
-    ProcessConfig, RunExit,
+    CallContext, ExecStats, Fault, FaultKind, Frame, HookAction, HookHandler, Image, Loader,
+    Machine, NetHandle, NoHooks, ProcessConfig, RunExit,
 };
 
 /// Everything a pinned bind-lite run is compared on.
@@ -158,4 +162,335 @@ fn uninjected_bft_cluster_is_pinned() {
         (result.completed, result.virtual_time, result.injections),
         (4, 340_130, 0)
     );
+}
+
+/// bind-lite driven in `run` slices of 1000 instructions, a budget that is
+/// not a multiple of the quantum, so every slice ends mid-quantum and the
+/// next one resumes there.
+#[test]
+fn sliced_bind_lite_run_equals_the_single_call_pin() {
+    let image = standard_controller()
+        .build_image(&bind_lite(), &[])
+        .expect("bind-lite loads");
+    let net = NetHandle::default();
+    let mut workload = BindWorkload::typical(net.clone());
+    let mut machine = Machine::from_image(
+        image,
+        ProcessConfig {
+            args: vec![workload.request_count().to_string()],
+            ..ProcessConfig::default()
+        },
+    );
+    machine.attach_net(net);
+    workload.setup(&mut machine);
+    let mut slices = 0;
+    let exit = loop {
+        slices += 1;
+        match machine.run(&mut NoHooks, 1000) {
+            RunExit::Budget => continue,
+            exit => break exit,
+        }
+    };
+    assert_eq!(slices, 15);
+    let pin = Pin {
+        exit,
+        stats: machine.stats,
+        clock: machine.clock(),
+        fingerprint: machine.state_fingerprint(),
+    };
+    assert_eq!(
+        pin,
+        Pin {
+            exit: RunExit::Exited(0),
+            stats: ExecStats {
+                instructions: 14556,
+                syscalls: 27,
+                calls: 114,
+                hooked_calls: 0,
+            },
+            clock: 17276,
+            fingerprint: 2597985692239482957,
+        }
+    );
+}
+
+/// A hand-written library: lock, unlock and write wrappers around the
+/// VM's syscalls.
+const PIN_LIB: &str = r#"
+    .module pinlib lib
+
+    .func my_lock
+        sys mutex_lock
+        ret
+
+    .func my_unlock
+        sys mutex_unlock
+        ret
+
+    .func my_write
+        sys write
+        ret
+"#;
+
+/// Everything a pinned hand-assembled run is compared on.
+#[derive(Debug, PartialEq, Eq)]
+struct AsmPin {
+    exit: RunExit,
+    stats: ExecStats,
+    clock: u64,
+    fingerprint: u64,
+    output: Vec<u8>,
+}
+
+/// Assemble `exe` against [`PIN_LIB`] and run it to completion.
+fn run_asm(exe: &str, quantum: u64) -> AsmPin {
+    let mut loader = Loader::new();
+    loader.add_library(assemble_text(PIN_LIB).expect("library assembles"));
+    let image = loader
+        .load(assemble_text(exe).expect("program assembles"))
+        .expect("program loads");
+    let mut machine = Machine::new(
+        image,
+        ProcessConfig {
+            quantum,
+            ..ProcessConfig::default()
+        },
+    );
+    let exit = machine.run_to_completion(&mut NoHooks);
+    AsmPin {
+        exit,
+        stats: machine.stats,
+        clock: machine.clock(),
+        fingerprint: machine.state_fingerprint(),
+        output: machine.output().to_vec(),
+    }
+}
+
+/// Three threads fold their ids into a shared counter under one mutex.
+/// The fold is order-dependent and each thread keeps its loop count in
+/// `errno`, so the exit code, output and fingerprint pin the interleaving
+/// that a 7-instruction quantum produces: preemption inside functions,
+/// while the mutex is held, and threads blocking on it.
+#[test]
+fn three_threads_at_quantum_seven_are_pinned() {
+    let exe = r#"
+        .module app exe
+        .needed pinlib
+
+        .func main
+            leafn r1, worker
+            movi r2, 3
+            sys thread_create
+            leafn r1, worker
+            movi r2, 5
+            sys thread_create
+            movi r1, 7
+            call fold
+        wait:
+            leasym r9, done
+            ld r0, [r9+0]
+            cmpi r0, 3
+            jlt wait
+            movi r1, 1
+            leasym r2, counter
+            movi r3, 8
+            callsym my_write
+            leasym r9, counter
+            ld r0, [r9+0]
+            andi r0, 127
+            ret
+
+        .func worker
+            call fold
+            sys thread_exit
+            ret
+
+        .func fold
+            mov r12, r1
+            movi r13, 10
+        again:
+            movi r1, 1
+            callsym my_lock
+            leasym r9, counter
+            ld r0, [r9+0]
+            muli r0, 3
+            add r0, r12
+            push r0
+            pop r0
+            st [r9+0], r0
+            tlsst errno, r13
+            movi r1, 1
+            callsym my_unlock
+            subi r13, 1
+            cmpi r13, 0
+            jgt again
+            movi r1, 1
+            callsym my_lock
+            leasym r9, done
+            ld r0, [r9+0]
+            addi r0, 1
+            st [r9+0], r0
+            movi r1, 1
+            callsym my_unlock
+            ret
+
+        .word counter 0
+        .word done 0
+    "#;
+    assert_eq!(
+        run_asm(exe, 7),
+        AsmPin {
+            exit: RunExit::Exited(12),
+            stats: ExecStats {
+                instructions: 704,
+                syscalls: 134,
+                calls: 70,
+                hooked_calls: 0,
+            },
+            clock: 3464,
+            fingerprint: 15454720805349331971,
+            output: vec![12, 129, 194, 63, 232, 96, 1, 0],
+        }
+    );
+}
+
+/// Run a program that faults mid-quantum; return the fault and the
+/// fingerprint of the machine it left behind.
+fn run_to_fault(exe: &str) -> (Fault, u64) {
+    let pin = run_asm(exe, ProcessConfig::default().quantum);
+    let RunExit::Fault(fault) = pin.exit else {
+        panic!("expected a fault, got {:?}", pin.exit);
+    };
+    (fault, pin.fingerprint)
+}
+
+/// A frame of the pinned programs, which carry no line information.
+fn frame(module: &str, offset: u64, function: &str) -> Frame {
+    Frame {
+        module: module.to_string(),
+        offset,
+        function: Some(function.to_string()),
+        source: None,
+    }
+}
+
+#[test]
+fn load_from_unmapped_page_fault_is_pinned() {
+    let (fault, fingerprint) = run_to_fault(
+        r#"
+        .module app exe
+        .func main
+            movi r1, 5
+            call helper
+            ret
+        .func helper
+            addi r1, 1
+            tlsst errno, r1
+            movi r2, 0x60000000
+            ld r0, [r2+8]
+            ret
+    "#,
+    );
+    assert_eq!(
+        fault,
+        Fault {
+            kind: FaultKind::MemAccess { addr: 0x6000_0008 },
+            module: "app".to_string(),
+            offset: 72,
+            thread: 1,
+            backtrace: vec![frame("app", 12, "main")],
+        }
+    );
+    assert_eq!(fingerprint, 5378457384224320806);
+}
+
+#[test]
+fn divide_by_zero_fault_is_pinned() {
+    let (fault, fingerprint) = run_to_fault(
+        r#"
+        .module app exe
+        .func main
+            movi r1, 5
+            call helper
+            ret
+        .func helper
+            tlsst errno, r1
+            movi r3, 0
+            div r1, r3
+            ret
+    "#,
+    );
+    assert_eq!(
+        fault,
+        Fault {
+            kind: FaultKind::DivideByZero,
+            module: "app".to_string(),
+            offset: 60,
+            thread: 1,
+            backtrace: vec![frame("app", 12, "main")],
+        }
+    );
+    assert_eq!(fingerprint, 16725672973920404018);
+}
+
+/// The heap's first page is mapped and the next one is not, so this store
+/// writes its low four bytes before it faults.
+#[test]
+fn straddling_store_fault_is_pinned() {
+    let (fault, fingerprint) = run_to_fault(
+        r#"
+        .module app exe
+        .func main
+            movi r1, 5
+            call helper
+            ret
+        .func helper
+            movi r2, 0x50000ffc
+            movi r3, -1
+            st [r2+0], r3
+            ret
+    "#,
+    );
+    assert_eq!(
+        fault,
+        Fault {
+            kind: FaultKind::MemAccess { addr: 0x5000_0ffc },
+            module: "app".to_string(),
+            offset: 60,
+            thread: 1,
+            backtrace: vec![frame("app", 12, "main")],
+        }
+    );
+    assert_eq!(fingerprint, 9176962668280581953);
+}
+
+/// `tail` ends the module's code with a call, so the callee's `ret`
+/// returns to the first address past the code, outside every module.
+#[test]
+fn ret_outside_every_module_fault_is_pinned() {
+    let (fault, fingerprint) = run_to_fault(
+        r#"
+        .module app exe
+        .func main
+            call tail
+            ret
+        .func helper
+            movi r0, 1
+            ret
+        .func tail
+            movi r1, 2
+            call helper
+    "#,
+    );
+    assert_eq!(
+        fault,
+        Fault {
+            kind: FaultKind::BadPc { pc: 0x1000_0048 },
+            module: "<unknown>".to_string(),
+            offset: 0x1000_0048,
+            thread: 1,
+            backtrace: vec![frame("app", 0, "main")],
+        }
+    );
+    assert_eq!(fingerprint, 3431586643758545714);
 }
