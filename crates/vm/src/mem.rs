@@ -28,17 +28,22 @@ type Page = [u8; PAGE_SIZE as usize];
 /// Bytes in a machine word.
 const WORD_BYTES: usize = std::mem::size_of::<Word>();
 
-/// Hasher for page indices: one multiply by a 64-bit odd constant
-/// (Fibonacci hashing). The low bits stay distinct for consecutive pages
-/// and the high bits are well mixed, which is all the page map needs, at a
-/// fraction of SipHash's cost. It is deterministic; nothing depends on the
-/// map's iteration order either way. It offers no protection against keys
-/// crafted to collide, which is fine: the keys are pages of the regions the
-/// VM itself maps (data, heap, stacks), not values chosen from outside.
+/// Hasher for the VM's integer-keyed maps: one multiply by a 64-bit odd
+/// constant per integer (Fibonacci hashing). The low bits stay distinct for
+/// consecutive keys and the high bits are well mixed, which is all the
+/// page map and the network's `(node, port)` queue map need, at a fraction
+/// of SipHash's cost. It is deterministic; nothing depends on either map's
+/// iteration order. It offers no protection against keys crafted to
+/// collide, which is fine: the keys are pages of the regions the VM itself
+/// maps (data, heap, stacks) and endpoints the simulated programs bind,
+/// not values chosen from outside.
 #[derive(Default)]
-struct PageHasher(u64);
+pub(crate) struct IntHasher(u64);
 
-impl Hasher for PageHasher {
+/// A `HashMap` keyed with [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+impl Hasher for IntHasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -54,8 +59,8 @@ impl Hasher for PageHasher {
     }
 }
 
-/// Page index -> page, keyed with [`PageHasher`].
-type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>;
+/// Page index -> page.
+type PageMap = IntMap<u64, Arc<Page>>;
 
 /// Memory access errors, surfaced to the machine as faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

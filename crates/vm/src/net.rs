@@ -8,12 +8,14 @@
 //! drop probability can be configured for studies that want an unreliable
 //! substrate independent of LFI.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::mem::IntMap;
 
 /// A datagram in flight or queued at a destination port.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +52,7 @@ pub struct NetStats {
 /// endpoints, queued datagrams, RNG state and statistics.
 #[derive(Debug, Clone)]
 pub struct SimNet {
-    queues: HashMap<(i64, i64), VecDeque<Datagram>>,
+    queues: IntMap<(i64, i64), VecDeque<Datagram>>,
     drop_probability: f64,
     rng: StdRng,
     stats: NetStats,
@@ -60,7 +62,7 @@ impl SimNet {
     /// Create a reliable network (no drops) with a deterministic RNG seed.
     pub fn new(seed: u64) -> SimNet {
         SimNet {
-            queues: HashMap::new(),
+            queues: IntMap::default(),
             drop_probability: 0.0,
             rng: StdRng::seed_from_u64(seed),
             stats: NetStats::default(),

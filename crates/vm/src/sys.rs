@@ -448,10 +448,9 @@ impl Machine {
     fn sys_sendto(&mut self) -> Word {
         let (fd, buf, len) = (self.arg(0), self.arg(1), self.arg(2).max(0) as usize);
         let (to_node, to_port) = (self.arg(3), self.arg(4));
-        let from_port = match self.fds.get(fd.max(0) as usize).and_then(|e| e.clone()) {
-            Some(FdEntry::Socket { port, .. }) => port.unwrap_or(0),
-            Some(_) => return -errno::EINVAL,
-            None => return -errno::EBADF,
+        let from_port = match self.socket_port(fd) {
+            Ok(port) => port.unwrap_or(0),
+            Err(err) => return err,
         };
         let mut payload = vec![0u8; len];
         if len > 0 && self.mem.read_bytes(buf as Addr, &mut payload).is_err() {
@@ -468,6 +467,17 @@ impl Machine {
             payload,
         });
         len as Word
+    }
+
+    /// The bound port of socket `fd`, or the negative errno for a
+    /// descriptor that is not an open socket. Borrows the descriptor table
+    /// instead of cloning the entry: every idle `recvfrom` poll comes here.
+    fn socket_port(&self, fd: Word) -> Result<Option<i64>, Word> {
+        match self.fds.get(fd.max(0) as usize) {
+            Some(Some(FdEntry::Socket { port, .. })) => Ok(*port),
+            Some(Some(_)) => Err(-errno::EINVAL),
+            _ => Err(-errno::EBADF),
+        }
     }
 
     fn socket_recv(&mut self, port: Option<i64>, buf: Word, cap: usize, srcinfo: Word) -> Word {
@@ -508,10 +518,9 @@ impl Machine {
             self.arg(2).max(0) as usize,
             self.arg(3),
         );
-        match self.fds.get(fd.max(0) as usize).and_then(|e| e.clone()) {
-            Some(FdEntry::Socket { port, .. }) => self.socket_recv(port, buf, cap, srcinfo),
-            Some(_) => -errno::EINVAL,
-            None => -errno::EBADF,
+        match self.socket_port(fd) {
+            Ok(port) => self.socket_recv(port, buf, cap, srcinfo),
+            Err(err) => err,
         }
     }
 
