@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use lfi_arch::{decode_all, Addr, Insn};
+use lfi_arch::{decode_all, Addr, CallConv, Insn};
 use lfi_obj::{Export, Module, ModuleKind, SymKind};
 
 use crate::mem::PAGE_SIZE;
@@ -76,8 +76,9 @@ pub enum Resolution {
     Func { addr: Addr },
     /// A data object at an absolute address.
     Data { addr: Addr },
-    /// A thread-local variable, accessed by name in the per-thread TLS map.
-    Tls { name: String },
+    /// A thread-local variable. The loader numbers the image's distinct
+    /// TLS names densely, and each thread keeps one word per `slot`.
+    Tls { name: String, slot: usize },
     /// An interposed function: calls are redirected to the LFI runtime hook;
     /// `original` is the address of the definition that would have been used
     /// without interposition (if any), so the hook can forward to it.
@@ -99,14 +100,54 @@ pub struct Image {
     pub modules: Vec<LoadedModule>,
     /// Per-module, per-symref resolutions.
     resolutions: Vec<Vec<Resolution>>,
+    /// Thread-local variable names by slot. Slot `ERRNO_SLOT` is always
+    /// `errno`, which an injected failure may store even in an image that
+    /// never names it.
+    tls_names: Vec<String>,
     /// Address of `main` in the executable.
     pub entry: Addr,
 }
 
 impl Image {
+    /// TLS slot of `errno`.
+    pub(crate) const ERRNO_SLOT: usize = 0;
+
     /// Resolution of symref `sym` of module `module_index`.
     pub fn resolution(&self, module_index: usize, sym: u32) -> &Resolution {
         &self.resolutions[module_index][sym as usize]
+    }
+
+    /// Every resolution of module `module_index`, indexed by symref.
+    pub(crate) fn resolutions(&self, module_index: usize) -> &[Resolution] {
+        &self.resolutions[module_index]
+    }
+
+    /// Number of distinct thread-local variable names: the TLS slots every
+    /// thread has.
+    pub(crate) fn tls_slots(&self) -> usize {
+        self.tls_names.len()
+    }
+
+    /// Name of the thread-local variable in `slot`.
+    pub(crate) fn tls_name(&self, slot: usize) -> &str {
+        &self.tls_names[slot]
+    }
+
+    /// The TLS slot a `tlsld`/`tlsst` through symref `sym` of module
+    /// `module_index` accesses. A TLS instruction may name a symref that is
+    /// not a TLS symbol; it then accesses the variable of the symref's name,
+    /// which the loader gave a slot too.
+    pub(crate) fn tls_slot(&self, module_index: usize, sym: u32) -> usize {
+        match self.resolution(module_index, sym) {
+            Resolution::Tls { slot, .. } => *slot,
+            _ => {
+                let name = &self.modules[module_index].module.symrefs[sym as usize].name;
+                self.tls_names
+                    .iter()
+                    .position(|n| n == name)
+                    .expect("the loader gives every name a TLS instruction uses a slot")
+            }
+        }
     }
 
     /// The module whose code range contains `addr`, with the offset inside it.
@@ -358,6 +399,16 @@ impl Loader {
             }
         }
 
+        // Number the distinct TLS names, `errno` first.
+        let mut tls_names = vec![CallConv::ERRNO_SYMBOL.to_string()];
+        let mut tls_slot = |name: &str| match tls_names.iter().position(|n| n == name) {
+            Some(slot) => slot,
+            None => {
+                tls_names.push(name.to_string());
+                tls_names.len() - 1
+            }
+        };
+
         // Resolve symbol references per module.
         let mut resolutions = Vec::with_capacity(loaded.len());
         for lm in &loaded {
@@ -366,6 +417,7 @@ impl Loader {
                 let res = match symref.kind {
                     SymKind::Tls => Resolution::Tls {
                         name: symref.name.clone(),
+                        slot: tls_slot(&symref.name),
                     },
                     SymKind::Data => {
                         // A module's own definition wins for its own data refs.
@@ -399,6 +451,11 @@ impl Loader {
                 };
                 module_res.push(res);
             }
+            for insn in &lm.insns {
+                if let Insn::TlsLoad { sym, .. } | Insn::TlsStore { sym, .. } = *insn {
+                    tls_slot(&lm.module.symrefs[sym as usize].name);
+                }
+            }
             resolutions.push(module_res);
         }
 
@@ -411,6 +468,7 @@ impl Loader {
         Ok(Image {
             modules: loaded,
             resolutions,
+            tls_names,
             entry,
         })
     }

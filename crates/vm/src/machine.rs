@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use crate::coverage::Coverage;
 use crate::fs::SimFs;
 use crate::loader::{Image, LoadedModule, Resolution};
-use crate::mem::{Memory, PAGE_SIZE};
+use crate::mem::{Memory, PageCache, PAGE_SIZE};
 use crate::net::NetHandle;
 
 /// Start of the heap region.
@@ -274,13 +274,15 @@ struct Thread {
     regs: [Word; Reg::COUNT],
     flags: Ordering,
     pc: Addr,
-    tls: HashMap<String, Word>,
+    /// One word per TLS slot of the image, `None` until the variable's
+    /// first store.
+    tls: Vec<Option<Word>>,
     frames: Vec<ShadowFrame>,
     state: ThreadState,
 }
 
 impl Thread {
-    fn new(id: i64, pc: Addr, stack_top: Addr) -> Thread {
+    fn new(id: i64, pc: Addr, stack_top: Addr, tls_slots: usize) -> Thread {
         let mut regs = [0; Reg::COUNT];
         regs[Reg::Sp.index()] = stack_top as Word;
         regs[Reg::Fp.index()] = stack_top as Word;
@@ -289,7 +291,7 @@ impl Thread {
             regs,
             flags: Ordering::Equal,
             pc,
-            tls: HashMap::new(),
+            tls: vec![None; tls_slots],
             frames: vec![ShadowFrame {
                 call_site_module: 0,
                 call_site_offset: 0,
@@ -305,17 +307,6 @@ impl Thread {
 
     fn set_reg(&mut self, r: Reg, v: Word) {
         self.regs[r.index()] = v;
-    }
-
-    /// Store a thread-local variable, allocating its key only on the
-    /// variable's first store.
-    fn set_tls(&mut self, name: &str, v: Word) {
-        match self.tls.get_mut(name) {
-            Some(slot) => *slot = v,
-            None => {
-                self.tls.insert(name.to_string(), v);
-            }
-        }
     }
 }
 
@@ -337,6 +328,25 @@ pub(crate) enum SysOutcome {
     Done(Word),
     Block(i64),
     Exit(RunExit),
+}
+
+/// Why the interpreter loop returned.
+enum Stop {
+    /// It executed its whole budget.
+    Budget,
+    /// The thread returned off its bottom frame and exited.
+    ThreadExited,
+    /// The instruction at the thread's program counter needs the whole
+    /// machine. It has been counted but not executed.
+    OutOfLine {
+        insn: Insn,
+        module_idx: usize,
+        offset: u64,
+    },
+    /// The process stops.
+    Exit(RunExit),
+    /// The instruction at the thread's program counter faulted.
+    Fault(FaultKind),
 }
 
 /// A running process.
@@ -365,8 +375,8 @@ pub struct Machine {
     pub(crate) output: Vec<u8>,
     config: ProcessConfig,
     finished: Option<RunExit>,
-    /// Module of the most recently executed instruction: where `step`
-    /// looks for the next program counter first.
+    /// Module of the most recently executed instruction: where the
+    /// interpreter loop looks for the next program counter first.
     code_hint: usize,
 }
 
@@ -419,13 +429,13 @@ impl Machine {
             env.insert(format!("ARG{i}"), arg.clone());
         }
 
-        let entry = image.entry;
+        let main_thread = Thread::new(1, image.entry, stack_top, image.tls_slots());
         let mut machine = Machine {
             image,
             mem,
             fs: SimFs::new(),
             net: None,
-            threads: vec![Thread::new(1, entry, stack_top)],
+            threads: vec![main_thread],
             current: 0,
             next_thread_id: 2,
             mutexes: HashMap::new(),
@@ -508,11 +518,7 @@ impl Machine {
 
     /// Value of the thread-local `errno` of the currently scheduled thread.
     pub fn errno(&self) -> Word {
-        self.threads[self.current]
-            .tls
-            .get(CallConv::ERRNO_SYMBOL)
-            .copied()
-            .unwrap_or(0)
+        self.threads[self.current].tls[Image::ERRNO_SLOT].unwrap_or(0)
     }
 
     /// Read a word-sized exported global variable by name.
@@ -716,7 +722,12 @@ impl Machine {
                 Ordering::Equal => 1,
                 Ordering::Greater => 2,
             }]);
-            let mut tls: Vec<(&String, &Word)> = thread.tls.iter().collect();
+            let mut tls: Vec<(&str, Word)> = thread
+                .tls
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, value)| Some((self.image.tls_name(slot), (*value)?)))
+                .collect();
             tls.sort();
             for (name, value) in tls {
                 mix(name.as_bytes());
@@ -808,7 +819,7 @@ impl Machine {
         let stack_top = STACK_REGION + (id as Addr) * STACK_SPACING;
         self.mem
             .map_region(stack_top - self.config.stack_size, self.config.stack_size);
-        let mut thread = Thread::new(id, entry, stack_top);
+        let mut thread = Thread::new(id, entry, stack_top, self.image.tls_slots());
         thread.set_reg(Reg::R(1), arg);
         self.threads.push(thread);
         id
@@ -874,25 +885,14 @@ impl Machine {
             };
             self.current = idx;
 
-            let mut quantum = self.config.quantum;
-            while quantum > 0 && executed < max_instructions {
-                match self.step(handler) {
-                    None => {
-                        quantum -= 1;
-                        executed += 1;
-                        if self.threads[self.current].state != ThreadState::Runnable {
-                            break;
-                        }
+            let quantum = self.config.quantum.min(max_instructions - executed);
+            match self.run_quantum(handler, quantum) {
+                Ok(ran) => executed += ran,
+                Err(exit) => {
+                    if matches!(exit, RunExit::Exited(_) | RunExit::Fault(_)) {
+                        self.finished = Some(exit.clone());
                     }
-                    Some(exit) => {
-                        match &exit {
-                            RunExit::Exited(_) | RunExit::Fault(_) => {
-                                self.finished = Some(exit.clone());
-                            }
-                            _ => {}
-                        }
-                        return exit;
-                    }
+                    return exit;
                 }
             }
             if executed >= max_instructions {
@@ -908,188 +908,213 @@ impl Machine {
         self.run(handler, 500_000_000)
     }
 
-    /// Execute one instruction of the current thread. Returns `Some` when the
-    /// whole process must stop.
-    fn step(&mut self, handler: &mut dyn HookHandler) -> Option<RunExit> {
-        let pc = self.threads[self.current].pc;
-        // Most steps stay in the module of the previous step; check its
-        // code range before scanning every module.
-        let hinted = &self.image.modules[self.code_hint];
-        let (module_idx, offset) = if hinted.contains_code(pc) {
-            (self.code_hint, pc - hinted.code_base)
-        } else {
-            let Some(found) = self.image.find_code(pc) else {
-                return Some(self.fault(FaultKind::BadPc { pc }));
-            };
-            self.code_hint = found.0;
-            found
-        };
-        let insn_index = (offset / INSN_SIZE) as usize;
-        let Some(&insn) = self.image.modules[module_idx].insns.get(insn_index) else {
-            return Some(self.fault(FaultKind::BadPc { pc }));
-        };
-        if self.record_coverage {
-            self.coverage
-                .record(&self.image.modules[module_idx].module.name, offset);
+    /// Run the current thread for at most `budget` instructions: until the
+    /// budget is spent or the thread blocks or exits. Returns the number of
+    /// instructions executed, or the exit that stops the whole process.
+    fn run_quantum(&mut self, handler: &mut dyn HookHandler, budget: u64) -> Result<u64, RunExit> {
+        let mut ran = 0;
+        while ran < budget {
+            let (executed, stop) = self.interpret(budget - ran);
+            ran += executed;
+            match stop {
+                Stop::Budget => {}
+                Stop::ThreadExited => break,
+                Stop::OutOfLine {
+                    insn,
+                    module_idx,
+                    offset,
+                } => {
+                    self.execute_out_of_line(handler, insn, module_idx, offset)?;
+                    if self.threads[self.current].state != ThreadState::Runnable {
+                        break;
+                    }
+                }
+                Stop::Exit(exit) => return Err(exit),
+                Stop::Fault(kind) => return Err(self.fault(kind)),
+            }
         }
-        self.stats.instructions += 1;
-        self.clock += 1;
+        Ok(ran)
+    }
 
-        let mut next_pc = pc + INSN_SIZE;
-        macro_rules! thread {
-            () => {
-                self.threads[self.current]
+    /// The interpreter loop: execute up to `budget` instructions of the
+    /// current thread, and return how many it executed and why it stopped.
+    ///
+    /// The thread's registers, flags and program counter, the current
+    /// module's code, and memory behind a [`PageCache`] live in locals for
+    /// the whole loop; `pc`, `stats`, `clock` and the registers are written
+    /// back at every exit. An instruction that needs the whole machine
+    /// stops the loop with [`Stop::OutOfLine`] after it has been counted,
+    /// as every executed instruction is counted before it runs.
+    fn interpret(&mut self, budget: u64) -> (u64, Stop) {
+        let Machine {
+            image,
+            mem,
+            threads,
+            current,
+            stats,
+            clock,
+            coverage,
+            record_coverage,
+            code_hint,
+            ..
+        } = self;
+        let image: &Image = image;
+        let record_coverage = *record_coverage;
+        let thread = &mut threads[*current];
+        let frames = &mut thread.frames;
+        let tls = &mut thread.tls;
+        let mut regs = thread.regs;
+        let mut flags = thread.flags;
+        let mut pc = thread.pc;
+        let mut module_idx = *code_hint;
+        let mut module = &image.modules[module_idx];
+        let mut resolutions = image.resolutions(module_idx);
+        let mut cache = PageCache::new();
+        let mut executed: u64 = 0;
+        let mut calls: u64 = 0;
+
+        let stop = loop {
+            if executed == budget {
+                break Stop::Budget;
+            }
+            // Most instructions are in the module of the previous one; look
+            // the program counter up among all modules only when it left.
+            let mut offset = pc.wrapping_sub(module.code_base);
+            let insn = match module.insns.get((offset / INSN_SIZE) as usize) {
+                Some(&insn) => insn,
+                None => {
+                    let Some((idx, found)) = image.find_code(pc) else {
+                        break Stop::Fault(FaultKind::BadPc { pc });
+                    };
+                    module_idx = idx;
+                    module = &image.modules[idx];
+                    resolutions = image.resolutions(idx);
+                    offset = found;
+                    match module.insns.get((offset / INSN_SIZE) as usize) {
+                        Some(&insn) => insn,
+                        None => break Stop::Fault(FaultKind::BadPc { pc }),
+                    }
+                }
             };
-        }
+            if record_coverage {
+                coverage.record(&module.module.name, offset);
+            }
+            executed += 1;
 
-        match insn {
-            Insn::Nop => {}
-            Insn::Halt => {
-                let code = thread!().reg(Reg::RET);
-                return Some(RunExit::Exited(code));
-            }
-            Insn::Brk => return Some(self.fault(FaultKind::Break)),
-            Insn::MovI { dst, imm } => thread!().set_reg(dst, imm),
-            Insn::MovR { dst, src } => {
-                let v = thread!().reg(src);
-                thread!().set_reg(dst, v);
-            }
-            Insn::Load { dst, base, off } => {
-                let addr = (thread!().reg(base).wrapping_add(off)) as Addr;
-                match self.mem.read_word(addr) {
-                    Ok(v) => thread!().set_reg(dst, v),
-                    Err(_) => return Some(self.fault(FaultKind::MemAccess { addr })),
+            let mut next_pc = pc + INSN_SIZE;
+            match insn {
+                Insn::Nop => {}
+                Insn::Halt => break Stop::Exit(RunExit::Exited(regs[Reg::RET.index()])),
+                Insn::Brk => break Stop::Fault(FaultKind::Break),
+                Insn::MovI { dst, imm } => regs[dst.index()] = imm,
+                Insn::MovR { dst, src } => regs[dst.index()] = regs[src.index()],
+                Insn::Load { dst, base, off } => {
+                    let addr = regs[base.index()].wrapping_add(off) as Addr;
+                    match cache.read_word(mem, addr) {
+                        Ok(v) => regs[dst.index()] = v,
+                        Err(_) => break Stop::Fault(FaultKind::MemAccess { addr }),
+                    }
                 }
-            }
-            Insn::Store { base, off, src } => {
-                let addr = (thread!().reg(base).wrapping_add(off)) as Addr;
-                let v = thread!().reg(src);
-                if self.mem.write_word(addr, v).is_err() {
-                    return Some(self.fault(FaultKind::MemAccess { addr }));
+                Insn::Store { base, off, src } => {
+                    let addr = regs[base.index()].wrapping_add(off) as Addr;
+                    if cache.write_word(mem, addr, regs[src.index()]).is_err() {
+                        break Stop::Fault(FaultKind::MemAccess { addr });
+                    }
                 }
-            }
-            Insn::Load8 { dst, base, off } => {
-                let addr = (thread!().reg(base).wrapping_add(off)) as Addr;
-                match self.mem.read_u8(addr) {
-                    Ok(v) => thread!().set_reg(dst, v as Word),
-                    Err(_) => return Some(self.fault(FaultKind::MemAccess { addr })),
+                Insn::Load8 { dst, base, off } => {
+                    let addr = regs[base.index()].wrapping_add(off) as Addr;
+                    match cache.read_u8(mem, addr) {
+                        Ok(v) => regs[dst.index()] = v as Word,
+                        Err(_) => break Stop::Fault(FaultKind::MemAccess { addr }),
+                    }
                 }
-            }
-            Insn::Store8 { base, off, src } => {
-                let addr = (thread!().reg(base).wrapping_add(off)) as Addr;
-                let v = thread!().reg(src) as u8;
-                if self.mem.write_u8(addr, v).is_err() {
-                    return Some(self.fault(FaultKind::MemAccess { addr }));
+                Insn::Store8 { base, off, src } => {
+                    let addr = regs[base.index()].wrapping_add(off) as Addr;
+                    if cache.write_u8(mem, addr, regs[src.index()] as u8).is_err() {
+                        break Stop::Fault(FaultKind::MemAccess { addr });
+                    }
                 }
-            }
-            Insn::Lea { dst, base, off } => {
-                let v = thread!().reg(base).wrapping_add(off);
-                thread!().set_reg(dst, v);
-            }
-            Insn::LeaSym { dst, sym } => {
-                let value = match *self.image.resolution(module_idx, sym) {
-                    Resolution::Data { addr } | Resolution::Func { addr } => addr as Word,
-                    Resolution::Hooked {
+                Insn::Lea { dst, base, off } => {
+                    regs[dst.index()] = regs[base.index()].wrapping_add(off);
+                }
+                Insn::LeaSym { dst, sym } => match resolutions[sym as usize] {
+                    Resolution::Data { addr }
+                    | Resolution::Func { addr }
+                    | Resolution::Hooked {
                         original: Some(addr),
                         ..
-                    } => addr as Word,
+                    } => regs[dst.index()] = addr as Word,
                     Resolution::Tls { .. }
                     | Resolution::Hooked { original: None, .. }
                     | Resolution::Unresolved { .. } => {
-                        let name = self.image.modules[module_idx].module.symrefs[sym as usize]
-                            .name
-                            .clone();
-                        return Some(self.fault(FaultKind::UnresolvedSymbol { name }));
+                        let name = module.module.symrefs[sym as usize].name.clone();
+                        break Stop::Fault(FaultKind::UnresolvedSymbol { name });
                     }
-                };
-                thread!().set_reg(dst, value);
-            }
-            Insn::Push { src } => {
-                let sp = (thread!().reg(Reg::Sp) - 8) as Addr;
-                let v = thread!().reg(src);
-                if self.mem.write_word(sp, v).is_err() {
-                    return Some(self.fault(FaultKind::StackOverflow));
-                }
-                thread!().set_reg(Reg::Sp, sp as Word);
-            }
-            Insn::Pop { dst } => {
-                let sp = thread!().reg(Reg::Sp) as Addr;
-                match self.mem.read_word(sp) {
-                    Ok(v) => {
-                        thread!().set_reg(dst, v);
-                        thread!().set_reg(Reg::Sp, (sp + 8) as Word);
+                },
+                Insn::Push { src } => {
+                    // Wrapping, like every other address computation: a
+                    // stack pointer at the bottom of the address space
+                    // faults instead of overflowing.
+                    let sp = regs[Reg::Sp.index()].wrapping_sub(8) as Addr;
+                    if cache.write_word(mem, sp, regs[src.index()]).is_err() {
+                        break Stop::Fault(FaultKind::StackOverflow);
                     }
-                    Err(_) => return Some(self.fault(FaultKind::MemAccess { addr: sp })),
+                    regs[Reg::Sp.index()] = sp as Word;
                 }
-            }
-            Insn::Alu { op, dst, src } => {
-                let a = thread!().reg(dst);
-                let b = thread!().reg(src);
-                match alu(op, a, b) {
-                    Some(v) => thread!().set_reg(dst, v),
-                    None => return Some(self.fault(FaultKind::DivideByZero)),
+                Insn::Pop { dst } => {
+                    let sp = regs[Reg::Sp.index()] as Addr;
+                    match cache.read_word(mem, sp) {
+                        Ok(v) => {
+                            regs[dst.index()] = v;
+                            regs[Reg::Sp.index()] = sp.wrapping_add(8) as Word;
+                        }
+                        Err(_) => break Stop::Fault(FaultKind::MemAccess { addr: sp }),
+                    }
                 }
-            }
-            Insn::AluI { op, dst, imm } => {
-                let a = thread!().reg(dst);
-                match alu(op, a, imm) {
-                    Some(v) => thread!().set_reg(dst, v),
-                    None => return Some(self.fault(FaultKind::DivideByZero)),
+                Insn::Alu { op, dst, src } => match alu(op, regs[dst.index()], regs[src.index()]) {
+                    Some(v) => regs[dst.index()] = v,
+                    None => break Stop::Fault(FaultKind::DivideByZero),
+                },
+                Insn::AluI { op, dst, imm } => match alu(op, regs[dst.index()], imm) {
+                    Some(v) => regs[dst.index()] = v,
+                    None => break Stop::Fault(FaultKind::DivideByZero),
+                },
+                Insn::Neg { dst } => regs[dst.index()] = regs[dst.index()].wrapping_neg(),
+                Insn::Not { dst } => regs[dst.index()] = !regs[dst.index()],
+                Insn::Cmp { a, b } => flags = regs[a.index()].cmp(&regs[b.index()]),
+                Insn::CmpI { a, imm } => flags = regs[a.index()].cmp(&imm),
+                Insn::Jmp { target } => next_pc = module.code_addr(target as u64),
+                Insn::J { cond, target } => {
+                    if cond.holds(flags) {
+                        next_pc = module.code_addr(target as u64);
+                    }
                 }
-            }
-            Insn::Neg { dst } => {
-                let v = thread!().reg(dst);
-                thread!().set_reg(dst, v.wrapping_neg());
-            }
-            Insn::Not { dst } => {
-                let v = thread!().reg(dst);
-                thread!().set_reg(dst, !v);
-            }
-            Insn::Cmp { a, b } => {
-                let va = thread!().reg(a);
-                let vb = thread!().reg(b);
-                thread!().flags = va.cmp(&vb);
-            }
-            Insn::CmpI { a, imm } => {
-                let va = thread!().reg(a);
-                thread!().flags = va.cmp(&imm);
-            }
-            Insn::Jmp { target } => {
-                next_pc = self.image.modules[module_idx].code_addr(target as u64);
-            }
-            Insn::J { cond, target } => {
-                if cond.holds(thread!().flags) {
-                    next_pc = self.image.modules[module_idx].code_addr(target as u64);
+                Insn::Call { target } => {
+                    calls += 1;
+                    frames.push(ShadowFrame {
+                        call_site_module: module_idx,
+                        call_site_offset: offset,
+                        return_addr: next_pc,
+                    });
+                    next_pc = module.code_addr(target as u64);
                 }
-            }
-            Insn::Call { target } => {
-                let callee = self.image.modules[module_idx].code_addr(target as u64);
-                self.stats.calls += 1;
-                thread!().frames.push(ShadowFrame {
-                    call_site_module: module_idx,
-                    call_site_offset: offset,
-                    return_addr: next_pc,
-                });
-                next_pc = callee;
-            }
-            Insn::CallR { reg } => {
-                let callee = thread!().reg(reg) as Addr;
-                if self.image.find_code(callee).is_none() {
-                    return Some(self.fault(FaultKind::BadPc { pc: callee }));
+                Insn::CallR { reg } => {
+                    let callee = regs[reg.index()] as Addr;
+                    if image.find_code(callee).is_none() {
+                        break Stop::Fault(FaultKind::BadPc { pc: callee });
+                    }
+                    calls += 1;
+                    frames.push(ShadowFrame {
+                        call_site_module: module_idx,
+                        call_site_offset: offset,
+                        return_addr: next_pc,
+                    });
+                    next_pc = callee;
                 }
-                self.stats.calls += 1;
-                thread!().frames.push(ShadowFrame {
-                    call_site_module: module_idx,
-                    call_site_offset: offset,
-                    return_addr: next_pc,
-                });
-                next_pc = callee;
-            }
-            Insn::CallSym { sym } => {
-                self.stats.calls += 1;
-                match self.image.resolution(module_idx, sym) {
+                Insn::CallSym { sym } => match &resolutions[sym as usize] {
                     &Resolution::Func { addr } => {
-                        thread!().frames.push(ShadowFrame {
+                        calls += 1;
+                        frames.push(ShadowFrame {
                             call_site_module: module_idx,
                             call_site_offset: offset,
                             return_addr: next_pc,
@@ -1097,115 +1122,148 @@ impl Machine {
                         next_pc = addr;
                     }
                     Resolution::Hooked { .. } => {
-                        // The handler borrows the machine while it reads the
-                        // intercepted name, so lend it the name through a
-                        // second handle on the image instead of a copy.
-                        let image = Arc::clone(&self.image);
-                        let Resolution::Hooked { name, original } =
-                            image.resolution(module_idx, sym)
-                        else {
-                            unreachable!("resolution matched as hooked")
-                        };
-                        self.stats.hooked_calls += 1;
-                        let action = {
-                            let mut ctx = CallContext {
-                                machine: self,
-                                call_site_module: module_idx,
-                                call_site_offset: offset,
-                            };
-                            handler.on_call(name, &mut ctx)
-                        };
-                        match action {
-                            HookAction::Forward => match *original {
-                                Some(addr) => {
-                                    thread!().frames.push(ShadowFrame {
-                                        call_site_module: module_idx,
-                                        call_site_offset: offset,
-                                        return_addr: next_pc,
-                                    });
-                                    next_pc = addr;
-                                }
-                                None => {
-                                    let name = name.clone();
-                                    return Some(self.fault(FaultKind::UnresolvedSymbol { name }));
-                                }
-                            },
-                            HookAction::Return { value, errno } => {
-                                thread!().set_reg(Reg::RET, value);
-                                if let Some(e) = errno {
-                                    thread!().set_tls(CallConv::ERRNO_SYMBOL, e);
-                                }
-                            }
-                            HookAction::Pause => {
-                                // Roll back this instruction's bookkeeping and
-                                // leave the PC on the call: a machine resumed
-                                // (or restored from a snapshot taken here)
-                                // re-executes the call as if it had never run,
-                                // so the next handler observes it first-hand.
-                                self.stats.instructions -= 1;
-                                self.stats.calls -= 1;
-                                self.stats.hooked_calls -= 1;
-                                self.clock -= 1;
-                                return Some(RunExit::Paused);
-                            }
+                        break Stop::OutOfLine {
+                            insn,
+                            module_idx,
+                            offset,
                         }
                     }
                     Resolution::Unresolved { name } => {
+                        calls += 1;
                         let name = name.clone();
-                        return Some(self.fault(FaultKind::UnresolvedSymbol { name }));
+                        break Stop::Fault(FaultKind::UnresolvedSymbol { name });
                     }
                     Resolution::Data { .. } | Resolution::Tls { .. } => {
-                        let name = self.image.modules[module_idx].module.symrefs[sym as usize]
-                            .name
-                            .clone();
-                        return Some(self.fault(FaultKind::UnresolvedSymbol { name }));
+                        calls += 1;
+                        let name = module.module.symrefs[sym as usize].name.clone();
+                        break Stop::Fault(FaultKind::UnresolvedSymbol { name });
                     }
-                }
-            }
-            Insn::Ret => {
-                let frame = thread!().frames.pop();
-                match frame {
-                    Some(f) if f.return_addr != RETURN_SENTINEL => next_pc = f.return_addr,
+                },
+                Insn::Ret => match frames.pop() {
+                    Some(frame) if frame.return_addr != RETURN_SENTINEL => {
+                        next_pc = frame.return_addr;
+                    }
                     _ => {
                         // Bottom of the thread: the main thread returning ends
                         // the process; other threads just exit.
-                        if thread!().id == 1 {
-                            let code = thread!().reg(Reg::RET);
-                            return Some(RunExit::Exited(code));
+                        if thread.id == 1 {
+                            break Stop::Exit(RunExit::Exited(regs[Reg::RET.index()]));
                         }
-                        self.exit_current_thread();
-                        thread!().pc = pc;
-                        return None;
+                        thread.state = ThreadState::Exited;
+                        break Stop::ThreadExited;
+                    }
+                },
+                Insn::TlsLoad { dst, sym } => {
+                    regs[dst.index()] = tls[image.tls_slot(module_idx, sym)].unwrap_or(0);
+                }
+                Insn::TlsStore { sym, src } => {
+                    tls[image.tls_slot(module_idx, sym)] = Some(regs[src.index()]);
+                }
+                Insn::Sys { .. } => {
+                    break Stop::OutOfLine {
+                        insn,
+                        module_idx,
+                        offset,
                     }
                 }
             }
-            Insn::TlsLoad { dst, sym } => {
-                let name = tls_name(&self.image, module_idx, sym);
-                let v = thread!().tls.get(name).copied().unwrap_or(0);
-                thread!().set_reg(dst, v);
-            }
-            Insn::TlsStore { sym, src } => {
-                let name = tls_name(&self.image, module_idx, sym);
-                let v = thread!().reg(src);
-                thread!().set_tls(name, v);
-            }
+            pc = next_pc;
+        };
+
+        thread.regs = regs;
+        thread.flags = flags;
+        thread.pc = pc;
+        stats.instructions += executed;
+        stats.calls += calls;
+        *clock += executed;
+        *code_hint = module_idx;
+        (executed, stop)
+    }
+
+    /// Execute an instruction the interpreter loop handed out because it
+    /// needs the whole machine: a `sys`, or a `callsym` through a hook. The
+    /// instruction has already been counted. `Err` is an exit that stops
+    /// the process.
+    fn execute_out_of_line(
+        &mut self,
+        handler: &mut dyn HookHandler,
+        insn: Insn,
+        module_idx: usize,
+        offset: u64,
+    ) -> Result<(), RunExit> {
+        let next_pc = self.threads[self.current].pc + INSN_SIZE;
+        match insn {
             Insn::Sys { num } => {
                 self.stats.syscalls += 1;
                 match self.syscall(num) {
-                    SysOutcome::Done(value) => thread!().set_reg(Reg::RET, value),
-                    SysOutcome::Block(mutex) => {
-                        self.block_current_on_mutex(mutex);
-                        // Re-execute the syscall when rescheduled.
-                        thread!().pc = pc;
-                        return None;
+                    SysOutcome::Done(value) => {
+                        let thread = &mut self.threads[self.current];
+                        thread.set_reg(Reg::RET, value);
+                        thread.pc = next_pc;
                     }
-                    SysOutcome::Exit(exit) => return Some(exit),
+                    // The program counter stays on the syscall, which runs
+                    // again when the thread is rescheduled.
+                    SysOutcome::Block(mutex) => self.block_current_on_mutex(mutex),
+                    SysOutcome::Exit(exit) => return Err(exit),
                 }
             }
+            Insn::CallSym { sym } => {
+                self.stats.calls += 1;
+                // The handler borrows the machine while it reads the
+                // intercepted name, so lend it the name through a second
+                // handle on the image instead of a copy.
+                let image = Arc::clone(&self.image);
+                let Resolution::Hooked { name, original } = image.resolution(module_idx, sym)
+                else {
+                    unreachable!("the interpreter hands out only hooked calls")
+                };
+                self.stats.hooked_calls += 1;
+                let action = {
+                    let mut ctx = CallContext {
+                        machine: self,
+                        call_site_module: module_idx,
+                        call_site_offset: offset,
+                    };
+                    handler.on_call(name, &mut ctx)
+                };
+                let thread = &mut self.threads[self.current];
+                match action {
+                    HookAction::Forward => {
+                        let Some(addr) = *original else {
+                            let name = name.clone();
+                            return Err(self.fault(FaultKind::UnresolvedSymbol { name }));
+                        };
+                        thread.frames.push(ShadowFrame {
+                            call_site_module: module_idx,
+                            call_site_offset: offset,
+                            return_addr: next_pc,
+                        });
+                        thread.pc = addr;
+                    }
+                    HookAction::Return { value, errno } => {
+                        thread.set_reg(Reg::RET, value);
+                        if let Some(e) = errno {
+                            thread.tls[Image::ERRNO_SLOT] = Some(e);
+                        }
+                        thread.pc = next_pc;
+                    }
+                    HookAction::Pause => {
+                        // Roll back this instruction's bookkeeping and leave
+                        // the PC on the call: a machine resumed (or restored
+                        // from a snapshot taken here) re-executes the call as
+                        // if it had never run, so the next handler observes
+                        // it first-hand.
+                        self.stats.instructions -= 1;
+                        self.stats.calls -= 1;
+                        self.stats.hooked_calls -= 1;
+                        self.clock -= 1;
+                        return Err(RunExit::Paused);
+                    }
+                }
+            }
+            _ => unreachable!("the interpreter loop executes {insn:?} itself"),
         }
-
-        self.threads[self.current].pc = next_pc;
-        None
+        Ok(())
     }
 
     pub(crate) fn current_reg(&self, reg: Reg) -> Word {
@@ -1285,14 +1343,6 @@ impl fmt::Debug for MachineSnapshot {
             .field("instructions", &self.machine.stats.instructions)
             .field("finished", &self.machine.finished)
             .finish()
-    }
-}
-
-/// Name of the thread-local variable a `tlsld`/`tlsst` symbol refers to.
-fn tls_name(image: &Image, module_idx: usize, sym: u32) -> &str {
-    match image.resolution(module_idx, sym) {
-        Resolution::Tls { name } => name,
-        _ => &image.modules[module_idx].module.symrefs[sym as usize].name,
     }
 }
 

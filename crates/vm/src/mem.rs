@@ -11,6 +11,12 @@
 //! only the touched page. This is what makes [`crate::MachineSnapshot`]
 //! forks cheap — a campaign can restore hundreds of VMs from one snapshot
 //! and pay only for the pages each run actually dirties.
+//!
+//! Each mapped page has a slot: an index into the page vector, handed out
+//! in mapping order. Pages are never unmapped, so a slot stays valid for
+//! the life of the memory (and of every clone). The interpreter keeps a
+//! small page-to-slot cache of its own while it runs a quantum, so most
+//! loads and stores skip the page-map probe.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -59,9 +65,6 @@ impl Hasher for IntHasher {
     }
 }
 
-/// Page index -> page.
-type PageMap = IntMap<u64, Arc<Page>>;
-
 /// Memory access errors, surfaced to the machine as faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemError {
@@ -88,8 +91,10 @@ impl std::error::Error for MemError {}
 /// Sparse byte-addressable memory with copy-on-write pages.
 #[derive(Debug, Default, Clone)]
 pub struct Memory {
-    pages: PageMap,
-    mapped_bytes: u64,
+    /// Page index -> slot in `pages`.
+    slots: IntMap<u64, u32>,
+    /// Mapped pages in mapping order.
+    pages: Vec<Arc<Page>>,
 }
 
 impl Memory {
@@ -107,33 +112,33 @@ impl Memory {
         let first = start / PAGE_SIZE;
         let last = (start + len - 1) / PAGE_SIZE;
         for page in first..=last {
-            self.pages.entry(page).or_insert_with(|| {
-                self.mapped_bytes += PAGE_SIZE;
-                Arc::new([0u8; PAGE_SIZE as usize])
+            self.slots.entry(page).or_insert_with(|| {
+                let slot = u32::try_from(self.pages.len()).expect("page slots fit in u32");
+                self.pages.push(Arc::new([0u8; PAGE_SIZE as usize]));
+                slot
             });
         }
     }
 
     /// Whether `addr` lies in a mapped page.
     pub fn is_mapped(&self, addr: Addr) -> bool {
-        self.pages.contains_key(&(addr / PAGE_SIZE))
+        self.slots.contains_key(&(addr / PAGE_SIZE))
     }
 
     /// Total number of bytes currently mapped.
     pub fn mapped_bytes(&self) -> u64 {
-        self.mapped_bytes
+        self.pages.len() as u64 * PAGE_SIZE
     }
 
     /// Number of pages physically shared with `other` (same backing
     /// allocation, i.e. untouched since the clone that separated them).
     pub fn pages_shared_with(&self, other: &Memory) -> usize {
-        self.pages
+        self.slots
             .iter()
-            .filter(|(index, page)| {
-                other
-                    .pages
-                    .get(index)
-                    .is_some_and(|theirs| Arc::ptr_eq(page, theirs))
+            .filter(|(index, &slot)| {
+                other.slots.get(index).is_some_and(|&theirs| {
+                    Arc::ptr_eq(&self.pages[slot as usize], &other.pages[theirs as usize])
+                })
             })
             .count()
     }
@@ -142,7 +147,7 @@ impl Memory {
     /// indices and bytes, in page order). Used to assert snapshot/restore
     /// round-trips are byte-identical.
     pub fn digest(&self) -> u64 {
-        let mut indices: Vec<u64> = self.pages.keys().copied().collect();
+        let mut indices: Vec<(u64, u32)> = self.slots.iter().map(|(&i, &s)| (i, s)).collect();
         indices.sort_unstable();
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |bytes: &[u8]| {
@@ -151,25 +156,28 @@ impl Memory {
                 hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
             }
         };
-        for index in indices {
+        for (index, slot) in indices {
             mix(&index.to_le_bytes());
-            mix(self.pages[&index].as_ref());
+            mix(self.pages[slot as usize].as_ref());
         }
         hash
     }
 
-    fn page(&self, addr: Addr) -> Result<&Page, MemError> {
-        self.pages
+    /// Slot of the page containing `addr`.
+    fn slot(&self, addr: Addr) -> Result<usize, MemError> {
+        self.slots
             .get(&(addr / PAGE_SIZE))
-            .map(|b| b.as_ref())
+            .map(|&slot| slot as usize)
             .ok_or(MemError::Unmapped { addr })
     }
 
+    fn page(&self, addr: Addr) -> Result<&Page, MemError> {
+        Ok(&self.pages[self.slot(addr)?])
+    }
+
     fn page_mut(&mut self, addr: Addr) -> Result<&mut Page, MemError> {
-        self.pages
-            .get_mut(&(addr / PAGE_SIZE))
-            .map(Arc::make_mut)
-            .ok_or(MemError::Unmapped { addr })
+        let slot = self.slot(addr)?;
+        Ok(Arc::make_mut(&mut self.pages[slot]))
     }
 
     /// Read one byte.
@@ -275,6 +283,94 @@ impl Memory {
     }
 }
 
+/// Entries in a [`PageCache`]; a power of two.
+const CACHE_ENTRIES: usize = 16;
+
+/// A direct-mapped page-to-slot cache for one stretch of interpretation.
+///
+/// The interpreter creates one on the stack for each quantum it runs, so
+/// consecutive stack and data accesses skip the page-map probe. It holds
+/// no reference into the memory it caches: a cached slot stays valid
+/// because pages are never unmapped, and a page mapped after the cache was
+/// filled is simply a miss. Keeping the cache out of [`Memory`] keeps
+/// `Memory` free of interior mutability, so snapshots stay `Sync`.
+///
+/// Every access has the same result as the [`Memory`] method of the same
+/// name; a word that straddles two pages takes that method's path.
+pub(crate) struct PageCache {
+    /// `(page index, slot)`; a page index of `u64::MAX` (no address has
+    /// it) marks an empty entry.
+    entries: [(u64, u32); CACHE_ENTRIES],
+}
+
+impl PageCache {
+    pub(crate) fn new() -> PageCache {
+        PageCache {
+            entries: [(u64::MAX, 0); CACHE_ENTRIES],
+        }
+    }
+
+    /// Slot of the page containing `addr`, from the cache or the page map.
+    #[inline]
+    fn slot(&mut self, mem: &Memory, addr: Addr) -> Result<usize, MemError> {
+        let page = addr / PAGE_SIZE;
+        let entry = &mut self.entries[page as usize % CACHE_ENTRIES];
+        if entry.0 == page {
+            return Ok(entry.1 as usize);
+        }
+        let slot = mem.slot(addr)?;
+        *entry = (page, slot as u32);
+        Ok(slot)
+    }
+
+    #[inline]
+    pub(crate) fn read_u8(&mut self, mem: &Memory, addr: Addr) -> Result<u8, MemError> {
+        let slot = self.slot(mem, addr)?;
+        Ok(mem.pages[slot][(addr % PAGE_SIZE) as usize])
+    }
+
+    #[inline]
+    pub(crate) fn write_u8(
+        &mut self,
+        mem: &mut Memory,
+        addr: Addr,
+        value: u8,
+    ) -> Result<(), MemError> {
+        let slot = self.slot(mem, addr)?;
+        Arc::make_mut(&mut mem.pages[slot])[(addr % PAGE_SIZE) as usize] = value;
+        Ok(())
+    }
+
+    #[inline]
+    pub(crate) fn read_word(&mut self, mem: &Memory, addr: Addr) -> Result<Word, MemError> {
+        let offset = (addr % PAGE_SIZE) as usize;
+        if offset > PAGE_SIZE as usize - WORD_BYTES {
+            return mem.read_word(addr);
+        }
+        let slot = self.slot(mem, addr)?;
+        let mut bytes = [0u8; WORD_BYTES];
+        bytes.copy_from_slice(&mem.pages[slot][offset..offset + WORD_BYTES]);
+        Ok(Word::from_le_bytes(bytes))
+    }
+
+    #[inline]
+    pub(crate) fn write_word(
+        &mut self,
+        mem: &mut Memory,
+        addr: Addr,
+        value: Word,
+    ) -> Result<(), MemError> {
+        let offset = (addr % PAGE_SIZE) as usize;
+        if offset > PAGE_SIZE as usize - WORD_BYTES {
+            return mem.write_word(addr, value);
+        }
+        let slot = self.slot(mem, addr)?;
+        Arc::make_mut(&mut mem.pages[slot])[offset..offset + WORD_BYTES]
+            .copy_from_slice(&value.to_le_bytes());
+        Ok(())
+    }
+}
+
 /// The address `len` bytes past `addr`, where a multi-page access
 /// continues on the next page.
 fn next_page(addr: Addr, len: usize) -> Result<Addr, MemError> {
@@ -372,6 +468,47 @@ mod tests {
         // compare contents, not sharing).
         fork.write_word(0x40_000, 1).unwrap();
         assert_eq!(fork.digest(), mem.digest());
+    }
+
+    #[test]
+    fn page_cache_accesses_match_memory() {
+        let mut mem = Memory::new();
+        mem.map_region(0x40_000, PAGE_SIZE * 2);
+        let mut cache = PageCache::new();
+        cache.write_word(&mut mem, 0x40_010, 7).unwrap();
+        assert_eq!(mem.read_word(0x40_010), Ok(7));
+        assert_eq!(cache.read_word(&mem, 0x40_010), Ok(7));
+
+        // A word straddling the two mapped pages.
+        let straddle = 0x40_000 + PAGE_SIZE - 3;
+        cache.write_word(&mut mem, straddle, -2).unwrap();
+        assert_eq!(mem.read_word(straddle), Ok(-2));
+        assert_eq!(cache.read_word(&mem, straddle), Ok(-2));
+
+        // A word straddling into the unmapped page writes the same bytes
+        // before it faults as `Memory::write_word`.
+        let mut reference = mem.clone();
+        let end = 0x40_000 + 2 * PAGE_SIZE - 4;
+        assert_eq!(
+            cache.write_word(&mut mem, end, -1),
+            reference.write_word(end, -1)
+        );
+        assert_eq!(mem.digest(), reference.digest());
+
+        // Page 0x50 shares a cache entry with page 0x40. It misses while
+        // unmapped and hits once mapped; page 0x40 then misses and is
+        // looked up again.
+        assert!(cache.read_u8(&mem, 0x50_000).is_err());
+        mem.map_region(0x50_000, 1);
+        cache.write_u8(&mut mem, 0x50_000, 9).unwrap();
+        assert_eq!(mem.read_u8(0x50_000), Ok(9));
+        assert_eq!(cache.read_word(&mem, 0x40_010), Ok(7));
+
+        // Stores through the cache copy on write.
+        let fork = mem.clone();
+        cache.write_word(&mut mem, 0x40_010, 8).unwrap();
+        assert_eq!(fork.read_word(0x40_010), Ok(7));
+        assert_eq!(mem.pages_shared_with(&fork), 2);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use lfi_arch::{errno, Word};
 use lfi_asm::assemble_text;
 use lfi_vm::{
-    CallContext, HookAction, HookHandler, Loader, Machine, NoHooks, ProcessConfig, RunExit,
+    CallContext, FaultKind, HookAction, HookHandler, Loader, Machine, NoHooks, ProcessConfig,
+    RunExit,
 };
 
 /// A tiny hand-written "libc" with `my_read` and `my_write` wrappers around
@@ -213,6 +214,28 @@ fn double_unlock_is_fatal() {
     "#;
     let (_, exit) = load_and_run(src);
     assert!(matches!(exit, RunExit::Fault(f) if f.to_string().contains("mutex")));
+}
+
+/// `push` with the stack pointer at `i64::MIN` computes the new stack
+/// pointer with wrapping arithmetic and faults, in debug and release
+/// builds alike, instead of overflowing in the host.
+#[test]
+fn push_with_stack_pointer_at_i64_min_is_a_stack_overflow() {
+    let src = r#"
+        .module app exe
+        .needed minilib
+        .func main
+            movi r1, 1
+            shli r1, 63
+            mov sp, r1
+            push r2
+            ret
+    "#;
+    let (_, exit) = load_and_run(src);
+    let RunExit::Fault(fault) = exit else {
+        panic!("expected a fault, got {exit:?}");
+    };
+    assert_eq!(fault.kind, FaultKind::StackOverflow);
 }
 
 #[test]
