@@ -343,8 +343,9 @@ enum Stop {
         module_idx: usize,
         offset: u64,
     },
-    /// The process stops.
-    Exit(RunExit),
+    /// The process exits with this code: the main thread returned off its
+    /// bottom frame or executed `halt`.
+    Exited(Word),
     /// The instruction at the thread's program counter faulted.
     Fault(FaultKind),
 }
@@ -860,6 +861,10 @@ impl Machine {
             return exit.clone();
         }
         let mut executed: u64 = 0;
+        // Slots stay valid while the machine runs (pages are never
+        // unmapped, and copy on write replaces a page in its slot), so one
+        // cache serves every thread and quantum of this call.
+        let mut cache = PageCache::new();
         loop {
             // Find the next runnable thread, starting from the current one.
             let n = self.threads.len();
@@ -886,7 +891,7 @@ impl Machine {
             self.current = idx;
 
             let quantum = self.config.quantum.min(max_instructions - executed);
-            match self.run_quantum(handler, quantum) {
+            match self.run_quantum(handler, quantum, &mut cache) {
                 Ok(ran) => executed += ran,
                 Err(exit) => {
                     if matches!(exit, RunExit::Exited(_) | RunExit::Fault(_)) {
@@ -911,10 +916,15 @@ impl Machine {
     /// Run the current thread for at most `budget` instructions: until the
     /// budget is spent or the thread blocks or exits. Returns the number of
     /// instructions executed, or the exit that stops the whole process.
-    fn run_quantum(&mut self, handler: &mut dyn HookHandler, budget: u64) -> Result<u64, RunExit> {
+    fn run_quantum(
+        &mut self,
+        handler: &mut dyn HookHandler,
+        budget: u64,
+        cache: &mut PageCache,
+    ) -> Result<u64, RunExit> {
         let mut ran = 0;
         while ran < budget {
-            let (executed, stop) = self.interpret(budget - ran);
+            let (executed, stop) = self.interpret(budget - ran, cache);
             ran += executed;
             match stop {
                 Stop::Budget => {}
@@ -929,7 +939,7 @@ impl Machine {
                         break;
                     }
                 }
-                Stop::Exit(exit) => return Err(exit),
+                Stop::Exited(code) => return Err(RunExit::Exited(code)),
                 Stop::Fault(kind) => return Err(self.fault(kind)),
             }
         }
@@ -940,12 +950,12 @@ impl Machine {
     /// current thread, and return how many it executed and why it stopped.
     ///
     /// The thread's registers, flags and program counter, the current
-    /// module's code, and memory behind a [`PageCache`] live in locals for
+    /// module's code, and memory behind the page `cache` live in locals for
     /// the whole loop; `pc`, `stats`, `clock` and the registers are written
     /// back at every exit. An instruction that needs the whole machine
     /// stops the loop with [`Stop::OutOfLine`] after it has been counted,
     /// as every executed instruction is counted before it runs.
-    fn interpret(&mut self, budget: u64) -> (u64, Stop) {
+    fn interpret(&mut self, budget: u64, cache: &mut PageCache) -> (u64, Stop) {
         let Machine {
             image,
             mem,
@@ -969,7 +979,6 @@ impl Machine {
         let mut module_idx = *code_hint;
         let mut module = &image.modules[module_idx];
         let mut resolutions = image.resolutions(module_idx);
-        let mut cache = PageCache::new();
         let mut executed: u64 = 0;
         let mut calls: u64 = 0;
 
@@ -979,6 +988,8 @@ impl Machine {
             }
             // Most instructions are in the module of the previous one; look
             // the program counter up among all modules only when it left.
+            // The predecoded instructions cover the module's code exactly,
+            // so an index past them means it left.
             let mut offset = pc.wrapping_sub(module.code_base);
             let insn = match module.insns.get((offset / INSN_SIZE) as usize) {
                 Some(&insn) => insn,
@@ -1004,7 +1015,7 @@ impl Machine {
             let mut next_pc = pc + INSN_SIZE;
             match insn {
                 Insn::Nop => {}
-                Insn::Halt => break Stop::Exit(RunExit::Exited(regs[Reg::RET.index()])),
+                Insn::Halt => break Stop::Exited(regs[Reg::RET.index()]),
                 Insn::Brk => break Stop::Fault(FaultKind::Break),
                 Insn::MovI { dst, imm } => regs[dst.index()] = imm,
                 Insn::MovR { dst, src } => regs[dst.index()] = regs[src.index()],
@@ -1147,7 +1158,7 @@ impl Machine {
                         // Bottom of the thread: the main thread returning ends
                         // the process; other threads just exit.
                         if thread.id == 1 {
-                            break Stop::Exit(RunExit::Exited(regs[Reg::RET.index()]));
+                            break Stop::Exited(regs[Reg::RET.index()]);
                         }
                         thread.state = ThreadState::Exited;
                         break Stop::ThreadExited;

@@ -15,8 +15,8 @@
 //! Each mapped page has a slot: an index into the page vector, handed out
 //! in mapping order. Pages are never unmapped, so a slot stays valid for
 //! the life of the memory (and of every clone). The interpreter keeps a
-//! small page-to-slot cache of its own while it runs a quantum, so most
-//! loads and stores skip the page-map probe.
+//! small page-to-slot cache of its own while it runs, so most loads and
+//! stores skip the page-map probe.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -288,11 +288,12 @@ const CACHE_ENTRIES: usize = 16;
 
 /// A direct-mapped page-to-slot cache for one stretch of interpretation.
 ///
-/// The interpreter creates one on the stack for each quantum it runs, so
-/// consecutive stack and data accesses skip the page-map probe. It holds
-/// no reference into the memory it caches: a cached slot stays valid
-/// because pages are never unmapped, and a page mapped after the cache was
-/// filled is simply a miss. Keeping the cache out of [`Memory`] keeps
+/// The interpreter creates one on the stack for each `Machine::run` call,
+/// so consecutive stack and data accesses skip the page-map probe. It
+/// holds no reference into the memory it caches: a cached slot stays valid
+/// because pages are never unmapped and copy on write replaces a page in
+/// its own slot, and a page mapped after the cache was filled is simply a
+/// miss. Keeping the cache out of [`Memory`] keeps
 /// `Memory` free of interior mutability, so snapshots stay `Sync`.
 ///
 /// Every access has the same result as the [`Memory`] method of the same
