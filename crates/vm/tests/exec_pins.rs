@@ -354,6 +354,111 @@ fn three_threads_at_quantum_seven_are_pinned() {
     );
 }
 
+/// Three threads first fold their ids into `racy` without a lock, in a
+/// helper function, then into `locked` under the mutex. While they race,
+/// all three are runnable and a preemption between the helper's load and
+/// store loses an update, so moving the quantum boundaries by one
+/// instruction changes `racy`: at quanta 6, 8 and 9 the exit code, output
+/// and fingerprint all differ from this pin. (The mutex-only program above
+/// gives the same result at quanta 6, 7 and 8, because two of its threads
+/// are blocked most of the time.)
+#[test]
+fn racing_threads_at_quantum_seven_are_pinned() {
+    let exe = r#"
+        .module app exe
+        .needed pinlib
+
+        .func main
+            leafn r1, worker
+            movi r2, 3
+            sys thread_create
+            leafn r1, worker
+            movi r2, 5
+            sys thread_create
+            movi r1, 7
+            call mix
+        wait:
+            leasym r9, done
+            ld r0, [r9+0]
+            cmpi r0, 3
+            jlt wait
+            movi r1, 1
+            leasym r2, racy
+            movi r3, 16
+            callsym my_write
+            leasym r9, racy
+            ld r0, [r9+0]
+            andi r0, 127
+            ret
+
+        .func worker
+            call mix
+            sys thread_exit
+            ret
+
+        .func mix
+            mov r12, r1
+            movi r13, 25
+        race:
+            call bump
+            subi r13, 1
+            cmpi r13, 0
+            jgt race
+            movi r13, 10
+        again:
+            movi r1, 1
+            callsym my_lock
+            leasym r9, locked
+            ld r0, [r9+0]
+            muli r0, 3
+            add r0, r12
+            st [r9+0], r0
+            movi r1, 1
+            callsym my_unlock
+            subi r13, 1
+            cmpi r13, 0
+            jgt again
+            movi r1, 1
+            callsym my_lock
+            leasym r9, done
+            ld r0, [r9+0]
+            addi r0, 1
+            st [r9+0], r0
+            movi r1, 1
+            callsym my_unlock
+            ret
+
+        .func bump
+            leasym r9, racy
+            ld r0, [r9+0]
+            muli r0, 31
+            add r0, r12
+            push r0
+            pop r0
+            st [r9+0], r0
+            ret
+
+        .word racy 0
+        .word locked 0
+        .word done 0
+    "#;
+    assert_eq!(
+        run_asm(exe, 7),
+        AsmPin {
+            exit: RunExit::Exited(101),
+            stats: ExecStats {
+                instructions: 1517,
+                syscalls: 134,
+                calls: 145,
+                hooked_calls: 0,
+            },
+            clock: 4277,
+            fingerprint: 17742636591488416359,
+            output: vec![229, 133, 186, 20, 157, 219, 17, 205, 12, 129, 194, 63, 232, 96, 1, 0],
+        }
+    );
+}
+
 /// Run a program that faults mid-quantum; return the fault and the
 /// fingerprint of the machine it left behind.
 fn run_to_fault(exe: &str) -> (Fault, u64) {
