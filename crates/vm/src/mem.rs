@@ -195,14 +195,8 @@ impl Memory {
 
     /// Read a 64-bit word (little endian). The access may straddle pages.
     pub fn read_word(&self, addr: Addr) -> Result<Word, MemError> {
-        let offset = (addr % PAGE_SIZE) as usize;
         let mut bytes = [0u8; WORD_BYTES];
-        if offset <= PAGE_SIZE as usize - WORD_BYTES {
-            // Within one page: a single lookup.
-            bytes.copy_from_slice(&self.page(addr)?[offset..offset + WORD_BYTES]);
-        } else {
-            self.read_bytes(addr, &mut bytes)?;
-        }
+        self.read_bytes(addr, &mut bytes)?;
         Ok(Word::from_le_bytes(bytes))
     }
 
@@ -210,12 +204,6 @@ impl Memory {
     /// a straddling write that faults on its second page has already
     /// written the bytes on the first.
     pub fn write_word(&mut self, addr: Addr, value: Word) -> Result<(), MemError> {
-        let offset = (addr % PAGE_SIZE) as usize;
-        if offset <= PAGE_SIZE as usize - WORD_BYTES {
-            // Within one page: a single lookup and copy-on-write check.
-            self.page_mut(addr)?[offset..offset + WORD_BYTES].copy_from_slice(&value.to_le_bytes());
-            return Ok(());
-        }
         self.write_bytes(addr, &value.to_le_bytes())
     }
 
