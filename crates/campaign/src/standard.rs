@@ -1250,7 +1250,9 @@ impl StandardExecutor {
     fn execute_cluster(&self, unit: &WorkUnit) -> Execution {
         let result = run_bft_cluster(&BftClusterConfig {
             requests: self.bft_requests,
+            seed: unit.seed,
             scenario: unit.scenario.clone(),
+            budget: self.max_instructions,
             ..BftClusterConfig::default()
         });
         let crashes: Vec<CrashInfo> = result

@@ -88,3 +88,33 @@ fn cluster_units_keep_outcome_injections_and_virtual_time() {
         .collect();
     assert_eq!(observed, expected);
 }
+
+/// A cluster unit runs under the executor's instruction budget: with a
+/// budget far below what `sendto@4464` needs, the cluster is stopped early
+/// and the unit ends `Hung` sooner, in virtual time, than its pin.
+#[test]
+fn set_max_instructions_bounds_a_cluster_unit() {
+    let mut executor = StandardExecutor::new(&["bft-lite"]);
+    executor.set_max_instructions(2_000_000);
+    let profile = standard_controller().profile_libraries();
+    let mut space = executor.fault_space(&["bft-lite"], &profile);
+    space.retain(|p| p.function == "sendto" && p.offset == 4464);
+    let point = space.points.first().expect("sendto@4464 is a fault point");
+    let run = executor.execute(&WorkUnit {
+        id: 0,
+        point: point.clone(),
+        scenario: point.scenario(),
+        args: Vec::new(),
+        seed: 0,
+    });
+    let &(.., pinned_time) = PINS
+        .iter()
+        .find(|&&(f, off, ..)| (f, off) == ("sendto", 4464))
+        .expect("sendto@4464 is pinned");
+    assert_eq!(run.outcome, OutcomeKind::Hung);
+    assert!(
+        run.virtual_time < pinned_time,
+        "{} >= {pinned_time}",
+        run.virtual_time
+    );
+}

@@ -12,12 +12,15 @@
 //! [`HookHandler`] trait: any imported function can be intercepted at symbol
 //! resolution time, exactly like a shim library interposed with LD_PRELOAD.
 
+#![forbid(unsafe_code)]
+
 pub mod coverage;
 pub mod fs;
 pub mod loader;
 pub mod machine;
 pub mod mem;
 pub mod net;
+mod op;
 mod sys;
 
 pub use coverage::Coverage;

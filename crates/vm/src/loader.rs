@@ -12,10 +12,11 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use lfi_arch::{decode_all, Addr, CallConv, Insn};
+use lfi_arch::{decode_all, Addr, CallConv};
 use lfi_obj::{Export, Module, ModuleKind, SymKind};
 
 use crate::mem::PAGE_SIZE;
+use crate::op::Op;
 
 /// Spacing between module base addresses.
 const MODULE_SPACING: Addr = 0x0100_0000;
@@ -33,8 +34,9 @@ pub struct LoadedModule {
     pub code_base: Addr,
     /// Virtual address of the start of the data section (BSS follows it).
     pub data_base: Addr,
-    /// Predecoded instructions (index = offset / INSN_SIZE).
-    pub insns: Vec<Insn>,
+    /// Instructions lowered for the interpreter (index = offset /
+    /// INSN_SIZE).
+    pub(crate) ops: Vec<Op>,
     /// Function exports as `(offset, export index)`, sorted by offset once
     /// at load time. The sort is stable, so of several exports at one offset
     /// the last in export order comes last.
@@ -45,11 +47,6 @@ impl LoadedModule {
     /// Total size of the data + BSS region.
     pub fn data_size(&self) -> u64 {
         self.module.data.len() as u64 + self.module.bss_size
-    }
-
-    /// Virtual address of a code offset.
-    pub fn code_addr(&self, offset: u64) -> Addr {
-        self.code_base + offset
     }
 
     /// Whether a virtual address falls inside this module's code range.
@@ -117,11 +114,6 @@ impl Image {
         &self.resolutions[module_index][sym as usize]
     }
 
-    /// Every resolution of module `module_index`, indexed by symref.
-    pub(crate) fn resolutions(&self, module_index: usize) -> &[Resolution] {
-        &self.resolutions[module_index]
-    }
-
     /// Number of distinct thread-local variable names: the TLS slots every
     /// thread has.
     pub(crate) fn tls_slots(&self) -> usize {
@@ -131,23 +123,6 @@ impl Image {
     /// Name of the thread-local variable in `slot`.
     pub(crate) fn tls_name(&self, slot: usize) -> &str {
         &self.tls_names[slot]
-    }
-
-    /// The TLS slot a `tlsld`/`tlsst` through symref `sym` of module
-    /// `module_index` accesses. A TLS instruction may name a symref that is
-    /// not a TLS symbol; it then accesses the variable of the symref's name,
-    /// which the loader gave a slot too.
-    pub(crate) fn tls_slot(&self, module_index: usize, sym: u32) -> usize {
-        match self.resolution(module_index, sym) {
-            Resolution::Tls { slot, .. } => *slot,
-            _ => {
-                let name = &self.modules[module_index].module.symrefs[sym as usize].name;
-                self.tls_names
-                    .iter()
-                    .position(|n| n == name)
-                    .expect("the loader gives every name a TLS instruction uses a slot")
-            }
-        }
     }
 
     /// The module whose code range contains `addr`, with the offset inside it.
@@ -327,8 +302,10 @@ impl Loader {
             ordered.push(module);
         }
 
-        // Validate and lay out modules.
+        // Validate and lay out modules. Their instructions are lowered
+        // once their symbol references are resolved, below.
         let mut loaded = Vec::with_capacity(ordered.len());
+        let mut decoded = Vec::with_capacity(ordered.len());
         for (index, module) in ordered.into_iter().enumerate() {
             if let Err(problems) = module.validate() {
                 return Err(LoadError::InvalidModule {
@@ -341,7 +318,7 @@ impl Loader {
             let data_base = code_base + code_len.div_ceil(PAGE_SIZE).max(1) * PAGE_SIZE;
             let (insn_pairs, decode_err) = decode_all(&module.code);
             debug_assert!(decode_err.is_none(), "validated module failed to decode");
-            let insns = insn_pairs.into_iter().map(|(_, i)| i).collect();
+            decoded.push(insn_pairs);
             let mut functions: Vec<(u64, usize)> = module
                 .exports
                 .iter()
@@ -355,7 +332,7 @@ impl Loader {
                 index,
                 code_base,
                 data_base,
-                insns,
+                ops: Vec::new(),
                 functions,
             });
         }
@@ -409,9 +386,9 @@ impl Loader {
             }
         };
 
-        // Resolve symbol references per module.
+        // Resolve symbol references per module, then lower its code.
         let mut resolutions = Vec::with_capacity(loaded.len());
-        for lm in &loaded {
+        for (lm, insns) in loaded.iter_mut().zip(decoded) {
             let mut module_res = Vec::with_capacity(lm.module.symrefs.len());
             for symref in &lm.module.symrefs {
                 let res = match symref.kind {
@@ -451,11 +428,14 @@ impl Loader {
                 };
                 module_res.push(res);
             }
-            for insn in &lm.insns {
-                if let Insn::TlsLoad { sym, .. } | Insn::TlsStore { sym, .. } = *insn {
-                    tls_slot(&lm.module.symrefs[sym as usize].name);
-                }
-            }
+            // A TLS instruction may name a symref that is not a TLS
+            // symbol; it then accesses the variable of the symref's name.
+            let symrefs = &lm.module.symrefs;
+            let mut slot_of = |sym: u32| tls_slot(&symrefs[sym as usize].name);
+            lm.ops = insns
+                .into_iter()
+                .map(|(_, insn)| Op::lower(insn, lm.code_base, &module_res, &mut slot_of))
+                .collect();
             resolutions.push(module_res);
         }
 
@@ -476,7 +456,7 @@ impl Loader {
 
 #[cfg(test)]
 mod tests {
-    use lfi_arch::INSN_SIZE;
+    use lfi_arch::{Insn, INSN_SIZE};
     use lfi_obj::{Export, SymRef};
 
     use super::*;

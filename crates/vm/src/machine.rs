@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use lfi_arch::{Addr, AluOp, CallConv, Insn, Reg, Word, INSN_SIZE};
+use lfi_arch::{Addr, CallConv, Reg, Word, INSN_SIZE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -15,6 +15,7 @@ use crate::fs::SimFs;
 use crate::loader::{Image, LoadedModule, Resolution};
 use crate::mem::{Memory, PageCache, PAGE_SIZE};
 use crate::net::NetHandle;
+use crate::op::{reg, Op, REG_FILE};
 
 /// Start of the heap region.
 pub(crate) const HEAP_BASE: Addr = 0x5000_0000;
@@ -339,7 +340,7 @@ enum Stop {
     /// The instruction at the thread's program counter needs the whole
     /// machine. It has been counted but not executed.
     OutOfLine {
-        insn: Insn,
+        op: Op,
         module_idx: usize,
         offset: u64,
     },
@@ -930,11 +931,11 @@ impl Machine {
                 Stop::Budget => {}
                 Stop::ThreadExited => break,
                 Stop::OutOfLine {
-                    insn,
+                    op,
                     module_idx,
                     offset,
                 } => {
-                    self.execute_out_of_line(handler, insn, module_idx, offset)?;
+                    self.execute_out_of_line(handler, op, module_idx, offset)?;
                     if self.threads[self.current].state != ThreadState::Runnable {
                         break;
                     }
@@ -949,12 +950,14 @@ impl Machine {
     /// The interpreter loop: execute up to `budget` instructions of the
     /// current thread, and return how many it executed and why it stopped.
     ///
-    /// The thread's registers, flags and program counter, the current
-    /// module's code, and memory behind the page `cache` live in locals for
-    /// the whole loop; `pc`, `stats`, `clock` and the registers are written
-    /// back at every exit. An instruction that needs the whole machine
-    /// stops the loop with [`Stop::OutOfLine`] after it has been counted,
-    /// as every executed instruction is counted before it runs.
+    /// The thread's registers (in a local register file that lowered
+    /// register indices address without a bounds check), flags and program
+    /// counter, the current module's lowered code, and memory behind the
+    /// page `cache` live in locals for the whole loop; `pc`, `stats`,
+    /// `clock` and the registers are written back at every exit. An
+    /// instruction that needs the whole machine stops the loop with
+    /// [`Stop::OutOfLine`] after it has been counted, as every executed
+    /// instruction is counted before it runs.
     fn interpret(&mut self, budget: u64, cache: &mut PageCache) -> (u64, Stop) {
         let Machine {
             image,
@@ -973,14 +976,16 @@ impl Machine {
         let thread = &mut threads[*current];
         let frames = &mut thread.frames;
         let tls = &mut thread.tls;
-        let mut regs = thread.regs;
+        let mut regs = [0; REG_FILE];
+        regs[..Reg::COUNT].copy_from_slice(&thread.regs);
         let mut flags = thread.flags;
         let mut pc = thread.pc;
         let mut module_idx = *code_hint;
         let mut module = &image.modules[module_idx];
-        let mut resolutions = image.resolutions(module_idx);
         let mut executed: u64 = 0;
         let mut calls: u64 = 0;
+        let sp = Reg::Sp.index();
+        let ret = Reg::RET.index();
 
         let stop = loop {
             if executed == budget {
@@ -988,21 +993,20 @@ impl Machine {
             }
             // Most instructions are in the module of the previous one; look
             // the program counter up among all modules only when it left.
-            // The predecoded instructions cover the module's code exactly,
-            // so an index past them means it left.
+            // The lowered code covers the module's code exactly, so an
+            // index past it means it left.
             let mut offset = pc.wrapping_sub(module.code_base);
-            let insn = match module.insns.get((offset / INSN_SIZE) as usize) {
-                Some(&insn) => insn,
+            let op = match module.ops.get((offset / INSN_SIZE) as usize) {
+                Some(&op) => op,
                 None => {
                     let Some((idx, found)) = image.find_code(pc) else {
                         break Stop::Fault(FaultKind::BadPc { pc });
                     };
                     module_idx = idx;
                     module = &image.modules[idx];
-                    resolutions = image.resolutions(idx);
                     offset = found;
-                    match module.insns.get((offset / INSN_SIZE) as usize) {
-                        Some(&insn) => insn,
+                    match module.ops.get((offset / INSN_SIZE) as usize) {
+                        Some(&op) => op,
                         None => break Stop::Fault(FaultKind::BadPc { pc }),
                     }
                 }
@@ -1013,104 +1017,154 @@ impl Machine {
             executed += 1;
 
             let mut next_pc = pc + INSN_SIZE;
-            match insn {
-                Insn::Nop => {}
-                Insn::Halt => break Stop::Exited(regs[Reg::RET.index()]),
-                Insn::Brk => break Stop::Fault(FaultKind::Break),
-                Insn::MovI { dst, imm } => regs[dst.index()] = imm,
-                Insn::MovR { dst, src } => regs[dst.index()] = regs[src.index()],
-                Insn::Load { dst, base, off } => {
-                    let addr = regs[base.index()].wrapping_add(off) as Addr;
+            match op {
+                Op::Nop => {}
+                Op::Halt => break Stop::Exited(regs[ret]),
+                Op::Brk => break Stop::Fault(FaultKind::Break),
+                Op::MovI { dst, imm } => regs[reg(dst)] = imm,
+                Op::MovR { dst, src } => regs[reg(dst)] = regs[reg(src)],
+                Op::Load { dst, base, off } => {
+                    let addr = regs[reg(base)].wrapping_add(off) as Addr;
                     match cache.read_word(mem, addr) {
-                        Ok(v) => regs[dst.index()] = v,
+                        Ok(v) => regs[reg(dst)] = v,
                         Err(_) => break Stop::Fault(FaultKind::MemAccess { addr }),
                     }
                 }
-                Insn::Store { base, off, src } => {
-                    let addr = regs[base.index()].wrapping_add(off) as Addr;
-                    if cache.write_word(mem, addr, regs[src.index()]).is_err() {
+                Op::Store { base, src, off } => {
+                    let addr = regs[reg(base)].wrapping_add(off) as Addr;
+                    if cache.write_word(mem, addr, regs[reg(src)]).is_err() {
                         break Stop::Fault(FaultKind::MemAccess { addr });
                     }
                 }
-                Insn::Load8 { dst, base, off } => {
-                    let addr = regs[base.index()].wrapping_add(off) as Addr;
+                Op::Load8 { dst, base, off } => {
+                    let addr = regs[reg(base)].wrapping_add(off) as Addr;
                     match cache.read_u8(mem, addr) {
-                        Ok(v) => regs[dst.index()] = v as Word,
+                        Ok(v) => regs[reg(dst)] = v as Word,
                         Err(_) => break Stop::Fault(FaultKind::MemAccess { addr }),
                     }
                 }
-                Insn::Store8 { base, off, src } => {
-                    let addr = regs[base.index()].wrapping_add(off) as Addr;
-                    if cache.write_u8(mem, addr, regs[src.index()] as u8).is_err() {
+                Op::Store8 { base, src, off } => {
+                    let addr = regs[reg(base)].wrapping_add(off) as Addr;
+                    if cache.write_u8(mem, addr, regs[reg(src)] as u8).is_err() {
                         break Stop::Fault(FaultKind::MemAccess { addr });
                     }
                 }
-                Insn::Lea { dst, base, off } => {
-                    regs[dst.index()] = regs[base.index()].wrapping_add(off);
+                Op::Lea { dst, base, off } => {
+                    regs[reg(dst)] = regs[reg(base)].wrapping_add(off);
                 }
-                Insn::LeaSym { dst, sym } => match resolutions[sym as usize] {
-                    Resolution::Data { addr }
-                    | Resolution::Func { addr }
-                    | Resolution::Hooked {
-                        original: Some(addr),
-                        ..
-                    } => regs[dst.index()] = addr as Word,
-                    Resolution::Tls { .. }
-                    | Resolution::Hooked { original: None, .. }
-                    | Resolution::Unresolved { .. } => {
-                        let name = module.module.symrefs[sym as usize].name.clone();
-                        break Stop::Fault(FaultKind::UnresolvedSymbol { name });
-                    }
-                },
-                Insn::Push { src } => {
+                Op::LeaUnresolved { sym } => {
+                    let name = module.module.symrefs[sym as usize].name.clone();
+                    break Stop::Fault(FaultKind::UnresolvedSymbol { name });
+                }
+                Op::Push { src } => {
                     // Wrapping, like every other address computation: a
                     // stack pointer at the bottom of the address space
                     // faults instead of overflowing.
-                    let sp = regs[Reg::Sp.index()].wrapping_sub(8) as Addr;
-                    if cache.write_word(mem, sp, regs[src.index()]).is_err() {
+                    let top = regs[sp].wrapping_sub(8) as Addr;
+                    if cache.write_word(mem, top, regs[reg(src)]).is_err() {
                         break Stop::Fault(FaultKind::StackOverflow);
                     }
-                    regs[Reg::Sp.index()] = sp as Word;
+                    regs[sp] = top as Word;
                 }
-                Insn::Pop { dst } => {
-                    let sp = regs[Reg::Sp.index()] as Addr;
-                    match cache.read_word(mem, sp) {
+                Op::Pop { dst } => {
+                    let top = regs[sp] as Addr;
+                    match cache.read_word(mem, top) {
                         Ok(v) => {
-                            regs[dst.index()] = v;
-                            regs[Reg::Sp.index()] = sp.wrapping_add(8) as Word;
+                            regs[reg(dst)] = v;
+                            regs[sp] = top.wrapping_add(8) as Word;
                         }
-                        Err(_) => break Stop::Fault(FaultKind::MemAccess { addr: sp }),
+                        Err(_) => break Stop::Fault(FaultKind::MemAccess { addr: top }),
                     }
                 }
-                Insn::Alu { op, dst, src } => match alu(op, regs[dst.index()], regs[src.index()]) {
-                    Some(v) => regs[dst.index()] = v,
-                    None => break Stop::Fault(FaultKind::DivideByZero),
+                Op::Add { dst, src } => {
+                    regs[reg(dst)] = regs[reg(dst)].wrapping_add(regs[reg(src)])
+                }
+                Op::AddI { dst, imm } => regs[reg(dst)] = regs[reg(dst)].wrapping_add(imm),
+                Op::Sub { dst, src } => {
+                    regs[reg(dst)] = regs[reg(dst)].wrapping_sub(regs[reg(src)])
+                }
+                Op::SubI { dst, imm } => regs[reg(dst)] = regs[reg(dst)].wrapping_sub(imm),
+                Op::Mul { dst, src } => {
+                    regs[reg(dst)] = regs[reg(dst)].wrapping_mul(regs[reg(src)])
+                }
+                Op::MulI { dst, imm } => regs[reg(dst)] = regs[reg(dst)].wrapping_mul(imm),
+                Op::Div { dst, src } => match regs[reg(src)] {
+                    0 => break Stop::Fault(FaultKind::DivideByZero),
+                    b => regs[reg(dst)] = regs[reg(dst)].wrapping_div(b),
                 },
-                Insn::AluI { op, dst, imm } => match alu(op, regs[dst.index()], imm) {
-                    Some(v) => regs[dst.index()] = v,
-                    None => break Stop::Fault(FaultKind::DivideByZero),
+                Op::DivI { dst, imm } => match imm {
+                    0 => break Stop::Fault(FaultKind::DivideByZero),
+                    b => regs[reg(dst)] = regs[reg(dst)].wrapping_div(b),
                 },
-                Insn::Neg { dst } => regs[dst.index()] = regs[dst.index()].wrapping_neg(),
-                Insn::Not { dst } => regs[dst.index()] = !regs[dst.index()],
-                Insn::Cmp { a, b } => flags = regs[a.index()].cmp(&regs[b.index()]),
-                Insn::CmpI { a, imm } => flags = regs[a.index()].cmp(&imm),
-                Insn::Jmp { target } => next_pc = module.code_addr(target as u64),
-                Insn::J { cond, target } => {
-                    if cond.holds(flags) {
-                        next_pc = module.code_addr(target as u64);
+                Op::Mod { dst, src } => match regs[reg(src)] {
+                    0 => break Stop::Fault(FaultKind::DivideByZero),
+                    b => regs[reg(dst)] = regs[reg(dst)].wrapping_rem(b),
+                },
+                Op::ModI { dst, imm } => match imm {
+                    0 => break Stop::Fault(FaultKind::DivideByZero),
+                    b => regs[reg(dst)] = regs[reg(dst)].wrapping_rem(b),
+                },
+                Op::And { dst, src } => regs[reg(dst)] &= regs[reg(src)],
+                Op::AndI { dst, imm } => regs[reg(dst)] &= imm,
+                Op::Or { dst, src } => regs[reg(dst)] |= regs[reg(src)],
+                Op::OrI { dst, imm } => regs[reg(dst)] |= imm,
+                Op::Xor { dst, src } => regs[reg(dst)] ^= regs[reg(src)],
+                Op::XorI { dst, imm } => regs[reg(dst)] ^= imm,
+                // `wrapping_sh*` take the count mod 64, as the ISA does.
+                Op::Shl { dst, src } => {
+                    regs[reg(dst)] = regs[reg(dst)].wrapping_shl(regs[reg(src)] as u32)
+                }
+                Op::ShlI { dst, imm } => regs[reg(dst)] = regs[reg(dst)].wrapping_shl(imm as u32),
+                Op::Shr { dst, src } => {
+                    regs[reg(dst)] = regs[reg(dst)].wrapping_shr(regs[reg(src)] as u32)
+                }
+                Op::ShrI { dst, imm } => regs[reg(dst)] = regs[reg(dst)].wrapping_shr(imm as u32),
+                Op::Neg { dst } => regs[reg(dst)] = regs[reg(dst)].wrapping_neg(),
+                Op::Not { dst } => regs[reg(dst)] = !regs[reg(dst)],
+                Op::Cmp { a, b } => flags = regs[reg(a)].cmp(&regs[reg(b)]),
+                Op::CmpI { a, imm } => flags = regs[reg(a)].cmp(&imm),
+                Op::Jmp { target } => next_pc = target,
+                Op::Je { target } => {
+                    if flags.is_eq() {
+                        next_pc = target;
                     }
                 }
-                Insn::Call { target } => {
+                Op::Jne { target } => {
+                    if flags.is_ne() {
+                        next_pc = target;
+                    }
+                }
+                Op::Jlt { target } => {
+                    if flags.is_lt() {
+                        next_pc = target;
+                    }
+                }
+                Op::Jle { target } => {
+                    if flags.is_le() {
+                        next_pc = target;
+                    }
+                }
+                Op::Jgt { target } => {
+                    if flags.is_gt() {
+                        next_pc = target;
+                    }
+                }
+                Op::Jge { target } => {
+                    if flags.is_ge() {
+                        next_pc = target;
+                    }
+                }
+                Op::Call { target } => {
                     calls += 1;
                     frames.push(ShadowFrame {
                         call_site_module: module_idx,
                         call_site_offset: offset,
                         return_addr: next_pc,
                     });
-                    next_pc = module.code_addr(target as u64);
+                    next_pc = target;
                 }
-                Insn::CallR { reg } => {
-                    let callee = regs[reg.index()] as Addr;
+                Op::CallR { reg: callee } => {
+                    let callee = regs[reg(callee)] as Addr;
                     if image.find_code(callee).is_none() {
                         break Stop::Fault(FaultKind::BadPc { pc: callee });
                     }
@@ -1122,35 +1176,19 @@ impl Machine {
                     });
                     next_pc = callee;
                 }
-                Insn::CallSym { sym } => match &resolutions[sym as usize] {
-                    &Resolution::Func { addr } => {
-                        calls += 1;
-                        frames.push(ShadowFrame {
-                            call_site_module: module_idx,
-                            call_site_offset: offset,
-                            return_addr: next_pc,
-                        });
-                        next_pc = addr;
+                Op::CallHooked { .. } | Op::Sys { .. } => {
+                    break Stop::OutOfLine {
+                        op,
+                        module_idx,
+                        offset,
                     }
-                    Resolution::Hooked { .. } => {
-                        break Stop::OutOfLine {
-                            insn,
-                            module_idx,
-                            offset,
-                        }
-                    }
-                    Resolution::Unresolved { name } => {
-                        calls += 1;
-                        let name = name.clone();
-                        break Stop::Fault(FaultKind::UnresolvedSymbol { name });
-                    }
-                    Resolution::Data { .. } | Resolution::Tls { .. } => {
-                        calls += 1;
-                        let name = module.module.symrefs[sym as usize].name.clone();
-                        break Stop::Fault(FaultKind::UnresolvedSymbol { name });
-                    }
-                },
-                Insn::Ret => match frames.pop() {
+                }
+                Op::CallUnresolved { sym } => {
+                    calls += 1;
+                    let name = module.module.symrefs[sym as usize].name.clone();
+                    break Stop::Fault(FaultKind::UnresolvedSymbol { name });
+                }
+                Op::Ret => match frames.pop() {
                     Some(frame) if frame.return_addr != RETURN_SENTINEL => {
                         next_pc = frame.return_addr;
                     }
@@ -1158,30 +1196,19 @@ impl Machine {
                         // Bottom of the thread: the main thread returning ends
                         // the process; other threads just exit.
                         if thread.id == 1 {
-                            break Stop::Exited(regs[Reg::RET.index()]);
+                            break Stop::Exited(regs[ret]);
                         }
                         thread.state = ThreadState::Exited;
                         break Stop::ThreadExited;
                     }
                 },
-                Insn::TlsLoad { dst, sym } => {
-                    regs[dst.index()] = tls[image.tls_slot(module_idx, sym)].unwrap_or(0);
-                }
-                Insn::TlsStore { sym, src } => {
-                    tls[image.tls_slot(module_idx, sym)] = Some(regs[src.index()]);
-                }
-                Insn::Sys { .. } => {
-                    break Stop::OutOfLine {
-                        insn,
-                        module_idx,
-                        offset,
-                    }
-                }
+                Op::TlsLoad { dst, slot } => regs[reg(dst)] = tls[slot as usize].unwrap_or(0),
+                Op::TlsStore { slot, src } => tls[slot as usize] = Some(regs[reg(src)]),
             }
             pc = next_pc;
         };
 
-        thread.regs = regs;
+        thread.regs.copy_from_slice(&regs[..Reg::COUNT]);
         thread.flags = flags;
         thread.pc = pc;
         stats.instructions += executed;
@@ -1198,13 +1225,13 @@ impl Machine {
     fn execute_out_of_line(
         &mut self,
         handler: &mut dyn HookHandler,
-        insn: Insn,
+        op: Op,
         module_idx: usize,
         offset: u64,
     ) -> Result<(), RunExit> {
         let next_pc = self.threads[self.current].pc + INSN_SIZE;
-        match insn {
-            Insn::Sys { num } => {
+        match op {
+            Op::Sys { num } => {
                 self.stats.syscalls += 1;
                 match self.syscall(num) {
                     SysOutcome::Done(value) => {
@@ -1218,7 +1245,7 @@ impl Machine {
                     SysOutcome::Exit(exit) => return Err(exit),
                 }
             }
-            Insn::CallSym { sym } => {
+            Op::CallHooked { sym } => {
                 self.stats.calls += 1;
                 // The handler borrows the machine while it reads the
                 // intercepted name, so lend it the name through a second
@@ -1272,7 +1299,7 @@ impl Machine {
                     }
                 }
             }
-            _ => unreachable!("the interpreter loop executes {insn:?} itself"),
+            _ => unreachable!("the interpreter loop executes {op:?} itself"),
         }
         Ok(())
     }
@@ -1355,31 +1382,6 @@ impl fmt::Debug for MachineSnapshot {
             .field("finished", &self.machine.finished)
             .finish()
     }
-}
-
-fn alu(op: AluOp, a: Word, b: Word) -> Option<Word> {
-    Some(match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        AluOp::Mod => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a.wrapping_shl((b & 63) as u32),
-        AluOp::Shr => a.wrapping_shr((b & 63) as u32),
-    })
 }
 
 /// Machine state exposed to an interposition hook at an intercepted call.

@@ -8,7 +8,9 @@
 //!
 //! Pages are reference-counted and copied on write: cloning a [`Memory`]
 //! shares every page with the original, and a write to either side copies
-//! only the touched page. This is what makes [`crate::MachineSnapshot`]
+//! only the touched page. A page is an array of atomic words, so a store to
+//! a page this memory alone holds writes in place, with no compare-and-swap
+//! and no `unsafe`. This is what makes [`crate::MachineSnapshot`]
 //! forks cheap — a campaign can restore hundreds of VMs from one snapshot
 //! and pay only for the pages each run actually dirties.
 //!
@@ -21,6 +23,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{self, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lfi_arch::{Addr, Word};
@@ -28,11 +31,170 @@ use lfi_arch::{Addr, Word};
 /// Size of a memory page in bytes.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// One page of memory.
-type Page = [u8; PAGE_SIZE as usize];
-
 /// Bytes in a machine word.
 const WORD_BYTES: usize = std::mem::size_of::<Word>();
+
+/// Words in a page.
+const PAGE_WORDS: usize = PAGE_SIZE as usize / WORD_BYTES;
+
+/// One page of memory: 512 words, each holding eight bytes of the page in
+/// little-endian order, so the byte at in-page offset `o` is byte `o % 8`
+/// of word `o / 8` on any host. Relaxed loads and stores of an
+/// `AtomicU64` compile to plain moves.
+///
+/// Pages are shared between clones of a [`Memory`] through an `Arc`, and a
+/// store writes in place only when `Arc::strong_count` is 1. That check
+/// needs no compare-and-swap because of two invariants:
+///
+/// - no `Weak` to a page is ever created (this module is the only one that
+///   sees the type, and it never calls `Arc::downgrade`), so the strong
+///   count alone says whether anyone else can reach the page;
+/// - the count is checked under `&mut Memory`, so no other handle on this
+///   memory can clone the `Arc` meanwhile. Other holders can only drop
+///   theirs, which lowers the count and never raises it.
+///
+/// Were either broken, a store could write into a page a clone still
+/// reads. It would still be no data race (every access is atomic), which
+/// is why the crate needs no `unsafe` for it.
+#[derive(Debug)]
+struct Page([AtomicU64; PAGE_WORDS]);
+
+impl Page {
+    fn zeroed() -> Page {
+        Page([const { AtomicU64::new(0) }; PAGE_WORDS])
+    }
+
+    /// A private copy of this page.
+    fn copy(&self) -> Page {
+        Page(std::array::from_fn(|index| {
+            AtomicU64::new(self.word(index))
+        }))
+    }
+
+    // The accessors mask word indices to the page so the compiler drops
+    // the bounds checks; callers keep offsets inside the page.
+
+    #[inline(always)]
+    fn word(&self, index: usize) -> u64 {
+        self.0[index % PAGE_WORDS].load(Ordering::Relaxed)
+    }
+
+    #[inline(always)]
+    fn set_word(&self, index: usize, value: u64) {
+        self.0[index % PAGE_WORDS].store(value, Ordering::Relaxed);
+    }
+
+    #[inline(always)]
+    fn read_u8(&self, offset: usize) -> u8 {
+        (self.word(offset / WORD_BYTES) >> (offset % WORD_BYTES * 8)) as u8
+    }
+
+    #[inline(always)]
+    fn write_u8(&self, offset: usize, value: u8) {
+        let index = offset / WORD_BYTES;
+        let shift = offset % WORD_BYTES * 8;
+        let word = self.word(index) & !(0xff << shift);
+        self.set_word(index, word | u64::from(value) << shift);
+    }
+
+    /// The word at in-page `offset`, which is at most `PAGE_SIZE - 8`. An
+    /// unaligned word is put together from the two words it spans.
+    #[inline(always)]
+    fn read_word(&self, offset: usize) -> Word {
+        let index = offset / WORD_BYTES;
+        let shift = offset % WORD_BYTES * 8;
+        let low = self.word(index);
+        if shift == 0 {
+            return low as Word;
+        }
+        (low >> shift | self.word(index + 1) << (64 - shift)) as Word
+    }
+
+    /// Store a word at in-page `offset`, which is at most `PAGE_SIZE - 8`.
+    #[inline(always)]
+    fn write_word(&self, offset: usize, value: Word) {
+        let value = value as u64;
+        let index = offset / WORD_BYTES;
+        let shift = offset % WORD_BYTES * 8;
+        if shift == 0 {
+            self.set_word(index, value);
+            return;
+        }
+        // The low `shift` bits of the first word and the rest of the
+        // second stay.
+        let keep = u64::MAX >> (64 - shift);
+        self.set_word(index, self.word(index) & keep | value << shift);
+        self.set_word(
+            index + 1,
+            self.word(index + 1) & !keep | value >> (64 - shift),
+        );
+    }
+
+    /// Copy the bytes at in-page `offset` into `buf`, which must not run
+    /// past the page: single bytes up to the first word boundary, then
+    /// whole words, then the bytes after the last one.
+    fn read_bytes(&self, offset: usize, buf: &mut [u8]) {
+        let end = offset + buf.len();
+        let head = offset.next_multiple_of(WORD_BYTES) - offset;
+        let (head, words) = buf.split_at_mut(head.min(buf.len()));
+        for (at, byte) in (offset..).zip(head.iter_mut()) {
+            *byte = self.read_u8(at);
+        }
+        let first = (offset + head.len()) / WORD_BYTES;
+        let mut words = words.chunks_exact_mut(WORD_BYTES);
+        for (index, chunk) in (first..).zip(&mut words) {
+            chunk.copy_from_slice(&self.word(index).to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        for (at, byte) in (end - tail.len()..).zip(tail) {
+            *byte = self.read_u8(at);
+        }
+    }
+
+    /// Copy `bytes` to in-page `offset`; they must not run past the page.
+    /// Split like [`Page::read_bytes`].
+    fn write_bytes(&self, offset: usize, bytes: &[u8]) {
+        let head = offset.next_multiple_of(WORD_BYTES) - offset;
+        let (head, words) = bytes.split_at(head.min(bytes.len()));
+        for (at, &byte) in (offset..).zip(head) {
+            self.write_u8(at, byte);
+        }
+        let first = (offset + head.len()) / WORD_BYTES;
+        let mut words = words.chunks_exact(WORD_BYTES);
+        for (index, chunk) in (first..).zip(&mut words) {
+            let chunk: [u8; WORD_BYTES] = chunk.try_into().expect("a whole word");
+            self.set_word(index, u64::from_le_bytes(chunk));
+        }
+        let tail = words.remainder();
+        let end = offset + bytes.len();
+        for (at, &byte) in (end - tail.len()..).zip(tail) {
+            self.write_u8(at, byte);
+        }
+    }
+}
+
+/// The page in `page` ready for a store: written in place if this memory
+/// holds the only reference, else first copied into the slot (see
+/// [`Page`] for why the check needs no compare-and-swap).
+#[inline(always)]
+fn unshare(page: &mut Arc<Page>) -> &Page {
+    if Arc::strong_count(page) == 1 {
+        // As `Arc::get_mut` does: order this memory's stores after
+        // everything the last other holder did before it dropped its
+        // reference.
+        atomic::fence(Ordering::Acquire);
+    } else {
+        copy_into(page);
+    }
+    page
+}
+
+/// Replace a shared page with a private copy of it.
+#[cold]
+#[inline(never)]
+fn copy_into(page: &mut Arc<Page>) {
+    *page = Arc::new(page.copy());
+}
 
 /// Hasher for the VM's integer-keyed maps: one multiply by a 64-bit odd
 /// constant per integer (Fibonacci hashing). The low bits stay distinct for
@@ -114,7 +276,7 @@ impl Memory {
         for page in first..=last {
             self.slots.entry(page).or_insert_with(|| {
                 let slot = u32::try_from(self.pages.len()).expect("page slots fit in u32");
-                self.pages.push(Arc::new([0u8; PAGE_SIZE as usize]));
+                self.pages.push(Arc::new(Page::zeroed()));
                 slot
             });
         }
@@ -158,7 +320,9 @@ impl Memory {
         };
         for (index, slot) in indices {
             mix(&index.to_le_bytes());
-            mix(self.pages[slot as usize].as_ref());
+            for word in &self.pages[slot as usize].0 {
+                mix(&word.load(Ordering::Relaxed).to_le_bytes());
+            }
         }
         hash
     }
@@ -175,26 +339,29 @@ impl Memory {
         Ok(&self.pages[self.slot(addr)?])
     }
 
-    fn page_mut(&mut self, addr: Addr) -> Result<&mut Page, MemError> {
+    fn page_mut(&mut self, addr: Addr) -> Result<&Page, MemError> {
         let slot = self.slot(addr)?;
-        Ok(Arc::make_mut(&mut self.pages[slot]))
+        Ok(unshare(&mut self.pages[slot]))
     }
 
     /// Read one byte.
     pub fn read_u8(&self, addr: Addr) -> Result<u8, MemError> {
-        let page = self.page(addr)?;
-        Ok(page[(addr % PAGE_SIZE) as usize])
+        Ok(self.page(addr)?.read_u8((addr % PAGE_SIZE) as usize))
     }
 
     /// Write one byte.
     pub fn write_u8(&mut self, addr: Addr, value: u8) -> Result<(), MemError> {
-        let page = self.page_mut(addr)?;
-        page[(addr % PAGE_SIZE) as usize] = value;
+        self.page_mut(addr)?
+            .write_u8((addr % PAGE_SIZE) as usize, value);
         Ok(())
     }
 
     /// Read a 64-bit word (little endian). The access may straddle pages.
     pub fn read_word(&self, addr: Addr) -> Result<Word, MemError> {
+        let offset = (addr % PAGE_SIZE) as usize;
+        if offset <= PAGE_SIZE as usize - WORD_BYTES {
+            return Ok(self.page(addr)?.read_word(offset));
+        }
         let mut bytes = [0u8; WORD_BYTES];
         self.read_bytes(addr, &mut bytes)?;
         Ok(Word::from_le_bytes(bytes))
@@ -204,6 +371,11 @@ impl Memory {
     /// a straddling write that faults on its second page has already
     /// written the bytes on the first.
     pub fn write_word(&mut self, addr: Addr, value: Word) -> Result<(), MemError> {
+        let offset = (addr % PAGE_SIZE) as usize;
+        if offset <= PAGE_SIZE as usize - WORD_BYTES {
+            self.page_mut(addr)?.write_word(offset, value);
+            return Ok(());
+        }
         self.write_bytes(addr, &value.to_le_bytes())
     }
 
@@ -216,7 +388,7 @@ impl Memory {
             let offset = (addr % PAGE_SIZE) as usize;
             let len = rest.len().min(PAGE_SIZE as usize - offset);
             let (chunk, tail) = rest.split_at_mut(len);
-            chunk.copy_from_slice(&self.page(addr)?[offset..offset + len]);
+            self.page(addr)?.read_bytes(offset, chunk);
             rest = tail;
             if !rest.is_empty() {
                 addr = next_page(addr, len)?;
@@ -233,7 +405,7 @@ impl Memory {
             let offset = (addr % PAGE_SIZE) as usize;
             let len = rest.len().min(PAGE_SIZE as usize - offset);
             let (chunk, tail) = rest.split_at(len);
-            self.page_mut(addr)?[offset..offset + len].copy_from_slice(chunk);
+            self.page_mut(addr)?.write_bytes(offset, chunk);
             rest = tail;
             if !rest.is_empty() {
                 addr = next_page(addr, len)?;
@@ -247,15 +419,22 @@ impl Memory {
     pub fn read_cstring(&self, mut addr: Addr, max_len: usize) -> Result<String, MemError> {
         let mut bytes = Vec::new();
         let mut remaining = max_len;
-        while remaining > 0 {
+        'pages: while remaining > 0 {
             let offset = (addr % PAGE_SIZE) as usize;
             let len = remaining.min(PAGE_SIZE as usize - offset);
-            let chunk = &self.page(addr)?[offset..offset + len];
-            if let Some(nul) = chunk.iter().position(|&b| b == 0) {
-                bytes.extend_from_slice(&chunk[..nul]);
-                break;
+            let page = self.page(addr)?;
+            // Copy a block at a time, so a short string costs a short copy.
+            const BLOCK: usize = 64;
+            let mut buf = [0u8; BLOCK];
+            for start in (offset..offset + len).step_by(BLOCK) {
+                let block = &mut buf[..(offset + len - start).min(BLOCK)];
+                page.read_bytes(start, block);
+                if let Some(nul) = block.iter().position(|&b| b == 0) {
+                    bytes.extend_from_slice(&block[..nul]);
+                    break 'pages;
+                }
+                bytes.extend_from_slice(block);
             }
-            bytes.extend_from_slice(chunk);
             remaining -= len;
             if remaining > 0 {
                 addr = next_page(addr, len)?;
@@ -300,7 +479,7 @@ impl PageCache {
     }
 
     /// Slot of the page containing `addr`, from the cache or the page map.
-    #[inline]
+    #[inline(always)]
     fn slot(&mut self, mem: &Memory, addr: Addr) -> Result<usize, MemError> {
         let page = addr / PAGE_SIZE;
         let entry = &mut self.entries[page as usize % CACHE_ENTRIES];
@@ -312,13 +491,13 @@ impl PageCache {
         Ok(slot)
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn read_u8(&mut self, mem: &Memory, addr: Addr) -> Result<u8, MemError> {
         let slot = self.slot(mem, addr)?;
-        Ok(mem.pages[slot][(addr % PAGE_SIZE) as usize])
+        Ok(mem.pages[slot].read_u8((addr % PAGE_SIZE) as usize))
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn write_u8(
         &mut self,
         mem: &mut Memory,
@@ -326,23 +505,21 @@ impl PageCache {
         value: u8,
     ) -> Result<(), MemError> {
         let slot = self.slot(mem, addr)?;
-        Arc::make_mut(&mut mem.pages[slot])[(addr % PAGE_SIZE) as usize] = value;
+        unshare(&mut mem.pages[slot]).write_u8((addr % PAGE_SIZE) as usize, value);
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn read_word(&mut self, mem: &Memory, addr: Addr) -> Result<Word, MemError> {
         let offset = (addr % PAGE_SIZE) as usize;
         if offset > PAGE_SIZE as usize - WORD_BYTES {
             return mem.read_word(addr);
         }
         let slot = self.slot(mem, addr)?;
-        let mut bytes = [0u8; WORD_BYTES];
-        bytes.copy_from_slice(&mem.pages[slot][offset..offset + WORD_BYTES]);
-        Ok(Word::from_le_bytes(bytes))
+        Ok(mem.pages[slot].read_word(offset))
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn write_word(
         &mut self,
         mem: &mut Memory,
@@ -354,8 +531,7 @@ impl PageCache {
             return mem.write_word(addr, value);
         }
         let slot = self.slot(mem, addr)?;
-        Arc::make_mut(&mut mem.pages[slot])[offset..offset + WORD_BYTES]
-            .copy_from_slice(&value.to_le_bytes());
+        unshare(&mut mem.pages[slot]).write_word(offset, value);
         Ok(())
     }
 }

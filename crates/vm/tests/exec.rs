@@ -2,8 +2,9 @@
 //! them with a library, run them, and check results, faults, interposition,
 //! threads, and coverage.
 
-use lfi_arch::{errno, Word};
+use lfi_arch::{errno, Insn, Word};
 use lfi_asm::assemble_text;
+use lfi_obj::{Export, Module, ModuleKind, SymKind};
 use lfi_vm::{
     CallContext, FaultKind, HookAction, HookHandler, Loader, Machine, NoHooks, ProcessConfig,
     RunExit,
@@ -749,4 +750,60 @@ fn pause_snapshot_resume_matches_a_fresh_run() {
     let exit_again = again.run_to_completion(&mut injector());
     assert_eq!(exit_again, fresh_exit);
     assert_eq!(again.state_fingerprint(), fresh.state_fingerprint());
+}
+
+/// Load a module whose `main` is `insns` and run it. The text assembler
+/// only emits jumps to labels, so these modules are built by hand.
+fn run_insns(insns: &[Insn]) -> (Machine, RunExit) {
+    let mut exe = Module::new("app", ModuleKind::Executable);
+    for insn in insns {
+        exe.code.extend_from_slice(&insn.encode());
+    }
+    exe.exports.push(Export {
+        name: "main".into(),
+        kind: SymKind::Func,
+        offset: 0,
+        size: exe.code.len() as u64,
+    });
+    assert_eq!(exe.validate(), Ok(()));
+    let image = Loader::new().load(exe).expect("load");
+    let mut machine = Machine::new(image, ProcessConfig::default());
+    let exit = machine.run_to_completion(&mut NoHooks);
+    (machine, exit)
+}
+
+/// A `jmp` to an offset before the module's code lands below its base
+/// address, outside every module, in debug and release builds alike.
+#[test]
+fn backward_jmp_before_the_code_is_a_bad_pc() {
+    let (machine, exit) = run_insns(&[Insn::Jmp { target: -12 }]);
+    let RunExit::Fault(fault) = exit else {
+        panic!("expected a fault, got {exit:?}");
+    };
+    let pc = machine.image().entry - 12;
+    assert_eq!(fault.kind, FaultKind::BadPc { pc });
+    assert_eq!((fault.module.as_str(), fault.offset), ("<unknown>", pc));
+    assert!(fault.backtrace.is_empty());
+    assert_eq!(machine.stats.instructions, 1);
+}
+
+/// A `call` to an offset before the module's code faults the same way,
+/// with the call on the shadow stack.
+#[test]
+fn backward_call_before_the_code_is_a_bad_pc() {
+    let (machine, exit) = run_insns(&[Insn::Nop, Insn::Call { target: -24 }, Insn::Ret]);
+    let RunExit::Fault(fault) = exit else {
+        panic!("expected a fault, got {exit:?}");
+    };
+    let pc = machine.image().entry - 24;
+    assert_eq!(fault.kind, FaultKind::BadPc { pc });
+    assert_eq!(fault.backtrace.len(), 1);
+    assert_eq!(
+        (
+            fault.backtrace[0].module.as_str(),
+            fault.backtrace[0].offset
+        ),
+        ("app", 12)
+    );
+    assert_eq!((machine.stats.instructions, machine.stats.calls), (2, 1));
 }

@@ -14,9 +14,10 @@
 
 use std::sync::Arc;
 
-use lfi_arch::errno;
+use lfi_arch::{errno, sys, AluOp, Cond, Insn, Reg, Word, INSN_SIZE};
 use lfi_asm::assemble_text;
 use lfi_core::{TestConfig, Workload};
+use lfi_obj::{Export, Module, ModuleKind, SymKind};
 use lfi_targets::{
     bind_lite, run_bft_cluster, standard_controller, BftClusterConfig, BindWorkload,
 };
@@ -598,4 +599,265 @@ fn ret_outside_every_module_fault_is_pinned() {
         }
     );
     assert_eq!(fingerprint, 3431586643758545714);
+}
+
+/// Registers the generated programs below rotate through: every general
+/// register and the frame pointer (the stack pointer holds their results).
+const ROTATION: [Reg; 17] = [
+    Reg::R(0),
+    Reg::R(1),
+    Reg::R(2),
+    Reg::R(3),
+    Reg::R(4),
+    Reg::R(5),
+    Reg::R(6),
+    Reg::R(7),
+    Reg::R(8),
+    Reg::R(9),
+    Reg::R(10),
+    Reg::R(11),
+    Reg::R(12),
+    Reg::R(13),
+    Reg::R(14),
+    Reg::R(15),
+    Reg::Fp,
+];
+
+/// Build `main` from `body`, which pushes `results` words, then write
+/// those words to stdout (the deepest first, so in reverse order of
+/// their pushes) and return 0. Run it to completion.
+fn run_pushing(mut body: Vec<Insn>, results: usize) -> AsmPin {
+    body.extend([
+        Insn::MovI {
+            dst: Reg::R(1),
+            imm: 1,
+        },
+        Insn::MovR {
+            dst: Reg::R(2),
+            src: Reg::Sp,
+        },
+        Insn::MovI {
+            dst: Reg::R(3),
+            imm: results as Word * 8,
+        },
+        Insn::Sys { num: sys::WRITE },
+        Insn::MovI {
+            dst: Reg::R(0),
+            imm: 0,
+        },
+        Insn::Ret,
+    ]);
+    let mut exe = Module::new("app", ModuleKind::Executable);
+    for insn in &body {
+        exe.code.extend_from_slice(&insn.encode());
+    }
+    exe.exports.push(Export {
+        name: "main".into(),
+        kind: SymKind::Func,
+        offset: 0,
+        size: exe.code.len() as u64,
+    });
+    let image = Loader::new().load(exe).expect("program loads");
+    let mut machine = Machine::new(image, ProcessConfig::default());
+    let exit = machine.run_to_completion(&mut NoHooks);
+    AsmPin {
+        exit,
+        stats: machine.stats,
+        clock: machine.clock(),
+        fingerprint: machine.state_fingerprint(),
+        output: machine.output().to_vec(),
+    }
+}
+
+/// The words a [`run_pushing`] program wrote, in the order it pushed them.
+fn pushed_words(output: &[u8]) -> Vec<Word> {
+    let mut words: Vec<Word> = output
+        .chunks_exact(8)
+        .map(|chunk| Word::from_le_bytes(chunk.try_into().expect("8 bytes")))
+        .collect();
+    words.reverse();
+    words
+}
+
+/// Operand pairs for the ALU pin: signed division and remainder in every
+/// sign combination, wrapping at both ends of the range, `i64::MIN / -1`,
+/// and shift counts below 64, at 64, above it and negative.
+const ALU_OPERANDS: [(Word, Word); 16] = [
+    (7, 3),
+    (-7, 3),
+    (7, -3),
+    (-7, -3),
+    (i64::MIN, -1),
+    (i64::MAX, 1),
+    (i64::MIN, i64::MIN),
+    (0x0123_4567_89ab_cdef, 4),
+    (-0x0123_4567_89ab_cdef, 4),
+    (-0x0123_4567_89ab_cdef, 63),
+    (-0x0123_4567_89ab_cdef, 64),
+    (0x0123_4567_89ab_cdef, 65),
+    (-0x0123_4567_89ab_cdef, -1),
+    (0x0123_4567_89ab_cdef, -60),
+    (0x5555_5555_5555_5555, 0x3333_3333_3333_3333),
+    (-1, i64::MAX),
+];
+
+/// The documented ALU semantics: wrapping arithmetic, signed division
+/// truncating toward zero, arithmetic right shift, and shift counts taken
+/// mod 64.
+fn alu_reference(op: AluOp, a: Word, b: Word) -> Word {
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Mul => a.wrapping_mul(b),
+        AluOp::Div => a.wrapping_div(b),
+        AluOp::Mod => a.wrapping_rem(b),
+        AluOp::And => a & b,
+        AluOp::Or => a | b,
+        AluOp::Xor => a ^ b,
+        AluOp::Shl => a.wrapping_shl((b & 63) as u32),
+        AluOp::Shr => a.wrapping_shr((b & 63) as u32),
+    }
+}
+
+/// Every ALU operation in register and immediate form on every operand
+/// pair, rotating the destination and source through the register file.
+#[test]
+fn every_alu_op_in_both_forms_is_pinned() {
+    let mut body = Vec::new();
+    let mut expected = Vec::new();
+    for op in AluOp::ALL {
+        for (a, b) in ALU_OPERANDS {
+            let n = expected.len();
+            let dst = ROTATION[n % ROTATION.len()];
+            let src = ROTATION[(n + 5) % ROTATION.len()];
+            body.extend([
+                Insn::MovI { dst, imm: a },
+                Insn::MovI { dst: src, imm: b },
+                Insn::Alu { op, dst, src },
+                Insn::Push { src: dst },
+                Insn::MovI { dst: src, imm: a },
+                Insn::AluI {
+                    op,
+                    dst: src,
+                    imm: b,
+                },
+                Insn::Push { src },
+            ]);
+            expected.extend([alu_reference(op, a, b); 2]);
+        }
+    }
+    let pin = run_pushing(body, expected.len());
+    assert_eq!(pushed_words(&pin.output), expected);
+    assert_eq!(
+        (pin.exit, pin.stats, pin.clock, pin.fingerprint),
+        (
+            RunExit::Exited(0),
+            ExecStats {
+                instructions: 1126,
+                syscalls: 1,
+                calls: 0,
+                hooked_calls: 0,
+            },
+            1226,
+            712735409673775413,
+        )
+    );
+}
+
+/// Comparison pairs for the branch pin: each ordering, and the ends of the
+/// signed range (which an unsigned comparison would order the other way).
+const BRANCH_OPERANDS: [(Word, Word); 6] = [
+    (1, 2),
+    (2, 2),
+    (3, 2),
+    (i64::MIN, i64::MAX),
+    (i64::MAX, i64::MIN),
+    (-1, 1),
+];
+
+/// Every branch condition after `cmp` and after `cmpi`, taken and not
+/// taken: each case pushes 1 if the branch was taken and 0 if not.
+#[test]
+fn every_branch_condition_is_pinned() {
+    let mut body: Vec<Insn> = Vec::new();
+    let mut expected = Vec::new();
+    for cond in Cond::ALL {
+        for (a, b) in BRANCH_OPERANDS {
+            for immediate in [false, true] {
+                let n = expected.len();
+                let lhs = ROTATION[n % ROTATION.len()];
+                let rhs = ROTATION[(n + 3) % ROTATION.len()];
+                let taken = ROTATION[(n + 7) % ROTATION.len()];
+                body.push(Insn::MovI { dst: lhs, imm: a });
+                if immediate {
+                    body.push(Insn::CmpI { a: lhs, imm: b });
+                } else {
+                    body.push(Insn::MovI { dst: rhs, imm: b });
+                    body.push(Insn::Cmp { a: lhs, b: rhs });
+                }
+                // Skip the `movi 0` to the push.
+                let push_at = (body.len() + 3) as Word * INSN_SIZE as Word;
+                body.extend([
+                    Insn::MovI { dst: taken, imm: 1 },
+                    Insn::J {
+                        cond,
+                        target: push_at,
+                    },
+                    Insn::MovI { dst: taken, imm: 0 },
+                    Insn::Push { src: taken },
+                ]);
+                expected.push(Word::from(cond.holds(a.cmp(&b))));
+            }
+        }
+    }
+    let pin = run_pushing(body, expected.len());
+    assert_eq!(pushed_words(&pin.output), expected);
+    assert_eq!(
+        (pin.exit, pin.stats, pin.clock, pin.fingerprint),
+        (
+            RunExit::Exited(0),
+            ExecStats {
+                instructions: 438,
+                syscalls: 1,
+                calls: 0,
+                hooked_calls: 0,
+            },
+            538,
+            3590006788784501444,
+        )
+    );
+}
+
+/// Division and remainder by zero fault in both forms, after the
+/// instruction is counted and before its destination is written, so all
+/// four leave the same machine behind.
+#[test]
+fn div_and_mod_by_zero_faults_are_pinned() {
+    for insn in ["div r1, r3", "divi r1, 0", "mod r1, r3", "modi r1, 0"] {
+        let (fault, got) = run_to_fault(&format!(
+            r#"
+            .module app exe
+            .func main
+                movi r1, 5
+                call helper
+                ret
+            .func helper
+                movi r3, 0
+                {insn}
+                ret
+        "#
+        ));
+        assert_eq!(
+            fault,
+            Fault {
+                kind: FaultKind::DivideByZero,
+                module: "app".to_string(),
+                offset: 48,
+                thread: 1,
+                backtrace: vec![frame("app", 12, "main")],
+            },
+            "{insn}"
+        );
+        assert_eq!(got, 17208351529257560387, "{insn}");
+    }
 }

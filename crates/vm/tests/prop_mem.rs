@@ -9,7 +9,7 @@
 //! top of the address space reports `AddressOverflow` at the first byte
 //! that would wrap. Random operation sequences run against both, over a
 //! handful of pages (including the topmost page) with addresses biased to
-//! page edges, and must agree on every value, every error, the partially
+//! page edges and to unaligned words inside a page, and must agree on every value, every error, the partially
 //! filled read buffers, `digest()`, `mapped_bytes()` and — across a
 //! clone — `pages_shared_with`.
 
@@ -135,13 +135,22 @@ const PAGES: [u64; 8] = [
     u64::MAX / PAGE_SIZE,
 ];
 
-/// An address on one of [`PAGES`], usually within a word of a page edge.
+/// In-page offset of the words that unaligned accesses overlap on: four
+/// words in the middle of a page, so their split loads and stores do not
+/// straddle a page.
+const HOT_WORDS: u64 = 0x7f0;
+
+/// An address on one of [`PAGES`]: usually within a word of a page edge,
+/// often at any byte of four words in the middle of the page (so
+/// unaligned words overlap each other and aligned ones), and otherwise
+/// anywhere in the page.
 fn address() -> impl Strategy<Value = u64> {
-    (0..PAGES.len(), 0u64..24, any::<bool>(), 0u64..PAGE_SIZE).prop_map(
+    (0..PAGES.len(), 0u64..40, any::<bool>(), 0u64..PAGE_SIZE).prop_map(
         |(page, near, from_end, anywhere)| {
             let offset = match near {
                 0..=15 if from_end => PAGE_SIZE - 1 - near,
                 0..=15 => near,
+                16..=31 => HOT_WORDS + 2 * (near - 16) + u64::from(from_end),
                 _ => anywhere,
             };
             PAGES[page] * PAGE_SIZE + offset
