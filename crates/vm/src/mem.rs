@@ -64,13 +64,6 @@ impl Page {
         Page([const { AtomicU64::new(0) }; PAGE_WORDS])
     }
 
-    /// A private copy of this page.
-    fn copy(&self) -> Page {
-        Page(std::array::from_fn(|index| {
-            AtomicU64::new(self.word(index))
-        }))
-    }
-
     // The accessors mask word indices to the page so the compiler drops
     // the bounds checks; callers keep offsets inside the page.
 
@@ -193,7 +186,10 @@ fn unshare(page: &mut Arc<Page>) -> &Page {
 #[cold]
 #[inline(never)]
 fn copy_into(page: &mut Arc<Page>) {
-    *page = Arc::new(page.copy());
+    let copy = Page(std::array::from_fn(|index| {
+        AtomicU64::new(page.word(index))
+    }));
+    *page = Arc::new(copy);
 }
 
 /// Hasher for the VM's integer-keyed maps: one multiply by a 64-bit odd

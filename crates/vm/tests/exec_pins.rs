@@ -601,27 +601,11 @@ fn ret_outside_every_module_fault_is_pinned() {
     assert_eq!(fingerprint, 3431586643758545714);
 }
 
-/// Registers the generated programs below rotate through: every general
-/// register and the frame pointer (the stack pointer holds their results).
-const ROTATION: [Reg; 17] = [
-    Reg::R(0),
-    Reg::R(1),
-    Reg::R(2),
-    Reg::R(3),
-    Reg::R(4),
-    Reg::R(5),
-    Reg::R(6),
-    Reg::R(7),
-    Reg::R(8),
-    Reg::R(9),
-    Reg::R(10),
-    Reg::R(11),
-    Reg::R(12),
-    Reg::R(13),
-    Reg::R(14),
-    Reg::R(15),
-    Reg::Fp,
-];
+/// Registers the generated programs below rotate through: every register
+/// but the stack pointer, which holds their results.
+fn rotation() -> Vec<Reg> {
+    Reg::all().filter(|&r| r != Reg::Sp).collect()
+}
 
 /// Build `main` from `body`, which pushes `results` words, then write
 /// those words to stdout (the deepest first, so in reverse order of
@@ -723,13 +707,14 @@ fn alu_reference(op: AluOp, a: Word, b: Word) -> Word {
 /// pair, rotating the destination and source through the register file.
 #[test]
 fn every_alu_op_in_both_forms_is_pinned() {
+    let regs = rotation();
     let mut body = Vec::new();
     let mut expected = Vec::new();
     for op in AluOp::ALL {
         for (a, b) in ALU_OPERANDS {
             let n = expected.len();
-            let dst = ROTATION[n % ROTATION.len()];
-            let src = ROTATION[(n + 5) % ROTATION.len()];
+            let dst = regs[n % regs.len()];
+            let src = regs[(n + 5) % regs.len()];
             body.extend([
                 Insn::MovI { dst, imm: a },
                 Insn::MovI { dst: src, imm: b },
@@ -779,15 +764,16 @@ const BRANCH_OPERANDS: [(Word, Word); 6] = [
 /// taken: each case pushes 1 if the branch was taken and 0 if not.
 #[test]
 fn every_branch_condition_is_pinned() {
+    let regs = rotation();
     let mut body: Vec<Insn> = Vec::new();
     let mut expected = Vec::new();
     for cond in Cond::ALL {
         for (a, b) in BRANCH_OPERANDS {
             for immediate in [false, true] {
                 let n = expected.len();
-                let lhs = ROTATION[n % ROTATION.len()];
-                let rhs = ROTATION[(n + 3) % ROTATION.len()];
-                let taken = ROTATION[(n + 7) % ROTATION.len()];
+                let lhs = regs[n % regs.len()];
+                let rhs = regs[(n + 3) % regs.len()];
+                let taken = regs[(n + 7) % regs.len()];
                 body.push(Insn::MovI { dst: lhs, imm: a });
                 if immediate {
                     body.push(Insn::CmpI { a: lhs, imm: b });
