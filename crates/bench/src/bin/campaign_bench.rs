@@ -55,10 +55,10 @@ use lfi_campaign::{
 };
 use lfi_core::TestConfig;
 use lfi_json::Value;
-use lfi_supervisor::{run_supervised, sibling_worker_bin, SpaceSpec, SupervisorOptions};
+use lfi_supervisor::{
+    run_supervised, sibling_worker_bin, SpaceSpec, SupervisorOptions, TABLE1_TARGETS,
+};
 use lfi_targets::{git_lite, standard_controller, FsSetupWorkload, KNOWN_BUGS};
-
-const HUNT_TARGETS: [&str; 4] = ["bind-lite", "git-lite", "db-lite", "bft-lite"];
 
 fn usage() -> ! {
     eprintln!("usage: campaign_bench [--jobs N] [--out FILE] [--metrics-out FILE]");
@@ -235,9 +235,9 @@ fn main() {
     if sweep_fresh.report.records != sweep_snapshot.report.records {
         failures.push("throughput lanes produced different records".to_string());
     }
-    // Shared-deepening invariant: the claims table means no worker's
+    // Snapshot-tree invariant: prefetch walks hold their tree's lock, so no
     // deepening run is ever thrown away, at any worker count. A nonzero
-    // discard counter is a regression in the claim protocol, not noise.
+    // discard counter is a regression in the walk, not noise.
     let tree_counter = |name: &str| {
         sweep_snapshot
             .report
@@ -247,11 +247,10 @@ fn main() {
             .unwrap_or(0)
     };
     let deepen_discarded = tree_counter("tree_deepen_discarded");
-    let deepen_waited = tree_counter("tree_deepen_waited");
     let prefetch_nodes = tree_counter("tree_prefetch_nodes");
     if deepen_discarded != 0 {
         failures.push(format!(
-            "sweep discarded {deepen_discarded} deepening runs (claims table must make this 0)"
+            "sweep discarded {deepen_discarded} deepening runs (serialized walks must make this 0)"
         ));
     }
 
@@ -361,7 +360,7 @@ fn main() {
     }
 
     // Table 1 section: the full hunt, both backends.
-    let make_hunt = || StandardExecutor::new(&HUNT_TARGETS);
+    let make_hunt = || StandardExecutor::new(&TABLE1_TARGETS);
     let hunt_space = table1_fault_space(&make_hunt(), 7);
     let hunt_fresh = run_lane(&make_hunt, &hunt_space, jobs, ExecBackend::Fresh);
     let hunt_snapshot = run_lane(&make_hunt, &hunt_space, jobs, ExecBackend::Snapshot);
@@ -499,7 +498,6 @@ fn main() {
             "tree_deepen".to_string(),
             Value::Obj(vec![
                 ("discarded".to_string(), Value::Int(deepen_discarded as i64)),
-                ("waited".to_string(), Value::Int(deepen_waited as i64)),
                 (
                     "prefetched_nodes".to_string(),
                     Value::Int(prefetch_nodes as i64),
@@ -548,10 +546,7 @@ fn main() {
     }
     println!("telemetry collection overhead: {telemetry_overhead_pct:.1}% (budget: 5%)");
     println!("snapshot speedup (throughput sweep): {speedup:.2}x (artifact: {out})");
-    println!(
-        "tree deepen: discarded={deepen_discarded} waited={deepen_waited} \
-         prefetched_nodes={prefetch_nodes}"
-    );
+    println!("tree deepen: discarded={deepen_discarded} prefetched_nodes={prefetch_nodes}");
     println!("metrics snapshot artifact: {metrics_out}");
 
     if !failures.is_empty() {

@@ -233,12 +233,10 @@ fn render(streams: &[ShardStream]) {
     }
     let cache = cache_hit_rate(&merged_metrics)
         .map(|rate| {
-            // Shared-deepening health next to the hit rate: how often a
-            // worker parked on another's in-flight deepening run, and how
-            // many tree nodes batch prefetch materialized ahead of demand.
-            let waited = merged_metrics.counter("tree_deepen_waited");
+            // Snapshot-tree health next to the hit rate: how many tree
+            // nodes batch prefetch materialized ahead of demand.
             let prefetched = merged_metrics.counter("tree_prefetch_nodes");
-            format!("{rate:.1}% cache hit rate ({waited} waited, {prefetched} prefetched)")
+            format!("{rate:.1}% cache hit rate ({prefetched} prefetched)")
         })
         .unwrap_or_else(|| "cache hit rate n/a".to_string());
     let prune = prune_rate(&merged_metrics)

@@ -14,16 +14,10 @@ use lfi_campaign::{
     InjectionGuided, JsonlSink, Lease, LeaseMergeError, LeaseOutcome, OutcomeKind, RandomSample,
     StandardExecutor, Strategy, DEFAULT_SNAPSHOT_BUDGET,
 };
-use lfi_targets::{standard_controller, KNOWN_BUGS};
+use lfi_supervisor::{SpaceSpec, TABLE1_TARGETS};
+use lfi_targets::KNOWN_BUGS;
 
 use crate::experiments::{FoundBug, Table1};
-
-/// The targets the Table 1 hunt sweeps.
-const HUNT_TARGETS: [&str; 4] = ["bind-lite", "git-lite", "db-lite", "bft-lite"];
-
-/// The bft-lite functions the hunt injects into (a full cluster run per
-/// fault point is expensive; the paper's PBFT bugs live behind these).
-const BFT_FUNCTIONS: [&str; 6] = ["recvfrom", "sendto", "fopen", "fwrite", "open", "close"];
 
 /// Which search strategy drives the hunt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,23 +98,17 @@ pub struct Table1Campaign {
     pub tag: String,
 }
 
-/// Enumerate the Table 1 fault space: every call site of every profiled
-/// failing function of the single-process targets, plus the cluster
-/// target restricted to its harness functions — annotated with analyzer
-/// classifications and baseline reachability.
+/// Enumerate the Table 1 fault space ([`SpaceSpec::table1`]): every call
+/// site of every profiled failing function of the single-process targets,
+/// plus the cluster target restricted to its harness functions —
+/// annotated with analyzer classifications and baseline reachability
+/// under `seed`.
 pub fn table1_fault_space(executor: &StandardExecutor, seed: u64) -> FaultSpace {
-    let mut space = unannotated_space(executor);
-    executor.annotate_baseline_reachability(&mut space, seed);
-    space
-}
-
-/// The Table 1 fault points before annotation — annotation never adds or
-/// removes a point, so this also sizes the space.
-fn unannotated_space(executor: &StandardExecutor) -> FaultSpace {
-    let profile = standard_controller().profile_libraries();
-    let mut space = executor.fault_space(&HUNT_TARGETS, &profile);
-    space.retain(|p| p.target != "bft-lite" || BFT_FUNCTIONS.contains(&p.function.as_str()));
-    space
+    SpaceSpec {
+        baseline_seed: seed,
+        ..SpaceSpec::table1()
+    }
+    .build(executor)
 }
 
 /// The boxed strategy behind a [`HuntStrategy`] choice.
@@ -154,7 +142,7 @@ fn hunt_strategy(options: &HuntOptions) -> Box<dyn Strategy> {
 /// parse user input with [`lfi_campaign::parse_shard`] first.
 pub fn table1_campaign(options: &HuntOptions) -> Table1Campaign {
     // Only the four hunted targets are loaded; httpd-lite stays cold.
-    let executor = StandardExecutor::new(&HUNT_TARGETS);
+    let executor = StandardExecutor::new(&TABLE1_TARGETS);
     let space = table1_fault_space(&executor, options.seed);
     let (index, count) = options.shard;
     let lease = Lease::shard(index, count, space.len())
@@ -203,7 +191,9 @@ pub fn table1_merge(states: &[CampaignState]) -> Result<Table1Campaign, LeaseMer
         .first()
         .map(|outcome| outcome.plan_tag().to_string())
         .unwrap_or_default();
-    let points = unannotated_space(&StandardExecutor::new(&HUNT_TARGETS)).len();
+    let points = SpaceSpec::table1()
+        .enumerate(&StandardExecutor::new(&TABLE1_TARGETS))
+        .len();
     let report = CampaignReport::merge_leases(outcomes, points)?;
     Ok(Table1Campaign {
         table: match_known_bugs(&report),

@@ -97,9 +97,10 @@ impl<'a> CampaignBuilder<'a> {
     }
 
     /// Worker threads draining each batch (default: 1). Workers share
-    /// per-session snapshot state: under the snapshot backend, concurrent
-    /// deepening is claimed by one worker per session and siblings wait on
-    /// (or fork past) the in-flight walk instead of duplicating it.
+    /// per-session snapshot state: under the snapshot backend they only
+    /// fork resident snapshot-tree nodes, and the batch prefetch that
+    /// deepens the trees before each drain spreads its per-session walks
+    /// over the same number of threads.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.config.jobs = jobs;
         self

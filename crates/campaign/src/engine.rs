@@ -306,11 +306,12 @@ pub trait Executor: Sync {
     /// Hint the deduplicated `(target, workload, function)` keys of a batch
     /// the engine is about to drain (snapshot backend only), with up to
     /// `jobs` threads' worth of parallelism available. Executors that
-    /// snapshot can warm sessions speculatively — the stock executor
-    /// materializes every snapshot-tree depth the batch will fork in one
-    /// shared deepening walk per session, so the first unit per depth pays
-    /// a fork instead of the whole walk. A pure performance hint: results
-    /// must not depend on it. The default does nothing.
+    /// snapshot can warm sessions speculatively. The stock executor deepens
+    /// its snapshot trees only here: one walk per session materializes
+    /// every depth the batch will fork, so each unit pays a fork instead of
+    /// replaying its prefix, and a unit whose depth was not prefetched forks
+    /// a shallower node. A pure performance hint: results must not depend
+    /// on it. The default does nothing.
     fn prefetch_batch(&self, _units: &[PrefetchKey], _jobs: usize) {}
 
     /// The 1-based injectable-call depth at which `function` is first
@@ -1228,8 +1229,7 @@ mod tests {
     /// (wall-clock scaling then only depends on available cores).
     struct RendezvousExecutor {
         expected: usize,
-        inside: std::sync::Mutex<usize>,
-        all_in: std::sync::Condvar,
+        inside: AtomicUsize,
     }
 
     impl Executor for RendezvousExecutor {
@@ -1238,22 +1238,16 @@ mod tests {
         }
 
         fn execute(&self, _unit: &WorkUnit) -> Execution {
-            let mut inside = self.inside.lock().unwrap();
-            *inside += 1;
-            if *inside >= self.expected {
-                self.all_in.notify_all();
-            } else {
-                // Wait (bounded) until every other worker has arrived; a
-                // serial pool would deadlock here and hit the timeout.
-                let deadline = std::time::Duration::from_secs(10);
-                while *inside < self.expected {
-                    let (guard, result) = self.all_in.wait_timeout(inside, deadline).unwrap();
-                    inside = guard;
-                    assert!(
-                        !result.timed_out(),
-                        "workers never overlapped: the pool is not parallel"
-                    );
-                }
+            self.inside.fetch_add(1, Ordering::SeqCst);
+            // Wait (bounded) until every other worker has arrived; a
+            // serial pool would never get past here and hit the deadline.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while self.inside.load(Ordering::SeqCst) < self.expected {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "workers never overlapped: the pool is not parallel"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
             }
             Execution {
                 outcome: OutcomeKind::Passed,
@@ -1269,8 +1263,7 @@ mod tests {
     fn workers_execute_units_concurrently() {
         let executor = RendezvousExecutor {
             expected: 4,
-            inside: std::sync::Mutex::new(0),
-            all_in: std::sync::Condvar::new(),
+            inside: AtomicUsize::new(0),
         };
         let report = Campaign::builder(demo_space(4), &executor)
             .jobs(4)

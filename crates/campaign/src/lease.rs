@@ -68,10 +68,13 @@ impl Lease {
     /// `points < count` leaves it no point. The grant id is `index`.
     pub fn shard(index: usize, count: usize, points: usize) -> Result<Lease, LeaseError> {
         check_shard(index, count)?;
+        // The products can overflow `usize` for a huge `count`; the
+        // quotient never exceeds `points`, so it narrows back losslessly.
+        let bound = |i: usize| (i as u128 * points as u128 / count as u128) as usize;
         Ok(Lease {
             id: index as u64,
-            start: index * points / count,
-            end: (index + 1) * points / count,
+            start: bound(index),
+            end: bound(index + 1),
         })
     }
 
@@ -491,6 +494,24 @@ mod tests {
         // A 2-point space split three ways leaves one shard empty.
         let empty = Lease::shard(0, 3, 2).unwrap();
         assert_eq!((empty.start, empty.end), (0, 0));
+    }
+
+    #[test]
+    fn shards_of_a_huge_count_do_not_overflow() {
+        let count = 100_000_000_000_000_001usize;
+        let last = Lease::shard(count - 1, count, 285).unwrap();
+        assert_eq!((last.start, last.end), (284, 285));
+        let count = usize::MAX;
+        let last = Lease::shard(count - 1, count, 285).unwrap();
+        assert_eq!(last.end, 285);
+        let shards: Vec<Lease> = (count - 4..count)
+            .map(|index| Lease::shard(index, count, usize::MAX).unwrap())
+            .collect();
+        for pair in shards.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        assert_eq!(shards[3].end, usize::MAX);
+        assert_eq!(Lease::shard(0, count, usize::MAX).unwrap().start, 0);
     }
 
     #[test]

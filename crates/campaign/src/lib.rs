@@ -52,7 +52,8 @@
 //!   JSON wire format, and [`JsonlSink`] streams it line-by-line to disk
 //!   for out-of-process tails (the `campaign_status` bin);
 //! * [`standard`] — a ready-made [`Executor`] for the stock `*-lite`
-//!   evaluation targets.
+//!   evaluation targets; its snapshot sessions grow call-indexed snapshot
+//!   trees that only the batch prefetch deepens.
 //!
 //! ```
 //! use lfi_campaign::{Campaign, CoverageAdaptive, StandardExecutor};
@@ -83,6 +84,7 @@ pub mod space;
 pub mod standard;
 pub mod state;
 pub mod strategy;
+mod tree;
 pub mod triage;
 
 pub use adaptive::CoverageAdaptive;

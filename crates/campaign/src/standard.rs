@@ -15,26 +15,22 @@
 //!   *every* profiled failing library function (so one image serves every
 //!   unit, whatever it injects), is cached per target (loader work shared
 //!   across the target's workloads), and the workload runs once up to its
-//!   first injectable call, where a [`MachineSnapshot`] captures the tree's
-//!   root. The session then grows a *snapshot tree* keyed by
-//!   injectable-call index: a unit injecting a function first called at
-//!   call `k` forks the deepest resident snapshot certified to precede
-//!   call `k` — paying the prefix from the root once per function instead
-//!   of once per unit — reseeds the fork with its unit seed, and resumes
-//!   under its own injection engine. Deepening only extends the tree while
-//!   the run stays deterministic (pristine RNG, normal exits); anything
-//!   else caps the tree and units fall back to shallower nodes. Resident
-//!   snapshots are bounded by a byte budget with least-recently-used
-//!   eviction. bft-lite is a multi-process cluster and cannot snapshot;
-//!   its `prepare` returns `None` and units fall back to fresh cluster
-//!   runs, as do workloads whose prefix consumes randomness, crashes,
-//!   blocks, or exhausts the instruction budget before the first
-//!   injectable call.
+//!   first injectable call, where a snapshot captures the root of the
+//!   session's *snapshot tree*. A unit forks the deepest resident node
+//!   certified to precede its function's first injectable call, reseeds
+//!   the fork with its unit seed, and resumes under its own injection
+//!   engine. [`Executor::prefetch_batch`] is what deepens the trees: one
+//!   walk per session materializes every depth the batch will fork.
+//!   Resident snapshots are bounded by a byte budget with
+//!   least-recently-used eviction. bft-lite is a multi-process cluster
+//!   and cannot snapshot; its `prepare` returns `None` and units fall back
+//!   to fresh cluster runs, as do workloads whose prefix consumes
+//!   randomness, crashes, blocks, or exhausts the instruction budget before
+//!   the first injectable call.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lfi_core::{InjectionEngine, InjectionLog, TestConfig, TestOutcome, TestReport};
 use lfi_obj::Module;
@@ -43,20 +39,15 @@ use lfi_targets::{
     bft_lite, bind_lite, db_lite, git_lite, httpd_lite, networked_controller, run_bft_cluster,
     standard_controller, BftClusterConfig, BindWorkload, FsSetupWorkload,
 };
-use lfi_telemetry::{Counter, Gauge, Histogram, Telemetry};
-use lfi_vm::{Coverage, Fault, Image, Machine, MachineSnapshot, NetHandle, NoHooks, RunExit};
+use lfi_telemetry::{Counter, Histogram, Telemetry};
+use lfi_vm::{Coverage, Fault, Image, NetHandle, NoHooks, RunExit};
 
 use crate::engine::{
     derive_seed, CrashInfo, Execution, Executor, InjectedSite, OutcomeKind, PrefetchKey, Session,
     WorkUnit, DEFAULT_SNAPSHOT_BUDGET,
 };
 use crate::space::FaultSpace;
-
-/// Bound on how long a fork waits for a concurrent claimed deepening pass
-/// to materialize its want before giving up and forking the deepest
-/// resident ancestor instead (correct either way — waiting only buys a
-/// deeper fork point).
-const DEEPEN_WAIT_BOUND: Duration = Duration::from_millis(250);
+use crate::tree::{PreparedSession, SnapshotBudget, TreeMetrics};
 
 /// Every stock evaluation target.
 pub const STOCK_TARGETS: [&str; 5] = ["bind-lite", "git-lite", "db-lite", "bft-lite", "httpd-lite"];
@@ -171,198 +162,8 @@ type SessionKey = (String, Vec<String>);
 /// exhausted the instruction budget before the first injectable call).
 type SessionSlot = Arc<OnceLock<Option<Arc<PreparedSession>>>>;
 
-/// Shared accounting for the resident-snapshot byte budget: one cap and
-/// usage counter per executor, updated by every session tree as nodes are
-/// inserted and evicted. A tree that pushes `used` over `cap` evicts its
-/// own least-recently-used nodes; other trees trim themselves on their next
-/// insertion, so the cap is enforced cooperatively across sessions.
-struct SnapshotBudget {
-    cap: AtomicU64,
-    used: AtomicU64,
-}
-
-impl SnapshotBudget {
-    fn new(cap: u64) -> SnapshotBudget {
-        SnapshotBudget {
-            cap: AtomicU64::new(cap),
-            used: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One resident node of a session's snapshot tree.
-struct SnapshotNode {
-    /// 1-based injectable-call depth: the snapshot is paused just before
-    /// the `depth`-th injectable call of the workload (the root is depth 1,
-    /// today's flat-session pause point).
-    depth: usize,
-    /// Depth of the node this one was deepened from, for walking the
-    /// incremental-coverage chain (the root is its own parent).
-    parent_depth: usize,
-    snapshot: MachineSnapshot,
-    /// Coverage recorded between the parent node and this one — each node
-    /// stores only its increment; merging the increments down the path
-    /// reconstructs the full prefix coverage (the root's share lives in
-    /// [`PreparedSession::prefix_coverage`]).
-    post_coverage: Coverage,
-    /// [`MachineSnapshot::resident_bytes`] at creation, charged against the
-    /// executor's snapshot budget.
-    bytes: u64,
-    /// LRU stamp: the tree's tick at the last fork taken from this node.
-    last_use: u64,
-}
-
-/// The per-`(target, workload)` snapshot tree: resident prefix snapshots
-/// keyed by injectable-call index, plus the certified call trace they are
-/// indexed by.
-struct SnapshotTree {
-    /// `trace[i]` is the function of injectable call `i + 1`. Only extended
-    /// while the RNG stayed pristine, so every entry is certified
-    /// deterministic (seed-independent) and `at_index` replays along it are
-    /// guaranteed to reproduce it.
-    trace: Vec<String>,
-    /// Memoized first-call depths over `trace`: function → 1-based index of
-    /// its first certified call. Maintained by [`SnapshotTree::record_calls`]
-    /// so [`SnapshotTree::depth_of`] never rescans the trace on a fork.
-    first_depth: BTreeMap<String, usize>,
-    /// Resident nodes in ascending depth order; `nodes[0]` is the root and
-    /// is never evicted.
-    nodes: Vec<SnapshotNode>,
-    /// The trace covers the whole workload: no injectable calls exist
-    /// beyond it (the prefix, or a deepening run, ran to a clean exit).
-    complete: bool,
-    /// Deepening is disabled: a deepening run consumed randomness or ended
-    /// abnormally, so the trace cannot be extended. Resident nodes (all
-    /// certified before the cap) stay valid, and exact depths within the
-    /// certified trace can still be materialized.
-    capped: bool,
-    /// A claimed deepening pass ([`StandardExecutor::deepen_shared`]) is
-    /// walking this tree. Exactly one pass runs at a time; workers that
-    /// need deepening while a claim is held register their want below and
-    /// wait on [`PreparedSession::deepened`] instead of duplicating the
-    /// walk.
-    deepening: bool,
-    /// Exact depths workers/prefetchers want materialized. Consumed by the
-    /// claimed pass; reconciled against tree state by
-    /// [`SnapshotTree::normalize_wants`].
-    wanted_depths: BTreeSet<usize>,
-    /// Functions whose first-call depth is still unknown (discovery wants);
-    /// once the trace places one, it becomes an exact-depth want.
-    wanted_functions: BTreeSet<String>,
-    /// Monotonic fork counter driving the LRU stamps.
-    ticks: u64,
-}
-
-impl SnapshotTree {
-    /// The 1-based depth of the workload's first call to `function`, when
-    /// it lies within the certified trace (memoized — O(log n) map lookup).
-    fn depth_of(&self, function: &str) -> Option<usize> {
-        self.first_depth.get(function).copied()
-    }
-
-    /// Whether a node at exactly `depth` is resident.
-    fn resident(&self, depth: usize) -> bool {
-        self.nodes.iter().any(|n| n.depth == depth)
-    }
-
-    /// Reconcile the registered wants with the tree's current state:
-    /// discovery wants the certified trace now places become exact-depth
-    /// wants (clamped to `max_depth`), discovery wants on a tree whose
-    /// trace can no longer extend are dropped, and depth wants already
-    /// resident — or outside the certified/capped reach — are dropped.
-    fn normalize_wants(&mut self, max_depth: usize) {
-        let placed: Vec<(String, usize)> = self
-            .wanted_functions
-            .iter()
-            .filter_map(|f| self.first_depth.get(f).map(|&d| (f.clone(), d)))
-            .collect();
-        for (function, depth) in placed {
-            self.wanted_functions.remove(&function);
-            self.wanted_depths.insert(depth.min(max_depth));
-        }
-        if self.complete || self.capped {
-            self.wanted_functions.clear();
-        }
-        let resident: Vec<usize> = self.nodes.iter().map(|n| n.depth).collect();
-        let trace_len = self.trace.len();
-        self.wanted_depths
-            .retain(|&d| d <= max_depth && d <= trace_len && !resident.contains(&d));
-    }
-
-    /// Index of the deepest resident node at depth <= `depth` (the root,
-    /// at depth 1, always qualifies).
-    fn deepest_at_most(&self, depth: usize) -> usize {
-        self.nodes
-            .iter()
-            .rposition(|n| n.depth <= depth)
-            .unwrap_or(0)
-    }
-
-    /// Record `calls` as injectable calls `base..base + calls.len()`
-    /// (1-based), verifying overlap with the already-certified trace — a
-    /// mismatch would mean a deepening run diverged from the certified
-    /// path, which the pristine-RNG discipline is supposed to preclude.
-    fn record_calls(&mut self, base: usize, calls: &[String]) {
-        for (i, call) in calls.iter().enumerate() {
-            let index = base + i; // 1-based call index
-            match self.trace.get(index - 1) {
-                Some(known) => debug_assert_eq!(
-                    known, call,
-                    "deepening run diverged from the certified call trace"
-                ),
-                None => {
-                    debug_assert_eq!(self.trace.len(), index - 1);
-                    self.first_depth.entry(call.clone()).or_insert(index);
-                    self.trace.push(call.clone());
-                }
-            }
-        }
-    }
-}
-
-/// One prepared session: the workload's snapshot tree, its prefix
-/// coverage, and the budget accounting forks are charged under.
-struct PreparedSession {
-    /// Coverage recorded by the shared prefix up to the root pause point,
-    /// stripped out of the snapshots so injection forks do not clone it;
-    /// baseline-reachability forks merge it back with their continuation's
-    /// coverage.
-    prefix_coverage: Coverage,
-    /// The per-run instruction budget this session was prepared under
-    /// (forks run with this minus their fork point's consumption, so
-    /// budget exhaustion behaves exactly like a fresh run).
-    max_instructions: u64,
-    /// Shared resident-byte accounting with the owning executor.
-    budget: Arc<SnapshotBudget>,
-    tree: Mutex<SnapshotTree>,
-    /// Signaled by the claimed deepening pass after every node it
-    /// materializes (and when the claim is released), waking workers
-    /// blocked in [`StandardExecutor::fork_for`] on a registered want.
-    deepened: Condvar,
-}
-
-impl PreparedSession {
-    /// Fork the root node (the flat-session pause point) — the entry point
-    /// baseline-reachability profiling resumes from.
-    fn root_fork(&self) -> (Machine, u64) {
-        let mut tree = self.tree.lock().unwrap();
-        fork_node(&mut tree, 0, self.max_instructions)
-    }
-}
-
-/// Fork the node at `index`, bumping its LRU stamp; returns the machine and
-/// the instruction budget it has left.
-fn fork_node(tree: &mut SnapshotTree, index: usize, max_instructions: u64) -> (Machine, u64) {
-    tree.ticks += 1;
-    let ticks = tree.ticks;
-    let node = &mut tree.nodes[index];
-    node.last_use = ticks;
-    let budget_left = max_instructions.saturating_sub(node.snapshot.stats().instructions);
-    (node.snapshot.fork(), budget_left)
-}
-
 /// Pre-resolved telemetry handles for the executor's hot paths, so forks
-/// and deepening runs never take the registry's name-lookup mutex.
+/// and prefetch walks never take the registry's name-lookup mutex.
 struct ExecMetrics {
     /// Wall time of the whole static-analysis phase of `fault_space`
     /// (classification, propagation, and pruning, per call).
@@ -374,39 +175,9 @@ struct ExecMetrics {
     /// Fault points whose analysis came from a truncated CFG walk.
     analysis_sites_low_confidence: Counter,
     session_prepare_micros: Histogram,
-    tree_fork_micros: Histogram,
-    tree_deepen_micros: Histogram,
     /// Wall time of batch prefetch passes ([`Executor::prefetch_batch`]).
     tree_prefetch_micros: Histogram,
-    /// Forks served by a node the forking unit did not have to deepen for:
-    /// already resident, or materialized by a concurrent pass / batch
-    /// prefetch while the unit waited.
-    tree_fork_hits: Counter,
-    /// Forks served by a node the forking unit's own deepening pass had to
-    /// materialize.
-    tree_fork_misses: Counter,
-    tree_nodes_materialized: Counter,
-    tree_nodes_evicted: Counter,
-    /// Safety net: a claimed deepening pass found its wanted depth already
-    /// resident. The claims protocol makes passes mutually exclusive, so
-    /// this should always read 0 — a nonzero value means duplicated
-    /// deepening work (the pre-claims race) has regressed, and CI asserts
-    /// on it.
-    tree_deepen_discarded: Counter,
-    /// Forks that blocked on a concurrent claimed deepening pass instead
-    /// of duplicating its walk.
-    tree_deepen_waited: Counter,
-    /// Claimed deepening passes run (each may materialize many nodes).
-    tree_deepen_claimed: Counter,
-    /// Claimed passes initiated by a batch prefetch hint.
-    tree_prefetch_runs: Counter,
-    /// Nodes materialized by prefetch-initiated passes.
-    tree_prefetch_nodes: Counter,
-    /// High-water mark of resident snapshot bytes across all sessions.
-    snapshot_resident_bytes_hw: Gauge,
-    /// Per-depth fork counters (`tree_fork_depth_<d>`), resolved lazily —
-    /// depths observed depend on the workloads.
-    fork_depths: Mutex<BTreeMap<usize, Counter>>,
+    tree: TreeMetrics,
 }
 
 impl ExecMetrics {
@@ -417,34 +188,9 @@ impl ExecMetrics {
             analysis_sites_pruned: telemetry.counter("analysis_sites_pruned"),
             analysis_sites_low_confidence: telemetry.counter("analysis_sites_low_confidence"),
             session_prepare_micros: telemetry.histogram("session_prepare_micros"),
-            tree_fork_micros: telemetry.histogram("tree_fork_micros"),
-            tree_deepen_micros: telemetry.histogram("tree_deepen_micros"),
             tree_prefetch_micros: telemetry.histogram("tree_prefetch_micros"),
-            tree_fork_hits: telemetry.counter("tree_fork_hits"),
-            tree_fork_misses: telemetry.counter("tree_fork_misses"),
-            tree_nodes_materialized: telemetry.counter("tree_nodes_materialized"),
-            tree_nodes_evicted: telemetry.counter("tree_nodes_evicted"),
-            tree_deepen_discarded: telemetry.counter("tree_deepen_discarded"),
-            tree_deepen_waited: telemetry.counter("tree_deepen_waited"),
-            tree_deepen_claimed: telemetry.counter("tree_deepen_claimed"),
-            tree_prefetch_runs: telemetry.counter("tree_prefetch_runs"),
-            tree_prefetch_nodes: telemetry.counter("tree_prefetch_nodes"),
-            snapshot_resident_bytes_hw: telemetry.gauge("snapshot_resident_bytes_hw"),
-            fork_depths: Mutex::new(BTreeMap::new()),
+            tree: TreeMetrics::resolve(telemetry),
         }
-    }
-
-    /// Count one fork taken from a node at `depth`.
-    fn fork_at_depth(&self, telemetry: &Telemetry, depth: usize) {
-        if !telemetry.enabled() {
-            return;
-        }
-        self.fork_depths
-            .lock()
-            .unwrap()
-            .entry(depth)
-            .or_insert_with(|| telemetry.counter(&format!("tree_fork_depth_{depth}")))
-            .inc();
     }
 }
 
@@ -532,7 +278,8 @@ impl StandardExecutor {
 
     /// Cap the injectable-call depth sessions keep snapshots at. `1`
     /// restores the flat model: one snapshot per session at the first
-    /// injectable call, no deepening.
+    /// injectable call, no deepening. Sessions keep the cap they were
+    /// prepared under, so call before any unit executes.
     pub fn set_max_session_depth(&mut self, depth: usize) {
         self.max_session_depth = depth.max(1);
     }
@@ -606,7 +353,7 @@ impl StandardExecutor {
     /// Build the session tree root for one `(target, workload)` pair: set
     /// up the workload, run to the first injectable call, snapshot.
     /// Coverage recording stays on during the prefix so
-    /// baseline-reachability forks and deepening runs keep accumulating;
+    /// baseline-reachability forks and prefetch walks keep accumulating;
     /// injection forks switch it off.
     ///
     /// Returns `None` — refusing to snapshot, so the pair's units run
@@ -648,378 +395,24 @@ impl StandardExecutor {
             controller.prepare_session(image, self.injectable(), &mut FsSetupWorkload, &config)
         };
         prep.fork_budget(max_instructions)?;
-        let mut machine = prep.machine;
-        if !machine.rng_is_pristine() {
+        if !prep.machine.rng_is_pristine() {
             return None;
         }
-        let prefix_coverage = machine.take_coverage();
         // `fork_budget` left only two prefix exits standing: paused at the
         // first injectable call (the normal case), or a clean exit meaning
-        // the workload has no injectable calls at all — its trace is empty
-        // and complete, and forks of the finished machine replay the exit.
-        let mut trace = Vec::new();
-        let mut first_depth = BTreeMap::new();
-        let complete = match prep.prefix_exit {
-            RunExit::Paused => {
-                let paused = prep.paused_at.clone().expect("paused prefix names a call");
-                first_depth.insert(paused.clone(), 1);
-                trace.push(paused);
-                false
-            }
-            _ => true,
+        // the workload has no injectable calls at all.
+        let paused_at = match prep.prefix_exit {
+            RunExit::Paused => Some(prep.paused_at.expect("paused prefix names a call")),
+            _ => None,
         };
-        let snapshot = machine.snapshot();
-        let bytes = snapshot.resident_bytes();
-        self.snapshot_budget
-            .used
-            .fetch_add(bytes, Ordering::Relaxed);
-        self.metrics.tree_nodes_materialized.inc();
-        self.metrics
-            .snapshot_resident_bytes_hw
-            .set_max(self.snapshot_budget.used.load(Ordering::Relaxed));
-        let root = SnapshotNode {
-            depth: 1,
-            parent_depth: 1,
-            snapshot,
-            post_coverage: Coverage::new(),
-            bytes,
-            last_use: 0,
-        };
-        Some(PreparedSession {
-            prefix_coverage,
+        Some(PreparedSession::new(
+            prep.machine,
+            paused_at,
             max_instructions,
-            budget: self.snapshot_budget.clone(),
-            tree: Mutex::new(SnapshotTree {
-                trace,
-                first_depth,
-                nodes: vec![root],
-                complete,
-                capped: false,
-                deepening: false,
-                wanted_depths: BTreeSet::new(),
-                wanted_functions: BTreeSet::new(),
-                ticks: 0,
-            }),
-            deepened: Condvar::new(),
-        })
-    }
-
-    /// Fork the right tree node for a unit injecting `function`: the
-    /// deepest resident snapshot certified to precede the workload's first
-    /// interception of `function` (before that call every unit of the
-    /// session behaves identically, whatever it injects — the engine
-    /// charges trigger evaluations only against its own scenario's
-    /// function).
-    ///
-    /// When no resident node sits at the target depth yet, the unit
-    /// registers a *want* on the tree — an exact depth when the certified
-    /// trace places the function, a discovery want when it does not — and
-    /// then either:
-    ///
-    /// * **claims** the tree's single deepening pass
-    ///   ([`StandardExecutor::deepen_shared`]) when none is running, or
-    /// * **waits** (bounded by [`DEEPEN_WAIT_BOUND`]) for the in-flight
-    ///   pass to materialize the want, instead of duplicating the same
-    ///   certified walk — the pre-claims protocol re-ran the path and
-    ///   discarded the loser's snapshot.
-    ///
-    /// A wait that times out falls back to the deepest resident ancestor:
-    /// correct (the ancestor precedes the target call), just a shallower
-    /// fork. Hit/miss accounting is by provenance: a fork is a miss only
-    /// when this unit's own pass materialized the node it forks; nodes
-    /// already resident — including ones another worker's pass or a batch
-    /// prefetch produced while this unit waited — are hits.
-    fn fork_for(&self, prepared: &PreparedSession, function: &str) -> (Machine, u64) {
-        let _span = self.metrics.tree_fork_micros.start();
-        let mut tree = prepared.tree.lock().unwrap();
-        if self.max_session_depth <= 1 {
-            self.metrics.tree_fork_hits.inc();
-            self.metrics.fork_at_depth(&self.telemetry, 1);
-            return fork_node(&mut tree, 0, prepared.max_instructions);
-        }
-        let mut waited = false;
-        let mut give_up = false;
-        let mut own_runs = 0usize;
-        let mut own_inserted: Vec<usize> = Vec::new();
-        loop {
-            let discovery = tree.depth_of(function).is_none() && !tree.complete && !tree.capped;
-            let target = tree
-                .depth_of(function)
-                .unwrap_or(usize::MAX)
-                .min(self.max_session_depth);
-            let index = tree.deepest_at_most(target);
-            let needs_node =
-                !discovery && tree.nodes[index].depth < target && target <= tree.trace.len();
-            // `own_runs` bounds pathological trees whose wants keep failing
-            // (a cap inside the certified region): after two of our own
-            // passes we serve whatever is resident.
-            if (!discovery && !needs_node) || give_up || own_runs >= 2 {
-                let depth = tree.nodes[index].depth;
-                if own_inserted.contains(&depth) {
-                    self.metrics.tree_fork_misses.inc();
-                } else {
-                    self.metrics.tree_fork_hits.inc();
-                }
-                self.metrics.fork_at_depth(&self.telemetry, depth);
-                return fork_node(&mut tree, index, prepared.max_instructions);
-            }
-            // Register the want so whichever pass runs — ours or the
-            // in-flight claimant's — materializes it.
-            if discovery {
-                tree.wanted_functions.insert(function.to_string());
-            } else {
-                tree.wanted_depths.insert(target);
-            }
-            if tree.deepening {
-                if !waited {
-                    self.metrics.tree_deepen_waited.inc();
-                    waited = true;
-                }
-                let (guard, timeout) = prepared
-                    .deepened
-                    .wait_timeout(tree, DEEPEN_WAIT_BOUND)
-                    .unwrap();
-                tree = guard;
-                give_up = timeout.timed_out() && tree.deepening;
-            } else {
-                own_runs += 1;
-                let (guard, inserted) = self.deepen_shared(prepared, tree, false);
-                tree = guard;
-                own_inserted.extend(inserted);
-            }
-        }
-    }
-
-    /// The tree's single claimed deepening pass: while wants are registered
-    /// — exact depths to materialize, functions to discover — step the
-    /// workload one injectable call at a time along the certified path
-    /// (unseeded: deepening stays on the root seed's path, which is what
-    /// the certified trace describes), snapshotting **every** wanted depth
-    /// it passes. One walk therefore materializes all intermediate nodes a
-    /// batch needs, instead of one endpoint per run; wants registered by
-    /// other workers *while the pass runs* are absorbed into the same walk.
-    ///
-    /// Each step's endpoint decides the tree's fate exactly as before:
-    /// paused + pristine RNG certifies the next call into the trace;
-    /// exited + pristine marks the trace complete; anything else
-    /// (randomness consumed, crash, block, budget) caps the tree — resident
-    /// nodes stay valid, and remaining wants within the already-certified
-    /// trace are still served by re-forking the deepest resident ancestor.
-    ///
-    /// The tree mutex is released around every step (the forked machine is
-    /// self-contained), so waiters and new want registrations interleave
-    /// with the walk; the claim flag keeps passes mutually exclusive, which
-    /// is what guarantees `tree_deepen_discarded` stays 0. Returns the
-    /// re-acquired guard and the depths this pass materialized.
-    fn deepen_shared<'a>(
-        &self,
-        prepared: &'a PreparedSession,
-        mut tree: MutexGuard<'a, SnapshotTree>,
-        prefetch: bool,
-    ) -> (MutexGuard<'a, SnapshotTree>, Vec<usize>) {
-        let _span = self.metrics.tree_deepen_micros.start();
-        debug_assert!(!tree.deepening, "claims are mutually exclusive");
-        tree.deepening = true;
-        self.metrics.tree_deepen_claimed.inc();
-        if prefetch {
-            self.metrics.tree_prefetch_runs.inc();
-        }
-        let mut inserted = Vec::new();
-        // The walk: a machine paused before injectable call `at`, plus the
-        // depth of the resident node its accumulated coverage extends
-        // (`cov_parent` — coverage is drained at every materialized node,
-        // so each node stores only its increment).
-        let mut stepper: Option<(Machine, usize, usize)> = None;
-        loop {
-            tree.normalize_wants(self.max_session_depth);
-            let depth_goal = tree.wanted_depths.iter().next().copied();
-            let discovering = !tree.wanted_functions.is_empty();
-            if depth_goal.is_none() && !discovering {
-                break;
-            }
-            let bound = depth_goal.unwrap_or(usize::MAX);
-            // (Re-)position the walk: fork the deepest resident ancestor
-            // when no machine is in flight, when a new shallower want
-            // arrived behind the machine, or when a resident node now sits
-            // deeper than the machine (forking it skips re-stepping).
-            let index = tree.deepest_at_most(bound);
-            let node_depth = tree.nodes[index].depth;
-            let refork = match &stepper {
-                Some((_, at, _)) => *at > bound || node_depth > *at,
-                None => true,
-            };
-            if refork {
-                let (machine, _) = fork_node(&mut tree, index, prepared.max_instructions);
-                stepper = Some((machine, node_depth, node_depth));
-            }
-            let (mut machine, at, cov_parent) = stepper.take().expect("walk was positioned");
-            if depth_goal == Some(at) {
-                // Paused exactly at a wanted depth: record it.
-                tree.wanted_depths.remove(&at);
-                if tree.resident(at) {
-                    // Unreachable under the claim (normalize_wants drops
-                    // resident wants and only this pass inserts); kept as
-                    // a counted safety net so a regression is visible.
-                    self.metrics.tree_deepen_discarded.inc();
-                    self.telemetry.note(
-                        "snapshot-tree",
-                        format!("claimed deepening pass found depth {at} already resident"),
-                    );
-                    stepper = Some((machine, at, cov_parent));
-                } else {
-                    let post_coverage = machine.take_coverage();
-                    let snapshot = machine.snapshot();
-                    let bytes = snapshot.resident_bytes();
-                    let last_use = tree.ticks;
-                    self.insert_node(
-                        prepared,
-                        &mut tree,
-                        SnapshotNode {
-                            depth: at,
-                            parent_depth: cov_parent,
-                            snapshot,
-                            post_coverage,
-                            bytes,
-                            last_use,
-                        },
-                    );
-                    self.metrics.tree_nodes_materialized.inc();
-                    if prefetch {
-                        self.metrics.tree_prefetch_nodes.inc();
-                    }
-                    inserted.push(at);
-                    // Keep walking only while the coverage lineage stays
-                    // resident: a starved budget can evict the node on
-                    // insertion, and chaining the next increment to the
-                    // hole would lose the evicted interval's coverage.
-                    stepper = tree.resident(at).then_some((machine, at, at));
-                }
-                prepared.deepened.notify_all();
-                continue;
-            }
-            // Advance one injectable call. The fork is self-contained —
-            // evictions or extensions of the tree while the step runs
-            // cannot invalidate it — so the lock is dropped meanwhile.
-            drop(tree);
-            let prep = standard_controller().step_session(
-                machine,
-                self.injectable().iter().cloned(),
-                prepared.max_instructions,
-            );
-            let machine = prep.machine;
-            tree = prepared.tree.lock().unwrap();
-            if !machine.rng_is_pristine() {
-                tree.capped = true;
-                if let Some(goal) = depth_goal {
-                    // Consume the want we were chasing so the pass (and
-                    // its waiters) cannot spin on an unmaterializable
-                    // depth; the unit forks the deepest resident ancestor.
-                    tree.wanted_depths.remove(&goal);
-                }
-                continue;
-            }
-            match prep.prefix_exit {
-                RunExit::Paused => {
-                    tree.record_calls(at, &prep.forwarded);
-                    let paused = at + prep.forwarded.len();
-                    tree.record_calls(
-                        paused,
-                        std::slice::from_ref(
-                            prep.paused_at.as_ref().expect("paused step names a call"),
-                        ),
-                    );
-                    stepper = Some((machine, paused, cov_parent));
-                }
-                RunExit::Exited(_) => {
-                    tree.record_calls(at, &prep.forwarded);
-                    tree.complete = true;
-                }
-                RunExit::Fault(_) | RunExit::Blocked | RunExit::Budget => {
-                    tree.capped = true;
-                    if let Some(goal) = depth_goal {
-                        tree.wanted_depths.remove(&goal);
-                    }
-                }
-            }
-        }
-        tree.deepening = false;
-        prepared.deepened.notify_all();
-        (tree, inserted)
-    }
-
-    /// Warm one session's snapshot tree for a planned batch: register every
-    /// batch function's needed depth (or a discovery want when the trace
-    /// does not place it yet) and run one claimed deepening pass that
-    /// materializes all of them in a single walk. When another worker
-    /// already holds the claim, its in-flight pass absorbs the registered
-    /// wants and nothing more is needed here.
-    fn prefetch_session(&self, target: &str, args: &[String], functions: &BTreeSet<String>) {
-        let Some(prepared) = self.prepared_session(target, args) else {
-            return;
-        };
-        let mut tree = prepared.tree.lock().unwrap();
-        for function in functions {
-            match tree.depth_of(function) {
-                Some(depth) => {
-                    let depth = depth.min(self.max_session_depth);
-                    if !tree.resident(depth) {
-                        tree.wanted_depths.insert(depth);
-                    }
-                }
-                None => {
-                    if !tree.complete && !tree.capped {
-                        tree.wanted_functions.insert(function.clone());
-                    }
-                }
-            }
-        }
-        if tree.deepening || (tree.wanted_depths.is_empty() && tree.wanted_functions.is_empty()) {
-            return;
-        }
-        let (tree, _) = self.deepen_shared(&prepared, tree, true);
-        drop(tree);
-    }
-
-    /// Insert a freshly certified node (kept in ascending depth order) and
-    /// charge its bytes, then evict this tree's least-recently-used
-    /// non-root nodes while the executor-wide budget is exceeded. Eviction
-    /// is local to the inserting tree — other trees trim themselves on
-    /// their next insertion — which approximates a global LRU without
-    /// cross-session locking.
-    fn insert_node(&self, prepared: &PreparedSession, tree: &mut SnapshotTree, node: SnapshotNode) {
-        let budget = &prepared.budget;
-        budget.used.fetch_add(node.bytes, Ordering::Relaxed);
-        self.metrics
-            .snapshot_resident_bytes_hw
-            .set_max(budget.used.load(Ordering::Relaxed));
-        let pos = tree
-            .nodes
-            .iter()
-            .position(|n| n.depth > node.depth)
-            .unwrap_or(tree.nodes.len());
-        tree.nodes.insert(pos, node);
-        while budget.used.load(Ordering::Relaxed) > budget.cap.load(Ordering::Relaxed)
-            && tree.nodes.len() > 1
-        {
-            let victim = tree.nodes[1..]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, n)| (n.last_use, n.depth))
-                .map(|(i, _)| i + 1)
-                .expect("non-root nodes exist");
-            let evicted = tree.nodes.remove(victim);
-            budget.used.fetch_sub(evicted.bytes, Ordering::Relaxed);
-            self.metrics.tree_nodes_evicted.inc();
-            // Re-parent the victim's children, folding its coverage
-            // increment into theirs so every surviving node's ancestor
-            // chain still reconstructs the full prefix coverage.
-            for node in &mut tree.nodes[1..] {
-                if node.parent_depth == evicted.depth {
-                    node.parent_depth = evicted.parent_depth;
-                    node.post_coverage.merge(&evicted.post_coverage);
-                }
-            }
-        }
+            self.max_session_depth,
+            self.snapshot_budget.clone(),
+            &self.metrics.tree,
+        ))
     }
 
     /// The memoized session of a `(target, workload)` pair, or `None` when
@@ -1050,44 +443,31 @@ impl StandardExecutor {
             .count()
     }
 
-    /// Iterate over every prepared session.
-    fn for_each_session(&self, mut f: impl FnMut(&PreparedSession)) {
+    /// The resident node depths of every prepared session, in ascending
+    /// depth order per session — for tests asserting tree shape (e.g. that
+    /// prefetch walks never materialize duplicate depths).
+    pub fn session_node_depths(&self) -> Vec<Vec<usize>> {
         let slots: Vec<SessionSlot> = self.prepared.lock().unwrap().values().cloned().collect();
-        for slot in slots {
-            if let Some(Some(prepared)) = slot.get() {
-                f(prepared);
-            }
-        }
+        slots
+            .iter()
+            .filter_map(|slot| slot.get()?.as_ref())
+            .map(|prepared| prepared.node_depths())
+            .collect()
     }
 
     /// Total resident snapshot nodes across every prepared session (each
     /// session contributes at least its root).
     pub fn snapshot_nodes(&self) -> usize {
-        let mut total = 0;
-        self.for_each_session(|p| total += p.tree.lock().unwrap().nodes.len());
-        total
-    }
-
-    /// The resident node depths of every prepared session, in ascending
-    /// depth order per session — for tests asserting tree shape (e.g. that
-    /// concurrent deepening never materializes duplicate depths).
-    pub fn session_node_depths(&self) -> Vec<Vec<usize>> {
-        let mut all = Vec::new();
-        self.for_each_session(|p| {
-            let tree = p.tree.lock().unwrap();
-            all.push(tree.nodes.iter().map(|n| n.depth).collect());
-        });
-        all
+        self.session_node_depths().iter().map(Vec::len).sum()
     }
 
     /// Deepest injectable-call index any resident snapshot sits at.
     pub fn max_session_node_depth(&self) -> usize {
-        let mut max = 0;
-        self.for_each_session(|p| {
-            let tree = p.tree.lock().unwrap();
-            max = max.max(tree.nodes.last().map(|n| n.depth).unwrap_or(0));
-        });
-        max
+        self.session_node_depths()
+            .iter()
+            .filter_map(|depths| depths.last().copied())
+            .max()
+            .unwrap_or(0)
     }
 
     /// The full prefix coverage at the node a unit injecting `function`
@@ -1100,27 +480,7 @@ impl StandardExecutor {
         args: &[String],
         function: &str,
     ) -> Option<Coverage> {
-        let prepared = self.prepared_session(target, args)?;
-        let tree = prepared.tree.lock().unwrap();
-        let target_depth = tree
-            .depth_of(function)
-            .unwrap_or(usize::MAX)
-            .min(self.max_session_depth);
-        let mut coverage = prepared.prefix_coverage.clone();
-        let mut index = tree.deepest_at_most(target_depth);
-        loop {
-            let node = &tree.nodes[index];
-            coverage.merge(&node.post_coverage);
-            if index == 0 {
-                break;
-            }
-            index = tree
-                .nodes
-                .iter()
-                .position(|n| n.depth == node.parent_depth)
-                .expect("ancestor chain is resident");
-        }
-        Some(coverage)
+        Some(self.prepared_session(target, args)?.path_coverage(function))
     }
 
     /// Run each single-process target's default suite once with no
@@ -1156,10 +516,10 @@ impl StandardExecutor {
                 let workload_seed = derive_seed(seed, workload as u64);
                 match self.prepared_session(&target, &args) {
                     Some(prepared) => {
-                        let (mut machine, budget_left) = prepared.root_fork();
+                        let (mut machine, budget_left) = prepared.fork_root();
                         machine.reseed(workload_seed);
                         machine.run(&mut NoHooks, budget_left);
-                        baseline.merge(&prepared.prefix_coverage);
+                        baseline.merge(prepared.prefix_coverage());
                         baseline.merge(&machine.coverage);
                     }
                     // A pair that refuses to snapshot still contributes its
@@ -1303,7 +663,7 @@ impl Executor for StandardExecutor {
         for key in units {
             // Pairs that cannot snapshot (the cluster target, unknown
             // targets) have no session to warm; unsnapshottable prefixes
-            // are filtered by `prefetch_session`'s memoized refusal.
+            // are filtered by `prepared_session`'s memoized refusal.
             if key.target == "bft-lite" || !self.targets.contains_key(&key.target) {
                 continue;
             }
@@ -1325,7 +685,9 @@ impl Executor for StandardExecutor {
                     let Some(((target, args), functions)) = groups.get(next) else {
                         break;
                     };
-                    self.prefetch_session(target, args, functions);
+                    if let Some(prepared) = self.prepared_session(target, args) {
+                        prepared.prefetch(functions, self.injectable(), &self.metrics.tree);
+                    }
                 });
             }
         });
@@ -1341,13 +703,11 @@ impl Executor for StandardExecutor {
             .unwrap()
             .get(&(target.to_string(), args.to_vec()))
             .cloned()?;
-        let prepared = slot.get()?.as_ref()?;
-        let depth = prepared.tree.lock().unwrap().depth_of(function)?;
-        Some(depth.min(self.max_session_depth))
+        slot.get()?.as_ref()?.depth_of(function)
     }
 
     fn set_snapshot_budget(&self, bytes: u64) {
-        self.snapshot_budget.cap.store(bytes, Ordering::Relaxed);
+        self.snapshot_budget.set_cap(bytes);
     }
 
     fn telemetry(&self) -> Telemetry {
@@ -1355,7 +715,7 @@ impl Executor for StandardExecutor {
     }
 
     fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_budget.used.load(Ordering::Relaxed)
+        self.snapshot_budget.used()
     }
 
     fn execute_from(&self, session: &Session, unit: &WorkUnit) -> Execution {
@@ -1366,7 +726,8 @@ impl Executor for StandardExecutor {
         // first interception of the unit's function. The certified path is
         // RNG-free, so reseeding the fork here leaves the unit's stream in
         // exactly the state a fresh run's would be at the same point.
-        let (mut machine, budget_left) = self.fork_for(prepared, &unit.point.function);
+        let (mut machine, budget_left) =
+            prepared.fork_for(&unit.point.function, &self.metrics.tree);
         machine.reseed(unit.seed);
         machine.set_record_coverage(false);
         // Mirror the fresh path's engine setup exactly: the stock registry

@@ -1,9 +1,10 @@
-//! Concurrency stress for the shared-deepening claims table and batch
-//! prefetch: many workers hammering [`Executor::execute_from`] and
-//! [`Executor::prefetch_batch`] over **one** shared session must never
-//! duplicate a tree depth or throw a deepening run away — and a full
-//! jobs=4 campaign with prefetch on must stay record-identical to the
-//! flat single-snapshot session model.
+//! Batch prefetch is the only code that deepens a snapshot tree: forks
+//! alone never add a node, many workers hammering
+//! [`Executor::execute_from`] and [`Executor::prefetch_batch`] over **one**
+//! shared session must never duplicate a tree depth or throw a deepening
+//! run away, and a full jobs=4 campaign with prefetch on must stay
+//! record-identical to the flat single-snapshot session model with every
+//! fork landing at its target depth.
 
 use lfi_campaign::{
     derive_seed, Campaign, ExecBackend, Executor, FaultSpace, PrefetchKey, StandardExecutor,
@@ -12,7 +13,7 @@ use lfi_campaign::{
 use lfi_targets::standard_controller;
 
 /// Functions sitting at different first-call depths in the git-lite
-/// workloads, so deepening has real work to race over.
+/// workloads, so deepening has real work to do.
 const FUNCTIONS: [&str; 5] = ["opendir", "setenv", "readlink", "close", "read"];
 
 fn git_space(executor: &StandardExecutor) -> FaultSpace {
@@ -22,9 +23,25 @@ fn git_space(executor: &StandardExecutor) -> FaultSpace {
     space
 }
 
+/// One unit per fault point, all under the workload `args`.
+fn units_of(space: &FaultSpace, args: &[String]) -> Vec<WorkUnit> {
+    space
+        .points
+        .iter()
+        .enumerate()
+        .map(|(id, point)| WorkUnit {
+            id,
+            point: point.clone(),
+            scenario: point.scenario(),
+            args: args.to_vec(),
+            seed: derive_seed(7, id as u64),
+        })
+        .collect()
+}
+
 /// Every resident tree depth across every prepared session, asserting no
-/// session holds two nodes at the same depth (a lost deepening race would
-/// materialize duplicates before one copy is discarded).
+/// session holds two nodes at the same depth (two walks racing over one
+/// tree would materialize duplicates).
 fn assert_no_duplicate_depths(executor: &StandardExecutor) {
     for depths in executor.session_node_depths() {
         let mut dedup = depths.clone();
@@ -39,8 +56,8 @@ fn assert_no_duplicate_depths(executor: &StandardExecutor) {
 }
 
 /// Four workers interleaving direct `execute_from` calls with whole-batch
-/// `prefetch_batch` hints against a single prepared session. The claims
-/// table must serialize the deepening walks (discarded reads 0) while the
+/// `prefetch_batch` hints against a single prepared session. The tree
+/// lock must serialize the prefetch walks (discarded reads 0) while the
 /// node set stays duplicate-free.
 #[test]
 fn concurrent_forks_and_prefetch_share_one_deepening_walk() {
@@ -50,18 +67,7 @@ fn concurrent_forks_and_prefetch_share_one_deepening_walk() {
 
     // One workload → one shared session for every unit below.
     let args = executor.workloads("git-lite").remove(0);
-    let units: Vec<WorkUnit> = space
-        .points
-        .iter()
-        .enumerate()
-        .map(|(id, point)| WorkUnit {
-            id,
-            point: point.clone(),
-            scenario: point.scenario(),
-            args: args.clone(),
-            seed: derive_seed(7, id as u64),
-        })
-        .collect();
+    let units = units_of(&space, &args);
     let keys: Vec<PrefetchKey> = units
         .iter()
         .map(|unit| PrefetchKey {
@@ -97,11 +103,11 @@ fn concurrent_forks_and_prefetch_share_one_deepening_walk() {
     assert_eq!(
         metrics.counter("tree_deepen_discarded"),
         0,
-        "the claims table must make lost deepening races impossible"
+        "serialized prefetch walks must make lost deepening races impossible"
     );
     assert!(
-        metrics.counter("tree_deepen_claimed") >= 1,
-        "at least one worker claimed a deepening walk"
+        metrics.counter("tree_prefetch_runs") >= 1,
+        "at least one prefetch walked the tree"
     );
     assert!(
         metrics.counter("tree_prefetch_nodes") + metrics.counter("tree_nodes_materialized") > 0,
@@ -109,10 +115,11 @@ fn concurrent_forks_and_prefetch_share_one_deepening_walk() {
     );
 }
 
-/// The whole pipeline at jobs=4 — batch prefetch, reuse-aware ordering,
-/// shared deepening — must remain a pure optimization: records identical
-/// to the flat single-snapshot session model, zero discarded walks, no
-/// duplicate depths.
+/// The whole pipeline at jobs=4 — batch prefetch and reuse-aware
+/// ordering — must remain a pure optimization: records identical to the
+/// flat single-snapshot session model, zero discarded walks, no duplicate
+/// depths. The engine prefetches every batch before draining it, so every
+/// fork lands at its target depth (no misses).
 #[test]
 fn prefetching_campaign_matches_flat_sessions_at_four_jobs() {
     let run = |executor: &StandardExecutor| {
@@ -133,7 +140,13 @@ fn prefetching_campaign_matches_flat_sessions_at_four_jobs() {
     assert_eq!(metrics.counter("tree_deepen_discarded"), 0);
     assert!(
         metrics.counter("tree_prefetch_runs") >= 1,
-        "batch prefetch must claim deepening walks under the tree model"
+        "batch prefetch must walk the trees under the tree model"
+    );
+    assert!(metrics.counter("tree_fork_hits") > 0);
+    assert_eq!(
+        metrics.counter("tree_fork_misses"),
+        0,
+        "after the engine's prefetch every fork finds its target depth resident"
     );
 
     let mut flat_executor = StandardExecutor::new(&["git-lite"]);
@@ -142,4 +155,29 @@ fn prefetching_campaign_matches_flat_sessions_at_four_jobs() {
 
     assert_eq!(tree.records, flat.records);
     assert_eq!(tree.triage.buckets, flat.triage.buckets);
+}
+
+/// Forks never deepen: without a prefetch, `execute_from` forks the
+/// deepest resident node (here the root) and the tree keeps exactly the
+/// nodes it had.
+#[test]
+fn forks_without_a_prefetch_leave_the_tree_unchanged() {
+    let executor = StandardExecutor::new(&["git-lite"]);
+    let space = git_space(&executor);
+    let args = executor.workloads("git-lite").remove(0);
+    let session = executor
+        .prepare("git-lite", &args)
+        .expect("git-lite snapshots");
+    let before = executor.session_node_depths();
+    assert_eq!(before, vec![vec![1]], "a fresh session holds only its root");
+    for unit in units_of(&space, &args) {
+        executor.execute_from(&session, &unit);
+    }
+    assert_eq!(executor.session_node_depths(), before);
+    let metrics = Executor::telemetry(&executor).snapshot();
+    assert_eq!(metrics.counter("tree_prefetch_runs"), 0);
+    assert!(
+        metrics.counter("tree_fork_misses") > 0,
+        "units whose depth was never materialized count as misses"
+    );
 }

@@ -16,8 +16,7 @@ use lfi_campaign::{
 };
 use lfi_targets::standard_controller;
 
-/// The targets of the Table 1 hunt. Mirrors `lfi_bench`'s hunt targets;
-/// the digest-parity test over there keeps the two in lockstep.
+/// The targets of the Table 1 hunt.
 pub const TABLE1_TARGETS: [&str; 4] = ["bind-lite", "git-lite", "db-lite", "bft-lite"];
 
 /// The bft-lite functions the Table 1 hunt injects into (a full cluster
@@ -50,8 +49,8 @@ impl SpaceSpec {
     }
 
     /// The Table 1 hunt space: all four evaluation targets, with
-    /// bft-lite restricted to its harness functions. Must enumerate the
-    /// exact space `lfi_bench::table1_fault_space` does.
+    /// bft-lite restricted to its harness functions. The one definition of
+    /// the hunt's plan: `lfi_bench::table1_fault_space` builds from it.
     pub fn table1() -> SpaceSpec {
         SpaceSpec {
             targets: TABLE1_TARGETS.iter().map(|t| t.to_string()).collect(),
@@ -73,12 +72,20 @@ impl SpaceSpec {
     /// yields the same space (and therefore the same plan hash) in every
     /// process.
     pub fn build(&self, executor: &StandardExecutor) -> FaultSpace {
+        let mut space = self.enumerate(executor);
+        executor.annotate_baseline_reachability(&mut space, self.baseline_seed);
+        space
+    }
+
+    /// The spec's fault points before baseline annotation, which never
+    /// adds or removes a point — so this also sizes the space without the
+    /// baseline runs.
+    pub fn enumerate(&self, executor: &StandardExecutor) -> FaultSpace {
         let profile = standard_controller().profile_libraries();
         let mut space = executor.fault_space(&self.target_names(), &profile);
         for (target, functions) in &self.retain {
             space.retain(|p| p.target != *target || functions.contains(&p.function));
         }
-        executor.annotate_baseline_reachability(&mut space, self.baseline_seed);
         space
     }
 
