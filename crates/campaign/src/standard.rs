@@ -565,15 +565,22 @@ impl StandardExecutor {
     }
 
     /// The call sites where `function` was actually failed, per the
-    /// injection log — the same accounting for fresh and forked runs.
+    /// injection log — the same accounting for fresh and forked runs. One
+    /// entry per injection; the caller is resolved once per call site.
     fn injected_sites(&self, log: &InjectionLog, function: &str) -> Vec<InjectedSite> {
-        log.records
-            .iter()
+        let mut callers: BTreeMap<(&str, u64), Option<String>> = BTreeMap::new();
+        log.records()
             .filter(|r| r.function == function)
-            .map(|r| InjectedSite {
-                module: r.call_site.0.clone(),
-                offset: r.call_site.1,
-                caller: self.resolve_caller(&r.call_site.0, r.call_site.1),
+            .map(|r| {
+                let (module, offset) = r.call_site;
+                let caller = callers
+                    .entry(r.call_site)
+                    .or_insert_with(|| self.resolve_caller(module, offset));
+                InjectedSite {
+                    module: module.to_string(),
+                    offset,
+                    caller: caller.clone(),
+                }
             })
             .collect()
     }

@@ -12,16 +12,21 @@ use std::collections::HashMap;
 
 use lfi_arch::Word;
 use lfi_vm::{CallContext, HookAction, HookHandler};
-use serde::{Deserialize, Serialize};
 
 use crate::scenario::Scenario;
 use crate::triggers::{Trigger, TriggerCtx, TriggerRegistry};
 
-/// One recorded injection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InjectionRecord {
+/// One recorded injection: a borrowed view into an [`InjectionLog`].
+///
+/// The log stores what is the same across repeats of one injection — the
+/// function, return value, errno, call site, source location and trigger
+/// ids — once per distinct site, so every field borrowed here is shared by
+/// all the injections at that site. Only `call_count` and `clock` are the
+/// injection's own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InjectionRecord<'a> {
     /// Function whose call was failed.
-    pub function: String,
+    pub function: &'a str,
     /// Injected return value.
     pub retval: Word,
     /// Injected errno, if any.
@@ -29,63 +34,156 @@ pub struct InjectionRecord {
     /// Which interception of this function this was (1-based).
     pub call_count: u64,
     /// Module and offset of the call site.
-    pub call_site: (String, u64),
+    pub call_site: (&'a str, u64),
     /// Source location of the call site, if debug info is present.
-    pub source: Option<(String, u32)>,
+    pub source: Option<(&'a str, u32)>,
     /// Trigger ids of the conjunction that fired.
-    pub triggers: Vec<String>,
+    pub triggers: &'a [String],
     /// Virtual time of the injection.
     pub clock: u64,
 }
 
+/// Everything one association records identically at one call site.
+#[derive(Debug, Clone)]
+struct LogSite {
+    /// Index of the association in the engine's scenario; with the call
+    /// site it is the key the engine interns sites under.
+    assoc: u32,
+    function: String,
+    retval: Word,
+    errno: Option<Word>,
+    call_site: (String, u64),
+    source: Option<(String, u32)>,
+    triggers: Vec<String>,
+}
+
+impl LogSite {
+    fn is(&self, assoc: u32, module: &str, offset: u64) -> bool {
+        self.assoc == assoc && self.call_site.1 == offset && self.call_site.0 == module
+    }
+}
+
+/// One injection: its site and what differs between repeats.
+#[derive(Debug, Clone, Copy)]
+struct LogEntry {
+    /// Index into the log's sites.
+    site: u32,
+    call_count: u64,
+    clock: u64,
+}
+
 /// The injection log of one test run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Memory model: the log keeps one site per distinct (association, call
+/// site), appended in first-injection order, and one fixed-size entry (24
+/// bytes: site index, call count, clock) per injection. A repeat injection
+/// at a known site copies no string and allocates nothing beyond the
+/// entries vector's amortized growth, so a hung unit that fails the same
+/// `recvfrom` 60,000 times holds one site and about 1.5 MB of entries.
+/// [`InjectionLog::records`] reassembles each injection as a borrowed
+/// [`InjectionRecord`], and two logs are equal when they hold the same
+/// record sequence and counters.
+#[derive(Debug, Clone, Default)]
 pub struct InjectionLog {
-    /// Recorded injections, in order.
-    pub records: Vec<InjectionRecord>,
+    sites: Vec<LogSite>,
+    entries: Vec<LogEntry>,
     /// Total interceptions observed (including ones that did not inject).
     pub interceptions: u64,
     /// Total trigger evaluations performed (measures short-circuiting).
     pub trigger_evaluations: u64,
 }
 
+impl PartialEq for InjectionLog {
+    fn eq(&self, other: &InjectionLog) -> bool {
+        self.interceptions == other.interceptions
+            && self.trigger_evaluations == other.trigger_evaluations
+            && self.records().eq(other.records())
+    }
+}
+
+impl Eq for InjectionLog {}
+
 impl InjectionLog {
     /// Number of injections performed.
     pub fn injection_count(&self) -> usize {
-        self.records.len()
+        self.entries.len()
+    }
+
+    /// The recorded injections, in injection order.
+    pub fn records(
+        &self,
+    ) -> impl ExactSizeIterator<Item = InjectionRecord<'_>> + DoubleEndedIterator + '_ {
+        self.entries.iter().map(|entry| {
+            let site = &self.sites[entry.site as usize];
+            InjectionRecord {
+                function: &site.function,
+                retval: site.retval,
+                errno: site.errno,
+                call_count: entry.call_count,
+                call_site: (&site.call_site.0, site.call_site.1),
+                source: site
+                    .source
+                    .as_ref()
+                    .map(|(file, line)| (file.as_str(), *line)),
+                triggers: &site.triggers,
+                clock: entry.clock,
+            }
+        })
     }
 
     /// Injections performed on a given function.
     pub fn injections_into(&self, function: &str) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.function == function)
-            .count()
+        self.records().filter(|r| r.function == function).count()
+    }
+
+    /// The interned site of association `assoc` at `(module, offset)`,
+    /// checking the site of the latest injection first.
+    fn find_site(&self, assoc: u32, module: &str, offset: u64) -> Option<u32> {
+        let is_key = |site: &u32| self.sites[*site as usize].is(assoc, module, offset);
+        let last = self.entries.last().map(|entry| entry.site);
+        last.filter(is_key)
+            .or_else(|| (0..self.sites.len() as u32).find(is_key))
+    }
+
+    fn add_site(&mut self, site: LogSite) -> u32 {
+        let index = u32::try_from(self.sites.len()).expect("fewer than 2^32 log sites");
+        self.sites.push(site);
+        index
+    }
+
+    fn push(&mut self, site: u32, call_count: u64, clock: u64) {
+        self.entries.push(LogEntry {
+            site,
+            call_count,
+            clock,
+        });
     }
 
     /// Serialize the log as pretty JSON.
     pub fn to_json(&self) -> String {
         use lfi_json::Value;
         let records = self
-            .records
-            .iter()
+            .records()
             .map(|r| {
                 Value::Obj(vec![
-                    ("function".to_string(), Value::Str(r.function.clone())),
+                    ("function".to_string(), Value::Str(r.function.to_string())),
                     ("retval".to_string(), Value::Int(r.retval)),
                     ("errno".to_string(), r.errno.map_or(Value::Null, Value::Int)),
                     ("call_count".to_string(), Value::Int(r.call_count as i64)),
                     (
                         "call_site".to_string(),
                         Value::Arr(vec![
-                            Value::Str(r.call_site.0.clone()),
+                            Value::Str(r.call_site.0.to_string()),
                             Value::Int(r.call_site.1 as i64),
                         ]),
                     ),
                     (
                         "source".to_string(),
-                        r.source.as_ref().map_or(Value::Null, |(file, line)| {
-                            Value::Arr(vec![Value::Str(file.clone()), Value::Int(i64::from(*line))])
+                        r.source.map_or(Value::Null, |(file, line)| {
+                            Value::Arr(vec![
+                                Value::Str(file.to_string()),
+                                Value::Int(i64::from(line)),
+                            ])
                         }),
                     ),
                     (
@@ -112,6 +210,9 @@ impl InjectionLog {
 }
 
 struct CompiledAssoc {
+    /// Position in the scenario's associations: with the call site, the
+    /// key of this association's sites in the log.
+    index: u32,
     retval: Option<Word>,
     errno: Option<Word>,
     trigger_indices: Vec<usize>,
@@ -156,8 +257,10 @@ pub struct InjectionEngine {
 
 impl std::fmt::Debug for InjectionEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut functions: Vec<&String> = self.functions.keys().collect();
+        functions.sort();
         f.debug_struct("InjectionEngine")
-            .field("functions", &self.functions.keys().collect::<Vec<_>>())
+            .field("functions", &functions)
             .field("injections", &self.log.injection_count())
             .finish()
     }
@@ -201,7 +304,7 @@ impl InjectionEngine {
             .map(|(i, s)| (s.id.clone(), i))
             .collect();
         let mut functions: HashMap<String, HookedFunction> = HashMap::new();
-        for assoc in &scenario.functions {
+        for (index, assoc) in scenario.functions.iter().enumerate() {
             let trigger_indices = assoc
                 .triggers
                 .iter()
@@ -212,6 +315,7 @@ impl InjectionEngine {
                 .or_default()
                 .assocs
                 .push(CompiledAssoc {
+                    index: u32::try_from(index).expect("fewer than 2^32 associations"),
                     retval: assoc.retval,
                     errno: assoc.errno,
                     trigger_indices,
@@ -279,7 +383,7 @@ impl HookHandler for InjectionEngine {
             return HookAction::Forward;
         }
         if let Some(limit) = self.max_injections {
-            if self.log.records.len() as u64 >= limit {
+            if self.log.entries.len() as u64 >= limit {
                 return HookAction::Forward;
             }
         }
@@ -317,21 +421,26 @@ impl HookHandler for InjectionEngine {
             if self.observe_only {
                 continue;
             }
+            // A repeat injection at a known site only appends an entry: no
+            // name copy and no line-table lookup.
             let (module, offset) = ctx.call_site();
-            self.log.records.push(InjectionRecord {
-                function: func.to_string(),
-                retval,
-                errno: assoc.errno,
-                call_count: count,
-                call_site: (module.to_string(), offset),
-                source: ctx.call_site_source(),
-                triggers: assoc
-                    .trigger_indices
-                    .iter()
-                    .map(|&i| self.slots[i].id.clone())
-                    .collect(),
-                clock: ctx.clock(),
-            });
+            let site = match self.log.find_site(assoc.index, module, offset) {
+                Some(site) => site,
+                None => self.log.add_site(LogSite {
+                    assoc: assoc.index,
+                    function: func.to_string(),
+                    retval,
+                    errno: assoc.errno,
+                    call_site: (module.to_string(), offset),
+                    source: ctx.call_site_source(),
+                    triggers: assoc
+                        .trigger_indices
+                        .iter()
+                        .map(|&i| self.slots[i].id.clone())
+                        .collect(),
+                }),
+            };
+            self.log.push(site, count, ctx.clock());
             return HookAction::Return {
                 value: retval,
                 errno: assoc.errno,
@@ -544,20 +653,80 @@ mod tests {
     #[test]
     fn log_serializes_to_json() {
         let mut log = InjectionLog::default();
-        log.records.push(InjectionRecord {
+        let site = log.add_site(LogSite {
+            assoc: 0,
             function: "read".into(),
             retval: -1,
             errno: Some(5),
-            call_count: 3,
             call_site: ("app".into(), 0x120),
             source: Some(("app.c".into(), 17)),
             triggers: vec!["t1".into()],
-            clock: 999,
         });
+        log.push(site, 3, 999);
         let json = log.to_json();
         assert!(json.contains("\"read\""));
         assert!(json.contains("app.c"));
         assert_eq!(log.injections_into("read"), 1);
         assert_eq!(log.injections_into("write"), 0);
+        let record = log.records().next().expect("one record");
+        assert_eq!(record.call_site, ("app", 0x120));
+        assert_eq!((record.call_count, record.clock), (3, 999));
+    }
+
+    #[test]
+    fn a_log_entry_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<LogEntry>() <= 24);
+    }
+
+    #[test]
+    fn repeats_share_one_site_and_logs_compare_by_records() {
+        let mut log = InjectionLog::default();
+        let site = log.add_site(LogSite {
+            assoc: 0,
+            function: "read".into(),
+            retval: -1,
+            errno: None,
+            call_site: ("app".into(), 8),
+            source: None,
+            triggers: Vec::new(),
+        });
+        log.push(site, 1, 10);
+        assert_eq!(log.find_site(0, "app", 8), Some(site));
+        assert_eq!(log.find_site(1, "app", 8), None, "another association");
+        assert_eq!(log.find_site(0, "app", 16), None, "another call site");
+        assert_eq!(log.find_site(0, "lib", 8), None, "another module");
+        log.push(site, 2, 20);
+        assert_eq!(log.sites.len(), 1);
+        // A log holding a second site with the same content still holds
+        // the same records: equality compares what `records()` yields.
+        let mut twin = log.clone();
+        twin.entries.pop();
+        let copy = twin.add_site(LogSite {
+            assoc: 1,
+            ..twin.sites[0].clone()
+        });
+        twin.push(copy, 2, 20);
+        assert_eq!(twin, log);
+        twin.interceptions += 1;
+        assert_ne!(twin, log);
+    }
+
+    #[test]
+    fn engine_debug_lists_functions_in_name_order() {
+        let mut scenario = Scenario::new();
+        for function in ["write", "close", "read"] {
+            scenario = scenario.with_function(FunctionAssoc {
+                function: function.into(),
+                argc: 3,
+                retval: Some(-1),
+                errno: None,
+                triggers: vec![],
+            });
+        }
+        let engine = InjectionEngine::new(scenario).unwrap();
+        assert_eq!(
+            format!("{engine:?}"),
+            r#"InjectionEngine { functions: ["close", "read", "write"], injections: 0 }"#
+        );
     }
 }

@@ -27,7 +27,12 @@ fn stub_lib() -> Module {
 
 /// Run `exe` under `scenario`, returning the exit and the engine's log.
 fn run_scripted(exe: &Module, scenario: &Scenario) -> (RunExit, InjectionEngine) {
-    let mut engine = InjectionEngine::new(scenario.clone()).expect("scenario compiles");
+    let engine = InjectionEngine::new(scenario.clone()).expect("scenario compiles");
+    run_engine(exe, engine)
+}
+
+/// Run `exe` under an already configured engine.
+fn run_engine(exe: &Module, mut engine: InjectionEngine) -> (RunExit, InjectionEngine) {
     let mut loader = Loader::new();
     loader.add_library(stub_lib());
     loader.interpose_all(engine.interposed_functions());
@@ -80,7 +85,7 @@ fn call_count_trigger_fires_exactly_on_the_nth_interception() {
     assert_eq!(exit, RunExit::Exited(4 * 10 - 1));
     assert_eq!(engine.log.interceptions, 5);
     assert_eq!(engine.log.injection_count(), 1);
-    let record = &engine.log.records[0];
+    let record = engine.log.records().next().expect("one record");
     assert_eq!(record.function, "read");
     assert_eq!(record.call_count, 3);
     assert_eq!(record.retval, -1);
@@ -173,11 +178,12 @@ fn stack_frame_trigger_pinned_to_an_offset_fires_only_there() {
     assert_eq!(exit, RunExit::Exited(-1 + 10 - 1));
     assert_eq!(engine.log.interceptions, 3);
     assert_eq!(engine.log.injection_count(), 2);
-    for record in &engine.log.records {
-        assert_eq!(record.call_site, ("app".to_string(), offset));
+    for record in engine.log.records() {
+        assert_eq!(record.call_site, ("app", offset));
     }
-    assert_eq!(engine.log.records[0].call_count, 1);
-    assert_eq!(engine.log.records[1].call_count, 3);
+    let counts: Vec<u64> = engine.log.records().map(|r| r.call_count).collect();
+    assert_eq!(counts[0], 1);
+    assert_eq!(counts[1], 3);
 }
 
 #[test]
@@ -191,9 +197,10 @@ fn stack_frame_trigger_matching_a_function_name_scopes_injection() {
     // Only the single from_b call fails.
     assert_eq!(exit, RunExit::Exited(10 - 1 + 10));
     assert_eq!(engine.log.injection_count(), 1);
-    assert_eq!(engine.log.records[0].call_count, 2);
+    let record = engine.log.records().next().expect("one record");
+    assert_eq!(record.call_count, 2);
     let offset_b = site_in(&exe, "from_b");
-    assert_eq!(engine.log.records[0].call_site.1, offset_b);
+    assert_eq!(record.call_site.1, offset_b);
 }
 
 #[test]
@@ -242,7 +249,7 @@ fn conjunction_of_call_count_and_stack_frame_requires_both() {
     let (exit, engine) = run_scripted(&exe, &scenario);
     assert_eq!(exit, RunExit::Exited(10 + 10 - 1));
     assert_eq!(engine.log.injection_count(), 1);
-    let record = &engine.log.records[0];
+    let record = engine.log.records().next().expect("one record");
     assert_eq!(record.call_count, 3);
     assert_eq!(
         record.triggers,
@@ -315,4 +322,179 @@ fn caller_anywhere_does_not_see_the_function_at_offset_zero_on_every_call() {
     // Only the read made from first_in_file is failed.
     assert_eq!(exit, RunExit::Exited(10 * 100 - 1));
     assert_eq!(engine.log.injection_count(), 1);
+}
+
+/// Five `read`s in a loop from one call site.
+fn five_reads_app() -> Module {
+    Compiler::new("app", ModuleKind::Executable)
+        .needs("stublib")
+        .add_source(
+            "app.c",
+            r#"
+            int main() {
+                int total = 0;
+                int i = 0;
+                while (i < 5) {
+                    total = total + read(0, 0, 0);
+                    i = i + 1;
+                }
+                return total;
+            }
+            "#,
+        )
+        .compile()
+        .expect("app compiles")
+}
+
+#[test]
+fn max_injections_caps_the_log_and_forwards_later_calls() {
+    // A call-stack trigger on the module alone fires on every call.
+    let scenario = frame_scenario(FrameSpec {
+        module: Some("app".into()),
+        ..FrameSpec::default()
+    });
+    let mut engine = InjectionEngine::new(scenario).expect("scenario compiles");
+    engine.max_injections = Some(3);
+    let (exit, engine) = run_engine(&five_reads_app(), engine);
+    // Three injected -1s, then two forwarded reads of 10.
+    assert_eq!(exit, RunExit::Exited(-3 + 2 * 10));
+    assert_eq!(engine.log.injection_count(), 3);
+    let counts: Vec<u64> = engine.log.records().map(|r| r.call_count).collect();
+    assert_eq!(counts, vec![1, 2, 3]);
+    assert_eq!(engine.log.interceptions, 5);
+    assert_eq!(engine.call_count("read"), 5);
+    // Calls past the cap are forwarded without evaluating triggers.
+    assert_eq!(engine.log.trigger_evaluations, 3);
+}
+
+/// `to_json` of two association sites injected twice each, captured before
+/// the log interned its sites: the serialized log must not change.
+const TWO_SITE_LOG_JSON: &str = r#"{
+  "records": [
+    {
+      "function": "read",
+      "retval": -1,
+      "errno": 5,
+      "call_count": 1,
+      "call_site": [
+        "app",
+        132
+      ],
+      "source": [
+        "app.c",
+        2
+      ],
+      "triggers": [
+        "in-a"
+      ],
+      "clock": 35
+    },
+    {
+      "function": "read",
+      "retval": -2,
+      "errno": null,
+      "call_count": 2,
+      "call_site": [
+        "app",
+        360
+      ],
+      "source": [
+        "app.c",
+        3
+      ],
+      "triggers": [
+        "in-b"
+      ],
+      "clock": 77
+    },
+    {
+      "function": "read",
+      "retval": -1,
+      "errno": 5,
+      "call_count": 3,
+      "call_site": [
+        "app",
+        132
+      ],
+      "source": [
+        "app.c",
+        2
+      ],
+      "triggers": [
+        "in-a"
+      ],
+      "clock": 116
+    },
+    {
+      "function": "read",
+      "retval": -2,
+      "errno": null,
+      "call_count": 4,
+      "call_site": [
+        "app",
+        360
+      ],
+      "source": [
+        "app.c",
+        3
+      ],
+      "triggers": [
+        "in-b"
+      ],
+      "clock": 158
+    }
+  ],
+  "interceptions": 4,
+  "trigger_evaluations": 6
+}"#;
+
+#[test]
+fn log_json_of_repeated_injections_at_two_sites_is_pinned() {
+    let exe = Compiler::new("app", ModuleKind::Executable)
+        .needs("stublib")
+        .add_source(
+            "app.c",
+            r#"
+            int from_a() { return read(0, 0, 0); }
+            int from_b() { return read(0, 0, 0); }
+            int main() {
+                int x = 0;
+                int i = 0;
+                while (i < 2) {
+                    x = x + from_a();
+                    x = x + from_b();
+                    i = i + 1;
+                }
+                return x;
+            }
+            "#,
+        )
+        .compile()
+        .expect("app compiles");
+    let caller = |id: &str, function: &str| TriggerDecl {
+        id: id.into(),
+        class: "CallerFunctionTrigger".into(),
+        params: BTreeMap::from([("function".to_string(), function.to_string())]),
+        frames: vec![],
+    };
+    let scenario = Scenario::new()
+        .with_trigger(caller("in-a", "from_a"))
+        .with_trigger(caller("in-b", "from_b"))
+        .with_function(FunctionAssoc {
+            function: "read".into(),
+            argc: 3,
+            retval: Some(-1),
+            errno: Some(lfi_arch::errno::EIO),
+            triggers: vec!["in-a".into()],
+        })
+        .with_function(FunctionAssoc {
+            function: "read".into(),
+            argc: 3,
+            retval: Some(-2),
+            errno: None,
+            triggers: vec!["in-b".into()],
+        });
+    let (exit, engine) = run_scripted(&exe, &scenario);
+    assert_eq!(exit, RunExit::Exited(2 * (-1 - 2)));
+    assert_eq!(engine.log.to_json(), TWO_SITE_LOG_JSON);
 }

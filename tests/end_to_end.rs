@@ -25,8 +25,7 @@ fn generated_scenario_finds_the_unchecked_malloc_in_git_diff() {
     // The injection log names the function and the call site that was failed.
     assert!(report
         .injections
-        .records
-        .iter()
+        .records()
         .any(|r| r.function == "malloc" && r.call_site.0 == "git-lite"));
 }
 
@@ -130,7 +129,8 @@ fn call_count_and_singleton_triggers_compose() {
         .run_test(&exe, &scenario, &mut FsSetupWorkload, &config)
         .expect("run");
     assert_eq!(report.injections.injection_count(), 1);
-    assert_eq!(report.injections.records[0].call_count, 3);
+    let record = report.injections.records().next().expect("one record");
+    assert_eq!(record.call_count, 3);
     // httpd-lite logs the read error and keeps serving.
     assert!(matches!(report.outcome, TestOutcome::Passed));
     assert!(report.output.contains("read error"));
