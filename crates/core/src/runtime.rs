@@ -58,7 +58,7 @@ struct LogSite {
 }
 
 impl LogSite {
-    fn is(&self, assoc: u32, module: &str, offset: u64) -> bool {
+    fn matches(&self, assoc: u32, module: &str, offset: u64) -> bool {
         self.assoc == assoc && self.call_site.1 == offset && self.call_site.0 == module
     }
 }
@@ -139,7 +139,7 @@ impl InjectionLog {
     /// The interned site of association `assoc` at `(module, offset)`,
     /// checking the site of the latest injection first.
     fn find_site(&self, assoc: u32, module: &str, offset: u64) -> Option<u32> {
-        let is_key = |site: &u32| self.sites[*site as usize].is(assoc, module, offset);
+        let is_key = |site: &u32| self.sites[*site as usize].matches(assoc, module, offset);
         let last = self.entries.last().map(|entry| entry.site);
         last.filter(is_key)
             .or_else(|| (0..self.sites.len() as u32).find(is_key))

@@ -59,9 +59,9 @@ fn call_count_scenario(count: u64) -> Scenario {
         })
 }
 
-#[test]
-fn call_count_trigger_fires_exactly_on_the_nth_interception() {
-    let exe = Compiler::new("app", ModuleKind::Executable)
+/// Five `read`s in a loop from one call site.
+fn five_reads_app() -> Module {
+    Compiler::new("app", ModuleKind::Executable)
         .needs("stublib")
         .add_source(
             "app.c",
@@ -78,9 +78,12 @@ fn call_count_trigger_fires_exactly_on_the_nth_interception() {
             "#,
         )
         .compile()
-        .expect("app compiles");
+        .expect("app compiles")
+}
 
-    let (exit, engine) = run_scripted(&exe, &call_count_scenario(3));
+#[test]
+fn call_count_trigger_fires_exactly_on_the_nth_interception() {
+    let (exit, engine) = run_scripted(&five_reads_app(), &call_count_scenario(3));
     // Four honest reads (10 each) and one injected -1 on the third call.
     assert_eq!(exit, RunExit::Exited(4 * 10 - 1));
     assert_eq!(engine.log.interceptions, 5);
@@ -324,28 +327,6 @@ fn caller_anywhere_does_not_see_the_function_at_offset_zero_on_every_call() {
     assert_eq!(engine.log.injection_count(), 1);
 }
 
-/// Five `read`s in a loop from one call site.
-fn five_reads_app() -> Module {
-    Compiler::new("app", ModuleKind::Executable)
-        .needs("stublib")
-        .add_source(
-            "app.c",
-            r#"
-            int main() {
-                int total = 0;
-                int i = 0;
-                while (i < 5) {
-                    total = total + read(0, 0, 0);
-                    i = i + 1;
-                }
-                return total;
-            }
-            "#,
-        )
-        .compile()
-        .expect("app compiles")
-}
-
 #[test]
 fn max_injections_caps_the_log_and_forwards_later_calls() {
     // A call-stack trigger on the module alone fires on every call.
@@ -367,7 +348,7 @@ fn max_injections_caps_the_log_and_forwards_later_calls() {
     assert_eq!(engine.log.trigger_evaluations, 3);
 }
 
-/// `to_json` of two association sites injected twice each, captured before
+/// `to_json` of two association sites, one injected twice, captured before
 /// the log interned its sites: the serialized log must not change.
 const TWO_SITE_LOG_JSON: &str = r#"{
   "records": [
@@ -387,7 +368,7 @@ const TWO_SITE_LOG_JSON: &str = r#"{
       "triggers": [
         "in-a"
       ],
-      "clock": 35
+      "clock": 30
     },
     {
       "function": "read",
@@ -405,7 +386,7 @@ const TWO_SITE_LOG_JSON: &str = r#"{
       "triggers": [
         "in-b"
       ],
-      "clock": 77
+      "clock": 72
     },
     {
       "function": "read",
@@ -423,54 +404,15 @@ const TWO_SITE_LOG_JSON: &str = r#"{
       "triggers": [
         "in-a"
       ],
-      "clock": 116
-    },
-    {
-      "function": "read",
-      "retval": -2,
-      "errno": null,
-      "call_count": 4,
-      "call_site": [
-        "app",
-        360
-      ],
-      "source": [
-        "app.c",
-        3
-      ],
-      "triggers": [
-        "in-b"
-      ],
-      "clock": 158
+      "clock": 104
     }
   ],
-  "interceptions": 4,
-  "trigger_evaluations": 6
+  "interceptions": 3,
+  "trigger_evaluations": 4
 }"#;
 
 #[test]
 fn log_json_of_repeated_injections_at_two_sites_is_pinned() {
-    let exe = Compiler::new("app", ModuleKind::Executable)
-        .needs("stublib")
-        .add_source(
-            "app.c",
-            r#"
-            int from_a() { return read(0, 0, 0); }
-            int from_b() { return read(0, 0, 0); }
-            int main() {
-                int x = 0;
-                int i = 0;
-                while (i < 2) {
-                    x = x + from_a();
-                    x = x + from_b();
-                    i = i + 1;
-                }
-                return x;
-            }
-            "#,
-        )
-        .compile()
-        .expect("app compiles");
     let caller = |id: &str, function: &str| TriggerDecl {
         id: id.into(),
         class: "CallerFunctionTrigger".into(),
@@ -494,7 +436,8 @@ fn log_json_of_repeated_injections_at_two_sites_is_pinned() {
             errno: None,
             triggers: vec!["in-b".into()],
         });
-    let (exit, engine) = run_scripted(&exe, &scenario);
-    assert_eq!(exit, RunExit::Exited(2 * (-1 - 2)));
+    let (exit, engine) = run_scripted(&two_site_app(), &scenario);
+    // from_a, from_b, from_a: -1 - 2 - 1.
+    assert_eq!(exit, RunExit::Exited(-4));
     assert_eq!(engine.log.to_json(), TWO_SITE_LOG_JSON);
 }
