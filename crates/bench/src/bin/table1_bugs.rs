@@ -1,9 +1,8 @@
 //! Regenerate the Table 1 bug hunt, run as a fault-space campaign —
 //! whole, or as one mergeable shard of a multi-process hunt.
 //!
-//! Usage: table1_bugs [--jobs N] [--strategy exhaustive|guided|adaptive|random]
-//!                    [--sample N] [--backend fresh|snapshot]
-//!                    [--snapshot-budget BYTES] [--shard I/N] [--state FILE]
+//! Usage: table1_bugs [--jobs N] [--strategy exhaustive|guided|adaptive|random:N]
+//!                    [--backend fresh|snapshot] [--shard I/N] [--state FILE]
 //!                    [--events-jsonl FILE]
 //!        table1_bugs merge STATE.json STATE.json [...]
 //!
@@ -19,14 +18,14 @@
 
 use std::process::exit;
 
-use lfi_bench::{table1_campaign, table1_merge, HuntOptions, HuntStrategy};
+use lfi_bench::{table1_campaign, table1_merge, HuntOptions};
 use lfi_campaign::{parse_shard, CampaignState};
+use lfi_supervisor::parse_strategy;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: table1_bugs [--jobs N] [--strategy exhaustive|guided|adaptive|random] \
-         [--sample N] [--backend fresh|snapshot] [--snapshot-budget BYTES] \
-         [--shard I/N] [--state FILE] [--events-jsonl FILE]\n\
+        "usage: table1_bugs [--jobs N] [--strategy exhaustive|guided|adaptive|random:N] \
+         [--backend fresh|snapshot] [--shard I/N] [--state FILE] [--events-jsonl FILE]\n\
          \x20      table1_bugs merge STATE.json STATE.json [...]"
     );
     exit(2);
@@ -86,8 +85,6 @@ fn main() {
     }
 
     let mut options = HuntOptions::default();
-    let mut sample = 50usize;
-    let mut strategy_name = "exhaustive".to_string();
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -97,20 +94,8 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--strategy" => strategy_name = args.next().unwrap_or_else(|| usage()),
-            "--sample" => {
-                sample = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--strategy" => options.strategy = args.next().unwrap_or_else(|| usage()),
             "--backend" => options.backend = parse_or_usage(args.next()),
-            "--snapshot-budget" => {
-                options.snapshot_budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             "--shard" => {
                 let spec = args.next().unwrap_or_else(|| usage());
                 options.shard = parse_shard(&spec).unwrap_or_else(|err| {
@@ -125,13 +110,10 @@ fn main() {
             _ => usage(),
         }
     }
-    options.strategy = match strategy_name.as_str() {
-        "exhaustive" => HuntStrategy::Exhaustive,
-        "guided" => HuntStrategy::Guided,
-        "adaptive" => HuntStrategy::Adaptive,
-        "random" => HuntStrategy::Random { count: sample },
-        _ => usage(),
-    };
+    if let Err(err) = parse_strategy(&options.strategy, options.seed) {
+        eprintln!("table1_bugs: {err}");
+        usage();
+    }
 
     // Snapshot any pre-existing checkpoint so the resume message can be
     // honest: an existing file whose tag does not match this plan is

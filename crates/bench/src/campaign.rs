@@ -10,46 +10,25 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use lfi_campaign::{
-    Campaign, CampaignReport, CampaignState, CoverageAdaptive, ExecBackend, Exhaustive, FaultSpace,
-    InjectionGuided, JsonlSink, Lease, LeaseMergeError, LeaseOutcome, OutcomeKind, RandomSample,
-    StandardExecutor, Strategy, DEFAULT_SNAPSHOT_BUDGET,
+    Campaign, CampaignReport, CampaignState, ExecBackend, FaultSpace, JsonlSink, Lease,
+    LeaseMergeError, LeaseOutcome, OutcomeKind, StandardExecutor,
 };
-use lfi_supervisor::{SpaceSpec, TABLE1_TARGETS};
+use lfi_supervisor::{parse_strategy, SpaceSpec, TABLE1_TARGETS};
 use lfi_targets::KNOWN_BUGS;
 
 use crate::experiments::{FoundBug, Table1};
-
-/// Which search strategy drives the hunt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HuntStrategy {
-    /// Every fault point.
-    Exhaustive,
-    /// A seed-deterministic random sample of `count` fault points.
-    Random {
-        /// Sample size.
-        count: usize,
-    },
-    /// Prune unreached call sites, unchecked sites first.
-    Guided,
-    /// The guided ordering as an adaptive scheduler: batches with
-    /// crash-signature escalation and quiet-neighborhood deprioritization.
-    Adaptive,
-}
 
 /// Campaign options for the Table 1 hunt.
 #[derive(Debug, Clone)]
 pub struct HuntOptions {
     /// Worker threads.
     pub jobs: usize,
-    /// Search strategy.
-    pub strategy: HuntStrategy,
+    /// Strategy name (see [`parse_strategy`]).
+    pub strategy: String,
     /// Base seed.
     pub seed: u64,
     /// Execution backend (fresh VM per unit, or snapshot-fork sessions).
     pub backend: ExecBackend,
-    /// Byte cap on resident snapshot-tree nodes (snapshot backend only);
-    /// the executor evicts least-recently-forked non-root nodes past it.
-    pub snapshot_budget: u64,
     /// Which shard of the fault space to run, as `(index, count)`: the
     /// contiguous point range [`Lease::shard`] carves (`(0, 1)` for the
     /// whole hunt). Sibling processes run the other shards;
@@ -68,10 +47,9 @@ impl Default for HuntOptions {
     fn default() -> Self {
         HuntOptions {
             jobs: 1,
-            strategy: HuntStrategy::Exhaustive,
+            strategy: "exhaustive".to_string(),
             seed: 7,
             backend: ExecBackend::Fresh,
-            snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
             shard: (0, 1),
             state: None,
             events_jsonl: None,
@@ -111,36 +89,16 @@ pub fn table1_fault_space(executor: &StandardExecutor, seed: u64) -> FaultSpace 
     .build(executor)
 }
 
-/// The boxed strategy behind a [`HuntStrategy`] choice.
-fn hunt_strategy(options: &HuntOptions) -> Box<dyn Strategy> {
-    match options.strategy {
-        HuntStrategy::Exhaustive => Box::new(Exhaustive),
-        HuntStrategy::Random { count } => Box::new(RandomSample {
-            count,
-            seed: options.seed,
-        }),
-        HuntStrategy::Guided => Box::new(InjectionGuided),
-        // The hunt opts into saturation pruning: once a caller neighborhood
-        // keeps passing, its remaining *checked* call sites are dropped, and
-        // statically demoted points are skipped after a single corroborating
-        // pass — 240 units instead of guided's 272, still 11/11 known bugs.
-        // (Pruning decisions read the lease-local history, so a sharded
-        // adaptive hunt may cover a slightly different unit set than the
-        // unsharded one; the static strategies shard loss-free.)
-        HuntStrategy::Adaptive => Box::new(CoverageAdaptive {
-            prune_saturated: true,
-            ..CoverageAdaptive::default()
-        }),
-    }
-}
-
 /// Run the Table 1 bug hunt as a campaign (or one shard of it).
 ///
 /// # Panics
 ///
-/// Panics when `options.shard` is not a valid `(index, count)` pair —
-/// parse user input with [`lfi_campaign::parse_shard`] first.
+/// Panics when `options.shard` is not a valid `(index, count)` pair or
+/// `options.strategy` is not a strategy name — parse user input with
+/// [`lfi_campaign::parse_shard`] and [`parse_strategy`] first.
 pub fn table1_campaign(options: &HuntOptions) -> Table1Campaign {
+    let strategy = parse_strategy(&options.strategy, options.seed)
+        .unwrap_or_else(|err| panic!("invalid Table 1 strategy: {err}"));
     // Only the four hunted targets are loaded; httpd-lite stays cold.
     let executor = StandardExecutor::new(&TABLE1_TARGETS);
     let space = table1_fault_space(&executor, options.seed);
@@ -152,11 +110,10 @@ pub fn table1_campaign(options: &HuntOptions) -> Table1Campaign {
             .unwrap_or_else(|err| panic!("create event stream {}: {err}", path.display()))
     });
     let mut builder = Campaign::builder(space, &executor)
-        .boxed_strategy(hunt_strategy(options))
+        .boxed_strategy(strategy)
         .jobs(options.jobs)
         .seed(options.seed)
         .backend(options.backend)
-        .snapshot_budget(options.snapshot_budget)
         .lease(lease);
     if let Some(path) = &options.state {
         builder = builder.checkpoint(path);

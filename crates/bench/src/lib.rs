@@ -11,7 +11,7 @@ pub mod experiments;
 pub mod support;
 
 pub use campaign::{
-    match_known_bugs, table1_campaign, table1_fault_space, table1_merge, HuntOptions, HuntStrategy,
+    match_known_bugs, table1_campaign, table1_fault_space, table1_merge, HuntOptions,
     Table1Campaign,
 };
 pub use experiments::{

@@ -112,15 +112,6 @@ impl<'a> CampaignBuilder<'a> {
         self
     }
 
-    /// Byte cap on resident snapshot state under the snapshot backend
-    /// (default: [`crate::engine::DEFAULT_SNAPSHOT_BUDGET`]). A pure
-    /// performance knob: past the cap, sessions evict least-recently-used
-    /// snapshots and re-derive them on demand; results never change.
-    pub fn snapshot_budget(mut self, bytes: u64) -> Self {
-        self.config.snapshot_budget = bytes;
-        self
-    }
-
     /// Minimum interval between
     /// [`CampaignEvent::Heartbeat`](crate::events::CampaignEvent::Heartbeat)
     /// events while units drain (default:

@@ -26,10 +26,10 @@
 //!   *tree*, so a unit injecting deep in the workload forks the deepest
 //!   snapshot preceding its function's first call instead of replaying
 //!   from the first injectable call; resident snapshots are bounded by
-//!   [`CampaignBuilder::snapshot_budget`]. Sessions are prepared lazily in
-//!   an engine-owned cache shared across worker threads; targets that
-//!   cannot snapshot (multi-process cluster targets return `None` from
-//!   `prepare`) fall back to fresh VMs.
+//!   [`Executor::set_snapshot_budget`] (256 MiB by default). Sessions are
+//!   prepared lazily in an engine-owned cache shared across worker
+//!   threads; targets that cannot snapshot (multi-process cluster targets
+//!   return `None` from `prepare`) fall back to fresh VMs.
 //!
 //! Both backends must produce identical [`Execution`]s for the same unit —
 //! results stay independent of the backend, the worker count, and the
@@ -208,18 +208,6 @@ impl Session {
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         self.0.downcast_ref::<T>()
     }
-
-    /// Recover the payload stored by [`Session::new`] **by value**,
-    /// consuming the session. Returns `None` (and drops the session) when
-    /// the payload is not a `T`.
-    ///
-    /// Prefer this over [`Session::downcast_ref`] when tearing a session
-    /// down or when the payload is cheap to move; the engine's cache hands
-    /// out shared `Arc<Session>`s, so executors called through the cache
-    /// only ever see `&Session` and use `downcast_ref`.
-    pub fn downcast<T: Any>(self) -> Option<T> {
-        self.0.downcast::<T>().ok().map(|payload| *payload)
-    }
 }
 
 impl std::fmt::Debug for Session {
@@ -353,8 +341,8 @@ pub trait Executor: Sync {
 }
 
 /// Default cap on resident snapshot bytes under the snapshot backend
-/// (see [`CampaignBuilder::snapshot_budget`]).
-pub const DEFAULT_SNAPSHOT_BUDGET: u64 = 256 << 20;
+/// (see [`Executor::set_snapshot_budget`]).
+pub(crate) const DEFAULT_SNAPSHOT_BUDGET: u64 = 256 << 20;
 
 /// How the engine runs work units — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -425,11 +413,6 @@ pub(crate) struct CampaignConfig {
     /// backends produce identical records, so a checkpoint written under one
     /// backend resumes cleanly under the other.
     pub backend: ExecBackend,
-    /// Byte cap on resident snapshot state under the snapshot backend,
-    /// forwarded to [`Executor::set_snapshot_budget`] at construction. Like
-    /// the backend itself, a pure performance knob outside the plan
-    /// identity.
-    pub snapshot_budget: u64,
     /// Minimum interval between [`CampaignEvent::Heartbeat`] events while
     /// units drain (`None` disables heartbeats). Heartbeats are emitted
     /// only when an event sink is registered; the first fires once a full
@@ -447,7 +430,6 @@ impl Default for CampaignConfig {
             jobs: 1,
             seed: 7,
             backend: ExecBackend::Fresh,
-            snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
             heartbeat_interval: Some(DEFAULT_HEARTBEAT_INTERVAL),
         }
     }
@@ -666,9 +648,6 @@ impl<'a> Campaign<'a> {
             };
             unit_base.push(total_units);
             total_units += suite_len;
-        }
-        if config.backend == ExecBackend::Snapshot {
-            executor.set_snapshot_budget(config.snapshot_budget);
         }
         Campaign {
             space,
@@ -1505,14 +1484,13 @@ mod tests {
         );
     }
 
-    /// The payload round-trips by value through `Session::downcast`, and a
-    /// type mismatch yields `None` instead of panicking.
+    /// The payload is recovered by reference, and a type mismatch yields
+    /// `None` instead of panicking.
     #[test]
-    fn sessions_downcast_by_value() {
+    fn sessions_downcast_by_reference() {
         let session = Session::new(vec![1u64, 2, 3]);
-        assert!(session.downcast_ref::<Vec<u64>>().is_some());
-        assert_eq!(session.downcast::<Vec<u64>>(), Some(vec![1u64, 2, 3]));
+        assert_eq!(session.downcast_ref::<Vec<u64>>(), Some(&vec![1u64, 2, 3]));
         let session = Session::new("payload".to_string());
-        assert_eq!(session.downcast::<u32>(), None);
+        assert_eq!(session.downcast_ref::<u32>(), None);
     }
 }

@@ -93,7 +93,6 @@ pub use control::ControlMessage;
 pub use engine::{
     derive_seed, Campaign, CrashInfo, ExecBackend, Execution, Executor, InjectedSite, OutcomeKind,
     ParseBackendError, PrefetchKey, RunRecord, Session, WorkUnit, DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_SNAPSHOT_BUDGET,
 };
 pub use events::{CampaignEvent, EventLog, EventSink, JsonlSink};
 pub use history::CampaignHistory;

@@ -139,12 +139,13 @@ fn a_tiny_snapshot_budget_only_costs_time_never_correctness() {
     use lfi_campaign::Executor;
 
     let starved = StandardExecutor::new(&["git-lite"]);
+    // Below even one root: evict everything evictable.
+    Executor::set_snapshot_budget(&starved, 1);
     let space = hunt_space(&starved, &["git-lite"], &["opendir", "setenv"]);
     let driver = Campaign::builder(space.clone(), &starved)
         .jobs(2)
         .seed(7)
         .backend(ExecBackend::Snapshot)
-        .snapshot_budget(1) // below even one root: evict everything evictable
         .build();
     let starved_report = driver.run_to_completion().report;
     assert_eq!(

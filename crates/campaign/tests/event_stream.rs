@@ -134,17 +134,28 @@ fn parallel_run_streams_ordered_decodable_events() {
     assert_eq!(announced, report.triage.distinct_crashes());
 }
 
+/// Telemetry only observes: switching it off drops the report's metrics
+/// and leaves every record unchanged, on both backends.
 #[test]
 fn disabled_telemetry_omits_report_metrics() {
-    let mut executor = StandardExecutor::new(&["git-lite"]);
-    executor.set_telemetry(Telemetry::disabled());
-    let space = git_space(&executor);
-    let report = Campaign::builder(space, &executor)
-        .jobs(2)
-        .seed(7)
-        .build()
-        .run_to_completion()
-        .report;
-    assert!(report.metrics.is_none());
-    assert!(report.triage.crashes > 0, "run still finds the crash");
+    for backend in [ExecBackend::Fresh, ExecBackend::Snapshot] {
+        let run = |telemetry: Telemetry| {
+            let mut executor = StandardExecutor::new(&["git-lite"]);
+            executor.set_telemetry(telemetry);
+            let space = git_space(&executor);
+            let driver = Campaign::builder(space, &executor)
+                .jobs(2)
+                .seed(7)
+                .backend(backend)
+                .build();
+            driver.run_to_completion().report
+        };
+        let report = run(Telemetry::disabled());
+        assert!(report.metrics.is_none());
+        assert!(report.triage.crashes > 0, "run still finds the crash");
+
+        let with_telemetry = run(Telemetry::new());
+        assert!(with_telemetry.metrics.is_some());
+        assert_eq!(report.records, with_telemetry.records, "{backend}");
+    }
 }

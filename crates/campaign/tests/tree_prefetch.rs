@@ -119,7 +119,8 @@ fn concurrent_forks_and_prefetch_share_one_deepening_walk() {
 /// ordering — must remain a pure optimization: records identical to the
 /// flat single-snapshot session model, zero discarded walks, no duplicate
 /// depths. The engine prefetches every batch before draining it, so every
-/// fork lands at its target depth (no misses).
+/// fork lands at its target depth (no misses). A second run on the now
+/// warm executor reuses its trees and must record the same.
 #[test]
 fn prefetching_campaign_matches_flat_sessions_at_four_jobs() {
     let run = |executor: &StandardExecutor| {
@@ -148,6 +149,9 @@ fn prefetching_campaign_matches_flat_sessions_at_four_jobs() {
         0,
         "after the engine's prefetch every fork finds its target depth resident"
     );
+
+    let warm = run(&tree_executor);
+    assert_eq!(tree.records, warm.records);
 
     let mut flat_executor = StandardExecutor::new(&["git-lite"]);
     flat_executor.set_max_session_depth(1);

@@ -151,7 +151,7 @@ pub struct RunToCompletion;
 impl Workload for RunToCompletion {}
 
 /// The result of [`Controller::prepare_session`] /
-/// [`Controller::deepen_session`]: a workload paused at an injectable
+/// [`Controller::step_session`]: a workload paused at an injectable
 /// library call (or run to its terminal state when it never makes one).
 /// Snapshot `machine` to fork per-scenario runs from it.
 #[derive(Debug)]
@@ -172,6 +172,17 @@ pub struct SessionPrep {
 }
 
 impl SessionPrep {
+    /// The prep of a machine that `pause` stopped (or that ran to `exit`).
+    fn paused(machine: Machine, pause: PauseAtCall, exit: RunExit) -> SessionPrep {
+        SessionPrep {
+            instructions_used: machine.stats.instructions,
+            machine,
+            paused_at: pause.paused_at,
+            prefix_exit: exit,
+            forwarded: pause.forwarded,
+        }
+    }
+
     /// The instruction budget left for forks of this prefix, or `None`
     /// when the prefix must not back a session at all:
     ///
@@ -377,13 +388,19 @@ impl Controller {
     ) -> SessionPrep {
         let mut machine = self.machine_from_image(image, config);
         workload.setup(&mut machine);
-        let pause = PauseAtCall::at_first(functions.iter().cloned());
-        Controller::finish_prep(machine, pause, workload, config.max_instructions)
+        let mut pause = PauseAtCall::at_first(functions.iter().cloned());
+        let exit = workload.drive(&mut machine, &mut pause, config.max_instructions);
+        SessionPrep::paused(machine, pause, exit)
     }
 
-    /// Resume a machine paused by a previous [`Controller::prepare_session`]
-    /// or `deepen_session` stop and run it to the next pause point of
-    /// `pause` — the deepening step session trees are grown by.
+    /// Advance a machine paused at an injectable call by a previous
+    /// [`Controller::prepare_session`] or `step_session` stop to the *next*
+    /// injectable call — the deepening step session trees are grown by.
+    /// The re-observed paused call is forwarded (appearing in
+    /// [`SessionPrep::forwarded`]) and the machine stops one call later, so
+    /// a caller looping over `step_session` visits every intermediate call
+    /// of a deepening walk and can snapshot each one, instead of paying one
+    /// full walk per depth.
     ///
     /// The machine is typically a [`lfi_vm::MachineSnapshot`] fork of an
     /// existing session node, *not* reseeded, so the deepened prefix stays
@@ -391,41 +408,10 @@ impl Controller {
     /// [`Machine::rng_is_pristine`] before snapshotting the result, exactly
     /// as for a first-call prefix). `max_instructions` is the **total**
     /// per-run instruction budget counted from process start; the method
-    /// charges the resumed machine only for what is left of it. Every
-    /// injectable call forwarded on the way is recorded in
-    /// [`SessionPrep::forwarded`], extending the caller's call trace.
-    pub fn deepen_session(
-        &self,
-        mut machine: Machine,
-        mut pause: PauseAtCall,
-        max_instructions: u64,
-    ) -> SessionPrep {
-        let remaining = max_instructions.saturating_sub(machine.stats.instructions);
-        // Deepening resumes mid-drive, after every stock workload's setup
-        // already ran and queued its stimulus; the drive phase itself is a
-        // plain `Machine::run` for every stock workload, so resuming with
-        // `run` replays exactly what the original drive would have done.
-        let exit = machine.run(&mut pause, remaining);
-        let instructions_used = machine.stats.instructions;
-        SessionPrep {
-            machine,
-            paused_at: pause.paused_at,
-            prefix_exit: exit,
-            instructions_used,
-            forwarded: pause.forwarded,
-        }
-    }
-
-    /// Advance a machine paused at an injectable call to the *next*
-    /// injectable call — [`Controller::deepen_session`] in its
-    /// pause-at-each-call mode. The re-observed paused call is forwarded
-    /// (appearing in [`SessionPrep::forwarded`]) and the machine stops one
-    /// call later, so a caller looping over `step_session` visits every
-    /// intermediate call of a deepening walk and can snapshot each one,
-    /// instead of paying one full walk per depth.
+    /// charges the resumed machine only for what is left of it.
     pub fn step_session<I, S>(
         &self,
-        machine: Machine,
+        mut machine: Machine,
         functions: I,
         max_instructions: u64,
     ) -> SessionPrep
@@ -433,40 +419,14 @@ impl Controller {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.deepen_session(machine, PauseAtCall::at_next(functions), max_instructions)
-    }
-
-    /// Run a workload to its terminal state, recording the order of every
-    /// call to `functions` — the injectable-call trace that session trees
-    /// are keyed by (used by benches to measure injection depth).
-    pub fn trace_session_calls(
-        &self,
-        image: Arc<Image>,
-        functions: &[String],
-        workload: &mut dyn Workload,
-        config: &TestConfig,
-    ) -> SessionPrep {
-        let mut machine = self.machine_from_image(image, config);
-        workload.setup(&mut machine);
-        let pause = PauseAtCall::trace_only(functions.iter().cloned());
-        Controller::finish_prep(machine, pause, workload, config.max_instructions)
-    }
-
-    fn finish_prep(
-        mut machine: Machine,
-        mut pause: PauseAtCall,
-        workload: &mut dyn Workload,
-        max_instructions: u64,
-    ) -> SessionPrep {
-        let exit = workload.drive(&mut machine, &mut pause, max_instructions);
-        let instructions_used = machine.stats.instructions;
-        SessionPrep {
-            machine,
-            paused_at: pause.paused_at,
-            prefix_exit: exit,
-            instructions_used,
-            forwarded: pause.forwarded,
-        }
+        let mut pause = PauseAtCall::at_next(functions);
+        let remaining = max_instructions.saturating_sub(machine.stats.instructions);
+        // Stepping resumes mid-drive, after every stock workload's setup
+        // already ran and queued its stimulus; the drive phase itself is a
+        // plain `Machine::run` for every stock workload, so resuming with
+        // `run` replays exactly what the original drive would have done.
+        let exit = machine.run(&mut pause, remaining);
+        SessionPrep::paused(machine, pause, exit)
     }
 
     /// Run one test: load the program with the scenario's interpositions,

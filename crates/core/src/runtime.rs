@@ -450,20 +450,9 @@ impl HookHandler for InjectionEngine {
     }
 }
 
-/// Where a [`PauseAtCall`] handler stops the machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PauseMode {
-    /// Pause before the k-th tracked call (1-based). `u64::MAX` in
-    /// practice never fires: the handler just records the trace.
-    AtIndex(u64),
-    /// Pause before the first call to one specific tracked function,
-    /// forwarding (and recording) every other tracked call on the way.
-    AtFunction(String),
-}
-
 /// A handler that forwards every intercepted call while counting calls to
 /// a *tracked* set of functions (the injectable library functions), and
-/// pauses the machine just before a chosen one of them executes.
+/// pauses the machine just before the k-th of them executes.
 ///
 /// The pause happens *before* the call executes ([`HookAction::Pause`]
 /// leaves the program counter on the call instruction and rolls the
@@ -474,15 +463,12 @@ enum PauseMode {
 /// workload prefix up to the k-th injectable library call runs once, and
 /// every injection scenario forks from there.
 ///
-/// Three pause policies:
+/// Two constructors:
 ///
-/// * [`PauseAtCall::at_first`] — before the first tracked call (the flat
+/// * [`PauseAtCall::at_first`] — before the first tracked call (the
 ///   session prefix of one snapshot per `(target, workload)` pair);
-/// * [`PauseAtCall::at_index`] — before the k-th tracked call (1-based),
-///   used to materialize deeper snapshot-tree nodes along a known trace;
-/// * [`PauseAtCall::at_function`] — before the first call to one specific
-///   function, used to *discover* that function's depth while recording
-///   every tracked call forwarded on the way in [`PauseAtCall::forwarded`].
+/// * [`PauseAtCall::at_next`] — before the tracked call after a previous
+///   pause point, the single step snapshot trees are deepened by.
 ///
 /// The paused call is **not** counted or recorded: on resume (under any
 /// handler) it is re-observed, so a handler that pauses must not be reused
@@ -490,7 +476,8 @@ enum PauseMode {
 #[derive(Debug, Clone)]
 pub struct PauseAtCall {
     tracked: std::collections::BTreeSet<String>,
-    mode: PauseMode,
+    /// Pause before this tracked call (1-based).
+    pause_at: usize,
     /// Tracked calls already forwarded (1-based position = injectable-call
     /// index). The paused call itself is in `paused_at`, not here.
     pub forwarded: Vec<String>,
@@ -499,14 +486,16 @@ pub struct PauseAtCall {
 }
 
 impl PauseAtCall {
-    fn with_mode<I, S>(functions: I, mode: PauseMode) -> PauseAtCall
+    /// Pause before the k-th (1-based) call to any of `functions`; the
+    /// k-1 earlier tracked calls are forwarded and recorded in order.
+    fn at_index<I, S>(functions: I, k: usize) -> PauseAtCall
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         PauseAtCall {
             tracked: functions.into_iter().map(Into::into).collect(),
-            mode,
+            pause_at: k,
             forwarded: Vec::new(),
             paused_at: None,
         }
@@ -521,50 +510,21 @@ impl PauseAtCall {
         PauseAtCall::at_index(functions, 1)
     }
 
-    /// Pause before the k-th (1-based) call to any of `functions`; the
-    /// k-1 earlier tracked calls are forwarded and recorded in order.
-    pub fn at_index<I, S>(functions: I, k: u64) -> PauseAtCall
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        PauseAtCall::with_mode(functions, PauseMode::AtIndex(k.max(1)))
-    }
-
     /// Pause before the *next* tracked call after a previous pause point —
     /// the single step of pause-at-each-call deepening. A machine paused by
     /// another `PauseAtCall` re-observes its paused call on resume, so this
-    /// is `at_index(functions, 2)`: the re-observed call is forwarded (and
-    /// recorded) and the machine stops before the one after it. Stepping a
-    /// prefix with a fresh `at_next` handler per step therefore visits
-    /// every injectable call exactly once, which is how one deepening pass
-    /// can snapshot all intermediate depths instead of only its endpoint.
+    /// pauses at the second tracked call: the re-observed call is forwarded
+    /// (and recorded) and the machine stops before the one after it.
+    /// Stepping a prefix with a fresh `at_next` handler per step therefore
+    /// visits every injectable call exactly once, which is how one
+    /// deepening pass can snapshot all intermediate depths instead of only
+    /// its endpoint.
     pub fn at_next<I, S>(functions: I) -> PauseAtCall
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         PauseAtCall::at_index(functions, 2)
-    }
-
-    /// Pause before the first call to `function` specifically, forwarding
-    /// (and recording) calls to the other tracked `functions` on the way.
-    pub fn at_function<I, S>(functions: I, function: impl Into<String>) -> PauseAtCall
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        PauseAtCall::with_mode(functions, PauseMode::AtFunction(function.into()))
-    }
-
-    /// Never pause: run to the terminal state recording the complete
-    /// tracked-call trace in [`PauseAtCall::forwarded`].
-    pub fn trace_only<I, S>(functions: I) -> PauseAtCall
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        PauseAtCall::with_mode(functions, PauseMode::AtIndex(u64::MAX))
     }
 }
 
@@ -573,11 +533,7 @@ impl HookHandler for PauseAtCall {
         if !self.tracked.contains(func) {
             return HookAction::Forward;
         }
-        let pause_here = match &self.mode {
-            PauseMode::AtIndex(k) => self.forwarded.len() as u64 + 1 == *k,
-            PauseMode::AtFunction(f) => f == func,
-        };
-        if pause_here {
+        if self.forwarded.len() + 1 == self.pause_at {
             self.paused_at = Some(func.to_string());
             HookAction::Pause
         } else {

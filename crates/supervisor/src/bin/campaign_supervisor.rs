@@ -13,7 +13,6 @@
 //!                     [--workers N] [--jobs N] [--lease-points N]
 //!                     [--strategy exhaustive|guided|adaptive|random:N]
 //!                     [--seed N] [--backend fresh|snapshot]
-//!                     [--snapshot-budget BYTES]
 //!                     [--heartbeat-timeout-ms N] [--max-restarts N]
 //!                     [--chaos-kill-after N] [--events-jsonl PATH]
 //!                     [--worker-bin PATH] [--out PATH]
@@ -61,7 +60,6 @@ fn parse_args() -> Result<(SupervisorOptions, Option<PathBuf>), String> {
             "--strategy" => options.strategy = value()?,
             "--seed" => options.seed = int(value()?, "--seed")?,
             "--backend" => options.backend = value()?.parse().map_err(|err| format!("{err}"))?,
-            "--snapshot-budget" => options.snapshot_budget = int(value()?, "--snapshot-budget")?,
             "--heartbeat-timeout-ms" => {
                 options.heartbeat_timeout =
                     Duration::from_millis(int(value()?, "--heartbeat-timeout-ms")?);

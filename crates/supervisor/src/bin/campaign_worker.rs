@@ -13,7 +13,7 @@
 //!                 --state-dir DIR
 //!                 [--strategy exhaustive|guided|adaptive|random:N]
 //!                 [--jobs N] [--seed N]
-//!                 [--backend fresh|snapshot] [--snapshot-budget BYTES]
+//!                 [--backend fresh|snapshot]
 //! ```
 
 use std::path::PathBuf;
@@ -54,11 +54,6 @@ fn parse_args() -> Result<WorkerConfig, String> {
                     .map_err(|_| "--seed needs an integer".to_string())?;
             }
             "--backend" => config.backend = value()?.parse().map_err(|err| format!("{err}"))?,
-            "--snapshot-budget" => {
-                config.snapshot_budget = value()?
-                    .parse()
-                    .map_err(|_| "--snapshot-budget needs a byte count".to_string())?;
-            }
             "--state-dir" => state_dir = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag `{other}`")),
         }

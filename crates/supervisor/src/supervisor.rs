@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use lfi_campaign::{
     Campaign, CampaignEvent, CampaignReport, CampaignState, ControlMessage, CrashSignature,
-    ExecBackend, Lease, LeaseOutcome, StandardExecutor, DEFAULT_SNAPSHOT_BUDGET,
+    ExecBackend, Lease, LeaseOutcome, StandardExecutor,
 };
 use lfi_telemetry::{Counter, LineFramer, MetricsSnapshot, Telemetry};
 
@@ -69,8 +69,6 @@ pub struct SupervisorOptions {
     pub seed: u64,
     /// Execution backend inside each worker.
     pub backend: ExecBackend,
-    /// Snapshot-tree byte budget per worker (snapshot backend only).
-    pub snapshot_budget: u64,
     /// Fault points per lease.
     pub lease_points: usize,
     /// Directory of per-lease checkpoint files (created if missing).
@@ -104,7 +102,6 @@ impl SupervisorOptions {
             jobs: 1,
             seed: 7,
             backend: ExecBackend::Fresh,
-            snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
             lease_points: 8,
             state_dir: state_dir.into(),
             worker_bin: sibling_worker_bin().unwrap_or_else(|| PathBuf::from("campaign_worker")),
@@ -388,8 +385,6 @@ impl Supervisor {
             .arg(options.seed.to_string())
             .arg("--backend")
             .arg(options.backend.to_string())
-            .arg("--snapshot-budget")
-            .arg(options.snapshot_budget.to_string())
             .arg("--state-dir")
             .arg(&options.state_dir)
             .stdin(Stdio::piped())

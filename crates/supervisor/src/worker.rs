@@ -32,7 +32,6 @@ use std::thread;
 
 use lfi_campaign::{
     Campaign, CampaignEvent, ControlMessage, CrashSignature, ExecBackend, Lease, StandardExecutor,
-    DEFAULT_SNAPSHOT_BUDGET,
 };
 
 use crate::plan::{parse_strategy, SpaceSpec};
@@ -52,8 +51,6 @@ pub struct WorkerConfig {
     pub seed: u64,
     /// Execution backend.
     pub backend: ExecBackend,
-    /// Snapshot-tree byte budget (snapshot backend only).
-    pub snapshot_budget: u64,
     /// Directory of per-lease checkpoint files, shared with the
     /// supervisor and sibling workers (the merge step reads it).
     pub state_dir: PathBuf,
@@ -69,7 +66,6 @@ impl WorkerConfig {
             jobs: 1,
             seed: 7,
             backend: ExecBackend::Fresh,
-            snapshot_budget: DEFAULT_SNAPSHOT_BUDGET,
             state_dir: state_dir.into(),
         }
     }
@@ -190,7 +186,6 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
             .jobs(config.jobs)
             .seed(config.seed)
             .backend(config.backend)
-            .snapshot_budget(config.snapshot_budget)
             .lease(lease)
             .known_signatures(signatures.iter().cloned())
             .events(&sink)

@@ -37,8 +37,8 @@
 //! A recorded metric costs one `Relaxed` atomic RMW; a span costs two
 //! monotonic clock reads plus one histogram record. Campaign-level
 //! instrumentation keeps total overhead under ~5% of snapshot-backend
-//! sweep throughput (the `campaign_bench` telemetry lanes measure it in
-//! CI). Disable collection entirely by installing
+//! sweep throughput (perfbench's `telemetry.overhead_pct` measures it).
+//! Disable collection entirely by installing
 //! [`Telemetry::disabled`] — handles become no-ops and spans skip the
 //! clock reads.
 
