@@ -320,12 +320,24 @@ mod tests {
     #[test]
     fn rejects_truncation_anywhere() {
         let bytes = sample_module().to_bytes();
-        // Chop the serialized form at several points; decoding must error out,
+        // Chop the serialized form at every point; decoding must error out,
         // never panic and never succeed with partial data.
-        for cut in [3, 7, 9, 20, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             let result = Module::from_bytes(&bytes[..cut]);
             assert!(result.is_err(), "cut at {cut} unexpectedly decoded");
         }
+    }
+
+    #[test]
+    fn rejects_string_length_past_the_buffer() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&1000u32.to_le_bytes());
+        bytes.extend_from_slice(b"abc");
+        assert_eq!(
+            Module::from_bytes(&bytes),
+            Err(FormatError::LengthOutOfRange(1000))
+        );
     }
 
     #[test]
