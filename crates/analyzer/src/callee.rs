@@ -19,7 +19,6 @@ use std::collections::{BTreeMap, HashMap};
 use lfi_arch::{CallConv, Insn, Reg, Word};
 use lfi_obj::{Module, SymKind};
 use lfi_profiler::{is_error_value, ErrorCase, FaultProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::cfg::{build_function_cfg, PartialCfg};
 
@@ -32,7 +31,7 @@ const STEP_CAP: usize = 50_000;
 const VISIT_CAP: usize = 16;
 
 /// Path-sensitive fault profile of one exported function.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StaticFunctionProfile {
     /// Function name.
     pub name: String,
@@ -56,7 +55,7 @@ impl StaticFunctionProfile {
 }
 
 /// Path-sensitive fault profile of a whole library module.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StaticFaultProfile {
     /// Library (module) name.
     pub library: String,
@@ -73,7 +72,7 @@ impl StaticFaultProfile {
 
 /// One disagreement between the static (path-based) and runtime (linear)
 /// fault profiles of a library.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProfileDivergence {
     /// The function appears in the static profile only.
     OnlyInStatic {

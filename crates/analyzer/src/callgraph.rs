@@ -16,10 +16,9 @@ use std::collections::BTreeMap;
 
 use lfi_arch::Insn;
 use lfi_obj::{Module, SymKind};
-use serde::{Deserialize, Serialize};
 
 /// One call site targeting a function, seen from the caller's side.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CallSiteRef {
     /// Name of the module containing the call instruction.
     pub module: String,

@@ -5,13 +5,12 @@ use std::collections::BTreeSet;
 use lfi_arch::{Word, INSN_SIZE};
 use lfi_obj::Module;
 use lfi_profiler::FaultProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::cfg::{build_function_cfg, build_partial_cfg};
 use crate::dataflow::{analyze_checks, CheckSummary};
 
 /// Analyzer configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AnalysisConfig {
     /// Number of post-call instructions included in the partial CFG, or
     /// `None` to walk the full function (the default). The paper's windowed
@@ -33,7 +32,7 @@ impl Default for AnalysisConfig {
 }
 
 /// Classification of one call site, following Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallSiteClass {
     /// All error codes are checked (`C_yes`).
     Checked,
@@ -44,7 +43,7 @@ pub enum CallSiteClass {
 }
 
 /// One analyzed call site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteFinding {
     /// Code offset of the `callsym` instruction in the target binary.
     pub offset: u64,
@@ -71,7 +70,7 @@ pub struct SiteFinding {
 }
 
 /// The analysis result for one (program, library function) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSiteReport {
     /// Target program (module) name.
     pub program: String,
@@ -219,7 +218,7 @@ pub fn analyze_program(
 /// The empty-denominator convention matches [`ConfusionMatrix::accuracy`]: a
 /// metric whose denominator is zero (no predictions, or no actual members of
 /// the class) is reported as a vacuous `1.0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassMetrics {
     /// Of the sites assigned to this class, the fraction that belong to it.
     pub precision: f64,
@@ -256,7 +255,7 @@ impl ClassMetrics {
 /// Confusion matrix for injection-target identification, with the paper's
 /// orientation: a *positive* is "the analyzer says the error return is not
 /// checked".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Analyzer says unchecked, and the site really does not check.
     pub true_positives: usize,

@@ -12,13 +12,12 @@
 
 use lfi_arch::Word;
 use lfi_json::{JsonError, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::callsite::{CallSiteClass, CallSiteReport};
 use crate::propagation::{PropagationReport, PropagationVerdict};
 
 /// One call site in findings form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteRecord {
     /// Library function called.
     pub function: String,
@@ -52,7 +51,7 @@ impl SiteRecord {
 }
 
 /// The complete findings for one target program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetFindings {
     /// Target program name.
     pub target: String,
@@ -247,7 +246,7 @@ impl TargetFindings {
 }
 
 /// Why a findings diff fails the gate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegressionKind {
     /// A site not in the baseline whose error return is unhandled.
     NewUnhandledSite {
@@ -264,7 +263,7 @@ pub enum RegressionKind {
 }
 
 /// One gate-failing difference between baseline and current findings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Regression {
     /// Library function of the affected site.
     pub function: String,

@@ -32,7 +32,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use lfi_arch::{Word, INSN_SIZE};
 use lfi_obj::Module;
-use serde::{Deserialize, Serialize};
 
 use crate::callgraph::CallGraph;
 use crate::callsite::{classify, AnalysisConfig, CallSiteClass, CallSiteReport};
@@ -40,7 +39,7 @@ use crate::cfg::{build_function_cfg, build_partial_cfg};
 use crate::dataflow::analyze_checks;
 
 /// Where a call site's error return is ultimately handled, if anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PropagationVerdict {
     /// The calling function checks the error codes itself.
     HandledLocally,
@@ -65,7 +64,7 @@ impl PropagationVerdict {
 }
 
 /// One call site with its interprocedural verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropagationFinding {
     /// Code offset of the call instruction in the program module.
     pub offset: u64,
@@ -84,7 +83,7 @@ pub struct PropagationFinding {
 }
 
 /// Interprocedural verdicts for every site of one (program, function) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropagationReport {
     /// Target program (module) name.
     pub program: String,

@@ -6,8 +6,6 @@
 //! variable, and the kernel-facing syscall layer reports failures as negative
 //! `errno` values that the simulated libc translates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Reg;
 
 /// Error numbers (`errno` values) used by the simulated environment.
@@ -292,7 +290,7 @@ pub mod fcntlcmd {
 
 /// The calling convention used by compiled code and enforced by the VM at
 /// interposition points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallConv;
 
 impl CallConv {

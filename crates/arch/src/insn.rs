@@ -10,15 +10,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Reg, Word};
 
 /// Size in bytes of every encoded instruction.
 pub const INSN_SIZE: u64 = 12;
 
 /// Arithmetic / logical operation selector for [`Insn::Alu`] and [`Insn::AluI`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Addition.
     Add,
@@ -83,7 +81,7 @@ impl AluOp {
 }
 
 /// Branch condition, evaluated against the flags set by the last `CMP`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cond {
     /// Equal.
     Eq,
@@ -164,7 +162,7 @@ impl Cond {
 /// containing module's code section; symbol references (`sym` fields) are
 /// indices into the containing module's symbol-reference table
 /// (see `lfi-obj`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Insn {
     /// Do nothing.
     Nop,

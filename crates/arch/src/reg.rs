@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A machine register.
 ///
 /// There are 16 general-purpose registers plus the stack pointer and the
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `R0` the return-value role and `R1..=R6` the argument roles, mirroring the
 /// x86-64 System V convention the paper's analyses implicitly rely on
 /// (the return value of a library call lives in one well-known register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Reg {
     /// General purpose register `rN` for `N` in `0..16`.
     R(u8),

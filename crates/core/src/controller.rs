@@ -18,14 +18,13 @@ use lfi_vm::{
     Coverage, ExecStats, Fault, HookHandler, Image, LoadError, Loader, Machine, NetHandle,
     ProcessConfig, RunExit,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::runtime::{InjectionEngine, InjectionLog, PauseAtCall};
 use crate::scenario::Scenario;
 use crate::triggers::{TriggerBuildError, TriggerRegistry};
 
 /// How a test run ended, from the tester's point of view.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TestOutcome {
     /// The program terminated normally with exit code 0.
     Passed,

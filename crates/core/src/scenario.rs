@@ -14,12 +14,11 @@ use std::fmt;
 use lfi_analyzer::{CallSiteClass, CallSiteReport};
 use lfi_arch::{errno as errno_tbl, Word};
 use lfi_profiler::FaultProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::xml::{parse_xml_fragments, XmlError, XmlNode};
 
 /// A named trigger instance declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TriggerDecl {
     /// Instance id referenced by `<reftrigger>` elements.
     pub id: String,
@@ -33,7 +32,7 @@ pub struct TriggerDecl {
 
 /// A stack-frame pattern used by call-stack triggers: every populated field
 /// must match for the frame to match.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrameSpec {
     /// Module (object file) name.
     pub module: Option<String>,
@@ -48,7 +47,7 @@ pub struct FrameSpec {
 }
 
 /// An association between a library function and a conjunction of triggers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionAssoc {
     /// Intercepted function name.
     pub function: String,
@@ -71,7 +70,7 @@ impl FunctionAssoc {
 }
 
 /// A complete fault-injection scenario.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Scenario {
     /// Declared trigger instances.
     pub triggers: Vec<TriggerDecl>,

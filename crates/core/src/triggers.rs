@@ -11,11 +11,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use lfi_arch::Word;
 use lfi_vm::{CallContext, LoadedModule};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -469,7 +468,7 @@ impl DistributedController {
 
     /// Ask the controller whether node `node` should fail this call.
     pub fn should_fire(&self, node: i64, _function: &str) -> bool {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.consultations += 1;
         let fire = match &state.policy {
             DistributedPolicy::Never => false,
@@ -495,12 +494,18 @@ impl DistributedController {
 
     /// Total injections granted so far.
     pub fn injections(&self) -> u64 {
-        self.state.lock().injections
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .injections
     }
 
     /// Total times any node consulted the controller.
     pub fn consultations(&self) -> u64 {
-        self.state.lock().consultations
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .consultations
     }
 
     /// Register the `DistributedTrigger` class backed by this controller in a

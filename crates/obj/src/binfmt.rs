@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut};
-
 use crate::module::{LineEntry, Module, ModuleKind};
 use crate::symbol::{DataReloc, Export, SymKind, SymRef};
 
@@ -49,103 +47,109 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    buf.put_u64_le(b.len() as u64);
-    buf.put_slice(b);
+    put_u64(buf, b.len() as u64);
+    buf.extend_from_slice(b);
 }
 
-fn need(buf: &&[u8], n: usize) -> Result<(), FormatError> {
-    if buf.remaining() < n {
-        Err(FormatError::Truncated)
-    } else {
-        Ok(())
-    }
+/// Take the next `N` bytes, or fail with [`FormatError::Truncated`].
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FormatError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(FormatError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
 fn get_u8(buf: &mut &[u8]) -> Result<u8, FormatError> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
+    take(buf).map(|[b]| b)
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, FormatError> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
+    take(buf).map(u32::from_le_bytes)
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64, FormatError> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
+    take(buf).map(u64::from_le_bytes)
+}
+
+/// Take the `len` bytes a length prefix announced, or fail with
+/// [`FormatError::LengthOutOfRange`].
+fn take_len<'a>(buf: &mut &'a [u8], len: u64) -> Result<&'a [u8], FormatError> {
+    if len > buf.len() as u64 {
+        return Err(FormatError::LengthOutOfRange(len));
+    }
+    let (head, rest) = buf.split_at(len as usize);
+    *buf = rest;
+    Ok(head)
 }
 
 fn get_string(buf: &mut &[u8]) -> Result<String, FormatError> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(FormatError::LengthOutOfRange(len as u64));
-    }
-    let bytes = buf[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(bytes).map_err(|_| FormatError::InvalidUtf8)
+    let len = get_u32(buf)?;
+    let bytes = take_len(buf, len.into())?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| FormatError::InvalidUtf8)
 }
 
 fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, FormatError> {
-    let len = get_u64(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(FormatError::LengthOutOfRange(len as u64));
-    }
-    let bytes = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(bytes)
+    let len = get_u64(buf)?;
+    Ok(take_len(buf, len)?.to_vec())
 }
 
 impl Module {
     /// Serialize the module to its binary on-disk representation.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.code.len() + self.data.len());
-        buf.put_slice(&MAGIC);
-        buf.put_u32_le(VERSION);
+        buf.extend_from_slice(&MAGIC);
+        put_u32(&mut buf, VERSION);
         put_string(&mut buf, &self.name);
-        buf.put_u8(match self.kind {
+        buf.push(match self.kind {
             ModuleKind::Executable => 0,
             ModuleKind::SharedLib => 1,
         });
-        buf.put_u32_le(self.needed.len() as u32);
+        put_u32(&mut buf, self.needed.len() as u32);
         for n in &self.needed {
             put_string(&mut buf, n);
         }
         put_bytes(&mut buf, &self.code);
         put_bytes(&mut buf, &self.data);
-        buf.put_u64_le(self.bss_size);
-        buf.put_u32_le(self.symrefs.len() as u32);
+        put_u64(&mut buf, self.bss_size);
+        put_u32(&mut buf, self.symrefs.len() as u32);
         for s in &self.symrefs {
-            buf.put_u8(s.kind.encode());
+            buf.push(s.kind.encode());
             put_string(&mut buf, &s.name);
         }
-        buf.put_u32_le(self.exports.len() as u32);
+        put_u32(&mut buf, self.exports.len() as u32);
         for e in &self.exports {
-            buf.put_u8(e.kind.encode());
-            buf.put_u64_le(e.offset);
-            buf.put_u64_le(e.size);
+            buf.push(e.kind.encode());
+            put_u64(&mut buf, e.offset);
+            put_u64(&mut buf, e.size);
             put_string(&mut buf, &e.name);
         }
-        buf.put_u32_le(self.data_relocs.len() as u32);
+        put_u32(&mut buf, self.data_relocs.len() as u32);
         for r in &self.data_relocs {
-            buf.put_u64_le(r.data_offset);
-            buf.put_u32_le(r.sym);
+            put_u64(&mut buf, r.data_offset);
+            put_u32(&mut buf, r.sym);
         }
-        buf.put_u32_le(self.files.len() as u32);
+        put_u32(&mut buf, self.files.len() as u32);
         for f in &self.files {
             put_string(&mut buf, f);
         }
-        buf.put_u32_le(self.line_table.len() as u32);
+        put_u32(&mut buf, self.line_table.len() as u32);
         for l in &self.line_table {
-            buf.put_u64_le(l.code_offset);
-            buf.put_u32_le(l.file);
-            buf.put_u32_le(l.line);
+            put_u64(&mut buf, l.code_offset);
+            put_u32(&mut buf, l.file);
+            put_u32(&mut buf, l.line);
         }
         buf
     }
@@ -153,10 +157,7 @@ impl Module {
     /// Decode a module from its binary representation.
     pub fn from_bytes(mut buf: &[u8]) -> Result<Module, FormatError> {
         let buf = &mut buf;
-        need(buf, 4)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if magic != MAGIC {
+        if take(buf)? != MAGIC {
             return Err(FormatError::BadMagic);
         }
         let version = get_u32(buf)?;

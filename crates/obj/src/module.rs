@@ -4,12 +4,11 @@ use std::collections::HashMap;
 use std::fmt;
 
 use lfi_arch::{decode_all, Insn, INSN_SIZE};
-use serde::{Deserialize, Serialize};
 
 use crate::symbol::{DataReloc, Export, SymKind, SymRef};
 
 /// Whether a module is a program entry point or a shared library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModuleKind {
     /// An executable; must export `main`.
     Executable,
@@ -19,7 +18,7 @@ pub enum ModuleKind {
 
 /// A DWARF-like line-table entry: instructions at or after `code_offset`
 /// (until the next entry) originate from `files[file] : line`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineEntry {
     /// Byte offset into the code section.
     pub code_offset: u64,
@@ -30,7 +29,7 @@ pub struct LineEntry {
 }
 
 /// A loadable unit: executable or shared library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     /// Module name (`libc`, `bind-lite`, ...). Used in backtraces, triggers
     /// and injection scenarios, like the object-file name in the paper.

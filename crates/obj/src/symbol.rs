@@ -1,9 +1,7 @@
 //! Symbol references, exports, and data relocations.
 
-use serde::{Deserialize, Serialize};
-
 /// The namespace a symbol lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SymKind {
     /// A function entry point in some module's code section.
     Func,
@@ -41,7 +39,7 @@ impl SymKind {
 /// References to functions not defined in the module play the role of PLT
 /// entries in ELF: they are exactly the points the LFI call-site analyzer
 /// scans for, and the points the interposition runtime can redirect.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SymRef {
     /// Symbol name (`read`, `malloc`, string-literal labels, ...).
     pub name: String,
@@ -76,7 +74,7 @@ impl SymRef {
 }
 
 /// An exported symbol definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Export {
     /// Symbol name visible to other modules.
     pub name: String,
@@ -92,7 +90,7 @@ pub struct Export {
 /// A relocation applied to the data section at load time: the 8-byte word at
 /// `data_offset` is replaced with the absolute address of `sym` (an index
 /// into the module's symbol-reference table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataReloc {
     /// Offset into the data section of the word to patch.
     pub data_offset: u64,

@@ -21,10 +21,9 @@ use std::collections::BTreeMap;
 use lfi_arch::{CallConv, Insn, Reg, Word};
 use lfi_json::{JsonError, Value};
 use lfi_obj::{Module, SymKind};
-use serde::{Deserialize, Serialize};
 
 /// One way a function can fail: a return value and an optional errno.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ErrorCase {
     /// The value returned to the caller (e.g. `-1`, or `0` for NULL).
     pub retval: Word,
@@ -33,7 +32,7 @@ pub struct ErrorCase {
 }
 
 /// The fault profile of one exported function.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FunctionProfile {
     /// Function name.
     pub name: String,
@@ -73,7 +72,7 @@ impl FunctionProfile {
 }
 
 /// The fault profile of a whole library.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultProfile {
     /// Library (module) name.
     pub library: String,

@@ -1,11 +1,9 @@
 //! Metadata describing the seeded Table 1 defects, used by the experiment
 //! harness to match observed crashes back to the paper's bug list.
 
-use serde::Serialize;
-
 /// One of the eleven previously-unknown bugs from Table 1, as seeded in the
 /// corresponding `*-lite` target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnownBug {
     /// Stable identifier used in reports (e.g. `bind-xml-writer`).
     pub id: &'static str,

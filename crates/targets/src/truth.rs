@@ -7,10 +7,8 @@
 //! *caller functions* contain call sites that check the error return and
 //! which do not.
 
-use serde::Serialize;
-
 /// Ground truth for one (program, library function) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroundTruth {
     /// Target program name.
     pub program: &'static str,

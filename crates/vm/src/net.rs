@@ -9,9 +9,8 @@
 //! substrate independent of LFI.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,7 +137,7 @@ impl NetHandle {
 
     /// Run a closure with exclusive access to the network.
     pub fn with<R>(&self, f: impl FnOnce(&mut SimNet) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Convenience: send a datagram.
