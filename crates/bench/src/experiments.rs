@@ -619,7 +619,8 @@ impl fmt::Display for OverheadSweep {
     }
 }
 
-/// The Table 5 trigger stack (public so the criterion benches reuse it).
+/// The Table 5 trigger stack, shared by the Tables 5/6 experiments and
+/// perfbench's `triggers` workload.
 pub fn httpd_trigger_scenario(trigger_count: usize) -> Scenario {
     let mut scenario = Scenario::new();
     let defs: Vec<TriggerDecl> = vec![
