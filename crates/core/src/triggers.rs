@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lfi_arch::Word;
 use lfi_vm::{CallContext, LoadedModule};
@@ -466,9 +466,15 @@ impl DistributedController {
         }
     }
 
+    /// Lock the shared state. A panic while it is held leaves only counters
+    /// and an RNG behind, so a poisoned lock is used as it is.
+    fn state(&self) -> MutexGuard<'_, DistributedControllerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Ask the controller whether node `node` should fail this call.
     pub fn should_fire(&self, node: i64, _function: &str) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state();
         state.consultations += 1;
         let fire = match &state.policy {
             DistributedPolicy::Never => false,
@@ -494,18 +500,12 @@ impl DistributedController {
 
     /// Total injections granted so far.
     pub fn injections(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .injections
+        self.state().injections
     }
 
     /// Total times any node consulted the controller.
     pub fn consultations(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .consultations
+        self.state().consultations
     }
 
     /// Register the `DistributedTrigger` class backed by this controller in a
