@@ -8,7 +8,9 @@
 //! captured before the call-stack matcher stopped symbolizing frames; never
 //! re-capture them to make a change pass.
 
-use lfi_campaign::{Executor, OutcomeKind, StandardExecutor, WorkUnit};
+use std::collections::BTreeMap;
+
+use lfi_campaign::{Execution, Executor, FaultPoint, OutcomeKind, StandardExecutor, WorkUnit};
 use lfi_targets::standard_controller;
 
 /// The library functions the hunt injects into the cluster target.
@@ -35,9 +37,9 @@ fn outcome_name(outcome: &OutcomeKind) -> String {
     }
 }
 
-#[test]
-fn cluster_units_keep_outcome_injections_and_virtual_time() {
-    let executor = StandardExecutor::new(&["bft-lite"]);
+/// Run every hunt unit of bft-lite through `executor`, two workers at a
+/// time (the units are independent cluster runs), in fault-space order.
+fn execute_bft_units(executor: &StandardExecutor) -> Vec<(FaultPoint, Execution)> {
     let profile = standard_controller().profile_libraries();
     let mut space = executor.fault_space(&["bft-lite"], &profile);
     space.retain(|p| BFT_FUNCTIONS.contains(&p.function.as_str()));
@@ -53,25 +55,14 @@ fn cluster_units_keep_outcome_injections_and_virtual_time() {
             seed: id as u64,
         })
         .collect();
-    // Two workers: the units are independent cluster runs.
-    let mut observed: Vec<(String, u64, String, u64, u64)> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let halves: Vec<_> = units
             .chunks(units.len().div_ceil(2).max(1))
             .map(|chunk| {
-                let executor = &executor;
                 scope.spawn(move || {
                     chunk
                         .iter()
-                        .map(|unit| {
-                            let run = executor.execute(unit);
-                            (
-                                unit.point.function.clone(),
-                                unit.point.offset,
-                                outcome_name(&run.outcome),
-                                run.injections,
-                                run.virtual_time,
-                            )
-                        })
+                        .map(|unit| (unit.point.clone(), executor.execute(unit)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -80,11 +71,116 @@ fn cluster_units_keep_outcome_injections_and_virtual_time() {
             .into_iter()
             .flat_map(|h| h.join().expect("cluster unit panicked"))
             .collect()
-    });
+    })
+}
+
+#[test]
+fn cluster_units_keep_outcome_injections_and_virtual_time() {
+    let executor = StandardExecutor::new(&["bft-lite"]);
+    let mut observed: Vec<(String, u64, String, u64, u64)> = execute_bft_units(&executor)
+        .into_iter()
+        .map(|(point, run)| {
+            (
+                point.function,
+                point.offset,
+                outcome_name(&run.outcome),
+                run.injections,
+                run.virtual_time,
+            )
+        })
+        .collect();
     observed.sort();
     let expected: Vec<(String, u64, String, u64, u64)> = PINS
         .iter()
         .map(|&(f, off, outcome, inj, vt)| (f.to_string(), off, outcome.to_string(), inj, vt))
+        .collect();
+    assert_eq!(observed, expected);
+}
+
+/// `(function, caller, ordinal)` -> `(outcome, crash sites, injections)`.
+/// A point is keyed by its call site in source terms, the ordinal counting
+/// the points of one function and caller in offset order, so the pins hold
+/// across edits of `bft-lite.c` that move code. A crash site is
+/// `module:function<-called from: fault kind`, without offsets: the
+/// function of the faulting instruction (`?` where the executor does not
+/// resolve it, as in the library), the function of the innermost call site
+/// on the stack, and the fault kind. Each distinct site is listed once.
+#[allow(clippy::type_complexity)]
+const OUTCOMES: &[((&str, &str, usize), (&str, &[&str], u64))] = &[
+    (
+        ("fopen", "write_checkpoint", 0),
+        (
+            "crashed",
+            &["libc:?<-write_checkpoint: segmentation fault (null dereference at 0x0)"],
+            4,
+        ),
+    ),
+    (("fwrite", "write_checkpoint", 0), ("passed", &[], 4)),
+    (("fwrite", "write_checkpoint", 1), ("passed", &[], 4)),
+    (
+        ("recvfrom", "await_startup", 0),
+        (
+            "crashed",
+            &["bft-lite:await_startup<-replica_main: segmentation fault (null dereference at 0x0)"],
+            4,
+        ),
+    ),
+    (("recvfrom", "replica_main", 0), ("hung", &[], 16_000)),
+    (("recvfrom", "run_request", 0), ("hung", &[], 60_000)),
+    (("sendto", "replica_main", 0), ("hung", &[], 800)),
+    (("sendto", "run_request", 0), ("hung", &[], 800)),
+];
+
+/// The time-independent half of every cluster unit: what happened, where
+/// it crashed and how often the fault was injected. Unlike [`PINS`], this
+/// holds across a change of how the cluster keeps virtual time.
+#[test]
+fn cluster_units_keep_outcome_crash_and_injections() {
+    let executor = StandardExecutor::new(&["bft-lite"]);
+    let mut runs = execute_bft_units(&executor);
+    runs.sort_by_key(|(point, _)| point.offset);
+    let mut ordinals: BTreeMap<(String, String), usize> = BTreeMap::new();
+    let observed: BTreeMap<_, _> = runs
+        .into_iter()
+        .map(|(point, run)| {
+            let caller = point.caller.unwrap_or_default();
+            let ordinal = ordinals
+                .entry((point.function.clone(), caller.clone()))
+                .or_default();
+            let key = (point.function, caller, *ordinal);
+            *ordinal += 1;
+            let mut crashes: Vec<String> = run
+                .crashes
+                .iter()
+                .map(|crash| {
+                    let kind = crash.description.split(" in ").next().unwrap_or_default();
+                    format!(
+                        "{}:{}<-{}: {kind}",
+                        crash.module,
+                        crash.in_function.as_deref().unwrap_or("?"),
+                        crash.backtrace.first().map_or("?", String::as_str),
+                    )
+                })
+                .collect();
+            crashes.sort();
+            crashes.dedup();
+            (key, (outcome_name(&run.outcome), crashes, run.injections))
+        })
+        .collect();
+    let expected: BTreeMap<_, _> = OUTCOMES
+        .iter()
+        .map(
+            |&((function, caller, ordinal), (outcome, crashes, injections))| {
+                (
+                    (function.to_string(), caller.to_string(), ordinal),
+                    (
+                        outcome.to_string(),
+                        crashes.iter().map(|c| c.to_string()).collect(),
+                        injections,
+                    ),
+                )
+            },
+        )
         .collect();
     assert_eq!(observed, expected);
 }
