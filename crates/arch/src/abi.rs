@@ -200,6 +200,12 @@ pub mod sys {
     pub const RANDOM: i64 = 33;
     /// Truncate a file: `r1` = path, `r2` = length.
     pub const TRUNCATE: i64 = 34;
+    /// Set a socket's receive deadline: `r1` = sockfd, `r2` = absolute
+    /// virtual time in ticks, or 0 for none. While the deadline is set and
+    /// not yet passed, `recvfrom` on the empty socket blocks the thread.
+    pub const RCVDEADLINE: i64 = 35;
+    /// The highest syscall number: `EXIT..=LAST` are all assigned.
+    pub const LAST: i64 = RCVDEADLINE;
 
     /// Human-readable name of a syscall number (for traces and logs).
     pub fn name(num: i64) -> Option<&'static str> {
@@ -238,6 +244,7 @@ pub mod sys {
             MUTEX_UNLOCK => "mutex_unlock",
             RANDOM => "random",
             TRUNCATE => "truncate",
+            RCVDEADLINE => "rcvdeadline",
             _ => return None,
         })
     }
@@ -337,11 +344,11 @@ mod tests {
 
     #[test]
     fn syscall_names_cover_contiguous_range() {
-        for num in sys::EXIT..=sys::TRUNCATE {
+        for num in sys::EXIT..=sys::LAST {
             assert!(sys::name(num).is_some(), "syscall {num} has no name");
         }
         assert_eq!(sys::name(0), None);
-        assert_eq!(sys::name(sys::TRUNCATE + 1), None);
+        assert_eq!(sys::name(sys::LAST + 1), None);
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn parse_imm(tok: &str, line: usize) -> Result<Word, TextAsmError> {
 }
 
 fn sys_by_name(name: &str) -> Option<Word> {
-    (sys::EXIT..=sys::TRUNCATE).find(|&n| sys::name(n) == Some(name))
+    (sys::EXIT..=sys::LAST).find(|&n| sys::name(n) == Some(name))
 }
 
 /// Parse a `[reg+off]` or `[reg-off]` or `[reg]` memory operand.

@@ -614,14 +614,21 @@ impl StandardExecutor {
         }
     }
 
-    fn execute_cluster(&self, unit: &WorkUnit) -> Execution {
-        let result = run_bft_cluster(&BftClusterConfig {
+    /// The configuration a bft-lite unit's cluster runs under: the unit's
+    /// seed and scenario, [`StandardExecutor::bft_requests`] requests, and
+    /// the instruction budget as the global cluster budget.
+    pub fn cluster_config(&self, unit: &WorkUnit) -> BftClusterConfig {
+        BftClusterConfig {
             requests: self.bft_requests,
             seed: unit.seed,
             scenario: unit.scenario.clone(),
             budget: self.max_instructions,
             ..BftClusterConfig::default()
-        });
+        }
+    }
+
+    fn execute_cluster(&self, unit: &WorkUnit) -> Execution {
+        let result = run_bft_cluster(&self.cluster_config(unit));
         let crashes: Vec<CrashInfo> = result
             .crashes
             .iter()

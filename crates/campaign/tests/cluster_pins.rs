@@ -4,28 +4,31 @@
 //! Every hooked call of a cluster run evaluates the unit's call-stack
 //! trigger and charges its trigger-evaluation cost to the node's virtual
 //! clock, so `virtual_time` changes if trigger evaluation changes which
-//! calls it matches or how often it is charged. The constants were
-//! captured before the call-stack matcher stopped symbolizing frames; never
+//! calls it matches or how often it is charged. The virtual times and
+//! offsets of [`PINS`] were captured before the call-stack matcher stopped
+//! symbolizing frames, and re-captured once, when the cluster moved from
+//! timeouts counted in polls to receive deadlines in virtual time (the
+//! time-independent [`OUTCOMES`] held across that change). Never
 //! re-capture them to make a change pass.
 
 use std::collections::BTreeMap;
 
 use lfi_campaign::{Execution, Executor, FaultPoint, OutcomeKind, StandardExecutor, WorkUnit};
-use lfi_targets::standard_controller;
+use lfi_targets::{run_bft_cluster, standard_controller, BftClusterConfig};
 
 /// The library functions the hunt injects into the cluster target.
 const BFT_FUNCTIONS: [&str; 6] = ["recvfrom", "sendto", "fopen", "fwrite", "open", "close"];
 
 /// `(function, call-site offset, outcome, injections, virtual time)`.
 const PINS: &[(&str, u64, &str, u64, u64)] = &[
-    ("fopen", 1872, "crashed", 4, 6_523_348),
-    ("fwrite", 2040, "passed", 4, 340_050),
-    ("fwrite", 2424, "passed", 4, 340_050),
-    ("recvfrom", 1044, "crashed", 4, 13_375_229),
-    ("recvfrom", 3636, "hung", 16_000, 13_375_229),
-    ("recvfrom", 5868, "hung", 60_000, 5_933_320),
-    ("sendto", 4464, "hung", 800, 12_783_229),
-    ("sendto", 5568, "hung", 800, 12_637_629),
+    ("fopen", 1872, "crashed", 4, 3_214_078),
+    ("fwrite", 2040, "passed", 4, 13_022),
+    ("fwrite", 2424, "passed", 4, 13_022),
+    ("recvfrom", 1044, "crashed", 4, 12_818_703),
+    ("recvfrom", 3840, "hung", 16_000, 12_818_703),
+    ("recvfrom", 6600, "hung", 60_000, 4_151_103),
+    ("sendto", 4992, "hung", 800, 12_826_703),
+    ("sendto", 6096, "hung", 800, 12_681_103),
 ];
 
 fn outcome_name(outcome: &OutcomeKind) -> String {
@@ -185,32 +188,80 @@ fn cluster_units_keep_outcome_crash_and_injections() {
     assert_eq!(observed, expected);
 }
 
-/// A cluster unit runs under the executor's instruction budget: with a
-/// budget far below what `sendto@4464` needs, the cluster is stopped early
-/// and the unit ends `Hung` sooner, in virtual time, than its pin.
-#[test]
-fn set_max_instructions_bounds_a_cluster_unit() {
-    let mut executor = StandardExecutor::new(&["bft-lite"]);
-    executor.set_max_instructions(2_000_000);
+/// The hunt unit that fails `function` called from `caller`.
+fn unit_at(executor: &StandardExecutor, function: &str, caller: &str) -> WorkUnit {
     let profile = standard_controller().profile_libraries();
     let mut space = executor.fault_space(&["bft-lite"], &profile);
-    space.retain(|p| p.function == "sendto" && p.offset == 4464);
-    let point = space.points.first().expect("sendto@4464 is a fault point");
-    let run = executor.execute(&WorkUnit {
+    space.retain(|p| p.function == function && p.caller.as_deref() == Some(caller));
+    let point = space
+        .points
+        .first()
+        .unwrap_or_else(|| panic!("{function} in {caller} is a fault point"));
+    WorkUnit {
         id: 0,
         point: point.clone(),
         scenario: point.scenario(),
         args: Vec::new(),
         seed: 0,
-    });
+    }
+}
+
+/// A cluster unit runs under the executor's instruction budget, a hard cap
+/// on the nodes' summed instructions: with a budget far below what the
+/// replicas' failing `sendto` needs, the cluster is stopped early and the
+/// unit ends `Hung` sooner, in virtual time, than its pin.
+#[test]
+fn set_max_instructions_bounds_a_cluster_unit() {
+    const BUDGET: u64 = 150_000;
+    let mut executor = StandardExecutor::new(&["bft-lite"]);
+    executor.set_max_instructions(BUDGET);
+    let unit = unit_at(&executor, "sendto", "replica_main");
+    let run = executor.execute(&unit);
     let &(.., pinned_time) = PINS
         .iter()
-        .find(|&&(f, off, ..)| (f, off) == ("sendto", 4464))
-        .expect("sendto@4464 is pinned");
+        .find(|&&(f, off, ..)| (f, off) == ("sendto", unit.point.offset))
+        .expect("the replicas' sendto is pinned");
     assert_eq!(run.outcome, OutcomeKind::Hung);
     assert!(
         run.virtual_time < pinned_time,
         "{} >= {pinned_time}",
         run.virtual_time
+    );
+    let result = run_bft_cluster(&executor.cluster_config(&unit));
+    assert_eq!(result.virtual_time, run.virtual_time);
+    assert!(
+        result.instructions() <= BUDGET,
+        "{} instructions over a budget of {BUDGET}",
+        result.instructions()
+    );
+}
+
+/// Idle nodes wait for the next event instead of polling: instruction
+/// counts are deterministic, so this catches a return to polled timeouts
+/// without timing noise. With polled timeouts the replicas' failing
+/// `sendto` ran 18.29 M instructions and the uninjected cluster 0.48 M.
+#[test]
+fn idle_nodes_wait_instead_of_polling() {
+    let executor = StandardExecutor::new(&["bft-lite"]);
+    let unit = unit_at(&executor, "sendto", "replica_main");
+    let hung = run_bft_cluster(&executor.cluster_config(&unit));
+    assert_eq!(hung.node_stats.len(), 5);
+    assert!(
+        hung.instructions() <= 1_000_000,
+        "{} instructions: {:?}",
+        hung.instructions(),
+        hung.node_stats
+    );
+
+    let clean = run_bft_cluster(&BftClusterConfig {
+        requests: executor.bft_requests,
+        ..BftClusterConfig::default()
+    });
+    assert_eq!(clean.completed, executor.bft_requests as i64);
+    assert!(
+        clean.instructions() <= 100_000,
+        "{} instructions: {:?}",
+        clean.instructions(),
+        clean.node_stats
     );
 }

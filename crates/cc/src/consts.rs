@@ -15,7 +15,7 @@ pub fn predefined(name: &str) -> Option<i64> {
     }
     if let Some(rest) = name.strip_prefix("SYS_") {
         let lower = rest.to_lowercase();
-        for num in sys::EXIT..=sys::TRUNCATE {
+        for num in sys::EXIT..=sys::LAST {
             if sys::name(num) == Some(lower.as_str()) {
                 return Some(num);
             }

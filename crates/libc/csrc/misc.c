@@ -1,4 +1,5 @@
-// Process control, environment, time, and assertion helpers.
+// Process control, environment, time (the clock and socket receive
+// deadlines), and assertion helpers.
 
 int exit(int code) {
     __sys(SYS_EXIT, code);
@@ -48,4 +49,14 @@ int gettime() {
 // Non-negative pseudo-random number from the VM's seeded generator.
 int rand() {
     return __sys(SYS_RANDOM);
+}
+
+// Arm socket s's receive deadline at virtual time `when`, in gettime
+// ticks; 0 disarms it, making recvfrom non-blocking again (see net.c).
+int set_recv_deadline(int s, int when) {
+    int r = __sys(SYS_RCVDEADLINE, s, when);
+    if (r >= 0) { return 0; }
+    if (r == -EBADF) { errno = EBADF; return -1; }
+    errno = EINVAL;
+    return -1;
 }

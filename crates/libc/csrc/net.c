@@ -1,6 +1,9 @@
 // Datagram sockets over the VM's simulated network. Addresses are
-// (node, port) pairs; recvfrom is non-blocking and reports EAGAIN when no
-// datagram is queued, which is what the PBFT replicas poll on.
+// (node, port) pairs. recvfrom on an empty socket reports EAGAIN at once,
+// unless set_recv_deadline (misc.c, with the clock) armed a receive
+// deadline on the socket: then it blocks until a datagram arrives, which
+// it returns, or virtual time passes the deadline, when it reports EAGAIN
+// — a receive timeout kept in virtual time.
 
 int socket(int domain, int type, int protocol) {
     int s = __sys(SYS_SOCKET);

@@ -278,11 +278,74 @@ fn sockets_roundtrip_between_two_processes() {
         to_node: 0,
         to_port: 53,
         payload: b"query".to_vec(),
+        sent_at: 0,
     });
     let exit = machine.run_to_completion(&mut NoHooks);
     assert_eq!(exit, RunExit::Exited(5));
     let reply = net.recv(99, 1000).expect("echoed datagram");
     assert_eq!(reply.payload, b"query");
+}
+
+/// A receive deadline makes `recvfrom` on an empty socket block: the
+/// machine reports `Blocked` until a datagram is queued (the receive then
+/// returns it, no earlier than its send time) or the harness lets the
+/// deadline pass (the receive then fails with `EAGAIN`). Without a
+/// deadline an empty socket fails at once.
+#[test]
+fn a_recv_deadline_blocks_until_a_datagram_or_the_deadline() {
+    let src = r#"
+        int main() {
+            int s = socket(0, 0, 0);
+            if (bind(s, 53) == -1) { return 1; }
+            int buf[8];
+            int src[2];
+            if (set_recv_deadline(s, 50000) == -1) { return 2; }
+            if (recvfrom(s, buf, 60, src) != 4) { return 3; }
+            if (gettime() < 20000) { return 4; }
+            if (recvfrom(s, buf, 60, src) != -1) { return 5; }
+            if (errno != EAGAIN) { return 6; }
+            if (gettime() < 50000) { return 7; }
+            if (set_recv_deadline(s, 0) == -1) { return 8; }
+            if (recvfrom(s, buf, 60, src) != -1) { return 9; }
+            if (errno != EAGAIN) { return 10; }
+            if (set_recv_deadline(77, 1) != -1) { return 11; }
+            if (errno != EBADF) { return 12; }
+            return 0;
+        }
+    "#;
+    let exe = Compiler::new("app", ModuleKind::Executable)
+        .needs("libc")
+        .add_source("app.c", src)
+        .compile()
+        .expect("compile app");
+    let mut loader = Loader::new();
+    loader.add_library(lfi_libc::build());
+    let mut machine = Machine::new(loader.load(exe).unwrap(), ProcessConfig::default());
+    let net = lfi_vm::NetHandle::default();
+    machine.attach_net(net.clone());
+
+    assert_eq!(machine.run_to_completion(&mut NoHooks), RunExit::Blocked);
+    assert_eq!(machine.recv_deadline(), Some(50_000));
+    assert!(machine.clock() < 20_000);
+    // Blocked, the machine executes nothing until something happens.
+    let instructions = machine.stats.instructions;
+    assert_eq!(machine.run_to_completion(&mut NoHooks), RunExit::Blocked);
+    assert_eq!(machine.stats.instructions, instructions);
+
+    net.send(lfi_vm::Datagram {
+        from_node: 99,
+        from_port: 1000,
+        to_node: 0,
+        to_port: 53,
+        payload: b"ping".to_vec(),
+        sent_at: 20_000,
+    });
+    assert_eq!(machine.run_to_completion(&mut NoHooks), RunExit::Blocked);
+    assert!((20_000..50_000).contains(&machine.clock()));
+    assert_eq!(machine.expire_recv_deadline(), Some(50_000));
+    assert_eq!(machine.recv_deadline(), None);
+    assert_eq!(machine.run_to_completion(&mut NoHooks), RunExit::Exited(0));
+    assert_eq!(machine.expire_recv_deadline(), None);
 }
 
 #[test]

@@ -1,7 +1,17 @@
 // bft-lite: the PBFT analogue. Runs either as a replica ("replica <id>
-// <idle-budget>") or as the client ("client <requests> <timeout>") on the
-// shared simulated network; the harness in lfi-targets wires 4 replicas and
-// one client together. Seeded with the two PBFT defects of Table 1:
+// <idle-ticks>") or as the client ("client <requests> <timeout-ticks>") on
+// the shared simulated network; the harness in lfi-targets wires 4 replicas
+// and one client together.
+//
+// As in PBFT, timers are kept in time, not in polls: the replica's idle
+// timeout and the client's retransmission timeout are receive deadlines
+// in virtual-time ticks (set_recv_deadline), so an idle recvfrom blocks
+// until a datagram arrives or the deadline passes. A failed receive before
+// the deadline (an injected one, which returns at once) counts against a
+// cap instead: 4000 per idle period for a replica, 300 per attempt for
+// the client.
+//
+// Seeded with the two PBFT defects of Table 1:
 //
 //   * pbft-recvfrom    — the startup receive's error return is not checked
 //     and the NULL message object is parsed;
@@ -49,7 +59,9 @@ int write_checkpoint(int seq) {
     return 0;
 }
 
-int replica_main(int id, int idle_budget) {
+// Serve requests until no datagram arrived for idle_ticks, or 4000
+// receives failed since the last one.
+int replica_main(int id, int idle_ticks) {
     my_id = id;
     int s = socket(0, 0, 0);
     if (s == -1) { return 1; }
@@ -59,13 +71,18 @@ int replica_main(int id, int idle_budget) {
     int src[2];
     int idle = 0;
     int handled = 0;
-    while (idle < idle_budget) {
+    int idle_until = gettime() + idle_ticks;
+    if (set_recv_deadline(s, idle_until) == -1) { return 1; }
+    while (idle < 4000) {
         int n = recvfrom(s, buf, 400, src);
         if (n <= 0) {
+            if (gettime() >= idle_until) { break; }
             idle = idle + 1;
             continue;
         }
         idle = 0;
+        idle_until = gettime() + idle_ticks;
+        if (set_recv_deadline(s, idle_until) == -1) { return 1; }
         __store8(buf + n, 0);
         int seq = atoi(buf);
         handled = handled + 1;
@@ -80,7 +97,8 @@ int replica_main(int id, int idle_budget) {
 }
 
 // Issue one request to every replica and wait for f+1 = 2 matching replies
-// from distinct replicas, retransmitting on timeout.
+// from distinct replicas, retransmitting when none came for timeout ticks
+// or 300 receives failed.
 int run_request(int s, int r, int timeout) {
     int out[4];
     int len = itoa(r, out);
@@ -95,10 +113,13 @@ int run_request(int s, int r, int timeout) {
             sendto(s, out, len, i, 5000 + i);
             i = i + 1;
         }
+        int retransmit_at = gettime() + timeout;
+        if (set_recv_deadline(s, retransmit_at) == -1) { return 0; }
         int waited = 0;
-        while (waited < timeout) {
+        while (waited < 300) {
             int n = recvfrom(s, buf, 100, src);
             if (n <= 0) {
+                if (gettime() >= retransmit_at) { break; }
                 waited = waited + 1;
                 continue;
             }

@@ -6,10 +6,22 @@
 //! Figure 3 (slowdown under progressively worse "network conditions",
 //! implemented as random injections into `sendto`/`recvfrom`), and the §7.3
 //! denial-of-service study.
+//!
+//! Time is event-driven. The nodes keep their timers as receive deadlines
+//! in virtual time (see [`lfi_vm::net`]), so a node with nothing to do
+//! blocks in `recvfrom` instead of polling. A [`Cluster`] runs its runnable
+//! nodes round-robin in slices; a blocked node runs again once a datagram
+//! is queued for it. When every live node is blocked, the node with the
+//! earliest deadline has its clock moved up to that deadline and its
+//! receive times out. The run ends when the client exits, at the global
+//! instruction budget, or at exact quiescence: every live node blocked with
+//! nothing queued for it and no deadline pending.
 
 use lfi_core::{InjectionEngine, Scenario, TriggerRegistry};
 use lfi_libc::build as build_libc;
-use lfi_vm::{Datagram, Fault, Loader, Machine, NetHandle, ProcessConfig, RunExit, SimNet};
+use lfi_vm::{
+    Datagram, ExecStats, Fault, Loader, Machine, NetHandle, ProcessConfig, RunExit, SimNet,
+};
 
 use crate::{bft_lite, standard_fs_setup};
 
@@ -20,9 +32,9 @@ pub struct BftClusterConfig {
     pub replicas: usize,
     /// Number of client requests to issue.
     pub requests: usize,
-    /// Client retransmission timeout, in polling iterations.
+    /// Client retransmission timeout, in virtual-time ticks.
     pub client_timeout: i64,
-    /// Replica idle budget before it shuts down, in polling iterations.
+    /// Replica idle timeout before it shuts down, in virtual-time ticks.
     pub replica_idle: i64,
     /// RNG seed (propagated to every node).
     pub seed: u64,
@@ -31,7 +43,8 @@ pub struct BftClusterConfig {
     /// Trigger registry used to build each node's engine (register the
     /// `DistributedTrigger` controller here).
     pub registry: TriggerRegistry,
-    /// Global instruction budget across all nodes.
+    /// Global instruction budget across all nodes: the nodes' summed
+    /// instruction counts never exceed it.
     pub budget: u64,
     /// Round-robin slice per node, in instructions.
     pub slice: u64,
@@ -42,8 +55,10 @@ impl Default for BftClusterConfig {
         BftClusterConfig {
             replicas: 4,
             requests: 8,
-            client_timeout: 300,
-            replica_idle: 4000,
+            // About what 300 and 4000 polls of an empty socket took when
+            // the nodes counted their timeouts in polls (~210 ticks each).
+            client_timeout: 63_000,
+            replica_idle: 840_000,
             seed: 1,
             scenario: Scenario::new(),
             registry: TriggerRegistry::default(),
@@ -67,138 +82,227 @@ pub struct BftRunResult {
     pub crashes: Vec<(i64, Fault)>,
     /// Total injections across all nodes.
     pub injections: u64,
+    /// Each node's execution statistics, as `(node id, stats)`, replicas
+    /// first and the client last.
+    pub node_stats: Vec<(i64, ExecStats)>,
     /// Client output.
     pub client_output: String,
+}
+
+impl BftRunResult {
+    /// Guest instructions executed across all nodes.
+    pub fn instructions(&self) -> u64 {
+        self.node_stats.iter().map(|(_, s)| s.instructions).sum()
+    }
 }
 
 const CLIENT_NODE: i64 = 99;
 const BASE_PORT: i64 = 5000;
 const CLIENT_PORT: i64 = 6000;
 
-/// Run a bft-lite cluster under the given configuration.
-pub fn run_bft_cluster(config: &BftClusterConfig) -> BftRunResult {
-    let net = NetHandle::new(SimNet::new(config.seed));
-    let libc = build_libc();
-    let exe = bft_lite();
+/// One process of the cluster.
+struct Node {
+    id: i64,
+    machine: Machine,
+    engine: InjectionEngine,
+}
 
-    // Pre-bind every endpoint so early datagrams are queued, not dropped.
-    for replica in 1..=config.replicas as i64 {
-        net.bind(replica, BASE_PORT + replica);
-    }
-    net.bind(CLIENT_NODE, CLIENT_PORT);
+/// A bft-lite cluster: the replicas and the client, attached to one
+/// network, scheduled in event-driven virtual time (see the module docs).
+pub struct Cluster {
+    nodes: Vec<Node>,
+    budget: u64,
+    slice: u64,
+    spent: u64,
+    crashes: Vec<(i64, Fault)>,
+    completed: Option<i64>,
+}
 
-    // Startup synchronization expected by the replicas (see bft-lite.c).
-    for replica in 1..=config.replicas as i64 {
-        net.send(Datagram {
-            from_node: 0,
-            from_port: 0,
-            to_node: replica,
-            to_port: BASE_PORT + replica,
-            payload: b"hello".to_vec(),
-        });
-    }
+impl Cluster {
+    /// Build the cluster of `config`: bind every endpoint, queue the
+    /// replicas' startup hellos and load one machine per node.
+    pub fn new(config: &BftClusterConfig) -> Cluster {
+        let net = NetHandle::new(SimNet::new(config.seed));
+        let libc = build_libc();
+        let exe = bft_lite();
 
-    let mut nodes: Vec<(i64, Machine, InjectionEngine)> = Vec::new();
-    let make_node = |node_id: i64, args: Vec<String>| {
-        let mut loader = Loader::new();
-        loader.add_library(libc.clone());
-        let engine =
-            InjectionEngine::with_registry(config.scenario.clone(), config.registry.clone())
-                .expect("scenario must compile");
-        loader.interpose_all(engine.interposed_functions());
-        let image = loader.load(exe.clone()).expect("bft-lite must load");
-        let mut machine = Machine::new(
-            image,
-            ProcessConfig {
-                node_id,
-                seed: config.seed.wrapping_add(node_id as u64),
-                args,
-                ..ProcessConfig::default()
-            },
-        );
-        machine.attach_net(net.clone());
-        standard_fs_setup(&mut machine);
-        (node_id, machine, engine)
-    };
+        // Pre-bind every endpoint so early datagrams are queued, not dropped.
+        for replica in 1..=config.replicas as i64 {
+            net.bind(replica, BASE_PORT + replica);
+        }
+        net.bind(CLIENT_NODE, CLIENT_PORT);
 
-    for replica in 1..=config.replicas as i64 {
+        // Startup synchronization expected by the replicas (see bft-lite.c).
+        for replica in 1..=config.replicas as i64 {
+            net.send(Datagram {
+                from_node: 0,
+                from_port: 0,
+                to_node: replica,
+                to_port: BASE_PORT + replica,
+                payload: b"hello".to_vec(),
+                sent_at: 0,
+            });
+        }
+
+        let make_node = |id: i64, args: [String; 3]| {
+            let mut loader = Loader::new();
+            loader.add_library(libc.clone());
+            let engine =
+                InjectionEngine::with_registry(config.scenario.clone(), config.registry.clone())
+                    .expect("scenario must compile");
+            loader.interpose_all(engine.interposed_functions());
+            let image = loader.load(exe.clone()).expect("bft-lite must load");
+            let mut machine = Machine::new(
+                image,
+                ProcessConfig {
+                    node_id: id,
+                    seed: config.seed.wrapping_add(id as u64),
+                    args: args.to_vec(),
+                    ..ProcessConfig::default()
+                },
+            );
+            machine.attach_net(net.clone());
+            standard_fs_setup(&mut machine);
+            Node {
+                id,
+                machine,
+                engine,
+            }
+        };
+
+        let mut nodes: Vec<Node> = (1..=config.replicas as i64)
+            .map(|replica| {
+                make_node(
+                    replica,
+                    [
+                        "replica".to_string(),
+                        replica.to_string(),
+                        config.replica_idle.to_string(),
+                    ],
+                )
+            })
+            .collect();
         nodes.push(make_node(
-            replica,
-            vec![
-                "replica".to_string(),
-                replica.to_string(),
-                config.replica_idle.to_string(),
+            CLIENT_NODE,
+            [
+                "client".to_string(),
+                config.requests.to_string(),
+                config.client_timeout.to_string(),
             ],
         ));
+        Cluster {
+            nodes,
+            budget: config.budget,
+            slice: config.slice,
+            spent: 0,
+            crashes: Vec::new(),
+            completed: None,
+        }
     }
-    nodes.push(make_node(
-        CLIENT_NODE,
-        vec![
-            "client".to_string(),
-            config.requests.to_string(),
-            config.client_timeout.to_string(),
-        ],
-    ));
 
-    let mut crashes = Vec::new();
-    let mut client_exit: Option<RunExit> = None;
-    let mut spent: u64 = 0;
-    while spent < config.budget {
-        let mut any_progress = false;
-        for (node_id, machine, engine) in nodes.iter_mut() {
-            if machine.finished().is_some() {
+    /// Run until the client exits, the budget is spent, or the cluster is
+    /// quiescent.
+    pub fn run(&mut self) {
+        while self.completed.is_none() && self.spent < self.budget {
+            if !self.run_round() && !self.expire_earliest_deadline() {
+                break; // quiescent
+            }
+        }
+    }
+
+    /// Give every live node one slice, clamped to the budget left. Returns
+    /// whether any node executed an instruction; a blocked node with
+    /// nothing queued for it returns at once without executing any.
+    fn run_round(&mut self) -> bool {
+        let mut progress = false;
+        for node in &mut self.nodes {
+            let left = self.budget - self.spent;
+            if left == 0 || self.completed.is_some() {
+                break;
+            }
+            if node.machine.finished().is_some() {
                 continue;
             }
-            let before = machine.stats.instructions;
-            let exit = machine.run(engine, config.slice);
-            spent += machine.stats.instructions - before;
-            match &exit {
+            let before = node.machine.stats.instructions;
+            let exit = node.machine.run(&mut node.engine, self.slice.min(left));
+            let ran = node.machine.stats.instructions - before;
+            self.spent += ran;
+            progress |= ran > 0;
+            match exit {
                 // `Paused` cannot occur here (injection engines never
                 // pause), but treat it like an idle slice if it ever does.
                 RunExit::Budget | RunExit::Blocked | RunExit::Paused => {}
-                RunExit::Fault(fault) => crashes.push((*node_id, fault.clone())),
-                RunExit::Exited(_) => {
-                    if *node_id == CLIENT_NODE {
-                        client_exit = Some(exit.clone());
+                RunExit::Fault(fault) => self.crashes.push((node.id, fault)),
+                RunExit::Exited(code) => {
+                    if node.id == CLIENT_NODE {
+                        self.completed = Some(code);
                     }
                 }
             }
-            if machine.stats.instructions != before {
-                any_progress = true;
-            }
         }
-        // Stop once the client is done (or everything is stuck).
-        if client_exit.is_some() || !any_progress {
-            break;
+        progress
+    }
+
+    /// Every live node is blocked with nothing queued for it: let the
+    /// earliest receive deadline among them pass. Returns `false` when no
+    /// live node waits for a deadline.
+    fn expire_earliest_deadline(&mut self) -> bool {
+        let earliest = self
+            .nodes
+            .iter_mut()
+            .filter(|node| node.machine.finished().is_none())
+            .filter_map(|node| Some((node.machine.recv_deadline()?, node)))
+            .min_by_key(|(deadline, _)| *deadline);
+        match earliest {
+            Some((_, node)) => node.machine.expire_recv_deadline().is_some(),
+            None => false,
         }
     }
 
-    let client = nodes
-        .iter()
-        .find(|(id, _, _)| *id == CLIENT_NODE)
-        .expect("client node exists");
-    let completed = match client_exit {
-        Some(RunExit::Exited(code)) => code,
-        _ => 0,
-    };
-    let virtual_time = nodes.iter().map(|(_, m, _)| m.clock()).max().unwrap_or(0);
-    let injections: u64 = nodes
-        .iter()
-        .map(|(_, _, e)| e.log.injection_count() as u64)
-        .sum();
-    let throughput = if virtual_time > 0 {
-        completed as f64 * 1_000_000.0 / virtual_time as f64
-    } else {
-        0.0
-    };
-    BftRunResult {
-        completed,
-        virtual_time,
-        throughput,
-        crashes,
-        injections,
-        client_output: client.1.output_string(),
+    /// The result of the run so far.
+    pub fn result(&self) -> BftRunResult {
+        let client = self
+            .nodes
+            .iter()
+            .find(|node| node.id == CLIENT_NODE)
+            .expect("client node exists");
+        let completed = self.completed.unwrap_or(0);
+        let virtual_time = self
+            .nodes
+            .iter()
+            .map(|node| node.machine.clock())
+            .max()
+            .unwrap_or(0);
+        let throughput = if virtual_time > 0 {
+            completed as f64 * 1_000_000.0 / virtual_time as f64
+        } else {
+            0.0
+        };
+        BftRunResult {
+            completed,
+            virtual_time,
+            throughput,
+            crashes: self.crashes.clone(),
+            injections: self
+                .nodes
+                .iter()
+                .map(|node| node.engine.log.injection_count() as u64)
+                .sum(),
+            node_stats: self
+                .nodes
+                .iter()
+                .map(|node| (node.id, node.machine.stats))
+                .collect(),
+            client_output: client.machine.output_string(),
+        }
     }
+}
+
+/// Run a bft-lite cluster under the given configuration.
+pub fn run_bft_cluster(config: &BftClusterConfig) -> BftRunResult {
+    let mut cluster = Cluster::new(config);
+    cluster.run();
+    cluster.result()
 }
 
 #[cfg(test)]

@@ -74,6 +74,7 @@ impl Workload for BindWorkload {
                 to_node: server_node,
                 to_port: 53,
                 payload: key.to_string().into_bytes(),
+                sent_at: 0,
             });
         }
         if self.include_stats {
@@ -83,6 +84,7 @@ impl Workload for BindWorkload {
                 to_node: server_node,
                 to_port: 53,
                 payload: b"STATS".to_vec(),
+                sent_at: 0,
             });
         }
     }

@@ -1,10 +1,14 @@
 //! Pins of the injection log on the hunt's largest injection unit.
 //!
-//! A lone bft-lite client whose `recvfrom` at offset 5868 (its only
-//! receive) fails on every call retries 50 times per request with a
-//! 300-iteration timeout: 4 requests make 60,000 injections at one call
-//! site. The constants were captured before the log interned its sites;
-//! never re-capture them to make a change pass.
+//! A lone bft-lite client whose `recvfrom` at offset 6600 (its only
+//! receive) fails on every call retries 50 times per request, after 300
+//! failed receives each: 4 requests make 60,000 injections at one call
+//! site. An injected failure returns at once, so the client never reaches
+//! its retransmission deadline. The constants were captured before the log
+//! interned its sites. The clocks and the offset (with the source line and
+//! the trigger id naming it) were re-captured once, when the cluster moved
+//! from timeouts counted in polls to receive deadlines in virtual time.
+//! Never re-capture them to make a change pass.
 
 use lfi_core::{InjectionEngine, Scenario};
 use lfi_vm::{Loader, Machine, NetHandle, ProcessConfig, RunExit, SimNet};
@@ -14,7 +18,7 @@ fn every_recvfrom_of_a_lone_client_is_logged_at_one_site() {
     let scenario = Scenario::single_fault_point(
         "bft-lite",
         "recvfrom",
-        5868,
+        6600,
         -1,
         Some(lfi_arch::errno::EAGAIN),
     );
@@ -30,7 +34,7 @@ fn every_recvfrom_of_a_lone_client_is_logged_at_one_site() {
         ProcessConfig {
             node_id: 99,
             seed: 1,
-            args: vec!["client".into(), "4".into(), "300".into()],
+            args: vec!["client".into(), "4".into(), "63000".into()],
             ..ProcessConfig::default()
         },
     );
@@ -39,7 +43,7 @@ fn every_recvfrom_of_a_lone_client_is_logged_at_one_site() {
 
     // No request completes.
     assert_eq!(machine.run_to_completion(&mut engine), RunExit::Exited(0));
-    assert_eq!(machine.clock(), 2_395_229);
+    assert_eq!(machine.clock(), 4_151_103);
     let log = &engine.log;
     assert_eq!(log.injection_count(), 60_000);
     assert_eq!(log.interceptions, 60_000);
@@ -48,8 +52,8 @@ fn every_recvfrom_of_a_lone_client_is_logged_at_one_site() {
     let mut records = log.records();
     let first = records.next().expect("first record");
     let last = records.next_back().expect("last record");
-    assert_eq!((first.call_count, first.clock), (1, 2_188));
-    assert_eq!((last.call_count, last.clock), (60_000, 2_394_332));
+    assert_eq!((first.call_count, first.clock), (1, 2_341));
+    assert_eq!((last.call_count, last.clock), (60_000, 4_150_177));
     // Every record views the same interned site: the strings are shared,
     // not copied per injection.
     assert!(log.records().all(|r| {
@@ -62,7 +66,7 @@ fn every_recvfrom_of_a_lone_client_is_logged_at_one_site() {
         (first.retval, first.errno),
         (-1, Some(lfi_arch::errno::EAGAIN))
     );
-    assert_eq!(first.call_site, ("bft-lite", 5868));
-    assert_eq!(first.source, Some(("bft-lite.c", 100)));
-    assert_eq!(first.triggers, ["recvfrom_16ec".to_string()]);
+    assert_eq!(first.call_site, ("bft-lite", 6600));
+    assert_eq!(first.source, Some(("bft-lite.c", 120)));
+    assert_eq!(first.triggers, ["recvfrom_19c8".to_string()]);
 }

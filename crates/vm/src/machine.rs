@@ -179,7 +179,9 @@ pub enum RunExit {
     Exited(i64),
     /// The process crashed.
     Fault(Fault),
-    /// Every live thread is blocked; the harness must deliver external events.
+    /// Every live thread is blocked; the harness must deliver external
+    /// events: queue a datagram for a thread blocked in `recvfrom`, or let
+    /// its receive deadline pass ([`Machine::expire_recv_deadline`]).
     Blocked,
     /// The instruction budget given to `run` was exhausted.
     Budget,
@@ -256,9 +258,15 @@ impl HookHandler for NoHooks {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ThreadState {
+pub(crate) enum ThreadState {
     Runnable,
     BlockedOnMutex(i64),
+    /// In `recvfrom` on the empty socket bound to `port`, until a datagram
+    /// is queued there or the clock reaches `deadline`.
+    BlockedOnRecv {
+        port: i64,
+        deadline: u64,
+    },
     Exited,
 }
 
@@ -315,9 +323,21 @@ impl Thread {
 pub(crate) enum FdEntry {
     Stdout,
     Stderr,
-    File { path: String, pos: u64, flags: i64 },
-    Socket { port: Option<i64>, flags: i64 },
-    Dir { entries: Vec<String>, pos: usize },
+    File {
+        path: String,
+        pos: u64,
+        flags: i64,
+    },
+    Socket {
+        port: Option<i64>,
+        flags: i64,
+        /// Receive deadline in absolute ticks (see [`crate::net`]).
+        deadline: Option<u64>,
+    },
+    Dir {
+        entries: Vec<String>,
+        pos: usize,
+    },
 }
 
 #[derive(Debug, Clone, Default)]
@@ -327,7 +347,9 @@ pub(crate) struct MutexState {
 
 pub(crate) enum SysOutcome {
     Done(Word),
-    Block(i64),
+    /// The thread enters this blocked state with its program counter still
+    /// on the syscall, which runs again once the thread is woken.
+    Block(ThreadState),
     Exit(RunExit),
 }
 
@@ -740,11 +762,16 @@ impl Machine {
                 mix(&frame.call_site_offset.to_le_bytes());
                 mix(&frame.return_addr.to_le_bytes());
             }
-            mix(&[match thread.state {
-                ThreadState::Runnable => 1,
-                ThreadState::BlockedOnMutex(_) => 2,
-                ThreadState::Exited => 3,
-            }]);
+            match thread.state {
+                ThreadState::Runnable => mix(&[1]),
+                ThreadState::BlockedOnMutex(_) => mix(&[2]),
+                ThreadState::Exited => mix(&[3]),
+                ThreadState::BlockedOnRecv { port, deadline } => {
+                    mix(&[4]);
+                    mix(&port.to_le_bytes());
+                    mix(&deadline.to_le_bytes());
+                }
+            }
             mix(&[0xff]);
         }
         mix(&(self.current as u64).to_le_bytes());
@@ -770,10 +797,17 @@ impl Machine {
                     mix(&pos.to_le_bytes());
                     mix(&flags.to_le_bytes());
                 }
-                Some(FdEntry::Socket { port, flags }) => {
+                Some(FdEntry::Socket {
+                    port,
+                    flags,
+                    deadline,
+                }) => {
                     mix(&[4]);
                     mix(&port.unwrap_or(i64::MIN).to_le_bytes());
                     mix(&flags.to_le_bytes());
+                    if let Some(deadline) = deadline {
+                        mix(&deadline.to_le_bytes());
+                    }
                 }
                 Some(FdEntry::Dir { entries, pos }) => {
                     mix(&[5]);
@@ -831,8 +865,62 @@ impl Machine {
         self.threads[self.current].state = ThreadState::Exited;
     }
 
-    pub(crate) fn block_current_on_mutex(&mut self, mutex: i64) {
-        self.threads[self.current].state = ThreadState::BlockedOnMutex(mutex);
+    pub(crate) fn block_current(&mut self, state: ThreadState) {
+        self.threads[self.current].state = state;
+    }
+
+    /// Whether thread `idx` can run now. A thread blocked in `recvfrom`
+    /// becomes runnable when a datagram is queued on its socket; its clock
+    /// moves up to the datagram's send time, and the receive runs again.
+    fn wake_if_ready(&mut self, idx: usize) -> bool {
+        match self.threads[idx].state {
+            ThreadState::Runnable => true,
+            ThreadState::BlockedOnRecv { port, .. } => {
+                let sent_at = self
+                    .net
+                    .as_ref()
+                    .and_then(|net| net.next_sent_at(self.node_id, port));
+                let Some(sent_at) = sent_at else {
+                    return false;
+                };
+                self.clock = self.clock.max(sent_at);
+                self.threads[idx].state = ThreadState::Runnable;
+                true
+            }
+            ThreadState::BlockedOnMutex(_) | ThreadState::Exited => false,
+        }
+    }
+
+    /// The earliest receive deadline a thread blocked in `recvfrom` waits
+    /// for, or `None` when no thread waits in `recvfrom`. A harness running
+    /// several machines uses it to find the next event once every machine
+    /// is blocked.
+    pub fn recv_deadline(&self) -> Option<u64> {
+        self.threads
+            .iter()
+            .filter_map(|t| match t.state {
+                ThreadState::BlockedOnRecv { deadline, .. } => Some(deadline),
+                _ => None,
+            })
+            .min()
+    }
+
+    /// Let virtual time pass to [`Machine::recv_deadline`]: the clock moves
+    /// up to the deadline and the threads waiting for it become runnable.
+    /// Their `recvfrom` runs again on the next [`Machine::run`] and fails
+    /// with `EAGAIN` unless a datagram was queued in the meantime. Returns
+    /// the deadline, or `None` (changing nothing) when no thread waits in
+    /// `recvfrom`.
+    pub fn expire_recv_deadline(&mut self) -> Option<u64> {
+        let deadline = self.recv_deadline()?;
+        self.clock = self.clock.max(deadline);
+        for thread in &mut self.threads {
+            if matches!(thread.state, ThreadState::BlockedOnRecv { deadline: d, .. } if d == deadline)
+            {
+                thread.state = ThreadState::Runnable;
+            }
+        }
+        Some(deadline)
     }
 
     pub(crate) fn wake_mutex_waiters(&mut self, mutex: i64) {
@@ -872,7 +960,7 @@ impl Machine {
             let mut found = None;
             for i in 0..n {
                 let idx = (self.current + i) % n;
-                if self.threads[idx].state == ThreadState::Runnable {
+                if self.wake_if_ready(idx) {
                     found = Some(idx);
                     break;
                 }
@@ -1241,7 +1329,7 @@ impl Machine {
                     }
                     // The program counter stays on the syscall, which runs
                     // again when the thread is rescheduled.
-                    SysOutcome::Block(mutex) => self.block_current_on_mutex(mutex),
+                    SysOutcome::Block(state) => self.block_current(state),
                     SysOutcome::Exit(exit) => return Err(exit),
                 }
             }

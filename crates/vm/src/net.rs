@@ -7,6 +7,16 @@
 //! the experiments comes from LFI's injections, as in the paper — but a
 //! drop probability can be configured for studies that want an unreliable
 //! substrate independent of LFI.
+//!
+//! Every datagram carries its send time, the sender's virtual clock, so a
+//! receiver can keep causal time: a machine's clock never reads earlier
+//! than the send time of a datagram it received. A socket may carry a
+//! receive deadline (the `rcvdeadline` syscall). `recvfrom` on such a
+//! socket blocks its thread while the queue is empty, until a datagram is
+//! queued for it or virtual time passes the deadline; a harness that runs
+//! several machines (the bft-lite cluster) moves time forward from one
+//! such event to the next instead of running idle polls. A socket without
+//! a deadline keeps the non-blocking `EAGAIN` of an empty queue.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -29,6 +39,9 @@ pub struct Datagram {
     pub to_port: i64,
     /// Payload bytes.
     pub payload: Vec<u8>,
+    /// Virtual time of the send, in the sender's clock ticks (0 for
+    /// traffic the harness injects from outside any machine).
+    pub sent_at: u64,
 }
 
 /// Statistics kept by the network.
@@ -113,6 +126,11 @@ impl SimNet {
         self.queues.get(&(node, port)).map_or(0, |q| q.len())
     }
 
+    /// Send time of the next datagram queued for a (node, port), if any.
+    pub fn next_sent_at(&self, node: i64, port: i64) -> Option<u64> {
+        self.queues.get(&(node, port))?.front().map(|d| d.sent_at)
+    }
+
     /// Network statistics.
     pub fn stats(&self) -> NetStats {
         self.stats
@@ -160,6 +178,11 @@ impl NetHandle {
         self.with(|net| net.pending(node, port))
     }
 
+    /// Convenience: send time of the next datagram queued for an endpoint.
+    pub fn next_sent_at(&self, node: i64, port: i64) -> Option<u64> {
+        self.with(|net| net.next_sent_at(node, port))
+    }
+
     /// Deep-copy the network into a new, independent handle. Unlike
     /// [`Clone`], which shares the underlying network, the forked handle has
     /// its own copy of every queue — sends and receives on one side are
@@ -187,6 +210,7 @@ mod tests {
             to_node: to,
             to_port: port,
             payload: payload.to_vec(),
+            sent_at: 0,
         }
     }
 
@@ -200,6 +224,25 @@ mod tests {
         assert_eq!(net.recv(1, 53).unwrap().payload, b"a");
         assert_eq!(net.recv(1, 53).unwrap().payload, b"b");
         assert!(net.recv(1, 53).is_none());
+    }
+
+    #[test]
+    fn the_next_send_time_is_the_queue_heads() {
+        let mut net = SimNet::new(1);
+        net.bind(1, 53);
+        assert_eq!(net.next_sent_at(1, 53), None);
+        net.send(Datagram {
+            sent_at: 700,
+            ..dgram(0, 1, 53, b"a")
+        });
+        net.send(Datagram {
+            sent_at: 300,
+            ..dgram(0, 1, 53, b"b")
+        });
+        assert_eq!(net.next_sent_at(1, 53), Some(700));
+        assert_eq!(net.recv(1, 53).unwrap().sent_at, 700);
+        assert_eq!(net.next_sent_at(1, 53), Some(300));
+        assert_eq!(net.next_sent_at(2, 53), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use lfi_arch::{abi::fcntlcmd, abi::filekind, abi::openflags, errno, sys, Addr, Reg, Word};
 use rand::Rng;
 
-use crate::machine::{FaultKind, FdEntry, Machine, RunExit, SysOutcome};
+use crate::machine::{FaultKind, FdEntry, Machine, RunExit, SysOutcome, ThreadState};
 use crate::mem::PAGE_SIZE;
 use crate::net::Datagram;
 
@@ -75,10 +75,12 @@ impl Machine {
             sys::SOCKET => SysOutcome::Done(self.alloc_fd(FdEntry::Socket {
                 port: None,
                 flags: 0,
+                deadline: None,
             })),
             sys::BIND => SysOutcome::Done(self.sys_bind()),
             sys::SENDTO => SysOutcome::Done(self.sys_sendto()),
-            sys::RECVFROM => SysOutcome::Done(self.sys_recvfrom()),
+            sys::RECVFROM => self.sys_recvfrom(),
+            sys::RCVDEADLINE => SysOutcome::Done(self.sys_rcvdeadline()),
             sys::FCNTL => SysOutcome::Done(self.sys_fcntl()),
             sys::GETTIME => SysOutcome::Done(self.clock as Word),
             sys::RANDOM => SysOutcome::Done((self.rng.gen::<u32>() >> 1) as Word),
@@ -448,8 +450,8 @@ impl Machine {
     fn sys_sendto(&mut self) -> Word {
         let (fd, buf, len) = (self.arg(0), self.arg(1), self.arg(2).max(0) as usize);
         let (to_node, to_port) = (self.arg(3), self.arg(4));
-        let from_port = match self.socket_port(fd) {
-            Ok(port) => port.unwrap_or(0),
+        let from_port = match self.socket(fd) {
+            Ok((port, _)) => port.unwrap_or(0),
             Err(err) => return err,
         };
         let mut payload = vec![0u8; len];
@@ -465,18 +467,35 @@ impl Machine {
             to_node,
             to_port,
             payload,
+            sent_at: self.clock,
         });
         len as Word
     }
 
-    /// The bound port of socket `fd`, or the negative errno for a
-    /// descriptor that is not an open socket. Borrows the descriptor table
-    /// instead of cloning the entry: every idle `recvfrom` poll comes here.
-    fn socket_port(&self, fd: Word) -> Result<Option<i64>, Word> {
+    /// The bound port and receive deadline of socket `fd`, or the negative
+    /// errno for a descriptor that is not an open socket. Borrows the
+    /// descriptor table instead of cloning the entry: every `recvfrom`
+    /// comes here.
+    fn socket(&self, fd: Word) -> Result<(Option<i64>, Option<u64>), Word> {
         match self.fds.get(fd.max(0) as usize) {
-            Some(Some(FdEntry::Socket { port, .. })) => Ok(*port),
+            Some(Some(FdEntry::Socket { port, deadline, .. })) => Ok((*port, *deadline)),
             Some(Some(_)) => Err(-errno::EINVAL),
             _ => Err(-errno::EBADF),
+        }
+    }
+
+    fn sys_rcvdeadline(&mut self) -> Word {
+        let (fd, when) = (self.arg(0), self.arg(1));
+        if when < 0 {
+            return -errno::EINVAL;
+        }
+        match self.fds.get_mut(fd.max(0) as usize) {
+            Some(Some(FdEntry::Socket { deadline, .. })) => {
+                *deadline = (when > 0).then_some(when as u64);
+                0
+            }
+            Some(Some(_)) => -errno::EINVAL,
+            _ => -errno::EBADF,
         }
     }
 
@@ -490,6 +509,8 @@ impl Machine {
         let Some(datagram) = net.recv(self.node_id, port) else {
             return -errno::EAGAIN;
         };
+        // A datagram is never received before it was sent.
+        self.clock = self.clock.max(datagram.sent_at);
         let n = datagram.payload.len().min(cap);
         if n > 0
             && self
@@ -511,16 +532,26 @@ impl Machine {
         n as Word
     }
 
-    fn sys_recvfrom(&mut self) -> Word {
+    /// `recvfrom`: an empty socket fails with `EAGAIN`, unless its receive
+    /// deadline is set and not yet reached: then the thread blocks until a
+    /// datagram is queued or the deadline passes, and the call runs again.
+    fn sys_recvfrom(&mut self) -> SysOutcome {
         let (fd, buf, cap, srcinfo) = (
             self.arg(0),
             self.arg(1),
             self.arg(2).max(0) as usize,
             self.arg(3),
         );
-        match self.socket_port(fd) {
-            Ok(port) => self.socket_recv(port, buf, cap, srcinfo),
-            Err(err) => err,
+        let (port, deadline) = match self.socket(fd) {
+            Ok(socket) => socket,
+            Err(err) => return SysOutcome::Done(err),
+        };
+        let received = self.socket_recv(port, buf, cap, srcinfo);
+        match (port, deadline) {
+            (Some(port), Some(deadline)) if received == -errno::EAGAIN && self.clock < deadline => {
+                SysOutcome::Block(ThreadState::BlockedOnRecv { port, deadline })
+            }
+            _ => SysOutcome::Done(received),
         }
     }
 
@@ -563,7 +594,7 @@ impl Machine {
                 SysOutcome::Done(0)
             }
             Some(owner) if owner == me => SysOutcome::Done(-errno::EPERM),
-            Some(_) => SysOutcome::Block(id),
+            Some(_) => SysOutcome::Block(ThreadState::BlockedOnMutex(id)),
         }
     }
 

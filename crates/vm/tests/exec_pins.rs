@@ -9,7 +9,9 @@
 //! that executed one `step` per instruction. Any change to the fast path
 //! that alters guest-visible behaviour — a byte written or not written
 //! before a fault, a missed errno store, a different code lookup, a moved
-//! quantum boundary — moves at least one of them. Never re-capture them to
+//! quantum boundary — moves at least one of them. The cluster's virtual
+//! time was re-captured once, when the cluster moved from timeouts counted
+//! in polls to receive deadlines in virtual time. Never re-capture them to
 //! make a performance change pass.
 
 use std::sync::Arc;
@@ -153,7 +155,8 @@ fn injected_bind_lite_run_is_pinned() {
 
 #[test]
 fn uninjected_bft_cluster_is_pinned() {
-    // Four requests, as the campaign executor configures the cluster.
+    // Four requests, as the campaign executor configures the cluster. With
+    // timeouts counted in polls, the virtual time was 340,130.
     let result = run_bft_cluster(&BftClusterConfig {
         requests: 4,
         ..BftClusterConfig::default()
@@ -161,7 +164,7 @@ fn uninjected_bft_cluster_is_pinned() {
     assert!(result.crashes.is_empty(), "{:?}", result.crashes);
     assert_eq!(
         (result.completed, result.virtual_time, result.injections),
-        (4, 340_130, 0)
+        (4, 13_143, 0)
     );
 }
 
