@@ -829,11 +829,27 @@ pub fn table6_mysql_overhead() -> OverheadSweep {
 // Figure 3 — PBFT slowdown under worsening network conditions
 // ---------------------------------------------------------------------------
 
+/// One loss probability of Figure 3, summed over its trials.
+#[derive(Debug, Clone, Default)]
+pub struct Figure3Point {
+    /// Probability that a `sendto` or a steady-state `recvfrom` fails.
+    pub probability: f64,
+    /// Requests completed.
+    pub completed: i64,
+    /// Requests issued.
+    pub requested: i64,
+    /// Replica crashes.
+    pub crashes: usize,
+    /// Virtual time per completed request relative to p = 0, or `None`
+    /// when no request completed.
+    pub slowdown: Option<f64>,
+}
+
 /// Result of the Figure 3 reproduction.
 #[derive(Debug, Clone, Default)]
 pub struct Figure3 {
-    /// (loss probability, mean slowdown factor) series.
-    pub series: Vec<(f64, f64)>,
+    /// One point per loss probability, in increasing order.
+    pub points: Vec<Figure3Point>,
     /// Trials per point.
     pub trials: u64,
 }
@@ -841,33 +857,63 @@ pub struct Figure3 {
 impl fmt::Display for Figure3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figure 3: bft-lite throughput slowdown vs probability of packet loss ({} trials per point; paper peaks at ~4.17x at p=0.99)", self.trials)?;
-        writeln!(f, "{:>8} {:>12}", "p(loss)", "slowdown")?;
-        for (p, slowdown) in &self.series {
-            writeln!(f, "{p:>8.2} {slowdown:>11.2}x")?;
+        writeln!(f, "{:>8} {:>12} {:>10}", "p(loss)", "slowdown", "completed")?;
+        for point in &self.points {
+            let slowdown = match point.slowdown {
+                Some(slowdown) => format!("{slowdown:.2}x"),
+                None => "—".to_string(),
+            };
+            let completed = format!("{}/{}", point.completed, point.requested);
+            writeln!(
+                f,
+                "{:>8.2} {slowdown:>12} {completed:>10}",
+                point.probability
+            )?;
         }
         Ok(())
     }
 }
 
+/// Lose each `sendto` and each steady-state `recvfrom` with `probability`.
+/// The replicas' startup receive in `await_startup` stays out of the
+/// scenario: its error return is the seeded pbft-recvfrom bug, so losing
+/// it would crash replicas instead of modelling a bad network.
 fn loss_scenario(probability: f64, seed: u64) -> Scenario {
-    let mut scenario = Scenario::new().with_trigger(TriggerDecl {
-        id: "loss".into(),
-        class: "RandomTrigger".into(),
+    let caller = |function: &str| TriggerDecl {
+        id: function.into(),
+        class: "CallerFunctionTrigger".into(),
         params: BTreeMap::from([
-            ("probability".to_string(), probability.to_string()),
-            ("seed".to_string(), seed.to_string()),
+            ("function".to_string(), function.to_string()),
+            ("anywhere".to_string(), "0".to_string()),
         ]),
         frames: vec![],
-    });
-    for function in ["sendto", "recvfrom"] {
-        scenario.functions.push(FunctionAssoc {
-            function: function.to_string(),
-            argc: 5,
-            retval: Some(-1),
-            errno: Some(lfi_arch::errno::EIO),
-            triggers: vec!["loss".into()],
-        });
-    }
+    };
+    let mut scenario = Scenario::new()
+        .with_trigger(TriggerDecl {
+            id: "loss".into(),
+            class: "RandomTrigger".into(),
+            params: BTreeMap::from([
+                ("probability".to_string(), probability.to_string()),
+                ("seed".to_string(), seed.to_string()),
+            ]),
+            frames: vec![],
+        })
+        .with_trigger(caller("replica_main"))
+        .with_trigger(caller("run_request"));
+    let lossy = |function: &str, triggers: &[&str]| FunctionAssoc {
+        function: function.to_string(),
+        argc: 5,
+        retval: Some(-1),
+        errno: Some(lfi_arch::errno::EIO),
+        triggers: triggers.iter().map(|t| t.to_string()).collect(),
+    };
+    scenario.functions.push(lossy("sendto", &["loss"]));
+    scenario
+        .functions
+        .push(lossy("recvfrom", &["replica_main", "loss"]));
+    scenario
+        .functions
+        .push(lossy("recvfrom", &["run_request", "loss"]));
     scenario
 }
 
@@ -876,33 +922,37 @@ pub fn figure3_pbft_slowdown() -> Figure3 {
     let probabilities = [0.0, 0.1, 0.8, 0.9, 0.95, 0.99];
     let trials = 3u64;
     let requests = 6usize;
-    let mut series = Vec::new();
-    let mut baseline_time_per_request = 0.0;
+    let mut points = Vec::new();
+    let mut baseline_time_per_request = None;
     for &p in &probabilities {
-        let mut total = 0.0;
+        let mut point = Figure3Point {
+            probability: p,
+            ..Figure3Point::default()
+        };
+        let mut virtual_time = 0u64;
         for trial in 0..trials {
-            let scenario = loss_scenario(p, 77 + trial);
             let result = run_bft_cluster(&BftClusterConfig {
                 requests,
                 seed: 13 + trial,
-                scenario,
+                scenario: loss_scenario(p, 77 + trial),
                 ..BftClusterConfig::default()
             });
-            let completed = result.completed.max(1) as f64;
-            total += result.virtual_time as f64 / completed;
+            point.completed += result.completed;
+            point.requested += requests as i64;
+            point.crashes += result.crashes.len();
+            virtual_time += result.virtual_time;
         }
-        let time_per_request = total / trials as f64;
+        let time_per_request =
+            (point.completed > 0).then(|| virtual_time as f64 / point.completed as f64);
         if p == 0.0 {
             baseline_time_per_request = time_per_request;
         }
-        let slowdown = if baseline_time_per_request > 0.0 {
-            time_per_request / baseline_time_per_request
-        } else {
-            1.0
-        };
-        series.push((p, slowdown));
+        point.slowdown = time_per_request
+            .zip(baseline_time_per_request)
+            .map(|(time, baseline)| time / baseline);
+        points.push(point);
     }
-    Figure3 { series, trials }
+    Figure3 { points, trials }
 }
 
 // ---------------------------------------------------------------------------
