@@ -17,5 +17,5 @@ pub use campaign::{
 pub use experiments::{
     analyzer_efficiency, dos_study, figure3_pbft_slowdown, random_injection_sweep, table1_bugs,
     table2_precision, table3_coverage, table4_accuracy, table5_apache_overhead,
-    table6_mysql_overhead, Figure3, Figure3Point,
+    table6_mysql_overhead,
 };

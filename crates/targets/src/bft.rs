@@ -9,7 +9,7 @@
 //!
 //! Time is event-driven. The nodes keep their timers as receive deadlines
 //! in virtual time (see [`lfi_vm::net`]), so a node with nothing to do
-//! blocks in `recvfrom` instead of polling. A [`Cluster`] runs its runnable
+//! blocks in `recvfrom` instead of polling. A `Cluster` runs its runnable
 //! nodes round-robin in slices; a blocked node runs again once a datagram
 //! is queued for it. When every live node is blocked, the node with the
 //! earliest deadline has its clock moved up to that deadline and its
@@ -109,7 +109,7 @@ struct Node {
 
 /// A bft-lite cluster: the replicas and the client, attached to one
 /// network, scheduled in event-driven virtual time (see the module docs).
-pub struct Cluster {
+struct Cluster {
     nodes: Vec<Node>,
     budget: u64,
     slice: u64,
@@ -121,7 +121,7 @@ pub struct Cluster {
 impl Cluster {
     /// Build the cluster of `config`: bind every endpoint, queue the
     /// replicas' startup hellos and load one machine per node.
-    pub fn new(config: &BftClusterConfig) -> Cluster {
+    fn new(config: &BftClusterConfig) -> Cluster {
         let net = NetHandle::new(SimNet::new(config.seed));
         let libc = build_libc();
         let exe = bft_lite();
@@ -144,7 +144,7 @@ impl Cluster {
             });
         }
 
-        let make_node = |id: i64, args: [String; 3]| {
+        let make_node = |id: i64, args: Vec<String>| {
             let mut loader = Loader::new();
             loader.add_library(libc.clone());
             let engine =
@@ -157,7 +157,7 @@ impl Cluster {
                 ProcessConfig {
                     node_id: id,
                     seed: config.seed.wrapping_add(id as u64),
-                    args: args.to_vec(),
+                    args,
                     ..ProcessConfig::default()
                 },
             );
@@ -170,21 +170,20 @@ impl Cluster {
             }
         };
 
-        let mut nodes: Vec<Node> = (1..=config.replicas as i64)
-            .map(|replica| {
-                make_node(
-                    replica,
-                    [
-                        "replica".to_string(),
-                        replica.to_string(),
-                        config.replica_idle.to_string(),
-                    ],
-                )
-            })
-            .collect();
+        let mut nodes = Vec::new();
+        for replica in 1..=config.replicas as i64 {
+            nodes.push(make_node(
+                replica,
+                vec![
+                    "replica".to_string(),
+                    replica.to_string(),
+                    config.replica_idle.to_string(),
+                ],
+            ));
+        }
         nodes.push(make_node(
             CLIENT_NODE,
-            [
+            vec![
                 "client".to_string(),
                 config.requests.to_string(),
                 config.client_timeout.to_string(),
@@ -202,7 +201,7 @@ impl Cluster {
 
     /// Run until the client exits, the budget is spent, or the cluster is
     /// quiescent.
-    pub fn run(&mut self) {
+    fn run(&mut self) {
         while self.completed.is_none() && self.spent < self.budget {
             if !self.run_round() && !self.expire_earliest_deadline() {
                 break; // quiescent
@@ -260,7 +259,7 @@ impl Cluster {
     }
 
     /// The result of the run so far.
-    pub fn result(&self) -> BftRunResult {
+    fn result(&self) -> BftRunResult {
         let client = self
             .nodes
             .iter()

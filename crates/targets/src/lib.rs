@@ -17,7 +17,7 @@ pub mod bugs;
 pub mod truth;
 pub mod workloads;
 
-pub use bft::{run_bft_cluster, BftClusterConfig, BftRunResult, Cluster};
+pub use bft::{run_bft_cluster, BftClusterConfig, BftRunResult};
 pub use bugs::{KnownBug, KNOWN_BUGS};
 pub use truth::{ground_truth, GroundTruth};
 pub use workloads::{BindWorkload, FsSetupWorkload, HttpdWorkload};
