@@ -874,11 +874,12 @@ impl fmt::Display for Figure3 {
     }
 }
 
-/// Lose each `sendto` and each steady-state `recvfrom` with `probability`.
-/// The replicas' startup receive in `await_startup` stays out of the
-/// scenario: its error return is the seeded pbft-recvfrom bug, so losing
-/// it would crash replicas instead of modelling a bad network.
-fn loss_scenario(probability: f64, seed: u64) -> Scenario {
+/// Let `fault` fail each `sendto` and each steady-state `recvfrom` of the
+/// bft-lite cluster. The replicas' startup receive in `await_startup`
+/// stays out of the scenario: its error return is the seeded
+/// pbft-recvfrom bug, so failing it would crash replicas instead of
+/// modelling a bad network.
+fn network_fault_scenario(fault: TriggerDecl) -> Scenario {
     let caller = |function: &str| TriggerDecl {
         id: function.into(),
         class: "CallerFunctionTrigger".into(),
@@ -888,33 +889,39 @@ fn loss_scenario(probability: f64, seed: u64) -> Scenario {
         ]),
         frames: vec![],
     };
+    let fault_id = fault.id.clone();
     let mut scenario = Scenario::new()
-        .with_trigger(TriggerDecl {
-            id: "loss".into(),
-            class: "RandomTrigger".into(),
-            params: BTreeMap::from([
-                ("probability".to_string(), probability.to_string()),
-                ("seed".to_string(), seed.to_string()),
-            ]),
-            frames: vec![],
-        })
+        .with_trigger(fault)
         .with_trigger(caller("replica_main"))
         .with_trigger(caller("run_request"));
-    let lossy = |function: &str, triggers: &[&str]| FunctionAssoc {
+    let failing = |function: &str, triggers: &[&str]| FunctionAssoc {
         function: function.to_string(),
         argc: 5,
         retval: Some(-1),
         errno: Some(lfi_arch::errno::EIO),
         triggers: triggers.iter().map(|t| t.to_string()).collect(),
     };
-    scenario.functions.push(lossy("sendto", &["loss"]));
+    scenario.functions.push(failing("sendto", &[&fault_id]));
     scenario
         .functions
-        .push(lossy("recvfrom", &["replica_main", "loss"]));
+        .push(failing("recvfrom", &["replica_main", &fault_id]));
     scenario
         .functions
-        .push(lossy("recvfrom", &["run_request", "loss"]));
+        .push(failing("recvfrom", &["run_request", &fault_id]));
     scenario
+}
+
+/// Lose each `sendto` and each steady-state `recvfrom` with `probability`.
+fn loss_scenario(probability: f64, seed: u64) -> Scenario {
+    network_fault_scenario(TriggerDecl {
+        id: "loss".into(),
+        class: "RandomTrigger".into(),
+        params: BTreeMap::from([
+            ("probability".to_string(), probability.to_string()),
+            ("seed".to_string(), seed.to_string()),
+        ]),
+        frames: vec![],
+    })
 }
 
 /// Run the Figure 3 experiment.
@@ -959,11 +966,26 @@ pub fn figure3_pbft_slowdown() -> Figure3 {
 // §7.3 — denial-of-service study
 // ---------------------------------------------------------------------------
 
+/// One attack schedule of the §7.3 DoS study.
+#[derive(Debug, Clone)]
+pub struct DosRow {
+    /// The schedule.
+    pub label: String,
+    /// Requests per million virtual ticks.
+    pub throughput: f64,
+    /// Throughput relative to the baseline row, minus one.
+    pub change: f64,
+    /// Faults the schedule injected, across all nodes.
+    pub injections: u64,
+    /// Replicas that crashed.
+    pub crashes: usize,
+}
+
 /// Result of the §7.3 DoS study.
 #[derive(Debug, Clone, Default)]
 pub struct DosStudy {
-    /// (scenario label, throughput, relative change vs baseline) rows.
-    pub rows: Vec<(String, f64, f64)>,
+    /// One row per schedule, the uninjected baseline first.
+    pub rows: Vec<DosRow>,
 }
 
 impl fmt::Display for DosStudy {
@@ -974,14 +996,18 @@ impl fmt::Display for DosStudy {
         )?;
         writeln!(
             f,
-            "{:<40} {:>14} {:>12}",
-            "scenario", "throughput", "vs baseline"
+            "{:<40} {:>14} {:>12} {:>11} {:>8}",
+            "scenario", "throughput", "vs baseline", "injections", "crashes"
         )?;
-        for (label, throughput, change) in &self.rows {
+        for row in &self.rows {
             writeln!(
                 f,
-                "{label:<40} {throughput:>14.2} {:>+11.1}%",
-                change * 100.0
+                "{:<40} {:>14.2} {:>+11.1}% {:>11} {:>8}",
+                row.label,
+                row.throughput,
+                row.change * 100.0,
+                row.injections,
+                row.crashes
             )?;
         }
         writeln!(
@@ -991,76 +1017,61 @@ impl fmt::Display for DosStudy {
     }
 }
 
+/// Let the distributed trigger's policy fail each `sendto` and each
+/// steady-state `recvfrom`.
 fn distributed_scenario() -> Scenario {
-    let mut scenario = Scenario::new().with_trigger(TriggerDecl {
+    network_fault_scenario(TriggerDecl {
         id: "dist".into(),
         class: "DistributedTrigger".into(),
         params: BTreeMap::new(),
         frames: vec![],
-    });
-    for function in ["sendto", "recvfrom"] {
-        scenario.functions.push(FunctionAssoc {
-            function: function.to_string(),
-            argc: 5,
-            retval: Some(-1),
-            errno: Some(lfi_arch::errno::EIO),
-            triggers: vec!["dist".into()],
-        });
-    }
-    scenario
-}
-
-fn run_with_policy(policy: DistributedPolicy, requests: usize) -> f64 {
-    let controller = DistributedController::new(policy, 9);
-    let mut registry = TriggerRegistry::default();
-    controller.register(&mut registry);
-    let result = run_bft_cluster(&BftClusterConfig {
-        requests,
-        scenario: distributed_scenario(),
-        registry,
-        ..BftClusterConfig::default()
-    });
-    result.throughput
+    })
 }
 
 /// Run the §7.3 DoS study.
 pub fn dos_study() -> DosStudy {
-    let requests = 6usize;
-    let baseline = run_with_policy(DistributedPolicy::Never, requests);
-    let single = run_with_policy(DistributedPolicy::TargetNode { node: 3 }, requests);
-    let rotating = run_with_policy(
-        DistributedPolicy::RotatingBursts {
-            nodes: vec![1, 2, 3, 4],
-            burst: 50,
-        },
-        requests,
-    );
-    let change = |v: f64| {
-        if baseline > 0.0 {
-            v / baseline - 1.0
-        } else {
-            0.0
-        }
-    };
-    DosStudy {
-        rows: vec![
-            (
-                "baseline (interception, no injection)".to_string(),
-                baseline,
-                0.0,
-            ),
-            (
-                "blackout of one backup replica".to_string(),
-                single,
-                change(single),
-            ),
-            (
-                "rotating 50-fault bursts across replicas".to_string(),
-                rotating,
-                change(rotating),
-            ),
-        ],
+    let schedules = [
+        (
+            "baseline (interception, no injection)",
+            DistributedPolicy::Never,
+        ),
+        (
+            "blackout of one backup replica",
+            DistributedPolicy::TargetNode { node: 3 },
+        ),
+        (
+            "rotating 50-fault bursts across replicas",
+            DistributedPolicy::RotatingBursts {
+                nodes: vec![1, 2, 3, 4],
+                burst: 50,
+            },
+        ),
+    ];
+    let mut rows: Vec<DosRow> = Vec::new();
+    for (label, policy) in schedules {
+        let controller = DistributedController::new(policy, 9);
+        let mut registry = TriggerRegistry::default();
+        controller.register(&mut registry);
+        let result = run_bft_cluster(&BftClusterConfig {
+            requests: 6,
+            scenario: distributed_scenario(),
+            registry,
+            ..BftClusterConfig::default()
+        });
+        let baseline = rows.first().map_or(result.throughput, |row| row.throughput);
+        rows.push(DosRow {
+            label: label.to_string(),
+            throughput: result.throughput,
+            change: if baseline > 0.0 {
+                result.throughput / baseline - 1.0
+            } else {
+                0.0
+            },
+            injections: result.injections,
+            crashes: result.crashes.len(),
+        });
     }
+    DosStudy { rows }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,16 +18,9 @@ use crate::triage::CrashSignature;
 /// A message from the supervisor to one worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlMessage {
-    /// Run this slice of the space (queued behind any lease the worker is
-    /// already running).
+    /// Run this slice of the space. The supervisor grants a worker its
+    /// next lease only after the previous one finished.
     Lease(Lease),
-    /// Return the named grant if it has not started yet; a lease already
-    /// in flight finishes normally. The worker acknowledges with its
-    /// `LeaseRevoked` / `LeaseStarted` protocol reply either way.
-    Revoke {
-        /// Grant id from the original [`ControlMessage::Lease`].
-        lease: u64,
-    },
     /// A crash signature first seen elsewhere in the campaign: fold it
     /// into local scheduling (adaptive strategies escalate its caller
     /// neighborhood) without re-announcing it.
@@ -51,10 +44,6 @@ impl ControlMessage {
                     ("start".to_string(), Value::Int(lease.start as i64)),
                     ("end".to_string(), Value::Int(lease.end as i64)),
                 ],
-            ),
-            ControlMessage::Revoke { lease } => tagged(
-                "revoke",
-                vec![("lease".to_string(), Value::Int(*lease as i64))],
             ),
             ControlMessage::SignatureBroadcast(signature) => tagged(
                 "signature_broadcast",
@@ -88,9 +77,6 @@ impl ControlMessage {
                 start: int_field(value, "start")? as usize,
                 end: int_field(value, "end")? as usize,
             })),
-            "revoke" => Ok(ControlMessage::Revoke {
-                lease: int_field(value, "lease")? as u64,
-            }),
             "signature_broadcast" => Ok(ControlMessage::SignatureBroadcast(CrashSignature {
                 target: str_field(value, "target")?,
                 function: str_field(value, "function")?,
@@ -128,7 +114,6 @@ mod tests {
                 start: 40,
                 end: 48,
             }),
-            ControlMessage::Revoke { lease: 9 },
             ControlMessage::SignatureBroadcast(CrashSignature {
                 target: "git-lite".into(),
                 function: "opendir".into(),
@@ -159,6 +144,7 @@ mod tests {
         assert!(ControlMessage::from_json_line("{}").is_err());
         assert!(ControlMessage::from_json_line(r#"{"control":"warp"}"#).is_err());
         assert!(ControlMessage::from_json_line(r#"{"control":"lease"}"#).is_err());
+        assert!(ControlMessage::from_json_line(r#"{"control":"revoke","lease":9}"#).is_err());
         assert!(ControlMessage::from_json_line("not json").is_err());
         // An event line is not a control line: the discriminating key
         // keeps the two wire formats disjoint on a shared pipe.

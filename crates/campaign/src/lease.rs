@@ -13,7 +13,8 @@
 //! * `--shard i/n` is sugar for the lease `[i·P/n, (i+1)·P/n)`
 //!   ([`Lease::shard`], with [`parse_shard`] for the flag). Contiguous
 //!   shards follow target order, so their costs can be uneven; the
-//!   supervisor's work stealing balances load.
+//!   supervisor balances load with small leases, each pulled by a worker
+//!   that just finished its previous one.
 //!
 //! Lease identity is the **range**, not the grant id: the checkpoint tag
 //! is `fingerprint@plan-hash%start..end`, so a checkpoint is never resumed

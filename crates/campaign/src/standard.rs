@@ -215,9 +215,6 @@ pub struct StandardExecutor {
     /// session prefixes/forks so the backends exhaust budgets at the same
     /// boundary.
     max_instructions: u64,
-    /// Deepest injectable-call index sessions may keep snapshots at; 1
-    /// degenerates to the flat single-snapshot-per-session model.
-    max_session_depth: usize,
     /// Resident-snapshot byte accounting shared by every session tree.
     snapshot_budget: Arc<SnapshotBudget>,
     /// Client requests issued per bft-lite cluster run.
@@ -252,7 +249,6 @@ impl StandardExecutor {
             images: Mutex::new(BTreeMap::new()),
             prepared: Mutex::new(BTreeMap::new()),
             max_instructions: TestConfig::default().max_instructions,
-            max_session_depth: usize::MAX,
             snapshot_budget: Arc::new(SnapshotBudget::new(DEFAULT_SNAPSHOT_BUDGET)),
             bft_requests: 4,
             metrics: ExecMetrics::resolve(&telemetry),
@@ -274,14 +270,6 @@ impl StandardExecutor {
     /// campaign is accounted under the same budget.
     pub fn set_max_instructions(&mut self, max_instructions: u64) {
         self.max_instructions = max_instructions;
-    }
-
-    /// Cap the injectable-call depth sessions keep snapshots at. `1`
-    /// restores the flat model: one snapshot per session at the first
-    /// injectable call, no deepening. Sessions keep the cap they were
-    /// prepared under, so call before any unit executes.
-    pub fn set_max_session_depth(&mut self, depth: usize) {
-        self.max_session_depth = depth.max(1);
     }
 
     /// The union of profiled failing library functions session images
@@ -409,7 +397,6 @@ impl StandardExecutor {
             prep.machine,
             paused_at,
             max_instructions,
-            self.max_session_depth,
             self.snapshot_budget.clone(),
             &self.metrics.tree,
         ))
@@ -669,9 +656,6 @@ impl Executor for StandardExecutor {
     }
 
     fn prefetch_batch(&self, units: &[PrefetchKey], jobs: usize) {
-        if self.max_session_depth <= 1 {
-            return; // flat sessions have nothing beyond the root to warm
-        }
         let _span = self.metrics.tree_prefetch_micros.start();
         let mut groups: BTreeMap<SessionKey, BTreeSet<String>> = BTreeMap::new();
         for key in units {

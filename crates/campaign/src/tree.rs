@@ -193,6 +193,15 @@ impl SnapshotTree {
         self.first_depth.get(function).copied()
     }
 
+    /// The depth a unit injecting `function` wants to fork at — the
+    /// function's first-call depth, or any depth when the trace does not
+    /// place it — and the index of the deepest resident node at or before
+    /// it.
+    fn fork_point(&self, function: &str) -> (usize, usize) {
+        let target = self.depth_of(function).unwrap_or(usize::MAX);
+        (target, self.deepest_at_most(target))
+    }
+
     /// Whether a node at exactly `depth` is resident.
     fn resident(&self, depth: usize) -> bool {
         self.nodes.iter().any(|n| n.depth == depth)
@@ -218,19 +227,14 @@ impl SnapshotTree {
     }
 
     /// Reconcile a walk's wants with the tree: functions the certified
-    /// trace now places become exact-depth wants (clamped to `max_depth`),
-    /// discovery wants on a trace that can no longer extend are dropped,
-    /// and so are depth wants already resident or beyond the certified
-    /// trace. Returns whether any want is left.
-    fn settle(
-        &self,
-        depths: &mut BTreeSet<usize>,
-        discover: &mut BTreeSet<&str>,
-        max_depth: usize,
-    ) -> bool {
+    /// trace now places become exact-depth wants, discovery wants on a
+    /// trace that can no longer extend are dropped, and so are depth
+    /// wants already resident or beyond the certified trace. Returns
+    /// whether any want is left.
+    fn settle(&self, depths: &mut BTreeSet<usize>, discover: &mut BTreeSet<&str>) -> bool {
         discover.retain(|function| match self.depth_of(function) {
             Some(depth) => {
-                depths.insert(depth.min(max_depth));
+                depths.insert(depth);
                 false
             }
             None => !self.complete && !self.capped,
@@ -309,9 +313,6 @@ pub(crate) struct PreparedSession {
     /// (forks run with this minus their fork point's consumption, so
     /// budget exhaustion behaves exactly like a fresh run).
     max_instructions: u64,
-    /// Deepest injectable-call index the tree keeps snapshots at; 1 is the
-    /// flat one-snapshot-per-session model.
-    max_depth: usize,
     /// Shared resident-byte accounting with the owning executor.
     budget: Arc<SnapshotBudget>,
     tree: Mutex<SnapshotTree>,
@@ -327,7 +328,6 @@ impl PreparedSession {
         mut machine: Machine,
         paused_at: Option<String>,
         max_instructions: u64,
-        max_depth: usize,
         budget: Arc<SnapshotBudget>,
         metrics: &TreeMetrics,
     ) -> PreparedSession {
@@ -347,7 +347,6 @@ impl PreparedSession {
         PreparedSession {
             prefix_coverage,
             max_instructions,
-            max_depth,
             budget,
             tree: Mutex::new(tree),
         }
@@ -370,28 +369,15 @@ impl PreparedSession {
         self.tree().fork(0, self.max_instructions)
     }
 
-    /// The workload's first-call depth of `function` (clamped to the
-    /// tree's depth cap), when the certified trace places it.
+    /// The workload's first-call depth of `function`, when the certified
+    /// trace places it.
     pub(crate) fn depth_of(&self, function: &str) -> Option<usize> {
-        let depth = self.tree().depth_of(function)?;
-        Some(depth.min(self.max_depth))
+        self.tree().depth_of(function)
     }
 
     /// The resident node depths, ascending.
     pub(crate) fn node_depths(&self) -> Vec<usize> {
         self.tree().nodes.iter().map(|n| n.depth).collect()
-    }
-
-    /// The depth a unit injecting `function` wants to fork at — the
-    /// function's first-call depth, or any depth when the trace does not
-    /// place it, clamped to the cap — and the index of the deepest
-    /// resident node at or before it.
-    fn fork_point(&self, tree: &SnapshotTree, function: &str) -> (usize, usize) {
-        let target = tree
-            .depth_of(function)
-            .unwrap_or(usize::MAX)
-            .min(self.max_depth);
-        (target, tree.deepest_at_most(target))
     }
 
     /// Fork the node a unit injecting `function` resumes from: the deepest
@@ -403,7 +389,7 @@ impl PreparedSession {
     pub(crate) fn fork_for(&self, function: &str, metrics: &TreeMetrics) -> (Machine, u64) {
         let _span = metrics.fork_micros.start();
         let mut tree = self.tree();
-        let (target, index) = self.fork_point(&tree, function);
+        let (target, index) = tree.fork_point(function);
         let depth = tree.nodes[index].depth;
         let could_deepen = target <= tree.trace.len() || !(tree.complete || tree.capped);
         if depth < target && could_deepen {
@@ -421,7 +407,7 @@ impl PreparedSession {
     pub(crate) fn path_coverage(&self, function: &str) -> Coverage {
         let tree = self.tree();
         let mut coverage = self.prefix_coverage.clone();
-        let (_, mut index) = self.fork_point(&tree, function);
+        let (_, mut index) = tree.fork_point(function);
         loop {
             let node = &tree.nodes[index];
             coverage.merge(&node.post_coverage);
@@ -462,11 +448,11 @@ impl PreparedSession {
         let mut discover = BTreeSet::new();
         for function in functions {
             match tree.depth_of(function) {
-                Some(depth) => depths.insert(depth.min(self.max_depth)),
+                Some(depth) => depths.insert(depth),
                 None => discover.insert(function.as_str()),
             };
         }
-        if !tree.settle(&mut depths, &mut discover, self.max_depth) {
+        if !tree.settle(&mut depths, &mut discover) {
             return;
         }
         let _span = metrics.deepen_micros.start();
@@ -475,7 +461,7 @@ impl PreparedSession {
         // the resident node its accumulated coverage extends (coverage is
         // drained at every materialized node).
         let mut stepper: Option<(Machine, usize, usize)> = None;
-        while tree.settle(&mut depths, &mut discover, self.max_depth) {
+        while tree.settle(&mut depths, &mut discover) {
             let goal = depths.first().copied();
             let bound = goal.unwrap_or(usize::MAX);
             // (Re-)position the walk on the deepest resident ancestor when

@@ -81,13 +81,11 @@ fn snapshot_forks_match_fresh_vms_on_the_networked_target() {
     assert_backends_agree(&executor, &space, 1);
 }
 
-/// The snapshot-tree extension: with deepening enabled (the default), the
-/// executor keeps snapshots *beyond* the per-session roots — and the
-/// records still match both the flat single-snapshot model
-/// (`max_session_depth = 1`, the pre-tree behavior) and fresh VMs, byte
-/// for byte.
+/// The snapshot-tree extension: the executor keeps snapshots *beyond* the
+/// per-session roots — and the records still match fresh VMs, byte for
+/// byte.
 #[test]
-fn deep_snapshot_trees_match_flat_sessions_and_fresh_vms() {
+fn deep_snapshot_trees_match_fresh_vms() {
     use lfi_campaign::Executor;
 
     // Functions chosen to sit at different first-call depths in the
@@ -112,23 +110,11 @@ fn deep_snapshot_trees_match_flat_sessions_and_fresh_vms() {
         "resident nodes are charged against the snapshot budget"
     );
 
-    let mut flat_executor = StandardExecutor::new(&["git-lite"]);
-    flat_executor.set_max_session_depth(1);
-    let flat_space = hunt_space(&flat_executor, &["git-lite"], functions);
-    let (flat, flat_sessions) = run_with(&flat_executor, &flat_space, 2, ExecBackend::Snapshot);
-    assert_eq!(
-        flat_executor.snapshot_nodes(),
-        flat_sessions,
-        "depth 1 keeps exactly the roots"
-    );
-    assert_eq!(flat_executor.max_session_node_depth(), 1);
-
     let fresh_executor = StandardExecutor::new(&["git-lite"]);
     let fresh_space = hunt_space(&fresh_executor, &["git-lite"], functions);
     let (fresh, _) = run_with(&fresh_executor, &fresh_space, 2, ExecBackend::Fresh);
 
     assert_eq!(fresh.records, tree.records);
-    assert_eq!(fresh.records, flat.records);
     assert_eq!(fresh.triage.buckets, tree.triage.buckets);
 }
 

@@ -38,7 +38,6 @@ fn signature() -> impl Strategy<Value = CrashSignature> {
 fn message() -> BoxedStrategy<ControlMessage> {
     prop_oneof![
         lease().prop_map(ControlMessage::Lease),
-        any::<u64>().prop_map(|lease| ControlMessage::Revoke { lease }),
         signature().prop_map(ControlMessage::SignatureBroadcast),
         Just(ControlMessage::Shutdown),
     ]

@@ -3,8 +3,8 @@
 //! [`Executor::execute_from`] and [`Executor::prefetch_batch`] over **one**
 //! shared session must never duplicate a tree depth or throw a deepening
 //! run away, and a full jobs=4 campaign with prefetch on must stay
-//! record-identical to the flat single-snapshot session model with every
-//! fork landing at its target depth.
+//! record-identical to fresh VMs with every fork landing at its target
+//! depth.
 
 use lfi_campaign::{
     derive_seed, Campaign, ExecBackend, Executor, FaultSpace, PrefetchKey, StandardExecutor,
@@ -116,26 +116,25 @@ fn concurrent_forks_and_prefetch_share_one_deepening_walk() {
 }
 
 /// The whole pipeline at jobs=4 — batch prefetch and reuse-aware
-/// ordering — must remain a pure optimization: records identical to the
-/// flat single-snapshot session model, zero discarded walks, no duplicate
-/// depths. The engine prefetches every batch before draining it, so every
+/// ordering — must remain a pure optimization: records identical to
+/// fresh VMs, zero discarded walks, no duplicate depths. The engine prefetches every batch before draining it, so every
 /// fork lands at its target depth (no misses). A second run on the now
 /// warm executor reuses its trees and must record the same.
 #[test]
-fn prefetching_campaign_matches_flat_sessions_at_four_jobs() {
-    let run = |executor: &StandardExecutor| {
+fn prefetching_campaign_matches_fresh_vms_at_four_jobs() {
+    let run = |executor: &StandardExecutor, backend: ExecBackend| {
         let mut space = git_space(executor);
         executor.annotate_baseline_reachability(&mut space, 7);
         let driver = Campaign::builder(space, executor)
             .jobs(4)
             .seed(7)
-            .backend(ExecBackend::Snapshot)
+            .backend(backend)
             .build();
         driver.run_to_completion().report
     };
 
     let tree_executor = StandardExecutor::new(&["git-lite"]);
-    let tree = run(&tree_executor);
+    let tree = run(&tree_executor, ExecBackend::Snapshot);
     assert_no_duplicate_depths(&tree_executor);
     let metrics = tree.metrics.as_ref().expect("telemetry on by default");
     assert_eq!(metrics.counter("tree_deepen_discarded"), 0);
@@ -150,15 +149,12 @@ fn prefetching_campaign_matches_flat_sessions_at_four_jobs() {
         "after the engine's prefetch every fork finds its target depth resident"
     );
 
-    let warm = run(&tree_executor);
+    let warm = run(&tree_executor, ExecBackend::Snapshot);
     assert_eq!(tree.records, warm.records);
 
-    let mut flat_executor = StandardExecutor::new(&["git-lite"]);
-    flat_executor.set_max_session_depth(1);
-    let flat = run(&flat_executor);
-
-    assert_eq!(tree.records, flat.records);
-    assert_eq!(tree.triage.buckets, flat.triage.buckets);
+    let fresh = run(&StandardExecutor::new(&["git-lite"]), ExecBackend::Fresh);
+    assert_eq!(tree.records, fresh.records);
+    assert_eq!(tree.triage.buckets, fresh.triage.buckets);
 }
 
 /// Forks never deepen: without a prefetch, `execute_from` forks the

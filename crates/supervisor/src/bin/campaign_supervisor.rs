@@ -1,10 +1,10 @@
 //! Supervise a distributed fault-injection campaign.
 //!
 //! Spawns N `campaign_worker` processes, leases them unit ranges of the
-//! fault space, monitors their heartbeats (dead or hung workers are
-//! restarted and their leases migrate), steals queued leases for idle
-//! workers, broadcasts first-seen crash signatures, and merges the
-//! per-lease checkpoints into one report.
+//! fault space one at a time (a worker gets its next lease when it
+//! finishes the last), monitors their heartbeats (dead or hung workers
+//! are restarted and their lease migrates), broadcasts first-seen crash
+//! signatures, and merges the per-lease checkpoints into one report.
 //!
 //! ```text
 //! campaign_supervisor --preset table1 --state-dir DIR
@@ -111,10 +111,6 @@ fn summary_json(options: &SupervisorOptions, outcome: &SupervisedOutcome, lost: 
             Value::Int(outcome.leases_issued as i64),
         ),
         (
-            "leases_stolen".to_string(),
-            Value::Int(outcome.leases_stolen as i64),
-        ),
-        (
             "leases_expired".to_string(),
             Value::Int(outcome.leases_expired as i64),
         ),
@@ -183,11 +179,8 @@ fn main() -> ExitCode {
         outcome.distinct_signatures, outcome.signatures_broadcast,
     );
     println!(
-        "workers: {} restarts; leases: {} issued, {} stolen, {} expired",
-        outcome.worker_restarts,
-        outcome.leases_issued,
-        outcome.leases_stolen,
-        outcome.leases_expired,
+        "workers: {} restarts; leases: {} issued, {} expired",
+        outcome.worker_restarts, outcome.leases_issued, outcome.leases_expired,
     );
 
     if let Some(path) = out {

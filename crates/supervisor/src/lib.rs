@@ -1,5 +1,5 @@
 //! Distributed campaign supervision: elastic workers, a live event
-//! transport, and lease-grained work stealing.
+//! transport, and lease-grained load balancing.
 //!
 //! `lfi_campaign` can split a campaign into `--shard i/n` point ranges
 //! run by separate processes, but those shards are static: one fixed
@@ -17,16 +17,15 @@
 //! * [`worker`] — [`run_worker`], the lease-serving loop behind the
 //!   `campaign_worker` bin;
 //! * [`supervisor`] — [`run_supervised`], the scheduler behind the
-//!   `campaign_supervisor` bin: unit-range leases, two-deep per-worker
-//!   pipelines, work stealing via revocation, heartbeat-monitored
-//!   workers with checkpoint-resuming restarts, first-seen crash
-//!   signature broadcast, and the final lease merge.
+//!   `campaign_supervisor` bin: unit-range leases, one per worker and
+//!   pulled as each finishes, heartbeat-monitored workers with
+//!   checkpoint-resuming restarts, first-seen crash signature
+//!   broadcast, and the final lease merge.
 //!
 //! The recovery guarantee, asserted end-to-end in this crate's tests:
 //! SIGKILL a worker mid-lease and the merged report is byte-identical
 //! to the unsharded run (for history-independent strategies), with
-//! re-execution bounded by the units of the leases that were in flight
-//! on the dead worker.
+//! re-execution bounded by the units of the lease the dead worker held.
 
 pub mod plan;
 pub mod protocol;

@@ -31,16 +31,9 @@ pub enum WorkerMessage {
         /// The space/suite plan hash, `{:016x}`-formatted.
         plan: String,
     },
-    /// The worker began executing a granted lease. A steal revoke that
-    /// races this message is cancelled: started leases always finish on
-    /// the worker that started them.
-    LeaseStarted {
-        /// Grant id from the supervisor's `ControlMessage::Lease`.
-        lease: u64,
-    },
     /// The worker finished a lease and sealed its checkpoint file.
     LeaseFinished {
-        /// Grant id.
+        /// Grant id from the supervisor's `ControlMessage::Lease`.
         lease: u64,
         /// First fault-point index of the range.
         start: usize,
@@ -50,13 +43,6 @@ pub enum WorkerMessage {
         executed: usize,
         /// Total records the lease checkpoint now holds.
         records: usize,
-    },
-    /// The worker returned a queued lease in answer to a revoke; the
-    /// lease never started, so its range is wholly unexecuted by this
-    /// worker (beyond whatever an earlier holder checkpointed).
-    LeaseRevoked {
-        /// Grant id.
-        lease: u64,
     },
     /// One campaign event from the lease the worker is running,
     /// forwarded verbatim.
@@ -109,10 +95,6 @@ impl WorkerMessage {
                     ("plan".to_string(), Value::Str(plan.clone())),
                 ],
             ),
-            WorkerMessage::LeaseStarted { lease } => tagged(
-                "lease_started",
-                vec![("lease".to_string(), Value::Int(*lease as i64))],
-            ),
             WorkerMessage::LeaseFinished {
                 lease,
                 start,
@@ -128,10 +110,6 @@ impl WorkerMessage {
                     ("executed".to_string(), Value::Int(*executed as i64)),
                     ("records".to_string(), Value::Int(*records as i64)),
                 ],
-            ),
-            WorkerMessage::LeaseRevoked { lease } => tagged(
-                "lease_revoked",
-                vec![("lease".to_string(), Value::Int(*lease as i64))],
             ),
             WorkerMessage::Event(event) => event.to_value(),
         }
@@ -150,18 +128,12 @@ impl WorkerMessage {
                 units: int_field(value, "units")? as usize,
                 plan: str_field(value, "plan")?,
             }),
-            "lease_started" => Ok(WorkerMessage::LeaseStarted {
-                lease: int_field(value, "lease")? as u64,
-            }),
             "lease_finished" => Ok(WorkerMessage::LeaseFinished {
                 lease: int_field(value, "lease")? as u64,
                 start: int_field(value, "start")? as usize,
                 end: int_field(value, "end")? as usize,
                 executed: int_field(value, "executed")? as usize,
                 records: int_field(value, "records")? as usize,
-            }),
-            "lease_revoked" => Ok(WorkerMessage::LeaseRevoked {
-                lease: int_field(value, "lease")? as u64,
             }),
             other => Err(invalid(format!("unknown worker message kind `{other}`"))),
         }
@@ -195,7 +167,6 @@ mod tests {
                 units: 285,
                 plan: "00000000deadbeef".to_string(),
             },
-            WorkerMessage::LeaseStarted { lease: 7 },
             WorkerMessage::LeaseFinished {
                 lease: 7,
                 start: 16,
@@ -203,7 +174,6 @@ mod tests {
                 executed: 19,
                 records: 20,
             },
-            WorkerMessage::LeaseRevoked { lease: 9 },
             WorkerMessage::Event(CampaignEvent::CrashFound(CrashSignature {
                 target: "git-lite".to_string(),
                 function: "opendir".to_string(),

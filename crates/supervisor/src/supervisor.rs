@@ -5,18 +5,15 @@
 //! range), spawns `workers` worker processes, and drives them over the
 //! JSONL pipe protocol:
 //!
-//! * **Leasing** — every worker keeps a two-deep pipeline (one running
-//!   lease, one queued); finished leases pull the next pending range, so
-//!   fast workers naturally drain more of the pool.
-//! * **Work stealing** — when the pool runs dry, an idle worker steals a
-//!   *queued* (never started) lease from a busy sibling via
-//!   [`ControlMessage::Revoke`]; a revoke that loses the race to
-//!   `LeaseStarted` is simply cancelled.
+//! * **Leasing** — each worker holds at most one lease. The supervisor
+//!   grants one on the worker's `Hello` and the next on each
+//!   `LeaseFinished`, so fast workers naturally drain more of the pool
+//!   and no lease ever waits queued behind a busy worker.
 //! * **Failure recovery** — a worker that dies (or stops talking past
-//!   the heartbeat timeout) has its unexpired leases reclaimed and its
-//!   process respawned. Lease checkpoints are keyed by *range*, so the
-//!   next holder resumes the dead worker's file: re-execution is bounded
-//!   by the units of the lease that was actually in flight at the kill.
+//!   the heartbeat timeout) has its lease reclaimed and its process
+//!   respawned. Lease checkpoints are keyed by *range*, so the next
+//!   holder resumes the dead worker's file: re-execution is bounded by
+//!   the units of the lease the dead worker held.
 //! * **Signature broadcast** — the first time any worker reports a crash
 //!   signature, the supervisor broadcasts it to every other worker; each
 //!   worker's adaptive strategy then learns from the global campaign, not
@@ -26,9 +23,9 @@
 //! checkpoint files with
 //! [`CampaignReport::merge_leases`](lfi_campaign::CampaignReport) — for
 //! history-independent strategies the result is byte-identical to the
-//! unsharded run, kills and steals included.
+//! unsharded run, kills included.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -45,10 +42,6 @@ use lfi_telemetry::{Counter, LineFramer, MetricsSnapshot, Telemetry};
 
 use crate::plan::{parse_strategy, SpaceSpec};
 use crate::protocol::WorkerMessage;
-
-/// Outstanding leases per worker: one running plus one queued, so a
-/// worker never idles waiting for the next grant.
-const PIPELINE_DEPTH: usize = 2;
 
 /// How long the shutdown phase waits for a worker to exit cleanly
 /// before killing it.
@@ -75,15 +68,15 @@ pub struct SupervisorOptions {
     pub state_dir: PathBuf,
     /// The `campaign_worker` binary to spawn.
     pub worker_bin: PathBuf,
-    /// A worker with granted leases that stays silent this long is
-    /// declared hung, killed, and restarted.
+    /// A worker holding a lease that stays silent this long is declared
+    /// hung, killed, and restarted.
     pub heartbeat_timeout: Duration,
     /// Total worker restarts the run tolerates before leaving a dead
-    /// slot empty (its leases migrate to the survivors).
+    /// slot empty (its lease migrates to the survivors).
     pub max_restarts: usize,
     /// Chaos hook for recovery tests and CI smoke: once this many units
-    /// have finished campaign-wide, SIGKILL one worker that has a lease
-    /// in flight.
+    /// have finished campaign-wide, SIGKILL one worker that holds a
+    /// lease.
     pub chaos_kill_after_units: Option<usize>,
     /// Stream the merged (all-workers) event view to this JSONL file.
     pub events_jsonl: Option<PathBuf>,
@@ -91,8 +84,8 @@ pub struct SupervisorOptions {
 
 impl SupervisorOptions {
     /// Stock options: 2 workers, 1 job each, exhaustive, fresh backend,
-    /// 8-point leases, 30 s heartbeat timeout, restarts bounded by the
-    /// worker count. `worker_bin` defaults to the `campaign_worker`
+    /// 8-point leases, 30 s heartbeat timeout, at most 2 worker restarts.
+    /// `worker_bin` defaults to the `campaign_worker`
     /// sibling of the current executable when one exists.
     pub fn new(spec: SpaceSpec, state_dir: impl Into<PathBuf>) -> SupervisorOptions {
         SupervisorOptions {
@@ -140,8 +133,8 @@ pub struct SupervisedOutcome {
     pub distinct_signatures: usize,
     /// Leases granted, initial assignment and reassignment included.
     pub leases_issued: u64,
-    /// Queued leases revoked from a busy worker and re-granted to an
-    /// idle one.
+    /// Always 0: a worker holds one lease at a time, so no queued lease
+    /// is ever stolen. Kept so existing readers of the field still build.
     pub leases_stolen: u64,
     /// Leases reclaimed from dead or hung workers.
     pub leases_expired: u64,
@@ -152,8 +145,9 @@ pub struct SupervisedOutcome {
     /// Units that finished more than once (the re-execution cost of
     /// recovery; bounded by `killed_in_flight_units`).
     pub re_executed_units: usize,
-    /// Units of leases that were actually in flight on workers at the
-    /// moment those workers died — the recovery re-execution bound.
+    /// Units of the leases granted to workers at the moment those
+    /// workers died — the recovery re-execution bound. A granted lease
+    /// may not have started yet, so the bound can be loose.
     pub killed_in_flight_units: usize,
     /// The supervisor's own metrics registry snapshot.
     pub metrics: MetricsSnapshot,
@@ -162,18 +156,14 @@ pub struct SupervisedOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
     Pending,
-    Offered { worker: usize, grant: u64 },
-    Running { worker: usize, grant: u64 },
-    Revoking { worker: usize, grant: u64 },
+    Granted { worker: usize, grant: u64 },
     Done,
 }
 
 impl SlotState {
     fn holder(self) -> Option<usize> {
         match self {
-            SlotState::Offered { worker, .. }
-            | SlotState::Running { worker, .. }
-            | SlotState::Revoking { worker, .. } => Some(worker),
+            SlotState::Granted { worker, .. } => Some(worker),
             SlotState::Pending | SlotState::Done => None,
         }
     }
@@ -211,7 +201,6 @@ enum Inbox {
 
 struct SupervisorCounters {
     leases_issued: Counter,
-    leases_stolen: Counter,
     leases_expired: Counter,
     worker_restarts: Counter,
     signatures_broadcast: Counter,
@@ -224,7 +213,6 @@ struct Supervisor {
     total_units: usize,
     slots: Vec<LeaseSlot>,
     pending: VecDeque<usize>,
-    grants: HashMap<u64, usize>,
     next_grant: u64,
     workers: Vec<WorkerSlot>,
     tx: Sender<Inbox>,
@@ -298,7 +286,6 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
     let telemetry = Telemetry::new();
     let counters = SupervisorCounters {
         leases_issued: telemetry.counter("supervisor.leases_issued"),
-        leases_stolen: telemetry.counter("supervisor.leases_stolen"),
         leases_expired: telemetry.counter("supervisor.leases_expired"),
         worker_restarts: telemetry.counter("supervisor.worker_restarts"),
         signatures_broadcast: telemetry.counter("supervisor.signatures_broadcast"),
@@ -312,7 +299,6 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
         total_units,
         slots,
         pending,
-        grants: HashMap::new(),
         next_grant: 1,
         workers: Vec::new(),
         tx,
@@ -432,40 +418,14 @@ impl Supervisor {
                 self.workers[worker].greeted = true;
                 self.top_up(worker);
             }
-            WorkerMessage::LeaseStarted { lease } => {
-                if let Some(&slot) = self.grants.get(&lease) {
-                    match self.slots[slot].state {
-                        SlotState::Offered { worker: w, grant } if w == worker => {
-                            self.slots[slot].state = SlotState::Running { worker: w, grant };
-                        }
-                        // The revoke lost the race: the lease runs where
-                        // it started.
-                        SlotState::Revoking { worker: w, grant } if w == worker => {
-                            self.slots[slot].state = SlotState::Running { worker: w, grant };
-                        }
-                        _ => {}
-                    }
-                }
-            }
             WorkerMessage::LeaseFinished { lease, .. } => {
-                if let Some(&slot) = self.grants.get(&lease) {
-                    if self.slots[slot].state.holder() == Some(worker) {
-                        self.slots[slot].state = SlotState::Done;
-                        self.top_up(worker);
-                    }
-                }
-            }
-            WorkerMessage::LeaseRevoked { lease } => {
-                if let Some(&slot) = self.grants.get(&lease) {
-                    if let SlotState::Revoking { worker: w, .. } = self.slots[slot].state {
-                        if w == worker {
-                            self.slots[slot].state = SlotState::Pending;
-                            self.pending.push_front(slot);
-                            self.counters.leases_stolen.inc();
-                            // An idle sibling picks it up on the next
-                            // tick's top-up round.
-                        }
-                    }
+                let granted = SlotState::Granted {
+                    worker,
+                    grant: lease,
+                };
+                if let Some(slot) = self.slots.iter_mut().find(|s| s.state == granted) {
+                    slot.state = SlotState::Done;
+                    self.top_up(worker);
                 }
             }
             WorkerMessage::Event(event) => self.handle_event(&event, line),
@@ -513,15 +473,10 @@ impl Supervisor {
         if self.units_done < threshold {
             return;
         }
-        let victim = (0..self.workers.len()).find(|&w| {
-            self.workers[w].alive
-                && self
-                    .slots
-                    .iter()
-                    .any(|s| matches!(s.state, SlotState::Running { worker, .. } if worker == w))
-        });
+        let victim =
+            (0..self.workers.len()).find(|&w| self.workers[w].alive && self.lease_of(w).is_some());
         let Some(victim) = victim else {
-            // Nobody has a lease in flight right now; stay armed.
+            // Nobody holds a lease right now; stay armed.
             return;
         };
         self.chaos_armed = None;
@@ -543,18 +498,13 @@ impl Supervisor {
             let _ = child.kill();
             let _ = child.wait();
         }
-        eprintln!("supervisor: worker {worker} died ({why}); reclaiming its leases");
+        eprintln!("supervisor: worker {worker} died ({why}); reclaiming its lease");
 
-        for index in 0..self.slots.len() {
-            if self.slots[index].state.holder() != Some(worker) {
-                continue;
-            }
-            if matches!(self.slots[index].state, SlotState::Running { .. }) {
-                // The in-flight lease bounds recovery re-execution:
-                // completed-and-checkpointed units are resumed, so at
-                // most this lease's units run twice.
-                self.killed_in_flight += self.slots[index].units;
-            }
+        if let Some(index) = self.lease_of(worker) {
+            // The held lease bounds recovery re-execution: its
+            // checkpointed units are resumed, so at most its units run
+            // twice.
+            self.killed_in_flight += self.slots[index].units;
             self.slots[index].state = SlotState::Pending;
             self.pending.push_front(index);
             self.counters.leases_expired.inc();
@@ -594,94 +544,54 @@ impl Supervisor {
                 self.handle_death(worker, "process exited")?;
                 continue;
             }
-            // Hang detection: granted leases but no traffic.
+            // Hang detection: a granted lease but no traffic.
             let silent_for = self.workers[worker].last_seen.elapsed();
-            let has_leases = self.slots.iter().any(|s| s.state.holder() == Some(worker));
-            if has_leases && silent_for > self.options.heartbeat_timeout {
+            if self.lease_of(worker).is_some() && silent_for > self.options.heartbeat_timeout {
                 self.handle_death(worker, &format!("no heartbeat for {:.1?}", silent_for))?;
             }
         }
         for worker in 0..self.workers.len() {
             self.top_up(worker);
         }
-        self.steal();
         Ok(())
     }
 
-    fn assigned_count(&self, worker: usize) -> usize {
+    /// The slot of the lease `worker` holds, if any.
+    fn lease_of(&self, worker: usize) -> Option<usize> {
         self.slots
             .iter()
-            .filter(|s| s.state.holder() == Some(worker))
-            .count()
+            .position(|s| s.state.holder() == Some(worker))
     }
 
-    /// Keep `worker`'s pipeline full from the pending pool.
+    /// Grant an idle, greeted `worker` the next pending lease.
     fn top_up(&mut self, worker: usize) {
-        while self.workers[worker].alive
-            && self.workers[worker].greeted
-            && self.assigned_count(worker) < PIPELINE_DEPTH
+        if !self.workers[worker].alive
+            || !self.workers[worker].greeted
+            || self.lease_of(worker).is_some()
         {
-            let Some(slot) = self.pending.pop_front() else {
-                return;
-            };
-            let grant = self.next_grant;
-            self.next_grant += 1;
-            self.grants.insert(grant, slot);
-            self.slots[slot].state = SlotState::Offered { worker, grant };
-            let lease = Lease {
-                id: grant,
-                start: self.slots[slot].start,
-                end: self.slots[slot].end,
-            };
-            self.counters.leases_issued.inc();
-            if !self.send_control(worker, &ControlMessage::Lease(lease)) {
-                // Broken pipe: the EOF path reclaims the lease.
-                return;
-            }
-        }
-    }
-
-    /// When the pool is dry, revoke queued (never started) leases from
-    /// busy workers on behalf of idle ones.
-    fn steal(&mut self) {
-        if !self.pending.is_empty() {
             return;
         }
-        let idle: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| {
-                self.workers[w].alive && self.workers[w].greeted && self.assigned_count(w) == 0
-            })
-            .collect();
-        for _ in idle {
-            let victim_slot = (0..self.slots.len()).find(|&i| {
-                match self.slots[i].state {
-                    // Only steal from a worker that is also running
-                    // something: its queued lease would otherwise wait a
-                    // full lease duration.
-                    SlotState::Offered { worker, .. } => self.slots.iter().any(
-                        |s| matches!(s.state, SlotState::Running { worker: r, .. } if r == worker),
-                    ),
-                    _ => false,
-                }
-            });
-            let Some(slot) = victim_slot else { return };
-            let SlotState::Offered { worker, grant } = self.slots[slot].state else {
-                return;
-            };
-            self.slots[slot].state = SlotState::Revoking { worker, grant };
-            self.send_control(worker, &ControlMessage::Revoke { lease: grant });
-        }
+        let Some(slot) = self.pending.pop_front() else {
+            return;
+        };
+        let grant = self.next_grant;
+        self.next_grant += 1;
+        self.slots[slot].state = SlotState::Granted { worker, grant };
+        let lease = Lease {
+            id: grant,
+            start: self.slots[slot].start,
+            end: self.slots[slot].end,
+        };
+        self.counters.leases_issued.inc();
+        self.send_control(worker, &ControlMessage::Lease(lease));
     }
 
-    /// Write one control line to a worker; false on a broken pipe (the
-    /// death is handled by the EOF path, not here).
-    fn send_control(&mut self, worker: usize, message: &ControlMessage) -> bool {
-        let Some(stdin) = &mut self.workers[worker].stdin else {
-            return false;
-        };
-        writeln!(stdin, "{}", message.to_json_line())
-            .and_then(|()| stdin.flush())
-            .is_ok()
+    /// Write one control line to a worker. A broken pipe is ignored: the
+    /// EOF path handles the death and reclaims the worker's lease.
+    fn send_control(&mut self, worker: usize, message: &ControlMessage) {
+        if let Some(stdin) = &mut self.workers[worker].stdin {
+            let _ = writeln!(stdin, "{}", message.to_json_line()).and_then(|()| stdin.flush());
+        }
     }
 
     fn shutdown(&mut self) {
@@ -742,7 +652,7 @@ impl Supervisor {
             total_units: self.total_units,
             distinct_signatures: self.signatures.len(),
             leases_issued: self.counters.leases_issued.value(),
-            leases_stolen: self.counters.leases_stolen.value(),
+            leases_stolen: 0,
             leases_expired: self.counters.leases_expired.value(),
             worker_restarts: self.counters.worker_restarts.value(),
             signatures_broadcast: self.counters.signatures_broadcast.value(),
@@ -799,28 +709,12 @@ mod tests {
         assert_eq!(SlotState::Pending.holder(), None);
         assert_eq!(SlotState::Done.holder(), None);
         assert_eq!(
-            SlotState::Offered {
+            SlotState::Granted {
                 worker: 2,
                 grant: 9
             }
             .holder(),
             Some(2)
-        );
-        assert_eq!(
-            SlotState::Running {
-                worker: 1,
-                grant: 9
-            }
-            .holder(),
-            Some(1)
-        );
-        assert_eq!(
-            SlotState::Revoking {
-                worker: 0,
-                grant: 9
-            }
-            .holder(),
-            Some(0)
         );
     }
 

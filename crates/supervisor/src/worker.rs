@@ -6,13 +6,13 @@
 //! from stdin until it is told to shut down (or its stdin closes — a
 //! dead supervisor means exit, not orphaned work):
 //!
-//! * [`ControlMessage::Lease`] queues a range; leases run one at a time
-//!   in arrival order, each as its own campaign run confined to the
-//!   range, checkpointed to `state_dir/lease_{start}_{end}.json`. The
-//!   checkpoint tag is keyed by the range, so a lease reassigned from a
-//!   dead sibling resumes that sibling's file instead of restarting.
-//! * [`ControlMessage::Revoke`] returns a still-queued lease to the
-//!   supervisor (work stealing); the running lease always completes.
+//! * [`ControlMessage::Lease`] runs a range as soon as it arrives, as
+//!   its own campaign run confined to the range, checkpointed to
+//!   `state_dir/lease_{start}_{end}.json`. The supervisor grants the
+//!   next lease only after this one's `LeaseFinished`, so a worker never
+//!   holds more than one. The checkpoint tag is keyed by the range, so a
+//!   lease reassigned from a dead sibling resumes that sibling's file
+//!   instead of restarting.
 //! * [`ControlMessage::SignatureBroadcast`] accumulates crash
 //!   signatures first seen by sibling workers; every subsequent lease
 //!   run is seeded with them, so an adaptive strategy escalates globally
@@ -22,7 +22,6 @@
 //! protocol messages and the forwarded per-lease event stream share the
 //! pipe, discriminated by their `"worker"` / `"event"` keys.
 
-use std::collections::VecDeque;
 use std::fs;
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
@@ -31,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use lfi_campaign::{
-    Campaign, CampaignEvent, ControlMessage, CrashSignature, ExecBackend, Lease, StandardExecutor,
+    Campaign, CampaignEvent, ControlMessage, CrashSignature, ExecBackend, StandardExecutor,
 };
 
 use crate::plan::{parse_strategy, SpaceSpec};
@@ -106,9 +105,10 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
         )?;
     }
 
-    // Control lines arrive on a reader thread so a revoke or broadcast
-    // sent mid-lease is queued, not blocked on; stdin EOF injects a
-    // shutdown so a vanished supervisor cannot orphan the worker.
+    // Control lines arrive on a reader thread so a broadcast sent
+    // mid-lease is buffered here instead of blocking the supervisor's
+    // write; stdin EOF injects a shutdown so a vanished supervisor cannot
+    // orphan the worker.
     let (control_tx, control_rx) = mpsc::channel::<ControlMessage>();
     thread::spawn(move || {
         let stdin = io::stdin();
@@ -129,47 +129,20 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
         let _ = control_tx.send(ControlMessage::Shutdown);
     });
 
-    let mut queue: VecDeque<Lease> = VecDeque::new();
     let mut signatures: Vec<CrashSignature> = Vec::new();
-    loop {
-        // Drain every already-arrived control message before starting
-        // the next lease; block only when there is nothing to run.
-        let message = if queue.is_empty() {
-            match control_rx.recv() {
-                Ok(message) => Some(message),
-                Err(_) => return Ok(()),
+    for message in control_rx {
+        let lease = match message {
+            ControlMessage::Lease(lease) => lease,
+            ControlMessage::SignatureBroadcast(signature) => {
+                signatures.push(signature);
+                continue;
             }
-        } else {
-            control_rx.try_recv().ok()
+            ControlMessage::Shutdown => break,
         };
-        if let Some(message) = message {
-            match message {
-                ControlMessage::Lease(lease) => {
-                    if let Err(err) = lease.validate() {
-                        eprintln!("campaign_worker: rejecting {lease}: {err}");
-                    } else {
-                        queue.push_back(lease);
-                    }
-                }
-                ControlMessage::Revoke { lease } => {
-                    if let Some(at) = queue.iter().position(|l| l.id == lease) {
-                        queue.remove(at);
-                        send(&stdout, &WorkerMessage::LeaseRevoked { lease })?;
-                    }
-                    // A running or finished lease is not returnable; the
-                    // LeaseStarted/LeaseFinished already on the wire is
-                    // the answer.
-                }
-                ControlMessage::SignatureBroadcast(signature) => signatures.push(signature),
-                ControlMessage::Shutdown => return Ok(()),
-            }
+        if let Err(err) = lease.validate() {
+            eprintln!("campaign_worker: rejecting {lease}: {err}");
             continue;
         }
-
-        let Some(lease) = queue.pop_front() else {
-            continue;
-        };
-        send(&stdout, &WorkerMessage::LeaseStarted { lease: lease.id })?;
         let checkpoint = config
             .state_dir
             .join(format!("lease_{}_{}.json", lease.start, lease.end));
@@ -203,4 +176,5 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
             },
         )?;
     }
+    Ok(())
 }

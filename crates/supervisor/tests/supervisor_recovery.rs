@@ -2,8 +2,7 @@
 //! with real worker processes: SIGKILL a worker mid-lease and the
 //! merged report must still be **byte-identical** to the unsharded
 //! in-process run — no lost units, no duplicate records, and
-//! re-execution bounded by the leases that were actually in flight on
-//! the dead worker.
+//! re-execution bounded by the lease the dead worker held.
 
 use std::fs;
 use std::path::PathBuf;
@@ -68,15 +67,22 @@ fn a_killed_worker_does_not_change_the_merged_report() {
     let outcome = run_supervised(&options).unwrap_or_else(|err| panic!("supervised run: {err}"));
 
     // The recovery happened: the chaos kill cost at least one restart
-    // and expired at least one lease.
+    // and expired the one lease the victim held. A worker holds at most
+    // one lease, so each death reclaims at most one.
     assert!(
         outcome.worker_restarts >= 1,
         "the chaos hook must have killed (and the supervisor restarted) a worker"
     );
-    assert!(outcome.leases_expired >= 1, "the dead worker held leases");
+    assert!(outcome.leases_expired >= 1, "the dead worker held a lease");
+    assert!(
+        outcome.leases_expired <= outcome.worker_restarts,
+        "{} leases expired over {} restarts: a worker held more than one lease",
+        outcome.leases_expired,
+        outcome.worker_restarts
+    );
     assert!(
         outcome.killed_in_flight_units > 0,
-        "the killed worker had a lease in flight"
+        "the killed worker held a lease"
     );
 
     // The differential: records and triage byte-for-byte, nothing lost.
@@ -95,10 +101,10 @@ fn a_killed_worker_does_not_change_the_merged_report() {
     );
 
     // Fault tolerance is not free re-execution: duplicated work is
-    // bounded by the units of the leases in flight at the kill.
+    // bounded by the units of the lease the victim held.
     assert!(
         outcome.re_executed_units <= outcome.killed_in_flight_units,
-        "re-executed {} units but only {} were in flight on dead workers",
+        "re-executed {} units but dead workers held only {}",
         outcome.re_executed_units,
         outcome.killed_in_flight_units
     );
@@ -115,8 +121,8 @@ fn a_killed_worker_does_not_change_the_merged_report() {
 
 #[test]
 fn a_clean_supervised_run_matches_the_unsharded_report_too() {
-    // No chaos: the plain distributed path (leases, pipelining,
-    // possibly stealing) must also merge back exactly.
+    // No chaos: the plain distributed path (one lease per worker, the
+    // next granted as each finishes) must also merge back exactly.
     let spec = git_spec();
     let executor = StandardExecutor::new(&spec.target_names());
     let space = spec.build(&executor);
@@ -139,6 +145,12 @@ fn a_clean_supervised_run_matches_the_unsharded_report_too() {
     assert_eq!(outcome.report.records, unsharded.report.records);
     assert_eq!(outcome.report.triage, unsharded.report.triage);
     assert_eq!(outcome.worker_restarts, 0);
+    // Without a death every range is granted exactly once.
+    assert_eq!(
+        outcome.leases_issued as usize,
+        outcome.total_points.div_ceil(options.lease_points)
+    );
+    assert_eq!(outcome.leases_expired, 0);
     assert_eq!(
         outcome.re_executed_units, 0,
         "nothing died, nothing re-runs"

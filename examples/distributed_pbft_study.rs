@@ -10,20 +10,40 @@ use lfi::core::{DistributedController, DistributedPolicy, FunctionAssoc, Scenari
 use lfi::prelude::*;
 use lfi::targets::{run_bft_cluster, BftClusterConfig};
 
+/// Let the distributed trigger fail each `sendto` and each steady-state
+/// `recvfrom`. The replicas' startup receive in `await_startup` stays out:
+/// its error return is the seeded pbft-recvfrom bug, and failing it would
+/// crash the victim instead of attacking the network.
 fn loss_scenario() -> Scenario {
-    let mut scenario = Scenario::new().with_trigger(TriggerDecl {
-        id: "net".into(),
-        class: "DistributedTrigger".into(),
-        params: BTreeMap::new(),
+    let caller = |function: &str| TriggerDecl {
+        id: function.into(),
+        class: "CallerFunctionTrigger".into(),
+        params: BTreeMap::from([
+            ("function".to_string(), function.to_string()),
+            ("anywhere".to_string(), "0".to_string()),
+        ]),
         frames: vec![],
-    });
-    for function in ["sendto", "recvfrom"] {
+    };
+    let mut scenario = Scenario::new()
+        .with_trigger(TriggerDecl {
+            id: "net".into(),
+            class: "DistributedTrigger".into(),
+            params: BTreeMap::new(),
+            frames: vec![],
+        })
+        .with_trigger(caller("replica_main"))
+        .with_trigger(caller("run_request"));
+    for (function, triggers) in [
+        ("sendto", &["net"][..]),
+        ("recvfrom", &["replica_main", "net"][..]),
+        ("recvfrom", &["run_request", "net"][..]),
+    ] {
         scenario.functions.push(FunctionAssoc {
             function: function.into(),
             argc: 5,
             retval: Some(-1),
             errno: Some(lfi::arch::errno::EIO),
-            triggers: vec!["net".into()],
+            triggers: triggers.iter().map(|t| t.to_string()).collect(),
         });
     }
     scenario
@@ -40,8 +60,11 @@ fn run_policy(label: &str, policy: DistributedPolicy) -> f64 {
         ..BftClusterConfig::default()
     });
     println!(
-        "{label:<45} completed {:>2} requests, throughput {:>8.2} req/Mtick, {} injections",
-        result.completed, result.throughput, result.injections
+        "{label:<45} completed {:>2} requests, throughput {:>8.2} req/Mtick, {} injections, {} crashes",
+        result.completed,
+        result.throughput,
+        result.injections,
+        result.crashes.len()
     );
     result.throughput
 }

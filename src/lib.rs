@@ -22,10 +22,11 @@
 //!   events while it runs;
 //! * [`supervisor`] — the distributed control plane on top of
 //!   the campaign layer: spawn elastic worker processes, lease them unit
-//!   ranges, monitor heartbeats, migrate leases off dead or hung workers
-//!   (restarting them from per-lease checkpoints), steal queued leases for
-//!   idle workers, and broadcast first-seen crash signatures so every
-//!   worker's adaptive strategy learns globally;
+//!   ranges one lease at a time (the next when the last finishes),
+//!   monitor heartbeats, migrate leases off dead or hung workers
+//!   (restarting them from per-lease checkpoints), and broadcast
+//!   first-seen crash signatures so every worker's adaptive strategy
+//!   learns globally;
 //! * the substrate: [`arch`], [`obj`], [`asm`],
 //!   [`cc`], [`vm`], [`libc`];
 //! * [`targets`] — the BIND/MySQL/Git/PBFT/Apache analogues with
