@@ -17,6 +17,8 @@
 //! instruction budget, or at exact quiescence: every live node blocked with
 //! nothing queued for it and no deadline pending.
 
+use std::sync::Arc;
+
 use lfi_core::{InjectionEngine, Scenario, TriggerRegistry};
 use lfi_libc::build as build_libc;
 use lfi_vm::{
@@ -120,11 +122,10 @@ struct Cluster {
 
 impl Cluster {
     /// Build the cluster of `config`: bind every endpoint, queue the
-    /// replicas' startup hellos and load one machine per node.
+    /// replicas' startup hellos, load bft-lite once and start one machine
+    /// per node on that image.
     fn new(config: &BftClusterConfig) -> Cluster {
         let net = NetHandle::new(SimNet::new(config.seed));
-        let libc = build_libc();
-        let exe = bft_lite();
 
         // Pre-bind every endpoint so early datagrams are queued, not dropped.
         for replica in 1..=config.replicas as i64 {
@@ -144,16 +145,19 @@ impl Cluster {
             });
         }
 
+        // Every node runs the same executable with the same functions
+        // interposed, so the nodes share one loaded image.
+        let mut loader = Loader::new();
+        loader.add_library(build_libc());
+        loader.interpose_all(config.scenario.intercepted_functions());
+        let image = Arc::new(loader.load(bft_lite()).expect("bft-lite must load"));
+
         let make_node = |id: i64, args: Vec<String>| {
-            let mut loader = Loader::new();
-            loader.add_library(libc.clone());
             let engine =
                 InjectionEngine::with_registry(config.scenario.clone(), config.registry.clone())
                     .expect("scenario must compile");
-            loader.interpose_all(engine.interposed_functions());
-            let image = loader.load(exe.clone()).expect("bft-lite must load");
-            let mut machine = Machine::new(
-                image,
+            let mut machine = Machine::from_image(
+                image.clone(),
                 ProcessConfig {
                     node_id: id,
                     seed: config.seed.wrapping_add(id as u64),
