@@ -29,7 +29,8 @@
 //!   [`Executor::set_snapshot_budget`] (256 MiB by default). Sessions are
 //!   prepared lazily in an engine-owned cache shared across worker
 //!   threads; targets that cannot snapshot (multi-process cluster targets
-//!   return `None` from `prepare`) fall back to fresh VMs.
+//!   return `None` from `prepare`) fall back to fresh VMs, and each batch
+//!   dispatches those units before the ones that fork.
 //!
 //! Both backends must produce identical [`Execution`]s for the same unit —
 //! results stay independent of the backend, the worker count, and the
@@ -263,7 +264,8 @@ pub struct PrefetchKey {
 /// it, and its units always run as fresh cluster runs whatever the
 /// backend. It also refuses when a workload's prefix consumed randomness,
 /// because forks reseed the RNG per unit and would otherwise diverge from
-/// fresh runs.
+/// fresh runs. The engine dispatches a batch's sessionless units before
+/// its forked ones.
 ///
 /// Whichever path runs a unit, the resulting [`Execution`] must be
 /// **identical** — the backend is a performance choice, not a semantics
@@ -980,6 +982,17 @@ impl<'a> Campaign<'a> {
                 // and discovers first-call depths, which is exactly what
                 // the ordering consults.
                 strategy.order_units(&mut pending, &ExecutorDepths(self.executor));
+                // Then move the units of pairs without a session to the
+                // front, keeping the order within each group. They run
+                // whole from program start and need nothing the prefetch
+                // warmed, and the bft-lite cluster units among them are
+                // the batch's longest: dispatched last, one of them runs
+                // alone at the end while the other workers sit idle.
+                pending.sort_by_cached_key(|u| {
+                    self.sessions
+                        .get(self.executor, &u.point.target, &u.args)
+                        .is_some()
+                });
             }
             let (fresh, workers) = self.drain(&pending, sink, &seen_signatures, &progress);
             peak_workers = peak_workers.max(workers);
@@ -1468,6 +1481,94 @@ mod tests {
         // with two workloads — not once per unit: the None outcome is
         // cached too.
         assert_eq!(executor.prepares.load(Ordering::Relaxed), 2);
+    }
+
+    /// The target whose pairs refuse to snapshot, as bft-lite's do.
+    const SESSIONLESS: &str = "cluster";
+
+    /// A session-capable fake that refuses to prepare [`SESSIONLESS`].
+    struct MixedExecutor(FakeExecutor);
+
+    impl Executor for MixedExecutor {
+        fn workloads(&self, target: &str) -> Vec<Vec<String>> {
+            self.0.workloads(target)
+        }
+
+        fn prepare(&self, target: &str, _args: &[String]) -> Option<Session> {
+            (target != SESSIONLESS).then(|| Session::new(()))
+        }
+
+        fn execute_from(&self, _session: &Session, unit: &WorkUnit) -> Execution {
+            self.0.execute(unit)
+        }
+
+        fn execute(&self, unit: &WorkUnit) -> Execution {
+            self.0.execute(unit)
+        }
+    }
+
+    /// Exhaustive, but orders each batch by descending unit id, so the
+    /// strategy's order differs from id order.
+    struct Descending;
+
+    impl Strategy for Descending {
+        fn name(&self) -> &str {
+            "descending"
+        }
+
+        fn next_batch(&self, space: &FaultSpace, _history: &CampaignHistory) -> Vec<usize> {
+            (0..space.len()).collect()
+        }
+
+        fn order_units(&self, units: &mut [&WorkUnit], _depths: &dyn DepthOracle) {
+            units.sort_by_key(|u| std::cmp::Reverse(u.id));
+        }
+    }
+
+    #[test]
+    fn sessionless_units_dispatch_first_in_strategy_order() {
+        let mut space = demo_space(9);
+        for point in space.points.iter_mut().skip(1).step_by(3) {
+            point.target = SESSIONLESS.into();
+        }
+        let fresh = Campaign::builder(space.clone(), &FakeExecutor::new())
+            .build()
+            .run_to_completion()
+            .report;
+
+        let executor = MixedExecutor(FakeExecutor::new());
+        let log = crate::events::EventLog::new();
+        let snapshot = Campaign::builder(space, &executor)
+            .strategy(Descending)
+            .backend(ExecBackend::Snapshot)
+            .jobs(1)
+            .events(&log)
+            .build()
+            .run_to_completion()
+            .report;
+
+        let started: Vec<(usize, String)> = log
+            .events()
+            .into_iter()
+            .filter_map(|event| match event {
+                CampaignEvent::UnitStarted { unit, target, .. } => Some((unit, target)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(started.len(), 18);
+        let sessionless = started.iter().filter(|(_, t)| t == SESSIONLESS).count();
+        assert_eq!(sessionless, 6, "3 points x 2 workloads");
+        assert!(
+            started[..sessionless].iter().all(|(_, t)| t == SESSIONLESS),
+            "sessionless units start first: {started:?}"
+        );
+        for group in [&started[..sessionless], &started[sessionless..]] {
+            assert!(
+                group.windows(2).all(|pair| pair[0].0 > pair[1].0),
+                "the strategy's order holds within each group: {started:?}"
+            );
+        }
+        assert_eq!(snapshot.records, fresh.records);
     }
 
     #[test]
