@@ -116,7 +116,9 @@ pub struct CrashInfo {
     pub backtrace: Vec<String>,
 }
 
-/// One call site where the unit's fault was actually injected.
+/// One call site where the unit's fault was actually injected. A record
+/// holds one entry per distinct `(module, offset)`, in first-injection
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedSite {
     /// Module of the call site.
@@ -125,6 +127,8 @@ pub struct InjectedSite {
     pub offset: u64,
     /// Function containing the call site, if resolvable.
     pub caller: Option<String>,
+    /// Injections made at this call site.
+    pub count: u64,
 }
 
 /// The executor-produced result of one work unit.
@@ -1108,6 +1112,7 @@ mod tests {
                     module: unit.point.target.clone(),
                     offset: unit.point.offset,
                     caller: unit.point.caller.clone(),
+                    count: 1,
                 }],
                 crashes,
                 virtual_time: 10,

@@ -503,6 +503,7 @@ mod tests {
                 module: "git-lite".into(),
                 offset: 0x40,
                 caller: Some("main".into()),
+                count: 1,
             }],
             crashes: vec![CrashInfo {
                 module: "git-lite".into(),

@@ -552,24 +552,35 @@ impl StandardExecutor {
     }
 
     /// The call sites where `function` was actually failed, per the
-    /// injection log — the same accounting for fresh and forked runs. One
-    /// entry per injection; the caller is resolved once per call site.
-    fn injected_sites(&self, log: &InjectionLog, function: &str) -> Vec<InjectedSite> {
-        let mut callers: BTreeMap<(&str, u64), Option<String>> = BTreeMap::new();
-        log.records()
-            .filter(|r| r.function == function)
-            .map(|r| {
-                let (module, offset) = r.call_site;
-                let caller = callers
-                    .entry(r.call_site)
-                    .or_insert_with(|| self.resolve_caller(module, offset));
-                InjectedSite {
-                    module: module.to_string(),
-                    offset,
-                    caller: caller.clone(),
+    /// injection logs (a single-process run has one; a cluster run one per
+    /// node, replicas first) — the same accounting for fresh and forked
+    /// runs. One entry per distinct call site with its injection count, in
+    /// first-injection order, log by log; the caller is resolved once per
+    /// call site.
+    fn injected_sites<'a>(
+        &self,
+        logs: impl IntoIterator<Item = &'a InjectionLog>,
+        function: &str,
+    ) -> Vec<InjectedSite> {
+        let mut sites: Vec<InjectedSite> = Vec::new();
+        for log in logs {
+            for site in log.sites().into_iter().filter(|s| s.function == function) {
+                let (module, offset) = site.call_site;
+                match sites
+                    .iter_mut()
+                    .find(|known| known.offset == offset && known.module == module)
+                {
+                    Some(known) => known.count += site.injections,
+                    None => sites.push(InjectedSite {
+                        module: module.to_string(),
+                        offset,
+                        caller: self.resolve_caller(module, offset),
+                        count: site.injections,
+                    }),
                 }
-            })
-            .collect()
+            }
+        }
+        sites
     }
 
     fn execute_single(&self, exe: &Module, unit: &WorkUnit) -> Execution {
@@ -591,7 +602,7 @@ impl StandardExecutor {
         Execution {
             outcome,
             injections: report.injections.injection_count() as u64,
-            injected_sites: self.injected_sites(&report.injections, &unit.point.function),
+            injected_sites: self.injected_sites([&report.injections], &unit.point.function),
             crashes: report
                 .fault
                 .as_ref()
@@ -633,13 +644,10 @@ impl StandardExecutor {
         Execution {
             outcome,
             injections: result.injections,
-            // The cluster harness does not expose per-node injection logs;
-            // the fault point itself is the injected site.
-            injected_sites: vec![InjectedSite {
-                module: unit.point.target.clone(),
-                offset: unit.point.offset,
-                caller: unit.point.caller.clone(),
-            }],
+            injected_sites: self.injected_sites(
+                result.logs.iter().map(|(_node, log)| log),
+                &unit.point.function,
+            ),
             crashes,
             virtual_time: result.virtual_time,
         }
@@ -745,7 +753,7 @@ impl Executor for StandardExecutor {
         Execution {
             outcome,
             injections: engine.log.injection_count() as u64,
-            injected_sites: self.injected_sites(&engine.log, &unit.point.function),
+            injected_sites: self.injected_sites([&engine.log], &unit.point.function),
             crashes,
             virtual_time: machine.clock(),
         }

@@ -236,6 +236,7 @@ pub(crate) fn record_to_value(record: &RunRecord) -> Value {
                                 "caller".to_string(),
                                 site.caller.clone().map_or(Value::Null, Value::Str),
                             ),
+                            ("count".to_string(), Value::Int(site.count as i64)),
                         ])
                     })
                     .collect(),
@@ -278,19 +279,31 @@ pub(crate) fn record_to_value(record: &RunRecord) -> Value {
 }
 
 pub(crate) fn record_from_value(value: &Value) -> Result<RunRecord, JsonError> {
-    let injected_sites = value
+    let mut injected_sites: Vec<InjectedSite> = Vec::new();
+    for site in value
         .get("injected_sites")
         .and_then(Value::as_arr)
         .unwrap_or_default()
-        .iter()
-        .map(|site| {
-            Ok(InjectedSite {
-                module: str_field(site, "module")?,
-                offset: int_field(site, "offset")? as u64,
+    {
+        let module = str_field(site, "module")?;
+        let offset = int_field(site, "offset")? as u64;
+        // Records written before sites carried a count hold one entry per
+        // injection: each counts once, and repeats of a call site merge
+        // into its first entry, so an old checkpoint resumes canonical.
+        let count = site.get("count").and_then(Value::as_int).unwrap_or(1) as u64;
+        match injected_sites
+            .iter_mut()
+            .find(|known| known.offset == offset && known.module == module)
+        {
+            Some(known) => known.count += count,
+            None => injected_sites.push(InjectedSite {
+                module,
+                offset,
                 caller: opt_str_field(site, "caller"),
-            })
-        })
-        .collect::<Result<Vec<_>, JsonError>>()?;
+                count,
+            }),
+        }
+    }
     let crashes = value
         .get("crashes")
         .and_then(Value::as_arr)
@@ -341,6 +354,7 @@ mod tests {
                 module: "demo".into(),
                 offset: 0x40,
                 caller: Some("main".into()),
+                count: 3,
             }],
             crashes: vec![CrashInfo {
                 module: "demo".into(),
@@ -378,6 +392,27 @@ mod tests {
         state.push(sample_record(1));
         state.adopt("exhaustive", 8);
         assert!(state.records().is_empty(), "new seed resets state");
+    }
+
+    /// A state line written before injected sites carried a count: one
+    /// site entry per injection, so `recvfrom@0x40` appears three times.
+    const UNCOUNTED_STATE: &str = r#"{"strategy": "exhaustive", "seed": 7, "complete": true, "records": [{"unit": 0, "target": "demo", "function": "recvfrom", "offset": 64, "args": [], "outcome": "hung", "injections": 4, "injected_sites": [{"module": "demo", "offset": 64, "caller": "main"}, {"module": "demo", "offset": 64, "caller": "main"}, {"module": "demo", "offset": 128, "caller": null}, {"module": "demo", "offset": 64, "caller": "main"}], "crashes": [], "virtual_time": 9}]}"#;
+
+    #[test]
+    fn uncounted_sites_decode_as_one_injection_each_and_merge_by_call_site() {
+        let state = CampaignState::from_json(UNCOUNTED_STATE).unwrap();
+        let sites = &state.records()[0].injected_sites;
+        let site = |offset, caller: Option<&str>, count| InjectedSite {
+            module: "demo".into(),
+            offset,
+            caller: caller.map(str::to_string),
+            count,
+        };
+        assert_eq!(*sites, [site(64, Some("main"), 3), site(128, None, 1)]);
+        // Written back, the resumed checkpoint is in the canonical form.
+        let rewritten = CampaignState::from_json(&state.to_json()).unwrap();
+        assert_eq!(rewritten, state);
+        assert!(state.to_json().contains("\"count\": 3"));
     }
 
     #[test]

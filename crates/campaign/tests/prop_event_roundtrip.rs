@@ -7,6 +7,7 @@
 //! `campaign_status`), so the format must be total in both directions,
 //! not merely round-trip on the handful of shapes unit tests pin.
 
+use std::collections::BTreeSet;
 use std::ops::Range;
 
 use lfi_campaign::{
@@ -50,10 +51,23 @@ fn outcome() -> BoxedStrategy<OutcomeKind> {
 }
 
 fn injected_site() -> impl Strategy<Value = InjectedSite> {
-    (name(), any::<u64>(), option::of(name())).prop_map(|(module, offset, caller)| InjectedSite {
-        module,
-        offset,
-        caller,
+    (name(), any::<u64>(), option::of(name()), any::<u64>()).prop_map(
+        |(module, offset, caller, count)| InjectedSite {
+            module,
+            offset,
+            caller,
+            count,
+        },
+    )
+}
+
+/// A record's sites: one per distinct `(module, offset)`, as executors
+/// emit them (decoding merges repeats).
+fn injected_sites() -> impl Strategy<Value = Vec<InjectedSite>> {
+    collection::vec(injected_site(), 0..3).prop_map(|mut sites| {
+        let mut seen = BTreeSet::new();
+        sites.retain(|site| seen.insert((site.module.clone(), site.offset)));
+        sites
     })
 }
 
@@ -82,7 +96,7 @@ fn run_record() -> impl Strategy<Value = RunRecord> {
         collection::vec(text(), 0..4),
         outcome(),
         (any::<u64>(), any::<u64>()),
-        collection::vec(injected_site(), 0..3),
+        injected_sites(),
         collection::vec(crash_info(), 0..3),
     )
         .prop_map(

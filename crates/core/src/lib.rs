@@ -35,7 +35,7 @@ pub use controller::{
     Controller, ControllerError, RunToCompletion, SessionPrep, TestConfig, TestOutcome, TestReport,
     Workload,
 };
-pub use runtime::{InjectionEngine, InjectionLog, InjectionRecord, PauseAtCall};
+pub use runtime::{InjectionEngine, InjectionLog, InjectionRecord, LoggedSite, PauseAtCall};
 pub use scenario::{FrameSpec, FunctionAssoc, Scenario, ScenarioError, TriggerDecl};
 pub use triggers::{
     ArgTrigger, CallCountTrigger, CallStackTrigger, CallerFunctionTrigger, DistributedController,

@@ -43,6 +43,18 @@ pub struct InjectionRecord<'a> {
     pub clock: u64,
 }
 
+/// One distinct site of an [`InjectionLog`] and how often it injected: a
+/// borrowed view yielded by [`InjectionLog::sites`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoggedSite<'a> {
+    /// Function whose calls were failed.
+    pub function: &'a str,
+    /// Module and offset of the call site.
+    pub call_site: (&'a str, u64),
+    /// Injections made at this site.
+    pub injections: u64,
+}
+
 /// Everything one association records identically at one call site.
 #[derive(Debug, Clone)]
 struct LogSite {
@@ -129,6 +141,25 @@ impl InjectionLog {
                 clock: entry.clock,
             }
         })
+    }
+
+    /// The log's distinct sites in first-injection order, each with its
+    /// injection count. A call site failed under two associations yields
+    /// one site per association.
+    pub fn sites(&self) -> Vec<LoggedSite<'_>> {
+        let mut counts = vec![0u64; self.sites.len()];
+        for entry in &self.entries {
+            counts[entry.site as usize] += 1;
+        }
+        self.sites
+            .iter()
+            .zip(counts)
+            .map(|(site, injections)| LoggedSite {
+                function: &site.function,
+                call_site: (&site.call_site.0, site.call_site.1),
+                injections,
+            })
+            .collect()
     }
 
     /// Injections performed on a given function.
@@ -663,6 +694,16 @@ mod tests {
         });
         twin.push(copy, 2, 20);
         assert_eq!(twin, log);
+        assert_eq!(
+            log.sites(),
+            [LoggedSite {
+                function: "read",
+                call_site: ("app", 8),
+                injections: 2,
+            }]
+        );
+        let twin_counts: Vec<u64> = twin.sites().iter().map(|s| s.injections).collect();
+        assert_eq!(twin_counts, [1, 1], "one site per association");
         twin.interceptions += 1;
         assert_ne!(twin, log);
     }

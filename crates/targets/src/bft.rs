@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use lfi_core::{InjectionEngine, Scenario, TriggerRegistry};
+use lfi_core::{InjectionEngine, InjectionLog, Scenario, TriggerRegistry};
 use lfi_libc::build as build_libc;
 use lfi_vm::{
     Datagram, ExecStats, Fault, Loader, Machine, NetHandle, ProcessConfig, RunExit, SimNet,
@@ -84,6 +84,9 @@ pub struct BftRunResult {
     pub crashes: Vec<(i64, Fault)>,
     /// Total injections across all nodes.
     pub injections: u64,
+    /// Each node's injection log, as `(node id, log)`, in the order of
+    /// `node_stats`.
+    pub logs: Vec<(i64, InjectionLog)>,
     /// Each node's execution statistics, as `(node id, stats)`, replicas
     /// first and the client last.
     pub node_stats: Vec<(i64, ExecStats)>,
@@ -262,8 +265,8 @@ impl Cluster {
         }
     }
 
-    /// The result of the run so far.
-    fn result(&self) -> BftRunResult {
+    /// The result of the run, which takes over every node's injection log.
+    fn into_result(self) -> BftRunResult {
         let client = self
             .nodes
             .iter()
@@ -285,7 +288,6 @@ impl Cluster {
             completed,
             virtual_time,
             throughput,
-            crashes: self.crashes.clone(),
             injections: self
                 .nodes
                 .iter()
@@ -297,6 +299,12 @@ impl Cluster {
                 .map(|node| (node.id, node.machine.stats))
                 .collect(),
             client_output: client.machine.output_string(),
+            logs: self
+                .nodes
+                .into_iter()
+                .map(|node| (node.id, node.engine.log))
+                .collect(),
+            crashes: self.crashes,
         }
     }
 }
@@ -305,7 +313,7 @@ impl Cluster {
 pub fn run_bft_cluster(config: &BftClusterConfig) -> BftRunResult {
     let mut cluster = Cluster::new(config);
     cluster.run();
-    cluster.result()
+    cluster.into_result()
 }
 
 #[cfg(test)]
