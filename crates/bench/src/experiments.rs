@@ -840,7 +840,7 @@ pub struct Figure3Point {
     pub requested: i64,
     /// Replica crashes.
     pub crashes: usize,
-    /// Virtual time per completed request relative to p = 0, or `None`
+    /// Client time per completed request relative to p = 0, or `None`
     /// when no request completed.
     pub slowdown: Option<f64>,
 }
@@ -936,7 +936,7 @@ pub fn figure3_pbft_slowdown() -> Figure3 {
             probability: p,
             ..Figure3Point::default()
         };
-        let mut virtual_time = 0u64;
+        let mut client_time = 0u64;
         for trial in 0..trials {
             let result = run_bft_cluster(&BftClusterConfig {
                 requests,
@@ -947,10 +947,10 @@ pub fn figure3_pbft_slowdown() -> Figure3 {
             point.completed += result.completed;
             point.requested += requests as i64;
             point.crashes += result.crashes.len();
-            virtual_time += result.virtual_time;
+            client_time += result.client_time;
         }
         let time_per_request =
-            (point.completed > 0).then(|| virtual_time as f64 / point.completed as f64);
+            (point.completed > 0).then(|| client_time as f64 / point.completed as f64);
         if p == 0.0 {
             baseline_time_per_request = time_per_request;
         }
@@ -971,7 +971,7 @@ pub fn figure3_pbft_slowdown() -> Figure3 {
 pub struct DosRow {
     /// The schedule.
     pub label: String,
-    /// Requests per million virtual ticks.
+    /// Requests per million ticks of the client's clock.
     pub throughput: f64,
     /// Throughput relative to the baseline row, minus one.
     pub change: f64,

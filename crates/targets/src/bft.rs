@@ -77,8 +77,12 @@ pub struct BftRunResult {
     pub completed: i64,
     /// Maximum virtual time across all nodes — the cluster's makespan.
     pub virtual_time: u64,
-    /// Requests per million virtual ticks (the throughput measure used for
-    /// Figure 3 and the DoS study).
+    /// The client's virtual time when the run ended: the time it took to
+    /// issue its requests and collect their replies. A replica that keeps
+    /// spinning after the client is done does not extend it.
+    pub client_time: u64,
+    /// Requests per million ticks of the client's clock (the throughput
+    /// measure used by the DoS study).
     pub throughput: f64,
     /// Crashes observed, as `(node id, fault)`.
     pub crashes: Vec<(i64, Fault)>,
@@ -279,14 +283,16 @@ impl Cluster {
             .map(|node| node.machine.clock())
             .max()
             .unwrap_or(0);
-        let throughput = if virtual_time > 0 {
-            completed as f64 * 1_000_000.0 / virtual_time as f64
+        let client_time = client.machine.clock();
+        let throughput = if client_time > 0 {
+            completed as f64 * 1_000_000.0 / client_time as f64
         } else {
             0.0
         };
         BftRunResult {
             completed,
             virtual_time,
+            client_time,
             throughput,
             injections: self
                 .nodes
@@ -333,7 +339,8 @@ mod tests {
             result.client_output
         );
         assert!(result.crashes.is_empty(), "crashes: {:?}", result.crashes);
-        assert!(result.virtual_time > 0);
+        assert!(result.client_time > 0);
+        assert!(result.client_time <= result.virtual_time);
         assert!(result.throughput > 0.0);
         assert_eq!(result.injections, 0);
     }
