@@ -162,11 +162,6 @@ impl InjectionLog {
             .collect()
     }
 
-    /// Injections performed on a given function.
-    pub fn injections_into(&self, function: &str) -> usize {
-        self.records().filter(|r| r.function == function).count()
-    }
-
     /// The interned site of association `assoc` at `(module, offset)`,
     /// checking the site of the latest injection first.
     fn find_site(&self, assoc: u32, module: &str, offset: u64) -> Option<u32> {
@@ -653,8 +648,14 @@ mod tests {
         let json = log.to_json();
         assert!(json.contains("\"read\""));
         assert!(json.contains("app.c"));
-        assert_eq!(log.injections_into("read"), 1);
-        assert_eq!(log.injections_into("write"), 0);
+        assert_eq!(
+            log.sites(),
+            [LoggedSite {
+                function: "read",
+                call_site: ("app", 0x120),
+                injections: 1,
+            }]
+        );
         let record = log.records().next().expect("one record");
         assert_eq!(record.call_site, ("app", 0x120));
         assert_eq!((record.call_count, record.clock), (3, 999));
