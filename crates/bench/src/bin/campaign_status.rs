@@ -8,8 +8,8 @@
 //! byte offset per file, parses every newly completed line as a
 //! [`lfi_campaign::CampaignEvent`], and renders one status line per shard
 //! plus a merged total: batch progress, units/sec, distinct crash
-//! signatures (deduplicated *across* shards), and the snapshot-tree cache
-//! hit rate from the latest heartbeat metrics. A line that fails to parse
+//! signatures (deduplicated *across* shards), and the static-prune rate
+//! from the latest heartbeat metrics. A line that fails to parse
 //! is a protocol error and exits non-zero — the streams are a versioned
 //! wire format, not best-effort logs.
 //!
@@ -177,14 +177,6 @@ impl ShardStream {
     }
 }
 
-/// Cache hit rate in percent from a merged metrics snapshot, if the
-/// executor reported fork counters.
-fn cache_hit_rate(metrics: &MetricsSnapshot) -> Option<f64> {
-    let hits = metrics.counter("tree_fork_hits");
-    let total = hits + metrics.counter("tree_fork_misses");
-    (total > 0).then(|| hits as f64 * 100.0 / total as f64)
-}
-
 /// Static-prune effectiveness from a merged metrics snapshot: demoted
 /// sites over sites analyzed, if the executor ran the analysis phase.
 fn prune_rate(metrics: &MetricsSnapshot) -> Option<(u64, u64)> {
@@ -231,20 +223,12 @@ fn render(streams: &[ShardStream]) {
         // truncated streams are visible in the merged total, not silent.
         total_notes += stream.notes + stream.stream_resets;
     }
-    let cache = cache_hit_rate(&merged_metrics)
-        .map(|rate| {
-            // Snapshot-tree health next to the hit rate: how many tree
-            // nodes batch prefetch materialized ahead of demand.
-            let prefetched = merged_metrics.counter("tree_prefetch_nodes");
-            format!("{rate:.1}% cache hit rate ({prefetched} prefetched)")
-        })
-        .unwrap_or_else(|| "cache hit rate n/a".to_string());
     let prune = prune_rate(&merged_metrics)
         .map(|(pruned, total)| format!("{pruned}/{total} sites statically pruned"))
         .unwrap_or_else(|| "static prune n/a".to_string());
     println!(
         "total {:>2} shards  units {total_done}/{total_planned}  \
-         {:>8.3} units/sec  {} distinct signatures  {cache}  {prune}  {total_notes} notes",
+         {:>8.3} units/sec  {} distinct signatures  {prune}  {total_notes} notes",
         streams.len(),
         total_milli_rate as f64 / 1000.0,
         merged_signatures.len(),

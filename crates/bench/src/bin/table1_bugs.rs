@@ -135,16 +135,6 @@ fn main() {
         });
     let result = table1_campaign(&options);
     println!("{}", result.report);
-    // Snapshot-tree health line for CI: prefetch walks are serialized per
-    // tree, so no deepening run is ever discarded and `discarded=` must
-    // read 0.
-    if let Some(metrics) = &result.report.metrics {
-        println!(
-            "tree deepen: discarded={} prefetched_nodes={}",
-            metrics.counter("tree_deepen_discarded"),
-            metrics.counter("tree_prefetch_nodes"),
-        );
-    }
     if let Some((path, prior_state)) = prior {
         if prior_state.tag() == result.tag && prior_state.seed() == options.seed {
             println!(

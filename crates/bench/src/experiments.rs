@@ -8,6 +8,7 @@ use lfi_analyzer::{
     analyze_call_sites, recovery_offsets, AnalysisConfig, CallSiteClass, ClassMetrics,
     ConfusionMatrix,
 };
+use lfi_campaign::run_target;
 use lfi_core::{
     DistributedController, DistributedPolicy, FunctionAssoc, Scenario, TestConfig, TestOutcome,
     TriggerDecl, TriggerRegistry,
@@ -18,7 +19,7 @@ use lfi_targets::{
 };
 use lfi_vm::Coverage;
 
-use crate::support::{all_sites, default_test_suite, pct, run_target, single_site_scenario};
+use crate::support::{all_sites, default_test_suite, pct, single_site_scenario};
 
 // ---------------------------------------------------------------------------
 // Table 1 — bugs found automatically
@@ -344,9 +345,10 @@ pub fn table3_coverage() -> Table3 {
             .collect();
 
         // Baseline: default test suite, no injection.
+        let budget = TestConfig::default().max_instructions;
         let mut baseline_cov = Coverage::new();
         for args in default_test_suite(target) {
-            let report = run_target(target, &exe, &Scenario::new(), args, true, 1);
+            let report = run_target(target, &exe, &Scenario::new(), args, true, 1, budget);
             baseline_cov.merge(&report.coverage);
         }
         // With LFI: re-run the same suite once per injectable call site.
@@ -354,7 +356,7 @@ pub fn table3_coverage() -> Table3 {
         for (function, offset) in all_sites(&exe, &functions) {
             let scenario = single_site_scenario(target, &function, offset, &profile);
             for args in default_test_suite(target) {
-                let report = run_target(target, &exe, &scenario, args, true, 2);
+                let report = run_target(target, &exe, &scenario, args, true, 2, budget);
                 lfi_cov.merge(&report.coverage);
             }
         }

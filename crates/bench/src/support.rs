@@ -12,20 +12,6 @@ pub fn default_test_suite(target: &str) -> Vec<Vec<String>> {
     lfi_campaign::default_test_suite(target)
 }
 
-/// Run one workload of a target under a scenario, wiring up the right
-/// workload type (bind-lite needs the networked client workload).
-/// Canonically defined alongside the campaign executor.
-pub fn run_target(
-    target: &str,
-    exe: &Module,
-    scenario: &Scenario,
-    args: Vec<String>,
-    record_coverage: bool,
-    seed: u64,
-) -> TestReport {
-    lfi_campaign::run_target(target, exe, scenario, args, record_coverage, seed)
-}
-
 /// Run a target with a custom workload object on a pre-built controller.
 pub fn run_with_controller(
     controller: &Controller,

@@ -31,10 +31,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use lfi_analyzer::CallSiteClass;
 
-use crate::engine::{OutcomeKind, WorkUnit};
+use crate::engine::OutcomeKind;
 use crate::history::CampaignHistory;
 use crate::space::FaultSpace;
-use crate::strategy::{guided_order, DepthOracle, Strategy};
+use crate::strategy::{guided_order, Strategy};
 
 /// An adaptive, feedback-driven scheduler over the guided ordering.
 #[derive(Debug, Clone, Copy)]
@@ -223,28 +223,6 @@ impl Strategy for CoverageAdaptive {
             .take(self.batch.max(1))
             .map(|(_, _, point)| point)
             .collect()
-    }
-
-    /// Reuse-aware batch ordering: group units by `(target, workload)` so
-    /// each session's forks run adjacently, ascend by first-call depth
-    /// within the session so the LRU sees shallow ancestors before the
-    /// walk moves deeper (shared ancestors stay hot instead of thrashing
-    /// between sessions), and keep units of one function together at their
-    /// shared fork point. Canonical unit id breaks the remaining ties, so
-    /// the permutation is deterministic; records are sorted by unit id
-    /// after the drain, so the reorder is invisible in results.
-    fn order_units(&self, units: &mut [&WorkUnit], depths: &dyn DepthOracle) {
-        units.sort_by_cached_key(|u| {
-            (
-                u.point.target.clone(),
-                u.args.clone(),
-                depths
-                    .first_call_depth(&u.point.target, &u.args, &u.point.function)
-                    .unwrap_or(usize::MAX),
-                u.point.function.clone(),
-                u.id,
-            )
-        });
     }
 }
 
@@ -487,64 +465,6 @@ mod tests {
         let batch = strategy.next_batch(&space, &empty);
         assert_eq!(batch.last(), Some(&0));
         assert_eq!(batch.len(), 3);
-    }
-
-    #[test]
-    fn order_units_groups_by_session_and_ascends_by_depth() {
-        use lfi_core::Scenario;
-
-        /// A fixed function → depth table; one function is unknown.
-        struct TableOracle;
-
-        impl DepthOracle for TableOracle {
-            fn first_call_depth(
-                &self,
-                _target: &str,
-                _args: &[String],
-                function: &str,
-            ) -> Option<usize> {
-                match function {
-                    "read" => Some(1),
-                    "write" => Some(5),
-                    "close" => Some(3),
-                    _ => None, // "ioctl": depth unknown
-                }
-            }
-        }
-
-        let unit = |id: usize, function: &str, args: &[&str]| WorkUnit {
-            id,
-            point: FaultPoint {
-                target: "demo".into(),
-                function: function.into(),
-                offset: id as u64 * 4,
-                retval: -1,
-                ..FaultPoint::default()
-            },
-            scenario: Scenario::new(),
-            args: args.iter().map(|a| a.to_string()).collect(),
-            seed: 0,
-        };
-        let units = [
-            unit(0, "write", &["b"]),
-            unit(1, "ioctl", &["a"]),
-            unit(2, "close", &["a"]),
-            unit(3, "write", &["a"]),
-            unit(4, "read", &["a"]),
-            unit(5, "write", &["a"]),
-            unit(6, "read", &["b"]),
-        ];
-        let mut batch: Vec<&WorkUnit> = units.iter().collect();
-        let before: BTreeSet<usize> = batch.iter().map(|u| u.id).collect();
-        CoverageAdaptive::default().order_units(&mut batch, &TableOracle);
-        let order: Vec<usize> = batch.iter().map(|u| u.id).collect();
-        // Workload "a" first (lexicographic args), ascending by depth
-        // (read=1, close=3, write×2=5, ioctl=unknown → last), then
-        // workload "b" (read=1, write=5). Same-function units (3, 5) stay
-        // adjacent, tie-broken by id.
-        assert_eq!(order, vec![4, 2, 3, 5, 1, 6, 0]);
-        let after: BTreeSet<usize> = batch.iter().map(|u| u.id).collect();
-        assert_eq!(before, after, "ordering is a pure permutation");
     }
 
     #[test]

@@ -85,22 +85,18 @@ impl<'a> CampaignBuilder<'a> {
     }
 
     /// The execution backend (default: [`ExecBackend::Fresh`]). Under
-    /// [`ExecBackend::Snapshot`] the engine also hands the executor each
-    /// batch's `(target, workload, function)` keys before draining it
-    /// ([`Executor::prefetch_batch`]) and lets the strategy reorder the
-    /// batch for snapshot reuse ([`crate::strategy::Strategy::order_units`])
-    /// — both pure performance hints; records are byte-identical across
-    /// backends either way.
+    /// [`ExecBackend::Snapshot`] the engine also dispatches each batch's
+    /// units without a session (cluster targets) before the ones that fork
+    /// — a pure permutation; records are byte-identical across backends
+    /// either way.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.config.backend = backend;
         self
     }
 
-    /// Worker threads draining each batch (default: 1). Workers share
-    /// per-session snapshot state: under the snapshot backend they only
-    /// fork resident snapshot-tree nodes, and the batch prefetch that
-    /// deepens the trees before each drain spreads its per-session walks
-    /// over the same number of threads.
+    /// Worker threads draining each batch (default: 1). Under the snapshot
+    /// backend the workers share each session's root snapshot and only
+    /// fork it.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.config.jobs = jobs;
         self

@@ -22,15 +22,10 @@
 //!   snapshot. Every unit of that pair then forks from a snapshot
 //!   ([`Executor::execute_from`]), so the prefix — target load, init, and
 //!   workload setup — is executed once instead of once per fault point.
-//!   The stock executor grows each session into a call-indexed snapshot
-//!   *tree*, so a unit injecting deep in the workload forks the deepest
-//!   snapshot preceding its function's first call instead of replaying
-//!   from the first injectable call; resident snapshots are bounded by
-//!   [`Executor::set_snapshot_budget`] (256 MiB by default). Sessions are
-//!   prepared lazily in an engine-owned cache shared across worker
-//!   threads; targets that cannot snapshot (multi-process cluster targets
-//!   return `None` from `prepare`) fall back to fresh VMs, and each batch
-//!   dispatches those units before the ones that fork.
+//!   Sessions are prepared lazily in an engine-owned cache shared across
+//!   worker threads; targets that cannot snapshot (multi-process cluster
+//!   targets return `None` from `prepare`) fall back to fresh VMs, and
+//!   each batch dispatches those units before the ones that fork.
 //!
 //! Both backends must produce identical [`Execution`]s for the same unit —
 //! results stay independent of the backend, the worker count, and the
@@ -77,7 +72,7 @@ use crate::history::CampaignHistory;
 use crate::lease::{format_range, Lease, LeaseOutcome};
 use crate::space::{FaultPoint, FaultSpace};
 use crate::state::CampaignState;
-use crate::strategy::{DepthOracle, Strategy};
+use crate::strategy::Strategy;
 use crate::triage::{crash_signatures, triage, CampaignReport, CrashSignature};
 
 /// How one campaign run ended, from the triage point of view.
@@ -221,9 +216,8 @@ impl std::fmt::Debug for Session {
     }
 }
 
-/// One planned unit's session coordinates, handed to
-/// [`Executor::prefetch_batch`] before a batch drains so executors that
-/// snapshot can warm per-session state for the whole batch at once.
+/// One unit's session coordinates, the argument of the unused
+/// [`Executor::prefetch_batch`], and deleted with it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PrefetchKey {
     /// Target program.
@@ -297,32 +291,19 @@ pub trait Executor: Sync {
         self.execute(unit)
     }
 
-    /// Hint the deduplicated `(target, workload, function)` keys of a batch
-    /// the engine is about to drain (snapshot backend only), with up to
-    /// `jobs` threads' worth of parallelism available. Executors that
-    /// snapshot can warm sessions speculatively. The stock executor deepens
-    /// its snapshot trees only here: one walk per session materializes
-    /// every depth the batch will fork, so each unit pays a fork instead of
-    /// replaying its prefix, and a unit whose depth was not prefetched forks
-    /// a shallower node. A pure performance hint: results must not depend
-    /// on it. The default does nothing.
+    /// Unused: the engine never calls it. It stays as a no-op only
+    /// because the benchmark harness (`perfbench/`) implements every
+    /// method of this trait; the next change to that harness deletes it.
     fn prefetch_batch(&self, _units: &[PrefetchKey], _jobs: usize) {}
 
-    /// The 1-based injectable-call depth at which `function` is first
-    /// intercepted under the `(target, args)` workload, when a prepared
-    /// session's certified trace places it (clamped to any session-depth
-    /// cap). Batch orderings consult it to group units by fork depth;
-    /// `None` means "unknown" and must order as "no information". The
-    /// default knows nothing.
+    /// Unused, and kept as a no-op for the same reason as
+    /// [`Executor::prefetch_batch`]; deleted with it.
     fn first_call_depth(&self, _target: &str, _args: &[String], _function: &str) -> Option<usize> {
         None
     }
 
-    /// Cap the bytes of resident snapshot state sessions may keep
-    /// (executors that snapshot evict least-recently-used snapshots past
-    /// the cap). A pure performance knob: eviction re-derives state, never
-    /// changes results. The default ignores it — fresh-only executors keep
-    /// no snapshots.
+    /// Unused, and kept as a no-op for the same reason as
+    /// [`Executor::prefetch_batch`]; deleted with it.
     fn set_snapshot_budget(&self, _bytes: u64) {}
 
     /// Bytes of resident snapshot state currently held across sessions
@@ -345,10 +326,6 @@ pub trait Executor: Sync {
     /// Execute one unit on a fresh VM instance.
     fn execute(&self, unit: &WorkUnit) -> Execution;
 }
-
-/// Default cap on resident snapshot bytes under the snapshot backend
-/// (see [`Executor::set_snapshot_budget`]).
-pub(crate) const DEFAULT_SNAPSHOT_BUDGET: u64 = 256 << 20;
 
 /// How the engine runs work units — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -593,16 +570,6 @@ impl SessionCache {
             .values()
             .filter(|slot| matches!(slot.get(), Some(Some(_))))
             .count()
-    }
-}
-
-/// Adapter exposing the executor's session knowledge to
-/// [`Strategy::order_units`].
-struct ExecutorDepths<'a>(&'a dyn Executor);
-
-impl DepthOracle for ExecutorDepths<'_> {
-    fn first_call_depth(&self, target: &str, args: &[String], function: &str) -> Option<usize> {
-        self.0.first_call_depth(target, args, function)
     }
 }
 
@@ -964,34 +931,14 @@ impl<'a> Campaign<'a> {
                     pending: pending.len(),
                 });
             }
-            if self.config.backend == ExecBackend::Snapshot && !pending.is_empty() {
-                // Hand the executor the batch's session keys so it can warm
-                // per-session state (snapshot-tree prefetch) before workers
-                // start forking, then let the strategy reorder the batch for
-                // locality. Both are pure performance moves: the prefetch
-                // cannot change results, and ordering is a permutation of
-                // `pending` — `drain` sorts records by canonical unit id.
-                let mut keys: Vec<PrefetchKey> = pending
-                    .iter()
-                    .map(|u| PrefetchKey {
-                        target: u.point.target.clone(),
-                        args: u.args.clone(),
-                        function: u.point.function.clone(),
-                    })
-                    .collect();
-                keys.sort();
-                keys.dedup();
-                self.executor.prefetch_batch(&keys, self.config.jobs);
-                // Order after the prefetch: the prefetch prepares sessions
-                // and discovers first-call depths, which is exactly what
-                // the ordering consults.
-                strategy.order_units(&mut pending, &ExecutorDepths(self.executor));
-                // Then move the units of pairs without a session to the
-                // front, keeping the order within each group. They run
-                // whole from program start and need nothing the prefetch
-                // warmed, and the bft-lite cluster units among them are
-                // the batch's longest: dispatched last, one of them runs
-                // alone at the end while the other workers sit idle.
+            if self.config.backend == ExecBackend::Snapshot {
+                // Move the units of pairs without a session to the front,
+                // keeping the strategy's order within each group: they run
+                // whole from program start, and the bft-lite cluster units
+                // among them are the batch's longest, so dispatched last
+                // one of them would run alone at the end while the other
+                // workers sit idle. A pure permutation: `drain` sorts
+                // records by canonical unit id.
                 pending.sort_by_cached_key(|u| {
                     self.sessions
                         .get(self.executor, &u.point.target, &u.args)
@@ -1512,7 +1459,7 @@ mod tests {
         }
     }
 
-    /// Exhaustive, but orders each batch by descending unit id, so the
+    /// Exhaustive, but schedules the points in descending order, so the
     /// strategy's order differs from id order.
     struct Descending;
 
@@ -1522,11 +1469,7 @@ mod tests {
         }
 
         fn next_batch(&self, space: &FaultSpace, _history: &CampaignHistory) -> Vec<usize> {
-            (0..space.len()).collect()
-        }
-
-        fn order_units(&self, units: &mut [&WorkUnit], _depths: &dyn DepthOracle) {
-            units.sort_by_key(|u| std::cmp::Reverse(u.id));
+            (0..space.len()).rev().collect()
         }
     }
 
@@ -1567,9 +1510,11 @@ mod tests {
             started[..sessionless].iter().all(|(_, t)| t == SESSIONLESS),
             "sessionless units start first: {started:?}"
         );
+        // Two workloads per point: unit `id` is workload `id % 2` of point
+        // `id / 2`, and the strategy expands points in descending order.
         for group in [&started[..sessionless], &started[sessionless..]] {
             assert!(
-                group.windows(2).all(|pair| pair[0].0 > pair[1].0),
+                group.is_sorted_by_key(|(id, _)| (std::cmp::Reverse(id / 2), id % 2)),
                 "the strategy's order holds within each group: {started:?}"
             );
         }

@@ -115,10 +115,9 @@ pub enum CampaignEvent {
         metrics: MetricsSnapshot,
     },
     /// A discrete out-of-band observation from an instrumented layer
-    /// below the driver (e.g. the snapshot-tree executor discarding a
-    /// concurrently-materialized node).
+    /// below the driver, such as an executor.
     Note {
-        /// Which subsystem raised the note, e.g. `"snapshot-tree"`.
+        /// Which subsystem raised the note, e.g. `"executor"`.
         source: String,
         /// Human-readable description of what happened.
         message: String,

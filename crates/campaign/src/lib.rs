@@ -25,8 +25,8 @@
 //!   a parallel worker pool, under one of two [`ExecBackend`]s: a fresh VM
 //!   per unit, or **snapshot-fork** — the workload prefix up to the first
 //!   injectable library call runs once per `(target, workload)` pair and
-//!   every unit forks from the captured VM snapshot, with identical
-//!   results either way;
+//!   every unit forks that one root snapshot, with identical results
+//!   either way;
 //! * [`mod@triage`] — deduplicate failures into crash signatures, so the report
 //!   lists bugs, not runs;
 //! * [`state`] — persist completed units as JSON and resume interrupted
@@ -52,8 +52,8 @@
 //!   JSON wire format, and [`JsonlSink`] streams it line-by-line to disk
 //!   for out-of-process tails (the `campaign_status` bin);
 //! * [`standard`] — a ready-made [`Executor`] for the stock `*-lite`
-//!   evaluation targets; its snapshot sessions grow call-indexed snapshot
-//!   trees that only the batch prefetch deepens.
+//!   evaluation targets; each of its snapshot sessions is one root
+//!   snapshot paused at the workload's first injectable call.
 //!
 //! ```
 //! use lfi_campaign::{Campaign, CoverageAdaptive, StandardExecutor};
@@ -84,7 +84,6 @@ pub mod space;
 pub mod standard;
 pub mod state;
 pub mod strategy;
-mod tree;
 pub mod triage;
 
 pub use adaptive::CoverageAdaptive;
@@ -98,11 +97,9 @@ pub use events::{CampaignEvent, EventLog, EventSink, JsonlSink};
 pub use history::CampaignHistory;
 pub use lease::{parse_shard, Lease, LeaseError, LeaseMergeError, LeaseOutcome};
 pub use space::{FaultPoint, FaultSpace, PruneStats};
-pub use standard::{
-    default_test_suite, run_target, run_target_with_budget, StandardExecutor, STOCK_TARGETS,
-};
+pub use standard::{default_test_suite, run_target, StandardExecutor, STOCK_TARGETS};
 pub use state::CampaignState;
-pub use strategy::{DepthOracle, Exhaustive, InjectionGuided, RandomSample, Strategy};
+pub use strategy::{Exhaustive, InjectionGuided, RandomSample, Strategy};
 pub use triage::{triage, CampaignReport, CrashSignature, SignatureBucket, Triage};
 
 // Re-exported so downstream code can name profile types without an extra

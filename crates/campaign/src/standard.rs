@@ -15,24 +15,21 @@
 //!   *every* profiled failing library function (so one image serves every
 //!   unit, whatever it injects), is cached per target (loader work shared
 //!   across the target's workloads), and the workload runs once up to its
-//!   first injectable call, where a snapshot captures the root of the
-//!   session's *snapshot tree*. A unit forks the deepest resident node
-//!   certified to precede its function's first injectable call, reseeds
-//!   the fork with its unit seed, and resumes under its own injection
-//!   engine. [`Executor::prefetch_batch`] is what deepens the trees: one
-//!   walk per session materializes every depth the batch will fork.
-//!   Resident snapshots are bounded by a byte budget with
-//!   least-recently-used eviction. bft-lite is a multi-process cluster
-//!   and cannot snapshot; its `prepare` returns `None` and units fall back
-//!   to fresh cluster runs, as do workloads whose prefix consumes
+//!   first injectable call, where one root snapshot captures it. Every unit
+//!   of the pair forks that root, reseeds the fork with its unit seed, and
+//!   resumes under its own injection engine. bft-lite is a multi-process
+//!   cluster and cannot snapshot; its `prepare` returns `None` and units
+//!   fall back to fresh cluster runs, as do workloads whose prefix consumes
 //!   randomness, crashes, blocks, or exhausts the instruction budget before
 //!   the first injectable call.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use lfi_core::{InjectionEngine, InjectionLog, TestConfig, TestOutcome, TestReport};
+use lfi_core::{
+    Controller, InjectionEngine, InjectionLog, TestConfig, TestOutcome, TestReport, Workload,
+};
 use lfi_obj::Module;
 use lfi_profiler::FaultProfile;
 use lfi_targets::{
@@ -40,14 +37,12 @@ use lfi_targets::{
     standard_controller, BftClusterConfig, BindWorkload, FsSetupWorkload,
 };
 use lfi_telemetry::{Counter, Histogram, Telemetry};
-use lfi_vm::{Coverage, Fault, Image, NetHandle, NoHooks, RunExit};
+use lfi_vm::{Coverage, Fault, Image, Machine, MachineSnapshot, NetHandle, NoHooks, RunExit};
 
 use crate::engine::{
-    derive_seed, CrashInfo, Execution, Executor, InjectedSite, OutcomeKind, PrefetchKey, Session,
-    WorkUnit, DEFAULT_SNAPSHOT_BUDGET,
+    derive_seed, CrashInfo, Execution, Executor, InjectedSite, OutcomeKind, Session, WorkUnit,
 };
 use crate::space::FaultSpace;
-use crate::tree::{PreparedSession, SnapshotBudget, TreeMetrics};
 
 /// Every stock evaluation target.
 pub const STOCK_TARGETS: [&str; 5] = ["bind-lite", "git-lite", "db-lite", "bft-lite", "httpd-lite"];
@@ -91,33 +86,32 @@ pub fn default_test_suite(target: &str) -> Vec<Vec<String>> {
     }
 }
 
-/// Run one workload of a single-process target under a scenario on a fresh
-/// VM, wiring up the right controller and workload (bind-lite runs behind
-/// its networked client workload, which also dictates the arguments).
-/// Shared by the campaign executor and the bench experiment harnesses.
-pub fn run_target(
-    target: &str,
-    exe: &Module,
-    scenario: &lfi_core::Scenario,
-    args: Vec<String>,
-    record_coverage: bool,
-    seed: u64,
-) -> TestReport {
-    run_target_with_budget(
-        target,
-        exe,
-        scenario,
-        args,
-        record_coverage,
-        seed,
-        TestConfig::default().max_instructions,
-    )
+/// The controller, workload and configuration a run of `target` uses:
+/// bind-lite runs behind its networked client workload, which also
+/// dictates the arguments; every other single-process target runs
+/// `config.args` on the standard file-system setup.
+fn harness(target: &str, config: TestConfig) -> (Controller, Box<dyn Workload>, TestConfig) {
+    if target == "bind-lite" {
+        let net = NetHandle::default();
+        let workload = BindWorkload::typical(net.clone());
+        let config = TestConfig {
+            args: vec![workload.request_count().to_string()],
+            ..config
+        };
+        (networked_controller(net), Box::new(workload), config)
+    } else {
+        (standard_controller(), Box::new(FsSetupWorkload), config)
+    }
 }
 
-/// [`run_target`] with an explicit per-run instruction budget, so campaigns
-/// with a configured [`StandardExecutor::set_max_instructions`] budget keep
-/// fresh and snapshot execution on identical budget accounting.
-pub fn run_target_with_budget(
+/// Run one workload of a single-process target under a scenario on a fresh
+/// VM with a per-run budget of `max_instructions`, wiring up the right
+/// controller and workload (bind-lite runs behind its networked client
+/// workload, which also dictates the arguments). Shared by the campaign
+/// executor and the bench experiment harnesses; campaigns pass their
+/// [`StandardExecutor::set_max_instructions`] budget, so fresh and
+/// snapshot execution keep identical budget accounting.
+pub fn run_target(
     target: &str,
     exe: &Module,
     scenario: &lfi_core::Scenario,
@@ -126,33 +120,19 @@ pub fn run_target_with_budget(
     seed: u64,
     max_instructions: u64,
 ) -> TestReport {
-    if target == "bind-lite" {
-        let net = NetHandle::default();
-        let controller = networked_controller(net.clone());
-        let mut workload = BindWorkload::typical(net);
-        let config = TestConfig {
-            args: vec![workload.request_count().to_string()],
-            record_coverage,
-            seed,
-            max_instructions,
-            ..TestConfig::default()
-        };
-        controller
-            .run_test(exe, scenario, &mut workload, &config)
-            .expect("bind-lite run")
-    } else {
-        let controller = standard_controller();
-        let config = TestConfig {
+    let (controller, mut workload, config) = harness(
+        target,
+        TestConfig {
             args,
             record_coverage,
             seed,
             max_instructions,
             ..TestConfig::default()
-        };
-        controller
-            .run_test(exe, scenario, &mut FsSetupWorkload, &config)
-            .expect("target run")
-    }
+        },
+    );
+    controller
+        .run_test(exe, scenario, workload.as_mut(), &config)
+        .unwrap_or_else(|e| panic!("{target} run: {e}"))
 }
 
 /// A `(target, workload arguments)` session key.
@@ -162,8 +142,28 @@ type SessionKey = (String, Vec<String>);
 /// exhausted the instruction budget before the first injectable call).
 type SessionSlot = Arc<OnceLock<Option<Arc<PreparedSession>>>>;
 
+/// One prepared session: the workload paused at its first injectable call
+/// (or finished, when it makes none), which every unit of the pair forks.
+struct PreparedSession {
+    root: MachineSnapshot,
+    /// Coverage recorded by the prefix, stripped out of `root` so injection
+    /// forks do not clone it.
+    prefix_coverage: Coverage,
+    /// The instruction budget a fork has left: the per-run budget minus the
+    /// prefix's consumption, so budget exhaustion behaves exactly like a
+    /// fresh run.
+    budget_left: u64,
+}
+
+impl PreparedSession {
+    /// Fork the root; returns the machine and its remaining budget.
+    fn fork(&self) -> (Machine, u64) {
+        (self.root.fork(), self.budget_left)
+    }
+}
+
 /// Pre-resolved telemetry handles for the executor's hot paths, so forks
-/// and prefetch walks never take the registry's name-lookup mutex.
+/// never take the registry's name-lookup mutex.
 struct ExecMetrics {
     /// Wall time of the whole static-analysis phase of `fault_space`
     /// (classification, propagation, and pruning, per call).
@@ -175,9 +175,10 @@ struct ExecMetrics {
     /// Fault points whose analysis came from a truncated CFG walk.
     analysis_sites_low_confidence: Counter,
     session_prepare_micros: Histogram,
-    /// Wall time of batch prefetch passes ([`Executor::prefetch_batch`]).
-    tree_prefetch_micros: Histogram,
-    tree: TreeMetrics,
+    /// Forks of a session root, one per snapshot-backend unit. Registered
+    /// as `tree_fork_hits`, the name perfbench's `tree.fork_hit_rate`
+    /// divides by.
+    fork_hits: Counter,
 }
 
 impl ExecMetrics {
@@ -188,8 +189,7 @@ impl ExecMetrics {
             analysis_sites_pruned: telemetry.counter("analysis_sites_pruned"),
             analysis_sites_low_confidence: telemetry.counter("analysis_sites_low_confidence"),
             session_prepare_micros: telemetry.histogram("session_prepare_micros"),
-            tree_prefetch_micros: telemetry.histogram("tree_prefetch_micros"),
-            tree: TreeMetrics::resolve(telemetry),
+            fork_hits: telemetry.counter("tree_fork_hits"),
         }
     }
 }
@@ -215,8 +215,8 @@ pub struct StandardExecutor {
     /// session prefixes/forks so the backends exhaust budgets at the same
     /// boundary.
     max_instructions: u64,
-    /// Resident-snapshot byte accounting shared by every session tree.
-    snapshot_budget: Arc<SnapshotBudget>,
+    /// Resident bytes of every prepared session's root snapshot.
+    snapshot_bytes: AtomicU64,
     /// Client requests issued per bft-lite cluster run.
     pub bft_requests: usize,
     /// Registry campaign telemetry is recorded into. A fresh enabled
@@ -249,7 +249,7 @@ impl StandardExecutor {
             images: Mutex::new(BTreeMap::new()),
             prepared: Mutex::new(BTreeMap::new()),
             max_instructions: TestConfig::default().max_instructions,
-            snapshot_budget: Arc::new(SnapshotBudget::new(DEFAULT_SNAPSHOT_BUDGET)),
+            snapshot_bytes: AtomicU64::new(0),
             bft_requests: 4,
             metrics: ExecMetrics::resolve(&telemetry),
             telemetry,
@@ -338,11 +338,11 @@ impl StandardExecutor {
             .clone()
     }
 
-    /// Build the session tree root for one `(target, workload)` pair: set
-    /// up the workload, run to the first injectable call, snapshot.
-    /// Coverage recording stays on during the prefix so
-    /// baseline-reachability forks and prefetch walks keep accumulating;
-    /// injection forks switch it off.
+    /// Build the session of one `(target, workload)` pair: set up the
+    /// workload, run to the first injectable call, snapshot. Coverage
+    /// recording stays on during the prefix and in the root, so
+    /// baseline-reachability forks keep accumulating; injection forks
+    /// switch it off.
     ///
     /// Returns `None` — refusing to snapshot, so the pair's units run
     /// fresh — when resuming the prefix could not reproduce fresh-VM
@@ -359,47 +359,31 @@ impl StandardExecutor {
     ///   stream.
     fn build_session(&self, target: &str, args: &[String]) -> Option<PreparedSession> {
         let _span = self.metrics.session_prepare_micros.start();
-        let image = self.session_image(target);
-        let max_instructions = self.max_instructions;
-        let prep = if target == "bind-lite" {
-            let net = NetHandle::default();
-            let controller = networked_controller(net.clone());
-            let mut workload = BindWorkload::typical(net);
-            let config = TestConfig {
-                args: vec![workload.request_count().to_string()],
-                record_coverage: true,
-                max_instructions,
-                ..TestConfig::default()
-            };
-            controller.prepare_session(image, self.injectable(), &mut workload, &config)
-        } else {
-            let controller = standard_controller();
-            let config = TestConfig {
+        let (controller, mut workload, config) = harness(
+            target,
+            TestConfig {
                 args: args.to_vec(),
                 record_coverage: true,
-                max_instructions,
+                max_instructions: self.max_instructions,
                 ..TestConfig::default()
-            };
-            controller.prepare_session(image, self.injectable(), &mut FsSetupWorkload, &config)
-        };
-        prep.fork_budget(max_instructions)?;
+            },
+        );
+        let image = self.session_image(target);
+        let mut prep =
+            controller.prepare_session(image, self.injectable(), workload.as_mut(), &config);
+        let budget_left = prep.fork_budget(self.max_instructions)?;
         if !prep.machine.rng_is_pristine() {
             return None;
         }
-        // `fork_budget` left only two prefix exits standing: paused at the
-        // first injectable call (the normal case), or a clean exit meaning
-        // the workload has no injectable calls at all.
-        let paused_at = match prep.prefix_exit {
-            RunExit::Paused => Some(prep.paused_at.expect("paused prefix names a call")),
-            _ => None,
-        };
-        Some(PreparedSession::new(
-            prep.machine,
-            paused_at,
-            max_instructions,
-            self.snapshot_budget.clone(),
-            &self.metrics.tree,
-        ))
+        let prefix_coverage = prep.machine.take_coverage();
+        let root = prep.machine.snapshot();
+        self.snapshot_bytes
+            .fetch_add(root.resident_bytes(), Ordering::Relaxed);
+        Some(PreparedSession {
+            root,
+            prefix_coverage,
+            budget_left,
+        })
     }
 
     /// The memoized session of a `(target, workload)` pair, or `None` when
@@ -428,46 +412,6 @@ impl StandardExecutor {
             .values()
             .filter(|slot| matches!(slot.get(), Some(Some(_))))
             .count()
-    }
-
-    /// The resident node depths of every prepared session, in ascending
-    /// depth order per session — for tests asserting tree shape (e.g. that
-    /// prefetch walks never materialize duplicate depths).
-    pub fn session_node_depths(&self) -> Vec<Vec<usize>> {
-        let slots: Vec<SessionSlot> = self.prepared.lock().unwrap().values().cloned().collect();
-        slots
-            .iter()
-            .filter_map(|slot| slot.get()?.as_ref())
-            .map(|prepared| prepared.node_depths())
-            .collect()
-    }
-
-    /// Total resident snapshot nodes across every prepared session (each
-    /// session contributes at least its root).
-    pub fn snapshot_nodes(&self) -> usize {
-        self.session_node_depths().iter().map(Vec::len).sum()
-    }
-
-    /// Deepest injectable-call index any resident snapshot sits at.
-    pub fn max_session_node_depth(&self) -> usize {
-        self.session_node_depths()
-            .iter()
-            .filter_map(|depths| depths.last().copied())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The full prefix coverage at the node a unit injecting `function`
-    /// would fork in this session: the root prefix's coverage merged with
-    /// each tree node's increment down the fork point's ancestor chain.
-    /// `None` when the pair has no prepared session.
-    pub fn session_path_coverage(
-        &self,
-        target: &str,
-        args: &[String],
-        function: &str,
-    ) -> Option<Coverage> {
-        Some(self.prepared_session(target, args)?.path_coverage(function))
     }
 
     /// Run each single-process target's default suite once with no
@@ -503,17 +447,17 @@ impl StandardExecutor {
                 let workload_seed = derive_seed(seed, workload as u64);
                 match self.prepared_session(&target, &args) {
                     Some(prepared) => {
-                        let (mut machine, budget_left) = prepared.fork_root();
+                        let (mut machine, budget_left) = prepared.fork();
                         machine.reseed(workload_seed);
                         machine.run(&mut NoHooks, budget_left);
-                        baseline.merge(prepared.prefix_coverage());
+                        baseline.merge(&prepared.prefix_coverage);
                         baseline.merge(&machine.coverage);
                     }
                     // A pair that refuses to snapshot still contributes its
                     // baseline coverage the pre-session way: one full
                     // no-fault run.
                     None => {
-                        let report = run_target_with_budget(
+                        let report = run_target(
                             &target,
                             exe,
                             &lfi_core::Scenario::new(),
@@ -584,7 +528,7 @@ impl StandardExecutor {
     }
 
     fn execute_single(&self, exe: &Module, unit: &WorkUnit) -> Execution {
-        let report = run_target_with_budget(
+        let report = run_target(
             &unit.point.target,
             exe,
             &unit.scenario,
@@ -663,77 +607,23 @@ impl Executor for StandardExecutor {
         self.prepared_session(target, args).map(Session::new)
     }
 
-    fn prefetch_batch(&self, units: &[PrefetchKey], jobs: usize) {
-        let _span = self.metrics.tree_prefetch_micros.start();
-        let mut groups: BTreeMap<SessionKey, BTreeSet<String>> = BTreeMap::new();
-        for key in units {
-            // Pairs that cannot snapshot (the cluster target, unknown
-            // targets) have no session to warm; unsnapshottable prefixes
-            // are filtered by `prepared_session`'s memoized refusal.
-            if key.target == "bft-lite" || !self.targets.contains_key(&key.target) {
-                continue;
-            }
-            groups
-                .entry((key.target.clone(), key.args.clone()))
-                .or_default()
-                .insert(key.function.clone());
-        }
-        if groups.is_empty() {
-            return;
-        }
-        let groups: Vec<(SessionKey, BTreeSet<String>)> = groups.into_iter().collect();
-        let workers = jobs.max(1).min(groups.len());
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(((target, args), functions)) = groups.get(next) else {
-                        break;
-                    };
-                    if let Some(prepared) = self.prepared_session(target, args) {
-                        prepared.prefetch(functions, self.injectable(), &self.metrics.tree);
-                    }
-                });
-            }
-        });
-    }
-
-    fn first_call_depth(&self, target: &str, args: &[String], function: &str) -> Option<usize> {
-        // Peek the memoized session without building one: ordering is a
-        // hint, and a session worth preparing is prepared by the prefetch
-        // (or the first unit) anyway.
-        let slot = self
-            .prepared
-            .lock()
-            .unwrap()
-            .get(&(target.to_string(), args.to_vec()))
-            .cloned()?;
-        slot.get()?.as_ref()?.depth_of(function)
-    }
-
-    fn set_snapshot_budget(&self, bytes: u64) {
-        self.snapshot_budget.set_cap(bytes);
-    }
-
     fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
     }
 
     fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_budget.used()
+        self.snapshot_bytes.load(Ordering::Relaxed)
     }
 
     fn execute_from(&self, session: &Session, unit: &WorkUnit) -> Execution {
         let prepared = session
             .downcast_ref::<Arc<PreparedSession>>()
             .expect("session prepared by StandardExecutor");
-        // Fork the deepest snapshot certified to precede the workload's
-        // first interception of the unit's function. The certified path is
-        // RNG-free, so reseeding the fork here leaves the unit's stream in
-        // exactly the state a fresh run's would be at the same point.
-        let (mut machine, budget_left) =
-            prepared.fork_for(&unit.point.function, &self.metrics.tree);
+        // The prefix left the RNG untouched, so reseeding the fork here
+        // leaves the unit's stream in exactly the state a fresh run's would
+        // be at the same point.
+        let (mut machine, budget_left) = prepared.fork();
+        self.metrics.fork_hits.inc();
         machine.reseed(unit.seed);
         machine.set_record_coverage(false);
         // Mirror the fresh path's engine setup exactly: the stock registry

@@ -19,21 +19,8 @@
 use lfi_analyzer::CallSiteClass;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::engine::WorkUnit;
 use crate::history::CampaignHistory;
 use crate::space::FaultSpace;
-
-/// Session knowledge a batch ordering may consult: where a function is
-/// first intercepted in a workload's injectable-call trace. The engine
-/// implements it over the executor
-/// ([`Executor::first_call_depth`](crate::engine::Executor::first_call_depth));
-/// `None` means the depth is
-/// unknown and the ordering must treat it as "no information".
-pub trait DepthOracle: Sync {
-    /// The 1-based first-call depth of `function` under the
-    /// `(target, args)` workload, when known.
-    fn first_call_depth(&self, target: &str, args: &[String], function: &str) -> Option<usize>;
-}
 
 /// A fault-space search strategy: a scheduler that emits fault points in
 /// batches and may react to completed runs between batches.
@@ -57,17 +44,6 @@ pub trait Strategy: Send + Sync {
     /// dispatched this run; the engine filters re-emitted points out, and
     /// stops when a batch is empty after filtering.
     fn next_batch(&self, space: &FaultSpace, history: &CampaignHistory) -> Vec<usize>;
-
-    /// Reorder a batch's pending units in place just before the engine
-    /// drains them (snapshot backend only) — a scheduling hint for
-    /// executors whose per-unit cost depends on adjacency, e.g. keeping
-    /// units that fork the same snapshot-tree ancestors together so the
-    /// LRU holds those ancestors hot. The signature enforces that the
-    /// ordering is a **pure permutation** of the batch, and the engine
-    /// sorts completed records by canonical unit id, so ordering can never
-    /// change results — only throughput. The default keeps the batch as
-    /// scheduled.
-    fn order_units(&self, _units: &mut [&WorkUnit], _depths: &dyn DepthOracle) {}
 }
 
 /// Explore every fault point, in enumeration order, as one batch.

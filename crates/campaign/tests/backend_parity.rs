@@ -4,7 +4,7 @@
 //! outcome, injected sites, crashes, virtual time — as fresh-VM execution,
 //! unit for unit.
 
-use lfi_campaign::{Campaign, CampaignReport, ExecBackend, FaultSpace, StandardExecutor};
+use lfi_campaign::{Campaign, CampaignReport, ExecBackend, Executor, FaultSpace, StandardExecutor};
 use lfi_targets::standard_controller;
 
 /// A Table 1 style space: the given targets restricted to the functions
@@ -81,73 +81,80 @@ fn snapshot_forks_match_fresh_vms_on_the_networked_target() {
     assert_backends_agree(&executor, &space, 1);
 }
 
-/// The snapshot-tree extension: the executor keeps snapshots *beyond* the
-/// per-session roots — and the records still match fresh VMs, byte for
-/// byte.
-#[test]
-fn deep_snapshot_trees_match_fresh_vms() {
-    use lfi_campaign::Executor;
+/// Functions first called at different depths of the git-lite workloads,
+/// so many units resume far past the session root.
+const DEEP_FUNCTIONS: [&str; 5] = ["opendir", "setenv", "readlink", "close", "read"];
 
-    // Functions chosen to sit at different first-call depths in the
-    // git-lite workloads, so the tree genuinely deepens.
-    let functions = &["opendir", "setenv", "readlink", "close", "read"];
-
-    let tree_executor = StandardExecutor::new(&["git-lite"]);
-    let space = hunt_space(&tree_executor, &["git-lite"], functions);
-    let (tree, tree_sessions) = run_with(&tree_executor, &space, 2, ExecBackend::Snapshot);
-    assert!(tree_sessions >= 7, "one session per git-lite workload");
-    assert!(
-        tree_executor.snapshot_nodes() > tree_sessions,
-        "deepening must store nodes beyond the {tree_sessions} session roots, got {}",
-        tree_executor.snapshot_nodes()
-    );
-    assert!(
-        tree_executor.max_session_node_depth() > 1,
-        "some resident snapshot must sit past the first injectable call"
-    );
-    assert!(
-        tree_executor.snapshot_bytes() > 0,
-        "resident nodes are charged against the snapshot budget"
-    );
-
-    let fresh_executor = StandardExecutor::new(&["git-lite"]);
-    let fresh_space = hunt_space(&fresh_executor, &["git-lite"], functions);
-    let (fresh, _) = run_with(&fresh_executor, &fresh_space, 2, ExecBackend::Fresh);
-
-    assert_eq!(fresh.records, tree.records);
-    assert_eq!(fresh.triage.buckets, tree.triage.buckets);
+/// The git-lite space of [`DEEP_FUNCTIONS`], without baseline annotation.
+fn git_space(executor: &StandardExecutor) -> FaultSpace {
+    let profile = standard_controller().profile_libraries();
+    let mut space = executor.fault_space(&["git-lite"], &profile);
+    space.retain(|p| DEEP_FUNCTIONS.contains(&p.function.as_str()));
+    space
 }
 
-/// A starved snapshot budget forces constant eviction; results must not
-/// change (eviction re-derives snapshots, never alters unit execution).
+/// Units injecting calls deep in the workloads replay the whole prefix
+/// from the root snapshot, and the records still match fresh VMs, byte
+/// for byte.
 #[test]
-fn a_tiny_snapshot_budget_only_costs_time_never_correctness() {
-    use lfi_campaign::Executor;
+fn deep_injections_match_fresh_vms() {
+    let snapshot_executor = StandardExecutor::new(&["git-lite"]);
+    let space = hunt_space(&snapshot_executor, &["git-lite"], &DEEP_FUNCTIONS);
+    let (snapshot, sessions) = run_with(&snapshot_executor, &space, 2, ExecBackend::Snapshot);
+    assert!(sessions >= 7, "one session per git-lite workload");
 
-    let starved = StandardExecutor::new(&["git-lite"]);
-    // Below even one root: evict everything evictable.
-    Executor::set_snapshot_budget(&starved, 1);
-    let space = hunt_space(&starved, &["git-lite"], &["opendir", "setenv"]);
-    let driver = Campaign::builder(space.clone(), &starved)
-        .jobs(2)
-        .seed(7)
-        .backend(ExecBackend::Snapshot)
-        .build();
-    let starved_report = driver.run_to_completion().report;
-    assert_eq!(
-        starved.snapshot_nodes(),
-        starved.sessions_prepared(),
-        "a 1-byte budget keeps only the unevictable roots"
-    );
+    let fresh_executor = StandardExecutor::new(&["git-lite"]);
+    let fresh_space = hunt_space(&fresh_executor, &["git-lite"], &DEEP_FUNCTIONS);
+    let (fresh, _) = run_with(&fresh_executor, &fresh_space, 2, ExecBackend::Fresh);
 
-    let roomy = StandardExecutor::new(&["git-lite"]);
-    let roomy_space = hunt_space(&roomy, &["git-lite"], &["opendir", "setenv"]);
-    let (roomy_report, _) = run_with(&roomy, &roomy_space, 2, ExecBackend::Snapshot);
-    assert!(
-        roomy.snapshot_bytes() > starved.snapshot_bytes(),
-        "the default budget retains more resident bytes than the starved one"
-    );
-    assert_eq!(starved_report.records, roomy_report.records);
+    assert_eq!(fresh.records, snapshot.records);
+    assert_eq!(fresh.triage.buckets, snapshot.triage.buckets);
+}
+
+/// The snapshot backend at jobs=4 records the same as fresh VMs, and a
+/// second run on the now warm executor, which forks the sessions the
+/// first run prepared, records the same again.
+#[test]
+fn snapshot_campaign_matches_fresh_vms_at_four_jobs() {
+    let run = |executor: &StandardExecutor, backend: ExecBackend| {
+        let mut space = git_space(executor);
+        executor.annotate_baseline_reachability(&mut space, 7);
+        let driver = Campaign::builder(space, executor)
+            .jobs(4)
+            .seed(7)
+            .backend(backend)
+            .build();
+        driver.run_to_completion().report
+    };
+
+    let snapshot_executor = StandardExecutor::new(&["git-lite"]);
+    let snapshot = run(&snapshot_executor, ExecBackend::Snapshot);
+    let warm = run(&snapshot_executor, ExecBackend::Snapshot);
+    assert_eq!(snapshot.records, warm.records);
+
+    let fresh = run(&StandardExecutor::new(&["git-lite"]), ExecBackend::Fresh);
+    assert_eq!(snapshot.records, fresh.records);
+    assert_eq!(snapshot.triage.buckets, fresh.triage.buckets);
+}
+
+/// A session holds one root snapshot, and running units only forks it:
+/// once every session is prepared, a whole snapshot-backend campaign adds
+/// no resident snapshot state.
+#[test]
+fn running_units_adds_no_resident_snapshot_state() {
+    let executor = StandardExecutor::new(&["git-lite"]);
+    let space = git_space(&executor);
+    for args in executor.workloads("git-lite") {
+        executor
+            .prepare("git-lite", &args)
+            .expect("every git-lite workload snapshots");
+    }
+    let prepared = executor.snapshot_bytes();
+    assert!(prepared > 0, "session roots are resident");
+
+    let (report, _) = run_with(&executor, &space, 2, ExecBackend::Snapshot);
+    assert_eq!(report.executed_now, report.units_total, "all units ran");
+    assert_eq!(executor.snapshot_bytes(), prepared);
 }
 
 #[test]

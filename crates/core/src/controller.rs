@@ -149,10 +149,9 @@ pub struct RunToCompletion;
 
 impl Workload for RunToCompletion {}
 
-/// The result of [`Controller::prepare_session`] /
-/// [`Controller::step_session`]: a workload paused at an injectable
-/// library call (or run to its terminal state when it never makes one).
-/// Snapshot `machine` to fork per-scenario runs from it.
+/// The result of [`Controller::prepare_session`]: a workload paused at its
+/// first injectable library call (or run to its terminal state when it
+/// never makes one). Snapshot `machine` to fork per-scenario runs from it.
 #[derive(Debug)]
 pub struct SessionPrep {
     /// The machine, paused before an injectable call — or finished.
@@ -164,24 +163,9 @@ pub struct SessionPrep {
     /// Instructions consumed by the shared prefix (forks subtract this from
     /// the per-run budget so budget exhaustion behaves like a fresh run).
     pub instructions_used: u64,
-    /// Injectable calls forwarded before the pause, in call order (empty
-    /// for a first-call prepare; deepening runs record the calls they
-    /// replayed past, which is how session trees extend their call trace).
-    pub forwarded: Vec<String>,
 }
 
 impl SessionPrep {
-    /// The prep of a machine that `pause` stopped (or that ran to `exit`).
-    fn paused(machine: Machine, pause: PauseAtCall, exit: RunExit) -> SessionPrep {
-        SessionPrep {
-            instructions_used: machine.stats.instructions,
-            machine,
-            paused_at: pause.paused_at,
-            prefix_exit: exit,
-            forwarded: pause.forwarded,
-        }
-    }
-
     /// The instruction budget left for forks of this prefix, or `None`
     /// when the prefix must not back a session at all:
     ///
@@ -388,44 +372,13 @@ impl Controller {
         let mut machine = self.machine_from_image(image, config);
         workload.setup(&mut machine);
         let mut pause = PauseAtCall::at_first(functions.iter().cloned());
-        let exit = workload.drive(&mut machine, &mut pause, config.max_instructions);
-        SessionPrep::paused(machine, pause, exit)
-    }
-
-    /// Advance a machine paused at an injectable call by a previous
-    /// [`Controller::prepare_session`] or `step_session` stop to the *next*
-    /// injectable call — the deepening step session trees are grown by.
-    /// The re-observed paused call is forwarded (appearing in
-    /// [`SessionPrep::forwarded`]) and the machine stops one call later, so
-    /// a caller looping over `step_session` visits every intermediate call
-    /// of a deepening walk and can snapshot each one, instead of paying one
-    /// full walk per depth.
-    ///
-    /// The machine is typically a [`lfi_vm::MachineSnapshot`] fork of an
-    /// existing session node, *not* reseeded, so the deepened prefix stays
-    /// on the root seed's deterministic path (callers must still check
-    /// [`Machine::rng_is_pristine`] before snapshotting the result, exactly
-    /// as for a first-call prefix). `max_instructions` is the **total**
-    /// per-run instruction budget counted from process start; the method
-    /// charges the resumed machine only for what is left of it.
-    pub fn step_session<I, S>(
-        &self,
-        mut machine: Machine,
-        functions: I,
-        max_instructions: u64,
-    ) -> SessionPrep
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut pause = PauseAtCall::at_next(functions);
-        let remaining = max_instructions.saturating_sub(machine.stats.instructions);
-        // Stepping resumes mid-drive, after every stock workload's setup
-        // already ran and queued its stimulus; the drive phase itself is a
-        // plain `Machine::run` for every stock workload, so resuming with
-        // `run` replays exactly what the original drive would have done.
-        let exit = machine.run(&mut pause, remaining);
-        SessionPrep::paused(machine, pause, exit)
+        let prefix_exit = workload.drive(&mut machine, &mut pause, config.max_instructions);
+        SessionPrep {
+            instructions_used: machine.stats.instructions,
+            machine,
+            paused_at: pause.paused_at,
+            prefix_exit,
+        }
     }
 
     /// Run one test: load the program with the scenario's interpositions,

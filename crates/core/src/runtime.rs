@@ -476,81 +476,41 @@ impl HookHandler for InjectionEngine {
     }
 }
 
-/// A handler that forwards every intercepted call while counting calls to
-/// a *tracked* set of functions (the injectable library functions), and
-/// pauses the machine just before the k-th of them executes.
+/// A handler that forwards every intercepted call until the first call to
+/// a *tracked* function (an injectable library function), and pauses the
+/// machine just before that call executes.
 ///
 /// The pause happens *before* the call executes ([`HookAction::Pause`]
 /// leaves the program counter on the call instruction and rolls the
 /// counters back), so a [`lfi_vm::MachineSnapshot`] taken at the pause
 /// point can be resumed under a different handler — typically an
-/// [`InjectionEngine`] — which then observes that same call as its next
+/// [`InjectionEngine`] — which then observes that same call as its first
 /// interception. This is the runtime half of session-based execution: the
-/// workload prefix up to the k-th injectable library call runs once, and
-/// every injection scenario forks from there.
+/// workload prefix up to the first injectable library call runs once per
+/// `(target, workload)` pair, and every injection scenario forks from
+/// there.
 ///
-/// Two constructors:
-///
-/// * [`PauseAtCall::at_first`] — before the first tracked call (the
-///   session prefix of one snapshot per `(target, workload)` pair);
-/// * [`PauseAtCall::at_next`] — before the tracked call after a previous
-///   pause point, the single step snapshot trees are deepened by.
-///
-/// The paused call is **not** counted or recorded: on resume (under any
-/// handler) it is re-observed, so a handler that pauses must not be reused
-/// to resume the same machine — it would pause on the same call forever.
+/// The paused call does **not** execute: on resume (under any handler) it
+/// is re-observed, so a handler that pauses must not be reused to resume
+/// the same machine — it would pause on the same call forever.
 #[derive(Debug, Clone)]
 pub struct PauseAtCall {
     tracked: std::collections::BTreeSet<String>,
-    /// Pause before this tracked call (1-based).
-    pause_at: usize,
-    /// Tracked calls already forwarded (1-based position = injectable-call
-    /// index). The paused call itself is in `paused_at`, not here.
-    pub forwarded: Vec<String>,
     /// The function whose call triggered the pause, once paused.
     pub paused_at: Option<String>,
 }
 
 impl PauseAtCall {
-    /// Pause before the k-th (1-based) call to any of `functions`; the
-    /// k-1 earlier tracked calls are forwarded and recorded in order.
-    fn at_index<I, S>(functions: I, k: usize) -> PauseAtCall
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        PauseAtCall {
-            tracked: functions.into_iter().map(Into::into).collect(),
-            pause_at: k,
-            forwarded: Vec::new(),
-            paused_at: None,
-        }
-    }
-
     /// Pause before the first call to any of `functions`.
     pub fn at_first<I, S>(functions: I) -> PauseAtCall
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        PauseAtCall::at_index(functions, 1)
-    }
-
-    /// Pause before the *next* tracked call after a previous pause point —
-    /// the single step of pause-at-each-call deepening. A machine paused by
-    /// another `PauseAtCall` re-observes its paused call on resume, so this
-    /// pauses at the second tracked call: the re-observed call is forwarded
-    /// (and recorded) and the machine stops before the one after it.
-    /// Stepping a prefix with a fresh `at_next` handler per step therefore
-    /// visits every injectable call exactly once, which is how one
-    /// deepening pass can snapshot all intermediate depths instead of only
-    /// its endpoint.
-    pub fn at_next<I, S>(functions: I) -> PauseAtCall
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        PauseAtCall::at_index(functions, 2)
+        PauseAtCall {
+            tracked: functions.into_iter().map(Into::into).collect(),
+            paused_at: None,
+        }
     }
 }
 
@@ -559,13 +519,8 @@ impl HookHandler for PauseAtCall {
         if !self.tracked.contains(func) {
             return HookAction::Forward;
         }
-        if self.forwarded.len() + 1 == self.pause_at {
-            self.paused_at = Some(func.to_string());
-            HookAction::Pause
-        } else {
-            self.forwarded.push(func.to_string());
-            HookAction::Forward
-        }
+        self.paused_at = Some(func.to_string());
+        HookAction::Pause
     }
 }
 

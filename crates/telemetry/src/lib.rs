@@ -2,7 +2,7 @@
 //! snapshots.
 //!
 //! Fault-injection campaigns are throughput machines — sessions prepared,
-//! snapshot trees deepened, thousands of units forked and triaged — and
+//! thousands of units forked and triaged — and
 //! until now the only numbers that came out were the final report. This
 //! crate is the observability floor under the campaign stack:
 //!
@@ -16,8 +16,7 @@
 //!   values, and log₂-bucketed value distributions. [`Histogram::start`]
 //!   returns a [`Span`] that records its elapsed wall-clock microseconds
 //!   when dropped — the span-timing primitive used on campaign hot paths
-//!   (session prepare, tree deepening, unit execution, triage,
-//!   checkpoint writes).
+//!   (session prepare, unit execution, triage, checkpoint writes).
 //! * [`MetricsSnapshot`] — a typed, point-in-time capture of every
 //!   registered metric, serializable to and from JSON via `lfi_json`.
 //!   This is what campaign reports embed, heartbeat events carry over
@@ -28,9 +27,9 @@
 //!   truncation/rotation-tolerant file tailing for the live-status and
 //!   supervisor bins.
 //! * [`Telemetry::note`] — a bounded out-of-band channel for rare,
-//!   discrete observations (e.g. a discarded concurrent tree-deepening)
-//!   that lower layers cannot stream through an event sink themselves;
-//!   the campaign driver drains it into its event stream.
+//!   discrete observations that lower layers cannot stream through an
+//!   event sink themselves; the campaign driver drains it into its event
+//!   stream.
 //!
 //! # Overhead budget
 //!

@@ -14,13 +14,12 @@ const MAX_PENDING_NOTES: usize = 1024;
 /// A discrete out-of-band observation from an instrumented layer.
 ///
 /// Notes exist for rare events that deserve a line in the campaign event
-/// stream but originate below the layer that owns the sink — e.g. the
-/// snapshot-tree executor observing a discarded concurrent deepening.
-/// The campaign driver drains them with [`Telemetry::take_notes`] and
-/// republishes each as an event.
+/// stream but originate below the layer that owns the sink, such as an
+/// executor. The campaign driver drains them with
+/// [`Telemetry::take_notes`] and republishes each as an event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Note {
-    /// Which subsystem raised the note, e.g. `"snapshot-tree"`.
+    /// Which subsystem raised the note, e.g. `"executor"`.
     pub source: String,
     /// Human-readable description of what happened.
     pub message: String,

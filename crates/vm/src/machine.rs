@@ -1432,12 +1432,6 @@ impl MachineSnapshot {
         self.machine.duplicate()
     }
 
-    /// Execution statistics at the snapshot point (e.g. instructions already
-    /// consumed by the shared prefix, for budget accounting in forks).
-    pub fn stats(&self) -> ExecStats {
-        self.machine.stats
-    }
-
     /// Virtual time at the snapshot point.
     pub fn clock(&self) -> u64 {
         self.machine.clock
@@ -1453,8 +1447,8 @@ impl MachineSnapshot {
     /// An upper-bound estimate of the bytes this snapshot keeps resident:
     /// mapped memory (counted in full, although copy-on-write pages may be
     /// physically shared with related snapshots), filesystem contents, and
-    /// captured program output. Session caches use this to enforce an LRU
-    /// byte budget on resident snapshot-tree nodes.
+    /// captured program output. Session caches report the sum over their
+    /// resident snapshots.
     pub fn resident_bytes(&self) -> u64 {
         self.machine.mem.mapped_bytes()
             + self.machine.fs.total_bytes()
