@@ -16,8 +16,8 @@
 //! Tailing rides [`lfi_telemetry::JsonlTail`], so a producer that
 //! truncates or rotates its stream file does not stall the view: the
 //! tail resets to the new beginning, the shard's rolling counters are
-//! rebuilt from the fresh stream, and the rotation is counted as a
-//! `stream_reset` note in the merged total.
+//! rebuilt from the fresh stream, and the rotation is counted in the
+//! merged total's `stream resets`.
 //!
 //! `--once` renders the current state of the streams and exits (CI mode);
 //! without it the tool polls every `--interval` milliseconds (default 500)
@@ -53,9 +53,7 @@ struct ShardStream {
     signatures: BTreeSet<String>,
     /// Latest heartbeat metrics capture.
     metrics: Option<MetricsSnapshot>,
-    notes: usize,
-    /// Stream truncations/rotations observed; each counts as one
-    /// `stream_reset` note in the merged total.
+    /// Stream truncations/rotations observed.
     stream_resets: usize,
     finished: bool,
 }
@@ -73,7 +71,6 @@ impl ShardStream {
             milli_units_per_sec: 0,
             signatures: BTreeSet::new(),
             metrics: None,
-            notes: 0,
             stream_resets: 0,
             finished: false,
         }
@@ -121,7 +118,6 @@ impl ShardStream {
         self.milli_units_per_sec = 0;
         self.signatures.clear();
         self.metrics = None;
-        self.notes = 0;
         self.finished = false;
         self.stream_resets += 1;
     }
@@ -161,7 +157,6 @@ impl ShardStream {
                 self.milli_units_per_sec = *milli_units_per_sec;
                 self.metrics = Some(metrics.clone());
             }
-            CampaignEvent::Note { .. } => self.notes += 1,
             CampaignEvent::ShardFinished {
                 shard, executed, ..
             } => {
@@ -190,7 +185,7 @@ fn render(streams: &[ShardStream]) {
     let mut total_done = 0;
     let mut total_planned = 0;
     let mut total_milli_rate = 0u64;
-    let mut total_notes = 0;
+    let mut total_resets = 0;
     for stream in streams {
         let state = if stream.finished {
             "finished"
@@ -219,16 +214,16 @@ fn render(streams: &[ShardStream]) {
         if !stream.finished {
             total_milli_rate += stream.milli_units_per_sec;
         }
-        // A rotation is surfaced as a synthetic `stream_reset` note so
-        // truncated streams are visible in the merged total, not silent.
-        total_notes += stream.notes + stream.stream_resets;
+        // Rotations are surfaced in the merged total so truncated streams
+        // are visible, not silent.
+        total_resets += stream.stream_resets;
     }
     let prune = prune_rate(&merged_metrics)
         .map(|(pruned, total)| format!("{pruned}/{total} sites statically pruned"))
         .unwrap_or_else(|| "static prune n/a".to_string());
     println!(
         "total {:>2} shards  units {total_done}/{total_planned}  \
-         {:>8.3} units/sec  {} distinct signatures  {prune}  {total_notes} notes",
+         {:>8.3} units/sec  {} distinct signatures  {prune}  {total_resets} stream resets",
         streams.len(),
         total_milli_rate as f64 / 1000.0,
         merged_signatures.len(),

@@ -315,8 +315,7 @@ pub trait Executor: Sync {
     /// The telemetry registry this executor records into. The engine uses
     /// the same registry for its own spans (unit execution, triage,
     /// checkpoint writes), heartbeat metric captures, the final
-    /// [`CampaignReport::metrics`] snapshot, and for draining the
-    /// executor's out-of-band notes into the event stream. The default is
+    /// [`CampaignReport::metrics`] snapshot. The default is
     /// a disabled (no-op) registry: executors opt in by owning a live
     /// [`Telemetry`] and returning clones of it here.
     fn telemetry(&self) -> Telemetry {
@@ -445,8 +444,8 @@ fn write_checkpoint(
     }
 }
 
-/// Shared per-run progress state: the drain workers update it, throttle
-/// heartbeat emission through it, and republish executor notes from it.
+/// Shared per-run progress state: the drain workers update it and
+/// throttle heartbeat emission through it.
 struct RunProgress {
     telemetry: Telemetry,
     unit_execute_micros: lfi_telemetry::Histogram,
@@ -479,22 +478,13 @@ impl RunProgress {
         }
     }
 
-    /// Republish any notes the executor queued since the last drain as
-    /// [`CampaignEvent::Note`]s.
-    fn publish_notes(&self, sink: &dyn EventSink) {
-        for note in self.telemetry.take_notes() {
-            sink.event(&CampaignEvent::Note {
-                source: note.source,
-                message: note.message,
-            });
-        }
-    }
-
-    /// Emit a heartbeat if a full interval has elapsed since the last one.
-    /// A worker that finds another one mid-heartbeat skips its own: the
-    /// claim is a `try_lock` held until the event is delivered, so
-    /// successive heartbeats never report progress out of order.
-    fn maybe_heartbeat(&self, sink: &dyn EventSink) {
+    /// Emit a heartbeat if a full interval has elapsed since the last one,
+    /// or whenever `run_over` is set, so a run shorter than one interval
+    /// still reports its progress and metrics once. A worker that finds
+    /// another one mid-heartbeat skips its own: the claim is a `try_lock`
+    /// held until the event is delivered, so successive heartbeats never
+    /// report progress out of order.
+    fn heartbeat(&self, sink: &dyn EventSink, run_over: bool) {
         let Some(interval) = self.heartbeat_interval else {
             return;
         };
@@ -502,7 +492,7 @@ impl RunProgress {
             return;
         };
         let elapsed = self.run_start.elapsed().as_micros() as u64;
-        if elapsed.saturating_sub(*last) < interval.as_micros() as u64 {
+        if !run_over && elapsed.saturating_sub(*last) < interval.as_micros() as u64 {
             return;
         }
         *last = elapsed;
@@ -756,8 +746,7 @@ impl<'a> Campaign<'a> {
     /// completed records, ordered by unit id. Spawns `min(jobs, pending)`
     /// threads — zero when there is nothing to run. Workers stream
     /// `UnitStarted` / `UnitFinished` / first-seen `CrashFound` events into
-    /// `sink` as they go, plus throttled `Heartbeat`s and any `Note`s the
-    /// executor queued while running a unit.
+    /// `sink` as they go, plus throttled `Heartbeat`s.
     fn drain(
         &self,
         pending: &[&WorkUnit],
@@ -822,8 +811,7 @@ impl<'a> Campaign<'a> {
                                 sink.event(&CampaignEvent::CrashFound(signature));
                             }
                         }
-                        progress.publish_notes(sink);
-                        progress.maybe_heartbeat(sink);
+                        progress.heartbeat(sink, false);
                     }
                     results.lock().unwrap().push(record);
                 });
@@ -990,9 +978,9 @@ impl<'a> Campaign<'a> {
             metrics: telemetry.enabled().then(|| telemetry.snapshot()),
         };
         if let Some(sink) = sink {
-            // Flush any notes queued after the last unit finished, then
-            // close the stream.
-            progress.publish_notes(sink);
+            // The run's last heartbeat, then close the stream. The drain
+            // threads are joined, so the heartbeat's claim cannot be taken.
+            progress.heartbeat(sink, true);
             sink.event(&CampaignEvent::ShardFinished {
                 shard: lease.start..lease.end,
                 executed: executed_now,

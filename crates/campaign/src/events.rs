@@ -24,10 +24,11 @@
 //!   (complete) state after the last batch.
 //! * [`ShardFinished`](CampaignEvent::ShardFinished) is the last event of
 //!   a run.
-//! * [`Heartbeat`](CampaignEvent::Heartbeat) and
-//!   [`Note`](CampaignEvent::Note) events are asynchronous progress
-//!   telemetry: they may appear anywhere before `ShardFinished` and carry
-//!   no per-unit ordering guarantees.
+//! * [`Heartbeat`](CampaignEvent::Heartbeat) events are asynchronous
+//!   progress telemetry: they may appear anywhere before `ShardFinished`
+//!   and carry no per-unit ordering guarantees. When heartbeats are on,
+//!   the last one directly precedes `ShardFinished` and reports every
+//!   unit the run executed.
 //!
 //! Units of one batch drain on a parallel worker pool, so the per-unit
 //! events of *different* units interleave arbitrarily. Sinks are invoked
@@ -98,7 +99,8 @@ pub enum CampaignEvent {
         batch_duration_micros: u64,
     },
     /// Periodic progress telemetry, emitted at most once per configured
-    /// heartbeat interval while units are draining.
+    /// heartbeat interval while units are draining, and once more when
+    /// the run ends.
     Heartbeat {
         /// The fault-point range of the reporting run (`0..P` for a run
         /// over the whole space); `"start..end"` on the wire.
@@ -113,14 +115,6 @@ pub enum CampaignEvent {
         milli_units_per_sec: u64,
         /// Live capture of the executor/driver metrics registry.
         metrics: MetricsSnapshot,
-    },
-    /// A discrete out-of-band observation from an instrumented layer
-    /// below the driver, such as an executor.
-    Note {
-        /// Which subsystem raised the note, e.g. `"executor"`.
-        source: String,
-        /// Human-readable description of what happened.
-        message: String,
     },
     /// The run is over; no further events follow.
     ShardFinished {
@@ -239,13 +233,6 @@ impl CampaignEvent {
                     ("metrics".to_string(), metrics.to_value()),
                 ],
             ),
-            CampaignEvent::Note { source, message } => tagged(
-                "note",
-                vec![
-                    ("source".to_string(), Value::Str(source.clone())),
-                    ("message".to_string(), Value::Str(message.clone())),
-                ],
-            ),
             CampaignEvent::ShardFinished {
                 shard,
                 executed,
@@ -311,10 +298,6 @@ impl CampaignEvent {
                         .ok_or_else(|| invalid("missing field `metrics`"))?,
                 )
                 .map_err(invalid)?,
-            }),
-            "note" => Ok(CampaignEvent::Note {
-                source: crate::state::str_field(value, "source")?,
-                message: crate::state::str_field(value, "message")?,
             }),
             "shard_finished" => Ok(CampaignEvent::ShardFinished {
                 shard: range_field(value)?,
@@ -554,10 +537,6 @@ mod tests {
                 units_planned: 100,
                 milli_units_per_sec: 2_500,
                 metrics,
-            },
-            CampaignEvent::Note {
-                source: "snapshot-tree".into(),
-                message: "discarded concurrent deepening".into(),
             },
             CampaignEvent::ShardFinished {
                 shard: 5..5,

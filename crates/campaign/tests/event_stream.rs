@@ -7,7 +7,9 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use lfi_campaign::{Campaign, CampaignEvent, ExecBackend, JsonlSink, StandardExecutor, Telemetry};
+use lfi_campaign::{
+    Campaign, CampaignEvent, EventLog, ExecBackend, JsonlSink, StandardExecutor, Telemetry,
+};
 use lfi_targets::standard_controller;
 
 fn git_space(executor: &StandardExecutor) -> lfi_campaign::FaultSpace {
@@ -132,6 +134,66 @@ fn parallel_run_streams_ordered_decodable_events() {
         .filter(|e| matches!(e, CampaignEvent::CrashFound(_)))
         .count();
     assert_eq!(announced, report.triage.distinct_crashes());
+}
+
+/// A run that ends within one heartbeat interval still reports its
+/// progress once: the last event before `ShardFinished` is a heartbeat
+/// counting every unit the run executed, with the executor's metrics (the
+/// analysis counters `campaign_status` derives its prune rate from).
+#[test]
+fn a_run_shorter_than_one_interval_ends_with_a_heartbeat() {
+    let executor = StandardExecutor::new(&["git-lite"]);
+    let space = git_space(&executor);
+    let log = EventLog::new();
+    let report = Campaign::builder(space, &executor)
+        .jobs(2)
+        .seed(7)
+        .heartbeat(Some(Duration::from_secs(3600)))
+        .events(&log)
+        .build()
+        .run_to_completion()
+        .report;
+    let events = log.events();
+    assert_eq!(
+        log.count(|e| matches!(e, CampaignEvent::Heartbeat { .. })),
+        1,
+        "an hour-long interval leaves only the run's last heartbeat"
+    );
+    let [.., last_heartbeat, CampaignEvent::ShardFinished { .. }] = events.as_slice() else {
+        panic!("the stream must end with shard_finished");
+    };
+    let CampaignEvent::Heartbeat {
+        units_done,
+        units_planned,
+        milli_units_per_sec,
+        metrics,
+        ..
+    } = last_heartbeat
+    else {
+        panic!("the last heartbeat must directly precede shard_finished");
+    };
+    assert!(report.executed_now > 0);
+    assert_eq!(*units_done, report.executed_now);
+    assert_eq!(*units_planned, report.units_total);
+    assert!(*milli_units_per_sec > 0);
+    assert_eq!(
+        metrics.counter("units_executed"),
+        report.executed_now as u64
+    );
+    assert!(metrics.counter("analysis_sites_total") > 0);
+
+    // Without heartbeats the run ends with no heartbeat at all.
+    let log = EventLog::new();
+    Campaign::builder(git_space(&executor), &executor)
+        .seed(7)
+        .heartbeat(None)
+        .events(&log)
+        .build()
+        .run_to_completion();
+    assert_eq!(
+        log.count(|e| matches!(e, CampaignEvent::Heartbeat { .. })),
+        0
+    );
 }
 
 /// Telemetry only observes: switching it off drops the report's metrics

@@ -217,7 +217,6 @@ fn event() -> BoxedStrategy<CampaignEvent> {
                     }
                 }
             ),
-        (name(), text()).prop_map(|(source, message)| CampaignEvent::Note { source, message }),
         (shard(), any::<usize>(), any::<usize>()).prop_map(|(shard, executed, records)| {
             CampaignEvent::ShardFinished {
                 shard,

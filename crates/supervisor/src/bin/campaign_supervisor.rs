@@ -5,6 +5,8 @@
 //! finishes the last), monitors their heartbeats (dead or hung workers
 //! are restarted and their lease migrates), broadcasts first-seen crash
 //! signatures, and merges the per-lease checkpoints into one report.
+//! The summary ends with a `phases:` line, the time of each supervisor
+//! phase; `--out` writes the same spans as histograms under `metrics`.
 //!
 //! ```text
 //! campaign_supervisor --preset table1 --state-dir DIR
@@ -30,7 +32,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use lfi_json::Value;
-use lfi_supervisor::supervisor::{run_supervised, SupervisedOutcome, SupervisorOptions};
+use lfi_supervisor::supervisor::{run_supervised, SupervisedOutcome, SupervisorOptions, PHASES};
 use lfi_supervisor::SpaceSpec;
 
 fn parse_args() -> Result<(SupervisorOptions, Option<PathBuf>), String> {
@@ -134,6 +136,32 @@ fn summary_json(options: &SupervisorOptions, outcome: &SupervisedOutcome, lost: 
     ])
 }
 
+/// The supervisor's phase spans on one line: each phase's time in
+/// milliseconds, as a mean with its count where the phase repeats (one
+/// `hello` per worker start, one `lease` per completed lease).
+fn phases_line(outcome: &SupervisedOutcome) -> String {
+    let phases: Vec<String> = PHASES
+        .iter()
+        .map(|name| {
+            let label = name
+                .trim_start_matches("supervisor.")
+                .trim_end_matches("_micros");
+            let span = outcome.metrics.histogram(name).cloned().unwrap_or_default();
+            let ms = span.sum as f64 / 1e3;
+            if span.count > 1 {
+                format!(
+                    "{label} {:.2} ms mean of {}",
+                    ms / span.count as f64,
+                    span.count
+                )
+            } else {
+                format!("{label} {ms:.2} ms")
+            }
+        })
+        .collect();
+    format!("phases: {}", phases.join(", "))
+}
+
 fn main() -> ExitCode {
     let (options, out) = match parse_args() {
         Ok(parsed) => parsed,
@@ -182,6 +210,7 @@ fn main() -> ExitCode {
         "workers: {} restarts; leases: {} issued, {} expired",
         outcome.worker_restarts, outcome.leases_issued, outcome.leases_expired,
     );
+    println!("{}", phases_line(&outcome));
 
     if let Some(path) = out {
         let json = summary_json(&options, &outcome, lost).to_pretty();

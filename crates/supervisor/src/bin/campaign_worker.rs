@@ -6,10 +6,15 @@
 //! events out. Not usually run by hand — without a supervisor feeding
 //! leases on stdin it just waits.
 //!
+//! The supervisor also passes `--reached`, the baseline reachability of
+//! the space it built (one char per fault point: `1`, `0`, or `-` for an
+//! unannotated point), so the worker skips the baseline runs. Without it
+//! the worker runs them itself; the plan hash is the same either way.
+//!
 //! ```text
 //! campaign_worker --target git-lite [--target ...]
 //!                 [--retain target:fn1,fn2]... [--baseline-seed N]
-//!                 [--preset table1]
+//!                 [--preset table1] [--reached 1-0...]
 //!                 --state-dir DIR
 //!                 [--strategy exhaustive|guided|adaptive|random:N]
 //!                 [--jobs N] [--seed N]
@@ -42,6 +47,7 @@ fn parse_args() -> Result<WorkerConfig, String> {
                     .parse()
                     .map_err(|_| "--baseline-seed needs an integer".to_string())?;
             }
+            "--reached" => config.reached = Some(value()?),
             "--strategy" => config.strategy = value()?,
             "--jobs" => {
                 config.jobs = value()?

@@ -9,7 +9,10 @@
 //! formats:
 //!
 //! * [`plan`] — [`SpaceSpec`], the portable fault-space description
-//!   supervisor and workers must agree on (plan-hash handshake);
+//!   supervisor and workers must agree on (plan-hash handshake), and the
+//!   text form of the space's baseline reachability, which the
+//!   supervisor computes once and ships to every worker so that no
+//!   worker re-runs the no-fault suite;
 //! * [`protocol`] — [`WorkerMessage`], the worker→supervisor half of
 //!   the JSONL pipe protocol (the supervisor→worker half is
 //!   [`ControlMessage`](lfi_campaign::ControlMessage), and campaign
@@ -20,7 +23,8 @@
 //!   `campaign_supervisor` bin: unit-range leases, one per worker and
 //!   pulled as each finishes, heartbeat-monitored workers with
 //!   checkpoint-resuming restarts, first-seen crash signature
-//!   broadcast, and the final lease merge.
+//!   broadcast, the final lease merge, and a span per phase in its
+//!   metrics.
 //!
 //! The recovery guarantee, asserted end-to-end in this crate's tests:
 //! SIGKILL a worker mid-lease and the merged report is byte-identical

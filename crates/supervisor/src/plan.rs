@@ -3,12 +3,15 @@
 //!
 //! A [`SpaceSpec`] is the portable description of one fault space —
 //! which targets to enumerate, which functions to keep per target, and
-//! the baseline-reachability seed. The supervisor builds the space
-//! in-process (to size leases and pin the plan hash) and ships the same
-//! spec to each worker as command-line flags; the worker rebuilds it and
-//! echoes its plan hash back in the `Hello` handshake, so a supervisor
-//! and a worker that would enumerate different spaces fail loudly
-//! instead of merging nonsense.
+//! the baseline-reachability seed. The supervisor builds the annotated
+//! space in-process (to size leases and pin the plan hash) and ships the
+//! same spec to each worker as command-line flags, together with the
+//! space's baseline reachability ([`encode_reached`]). The worker
+//! enumerates and analyzes the space itself but takes reachability from
+//! the supervisor instead of re-running the whole no-fault suite
+//! ([`SpaceSpec::build_with_reached`]), then echoes its plan hash back in
+//! the `Hello` handshake, so a supervisor and a worker that would
+//! enumerate different spaces fail loudly instead of merging nonsense.
 
 use lfi_campaign::{
     CoverageAdaptive, Exhaustive, FaultSpace, InjectionGuided, RandomSample, StandardExecutor,
@@ -89,6 +92,24 @@ impl SpaceSpec {
         space
     }
 
+    /// [`SpaceSpec::enumerate`], annotated with the baseline reachability
+    /// another process computed for the same spec and shipped as
+    /// [`encode_reached`] text. Skips the baseline runs; the result equals
+    /// [`SpaceSpec::build`]'s when the text came from that space. Fails on
+    /// text of the wrong length or with an unknown char.
+    pub fn build_with_reached(
+        &self,
+        executor: &StandardExecutor,
+        reached: &str,
+    ) -> Result<FaultSpace, String> {
+        let mut space = self.enumerate(executor);
+        let bits = decode_reached(reached, space.len())?;
+        for (point, bit) in space.points.iter_mut().zip(bits) {
+            point.reached = bit;
+        }
+        Ok(space)
+    }
+
     /// The spec as worker command-line flags — the inverse of what the
     /// worker bin parses, so supervisor and worker cannot drift.
     pub fn to_args(&self) -> Vec<String> {
@@ -121,6 +142,45 @@ impl SpaceSpec {
         }
         Ok((target.to_string(), functions))
     }
+}
+
+/// A space's baseline reachability as one char per point, in enumeration
+/// order: `1` reached, `0` unreached, `-` unannotated (bft-lite's cluster
+/// points). The supervisor passes it to every worker as `--reached`. At
+/// one byte per point, a space of more than 131,071 points would exceed
+/// Linux's 128 KiB limit on a single command-line argument.
+pub fn encode_reached(space: &FaultSpace) -> String {
+    space
+        .points
+        .iter()
+        .map(|point| match point.reached {
+            Some(true) => '1',
+            Some(false) => '0',
+            None => '-',
+        })
+        .collect()
+}
+
+/// The inverse of [`encode_reached`] for a space of `points` points.
+fn decode_reached(text: &str, points: usize) -> Result<Vec<Option<bool>>, String> {
+    let bits = text
+        .chars()
+        .map(|c| match c {
+            '1' => Ok(Some(true)),
+            '0' => Ok(Some(false)),
+            '-' => Ok(None),
+            other => Err(format!(
+                "--reached: unknown char {other:?} (expected 1, 0 or -)"
+            )),
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if bits.len() != points {
+        return Err(format!(
+            "--reached: {} chars for a space of {points} fault points",
+            bits.len()
+        ));
+    }
+    Ok(bits)
 }
 
 impl Default for SpaceSpec {
@@ -190,6 +250,32 @@ mod tests {
             }
         }
         assert_eq!(parsed, spec);
+    }
+
+    #[test]
+    fn reached_text_round_trips_and_rejects_malformed_forms() {
+        let mut space = FaultSpace::new();
+        for reached in [Some(true), None, Some(false), Some(true)] {
+            space.points.push(lfi_campaign::FaultPoint {
+                reached,
+                ..Default::default()
+            });
+        }
+        let text = encode_reached(&space);
+        assert_eq!(text, "1-01");
+        let bits: Vec<_> = space.points.iter().map(|p| p.reached).collect();
+        assert_eq!(decode_reached(&text, 4).unwrap(), bits);
+        assert_eq!(decode_reached("", 0).unwrap(), vec![]);
+
+        let short = decode_reached("1-0", 4).unwrap_err();
+        assert!(
+            short.contains("3 chars") && short.contains("4 fault points"),
+            "{short}"
+        );
+        assert!(decode_reached("1-011", 4).is_err());
+        let bad = decode_reached("1x01", 4).unwrap_err();
+        assert!(bad.contains("'x'"), "{bad}");
+        assert!(decode_reached("1é01", 4).is_err());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The campaign supervisor: elastic workers under one scheduler.
 //!
-//! [`run_supervised`] partitions a fault space into small
-//! [`Lease`]s (much finer than a `--shard i/n`
-//! range), spawns `workers` worker processes, and drives them over the
-//! JSONL pipe protocol:
+//! [`run_supervised`] builds the annotated fault space once, partitions
+//! it into small [`Lease`]s (much finer than a `--shard i/n` range),
+//! spawns `workers` worker processes, and drives them over the JSONL pipe
+//! protocol. Each worker gets the space's baseline reachability on its
+//! command line, so it enumerates and analyzes the space but does not
+//! re-run the no-fault suite before its `Hello`.
 //!
 //! * **Leasing** — each worker holds at most one lease. The supervisor
 //!   grants one on the worker's `Hello` and the next on each
@@ -19,11 +21,14 @@
 //!   worker's adaptive strategy then learns from the global campaign, not
 //!   just its own slice.
 //!
-//! When every lease is done the supervisor merges the per-lease
-//! checkpoint files with
+//! When every lease is done the supervisor tells the workers to exit,
+//! reaps each as its stdout closes, and merges the per-lease checkpoint
+//! files with
 //! [`CampaignReport::merge_leases`](lfi_campaign::CampaignReport) — for
 //! history-independent strategies the result is byte-identical to the
-//! unsharded run, kills included.
+//! unsharded run, kills included. Each phase (space build, spawn to
+//! `Hello`, grant to `LeaseFinished`, shutdown, merge) is a span in the
+//! outcome's metrics; [`PHASES`] names them.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fs::{self, File};
@@ -38,9 +43,9 @@ use lfi_campaign::{
     Campaign, CampaignEvent, CampaignReport, CampaignState, ControlMessage, CrashSignature,
     ExecBackend, Lease, LeaseOutcome, StandardExecutor,
 };
-use lfi_telemetry::{Counter, LineFramer, MetricsSnapshot, Telemetry};
+use lfi_telemetry::{Counter, Histogram, LineFramer, MetricsSnapshot, Telemetry};
 
-use crate::plan::{parse_strategy, SpaceSpec};
+use crate::plan::{encode_reached, parse_strategy, SpaceSpec};
 use crate::protocol::WorkerMessage;
 
 /// How long the shutdown phase waits for a worker to exit cleanly
@@ -50,7 +55,8 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 /// Configuration of one supervised campaign.
 #[derive(Debug, Clone)]
 pub struct SupervisorOptions {
-    /// The fault space, shipped to every worker as flags.
+    /// The fault space, shipped to every worker as flags (with the
+    /// baseline reachability the supervisor computed for it).
     pub spec: SpaceSpec,
     /// Strategy name (see [`parse_strategy`]).
     pub strategy: String,
@@ -149,7 +155,8 @@ pub struct SupervisedOutcome {
     /// workers died — the recovery re-execution bound. A granted lease
     /// may not have started yet, so the bound can be loose.
     pub killed_in_flight_units: usize,
-    /// The supervisor's own metrics registry snapshot.
+    /// The supervisor's own metrics registry snapshot: the counters above
+    /// and one microsecond histogram per phase (see [`PHASES`]).
     pub metrics: MetricsSnapshot,
 }
 
@@ -183,6 +190,9 @@ struct WorkerSlot {
     /// this slot are discarded by generation mismatch.
     generation: u64,
     last_seen: Instant,
+    spawned_at: Instant,
+    /// When the worker's current lease was granted.
+    granted_at: Instant,
     greeted: bool,
     alive: bool,
 }
@@ -199,15 +209,44 @@ enum Inbox {
     },
 }
 
+const SPACE_BUILD_MICROS: &str = "supervisor.space_build_micros";
+const HELLO_MICROS: &str = "supervisor.hello_micros";
+const LEASE_MICROS: &str = "supervisor.lease_micros";
+const SHUTDOWN_MICROS: &str = "supervisor.shutdown_micros";
+const MERGE_MICROS: &str = "supervisor.merge_micros";
+
+/// The supervisor's phase spans, in run order, each a microsecond
+/// histogram of its metrics: the space build, spawn to `Hello` per worker
+/// start, grant to `LeaseFinished` per completed lease, the shutdown, and
+/// the merge.
+pub const PHASES: [&str; 5] = [
+    SPACE_BUILD_MICROS,
+    HELLO_MICROS,
+    LEASE_MICROS,
+    SHUTDOWN_MICROS,
+    MERGE_MICROS,
+];
+
 struct SupervisorCounters {
     leases_issued: Counter,
     leases_expired: Counter,
     worker_restarts: Counter,
     signatures_broadcast: Counter,
+    hello_micros: Histogram,
+    lease_micros: Histogram,
+    shutdown_micros: Histogram,
+    merge_micros: Histogram,
+}
+
+fn micros_since(start: Instant) -> u64 {
+    start.elapsed().as_micros() as u64
 }
 
 struct Supervisor {
     options: SupervisorOptions,
+    /// The space's baseline reachability, passed to every worker spawned
+    /// (restarts included) as `--reached`.
+    reached: String,
     expected_plan: String,
     total_points: usize,
     total_units: usize,
@@ -242,11 +281,25 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
     fs::create_dir_all(&options.state_dir)
         .map_err(|err| format!("create state dir {}: {err}", options.state_dir.display()))?;
 
-    // Build the space in-process: it sizes the leases and pins the plan
-    // hash every worker must echo back.
-    let (expected_plan, total_points, total_units, slots) = {
+    let telemetry = Telemetry::new();
+    let counters = SupervisorCounters {
+        leases_issued: telemetry.counter("supervisor.leases_issued"),
+        leases_expired: telemetry.counter("supervisor.leases_expired"),
+        worker_restarts: telemetry.counter("supervisor.worker_restarts"),
+        signatures_broadcast: telemetry.counter("supervisor.signatures_broadcast"),
+        hello_micros: telemetry.histogram(HELLO_MICROS),
+        lease_micros: telemetry.histogram(LEASE_MICROS),
+        shutdown_micros: telemetry.histogram(SHUTDOWN_MICROS),
+        merge_micros: telemetry.histogram(MERGE_MICROS),
+    };
+
+    // Build the space in-process: it sizes the leases, pins the plan hash
+    // every worker must echo back, and gives the workers its reachability.
+    let space_build = telemetry.histogram(SPACE_BUILD_MICROS).start();
+    let (reached, expected_plan, total_points, total_units, slots) = {
         let executor = StandardExecutor::new(&options.spec.target_names());
         let space = options.spec.build(&executor);
+        let reached = encode_reached(&space);
         let probe = Campaign::builder(space, &executor)
             .seed(options.seed)
             .build();
@@ -268,12 +321,14 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
             start = end;
         }
         (
+            reached,
             format!("{:016x}", campaign.plan_hash()),
             total_points,
             campaign.total_units(),
             slots,
         )
     };
+    space_build.finish();
 
     let merged_events = match &options.events_jsonl {
         Some(path) => Some(
@@ -283,17 +338,11 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
         None => None,
     };
 
-    let telemetry = Telemetry::new();
-    let counters = SupervisorCounters {
-        leases_issued: telemetry.counter("supervisor.leases_issued"),
-        leases_expired: telemetry.counter("supervisor.leases_expired"),
-        worker_restarts: telemetry.counter("supervisor.worker_restarts"),
-        signatures_broadcast: telemetry.counter("supervisor.signatures_broadcast"),
-    };
     let (tx, rx) = mpsc::channel();
     let pending = (0..slots.len()).collect();
     let mut supervisor = Supervisor {
         options: options.clone(),
+        reached,
         expected_plan,
         total_points,
         total_units,
@@ -326,6 +375,8 @@ impl Supervisor {
                 stdin: None,
                 generation: 0,
                 last_seen: Instant::now(),
+                spawned_at: Instant::now(),
+                granted_at: Instant::now(),
                 greeted: false,
                 alive: false,
             });
@@ -363,6 +414,8 @@ impl Supervisor {
         let options = &self.options;
         let mut child = Command::new(&options.worker_bin)
             .args(options.spec.to_args())
+            .arg("--reached")
+            .arg(&self.reached)
             .arg("--strategy")
             .arg(&options.strategy)
             .arg("--jobs")
@@ -386,6 +439,7 @@ impl Supervisor {
         slot.child = Some(child);
         slot.stdin = Some(stdin);
         slot.last_seen = Instant::now();
+        slot.spawned_at = slot.last_seen;
         slot.greeted = false;
         slot.alive = true;
         let generation = slot.generation;
@@ -416,6 +470,9 @@ impl Supervisor {
                     ));
                 }
                 self.workers[worker].greeted = true;
+                self.counters
+                    .hello_micros
+                    .record(micros_since(self.workers[worker].spawned_at));
                 self.top_up(worker);
             }
             WorkerMessage::LeaseFinished { lease, .. } => {
@@ -425,6 +482,9 @@ impl Supervisor {
                 };
                 if let Some(slot) = self.slots.iter_mut().find(|s| s.state == granted) {
                     slot.state = SlotState::Done;
+                    self.counters
+                        .lease_micros
+                        .record(micros_since(self.workers[worker].granted_at));
                     self.top_up(worker);
                 }
             }
@@ -577,6 +637,7 @@ impl Supervisor {
         let grant = self.next_grant;
         self.next_grant += 1;
         self.slots[slot].state = SlotState::Granted { worker, grant };
+        self.workers[worker].granted_at = Instant::now();
         let lease = Lease {
             id: grant,
             start: self.slots[slot].start,
@@ -594,7 +655,12 @@ impl Supervisor {
         }
     }
 
+    /// Ask every live worker to exit, then reap each one as its reader
+    /// thread reports stdout's `Eof`. A worker holds stdout open until it
+    /// exits, so the `wait` after an `Eof` returns at once. Whatever is
+    /// still running at the grace deadline is killed.
     fn shutdown(&mut self) {
+        let _span = self.counters.shutdown_micros.start();
         self.shutting_down = true;
         for worker in 0..self.workers.len() {
             if self.workers[worker].alive {
@@ -605,26 +671,33 @@ impl Supervisor {
             self.workers[worker].stdin = None;
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
-        for worker in &mut self.workers {
-            let Some(child) = &mut worker.child else {
-                continue;
+        while self.workers.iter().any(|w| w.child.is_some()) {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                break;
             };
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) | Err(_) => break,
-                    Ok(None) if Instant::now() >= deadline => {
-                        let _ = child.kill();
+            match self.rx.recv_timeout(left) {
+                Ok(Inbox::Eof { worker, generation })
+                    if self.workers[worker].generation == generation =>
+                {
+                    if let Some(mut child) = self.workers[worker].child.take() {
                         let _ = child.wait();
-                        break;
                     }
-                    Ok(None) => thread::sleep(Duration::from_millis(10)),
                 }
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
+        for worker in &mut self.workers {
+            if let Some(mut child) = worker.child.take() {
+                let _ = child.kill();
+                let _ = child.wait();
             }
             worker.alive = false;
         }
     }
 
     fn merge(&mut self) -> Result<SupervisedOutcome, String> {
+        let span = self.counters.merge_micros.start();
         let mut outcomes = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let path = self
@@ -645,6 +718,7 @@ impl Supervisor {
             .unwrap_or_default();
         let report = CampaignReport::merge_leases(outcomes, self.total_points)
             .map_err(|err| format!("merge leases: {err}"))?;
+        span.finish();
         Ok(SupervisedOutcome {
             report,
             plan_tag,

@@ -1,8 +1,12 @@
 //! The campaign worker: one supervised process that runs leases.
 //!
 //! The `campaign_worker` bin wraps [`run_worker`]. A worker builds its
-//! executor and fault space once, announces itself with a
-//! [`WorkerMessage::Hello`] (plan-hash handshake), then serves leases
+//! executor and fault space once: it enumerates and analyzes the space
+//! itself, and takes baseline reachability from the supervisor's
+//! `--reached` text when given one instead of running the no-fault suite
+//! (a worker started by hand, without it, builds the whole space). It
+//! then announces itself with a [`WorkerMessage::Hello`] (plan-hash
+//! handshake, which covers the reachability it applied) and serves leases
 //! from stdin until it is told to shut down (or its stdin closes — a
 //! dead supervisor means exit, not orphaned work):
 //!
@@ -42,6 +46,10 @@ use crate::protocol::WorkerMessage;
 pub struct WorkerConfig {
     /// The fault space to enumerate (must match the supervisor's).
     pub spec: SpaceSpec,
+    /// The space's baseline reachability, computed by the supervisor
+    /// ([`encode_reached`](crate::plan::encode_reached)). `None` runs the
+    /// baseline suite here instead ([`SpaceSpec::build`]).
+    pub reached: Option<String>,
     /// Strategy name (see [`parse_strategy`]).
     pub strategy: String,
     /// Worker threads per lease run.
@@ -61,6 +69,7 @@ impl WorkerConfig {
     pub fn new(spec: SpaceSpec, state_dir: impl Into<PathBuf>) -> WorkerConfig {
         WorkerConfig {
             spec,
+            reached: None,
             strategy: "exhaustive".to_string(),
             jobs: 1,
             seed: 7,
@@ -78,15 +87,18 @@ fn send(stdout: &Mutex<io::Stdout>, message: &WorkerMessage) -> Result<(), Strin
 }
 
 /// Serve leases until shutdown. Returns `Err` on a broken environment
-/// (unbuildable space, unwritable state dir, closed stdout) — never on
-/// ordinary campaign outcomes.
+/// (unbuildable space, reachability text that does not fit it, unwritable
+/// state dir, closed stdout) — never on ordinary campaign outcomes.
 pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
     parse_strategy(&config.strategy, config.seed)?;
     fs::create_dir_all(&config.state_dir)
         .map_err(|err| format!("create state dir {}: {err}", config.state_dir.display()))?;
 
     let executor = StandardExecutor::new(&config.spec.target_names());
-    let space = config.spec.build(&executor);
+    let space = match &config.reached {
+        Some(reached) => config.spec.build_with_reached(&executor, reached)?,
+        None => config.spec.build(&executor),
+    };
     let stdout = Arc::new(Mutex::new(io::stdout()));
 
     {

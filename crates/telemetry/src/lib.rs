@@ -26,10 +26,6 @@
 //!   protocol stream: partial-line buffering for pipe readers, and
 //!   truncation/rotation-tolerant file tailing for the live-status and
 //!   supervisor bins.
-//! * [`Telemetry::note`] — a bounded out-of-band channel for rare,
-//!   discrete observations that lower layers cannot stream through an
-//!   event sink themselves; the campaign driver drains it into its event
-//!   stream.
 //!
 //! # Overhead budget
 //!
@@ -45,6 +41,6 @@ mod metrics;
 mod snapshot;
 pub mod stream;
 
-pub use metrics::{Counter, Gauge, Histogram, Note, Span, Telemetry};
+pub use metrics::{Counter, Gauge, Histogram, Span, Telemetry};
 pub use snapshot::{bucket_floor, HistogramSnapshot, MetricsSnapshot};
 pub use stream::{JsonlTail, LineFramer, TailPoll};

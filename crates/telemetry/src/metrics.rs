@@ -7,24 +7,6 @@ use std::time::Instant;
 
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot, BUCKETS};
 
-/// Notes queued after this many are pending are dropped (the drop itself
-/// is counted), so a driver that never drains cannot leak memory.
-const MAX_PENDING_NOTES: usize = 1024;
-
-/// A discrete out-of-band observation from an instrumented layer.
-///
-/// Notes exist for rare events that deserve a line in the campaign event
-/// stream but originate below the layer that owns the sink, such as an
-/// executor. The campaign driver drains them with
-/// [`Telemetry::take_notes`] and republishes each as an event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Note {
-    /// Which subsystem raised the note, e.g. `"executor"`.
-    pub source: String,
-    /// Human-readable description of what happened.
-    pub message: String,
-}
-
 #[derive(Default)]
 struct CounterCell(AtomicU64);
 
@@ -52,8 +34,6 @@ struct Registry {
     counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCell>>>,
-    notes: Mutex<Vec<Note>>,
-    notes_dropped: AtomicU64,
 }
 
 /// Shared handle to a metrics registry, or a no-op stand-in.
@@ -117,36 +97,6 @@ impl Telemetry {
         }
     }
 
-    /// Queue an out-of-band [`Note`] for the next [`take_notes`] drain.
-    ///
-    /// Bounded: past `MAX_PENDING_NOTES` pending entries new notes are
-    /// dropped and the drop is counted in the `telemetry_notes_dropped`
-    /// counter of the next snapshot.
-    ///
-    /// [`take_notes`]: Telemetry::take_notes
-    pub fn note(&self, source: &str, message: impl Into<String>) {
-        let Some(registry) = self.registry.as_ref() else {
-            return;
-        };
-        let mut notes = registry.notes.lock().unwrap();
-        if notes.len() >= MAX_PENDING_NOTES {
-            registry.notes_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        notes.push(Note {
-            source: source.to_string(),
-            message: message.into(),
-        });
-    }
-
-    /// Drain all queued notes, oldest first.
-    pub fn take_notes(&self) -> Vec<Note> {
-        match self.registry.as_ref() {
-            Some(registry) => std::mem::take(&mut *registry.notes.lock().unwrap()),
-            None => Vec::new(),
-        }
-    }
-
     /// Capture the current value of every registered metric.
     ///
     /// Counters and histogram cells are read `Relaxed`, so a snapshot
@@ -160,11 +110,6 @@ impl Telemetry {
         for (name, cell) in registry.counters.lock().unwrap().iter() {
             snap.counters
                 .insert(name.clone(), cell.0.load(Ordering::Relaxed));
-        }
-        let dropped = registry.notes_dropped.load(Ordering::Relaxed);
-        if dropped > 0 {
-            snap.counters
-                .insert("telemetry_notes_dropped".to_string(), dropped);
         }
         for (name, cell) in registry.gauges.lock().unwrap().iter() {
             snap.gauges

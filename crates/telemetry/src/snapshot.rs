@@ -223,8 +223,6 @@ mod tests {
         telemetry.gauge("g").set(5);
         telemetry.histogram("h").record(5);
         telemetry.histogram("h").start().finish();
-        telemetry.note("src", "msg");
-        assert!(telemetry.take_notes().is_empty());
         assert_eq!(telemetry.snapshot(), MetricsSnapshot::default());
     }
 
@@ -272,25 +270,6 @@ mod tests {
         }
         let snap = telemetry.snapshot();
         assert_eq!(snap.histogram("span").unwrap().count, 2);
-    }
-
-    #[test]
-    fn notes_drain_in_order_and_are_bounded() {
-        let telemetry = Telemetry::new();
-        telemetry.note("tree", "first");
-        telemetry.note("tree", "second");
-        let notes = telemetry.take_notes();
-        assert_eq!(notes.len(), 2);
-        assert_eq!(notes[0].message, "first");
-        assert_eq!(notes[1].message, "second");
-        assert!(telemetry.take_notes().is_empty());
-
-        for i in 0..2000 {
-            telemetry.note("flood", format!("note {i}"));
-        }
-        let notes = telemetry.take_notes();
-        assert_eq!(notes.len(), 1024);
-        assert_eq!(telemetry.snapshot().counter("telemetry_notes_dropped"), 976);
     }
 
     #[test]
