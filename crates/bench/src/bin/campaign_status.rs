@@ -9,7 +9,9 @@
 //! [`lfi_campaign::CampaignEvent`], and renders one status line per shard
 //! plus a merged total: batch progress, units/sec, distinct crash
 //! signatures (deduplicated *across* shards), and the static-prune rate
-//! from the latest heartbeat metrics. A line that fails to parse
+//! from the latest heartbeat metrics. The prune rate belongs to the fault
+//! space, not to a shard (every shard analyzes the whole space), so the
+//! total shows one stream's reading instead of a sum. A line that fails to parse
 //! is a protocol error and exits non-zero — the streams are a versioned
 //! wire format, not best-effort logs.
 //!
@@ -172,16 +174,20 @@ impl ShardStream {
     }
 }
 
-/// Static-prune effectiveness from a merged metrics snapshot: demoted
-/// sites over sites analyzed, if the executor ran the analysis phase.
-fn prune_rate(metrics: &MetricsSnapshot) -> Option<(u64, u64)> {
-    let total = metrics.counter("analysis_sites_total");
-    (total > 0).then(|| (metrics.counter("analysis_sites_pruned"), total))
+/// Static-prune effectiveness of the space: demoted sites over sites
+/// analyzed, from the first stream whose latest metrics show the analysis
+/// phase ran. Every shard analyzes the whole space, so adding the streams'
+/// counters up would count each site once per shard.
+fn prune_rate(streams: &[ShardStream]) -> Option<(u64, u64)> {
+    streams.iter().find_map(|stream| {
+        let metrics = stream.metrics.as_ref()?;
+        let total = metrics.counter("analysis_sites_total");
+        (total > 0).then(|| (metrics.counter("analysis_sites_pruned"), total))
+    })
 }
 
 fn render(streams: &[ShardStream]) {
     let mut merged_signatures: BTreeSet<&String> = BTreeSet::new();
-    let mut merged_metrics = MetricsSnapshot::default();
     let mut total_done = 0;
     let mut total_planned = 0;
     let mut total_milli_rate = 0u64;
@@ -206,9 +212,6 @@ fn render(streams: &[ShardStream]) {
             stream.signatures.len(),
         );
         merged_signatures.extend(&stream.signatures);
-        if let Some(metrics) = &stream.metrics {
-            merged_metrics.merge(metrics);
-        }
         total_done += stream.units_done;
         total_planned += stream.units_planned;
         if !stream.finished {
@@ -218,7 +221,7 @@ fn render(streams: &[ShardStream]) {
         // are visible, not silent.
         total_resets += stream.stream_resets;
     }
-    let prune = prune_rate(&merged_metrics)
+    let prune = prune_rate(streams)
         .map(|(pruned, total)| format!("{pruned}/{total} sites statically pruned"))
         .unwrap_or_else(|| "static prune n/a".to_string());
     println!(
@@ -263,5 +266,35 @@ fn main() {
         }
         std::thread::sleep(interval);
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard stream whose latest heartbeat carried `metrics`.
+    fn stream_with(metrics: MetricsSnapshot) -> ShardStream {
+        let mut stream = ShardStream::new("shard.jsonl".to_string());
+        stream.metrics = Some(metrics);
+        stream
+    }
+
+    #[test]
+    fn shards_of_one_space_report_its_prune_rate_once() {
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("analysis_sites_total".into(), 84);
+        metrics.counters.insert("analysis_sites_pruned".into(), 42);
+        let shards = [stream_with(metrics.clone()), stream_with(metrics)];
+        assert_eq!(prune_rate(&shards), Some((42, 84)));
+    }
+
+    #[test]
+    fn the_prune_rate_is_unknown_until_a_stream_reports_analysis() {
+        let shards = [
+            ShardStream::new("a.jsonl".to_string()),
+            stream_with(MetricsSnapshot::default()),
+        ];
+        assert_eq!(prune_rate(&shards), None);
     }
 }

@@ -22,10 +22,12 @@
 //!   snapshot. Every unit of that pair then forks from a snapshot
 //!   ([`Executor::execute_from`]), so the prefix — target load, init, and
 //!   workload setup — is executed once instead of once per fault point.
-//!   Sessions are prepared lazily in an engine-owned cache shared across
-//!   worker threads; targets that cannot snapshot (multi-process cluster
-//!   targets return `None` from `prepare`) fall back to fresh VMs, and
-//!   each batch dispatches those units before the ones that fork.
+//!   The engine asks for each pair's session on its driver thread, the
+//!   first time a batch needs it, and holds it for the rest of the run;
+//!   caching sessions across runs is the executor's business. Targets
+//!   that cannot snapshot (multi-process cluster targets return `None`
+//!   from `prepare`) fall back to fresh VMs, and each batch dispatches
+//!   those units before the ones that fork.
 //!
 //! Both backends must produce identical [`Execution`]s for the same unit —
 //! results stay independent of the backend, the worker count, and the
@@ -59,7 +61,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -188,10 +190,28 @@ pub struct RunRecord {
     pub virtual_time: u64,
 }
 
+impl RunRecord {
+    /// The record of `unit`, which ran to `execution`.
+    fn from_execution(unit: &WorkUnit, execution: Execution) -> RunRecord {
+        RunRecord {
+            unit: unit.id,
+            target: unit.point.target.clone(),
+            function: unit.point.function.clone(),
+            offset: unit.point.offset,
+            args: unit.args.clone(),
+            outcome: execution.outcome,
+            injections: execution.injections,
+            injected_sites: execution.injected_sites,
+            crashes: execution.crashes,
+            virtual_time: execution.virtual_time,
+        }
+    }
+}
+
 /// An opaque prepared execution session for one `(target, workload)` pair,
-/// produced by [`Executor::prepare`] and cached by the engine.
+/// produced by [`Executor::prepare`] and held by the engine for one run.
 ///
-/// The engine never looks inside a session — it only caches it per
+/// The engine never looks inside a session — it only keeps it per
 /// `(target, workload)` key and hands it back to
 /// [`Executor::execute_from`], which downcasts to whatever payload its
 /// `prepare` stored (for the standard executor: a VM snapshot paused at the
@@ -243,19 +263,22 @@ pub struct PrefetchKey {
 ///   [`WorkUnit::seed`]) so units never share mutable state.
 /// * Under [`ExecBackend::Snapshot`] the engine calls
 ///   [`Executor::prepare`] **at most once** per `(target, workload)` pair
-///   — its cache memoizes the result, and concurrent workers needing the
-///   same pair wait on the single preparation — then
-///   [`Executor::execute_from`] once per unit, always with a [`Session`]
-///   this same executor returned for exactly that unit's pair.
-///   `execute_from` must treat the session as immutable shared state:
-///   every sibling unit forks from the same session, concurrently.
+///   per run, on its driver thread, before the batch that first needs the
+///   pair drains — so `prepare` never runs concurrently with itself or
+///   with a unit. It then calls [`Executor::execute_from`] once per unit,
+///   always with a [`Session`] this same executor returned for exactly
+///   that unit's pair. `execute_from` must treat the session as immutable
+///   shared state: every sibling unit forks from the same session,
+///   concurrently. The engine keeps sessions for one run only; an
+///   executor that wants them to outlive it (across the runs of
+///   successive leases, say) memoizes them itself.
 ///
 /// ## The `None` fallback
 ///
 /// `prepare` returning `None` declares "this pair cannot snapshot". The
-/// engine memoizes the refusal (so the decision is made once, not once per
-/// unit) and routes every unit of the pair through [`Executor::execute`]
-/// instead — even under the snapshot backend. The stock
+/// engine keeps the refusal for the run (so the decision is made once, not
+/// once per unit) and routes every unit of the pair through
+/// [`Executor::execute`] instead — even under the snapshot backend. The stock
 /// [`StandardExecutor`](crate::standard::StandardExecutor) refuses for
 /// **bft-lite**: the PBFT cluster target is multi-process (four replica
 /// VMs plus a client harness), so no single-machine snapshot can capture
@@ -523,44 +546,29 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A `(target, workload arguments)` session key.
-type SessionKey = (String, Vec<String>);
-/// One cache slot: prepared at most once, `None` when the target cannot
-/// snapshot.
-type SessionSlot = Arc<OnceLock<Option<Arc<Session>>>>;
-
-/// The engine-owned cache of prepared sessions, keyed by `(target,
-/// workload arguments)` and shared across worker threads. Each key is
-/// prepared at most once, by the first worker that needs it; workers
-/// needing the same key wait for that preparation, while different keys
-/// prepare concurrently. A `None` entry records that the target cannot
-/// snapshot, so the fallback decision is also made only once.
-#[derive(Default)]
-struct SessionCache {
-    slots: Mutex<BTreeMap<SessionKey, SessionSlot>>,
-}
-
-impl SessionCache {
-    fn get(&self, executor: &dyn Executor, target: &str, args: &[String]) -> Option<Arc<Session>> {
-        let slot = {
-            let mut slots = self.slots.lock().unwrap();
-            slots
-                .entry((target.to_string(), args.to_vec()))
-                .or_default()
-                .clone()
-        };
-        slot.get_or_init(|| executor.prepare(target, args).map(Arc::new))
-            .clone()
+/// Fan out the events of one finished unit: its `UnitFinished`, then a
+/// `CrashFound` for each crash signature first seen in this run, then a
+/// throttled heartbeat. The seen-set lock is released before the sink is
+/// invoked: a slow sink may delay its own worker, but must not serialize
+/// the others through the signature mutex.
+fn announce_finished(
+    sink: &dyn EventSink,
+    record: &RunRecord,
+    duration_micros: u64,
+    seen_signatures: &Mutex<BTreeSet<CrashSignature>>,
+    progress: &RunProgress,
+) {
+    sink.event(&CampaignEvent::UnitFinished {
+        record: record.clone(),
+        duration_micros,
+    });
+    for signature in crash_signatures(record) {
+        let fresh_signature = seen_signatures.lock().unwrap().insert(signature.clone());
+        if fresh_signature {
+            sink.event(&CampaignEvent::CrashFound(signature));
+        }
     }
-
-    fn prepared(&self) -> usize {
-        self.slots
-            .lock()
-            .unwrap()
-            .values()
-            .filter(|slot| matches!(slot.get(), Some(Some(_))))
-            .count()
-    }
+    progress.heartbeat(sink, false);
 }
 
 /// A fault-space exploration campaign.
@@ -574,8 +582,6 @@ pub struct Campaign<'a> {
     unit_base: Vec<usize>,
     /// Total canonical units (points × their workload suites).
     total_units: usize,
-    /// Prepared sessions (snapshot backend only).
-    sessions: SessionCache,
 }
 
 impl<'a> Campaign<'a> {
@@ -619,34 +625,6 @@ impl<'a> Campaign<'a> {
             suites,
             unit_base,
             total_units,
-            sessions: SessionCache::default(),
-        }
-    }
-
-    /// Number of sessions the snapshot backend has prepared so far (0 under
-    /// the fresh backend, and for executors that never snapshot).
-    pub fn prepared_sessions(&self) -> usize {
-        self.sessions.prepared()
-    }
-
-    /// Bytes of resident snapshot state the executor currently holds.
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.executor.snapshot_bytes()
-    }
-
-    /// Run one unit through the configured backend.
-    fn run_unit(&self, unit: &WorkUnit) -> Execution {
-        match self.config.backend {
-            ExecBackend::Fresh => self.executor.execute(unit),
-            ExecBackend::Snapshot => {
-                match self
-                    .sessions
-                    .get(self.executor, &unit.point.target, &unit.args)
-                {
-                    Some(session) => self.executor.execute_from(&session, unit),
-                    None => self.executor.execute(unit),
-                }
-            }
         }
     }
 
@@ -744,12 +722,13 @@ impl<'a> Campaign<'a> {
 
     /// Drain one batch of pending units on the worker pool and return the
     /// completed records, ordered by unit id. Spawns `min(jobs, pending)`
-    /// threads — zero when there is nothing to run. Workers stream
-    /// `UnitStarted` / `UnitFinished` / first-seen `CrashFound` events into
-    /// `sink` as they go, plus throttled `Heartbeat`s.
+    /// threads — zero when there is nothing to run. Each worker takes the
+    /// next unit and forks its session, or runs it fresh when it has none;
+    /// it announces the unit's start and, through [`announce_finished`],
+    /// its record into `sink` as it goes.
     fn drain(
         &self,
-        pending: &[&WorkUnit],
+        pending: &[(&WorkUnit, Option<&Session>)],
         sink: Option<&dyn EventSink>,
         seen_signatures: &Mutex<BTreeSet<CrashSignature>>,
         progress: &RunProgress,
@@ -764,7 +743,7 @@ impl<'a> Campaign<'a> {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = pending.get(next) else {
+                    let Some(&(unit, session)) = pending.get(next) else {
                         break;
                     };
                     if let Some(sink) = sink {
@@ -776,42 +755,23 @@ impl<'a> Campaign<'a> {
                         });
                     }
                     let started = Instant::now();
-                    let execution = self.run_unit(unit);
+                    let execution = match session {
+                        Some(session) => self.executor.execute_from(session, unit),
+                        None => self.executor.execute(unit),
+                    };
                     let duration_micros = started.elapsed().as_micros() as u64;
                     progress.unit_execute_micros.record(duration_micros);
                     progress.units_executed.inc();
                     progress.executed.fetch_add(1, Ordering::Relaxed);
-                    let record = RunRecord {
-                        unit: unit.id,
-                        target: unit.point.target.clone(),
-                        function: unit.point.function.clone(),
-                        offset: unit.point.offset,
-                        args: unit.args.clone(),
-                        outcome: execution.outcome,
-                        injections: execution.injections,
-                        injected_sites: execution.injected_sites,
-                        crashes: execution.crashes,
-                        virtual_time: execution.virtual_time,
-                    };
+                    let record = RunRecord::from_execution(unit, execution);
                     if let Some(sink) = sink {
-                        sink.event(&CampaignEvent::UnitFinished {
-                            record: record.clone(),
+                        announce_finished(
+                            sink,
+                            &record,
                             duration_micros,
-                        });
-                        // Announce each distinct signature once per run,
-                        // right after the unit that first exhibited it.
-                        // The seen-set lock is released before the sink is
-                        // invoked: a slow sink may delay its own worker,
-                        // but must not serialize the others through the
-                        // signature mutex.
-                        for signature in crash_signatures(&record) {
-                            let fresh_signature =
-                                seen_signatures.lock().unwrap().insert(signature.clone());
-                            if fresh_signature {
-                                sink.event(&CampaignEvent::CrashFound(signature));
-                            }
-                        }
-                        progress.heartbeat(sink, false);
+                            seen_signatures,
+                            progress,
+                        );
                     }
                     results.lock().unwrap().push(record);
                 });
@@ -889,6 +849,11 @@ impl<'a> Campaign<'a> {
         let checkpoint_write_micros = telemetry.histogram("checkpoint_write_micros");
         let progress = RunProgress::new(telemetry.clone(), lease, self.config.heartbeat_interval);
 
+        // The sessions of this run, prepared on this thread the first time
+        // a pending unit of their `(target, workload)` pair needs one;
+        // `None` records a pair that cannot snapshot. Empty under the
+        // fresh backend.
+        let mut sessions: BTreeMap<(String, Vec<String>), Option<Session>> = BTreeMap::new();
         let mut executed_now = 0usize;
         let mut peak_workers = 0usize;
         let mut batch_started = Instant::now();
@@ -909,8 +874,7 @@ impl<'a> Campaign<'a> {
             let units = self.units_for(&batch);
             history.begin_batch(&batch, units.len());
             progress.planned.fetch_add(units.len(), Ordering::Relaxed);
-            let mut pending: Vec<&WorkUnit> =
-                units.iter().filter(|u| !state.completed(u.id)).collect();
+            let pending: Vec<&WorkUnit> = units.iter().filter(|u| !state.completed(u.id)).collect();
             if let Some(sink) = sink {
                 sink.event(&CampaignEvent::BatchPlanned {
                     batch: history.batches(),
@@ -920,20 +884,28 @@ impl<'a> Campaign<'a> {
                 });
             }
             if self.config.backend == ExecBackend::Snapshot {
-                // Move the units of pairs without a session to the front,
-                // keeping the strategy's order within each group: they run
-                // whole from program start, and the bft-lite cluster units
-                // among them are the batch's longest, so dispatched last
-                // one of them would run alone at the end while the other
-                // workers sit idle. A pure permutation: `drain` sorts
-                // records by canonical unit id.
-                pending.sort_by_cached_key(|u| {
-                    self.sessions
-                        .get(self.executor, &u.point.target, &u.args)
-                        .is_some()
-                });
+                for unit in &pending {
+                    sessions
+                        .entry((unit.point.target.clone(), unit.args.clone()))
+                        .or_insert_with(|| self.executor.prepare(&unit.point.target, &unit.args));
+                }
             }
-            let (fresh, workers) = self.drain(&pending, sink, &seen_signatures, &progress);
+            let mut dispatch: Vec<(&WorkUnit, Option<&Session>)> = pending
+                .iter()
+                .map(|&unit| {
+                    let key = (unit.point.target.clone(), unit.args.clone());
+                    (unit, sessions.get(&key).and_then(Option::as_ref))
+                })
+                .collect();
+            // Move the units of pairs without a session to the front,
+            // keeping the strategy's order within each group: they run
+            // whole from program start, and the bft-lite cluster units
+            // among them are the batch's longest, so dispatched last one of
+            // them would run alone at the end while the other workers sit
+            // idle. A pure permutation: `drain` sorts records by canonical
+            // unit id.
+            dispatch.sort_by_key(|(_, session)| session.is_some());
+            let (fresh, workers) = self.drain(&dispatch, sink, &seen_signatures, &progress);
             peak_workers = peak_workers.max(workers);
             let batch_executed = fresh.len();
             executed_now += batch_executed;
@@ -1320,6 +1292,8 @@ mod tests {
         inner: FakeExecutor,
         snapshottable: bool,
         prepares: AtomicUsize,
+        /// The thread each `prepare` call ran on.
+        prepared_on: Mutex<Vec<std::thread::ThreadId>>,
         forked: AtomicUsize,
     }
 
@@ -1329,6 +1303,7 @@ mod tests {
                 inner: FakeExecutor::new(),
                 snapshottable,
                 prepares: AtomicUsize::new(0),
+                prepared_on: Mutex::new(Vec::new()),
                 forked: AtomicUsize::new(0),
             }
         }
@@ -1340,9 +1315,13 @@ mod tests {
         }
 
         fn prepare(&self, target: &str, args: &[String]) -> Option<Session> {
-            // Count every consultation, including refusals — the engine's
-            // cache must memoize the `None` outcome too.
+            // Count every consultation, including refusals — the engine
+            // must keep the `None` outcome for the run too.
             self.prepares.fetch_add(1, Ordering::Relaxed);
+            self.prepared_on
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
             if !self.snapshottable {
                 return None;
             }
@@ -1367,21 +1346,42 @@ mod tests {
     #[test]
     fn snapshot_backend_prepares_once_per_target_and_workload() {
         let executor = SessionExecutor::new(true);
-        let driver = Campaign::builder(demo_space(9), &executor)
+        let report = Campaign::builder(demo_space(9), &executor)
             .backend(ExecBackend::Snapshot)
             .jobs(4)
             .seed(7)
-            .build();
-        let report = driver.run_to_completion().report;
+            .build()
+            .run_to_completion()
+            .report;
         assert_eq!(report.executed_now, 18, "9 points x 2 workloads");
         // One target, two workloads: exactly two sessions, however many
-        // workers raced to prepare them.
+        // workers run their units.
         assert_eq!(executor.prepares.load(Ordering::Relaxed), 2);
-        assert_eq!(driver.campaign().prepared_sessions(), 2);
         // Every unit ran through its session fork, none through execute's
         // session-path counter... (execute is also the fork's delegate here,
         // so count forks explicitly).
         assert_eq!(executor.forked.load(Ordering::Relaxed), 18);
+    }
+
+    /// Sessions are prepared on the thread that drives the run, once per
+    /// pair for the whole run, however many batches and workers it has.
+    #[test]
+    fn sessions_are_prepared_on_the_driver_thread_once_per_run() {
+        let executor = SessionExecutor::new(true);
+        let report = Campaign::builder(demo_space(5), &executor)
+            .strategy(ReverseOneByOne)
+            .backend(ExecBackend::Snapshot)
+            .jobs(4)
+            .build()
+            .run_to_completion()
+            .report;
+        assert_eq!(report.batches, 5, "one point per batch");
+        assert_eq!(executor.forked.load(Ordering::Relaxed), 10);
+        let prepared_on = executor.prepared_on.lock().unwrap();
+        assert_eq!(prepared_on.len(), 2, "one target, two workloads");
+        assert!(prepared_on
+            .iter()
+            .all(|&id| id == std::thread::current().id()));
     }
 
     #[test]
@@ -1408,18 +1408,18 @@ mod tests {
     #[test]
     fn unsnapshottable_targets_fall_back_to_fresh_execution() {
         let executor = SessionExecutor::new(false);
-        let driver = Campaign::builder(demo_space(4), &executor)
+        let report = Campaign::builder(demo_space(4), &executor)
             .backend(ExecBackend::Snapshot)
             .jobs(2)
             .seed(7)
-            .build();
-        let report = driver.run_to_completion().report;
+            .build()
+            .run_to_completion()
+            .report;
         assert_eq!(report.executed_now, 8);
         assert_eq!(executor.forked.load(Ordering::Relaxed), 0, "no sessions");
-        assert_eq!(driver.campaign().prepared_sessions(), 0);
         // `prepare` was consulted once per (target, workload) — one target
         // with two workloads — not once per unit: the None outcome is
-        // cached too.
+        // kept too.
         assert_eq!(executor.prepares.load(Ordering::Relaxed), 2);
     }
 

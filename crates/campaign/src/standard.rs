@@ -137,10 +137,6 @@ pub fn run_target(
 
 /// A `(target, workload arguments)` session key.
 type SessionKey = (String, Vec<String>);
-/// One memo slot, built at most once; `None` records that the pair refused
-/// to snapshot (e.g. its prefix consumed randomness, crashed, blocked, or
-/// exhausted the instruction budget before the first injectable call).
-type SessionSlot = Arc<OnceLock<Option<Arc<PreparedSession>>>>;
 
 /// One prepared session: the workload paused at its first injectable call
 /// (or finished, when it makes none), which every unit of the pair forks.
@@ -209,8 +205,14 @@ pub struct StandardExecutor {
     /// instruction-predecoding work is shared by all of the target's
     /// workload sessions (and their forks).
     images: Mutex<BTreeMap<String, Arc<Image>>>,
-    /// Prepared sessions per `(target, workload)`, built at most once each.
-    prepared: Mutex<BTreeMap<SessionKey, SessionSlot>>,
+    /// Prepared sessions per `(target, workload arguments)`, built at most
+    /// once each, under the map's lock. This is the one cache of sessions:
+    /// it outlives every campaign run on this executor, so baseline
+    /// reachability warms it and every later run, such as a worker's next
+    /// lease, reuses it. `None` records that the pair refused to snapshot
+    /// (e.g. its prefix consumed randomness, crashed, blocked, or exhausted
+    /// the instruction budget before the first injectable call).
+    prepared: Mutex<BTreeMap<SessionKey, Option<Arc<PreparedSession>>>>,
     /// Per-run instruction budget, applied identically to fresh runs and
     /// session prefixes/forks so the backends exhaust budgets at the same
     /// boundary.
@@ -388,30 +390,25 @@ impl StandardExecutor {
 
     /// The memoized session of a `(target, workload)` pair, or `None` when
     /// the pair cannot snapshot (the multi-process bft-lite cluster, or a
-    /// prefix that consumed randomness). The refusal is memoized too.
+    /// prefix that consumed randomness). The refusal is memoized too. A
+    /// miss builds the session while holding the memo's lock, so callers
+    /// on other threads wait for it; the engine prepares only on its
+    /// driver thread, so no unit waits.
     fn prepared_session(&self, target: &str, args: &[String]) -> Option<Arc<PreparedSession>> {
         if target == "bft-lite" || !self.targets.contains_key(target) {
             return None;
         }
-        let slot = {
-            let mut prepared = self.prepared.lock().unwrap();
-            prepared
-                .entry((target.to_string(), args.to_vec()))
-                .or_default()
-                .clone()
-        };
-        slot.get_or_init(|| self.build_session(target, args).map(Arc::new))
+        self.prepared
+            .lock()
+            .unwrap()
+            .entry((target.to_string(), args.to_vec()))
+            .or_insert_with(|| self.build_session(target, args).map(Arc::new))
             .clone()
     }
 
     /// Number of `(target, workload)` sessions prepared so far.
     pub fn sessions_prepared(&self) -> usize {
-        self.prepared
-            .lock()
-            .unwrap()
-            .values()
-            .filter(|slot| matches!(slot.get(), Some(Some(_))))
-            .count()
+        self.prepared.lock().unwrap().values().flatten().count()
     }
 
     /// Run each single-process target's default suite once with no

@@ -4,7 +4,9 @@
 //! outcome, injected sites, crashes, virtual time — as fresh-VM execution,
 //! unit for unit.
 
-use lfi_campaign::{Campaign, CampaignReport, ExecBackend, Executor, FaultSpace, StandardExecutor};
+use lfi_campaign::{
+    Campaign, CampaignReport, ExecBackend, Executor, FaultSpace, Lease, StandardExecutor,
+};
 use lfi_targets::standard_controller;
 
 /// A Table 1 style space: the given targets restricted to the functions
@@ -22,22 +24,27 @@ fn run_with(
     space: &FaultSpace,
     jobs: usize,
     backend: ExecBackend,
-) -> (CampaignReport, usize) {
-    let driver = Campaign::builder(space.clone(), executor)
+) -> CampaignReport {
+    Campaign::builder(space.clone(), executor)
         .jobs(jobs)
         .seed(7)
         .backend(backend)
-        .build();
-    let report = driver.run_to_completion().report;
-    let sessions = driver.campaign().prepared_sessions();
-    (report, sessions)
+        .build()
+        .run_to_completion()
+        .report
 }
 
 fn assert_backends_agree(executor: &StandardExecutor, space: &FaultSpace, min_sessions: usize) {
     assert!(!space.is_empty());
-    let (fresh, fresh_sessions) = run_with(executor, space, 2, ExecBackend::Fresh);
-    let (snapshot, snapshot_sessions) = run_with(executor, space, 2, ExecBackend::Snapshot);
-    assert_eq!(fresh_sessions, 0, "fresh backend must not prepare sessions");
+    let warm_sessions = executor.sessions_prepared();
+    let fresh = run_with(executor, space, 2, ExecBackend::Fresh);
+    assert_eq!(
+        executor.sessions_prepared(),
+        warm_sessions,
+        "fresh backend must not prepare sessions"
+    );
+    let snapshot = run_with(executor, space, 2, ExecBackend::Snapshot);
+    let snapshot_sessions = executor.sessions_prepared();
     assert!(
         snapshot_sessions >= min_sessions,
         "snapshot backend prepared only {snapshot_sessions} sessions, expected >= {min_sessions}"
@@ -100,12 +107,15 @@ fn git_space(executor: &StandardExecutor) -> FaultSpace {
 fn deep_injections_match_fresh_vms() {
     let snapshot_executor = StandardExecutor::new(&["git-lite"]);
     let space = hunt_space(&snapshot_executor, &["git-lite"], &DEEP_FUNCTIONS);
-    let (snapshot, sessions) = run_with(&snapshot_executor, &space, 2, ExecBackend::Snapshot);
-    assert!(sessions >= 7, "one session per git-lite workload");
+    let snapshot = run_with(&snapshot_executor, &space, 2, ExecBackend::Snapshot);
+    assert!(
+        snapshot_executor.sessions_prepared() >= 7,
+        "one session per git-lite workload"
+    );
 
     let fresh_executor = StandardExecutor::new(&["git-lite"]);
     let fresh_space = hunt_space(&fresh_executor, &["git-lite"], &DEEP_FUNCTIONS);
-    let (fresh, _) = run_with(&fresh_executor, &fresh_space, 2, ExecBackend::Fresh);
+    let fresh = run_with(&fresh_executor, &fresh_space, 2, ExecBackend::Fresh);
 
     assert_eq!(fresh.records, snapshot.records);
     assert_eq!(fresh.triage.buckets, snapshot.triage.buckets);
@@ -152,7 +162,7 @@ fn running_units_adds_no_resident_snapshot_state() {
     let prepared = executor.snapshot_bytes();
     assert!(prepared > 0, "session roots are resident");
 
-    let (report, _) = run_with(&executor, &space, 2, ExecBackend::Snapshot);
+    let report = run_with(&executor, &space, 2, ExecBackend::Snapshot);
     assert_eq!(report.executed_now, report.units_total, "all units ran");
     assert_eq!(executor.snapshot_bytes(), prepared);
 }
@@ -165,8 +175,51 @@ fn cluster_targets_fall_back_to_fresh_execution() {
     space.retain(|p| matches!(p.function.as_str(), "fopen" | "fwrite"));
     assert!(!space.is_empty());
 
-    let (fresh, _) = run_with(&executor, &space, 2, ExecBackend::Fresh);
-    let (snapshot, sessions) = run_with(&executor, &space, 2, ExecBackend::Snapshot);
-    assert_eq!(sessions, 0, "bft-lite cannot snapshot");
+    let fresh = run_with(&executor, &space, 2, ExecBackend::Fresh);
+    let snapshot = run_with(&executor, &space, 2, ExecBackend::Snapshot);
+    assert_eq!(executor.sessions_prepared(), 0, "bft-lite cannot snapshot");
     assert_eq!(fresh.records, snapshot.records);
+}
+
+/// Sessions prepared so far, as counted by `session_prepare_micros`: one
+/// sample per build, refusals included.
+fn session_builds(executor: &StandardExecutor) -> u64 {
+    executor
+        .telemetry()
+        .snapshot()
+        .histogram("session_prepare_micros")
+        .map_or(0, |histogram| histogram.count)
+}
+
+/// The executor's memo is the one cache of sessions. Baseline
+/// reachability prepares every pair; a snapshot campaign, and then a
+/// lease-confined one on the same executor (the way a supervised worker
+/// runs its next lease), fork those sessions and build none.
+#[test]
+fn campaigns_and_later_leases_reuse_the_executors_sessions() {
+    let executor = StandardExecutor::new(&["git-lite"]);
+    let space = hunt_space(&executor, &["git-lite"], &DEEP_FUNCTIONS);
+    let sessions = executor.sessions_prepared();
+    let builds = session_builds(&executor);
+    assert!(sessions >= 7, "one session per git-lite workload");
+    assert!(builds >= sessions as u64);
+
+    let whole = run_with(&executor, &space, 2, ExecBackend::Snapshot);
+    assert_eq!(whole.executed_now, whole.units_total, "all units ran");
+    assert_eq!(executor.sessions_prepared(), sessions);
+    assert_eq!(session_builds(&executor), builds);
+
+    let lease = Lease::shard(1, 2, space.len()).unwrap();
+    let leased = Campaign::builder(space.clone(), &executor)
+        .jobs(2)
+        .seed(7)
+        .backend(ExecBackend::Snapshot)
+        .lease(lease)
+        .build()
+        .run_to_completion()
+        .report;
+    assert!(leased.executed_now > 0, "the lease ran units");
+    assert_eq!(executor.sessions_prepared(), sessions);
+    assert_eq!(session_builds(&executor), builds);
+    assert!(leased.records.iter().all(|r| whole.records.contains(r)));
 }

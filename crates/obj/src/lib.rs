@@ -9,10 +9,8 @@
 //! profiling of exported functions, file/line triggers, coverage accounting —
 //! is expressed in terms of this format.
 
-pub mod binfmt;
 pub mod module;
 pub mod symbol;
 
-pub use binfmt::{FormatError, MAGIC};
 pub use module::{LineEntry, Module, ModuleKind, ValidateError};
 pub use symbol::{DataReloc, Export, SymKind, SymRef};
