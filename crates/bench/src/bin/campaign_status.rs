@@ -11,7 +11,15 @@
 //! signatures (deduplicated *across* shards), and the static-prune rate
 //! from the latest heartbeat metrics. The prune rate belongs to the fault
 //! space, not to a shard (every shard analyzes the whole space), so the
-//! total shows one stream's reading instead of a sum. A line that fails to parse
+//! total shows one stream's reading instead of a sum.
+//!
+//! A stream may also hold many runs over different point ranges: the
+//! supervisor's merged `--events-jsonl` stream holds one run per lease,
+//! and a lease whose worker died runs again. Finished units are counted
+//! by distinct unit id, and such a stream's planned units are summed per
+//! range as its runs report them (heartbeats and `ShardFinished`), so a
+//! re-run lease counts once; its label spans every reported range. A
+//! stream of one run reads exactly as before. A line that fails to parse
 //! is a protocol error and exits non-zero — the streams are a versioned
 //! wire format, not best-effort logs.
 //!
@@ -26,7 +34,7 @@
 //! until every stream has reported
 //! [`ShardFinished`](lfi_campaign::CampaignEvent::ShardFinished).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::exit;
 use std::time::Duration;
 
@@ -43,13 +51,15 @@ struct ShardStream {
     path: String,
     /// Truncation-tolerant byte-offset tail over the stream file.
     tail: JsonlTail,
-    /// The run's `start..end` point range from the stream itself
-    /// (heartbeat / shard_finished); the file name until one arrives.
-    label: Option<String>,
+    /// Units planned per `start..end` point range the stream's runs
+    /// reported (heartbeat / shard_finished): the largest count any run
+    /// of the range reported.
+    planned_by_range: BTreeMap<(usize, usize), usize>,
     batches: usize,
     units_planned: usize,
     units_done: usize,
-    finished_units: usize,
+    /// Distinct ids of the finished units.
+    finished_units: BTreeSet<usize>,
     milli_units_per_sec: u64,
     /// Distinct crash signature keys announced by this shard.
     signatures: BTreeSet<String>,
@@ -65,11 +75,11 @@ impl ShardStream {
         ShardStream {
             tail: JsonlTail::new(&path),
             path,
-            label: None,
+            planned_by_range: BTreeMap::new(),
             batches: 0,
             units_planned: 0,
             units_done: 0,
-            finished_units: 0,
+            finished_units: BTreeSet::new(),
             milli_units_per_sec: 0,
             signatures: BTreeSet::new(),
             metrics: None,
@@ -113,10 +123,11 @@ impl ShardStream {
     /// Discards every counter derived from the previous file incarnation;
     /// the new stream replays its own BatchPlanned/Heartbeat history.
     fn reset_view(&mut self) {
+        self.planned_by_range.clear();
         self.batches = 0;
         self.units_planned = 0;
         self.units_done = 0;
-        self.finished_units = 0;
+        self.finished_units.clear();
         self.milli_units_per_sec = 0;
         self.signatures.clear();
         self.metrics = None;
@@ -131,9 +142,9 @@ impl ShardStream {
                 self.units_planned += pending;
             }
             CampaignEvent::UnitStarted { .. } => {}
-            CampaignEvent::UnitFinished { .. } => {
-                self.finished_units += 1;
-                self.units_done = self.units_done.max(self.finished_units);
+            CampaignEvent::UnitFinished { record, .. } => {
+                self.finished_units.insert(record.unit);
+                self.units_done = self.units_done.max(self.finished_units.len());
             }
             CampaignEvent::CrashFound(signature) => {
                 self.signatures.insert(format!(
@@ -153,24 +164,52 @@ impl ShardStream {
                 milli_units_per_sec,
                 metrics,
             } => {
-                self.label = Some(format!("{}..{}", shard.start, shard.end));
+                self.report_range(shard, *units_planned);
                 self.units_done = self.units_done.max(*units_done);
                 self.units_planned = self.units_planned.max(*units_planned);
                 self.milli_units_per_sec = *milli_units_per_sec;
                 self.metrics = Some(metrics.clone());
             }
             CampaignEvent::ShardFinished {
-                shard, executed, ..
+                shard,
+                executed,
+                records,
             } => {
-                self.label = Some(format!("{}..{}", shard.start, shard.end));
+                self.report_range(shard, *records);
                 self.units_done = self.units_done.max(*executed);
                 self.finished = true;
             }
         }
     }
 
-    fn label(&self) -> &str {
-        self.label.as_deref().unwrap_or(&self.path)
+    fn report_range(&mut self, range: &std::ops::Range<usize>, planned: usize) {
+        let entry = self
+            .planned_by_range
+            .entry((range.start, range.end))
+            .or_default();
+        *entry = (*entry).max(planned);
+    }
+
+    /// Units done and planned. A stream of one run plans what its
+    /// `BatchPlanned` events announced; a stream of runs over several
+    /// ranges plans what each range reported, counting a range that ran
+    /// twice once, and never less than it finished.
+    fn units(&self) -> (usize, usize) {
+        if self.planned_by_range.len() <= 1 {
+            return (self.units_done, self.units_planned);
+        }
+        let planned: usize = self.planned_by_range.values().sum();
+        (self.units_done, planned.max(self.units_done))
+    }
+
+    /// The reported point range (spanning every range of a stream of
+    /// several runs); the file name until one arrives.
+    fn label(&self) -> String {
+        let ranges = self.planned_by_range.keys();
+        match (ranges.clone().map(|r| r.0).min(), ranges.map(|r| r.1).max()) {
+            (Some(start), Some(end)) => format!("{start}..{end}"),
+            _ => self.path.clone(),
+        }
     }
 }
 
@@ -198,22 +237,19 @@ fn render(streams: &[ShardStream]) {
         } else {
             "running"
         };
-        let percent = (stream.units_done * 100)
-            .checked_div(stream.units_planned)
-            .unwrap_or(0);
+        let (done, planned) = stream.units();
+        let percent = (done * 100).checked_div(planned).unwrap_or(0);
         println!(
-            "shard {:<12} batch {:<3} units {:>4}/{:<4} ({percent:>3}%)  \
+            "shard {:<12} batch {:<3} units {done:>4}/{planned:<4} ({percent:>3}%)  \
              {:>8.3} units/sec  {} signatures  [{state}]",
             stream.label(),
             stream.batches,
-            stream.units_done,
-            stream.units_planned,
             stream.milli_units_per_sec as f64 / 1000.0,
             stream.signatures.len(),
         );
         merged_signatures.extend(&stream.signatures);
-        total_done += stream.units_done;
-        total_planned += stream.units_planned;
+        total_done += done;
+        total_planned += planned;
         if !stream.finished {
             total_milli_rate += stream.milli_units_per_sec;
         }
@@ -278,6 +314,94 @@ mod tests {
         let mut stream = ShardStream::new("shard.jsonl".to_string());
         stream.metrics = Some(metrics);
         stream
+    }
+
+    fn finished(unit: usize) -> CampaignEvent {
+        CampaignEvent::UnitFinished {
+            record: lfi_campaign::RunRecord {
+                unit,
+                target: "demo".into(),
+                function: "read".into(),
+                offset: 0,
+                args: Vec::new(),
+                outcome: lfi_campaign::OutcomeKind::Passed,
+                injections: 1,
+                injected_sites: Vec::new(),
+                crashes: Vec::new(),
+                virtual_time: 1,
+            },
+            duration_micros: 10,
+        }
+    }
+
+    /// The events of one lease run over `points` with unit ids `units`;
+    /// a run that `dies` stops after its first unit.
+    fn lease_run(
+        points: std::ops::Range<usize>,
+        units: std::ops::Range<usize>,
+        dies: bool,
+    ) -> Vec<CampaignEvent> {
+        let mut events = vec![CampaignEvent::BatchPlanned {
+            batch: 1,
+            points: points.len(),
+            units: units.len(),
+            pending: units.len(),
+        }];
+        let ran = if dies {
+            units.start..units.start + 1
+        } else {
+            units.clone()
+        };
+        events.extend(ran.map(finished));
+        if !dies {
+            events.push(CampaignEvent::Heartbeat {
+                shard: points.clone(),
+                units_done: units.len(),
+                units_planned: units.len(),
+                milli_units_per_sec: 1000,
+                metrics: MetricsSnapshot::default(),
+            });
+            events.push(CampaignEvent::ShardFinished {
+                shard: points,
+                executed: units.len(),
+                records: units.len(),
+            });
+        }
+        events
+    }
+
+    #[test]
+    fn a_merged_stream_counts_a_lease_that_ran_twice_once() {
+        // Leases 0..2 (units 0..4) and 2..4 (units 4..8); the worker
+        // holding 0..2 dies after one unit and the lease runs again.
+        let mut stream = ShardStream::new("supervised.jsonl".to_string());
+        for event in lease_run(0..2, 0..4, true)
+            .into_iter()
+            .chain(lease_run(2..4, 4..8, false))
+            .chain(lease_run(0..2, 0..4, false))
+        {
+            stream.apply(&event);
+        }
+        assert_eq!(stream.units(), (8, 8), "not 9/12");
+        assert_eq!(stream.label(), "0..4");
+        assert_eq!(stream.batches, 3);
+    }
+
+    #[test]
+    fn a_stream_of_one_run_counts_its_planned_batches() {
+        let mut stream = ShardStream::new("shard_0.jsonl".to_string());
+        let events = lease_run(0..2, 0..4, false);
+        // Mid-run: planned from `BatchPlanned`, no range reported yet.
+        for event in &events[..3] {
+            stream.apply(event);
+        }
+        assert_eq!(stream.units(), (2, 4));
+        assert_eq!(stream.label(), "shard_0.jsonl");
+        for event in &events[3..] {
+            stream.apply(event);
+        }
+        assert_eq!(stream.units(), (4, 4));
+        assert_eq!(stream.label(), "0..2");
     }
 
     #[test]

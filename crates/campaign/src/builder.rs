@@ -501,8 +501,8 @@ mod tests {
         assert!(path.exists(), "checkpoint written");
         assert_eq!(
             log.count(|e| matches!(e, CampaignEvent::CheckpointWritten { .. })),
-            2,
-            "exhaustive is one batch: one per-batch write plus the final completion seal"
+            1,
+            "exhaustive is one batch, so its one write is the completion seal"
         );
         assert!(
             driver.load_state().is_complete(),
@@ -520,6 +520,50 @@ mod tests {
             first.report.triage.distinct_crashes(),
             "resume announces no already-known signatures"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_multi_batch_run_writes_once_per_batch_and_seals_only_the_last_write() {
+        let dir = std::env::temp_dir().join(format!(
+            "lfi_builder_multi_batch_checkpoint_{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.json");
+        let _ = std::fs::remove_file(&path);
+
+        // Read the file back at each write: is what is on disk sealed?
+        let sealed_at_write = std::sync::Mutex::new(Vec::new());
+        let sink = |event: &CampaignEvent| {
+            if let CampaignEvent::CheckpointWritten { path, .. } = event {
+                let text = std::fs::read_to_string(path).unwrap();
+                let state = CampaignState::from_json(&text).unwrap();
+                sealed_at_write.lock().unwrap().push(state.is_complete());
+            }
+        };
+        let executor = FakeExecutor::new();
+        let driver = Campaign::builder(demo_space(5), &executor)
+            .strategy(crate::adaptive::CoverageAdaptive {
+                batch: 2,
+                ..Default::default()
+            })
+            .checkpoint(&path)
+            .events(&sink)
+            .build();
+        let first = driver.run_to_completion();
+        assert_eq!(first.report.batches, 3, "5 points in batches of 2");
+        assert_eq!(first.report.executed_now, 10);
+        assert_eq!(
+            *sealed_at_write.lock().unwrap(),
+            vec![false, false, true],
+            "one write per batch; only the last one is sealed"
+        );
+
+        let resumed = driver.run_to_completion();
+        assert_eq!(resumed.report.executed_now, 0);
+        assert_eq!(resumed.report.records, first.report.records);
+        assert_eq!(executor.executions.load(Ordering::Relaxed), 10);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -789,7 +789,9 @@ impl<'a> Campaign<'a> {
     /// nothing new to schedule. Fault points outside `lease` are
     /// pre-marked dispatched, confining any strategy's schedule to the
     /// run's slice. Progress streams through `sink`, and
-    /// `checkpoint` (when set) persists the state after every batch.
+    /// `checkpoint` (when set) persists the state after every batch that
+    /// added records; the last batch's write is sealed, so a one-batch
+    /// run writes once.
     /// `known_signatures` seeds the run with crash signatures first seen
     /// elsewhere (a supervisor's broadcasts): adaptive strategies
     /// escalate around them, and they are not re-announced as
@@ -857,20 +859,33 @@ impl<'a> Campaign<'a> {
         let mut executed_now = 0usize;
         let mut peak_workers = 0usize;
         let mut batch_started = Instant::now();
-        loop {
-            let proposed = strategy.next_batch(&self.space, &history);
-            // Each point runs at most once per campaign: drop repeats
-            // within the batch and points dispatched earlier. An empty
-            // batch after filtering ends the run (and bounds it: at most
-            // `space.len()` non-empty batches).
+        // Each point runs at most once per campaign: drop repeats within
+        // the batch and points dispatched earlier. An empty batch after
+        // filtering ends the run (and bounds it: at most `space.len()`
+        // non-empty batches).
+        let next_batch = |history: &CampaignHistory| -> Vec<usize> {
             let mut seen = BTreeSet::new();
-            let batch: Vec<usize> = proposed
+            strategy
+                .next_batch(&self.space, history)
                 .into_iter()
                 .filter(|&i| !history.dispatched(i) && seen.insert(i))
-                .collect();
-            if batch.is_empty() {
-                break;
+                .collect()
+        };
+        let persist = |state: &CampaignState, batch_started: Instant| {
+            if let Some(path) = checkpoint {
+                let span = checkpoint_write_micros.start();
+                write_checkpoint(path, state, sink, batch_started.elapsed());
+                span.finish();
             }
+        };
+        let mut batch = next_batch(&history);
+        if batch.is_empty() {
+            // Nothing to schedule at all: seal and persist the (possibly
+            // resumed) state as it stands.
+            state.mark_complete();
+            persist(state, batch_started);
+        }
+        while !batch.is_empty() {
             let units = self.units_for(&batch);
             history.begin_batch(&batch, units.len());
             progress.planned.fetch_add(units.len(), Ordering::Relaxed);
@@ -913,25 +928,21 @@ impl<'a> Campaign<'a> {
                 history.observe(record.clone());
                 state.push(record);
             }
-            // Persist only batches that added records: a fully-resumed
-            // batch has nothing new, and rewriting the file would briefly
-            // unseal an already-complete checkpoint on disk.
-            if let Some(path) = checkpoint.filter(|_| batch_executed > 0) {
-                let span = checkpoint_write_micros.start();
-                write_checkpoint(path, state, sink, batch_started.elapsed());
-                span.finish();
+            // Ask for the next batch before persisting this one: when the
+            // strategy has nothing left, the state is sealed first, so the
+            // last batch's write is the one sealed write (a merge step
+            // tells a finished lease from a mid-run checkpoint of an
+            // interrupted one by the seal). Otherwise persist only batches
+            // that added records: a fully-resumed batch has nothing new.
+            batch = next_batch(&history);
+            let last = batch.is_empty();
+            if last {
+                state.mark_complete();
+            }
+            if last || batch_executed > 0 {
+                persist(state, batch_started);
                 batch_started = Instant::now();
             }
-        }
-
-        // The strategy has nothing left: seal the state so a merge step
-        // can tell this finished lease from a mid-run checkpoint of an
-        // interrupted one, and persist the sealed form.
-        state.mark_complete();
-        if let Some(path) = checkpoint {
-            let span = checkpoint_write_micros.start();
-            write_checkpoint(path, state, sink, batch_started.elapsed());
-            span.finish();
         }
 
         let triage_span = triage_micros.start();

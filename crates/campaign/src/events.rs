@@ -20,8 +20,9 @@
 //!   announced at most once per run (signatures already present in a
 //!   resumed checkpoint are not re-announced).
 //! * [`CheckpointWritten`](CampaignEvent::CheckpointWritten) follows the
-//!   batch whose records it persisted; one final write seals the finished
-//!   (complete) state after the last batch.
+//!   batch whose records it persisted; the last batch's write seals the
+//!   finished (complete) state, so a run writes once per batch that added
+//!   records, and at least once.
 //! * [`ShardFinished`](CampaignEvent::ShardFinished) is the last event of
 //!   a run.
 //! * [`Heartbeat`](CampaignEvent::Heartbeat) events are asynchronous

@@ -96,7 +96,7 @@ pub use engine::{
 pub use events::{CampaignEvent, EventLog, EventSink, JsonlSink};
 pub use history::CampaignHistory;
 pub use lease::{parse_shard, Lease, LeaseError, LeaseMergeError, LeaseOutcome};
-pub use space::{FaultPoint, FaultSpace, PruneStats};
+pub use space::{FaultPoint, FaultSpace, PointAnnotations, PruneStats};
 pub use standard::{default_test_suite, run_target, StandardExecutor, STOCK_TARGETS};
 pub use state::CampaignState;
 pub use strategy::{Exhaustive, InjectionGuided, RandomSample, Strategy};

@@ -53,7 +53,37 @@ pub struct FaultPoint {
     pub demoted: bool,
 }
 
+/// The annotations of one fault point: everything the analyzer, the
+/// static-prune pass and the baseline runs add to its enumerated identity.
+/// A process that enumerated the same points can take them from the
+/// process that computed them ([`FaultSpace::apply_annotations`]) instead
+/// of repeating the analysis and the baseline runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PointAnnotations {
+    /// See [`FaultPoint::class`].
+    pub class: Option<CallSiteClass>,
+    /// See [`FaultPoint::low_confidence`].
+    pub low_confidence: bool,
+    /// See [`FaultPoint::verdict`].
+    pub verdict: Option<PropagationVerdict>,
+    /// See [`FaultPoint::demoted`].
+    pub demoted: bool,
+    /// See [`FaultPoint::reached`].
+    pub reached: Option<bool>,
+}
+
 impl FaultPoint {
+    /// This point's annotations.
+    pub fn annotations(&self) -> PointAnnotations {
+        PointAnnotations {
+            class: self.class,
+            low_confidence: self.low_confidence,
+            verdict: self.verdict,
+            demoted: self.demoted,
+            reached: self.reached,
+        }
+    }
+
     /// Compile this fault point into its single-fault-point scenario.
     pub fn scenario(&self) -> Scenario {
         Scenario::single_fault_point(
@@ -186,6 +216,43 @@ impl FaultSpace {
             }
         }
         stats
+    }
+
+    /// The counts a [`static_prune`](Self::static_prune) pass over this
+    /// space reported, read back from its points' annotations.
+    pub fn prune_stats(&self) -> PruneStats {
+        PruneStats {
+            total: self.points.len(),
+            demoted: self.points.iter().filter(|p| p.demoted).count(),
+            low_confidence: self.points.iter().filter(|p| p.low_confidence).count(),
+        }
+    }
+
+    /// Every point's annotations, in enumeration order.
+    pub fn annotations(&self) -> Vec<PointAnnotations> {
+        self.points.iter().map(FaultPoint::annotations).collect()
+    }
+
+    /// Overwrite every point's annotations with `annotations`, given in
+    /// enumeration order ([`annotations`](Self::annotations) of a space
+    /// with the same points). Fails, changing nothing, when the counts
+    /// differ.
+    pub fn apply_annotations(&mut self, annotations: &[PointAnnotations]) -> Result<(), String> {
+        if annotations.len() != self.points.len() {
+            return Err(format!(
+                "{} point annotations for a space of {} fault points",
+                annotations.len(),
+                self.points.len()
+            ));
+        }
+        for (point, annotations) in self.points.iter_mut().zip(annotations) {
+            point.class = annotations.class;
+            point.low_confidence = annotations.low_confidence;
+            point.verdict = annotations.verdict;
+            point.demoted = annotations.demoted;
+            point.reached = annotations.reached;
+        }
+        Ok(())
     }
 
     /// Annotate the points of `target` with baseline reachability: a point
@@ -411,6 +478,30 @@ mod tests {
     }
 
     #[test]
+    fn annotations_carry_over_to_a_bare_enumeration_of_the_same_points() {
+        let exe = demo_exe();
+        let profile = lfi_profiler::profile_library(&lfi_libc::build());
+        let mut bare = FaultSpace::new();
+        bare.add_target("demo", &exe, &profile);
+        let mut annotated = bare.clone();
+        annotated.annotate_analysis(
+            "demo",
+            &lfi_analyzer::analyze_program(&exe, &profile, lfi_analyzer::AnalysisConfig::default()),
+        );
+        annotated.annotate_reached("demo", &Coverage::new());
+        annotated.points[0].verdict = Some(PropagationVerdict::Dropped);
+        annotated.points[0].demoted = true;
+
+        bare.apply_annotations(&annotated.annotations()).unwrap();
+        assert_eq!(bare.points, annotated.points);
+        assert_eq!(bare.digest(), annotated.digest());
+
+        let short = &annotated.annotations()[1..];
+        let err = bare.apply_annotations(short).unwrap_err();
+        assert!(err.contains("fault points"), "{err}");
+    }
+
+    #[test]
     fn propagation_annotation_and_prune_demote_handled_points() {
         let exe = demo_exe();
         let libc = lfi_libc::build();
@@ -437,6 +528,7 @@ mod tests {
         let stats = space.static_prune();
         assert_eq!(stats.total, space.len());
         assert!(stats.demoted >= 1);
+        assert_eq!(space.prune_stats(), stats, "the points carry the counts");
         for point in &space.points {
             assert_eq!(
                 point.demoted,

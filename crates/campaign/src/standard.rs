@@ -42,7 +42,7 @@ use lfi_vm::{Coverage, Fault, Image, Machine, MachineSnapshot, NetHandle, NoHook
 use crate::engine::{
     derive_seed, CrashInfo, Execution, Executor, InjectedSite, OutcomeKind, Session, WorkUnit,
 };
-use crate::space::FaultSpace;
+use crate::space::{FaultSpace, PruneStats};
 
 /// Every stock evaluation target.
 pub const STOCK_TARGETS: [&str; 5] = ["bind-lite", "git-lite", "db-lite", "bft-lite", "httpd-lite"];
@@ -315,13 +315,20 @@ impl StandardExecutor {
             space.annotate_analysis(name, &reports);
             space.annotate_propagation(name, &controller.analyze_propagation(exe, &reports));
         }
-        let stats = space.static_prune();
+        self.record_analysis(space.static_prune());
+        space
+    }
+
+    /// Add one analysis pass's prune counts to the executor's telemetry
+    /// (`analysis_sites_*`). [`fault_space`](Self::fault_space) records
+    /// its own pass; a process that takes an annotated space from another
+    /// records that space's counts here, so its metrics read the same.
+    pub fn record_analysis(&self, stats: PruneStats) {
         self.metrics.analysis_sites_total.add(stats.total as u64);
         self.metrics.analysis_sites_pruned.add(stats.demoted as u64);
         self.metrics
             .analysis_sites_low_confidence
             .add(stats.low_confidence as u64);
-        space
     }
 
     /// The loaded session image of a target (built on first use).

@@ -6,15 +6,19 @@
 //! events out. Not usually run by hand — without a supervisor feeding
 //! leases on stdin it just waits.
 //!
-//! The supervisor also passes `--reached`, the baseline reachability of
-//! the space it built (one char per fault point: `1`, `0`, or `-` for an
-//! unannotated point), so the worker skips the baseline runs. Without it
-//! the worker runs them itself; the plan hash is the same either way.
+//! The supervisor also passes `--annotations-on-stdin`: the worker then
+//! enumerates the bare fault points (profile, call sites, `--retain`)
+//! and waits for its first stdin line, the supervisor's annotations of
+//! every point (analysis and baseline reachability, one five-char token
+//! per point), so it neither analyzes the space nor runs the baseline
+//! suite. If stdin closes first, or the annotations do not fit its
+//! points, it exits 1 without a `Hello`. Without the flag the worker
+//! builds the whole space itself; the plan hash is the same either way.
 //!
 //! ```text
 //! campaign_worker --target git-lite [--target ...]
 //!                 [--retain target:fn1,fn2]... [--baseline-seed N]
-//!                 [--preset table1] [--reached 1-0...]
+//!                 [--preset table1] [--annotations-on-stdin]
 //!                 --state-dir DIR
 //!                 [--strategy exhaustive|guided|adaptive|random:N]
 //!                 [--jobs N] [--seed N]
@@ -47,7 +51,7 @@ fn parse_args() -> Result<WorkerConfig, String> {
                     .parse()
                     .map_err(|_| "--baseline-seed needs an integer".to_string())?;
             }
-            "--reached" => config.reached = Some(value()?),
+            "--annotations-on-stdin" => config.annotations_on_stdin = true,
             "--strategy" => config.strategy = value()?,
             "--jobs" => {
                 config.jobs = value()?

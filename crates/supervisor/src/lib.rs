@@ -9,10 +9,10 @@
 //! formats:
 //!
 //! * [`plan`] — [`SpaceSpec`], the portable fault-space description
-//!   supervisor and workers must agree on (plan-hash handshake), and the
-//!   text form of the space's baseline reachability, which the
-//!   supervisor computes once and ships to every worker so that no
-//!   worker re-runs the no-fault suite;
+//!   supervisor and workers must agree on (plan-hash handshake). The
+//!   supervisor builds the annotated space once, while its workers start,
+//!   and ships its annotations to every worker, so that no worker
+//!   analyzes the space or re-runs the no-fault suite;
 //! * [`protocol`] — [`WorkerMessage`], the worker→supervisor half of
 //!   the JSONL pipe protocol (the supervisor→worker half is
 //!   [`ControlMessage`](lfi_campaign::ControlMessage), and campaign

@@ -3,19 +3,21 @@
 //!
 //! A [`SpaceSpec`] is the portable description of one fault space —
 //! which targets to enumerate, which functions to keep per target, and
-//! the baseline-reachability seed. The supervisor builds the annotated
-//! space in-process (to size leases and pin the plan hash) and ships the
-//! same spec to each worker as command-line flags, together with the
-//! space's baseline reachability ([`encode_reached`]). The worker
-//! enumerates and analyzes the space itself but takes reachability from
-//! the supervisor instead of re-running the whole no-fault suite
-//! ([`SpaceSpec::build_with_reached`]), then echoes its plan hash back in
+//! the baseline-reachability seed. The supervisor ships the spec to each
+//! worker as command-line flags and builds the annotated space itself
+//! ([`SpaceSpec::build_with_annotations`]): the analysis, the static
+//! prune and the baseline runs happen once, in the supervisor, while its
+//! workers start. Each worker only enumerates the bare points
+//! ([`SpaceSpec::enumerate_bare`]: profile, call sites and `retain`) and
+//! takes every point's annotations from the supervisor's
+//! [`ControlMessage::Annotations`] line. The identity fields still come
+//! from the worker's own enumeration, and it echoes its plan hash back in
 //! the `Hello` handshake, so a supervisor and a worker that would
 //! enumerate different spaces fail loudly instead of merging nonsense.
 
 use lfi_campaign::{
-    CoverageAdaptive, Exhaustive, FaultSpace, InjectionGuided, RandomSample, StandardExecutor,
-    Strategy,
+    ControlMessage, CoverageAdaptive, Exhaustive, FaultSpace, InjectionGuided, PruneStats,
+    RandomSample, StandardExecutor, Strategy,
 };
 use lfi_targets::standard_controller;
 
@@ -80,34 +82,63 @@ impl SpaceSpec {
         space
     }
 
+    /// [`SpaceSpec::build`], plus the [`ControlMessage::Annotations`] that
+    /// turns a worker's [`SpaceSpec::enumerate_bare`] of the same spec into
+    /// this space. The message also carries the analysis pass's prune
+    /// counts, taken before `retain` as [`StandardExecutor::fault_space`]
+    /// records them, so a worker's metrics read the same either way.
+    pub fn build_with_annotations(
+        &self,
+        executor: &StandardExecutor,
+    ) -> (FaultSpace, ControlMessage) {
+        let (mut space, analysis) = self.analyzed(executor);
+        executor.annotate_baseline_reachability(&mut space, self.baseline_seed);
+        let message = ControlMessage::Annotations {
+            points: space.annotations(),
+            analysis,
+        };
+        (space, message)
+    }
+
     /// The spec's fault points before baseline annotation, which never
     /// adds or removes a point — so this also sizes the space without the
     /// baseline runs.
     pub fn enumerate(&self, executor: &StandardExecutor) -> FaultSpace {
+        self.analyzed(executor).0
+    }
+
+    /// [`SpaceSpec::enumerate`] and the prune counts of its analysis pass
+    /// over every enumerated point, `retain` not yet applied.
+    fn analyzed(&self, executor: &StandardExecutor) -> (FaultSpace, PruneStats) {
         let profile = standard_controller().profile_libraries();
         let mut space = executor.fault_space(&self.target_names(), &profile);
-        for (target, functions) in &self.retain {
-            space.retain(|p| p.target != *target || functions.contains(&p.function));
+        let analysis = space.prune_stats();
+        self.retain(&mut space);
+        (space, analysis)
+    }
+
+    /// The spec's fault points with no annotation at all: the profiled
+    /// call sites of each target, filtered by `retain`. Skips the analyzer
+    /// and the baseline runs; the points' identity fields equal
+    /// [`SpaceSpec::build`]'s, so applying that space's annotations
+    /// ([`FaultSpace::apply_annotations`]) yields it.
+    pub fn enumerate_bare(&self, executor: &StandardExecutor) -> FaultSpace {
+        let profile = standard_controller().profile_libraries();
+        let mut space = FaultSpace::new();
+        for name in &self.targets {
+            let exe = executor
+                .target(name)
+                .unwrap_or_else(|| panic!("unknown target {name}"));
+            space.add_target(name, exe, &profile);
         }
+        self.retain(&mut space);
         space
     }
 
-    /// [`SpaceSpec::enumerate`], annotated with the baseline reachability
-    /// another process computed for the same spec and shipped as
-    /// [`encode_reached`] text. Skips the baseline runs; the result equals
-    /// [`SpaceSpec::build`]'s when the text came from that space. Fails on
-    /// text of the wrong length or with an unknown char.
-    pub fn build_with_reached(
-        &self,
-        executor: &StandardExecutor,
-        reached: &str,
-    ) -> Result<FaultSpace, String> {
-        let mut space = self.enumerate(executor);
-        let bits = decode_reached(reached, space.len())?;
-        for (point, bit) in space.points.iter_mut().zip(bits) {
-            point.reached = bit;
+    fn retain(&self, space: &mut FaultSpace) {
+        for (target, functions) in &self.retain {
+            space.retain(|p| p.target != *target || functions.contains(&p.function));
         }
-        Ok(space)
     }
 
     /// The spec as worker command-line flags — the inverse of what the
@@ -142,45 +173,6 @@ impl SpaceSpec {
         }
         Ok((target.to_string(), functions))
     }
-}
-
-/// A space's baseline reachability as one char per point, in enumeration
-/// order: `1` reached, `0` unreached, `-` unannotated (bft-lite's cluster
-/// points). The supervisor passes it to every worker as `--reached`. At
-/// one byte per point, a space of more than 131,071 points would exceed
-/// Linux's 128 KiB limit on a single command-line argument.
-pub fn encode_reached(space: &FaultSpace) -> String {
-    space
-        .points
-        .iter()
-        .map(|point| match point.reached {
-            Some(true) => '1',
-            Some(false) => '0',
-            None => '-',
-        })
-        .collect()
-}
-
-/// The inverse of [`encode_reached`] for a space of `points` points.
-fn decode_reached(text: &str, points: usize) -> Result<Vec<Option<bool>>, String> {
-    let bits = text
-        .chars()
-        .map(|c| match c {
-            '1' => Ok(Some(true)),
-            '0' => Ok(Some(false)),
-            '-' => Ok(None),
-            other => Err(format!(
-                "--reached: unknown char {other:?} (expected 1, 0 or -)"
-            )),
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    if bits.len() != points {
-        return Err(format!(
-            "--reached: {} chars for a space of {points} fault points",
-            bits.len()
-        ));
-    }
-    Ok(bits)
 }
 
 impl Default for SpaceSpec {
@@ -253,29 +245,24 @@ mod tests {
     }
 
     #[test]
-    fn reached_text_round_trips_and_rejects_malformed_forms() {
-        let mut space = FaultSpace::new();
-        for reached in [Some(true), None, Some(false), Some(true)] {
-            space.points.push(lfi_campaign::FaultPoint {
-                reached,
-                ..Default::default()
-            });
-        }
-        let text = encode_reached(&space);
-        assert_eq!(text, "1-01");
-        let bits: Vec<_> = space.points.iter().map(|p| p.reached).collect();
-        assert_eq!(decode_reached(&text, 4).unwrap(), bits);
-        assert_eq!(decode_reached("", 0).unwrap(), vec![]);
+    fn a_bare_enumeration_with_the_shipped_annotations_is_the_built_space() {
+        let spec = SpaceSpec::table1();
+        let executor = StandardExecutor::new(&spec.target_names());
+        let (built, message) = spec.build_with_annotations(&executor);
+        assert_eq!(built.digest(), spec.build(&executor).digest());
+        let ControlMessage::Annotations { points, analysis } = message else {
+            panic!("expected annotations, got {message:?}");
+        };
+        // The hunt's prune rate, counted before `retain` drops bft-lite's
+        // unharnessed points, as `fault_space` records it.
+        assert_eq!((analysis.demoted, analysis.total), (42, 84));
+        assert_eq!(points.len(), built.len());
 
-        let short = decode_reached("1-0", 4).unwrap_err();
-        assert!(
-            short.contains("3 chars") && short.contains("4 fault points"),
-            "{short}"
-        );
-        assert!(decode_reached("1-011", 4).is_err());
-        let bad = decode_reached("1x01", 4).unwrap_err();
-        assert!(bad.contains("'x'"), "{bad}");
-        assert!(decode_reached("1é01", 4).is_err());
+        let worker = StandardExecutor::new(&spec.target_names());
+        let mut bare = spec.enumerate_bare(&worker);
+        assert_eq!(bare.len(), built.len());
+        bare.apply_annotations(&points).unwrap();
+        assert_eq!(bare.points, built.points);
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! The campaign supervisor: elastic workers under one scheduler.
 //!
-//! [`run_supervised`] builds the annotated fault space once, partitions
-//! it into small [`Lease`]s (much finer than a `--shard i/n` range),
-//! spawns `workers` worker processes, and drives them over the JSONL pipe
-//! protocol. Each worker gets the space's baseline reachability on its
-//! command line, so it enumerates and analyzes the space but does not
-//! re-run the no-fault suite before its `Hello`.
+//! [`run_supervised`] spawns `workers` worker processes first and builds
+//! the annotated fault space while they start: each worker compiles its
+//! targets and enumerates the bare fault points in the meantime. The
+//! supervisor then partitions the space into small [`Lease`]s (much finer
+//! than a `--shard i/n` range), sends every worker the space's
+//! annotations (analysis, static prune and baseline reachability, one
+//! [`ControlMessage::Annotations`] line, sent again right after the spawn
+//! of a restarted worker), and drives the workers over the JSONL pipe
+//! protocol. No worker analyzes the space or re-runs the no-fault suite
+//! before its `Hello`, so the `hello` phase overlaps the space build.
 //!
 //! * **Leasing** — each worker holds at most one lease. The supervisor
 //!   grants one on the worker's `Hello` and the next on each
 //!   `LeaseFinished`, so fast workers naturally drain more of the pool
-//!   and no lease ever waits queued behind a busy worker.
+//!   and no lease ever waits queued behind a busy worker. An exhaustive
+//!   lease writes its checkpoint once.
 //! * **Failure recovery** — a worker that dies (or stops talking past
 //!   the heartbeat timeout) has its lease reclaimed and its process
 //!   respawned. Lease checkpoints are keyed by *range*, so the next
@@ -21,14 +26,16 @@
 //!   worker's adaptive strategy then learns from the global campaign, not
 //!   just its own slice.
 //!
-//! When every lease is done the supervisor tells the workers to exit,
-//! reaps each as its stdout closes, and merges the per-lease checkpoint
-//! files with
+//! When every lease is done the supervisor tells the workers to exit and,
+//! while they do, merges the per-lease checkpoint files with
 //! [`CampaignReport::merge_leases`](lfi_campaign::CampaignReport) — for
 //! history-independent strategies the result is byte-identical to the
-//! unsharded run, kills included. Each phase (space build, spawn to
-//! `Hello`, grant to `LeaseFinished`, shutdown, merge) is a span in the
-//! outcome's metrics; [`PHASES`] names them.
+//! unsharded run, kills included. It then reaps each worker as its stdout
+//! closes. Every exit path, errors included (an empty space, a plan
+//! mismatch, a failed merge), reaps the workers before returning. Each
+//! phase (space build, spawn to `Hello`, grant to `LeaseFinished`,
+//! shutdown, merge) is a span in the outcome's metrics; [`PHASES`] names
+//! them.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fs::{self, File};
@@ -43,9 +50,9 @@ use lfi_campaign::{
     Campaign, CampaignEvent, CampaignReport, CampaignState, ControlMessage, CrashSignature,
     ExecBackend, Lease, LeaseOutcome, StandardExecutor,
 };
-use lfi_telemetry::{Counter, Histogram, LineFramer, MetricsSnapshot, Telemetry};
+use lfi_telemetry::{Counter, Histogram, LineFramer, MetricsSnapshot, Span, Telemetry};
 
-use crate::plan::{encode_reached, parse_strategy, SpaceSpec};
+use crate::plan::{parse_strategy, SpaceSpec};
 use crate::protocol::WorkerMessage;
 
 /// How long the shutdown phase waits for a worker to exit cleanly
@@ -55,8 +62,8 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 /// Configuration of one supervised campaign.
 #[derive(Debug, Clone)]
 pub struct SupervisorOptions {
-    /// The fault space, shipped to every worker as flags (with the
-    /// baseline reachability the supervisor computed for it).
+    /// The fault space, shipped to every worker as flags (and its
+    /// annotations, which the supervisor computes, on stdin).
     pub spec: SpaceSpec,
     /// Strategy name (see [`parse_strategy`]).
     pub strategy: String,
@@ -215,10 +222,11 @@ const LEASE_MICROS: &str = "supervisor.lease_micros";
 const SHUTDOWN_MICROS: &str = "supervisor.shutdown_micros";
 const MERGE_MICROS: &str = "supervisor.merge_micros";
 
-/// The supervisor's phase spans, in run order, each a microsecond
-/// histogram of its metrics: the space build, spawn to `Hello` per worker
-/// start, grant to `LeaseFinished` per completed lease, the shutdown, and
-/// the merge.
+/// The supervisor's phase spans, each a microsecond histogram of its
+/// metrics: the space build, spawn to `Hello` per worker start (which
+/// overlaps the build), grant to `LeaseFinished` per completed lease, the
+/// shutdown (`Shutdown` sent to the last worker reaped), and the merge,
+/// which runs inside the shutdown while the workers exit.
 pub const PHASES: [&str; 5] = [
     SPACE_BUILD_MICROS,
     HELLO_MICROS,
@@ -244,9 +252,9 @@ fn micros_since(start: Instant) -> u64 {
 
 struct Supervisor {
     options: SupervisorOptions,
-    /// The space's baseline reachability, passed to every worker spawned
-    /// (restarts included) as `--reached`.
-    reached: String,
+    /// The space's annotations as a control line, once built; sent to
+    /// every worker spawned (restarts included) as its first stdin line.
+    annotations: Option<String>,
     expected_plan: String,
     total_points: usize,
     total_units: usize,
@@ -267,6 +275,8 @@ struct Supervisor {
     merged_events: Option<File>,
     telemetry: Telemetry,
     counters: SupervisorCounters,
+    /// Open from the `Shutdown` request until the last worker is reaped.
+    shutdown_span: Option<Span>,
 }
 
 /// Run one supervised campaign to completion and merge the result.
@@ -293,43 +303,6 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
         merge_micros: telemetry.histogram(MERGE_MICROS),
     };
 
-    // Build the space in-process: it sizes the leases, pins the plan hash
-    // every worker must echo back, and gives the workers its reachability.
-    let space_build = telemetry.histogram(SPACE_BUILD_MICROS).start();
-    let (reached, expected_plan, total_points, total_units, slots) = {
-        let executor = StandardExecutor::new(&options.spec.target_names());
-        let space = options.spec.build(&executor);
-        let reached = encode_reached(&space);
-        let probe = Campaign::builder(space, &executor)
-            .seed(options.seed)
-            .build();
-        let campaign = probe.campaign();
-        let total_points = campaign.space().len();
-        if total_points == 0 {
-            return Err("the fault space is empty; nothing to lease".to_string());
-        }
-        let mut slots = Vec::new();
-        let mut start = 0;
-        while start < total_points {
-            let end = (start + options.lease_points).min(total_points);
-            slots.push(LeaseSlot {
-                start,
-                end,
-                units: campaign.lease_units(Lease { id: 0, start, end }),
-                state: SlotState::Pending,
-            });
-            start = end;
-        }
-        (
-            reached,
-            format!("{:016x}", campaign.plan_hash()),
-            total_points,
-            campaign.total_units(),
-            slots,
-        )
-    };
-    space_build.finish();
-
     let merged_events = match &options.events_jsonl {
         Some(path) => Some(
             File::create(path)
@@ -339,15 +312,14 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
     };
 
     let (tx, rx) = mpsc::channel();
-    let pending = (0..slots.len()).collect();
     let mut supervisor = Supervisor {
         options: options.clone(),
-        reached,
-        expected_plan,
-        total_points,
-        total_units,
-        slots,
-        pending,
+        annotations: None,
+        expected_plan: String::new(),
+        total_points: 0,
+        total_units: 0,
+        slots: Vec::new(),
+        pending: VecDeque::new(),
         next_grant: 1,
         workers: Vec::new(),
         tx,
@@ -363,12 +335,22 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
         merged_events,
         telemetry,
         counters,
+        shutdown_span: None,
     };
-    supervisor.run()
+    // Whatever `run` returns, no worker outlives this call.
+    let merged = supervisor.run();
+    supervisor.reap();
+    let (report, plan_tag) = merged?;
+    // After the reap, so the shutdown span is in the snapshot.
+    Ok(supervisor.outcome(report, plan_tag))
 }
 
 impl Supervisor {
-    fn run(&mut self) -> Result<SupervisedOutcome, String> {
+    /// Spawn, build, lease until every slot is done, ask the workers to
+    /// exit, and merge while they do. The caller reaps the workers.
+    fn run(&mut self) -> Result<(CampaignReport, String), String> {
+        // Workers start first: each compiles its targets and enumerates
+        // its bare points while the space is built here.
         for index in 0..self.options.workers {
             self.workers.push(WorkerSlot {
                 child: None,
@@ -382,6 +364,7 @@ impl Supervisor {
             });
             self.spawn_worker(index)?;
         }
+        self.build_space()?;
 
         while !self.all_done() {
             match self.rx.recv_timeout(Duration::from_millis(25)) {
@@ -402,8 +385,50 @@ impl Supervisor {
             self.tick()?;
         }
 
-        self.shutdown();
+        // The merge needs only the checkpoint files, so it runs while the
+        // workers exit.
+        self.request_shutdown();
         self.merge()
+    }
+
+    /// Build the annotated space: it sizes the leases, pins the plan hash
+    /// every worker must echo back, and gives the workers their
+    /// annotations, sent here to every worker already spawned.
+    fn build_space(&mut self) -> Result<(), String> {
+        let span = self.telemetry.histogram(SPACE_BUILD_MICROS).start();
+        let executor = StandardExecutor::new(&self.options.spec.target_names());
+        let (space, annotations) = self.options.spec.build_with_annotations(&executor);
+        let probe = Campaign::builder(space, &executor)
+            .seed(self.options.seed)
+            .build();
+        let campaign = probe.campaign();
+        let total_points = campaign.space().len();
+        if total_points == 0 {
+            return Err("the fault space is empty; nothing to lease".to_string());
+        }
+        let mut start = 0;
+        while start < total_points {
+            let end = (start + self.options.lease_points).min(total_points);
+            self.slots.push(LeaseSlot {
+                start,
+                end,
+                units: campaign.lease_units(Lease { id: 0, start, end }),
+                state: SlotState::Pending,
+            });
+            start = end;
+        }
+        self.pending = (0..self.slots.len()).collect();
+        self.expected_plan = format!("{:016x}", campaign.plan_hash());
+        self.total_points = total_points;
+        self.total_units = campaign.total_units();
+        span.finish();
+
+        let line = annotations.to_json_line();
+        for worker in 0..self.workers.len() {
+            self.send_line(worker, &line);
+        }
+        self.annotations = Some(line);
+        Ok(())
     }
 
     fn all_done(&self) -> bool {
@@ -414,8 +439,7 @@ impl Supervisor {
         let options = &self.options;
         let mut child = Command::new(&options.worker_bin)
             .args(options.spec.to_args())
-            .arg("--reached")
-            .arg(&self.reached)
+            .arg("--annotations-on-stdin")
             .arg("--strategy")
             .arg(&options.strategy)
             .arg("--jobs")
@@ -445,6 +469,11 @@ impl Supervisor {
         let generation = slot.generation;
         let tx = self.tx.clone();
         thread::spawn(move || read_worker_lines(index, generation, stdout, tx));
+        // A restart after the build gets the annotations at once; the
+        // first workers get them when the build ends.
+        if let Some(line) = self.annotations.clone() {
+            self.send_line(index, &line);
+        }
         Ok(())
     }
 
@@ -650,25 +679,40 @@ impl Supervisor {
     /// Write one control line to a worker. A broken pipe is ignored: the
     /// EOF path handles the death and reclaims the worker's lease.
     fn send_control(&mut self, worker: usize, message: &ControlMessage) {
+        self.send_line(worker, &message.to_json_line());
+    }
+
+    /// [`send_control`](Self::send_control) for an encoded line.
+    fn send_line(&mut self, worker: usize, line: &str) {
         if let Some(stdin) = &mut self.workers[worker].stdin {
-            let _ = writeln!(stdin, "{}", message.to_json_line()).and_then(|()| stdin.flush());
+            let _ = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
         }
     }
 
-    /// Ask every live worker to exit, then reap each one as its reader
-    /// thread reports stdout's `Eof`. A worker holds stdout open until it
-    /// exits, so the `wait` after an `Eof` returns at once. Whatever is
-    /// still running at the grace deadline is killed.
-    fn shutdown(&mut self) {
-        let _span = self.counters.shutdown_micros.start();
+    /// Ask every live worker to exit: a `Shutdown` line, then its stdin
+    /// closed, which EOFs the worker even if the line was lost. Opens the
+    /// shutdown span, which [`reap`](Self::reap) closes.
+    fn request_shutdown(&mut self) {
+        self.shutdown_span = Some(self.counters.shutdown_micros.start());
         self.shutting_down = true;
         for worker in 0..self.workers.len() {
             if self.workers[worker].alive {
                 self.send_control(worker, &ControlMessage::Shutdown);
             }
-            // Dropping stdin EOFs the worker even if the shutdown line
-            // was lost.
             self.workers[worker].stdin = None;
+        }
+    }
+
+    /// Close every worker's stdin and reap each one as its reader thread
+    /// reports stdout's `Eof`. A worker holds stdout open until it exits,
+    /// so the `wait` after an `Eof` returns at once. Whatever is still
+    /// running at the grace deadline is killed. Runs on every exit path of
+    /// [`run_supervised`]; a worker still waiting for its annotations
+    /// exits on the EOF.
+    fn reap(&mut self) {
+        self.shutting_down = true;
+        for worker in &mut self.workers {
+            worker.stdin = None;
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
         while self.workers.iter().any(|w| w.child.is_some()) {
@@ -694,9 +738,13 @@ impl Supervisor {
             }
             worker.alive = false;
         }
+        if let Some(span) = self.shutdown_span.take() {
+            span.finish();
+        }
     }
 
-    fn merge(&mut self) -> Result<SupervisedOutcome, String> {
+    /// Merge the lease checkpoints: the report and the plan tag.
+    fn merge(&self) -> Result<(CampaignReport, String), String> {
         let span = self.counters.merge_micros.start();
         let mut outcomes = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
@@ -719,7 +767,11 @@ impl Supervisor {
         let report = CampaignReport::merge_leases(outcomes, self.total_points)
             .map_err(|err| format!("merge leases: {err}"))?;
         span.finish();
-        Ok(SupervisedOutcome {
+        Ok((report, plan_tag))
+    }
+
+    fn outcome(&self, report: CampaignReport, plan_tag: String) -> SupervisedOutcome {
+        SupervisedOutcome {
             report,
             plan_tag,
             total_points: self.total_points,
@@ -733,7 +785,7 @@ impl Supervisor {
             re_executed_units: self.re_executed,
             killed_in_flight_units: self.killed_in_flight,
             metrics: self.telemetry.snapshot(),
-        })
+        }
     }
 }
 

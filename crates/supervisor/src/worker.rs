@@ -1,22 +1,29 @@
 //! The campaign worker: one supervised process that runs leases.
 //!
 //! The `campaign_worker` bin wraps [`run_worker`]. A worker builds its
-//! executor and fault space once: it enumerates and analyzes the space
-//! itself, and takes baseline reachability from the supervisor's
-//! `--reached` text when given one instead of running the no-fault suite
-//! (a worker started by hand, without it, builds the whole space). It
-//! then announces itself with a [`WorkerMessage::Hello`] (plan-hash
-//! handshake, which covers the reachability it applied) and serves leases
-//! from stdin until it is told to shut down (or its stdin closes — a
-//! dead supervisor means exit, not orphaned work):
+//! executor and fault space once. Started by a supervisor (with
+//! [`WorkerConfig::annotations_on_stdin`]), it enumerates the bare points
+//! ([`SpaceSpec::enumerate_bare`]) while the supervisor builds the
+//! annotated space, then blocks on its first stdin line: the
+//! supervisor's [`ControlMessage::Annotations`], which supplies every
+//! point's analysis and baseline reachability, so the worker neither
+//! analyzes nor runs the no-fault suite. Stdin closing before that line
+//! arrives, or a line that does not fit the space, is an error exit
+//! without a `Hello`. A worker started without the flag (by hand, or by
+//! a handshake probe) builds the whole space itself. It then announces
+//! itself with a [`WorkerMessage::Hello`] (plan-hash handshake, which
+//! covers the annotations it applied) and serves leases from stdin until
+//! it is told to shut down (or its stdin closes — a dead supervisor means
+//! exit, not orphaned work):
 //!
 //! * [`ControlMessage::Lease`] runs a range as soon as it arrives, as
 //!   its own campaign run confined to the range, checkpointed to
-//!   `state_dir/lease_{start}_{end}.json`. The supervisor grants the
-//!   next lease only after this one's `LeaseFinished`, so a worker never
-//!   holds more than one. The checkpoint tag is keyed by the range, so a
-//!   lease reassigned from a dead sibling resumes that sibling's file
-//!   instead of restarting.
+//!   `state_dir/lease_{start}_{end}.json`: an exhaustive lease is one
+//!   batch, so it writes its checkpoint once, sealed. The supervisor
+//!   grants the next lease only after this one's `LeaseFinished`, so a
+//!   worker never holds more than one. The checkpoint tag is keyed by the
+//!   range, so a lease reassigned from a dead sibling resumes that
+//!   sibling's file instead of restarting.
 //! * [`ControlMessage::SignatureBroadcast`] accumulates crash
 //!   signatures first seen by sibling workers; every subsequent lease
 //!   run is seeded with them, so an adaptive strategy escalates globally
@@ -34,7 +41,8 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use lfi_campaign::{
-    Campaign, CampaignEvent, ControlMessage, CrashSignature, ExecBackend, StandardExecutor,
+    Campaign, CampaignEvent, ControlMessage, CrashSignature, ExecBackend, FaultSpace,
+    StandardExecutor,
 };
 
 use crate::plan::{parse_strategy, SpaceSpec};
@@ -46,10 +54,11 @@ use crate::protocol::WorkerMessage;
 pub struct WorkerConfig {
     /// The fault space to enumerate (must match the supervisor's).
     pub spec: SpaceSpec,
-    /// The space's baseline reachability, computed by the supervisor
-    /// ([`encode_reached`](crate::plan::encode_reached)). `None` runs the
-    /// baseline suite here instead ([`SpaceSpec::build`]).
-    pub reached: Option<String>,
+    /// Take the space's annotations from the first stdin line (the
+    /// supervisor's [`ControlMessage::Annotations`]) instead of analyzing
+    /// the space and running the baseline suite here
+    /// ([`SpaceSpec::build`]).
+    pub annotations_on_stdin: bool,
     /// Strategy name (see [`parse_strategy`]).
     pub strategy: String,
     /// Worker threads per lease run.
@@ -69,7 +78,7 @@ impl WorkerConfig {
     pub fn new(spec: SpaceSpec, state_dir: impl Into<PathBuf>) -> WorkerConfig {
         WorkerConfig {
             spec,
-            reached: None,
+            annotations_on_stdin: false,
             strategy: "exhaustive".to_string(),
             jobs: 1,
             seed: 7,
@@ -86,18 +95,54 @@ fn send(stdout: &Mutex<io::Stdout>, message: &WorkerMessage) -> Result<(), Strin
         .map_err(|err| format!("worker stdout closed: {err}"))
 }
 
+/// The bare space annotated from the first stdin line, which must be the
+/// supervisor's [`ControlMessage::Annotations`] for exactly these points;
+/// the analysis counts it carries become the executor's own.
+fn annotate_from_stdin(
+    mut space: FaultSpace,
+    executor: &StandardExecutor,
+) -> Result<FaultSpace, String> {
+    let mut line = String::new();
+    while line.trim().is_empty() {
+        line.clear();
+        let read = io::stdin()
+            .lock()
+            .read_line(&mut line)
+            .map_err(|err| format!("read annotations from stdin: {err}"))?;
+        if read == 0 {
+            return Err("stdin closed before the supervisor's annotations arrived".to_string());
+        }
+    }
+    match ControlMessage::from_json_line(line.trim()) {
+        Ok(ControlMessage::Annotations { points, analysis }) => {
+            space.apply_annotations(&points)?;
+            executor.record_analysis(analysis);
+            Ok(space)
+        }
+        Ok(other) => Err(format!(
+            "expected the space's annotations first, got {}",
+            other.to_json_line()
+        )),
+        Err(err) => Err(format!("undecodable annotations line: {err}")),
+    }
+}
+
 /// Serve leases until shutdown. Returns `Err` on a broken environment
-/// (unbuildable space, reachability text that does not fit it, unwritable
-/// state dir, closed stdout) — never on ordinary campaign outcomes.
+/// (unbuildable space, annotations that are missing or do not fit it,
+/// unwritable state dir, closed stdout) — never on ordinary campaign
+/// outcomes.
 pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
     parse_strategy(&config.strategy, config.seed)?;
     fs::create_dir_all(&config.state_dir)
         .map_err(|err| format!("create state dir {}: {err}", config.state_dir.display()))?;
 
     let executor = StandardExecutor::new(&config.spec.target_names());
-    let space = match &config.reached {
-        Some(reached) => config.spec.build_with_reached(&executor, reached)?,
-        None => config.spec.build(&executor),
+    let space = if config.annotations_on_stdin {
+        // Enumerate before blocking on stdin: the supervisor is building
+        // the annotations meanwhile.
+        annotate_from_stdin(config.spec.enumerate_bare(&executor), &executor)?
+    } else {
+        config.spec.build(&executor)
     };
     let stdout = Arc::new(Mutex::new(io::stdout()));
 
@@ -147,6 +192,10 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
             ControlMessage::Lease(lease) => lease,
             ControlMessage::SignatureBroadcast(signature) => {
                 signatures.push(signature);
+                continue;
+            }
+            ControlMessage::Annotations { .. } => {
+                eprintln!("campaign_worker: ignoring annotations after the handshake");
                 continue;
             }
             ControlMessage::Shutdown => break,
