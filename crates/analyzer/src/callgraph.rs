@@ -79,11 +79,6 @@ impl CallGraph {
             .unwrap_or(&[])
     }
 
-    /// Function names that have at least one known call site.
-    pub fn called_functions(&self) -> impl Iterator<Item = &str> {
-        self.callers.keys().map(|s| s.as_str())
-    }
-
     /// Total number of edges in the graph.
     pub fn edge_count(&self) -> usize {
         self.callers.values().map(|v| v.len()).sum()

@@ -11,7 +11,7 @@
 //! the diff is stable across unrelated code motion that only shifts offsets.
 
 use lfi_arch::Word;
-use lfi_json::{JsonError, Value};
+use lfi_json::{invalid, str_field, JsonError, Value};
 
 use crate::callsite::{CallSiteClass, CallSiteReport};
 use crate::propagation::{PropagationReport, PropagationVerdict};
@@ -156,18 +156,8 @@ impl TargetFindings {
 
     /// Parse a findings document back from its JSON form.
     pub fn from_json(text: &str) -> Result<TargetFindings, JsonError> {
-        fn invalid(message: impl Into<String>) -> JsonError {
-            JsonError {
-                position: 0,
-                message: message.into(),
-            }
-        }
         let doc = lfi_json::parse(text)?;
-        let target = doc
-            .get("target")
-            .and_then(Value::as_str)
-            .ok_or_else(|| invalid("missing string field `target`"))?
-            .to_string();
+        let target = str_field(&doc, "target")?;
         let raw_sites = doc
             .get("sites")
             .and_then(Value::as_arr)

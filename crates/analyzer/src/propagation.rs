@@ -96,16 +96,6 @@ pub struct PropagationReport {
     pub findings: Vec<PropagationFinding>,
 }
 
-impl PropagationReport {
-    /// Findings with a given verdict.
-    pub fn with_verdict(
-        &self,
-        verdict: PropagationVerdict,
-    ) -> impl Iterator<Item = &PropagationFinding> {
-        self.findings.iter().filter(move |f| f.verdict == verdict)
-    }
-}
-
 /// How one *caller* treats a value forwarded to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Disposition {

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use lfi_arch::{Cond, Insn, Reg, Word, INSN_SIZE};
-use lfi_obj::{DataReloc, Export, LineEntry, Module, ModuleKind, SymKind, SymRef};
+use lfi_obj::{Export, LineEntry, Module, ModuleKind, SymKind, SymRef};
 
 /// Errors reported by [`AsmBuilder::finish`] or by individual emit calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +60,6 @@ pub struct AsmBuilder {
     data: Vec<u8>,
     bss_size: u64,
     exports: Vec<Export>,
-    data_relocs: Vec<DataReloc>,
     files: Vec<String>,
     line_table: Vec<LineEntry>,
     current_file: Option<u32>,
@@ -82,7 +81,6 @@ impl AsmBuilder {
             data: Vec::new(),
             bss_size: 0,
             exports: Vec::new(),
-            data_relocs: Vec::new(),
             files: Vec::new(),
             line_table: Vec::new(),
             current_file: None,
@@ -113,20 +111,9 @@ impl AsmBuilder {
         self
     }
 
-    /// Whether a label with this name has been bound already.
-    pub fn is_bound(&self, label: &str) -> bool {
-        self.labels.contains_key(label)
-    }
-
     /// Append a raw instruction.
     pub fn emit(&mut self, insn: Insn) -> &mut Self {
         self.insns.push(insn);
-        self
-    }
-
-    /// Append several raw instructions.
-    pub fn emit_all(&mut self, insns: impl IntoIterator<Item = Insn>) -> &mut Self {
-        self.insns.extend(insns);
         self
     }
 
@@ -284,13 +271,6 @@ impl AsmBuilder {
         self
     }
 
-    /// Record that the 8-byte word at `data_offset` must be patched with the
-    /// absolute address of a symbol at load time.
-    pub fn data_reloc(&mut self, data_offset: u64, name: impl Into<String>, kind: SymKind) {
-        let sym = self.symref(name, kind);
-        self.data_relocs.push(DataReloc { data_offset, sym });
-    }
-
     /// Switch the current source file for subsequent [`AsmBuilder::mark_line`] calls.
     pub fn set_file(&mut self, path: impl Into<String>) -> &mut Self {
         let path = path.into();
@@ -383,7 +363,7 @@ impl AsmBuilder {
             bss_size: self.bss_size,
             symrefs: self.symrefs,
             exports: self.exports,
-            data_relocs: self.data_relocs,
+            data_relocs: Vec::new(),
             files: self.files,
             line_table: self.line_table,
         };

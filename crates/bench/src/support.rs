@@ -1,6 +1,6 @@
 //! Shared plumbing for the experiment harnesses.
 
-use lfi_core::{Controller, Scenario, TestConfig, TestReport, Workload};
+use lfi_core::Scenario;
 use lfi_obj::Module;
 use lfi_profiler::FaultProfile;
 
@@ -10,19 +10,6 @@ use lfi_profiler::FaultProfile;
 /// experiment harnesses.
 pub fn default_test_suite(target: &str) -> Vec<Vec<String>> {
     lfi_campaign::default_test_suite(target)
-}
-
-/// Run a target with a custom workload object on a pre-built controller.
-pub fn run_with_controller(
-    controller: &Controller,
-    exe: &Module,
-    scenario: &Scenario,
-    workload: &mut dyn Workload,
-    config: &TestConfig,
-) -> TestReport {
-    controller
-        .run_test(exe, scenario, workload, config)
-        .expect("test run")
 }
 
 /// Build a one-site injection scenario: a call-stack trigger pinned to the

@@ -10,11 +10,11 @@
 //! Its [`Lease`] grants are the [`crate::lease`] partition type.
 
 use lfi_analyzer::{CallSiteClass, PropagationVerdict};
-use lfi_json::{JsonError, Value};
+use lfi_json::{int_field, invalid, str_field, JsonError, Value};
 
 use crate::lease::Lease;
 use crate::space::{PointAnnotations, PruneStats};
-use crate::state::{int_field, invalid, opt_str_field, str_field};
+use crate::state::opt_str_field;
 use crate::triage::CrashSignature;
 
 /// A message from the supervisor to one worker.

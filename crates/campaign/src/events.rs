@@ -43,12 +43,12 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use lfi_json::{JsonError, Value};
+use lfi_json::{int_field, invalid, str_field, JsonError, Value};
 use lfi_telemetry::MetricsSnapshot;
 
 use crate::engine::RunRecord;
 use crate::lease::{format_range, parse_range};
-use crate::state::{int_field, invalid, opt_str_field, record_from_value, record_to_value};
+use crate::state::{opt_str_field, record_from_value, record_to_value};
 use crate::triage::CrashSignature;
 
 /// One progress event of a running campaign.
@@ -264,8 +264,8 @@ impl CampaignEvent {
             }),
             "unit_started" => Ok(CampaignEvent::UnitStarted {
                 unit: int_field(value, "unit")? as usize,
-                target: crate::state::str_field(value, "target")?,
-                function: crate::state::str_field(value, "function")?,
+                target: str_field(value, "target")?,
+                function: str_field(value, "function")?,
                 offset: int_field(value, "offset")? as u64,
             }),
             "unit_finished" => Ok(CampaignEvent::UnitFinished {
@@ -277,14 +277,14 @@ impl CampaignEvent {
                 duration_micros: int_field(value, "duration_micros")? as u64,
             }),
             "crash_found" => Ok(CampaignEvent::CrashFound(CrashSignature {
-                target: crate::state::str_field(value, "target")?,
-                function: crate::state::str_field(value, "function")?,
-                module: crate::state::str_field(value, "module")?,
+                target: str_field(value, "target")?,
+                function: str_field(value, "function")?,
+                module: str_field(value, "module")?,
                 offset: int_field(value, "offset")? as u64,
                 frame: opt_str_field(value, "frame"),
             })),
             "checkpoint_written" => Ok(CampaignEvent::CheckpointWritten {
-                path: PathBuf::from(crate::state::str_field(value, "path")?),
+                path: PathBuf::from(str_field(value, "path")?),
                 completed: int_field(value, "completed")? as usize,
                 batch_duration_micros: int_field(value, "batch_duration_micros")? as u64,
             }),
@@ -326,7 +326,7 @@ fn range_to_value(range: &Range<usize>) -> Value {
 }
 
 fn range_field(value: &Value) -> Result<Range<usize>, JsonError> {
-    let text = crate::state::str_field(value, "shard")?;
+    let text = str_field(value, "shard")?;
     let (start, end) =
         parse_range(&text).ok_or_else(|| invalid(format!("invalid point range `{text}`")))?;
     Ok(start..end)

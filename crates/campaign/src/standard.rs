@@ -27,9 +27,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use lfi_core::{
-    Controller, InjectionEngine, InjectionLog, TestConfig, TestOutcome, TestReport, Workload,
-};
+use lfi_core::{Controller, InjectionEngine, InjectionLog, TestConfig, TestReport, Workload};
 use lfi_obj::Module;
 use lfi_profiler::FaultProfile;
 use lfi_targets::{
@@ -541,22 +539,25 @@ impl StandardExecutor {
             unit.seed,
             self.max_instructions,
         );
-        let outcome = match report.outcome {
-            TestOutcome::Passed => OutcomeKind::Passed,
-            TestOutcome::CleanFailure(code) => OutcomeKind::CleanFailure(code),
-            TestOutcome::Crashed(_) => OutcomeKind::Crashed,
-            TestOutcome::Hung => OutcomeKind::Hung,
-        };
+        let (outcome, crashes) = self.classify(&report.exit);
         Execution {
             outcome,
             injections: report.injections.injection_count() as u64,
             injected_sites: self.injected_sites([&report.injections], &unit.point.function),
-            crashes: report
-                .fault
-                .as_ref()
-                .map(|f| vec![self.crash_info(f)])
-                .unwrap_or_default(),
+            crashes,
             virtual_time: report.virtual_time,
+        }
+    }
+
+    /// A single-process run's outcome and crash from how it exited, the
+    /// same for fresh and forked runs. A pause can only come from a pause
+    /// handler, which no unit run installs; it counts as a hang.
+    fn classify(&self, exit: &RunExit) -> (OutcomeKind, Vec<CrashInfo>) {
+        match exit {
+            RunExit::Exited(0) => (OutcomeKind::Passed, Vec::new()),
+            RunExit::Exited(code) => (OutcomeKind::CleanFailure(*code), Vec::new()),
+            RunExit::Fault(fault) => (OutcomeKind::Crashed, vec![self.crash_info(fault)]),
+            RunExit::Blocked | RunExit::Budget | RunExit::Paused => (OutcomeKind::Hung, Vec::new()),
         }
     }
 
@@ -637,13 +638,7 @@ impl Executor for StandardExecutor {
         let mut engine =
             InjectionEngine::new(unit.scenario.clone()).expect("unit scenario must compile");
         engine.trigger_eval_cost = TestConfig::default().trigger_eval_cost;
-        let exit = machine.run(&mut engine, budget_left);
-        let (outcome, crashes) = match &exit {
-            RunExit::Exited(0) => (OutcomeKind::Passed, Vec::new()),
-            RunExit::Exited(code) => (OutcomeKind::CleanFailure(*code), Vec::new()),
-            RunExit::Fault(fault) => (OutcomeKind::Crashed, vec![self.crash_info(fault)]),
-            RunExit::Blocked | RunExit::Budget | RunExit::Paused => (OutcomeKind::Hung, Vec::new()),
-        };
+        let (outcome, crashes) = self.classify(&machine.run(&mut engine, budget_left));
         Execution {
             outcome,
             injections: engine.log.injection_count() as u64,

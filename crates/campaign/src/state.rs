@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use lfi_json::{JsonError, Value};
+use lfi_json::{int_field, invalid, str_field, JsonError, Value};
 
 use crate::engine::{CrashInfo, InjectedSite, OutcomeKind, RunRecord};
 
@@ -141,28 +141,6 @@ impl CampaignState {
         }
         Ok(state)
     }
-}
-
-pub(crate) fn invalid(message: impl Into<String>) -> JsonError {
-    JsonError {
-        position: 0,
-        message: message.into(),
-    }
-}
-
-pub(crate) fn str_field(value: &Value, key: &str) -> Result<String, JsonError> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| invalid(format!("missing string field `{key}`")))
-}
-
-pub(crate) fn int_field(value: &Value, key: &str) -> Result<i64, JsonError> {
-    value
-        .get(key)
-        .and_then(Value::as_int)
-        .ok_or_else(|| invalid(format!("missing integer field `{key}`")))
 }
 
 pub(crate) fn opt_str_field(value: &Value, key: &str) -> Option<String> {

@@ -970,17 +970,6 @@ impl<'a> FuncGen<'a> {
     }
 }
 
-/// Convenience used by tests and benches: `(name, words)` pairs describing
-/// exported globals of a compiled module.
-pub fn exported_globals(module: &Module) -> Vec<(String, u64)> {
-    module
-        .exports
-        .iter()
-        .filter(|e| e.kind == SymKind::Data && !e.name.starts_with("__str_"))
-        .map(|e| (e.name.clone(), e.size / 8))
-        .collect()
-}
-
 #[allow(unused_imports)]
 #[cfg(test)]
 mod tests {

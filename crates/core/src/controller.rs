@@ -413,26 +413,6 @@ impl Controller {
             coverage: machine.coverage,
         })
     }
-
-    /// Run the same scenario repeatedly (different seeds) and report how many
-    /// runs crashed — the repetition loop behind Table 2's precision numbers.
-    pub fn run_repeated(
-        &self,
-        exe: &Module,
-        scenario: &Scenario,
-        make_workload: &mut dyn FnMut() -> Box<dyn Workload>,
-        config: &TestConfig,
-        runs: u64,
-    ) -> Result<Vec<TestReport>, ControllerError> {
-        let mut reports = Vec::with_capacity(runs as usize);
-        for i in 0..runs {
-            let mut run_config = config.clone();
-            run_config.seed = config.seed.wrapping_add(i);
-            let mut workload = make_workload();
-            reports.push(self.run_test(exe, scenario, workload.as_mut(), &run_config)?);
-        }
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]

@@ -206,6 +206,32 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A schema error in a document that parsed: a field is missing or has
+/// the wrong type. It carries no byte position (0).
+pub fn invalid(message: impl Into<String>) -> JsonError {
+    JsonError {
+        position: 0,
+        message: message.into(),
+    }
+}
+
+/// The string field `key` of an object.
+pub fn str_field(value: &Value, key: &str) -> Result<String, JsonError> {
+    value
+        .get(key)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| invalid(format!("missing string field `{key}`")))
+}
+
+/// The integer field `key` of an object.
+pub fn int_field(value: &Value, key: &str) -> Result<i64, JsonError> {
+    value
+        .get(key)
+        .and_then(Value::as_int)
+        .ok_or_else(|| invalid(format!("missing integer field `{key}`")))
+}
+
 /// Nesting bound for arrays/objects: recursive descent must not overflow
 /// the stack on corrupt or adversarial input.
 const MAX_DEPTH: usize = 128;

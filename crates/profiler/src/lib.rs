@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use lfi_arch::{CallConv, Insn, Reg, Word};
-use lfi_json::{JsonError, Value};
+use lfi_json::{invalid, str_field, JsonError, Value};
 use lfi_obj::{Module, SymKind};
 
 /// One way a function can fail: a return value and an optional errno.
@@ -143,18 +143,8 @@ impl FaultProfile {
 
     /// Parse a profile from its JSON form.
     pub fn from_json(text: &str) -> Result<FaultProfile, JsonError> {
-        fn invalid(message: impl Into<String>) -> JsonError {
-            JsonError {
-                position: 0,
-                message: message.into(),
-            }
-        }
         let doc = lfi_json::parse(text)?;
-        let library = doc
-            .get("library")
-            .and_then(Value::as_str)
-            .ok_or_else(|| invalid("missing string field `library`"))?
-            .to_string();
+        let library = str_field(&doc, "library")?;
         let Some(Value::Obj(members)) = doc.get("functions") else {
             return Err(invalid("missing object field `functions`"));
         };

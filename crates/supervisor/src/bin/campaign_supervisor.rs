@@ -121,10 +121,6 @@ fn summary_json(options: &SupervisorOptions, outcome: &SupervisedOutcome, lost: 
             Value::Int(outcome.worker_restarts as i64),
         ),
         (
-            "signatures_broadcast".to_string(),
-            Value::Int(outcome.signatures_broadcast as i64),
-        ),
-        (
             "re_executed_units".to_string(),
             Value::Int(outcome.re_executed_units as i64),
         ),
@@ -202,10 +198,7 @@ fn main() -> ExitCode {
         outcome.killed_in_flight_units,
         lost,
     );
-    println!(
-        "signatures: {} distinct ({} broadcast)",
-        outcome.distinct_signatures, outcome.signatures_broadcast,
-    );
+    println!("signatures: {} distinct", outcome.distinct_signatures);
     println!(
         "workers: {} restarts; leases: {} issued, {} expired",
         outcome.worker_restarts, outcome.leases_issued, outcome.leases_expired,

@@ -12,7 +12,7 @@
 //! surfaces, never silently drops framing over.
 
 use lfi_campaign::CampaignEvent;
-use lfi_json::{JsonError, Value};
+use lfi_json::{int_field, invalid, str_field, JsonError, Value};
 
 /// One line of worker stdout.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,28 +47,6 @@ pub enum WorkerMessage {
     /// One campaign event from the lease the worker is running,
     /// forwarded verbatim.
     Event(CampaignEvent),
-}
-
-fn invalid(message: impl Into<String>) -> JsonError {
-    JsonError {
-        position: 0,
-        message: message.into(),
-    }
-}
-
-fn int_field(value: &Value, name: &str) -> Result<i64, JsonError> {
-    value
-        .get(name)
-        .and_then(Value::as_int)
-        .ok_or_else(|| invalid(format!("missing integer field `{name}`")))
-}
-
-fn str_field(value: &Value, name: &str) -> Result<String, JsonError> {
-    value
-        .get(name)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| invalid(format!("missing string field `{name}`")))
 }
 
 impl WorkerMessage {

@@ -11,16 +11,25 @@
 //! protocol. No worker analyzes the space or re-runs the no-fault suite
 //! before its `Hello`, so the `hello` phase overlaps the space build.
 //!
-//! * **Leasing** — each worker holds at most one lease. The supervisor
-//!   grants one on the worker's `Hello` and the next on each
-//!   `LeaseFinished`, so fast workers naturally drain more of the pool
-//!   and no lease ever waits queued behind a busy worker. An exhaustive
-//!   lease writes its checkpoint once.
-//! * **Failure recovery** — a worker that dies (or stops talking past
-//!   the heartbeat timeout) has its lease reclaimed and its process
-//!   respawned. Lease checkpoints are keyed by *range*, so the next
-//!   holder resumes the dead worker's file: re-execution is bounded by
-//!   the units of the lease the dead worker held.
+//! * **Leasing** — each lease slot's state is the one record of where
+//!   that lease is: pending, granted to a worker, or done. Each worker
+//!   holds at most one lease. The supervisor grants the lowest pending
+//!   slot on the worker's `Hello` and on each `LeaseFinished`, so fast
+//!   workers naturally drain more of the pool and no lease ever waits
+//!   queued behind a busy worker. An exhaustive lease writes its
+//!   checkpoint once.
+//! * **Failure recovery** — a death is seen one of two ways: the
+//!   worker's stdout closes (a worker has no children, so its exit
+//!   always closes the pipe), or a lease holder stays silent past the
+//!   heartbeat timeout. Either way its lease goes back to pending and is
+//!   offered to the idle survivors, and the process is respawned while
+//!   the restart budget lasts. Lease checkpoints are keyed by *range*, so
+//!   the next holder resumes the dead worker's file: re-execution is
+//!   bounded by the units of the lease the dead worker held.
+//! * **Wake-ups** — the loop sleeps on its inbox (worker lines and
+//!   stdout EOFs, from one reader thread per worker) until the earliest
+//!   heartbeat deadline among lease holders, or without a deadline when
+//!   no worker holds a lease. There is no polling tick.
 //! * **Signature broadcast** — the first time any worker reports a crash
 //!   signature, the supervisor broadcasts it to every other worker; each
 //!   worker's adaptive strategy then learns from the global campaign, not
@@ -37,12 +46,12 @@
 //! shutdown, merge) is a span in the outcome's metrics; [`PHASES`] names
 //! them.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -54,6 +63,7 @@ use lfi_telemetry::{Counter, Histogram, LineFramer, MetricsSnapshot, Span, Telem
 
 use crate::plan::{parse_strategy, SpaceSpec};
 use crate::protocol::WorkerMessage;
+use crate::worker::lease_checkpoint;
 
 /// How long the shutdown phase waits for a worker to exit cleanly
 /// before killing it.
@@ -142,7 +152,8 @@ pub struct SupervisedOutcome {
     pub total_points: usize,
     /// Canonical units of the space.
     pub total_units: usize,
-    /// Distinct crash signatures observed live (first-seen broadcasts).
+    /// Distinct crash signatures observed live; each was broadcast to the
+    /// sibling workers when first seen.
     pub distinct_signatures: usize,
     /// Leases granted, initial assignment and reassignment included.
     pub leases_issued: u64,
@@ -153,8 +164,6 @@ pub struct SupervisedOutcome {
     pub leases_expired: u64,
     /// Worker processes respawned after a death or hang.
     pub worker_restarts: u64,
-    /// Distinct crash signatures broadcast to sibling workers.
-    pub signatures_broadcast: u64,
     /// Units that finished more than once (the re-execution cost of
     /// recovery; bounded by `killed_in_flight_units`).
     pub re_executed_units: usize,
@@ -191,17 +200,19 @@ struct LeaseSlot {
 }
 
 struct WorkerSlot {
+    /// The running process, `None` once it died or was reaped. Its
+    /// `stdin` is the control pipe; taking it closes the pipe.
     child: Option<Child>,
-    stdin: Option<ChildStdin>,
     /// Reader-thread generation: lines from a previous incarnation of
     /// this slot are discarded by generation mismatch.
     generation: u64,
+    /// The worker's last line, or its last grant if that came later: a
+    /// lease holder's silence is measured from here.
     last_seen: Instant,
     spawned_at: Instant,
     /// When the worker's current lease was granted.
     granted_at: Instant,
     greeted: bool,
-    alive: bool,
 }
 
 enum Inbox {
@@ -239,7 +250,6 @@ struct SupervisorCounters {
     leases_issued: Counter,
     leases_expired: Counter,
     worker_restarts: Counter,
-    signatures_broadcast: Counter,
     hello_micros: Histogram,
     lease_micros: Histogram,
     shutdown_micros: Histogram,
@@ -259,19 +269,15 @@ struct Supervisor {
     total_points: usize,
     total_units: usize,
     slots: Vec<LeaseSlot>,
-    pending: VecDeque<usize>,
     next_grant: u64,
     workers: Vec<WorkerSlot>,
     tx: Sender<Inbox>,
     rx: Receiver<Inbox>,
     seen_units: BTreeSet<usize>,
     signatures: BTreeSet<CrashSignature>,
-    units_done: usize,
     re_executed: usize,
     killed_in_flight: usize,
-    restarts_used: usize,
     chaos_armed: Option<usize>,
-    shutting_down: bool,
     merged_events: Option<File>,
     telemetry: Telemetry,
     counters: SupervisorCounters,
@@ -296,7 +302,6 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
         leases_issued: telemetry.counter("supervisor.leases_issued"),
         leases_expired: telemetry.counter("supervisor.leases_expired"),
         worker_restarts: telemetry.counter("supervisor.worker_restarts"),
-        signatures_broadcast: telemetry.counter("supervisor.signatures_broadcast"),
         hello_micros: telemetry.histogram(HELLO_MICROS),
         lease_micros: telemetry.histogram(LEASE_MICROS),
         shutdown_micros: telemetry.histogram(SHUTDOWN_MICROS),
@@ -319,19 +324,15 @@ pub fn run_supervised(options: &SupervisorOptions) -> Result<SupervisedOutcome, 
         total_points: 0,
         total_units: 0,
         slots: Vec::new(),
-        pending: VecDeque::new(),
         next_grant: 1,
         workers: Vec::new(),
         tx,
         rx,
         seen_units: BTreeSet::new(),
         signatures: BTreeSet::new(),
-        units_done: 0,
         re_executed: 0,
         killed_in_flight: 0,
-        restarts_used: 0,
         chaos_armed: options.chaos_kill_after_units,
-        shutting_down: false,
         merged_events,
         telemetry,
         counters,
@@ -354,35 +355,42 @@ impl Supervisor {
         for index in 0..self.options.workers {
             self.workers.push(WorkerSlot {
                 child: None,
-                stdin: None,
                 generation: 0,
                 last_seen: Instant::now(),
                 spawned_at: Instant::now(),
                 granted_at: Instant::now(),
                 greeted: false,
-                alive: false,
             });
             self.spawn_worker(index)?;
         }
         self.build_space()?;
 
         while !self.all_done() {
-            match self.rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(Inbox::Line {
+            // The supervisor holds its own sender, so the channel never
+            // disconnects: `None` is the heartbeat deadline passing.
+            let message = match self.next_deadline() {
+                Some(deadline) => self
+                    .rx
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .ok(),
+                None => self.rx.recv().ok(),
+            };
+            match message {
+                Some(Inbox::Line {
                     worker,
                     generation,
                     line,
                 }) => self.handle_line(worker, generation, &line)?,
-                Ok(Inbox::Eof { worker, generation }) => {
-                    if self.workers[worker].generation == generation {
-                        self.handle_death(worker, "stdout closed")?;
-                    }
+                Some(Inbox::Eof { worker, generation })
+                    if self.workers[worker].generation == generation =>
+                {
+                    self.handle_death(worker, "stdout closed")?;
                 }
-                // The supervisor holds its own sender, so the channel
-                // never disconnects; a timeout is just a tick.
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
+                Some(Inbox::Eof { .. }) | None => {}
             }
-            self.tick()?;
+            // After every message, not just on a timeout: a sibling that
+            // keeps streaming lines must not hide a silent lease holder.
+            self.expire_silent()?;
         }
 
         // The merge needs only the checkpoint files, so it runs while the
@@ -417,7 +425,6 @@ impl Supervisor {
             });
             start = end;
         }
-        self.pending = (0..self.slots.len()).collect();
         self.expected_plan = format!("{:016x}", campaign.plan_hash());
         self.total_points = total_points;
         self.total_units = campaign.total_units();
@@ -455,17 +462,14 @@ impl Supervisor {
             .stderr(Stdio::inherit())
             .spawn()
             .map_err(|err| format!("spawn worker {}: {err}", options.worker_bin.display()))?;
-        let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
 
         let slot = &mut self.workers[index];
         slot.generation += 1;
         slot.child = Some(child);
-        slot.stdin = Some(stdin);
         slot.last_seen = Instant::now();
         slot.spawned_at = slot.last_seen;
         slot.greeted = false;
-        slot.alive = true;
         let generation = slot.generation;
         let tx = self.tx.clone();
         thread::spawn(move || read_worker_lines(index, generation, stdout, tx));
@@ -478,7 +482,7 @@ impl Supervisor {
     }
 
     fn handle_line(&mut self, worker: usize, generation: u64, line: &str) -> Result<(), String> {
-        if self.workers[worker].generation != generation || !self.workers[worker].alive {
+        if self.workers[worker].generation != generation || self.workers[worker].child.is_none() {
             return Ok(());
         }
         self.workers[worker].last_seen = Instant::now();
@@ -529,7 +533,6 @@ impl Supervisor {
         }
         match event {
             CampaignEvent::UnitFinished { record, .. } => {
-                self.units_done += 1;
                 if !self.seen_units.insert(record.unit) {
                     self.re_executed += 1;
                 }
@@ -546,10 +549,9 @@ impl Supervisor {
     /// already knows it and suppresses re-announcement of seeded
     /// signatures, so the blanket send is idempotent).
     fn broadcast(&mut self, signature: &CrashSignature) {
-        self.counters.signatures_broadcast.inc();
         let message = ControlMessage::SignatureBroadcast(signature.clone());
         for worker in 0..self.workers.len() {
-            if self.workers[worker].alive && self.workers[worker].greeted {
+            if self.workers[worker].greeted {
                 self.send_control(worker, &message);
             }
         }
@@ -559,11 +561,10 @@ impl Supervisor {
         let Some(threshold) = self.chaos_armed else {
             return;
         };
-        if self.units_done < threshold {
+        if self.seen_units.len() + self.re_executed < threshold {
             return;
         }
-        let victim =
-            (0..self.workers.len()).find(|&w| self.workers[w].alive && self.lease_of(w).is_some());
+        let victim = (0..self.workers.len()).find(|&w| self.lease_of(w).is_some());
         let Some(victim) = victim else {
             // Nobody holds a lease right now; stay armed.
             return;
@@ -577,16 +578,15 @@ impl Supervisor {
         // accounting (reclaim, expire, restart) stays on one code path.
     }
 
+    /// Reclaim a dead or hung worker's lease and offer it to the idle
+    /// survivors, then respawn the worker while the restart budget lasts.
     fn handle_death(&mut self, worker: usize, why: &str) -> Result<(), String> {
-        if self.shutting_down || !self.workers[worker].alive {
+        // A hang kill is seen again as the killed worker's stdout EOF.
+        let Some(mut child) = self.workers[worker].child.take() else {
             return Ok(());
-        }
-        self.workers[worker].alive = false;
-        self.workers[worker].stdin = None;
-        if let Some(mut child) = self.workers[worker].child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        };
+        let _ = child.kill();
+        let _ = child.wait();
         eprintln!("supervisor: worker {worker} died ({why}); reclaiming its lease");
 
         if let Some(index) = self.lease_of(worker) {
@@ -595,18 +595,19 @@ impl Supervisor {
             // twice.
             self.killed_in_flight += self.slots[index].units;
             self.slots[index].state = SlotState::Pending;
-            self.pending.push_front(index);
             self.counters.leases_expired.inc();
+            for survivor in 0..self.workers.len() {
+                self.top_up(survivor);
+            }
         }
 
         if self.all_done() {
             return Ok(());
         }
-        if self.restarts_used < self.options.max_restarts {
-            self.restarts_used += 1;
+        if self.counters.worker_restarts.value() < self.options.max_restarts as u64 {
             self.counters.worker_restarts.inc();
             self.spawn_worker(worker)?;
-        } else if self.workers.iter().all(|w| !w.alive) {
+        } else if self.workers.iter().all(|w| w.child.is_none()) {
             return Err(format!(
                 "every worker is dead (restart budget {} exhausted) with {} leases unfinished",
                 self.options.max_restarts,
@@ -619,28 +620,33 @@ impl Supervisor {
         Ok(())
     }
 
-    fn tick(&mut self) -> Result<(), String> {
-        // Reap deaths the reader thread has not surfaced yet.
-        for worker in 0..self.workers.len() {
-            if !self.workers[worker].alive {
-                continue;
-            }
-            let exited = match &mut self.workers[worker].child {
-                Some(child) => child.try_wait().map(|s| s.is_some()).unwrap_or(true),
-                None => false,
-            };
-            if exited {
-                self.handle_death(worker, "process exited")?;
-                continue;
-            }
-            // Hang detection: a granted lease but no traffic.
-            let silent_for = self.workers[worker].last_seen.elapsed();
-            if self.lease_of(worker).is_some() && silent_for > self.options.heartbeat_timeout {
-                self.handle_death(worker, &format!("no heartbeat for {:.1?}", silent_for))?;
-            }
-        }
-        for worker in 0..self.workers.len() {
-            self.top_up(worker);
+    /// The workers holding a lease, in lease order.
+    fn holders(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().filter_map(|s| s.state.holder())
+    }
+
+    /// The earliest heartbeat deadline among lease holders, or `None`
+    /// when no worker holds a lease (or the timeout is unbounded).
+    fn next_deadline(&self) -> Option<Instant> {
+        self.holders()
+            .filter_map(|w| {
+                self.workers[w]
+                    .last_seen
+                    .checked_add(self.options.heartbeat_timeout)
+            })
+            .min()
+    }
+
+    /// Declare every lease holder silent past the heartbeat timeout hung.
+    fn expire_silent(&mut self) -> Result<(), String> {
+        let timeout = self.options.heartbeat_timeout;
+        let silent: Vec<(usize, Duration)> = self
+            .holders()
+            .map(|w| (w, self.workers[w].last_seen.elapsed()))
+            .filter(|&(_, silent_for)| silent_for >= timeout)
+            .collect();
+        for (worker, silent_for) in silent {
+            self.handle_death(worker, &format!("no heartbeat for {silent_for:.1?}"))?;
         }
         Ok(())
     }
@@ -652,21 +658,29 @@ impl Supervisor {
             .position(|s| s.state.holder() == Some(worker))
     }
 
-    /// Grant an idle, greeted `worker` the next pending lease.
+    /// Grant an idle, greeted `worker` the lowest pending lease. Leases
+    /// are first granted in slot order, so a reclaimed lease always comes
+    /// before every lease not yet granted.
     fn top_up(&mut self, worker: usize) {
-        if !self.workers[worker].alive
+        if self.workers[worker].child.is_none()
             || !self.workers[worker].greeted
             || self.lease_of(worker).is_some()
         {
             return;
         }
-        let Some(slot) = self.pending.pop_front() else {
+        let Some(slot) = self
+            .slots
+            .iter()
+            .position(|s| s.state == SlotState::Pending)
+        else {
             return;
         };
         let grant = self.next_grant;
         self.next_grant += 1;
         self.slots[slot].state = SlotState::Granted { worker, grant };
-        self.workers[worker].granted_at = Instant::now();
+        let now = Instant::now();
+        self.workers[worker].granted_at = now;
+        self.workers[worker].last_seen = now;
         let lease = Lease {
             id: grant,
             start: self.slots[slot].start,
@@ -684,7 +698,8 @@ impl Supervisor {
 
     /// [`send_control`](Self::send_control) for an encoded line.
     fn send_line(&mut self, worker: usize, line: &str) {
-        if let Some(stdin) = &mut self.workers[worker].stdin {
+        let child = self.workers[worker].child.as_mut();
+        if let Some(stdin) = child.and_then(|child| child.stdin.as_mut()) {
             let _ = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
         }
     }
@@ -694,12 +709,11 @@ impl Supervisor {
     /// shutdown span, which [`reap`](Self::reap) closes.
     fn request_shutdown(&mut self) {
         self.shutdown_span = Some(self.counters.shutdown_micros.start());
-        self.shutting_down = true;
         for worker in 0..self.workers.len() {
-            if self.workers[worker].alive {
-                self.send_control(worker, &ControlMessage::Shutdown);
+            self.send_control(worker, &ControlMessage::Shutdown);
+            if let Some(child) = &mut self.workers[worker].child {
+                child.stdin.take();
             }
-            self.workers[worker].stdin = None;
         }
     }
 
@@ -710,9 +724,8 @@ impl Supervisor {
     /// [`run_supervised`]; a worker still waiting for its annotations
     /// exits on the EOF.
     fn reap(&mut self) {
-        self.shutting_down = true;
-        for worker in &mut self.workers {
-            worker.stdin = None;
+        for child in self.workers.iter_mut().filter_map(|w| w.child.as_mut()) {
+            child.stdin.take();
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
         while self.workers.iter().any(|w| w.child.is_some()) {
@@ -736,7 +749,6 @@ impl Supervisor {
                 let _ = child.kill();
                 let _ = child.wait();
             }
-            worker.alive = false;
         }
         if let Some(span) = self.shutdown_span.take() {
             span.finish();
@@ -748,10 +760,7 @@ impl Supervisor {
         let span = self.counters.merge_micros.start();
         let mut outcomes = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
-            let path = self
-                .options
-                .state_dir
-                .join(format!("lease_{}_{}.json", slot.start, slot.end));
+            let path = lease_checkpoint(&self.options.state_dir, slot.start, slot.end);
             let text = fs::read_to_string(&path)
                 .map_err(|err| format!("read lease checkpoint {}: {err}", path.display()))?;
             let state = CampaignState::from_json(&text)
@@ -781,7 +790,6 @@ impl Supervisor {
             leases_stolen: 0,
             leases_expired: self.counters.leases_expired.value(),
             worker_restarts: self.counters.worker_restarts.value(),
-            signatures_broadcast: self.counters.signatures_broadcast.value(),
             re_executed_units: self.re_executed,
             killed_in_flight_units: self.killed_in_flight,
             metrics: self.telemetry.snapshot(),

@@ -35,7 +35,7 @@
 
 use std::fs;
 use std::io::{self, BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -86,6 +86,12 @@ impl WorkerConfig {
             state_dir: state_dir.into(),
         }
     }
+}
+
+/// The checkpoint file of the lease over points `start..end`. It is keyed
+/// by the range, not the grant, so whoever holds the range next resumes it.
+pub(crate) fn lease_checkpoint(state_dir: &Path, start: usize, end: usize) -> PathBuf {
+    state_dir.join(format!("lease_{start}_{end}.json"))
 }
 
 fn send(stdout: &Mutex<io::Stdout>, message: &WorkerMessage) -> Result<(), String> {
@@ -204,9 +210,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
             eprintln!("campaign_worker: rejecting {lease}: {err}");
             continue;
         }
-        let checkpoint = config
-            .state_dir
-            .join(format!("lease_{}_{}.json", lease.start, lease.end));
+        let checkpoint = lease_checkpoint(&config.state_dir, lease.start, lease.end);
         let sink_out = Arc::clone(&stdout);
         let sink = move |event: &CampaignEvent| {
             let mut out = sink_out.lock().unwrap();

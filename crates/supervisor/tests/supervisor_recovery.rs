@@ -6,9 +6,12 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use lfi_campaign::{Campaign, Exhaustive, StandardExecutor};
-use lfi_supervisor::supervisor::{run_supervised, SupervisorOptions};
+use lfi_supervisor::supervisor::{run_supervised, SupervisedOutcome, SupervisorOptions};
 use lfi_supervisor::SpaceSpec;
 
 /// The Table 1 git-lite slice (same space as the campaign crate's shard
@@ -156,6 +159,90 @@ fn a_clean_supervised_run_matches_the_unsharded_report_too() {
         "nothing died, nothing re-runs"
     );
     assert_eq!(outcome.killed_in_flight_units, 0);
+
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
+/// Run a supervised campaign on a helper thread, so a supervisor that
+/// never grants the last lease fails the test instead of hanging it.
+fn run_bounded(options: SupervisorOptions) -> Result<SupervisedOutcome, String> {
+    let (tx, rx) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        let _ = tx.send(run_supervised(&options));
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the supervised run stalled");
+    runner.join().expect("supervisor thread");
+    outcome
+}
+
+#[test]
+fn an_idle_survivor_takes_the_lease_of_a_dead_sibling() {
+    // One lease over the whole space, so the second worker sits idle
+    // until the chaos kill hands the lease back. With no restart budget
+    // only the survivor can finish it.
+    let spec = git_spec();
+    let executor = StandardExecutor::new(&spec.target_names());
+    let space = spec.build(&executor);
+    let points = space.len();
+    let unsharded = Campaign::builder(space, &executor)
+        .strategy(Exhaustive)
+        .jobs(2)
+        .seed(7)
+        .build()
+        .run_to_completion();
+
+    let state_dir = scratch_dir("survivor");
+    let mut options = SupervisorOptions::new(spec, &state_dir);
+    options.workers = 2;
+    options.jobs = 1;
+    options.lease_points = points;
+    options.seed = 7;
+    options.max_restarts = 0;
+    options.chaos_kill_after_units = Some(3);
+    options.worker_bin = PathBuf::from(env!("CARGO_BIN_EXE_campaign_worker"));
+    let outcome = run_bounded(options).unwrap_or_else(|err| panic!("supervised run: {err}"));
+
+    assert_eq!(outcome.worker_restarts, 0);
+    assert_eq!(outcome.leases_expired, 1, "the victim held the one lease");
+    assert_eq!(outcome.report.records, unsharded.report.records);
+    assert_eq!(outcome.report.triage, unsharded.report.triage);
+
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
+/// The child processes of the calling thread. Tests run on threads of
+/// one process, and each thread sees only the children it spawned.
+fn children_of_this_thread() -> String {
+    fs::read_to_string("/proc/thread-self/children").expect("read /proc/thread-self/children")
+}
+
+#[test]
+fn silent_lease_holders_are_declared_hung() {
+    // A zero heartbeat timeout makes every lease holder silent for too
+    // long as soon as it is granted; with no restart budget every worker
+    // dies, and the run fails only after reaping them.
+    assert_eq!(children_of_this_thread().trim(), "");
+    let state_dir = scratch_dir("hung");
+    let mut options = SupervisorOptions::new(git_spec(), &state_dir);
+    options.workers = 2;
+    options.jobs = 1;
+    options.seed = 7;
+    options.heartbeat_timeout = Duration::ZERO;
+    options.max_restarts = 0;
+    options.worker_bin = PathBuf::from(env!("CARGO_BIN_EXE_campaign_worker"));
+    let err = run_supervised(&options).expect_err("every lease holder hangs");
+
+    assert!(
+        err.contains("every worker is dead"),
+        "unexpected error: {err}"
+    );
+    assert_eq!(
+        children_of_this_thread().trim(),
+        "",
+        "a worker outlived the run"
+    );
 
     let _ = fs::remove_dir_all(&state_dir);
 }

@@ -35,11 +35,6 @@ impl Coverage {
         }
     }
 
-    /// The set of executed offsets for a module.
-    pub fn executed_offsets(&self, module: &str) -> BTreeSet<u64> {
-        self.executed.get(module).cloned().unwrap_or_default()
-    }
-
     /// Whether a particular offset of a module executed.
     pub fn offset_executed(&self, module: &str, offset: u64) -> bool {
         self.executed

@@ -2,11 +2,11 @@
 //!
 //! This crate is the analogue of "a Linux process" in the paper: it loads
 //! executables and shared libraries produced by `lfi-cc`/`lfi-asm`, resolves
-//! imported symbols with a preload-aware search order (the LD_PRELOAD
-//! mechanism LFI uses for interposition), executes the program on a small
-//! register machine with green threads, TLS (`errno`), mutexes, an in-memory
-//! filesystem and a datagram network, and reports crashes, aborts and
-//! coverage back to the test controller.
+//! imported symbols in load order, interposes on them the way LFI's
+//! LD_PRELOAD shims do, executes the program on a small register machine
+//! with green threads, TLS (`errno`), mutexes, an in-memory filesystem
+//! and a datagram network, and reports crashes, aborts and coverage back
+//! to the test controller.
 //!
 //! The LFI runtime (in `lfi-core`) plugs into the VM through the
 //! [`HookHandler`] trait: any imported function can be intercepted at symbol

@@ -2,7 +2,7 @@
 //!
 //! The loader assembles an executable and its shared libraries into an
 //! [`Image`]: every module gets a code and a data base address, every symbol
-//! reference is resolved following the preload-aware search order, and data
+//! reference is resolved to its first definition in load order, and data
 //! relocations are prepared. Interposition works exactly like the paper's
 //! LD_PRELOAD shims: function names registered with [`Loader::interpose`]
 //! resolve to a *hook* instead of the original definition, and the hook
@@ -213,7 +213,6 @@ impl std::error::Error for LoadError {}
 #[derive(Debug, Clone, Default)]
 pub struct Loader {
     libraries: Vec<Module>,
-    preload: Vec<Module>,
     interpose: HashSet<String>,
 }
 
@@ -226,15 +225,6 @@ impl Loader {
     /// Register a shared library that `needed` declarations can refer to.
     pub fn add_library(&mut self, module: Module) -> &mut Self {
         self.libraries.push(module);
-        self
-    }
-
-    /// Register a preloaded library whose exports take precedence over the
-    /// regular libraries (the LD_PRELOAD slot). Rarely needed directly —
-    /// the LFI runtime uses [`Loader::interpose`] hooks instead — but kept to
-    /// mirror the mechanism described in the paper.
-    pub fn add_preload(&mut self, module: Module) -> &mut Self {
-        self.preload.push(module);
         self
     }
 
@@ -264,22 +254,19 @@ impl Loader {
         v
     }
 
-    /// Load an executable, pulling in preloads and needed libraries, and
-    /// resolve every symbol reference.
+    /// Load an executable, pulling in its needed libraries, and resolve
+    /// every symbol reference.
     pub fn load(&self, exe: Module) -> Result<Image, LoadError> {
         if exe.kind != ModuleKind::Executable || exe.func_export("main").is_none() {
             return Err(LoadError::NoEntryPoint);
         }
 
-        // Assemble the module list: executable, preloads, then needed
-        // libraries discovered breadth-first.
+        // Assemble the module list: the executable, then needed libraries
+        // discovered breadth-first.
         let mut ordered: Vec<Module> = Vec::new();
         let mut seen: HashSet<String> = HashSet::new();
         let mut queue: VecDeque<Module> = VecDeque::new();
         queue.push_back(exe);
-        for p in &self.preload {
-            queue.push_back(p.clone());
-        }
         while let Some(module) = queue.pop_front() {
             if !seen.insert(module.name.clone()) {
                 continue;
@@ -337,28 +324,11 @@ impl Loader {
             });
         }
 
-        // Global export maps. Search order for cross-module resolution:
-        // preloads first (they sit right after the executable in the list but
-        // take precedence for *function* symbols, which is what LD_PRELOAD
-        // does), then the executable, then libraries in load order. For
-        // simplicity — and because our executables never export library
-        // function names — "first definition in load order, with preloads
-        // promoted" collapses to scanning preloads, then load order.
-        let preload_names: HashSet<&str> = self.preload.iter().map(|m| m.name.as_str()).collect();
+        // Global export maps: the first definition in load order wins
+        // (the executable, then libraries breadth-first).
         let mut func_map: HashMap<String, Addr> = HashMap::new();
         let mut data_map: HashMap<String, Addr> = HashMap::new();
-        let mut scan_order: Vec<&LoadedModule> = Vec::with_capacity(loaded.len());
-        scan_order.extend(
-            loaded
-                .iter()
-                .filter(|m| preload_names.contains(m.module.name.as_str())),
-        );
-        scan_order.extend(
-            loaded
-                .iter()
-                .filter(|m| !preload_names.contains(m.module.name.as_str())),
-        );
-        for lm in &scan_order {
+        for lm in &loaded {
             for export in &lm.module.exports {
                 match export.kind {
                     SymKind::Func => {

@@ -192,18 +192,6 @@ pub enum RunExit {
     Paused,
 }
 
-impl RunExit {
-    /// Whether this is a crash (fault) exit.
-    pub fn is_fault(&self) -> bool {
-        matches!(self, RunExit::Fault(_))
-    }
-
-    /// Whether this is a clean exit with code 0.
-    pub fn is_success(&self) -> bool {
-        matches!(self, RunExit::Exited(0))
-    }
-}
-
 /// Aggregate execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
@@ -530,11 +518,6 @@ impl Machine {
         self.env.insert(name.to_string(), value.to_string());
     }
 
-    /// Read an environment variable.
-    pub fn get_env(&self, name: &str) -> Option<&str> {
-        self.env.get(name).map(|s| s.as_str())
-    }
-
     /// The loaded image.
     pub fn image(&self) -> &Image {
         &self.image
@@ -549,11 +532,6 @@ impl Machine {
     pub fn read_global(&self, name: &str) -> Option<Word> {
         let addr = self.image.data_addr(name)?;
         self.mem.read_word(addr).ok()
-    }
-
-    /// Address of an exported global, if any.
-    pub fn global_addr(&self, name: &str) -> Option<Addr> {
-        self.image.data_addr(name)
     }
 
     /// Read a word from process memory.
@@ -612,14 +590,6 @@ impl Machine {
     /// Id of the currently scheduled thread.
     pub fn current_thread(&self) -> i64 {
         self.threads[self.current].id
-    }
-
-    /// Number of live (not exited) threads.
-    pub fn live_threads(&self) -> usize {
-        self.threads
-            .iter()
-            .filter(|t| t.state != ThreadState::Exited)
-            .count()
     }
 
     /// Number of mutexes currently held by the given thread.
@@ -1435,13 +1405,6 @@ impl MachineSnapshot {
     /// Virtual time at the snapshot point.
     pub fn clock(&self) -> u64 {
         self.machine.clock
-    }
-
-    /// Whether the captured process had already terminated — i.e. the run
-    /// never reached a pause point. Forks of a finished snapshot return the
-    /// terminal exit immediately.
-    pub fn is_finished(&self) -> bool {
-        self.machine.finished.is_some()
     }
 
     /// An upper-bound estimate of the bytes this snapshot keeps resident:

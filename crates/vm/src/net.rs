@@ -91,11 +91,6 @@ impl SimNet {
         self.queues.entry((node, port)).or_default();
     }
 
-    /// Whether a (node, port) endpoint is bound.
-    pub fn is_bound(&self, node: i64, port: i64) -> bool {
-        self.queues.contains_key(&(node, port))
-    }
-
     /// Send a datagram. Returns `true` if it was delivered to a queue.
     pub fn send(&mut self, datagram: Datagram) -> bool {
         self.stats.sent += 1;
