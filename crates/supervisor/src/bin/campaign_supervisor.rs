@@ -87,46 +87,23 @@ fn parse_args() -> Result<(SupervisorOptions, Option<PathBuf>), String> {
 }
 
 fn summary_json(options: &SupervisorOptions, outcome: &SupervisedOutcome, lost: usize) -> Value {
+    let int = |key: &str, value: u64| (key.to_string(), Value::Int(value as i64));
     Value::Obj(vec![
         ("strategy".to_string(), Value::Str(options.strategy.clone())),
         ("plan".to_string(), Value::Str(outcome.plan_tag.clone())),
-        ("workers".to_string(), Value::Int(options.workers as i64)),
-        (
-            "points".to_string(),
-            Value::Int(outcome.total_points as i64),
-        ),
-        (
-            "units_total".to_string(),
-            Value::Int(outcome.total_units as i64),
-        ),
-        (
-            "records".to_string(),
-            Value::Int(outcome.report.records.len() as i64),
-        ),
-        ("lost_units".to_string(), Value::Int(lost as i64)),
-        (
-            "distinct_signatures".to_string(),
-            Value::Int(outcome.distinct_signatures as i64),
-        ),
-        (
-            "leases_issued".to_string(),
-            Value::Int(outcome.leases_issued as i64),
-        ),
-        (
-            "leases_expired".to_string(),
-            Value::Int(outcome.leases_expired as i64),
-        ),
-        (
-            "worker_restarts".to_string(),
-            Value::Int(outcome.worker_restarts as i64),
-        ),
-        (
-            "re_executed_units".to_string(),
-            Value::Int(outcome.re_executed_units as i64),
-        ),
-        (
-            "killed_in_flight_units".to_string(),
-            Value::Int(outcome.killed_in_flight_units as i64),
+        int("workers", options.workers as u64),
+        int("points", outcome.total_points as u64),
+        int("units_total", outcome.total_units as u64),
+        int("records", outcome.report.records.len() as u64),
+        int("lost_units", lost as u64),
+        int("distinct_signatures", outcome.distinct_signatures as u64),
+        int("leases_issued", outcome.leases_issued),
+        int("leases_expired", outcome.leases_expired),
+        int("worker_restarts", outcome.worker_restarts),
+        int("re_executed_units", outcome.re_executed_units as u64),
+        int(
+            "killed_in_flight_units",
+            outcome.killed_in_flight_units as u64,
         ),
         ("metrics".to_string(), outcome.metrics.to_value()),
     ])

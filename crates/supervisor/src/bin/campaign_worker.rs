@@ -39,6 +39,10 @@ fn parse_args() -> Result<WorkerConfig, String> {
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let int = |text: String, what: &str| {
+            text.parse::<u64>()
+                .map_err(|_| format!("{what} needs an integer"))
+        };
         match flag.as_str() {
             "--preset" => match value()?.as_str() {
                 "table1" => spec = SpaceSpec::table1(),
@@ -46,23 +50,11 @@ fn parse_args() -> Result<WorkerConfig, String> {
             },
             "--target" => spec.targets.push(value()?),
             "--retain" => spec.retain.push(SpaceSpec::parse_retain(&value()?)?),
-            "--baseline-seed" => {
-                spec.baseline_seed = value()?
-                    .parse()
-                    .map_err(|_| "--baseline-seed needs an integer".to_string())?;
-            }
+            "--baseline-seed" => spec.baseline_seed = int(value()?, "--baseline-seed")?,
             "--annotations-on-stdin" => config.annotations_on_stdin = true,
             "--strategy" => config.strategy = value()?,
-            "--jobs" => {
-                config.jobs = value()?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer".to_string())?;
-            }
-            "--seed" => {
-                config.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?;
-            }
+            "--jobs" => config.jobs = int(value()?, "--jobs")? as usize,
+            "--seed" => config.seed = int(value()?, "--seed")?,
             "--backend" => config.backend = value()?.parse().map_err(|err| format!("{err}"))?,
             "--state-dir" => state_dir = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag `{other}`")),

@@ -20,17 +20,17 @@
 //! * [`worker`] — [`run_worker`], the lease-serving loop behind the
 //!   `campaign_worker` bin;
 //! * [`supervisor`] — [`run_supervised`], the scheduler behind the
-//!   `campaign_supervisor` bin: unit-range leases, one per worker and
-//!   pulled as each finishes, heartbeat-monitored workers with
-//!   checkpoint-resuming restarts, first-seen crash signature
-//!   broadcast, the final lease merge, and a span per phase in its
-//!   metrics.
+//!   `campaign_supervisor` bin: an IO-free core (the private `leasing`
+//!   module) owns the leases, the workers under ids that are never reused
+//!   and the deadline of every worker that owes a line; a shell around it
+//!   spawns, moves lines, kills and reaps, then merges the leases.
 //!
 //! The recovery guarantee, asserted end-to-end in this crate's tests:
 //! SIGKILL a worker mid-lease and the merged report is byte-identical
 //! to the unsharded run (for history-independent strategies), with
 //! re-execution bounded by the units of the lease the dead worker held.
 
+mod leasing;
 pub mod plan;
 pub mod protocol;
 pub mod supervisor;

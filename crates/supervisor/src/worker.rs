@@ -3,18 +3,12 @@
 //! The `campaign_worker` bin wraps [`run_worker`]. A worker builds its
 //! executor and fault space once. Started by a supervisor (with
 //! [`WorkerConfig::annotations_on_stdin`]), it enumerates the bare points
-//! ([`SpaceSpec::enumerate_bare`]) while the supervisor builds the
-//! annotated space, then blocks on its first stdin line: the
-//! supervisor's [`ControlMessage::Annotations`], which supplies every
-//! point's analysis and baseline reachability, so the worker neither
-//! analyzes nor runs the no-fault suite. Stdin closing before that line
-//! arrives, or a line that does not fit the space, is an error exit
-//! without a `Hello`. A worker started without the flag (by hand, or by
-//! a handshake probe) builds the whole space itself. It then announces
-//! itself with a [`WorkerMessage::Hello`] (plan-hash handshake, which
-//! covers the annotations it applied) and serves leases from stdin until
-//! it is told to shut down (or its stdin closes — a dead supervisor means
-//! exit, not orphaned work):
+//! ([`SpaceSpec::enumerate_bare`]) and takes every point's analysis and
+//! baseline reachability from its first stdin line, the supervisor's
+//! [`ControlMessage::Annotations`]. It then announces itself with a
+//! [`WorkerMessage::Hello`] (plan-hash handshake) and serves leases from
+//! stdin until it is told to shut down or its stdin closes (a dead
+//! supervisor means exit, not orphaned work):
 //!
 //! * [`ControlMessage::Lease`] runs a range as soon as it arrives, as
 //!   its own campaign run confined to the range, checkpointed to
@@ -37,7 +31,7 @@ use std::fs;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 use lfi_campaign::{
@@ -94,10 +88,13 @@ pub(crate) fn lease_checkpoint(state_dir: &Path, start: usize, end: usize) -> Pa
     state_dir.join(format!("lease_{start}_{end}.json"))
 }
 
+fn write_line(stdout: &Mutex<io::Stdout>, line: &str) -> io::Result<()> {
+    let mut out = stdout.lock().expect("a stdout writer panicked");
+    writeln!(out, "{line}").and_then(|()| out.flush())
+}
+
 fn send(stdout: &Mutex<io::Stdout>, message: &WorkerMessage) -> Result<(), String> {
-    let mut out = stdout.lock().unwrap();
-    writeln!(out, "{}", message.to_json_line())
-        .and_then(|()| out.flush())
+    write_line(stdout, &message.to_json_line())
         .map_err(|err| format!("worker stdout closed: {err}"))
 }
 
@@ -150,7 +147,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
     } else {
         config.spec.build(&executor)
     };
-    let stdout = Arc::new(Mutex::new(io::stdout()));
+    let stdout = Mutex::new(io::stdout());
 
     {
         // A probe campaign pins the plan identity for the handshake.
@@ -211,14 +208,9 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
             continue;
         }
         let checkpoint = lease_checkpoint(&config.state_dir, lease.start, lease.end);
-        let sink_out = Arc::clone(&stdout);
-        let sink = move |event: &CampaignEvent| {
-            let mut out = sink_out.lock().unwrap();
-            // A broken pipe surfaces on the next protocol send; events
-            // must not panic worker threads.
-            let _ = writeln!(out, "{}", event.to_json_line());
-            let _ = out.flush();
-        };
+        // A broken pipe surfaces on the next protocol send; events must
+        // not panic worker threads.
+        let sink = |event: &CampaignEvent| drop(write_line(&stdout, &event.to_json_line()));
         let outcome = Campaign::builder(space.clone(), &executor)
             .boxed_strategy(parse_strategy(&config.strategy, config.seed)?)
             .jobs(config.jobs)

@@ -6,6 +6,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -245,4 +246,49 @@ fn silent_lease_holders_are_declared_hung() {
     );
 
     let _ = fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_worker_that_never_says_hello_is_declared_hung() {
+    // A worker that reads its stdin and never answers owes its `Hello`
+    // from the moment its annotations are sent; without that deadline the
+    // supervisor waited for it forever, whatever the heartbeat timeout.
+    let dir = scratch_dir("silent");
+    let script = dir.join("silent.sh");
+    // A child shell writes the script: a file this process held open for
+    // writing could be inherited by a sibling test's spawn and make the
+    // exec fail with "text file busy".
+    let written = Command::new("sh")
+        .arg("-c")
+        .arg("printf '#!/bin/sh\\nwhile read -r line; do :; done\\n' > \"$0\" && chmod 755 \"$0\"")
+        .arg(&script)
+        .status()
+        .expect("run sh");
+    assert!(written.success());
+    let mut options = SupervisorOptions::new(git_spec(), dir.join("state"));
+    options.workers = 1;
+    options.max_restarts = 0;
+    options.heartbeat_timeout = Duration::from_millis(200);
+    options.worker_bin = script;
+
+    // The run and the child check share one thread: each thread sees only
+    // the children it spawned.
+    let (tx, rx) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        assert_eq!(children_of_this_thread().trim(), "");
+        let result = run_supervised(&options).map(|_| ());
+        let _ = tx.send((result, children_of_this_thread()));
+    });
+    let (result, children) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the supervisor waited forever for a silent worker");
+    runner.join().expect("supervisor thread");
+    let err = result.expect_err("the silent worker hangs");
+    assert!(
+        err.contains("every worker is dead"),
+        "unexpected error: {err}"
+    );
+    assert_eq!(children.trim(), "", "a worker outlived the run");
+
+    let _ = fs::remove_dir_all(&dir);
 }
