@@ -49,7 +49,7 @@ impl Default for HuntOptions {
             jobs: 1,
             strategy: "exhaustive".to_string(),
             seed: 7,
-            backend: ExecBackend::Fresh,
+            backend: ExecBackend::default(),
             shard: (0, 1),
             state: None,
             events_jsonl: None,
@@ -148,8 +148,10 @@ pub fn table1_merge(states: &[CampaignState]) -> Result<Table1Campaign, LeaseMer
         .first()
         .map(|outcome| outcome.plan_tag().to_string())
         .unwrap_or_default();
+    // Neither the analysis nor the baseline runs add or remove a point, so
+    // the bare enumeration sizes the space.
     let points = SpaceSpec::table1()
-        .enumerate(&StandardExecutor::new(&TABLE1_TARGETS))
+        .enumerate_bare(&StandardExecutor::new(&TABLE1_TARGETS))
         .len();
     let report = CampaignReport::merge_leases(outcomes, points)?;
     Ok(Table1Campaign {

@@ -1,10 +1,9 @@
-//! Fluent campaign construction and orchestration: [`CampaignBuilder`] →
-//! [`CampaignDriver`].
-//!
-//! One chain names every orchestration choice:
+//! Configuring a campaign run: [`Campaign::builder`] fixes the unit layout
+//! and every default, each setter here changes one choice, and
+//! [`Campaign::build`] checks the lease.
 //!
 //! ```no_run
-//! use lfi_campaign::{Campaign, CoverageAdaptive, ExecBackend, Lease, StandardExecutor};
+//! use lfi_campaign::{Campaign, CoverageAdaptive, Lease, StandardExecutor};
 //!
 //! let executor = StandardExecutor::new(&["git-lite"]);
 //! let profile = lfi_targets::standard_controller().profile_libraries();
@@ -12,18 +11,17 @@
 //! // Shard 0 of 2: the first half of the fault points.
 //! let half = Lease::shard(0, 2, space.len()).unwrap();
 //!
-//! let driver = Campaign::builder(space, &executor)
+//! let campaign = Campaign::builder(space, &executor)
 //!     .strategy(CoverageAdaptive::default())
-//!     .backend(ExecBackend::Snapshot)
 //!     .jobs(4)
 //!     .seed(7)
 //!     .lease(half)
 //!     .build();
-//! let outcome = driver.run_to_completion();
+//! let outcome = campaign.run_to_completion();
 //! println!("{}", outcome.report);
 //! ```
 //!
-//! The driver is the unit a multi-process (or multi-machine) supervisor
+//! A campaign is the unit a multi-process (or multi-machine) supervisor
 //! orchestrates: each process builds the same plan with its own
 //! [`Lease`] range, streams progress through an
 //! [`EventSink`], checkpoints after every batch,
@@ -34,63 +32,34 @@
 
 use std::path::PathBuf;
 
-use crate::engine::{Campaign, CampaignConfig, ExecBackend, Executor};
+use crate::engine::{Campaign, ExecBackend};
 use crate::events::EventSink;
 use crate::lease::{Lease, LeaseOutcome};
-use crate::space::FaultSpace;
 use crate::state::CampaignState;
-use crate::strategy::{Exhaustive, Strategy};
+use crate::strategy::Strategy;
 use crate::triage::CrashSignature;
 
-/// Fluent configuration of a campaign run; built by
-/// [`Campaign::builder`] and finished by [`CampaignBuilder::build`].
-///
-/// Defaults: [`Exhaustive`] strategy, [`ExecBackend::Fresh`], 1 job, seed
-/// 7, the whole space as one lease, no event sink, no checkpoint path.
-pub struct CampaignBuilder<'a> {
-    space: FaultSpace,
-    executor: &'a dyn Executor,
-    config: CampaignConfig,
-    strategy: Box<dyn Strategy + 'a>,
-    lease: Lease,
-    known_signatures: Vec<CrashSignature>,
-    sink: Option<&'a dyn EventSink>,
-    checkpoint: Option<PathBuf>,
-}
-
-impl<'a> CampaignBuilder<'a> {
-    pub(crate) fn new(space: FaultSpace, executor: &'a dyn Executor) -> CampaignBuilder<'a> {
-        CampaignBuilder {
-            lease: Lease::full(space.len()),
-            space,
-            executor,
-            config: CampaignConfig::default(),
-            strategy: Box::new(Exhaustive),
-            known_signatures: Vec::new(),
-            sink: None,
-            checkpoint: None,
-        }
-    }
-
-    /// The search strategy driving the schedule (default: [`Exhaustive`]).
+impl<'a> Campaign<'a> {
+    /// The search strategy driving the schedule (default:
+    /// [`Exhaustive`](crate::Exhaustive)).
     pub fn strategy(self, strategy: impl Strategy + 'a) -> Self {
         self.boxed_strategy(Box::new(strategy))
     }
 
-    /// Like [`CampaignBuilder::strategy`], for strategies already boxed
-    /// (e.g. chosen from a command-line flag).
+    /// Like [`Campaign::strategy`], for strategies already boxed (e.g.
+    /// chosen from a command-line flag).
     pub fn boxed_strategy(mut self, strategy: Box<dyn Strategy + 'a>) -> Self {
         self.strategy = strategy;
         self
     }
 
-    /// The execution backend (default: [`ExecBackend::Fresh`]). Under
-    /// [`ExecBackend::Snapshot`] the engine also dispatches each batch's
-    /// units without a session (cluster targets) before the ones that fork
-    /// — a pure permutation; records are byte-identical across backends
+    /// The execution backend (default: [`ExecBackend::Snapshot`]). Under
+    /// the snapshot backend the engine also dispatches each batch's units
+    /// without a session (cluster targets) before the ones that fork — a
+    /// pure permutation; records are byte-identical across backends
     /// either way.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.config.backend = backend;
+        self.backend = backend;
         self
     }
 
@@ -98,13 +67,13 @@ impl<'a> CampaignBuilder<'a> {
     /// backend the workers share each session's root snapshot and only
     /// fork it.
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.config.jobs = jobs;
+        self.jobs = jobs;
         self
     }
 
     /// The campaign base seed unit seeds are derived from (default: 7).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
@@ -113,9 +82,10 @@ impl<'a> CampaignBuilder<'a> {
     /// events while units drain (default:
     /// [`crate::engine::DEFAULT_HEARTBEAT_INTERVAL`]); `None` disables
     /// heartbeats entirely. Heartbeats only flow when an event sink is
-    /// registered.
+    /// registered; the first fires once a full interval of run time has
+    /// elapsed.
     pub fn heartbeat(mut self, interval: Option<std::time::Duration>) -> Self {
-        self.config.heartbeat_interval = interval;
+        self.heartbeat = interval;
         self
     }
 
@@ -155,7 +125,7 @@ impl<'a> CampaignBuilder<'a> {
     }
 
     /// Persist the campaign state to `path` after every batch, and let
-    /// [`CampaignDriver::run_to_completion`] resume from the file when it
+    /// [`Campaign::run_to_completion`] resume from the file when it
     /// already exists (default: no checkpointing). An interrupted run thus
     /// loses at most one batch.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
@@ -163,63 +133,33 @@ impl<'a> CampaignBuilder<'a> {
         self
     }
 
-    /// Finish the chain: fix the canonical unit layout and return the
-    /// driver.
+    /// Finish the chain: check the lease and return the campaign, ready to
+    /// run (repeatedly, for resumes).
     ///
     /// # Panics
     ///
     /// Panics when the lease range is inverted (`start > end`) — ranges
     /// from user input should be built with [`Lease::shard`] or checked
     /// with [`Lease::validate`] first.
-    pub fn build(self) -> CampaignDriver<'a> {
+    pub fn build(self) -> Self {
         if let Err(err) = self.lease.validate() {
             panic!("invalid campaign lease: {err}");
         }
-        CampaignDriver {
-            campaign: Campaign::new(self.space, self.executor, self.config),
-            strategy: self.strategy,
-            lease: self.lease,
-            known_signatures: self.known_signatures,
-            sink: self.sink,
-            checkpoint: self.checkpoint,
-        }
-    }
-}
-
-/// A fully configured campaign, ready to run (repeatedly, for resumes).
-///
-/// Built by [`CampaignBuilder::build`]; see the module docs for the
-/// orchestration model.
-pub struct CampaignDriver<'a> {
-    campaign: Campaign<'a>,
-    strategy: Box<dyn Strategy + 'a>,
-    lease: Lease,
-    known_signatures: Vec<CrashSignature>,
-    sink: Option<&'a dyn EventSink>,
-    checkpoint: Option<PathBuf>,
-}
-
-impl<'a> CampaignDriver<'a> {
-    /// The underlying campaign (space, canonical unit layout, prepared
-    /// sessions).
-    pub fn campaign(&self) -> &Campaign<'a> {
-        &self.campaign
+        self
     }
 
-    /// The fault-point range this driver is confined to.
-    pub fn lease(&self) -> Lease {
-        self.lease
+    /// This campaign. Kept only for the benchmark harness (`perfbench/`),
+    /// which reads `.build().campaign()`; the next change to that harness
+    /// drops it.
+    pub fn campaign(&self) -> &Self {
+        self
     }
 
     /// The state this run would start from: the parsed checkpoint file
     /// when a checkpoint path is configured and the file exists, an empty
-    /// state otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an existing checkpoint file cannot be read or parsed —
-    /// a corrupt checkpoint should be surfaced, not silently discarded.
-    pub fn load_state(&self) -> CampaignState {
+    /// state otherwise. A corrupt checkpoint panics instead of being
+    /// silently discarded.
+    fn load_state(&self) -> CampaignState {
         let Some(path) = self.checkpoint.as_deref().filter(|p| p.exists()) else {
             return CampaignState::default();
         };
@@ -241,24 +181,13 @@ impl<'a> CampaignDriver<'a> {
     /// point: the state is loaded from the file when it exists (completed
     /// units are skipped; a mismatched tag starts fresh), and persisted
     /// back after every batch. Without one it always starts fresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an existing checkpoint file cannot be read or parsed.
     pub fn run_to_completion(&self) -> LeaseOutcome {
         let mut state = self.load_state();
         self.run_with_state(&mut state)
-    }
-
-    /// Run this lease against caller-owned state (updated in place) —
-    /// the resumable entry point for callers that manage persistence
-    /// themselves. Events stream into the registered sink; the checkpoint
-    /// path, when configured, is still written after every batch.
-    pub fn run_with_state(&self, state: &mut CampaignState) -> LeaseOutcome {
-        self.campaign.run_driven(
-            self.strategy.as_ref(),
-            state,
-            self.lease,
-            &self.known_signatures,
-            self.sink,
-            self.checkpoint.as_deref(),
-        )
     }
 }
 
@@ -266,9 +195,9 @@ impl<'a> CampaignDriver<'a> {
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use crate::engine::{Execution, OutcomeKind, WorkUnit};
+    use crate::engine::{Execution, Executor, OutcomeKind, WorkUnit};
     use crate::events::{CampaignEvent, EventLog};
-    use crate::space::FaultPoint;
+    use crate::space::{FaultPoint, FaultSpace};
     use crate::triage::CampaignReport;
 
     use super::*;
@@ -337,16 +266,14 @@ mod tests {
     #[test]
     fn builder_defaults_match_the_legacy_config() {
         let executor = FakeExecutor::new();
-        let driver = Campaign::builder(demo_space(3), &executor).build();
-        assert_eq!(driver.lease(), Lease::full(3));
-        assert_eq!(
-            driver.campaign().lease_units(driver.lease()),
-            driver.campaign().total_units()
-        );
-        let outcome = driver.run_to_completion();
+        let campaign = Campaign::builder(demo_space(3), &executor).build();
+        assert_eq!(campaign.lease, Lease::full(3));
+        assert_eq!(campaign.backend, ExecBackend::Snapshot);
+        assert_eq!(campaign.lease_units(campaign.lease), campaign.total_units());
+        let outcome = campaign.run_to_completion();
         assert_eq!(outcome.report.strategy, "exhaustive");
         assert_eq!(outcome.report.executed_now, 6, "3 points x 2 workloads");
-        assert_eq!(outcome.seed, CampaignConfig::default().seed);
+        assert_eq!(outcome.seed, 7, "the default seed");
         assert!(outcome.tag.ends_with("%0..3"), "tag: {}", outcome.tag);
     }
 
@@ -364,13 +291,13 @@ mod tests {
         for index in 0..count {
             let executor = FakeExecutor::new();
             let shard = Lease::shard(index, count, 7).unwrap();
-            let driver = Campaign::builder(demo_space(7), &executor)
+            let campaign = Campaign::builder(demo_space(7), &executor)
                 .jobs(2)
                 .lease(shard)
                 .build();
-            let units = driver.campaign().lease_units(shard);
+            let units = campaign.lease_units(shard);
             units_across_shards += units;
-            let outcome = driver.run_to_completion();
+            let outcome = campaign.run_to_completion();
             assert_eq!(
                 outcome.report.executed_now, units,
                 "shard {index} runs exactly its own units"
@@ -492,11 +419,11 @@ mod tests {
 
         let executor = FakeExecutor::new();
         let log = EventLog::new();
-        let driver = Campaign::builder(demo_space(4), &executor)
+        let campaign = Campaign::builder(demo_space(4), &executor)
             .checkpoint(&path)
             .events(&log)
             .build();
-        let first = driver.run_to_completion();
+        let first = campaign.run_to_completion();
         assert_eq!(first.report.executed_now, 8);
         assert!(path.exists(), "checkpoint written");
         assert_eq!(
@@ -505,13 +432,13 @@ mod tests {
             "exhaustive is one batch, so its one write is the completion seal"
         );
         assert!(
-            driver.load_state().is_complete(),
+            campaign.load_state().is_complete(),
             "the persisted state is sealed complete"
         );
 
         // A second run loads the file and re-executes nothing; resumed
         // crash signatures are not re-announced.
-        let resumed = driver.run_to_completion();
+        let resumed = campaign.run_to_completion();
         assert_eq!(resumed.report.executed_now, 0);
         assert_eq!(resumed.report.records, first.report.records);
         assert_eq!(executor.executions.load(Ordering::Relaxed), 8);
@@ -543,7 +470,7 @@ mod tests {
             }
         };
         let executor = FakeExecutor::new();
-        let driver = Campaign::builder(demo_space(5), &executor)
+        let campaign = Campaign::builder(demo_space(5), &executor)
             .strategy(crate::adaptive::CoverageAdaptive {
                 batch: 2,
                 ..Default::default()
@@ -551,7 +478,7 @@ mod tests {
             .checkpoint(&path)
             .events(&sink)
             .build();
-        let first = driver.run_to_completion();
+        let first = campaign.run_to_completion();
         assert_eq!(first.report.batches, 3, "5 points in batches of 2");
         assert_eq!(first.report.executed_now, 10);
         assert_eq!(
@@ -560,7 +487,7 @@ mod tests {
             "one write per batch; only the last one is sealed"
         );
 
-        let resumed = driver.run_to_completion();
+        let resumed = campaign.run_to_completion();
         assert_eq!(resumed.report.executed_now, 0);
         assert_eq!(resumed.report.records, first.report.records);
         assert_eq!(executor.executions.load(Ordering::Relaxed), 10);
@@ -581,7 +508,7 @@ mod tests {
         let mut outcomes = Vec::new();
         for (id, (start, end)) in ranges.into_iter().enumerate() {
             let executor = FakeExecutor::new();
-            let driver = Campaign::builder(demo_space(7), &executor)
+            let campaign = Campaign::builder(demo_space(7), &executor)
                 .jobs(2)
                 .lease(Lease {
                     id: id as u64,
@@ -590,7 +517,7 @@ mod tests {
                 })
                 .build();
             let mut state = CampaignState::default();
-            let live = driver.run_with_state(&mut state);
+            let live = campaign.run_with_state(&mut state);
             assert!(
                 live.tag.ends_with(&format!("%{start}..{end}")),
                 "lease tag keyed by range: {}",
@@ -724,11 +651,11 @@ mod tests {
         let count = 2;
         let mut outcomes = Vec::new();
         for index in 0..count {
-            let driver = Campaign::builder(demo_space(5), &executor)
+            let campaign = Campaign::builder(demo_space(5), &executor)
                 .lease(Lease::shard(index, count, 5).unwrap())
                 .build();
             let mut state = CampaignState::default();
-            let live = driver.run_with_state(&mut state);
+            let live = campaign.run_with_state(&mut state);
             // The cross-process handoff: state → JSON → LeaseOutcome.
             let parsed = CampaignState::from_json(&state.to_json()).unwrap();
             let outcome = LeaseOutcome::from_state(&parsed).unwrap();

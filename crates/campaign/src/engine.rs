@@ -12,11 +12,11 @@
 //! ## Execution backends
 //!
 //! Two backends run units ([`ExecBackend`], chosen with
-//! [`CampaignBuilder::backend`]):
+//! [`Campaign::backend`]):
 //!
 //! * **Fresh** — every unit builds a fresh VM via [`Executor::execute`];
 //!   runs share nothing but the immutable target modules.
-//! * **Snapshot** — the executor prepares one [`Session`] per
+//! * **Snapshot** (the default) — the executor prepares one [`Session`] per
 //!   `(target, workload)` pair ([`Executor::prepare`]): the workload runs
 //!   once up to its first injectable library call and is captured as a VM
 //!   snapshot. Every unit of that pair then forks from a snapshot
@@ -50,16 +50,15 @@
 //!
 //! ## Driving a campaign
 //!
-//! Construction and orchestration live in the fluent
-//! [`CampaignBuilder`] /
-//! [`CampaignDriver`](crate::builder::CampaignDriver) API
-//! (`Campaign::builder(space, &executor).strategy(...).build()`), which
-//! adds lease selection, streamed [`CampaignEvent`]s, and per-batch
-//! checkpointing on top of the engine loop.
+//! A [`Campaign`] is one run. [`Campaign::builder`] fixes the unit layout
+//! and every default, the setters in [`crate::builder`] change them, and
+//! [`Campaign::run_with_state`] is the engine loop, which adds lease
+//! selection, streamed [`CampaignEvent`]s and per-batch checkpointing to
+//! the batches above.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -68,13 +67,12 @@ use std::time::{Duration, Instant};
 use lfi_core::Scenario;
 use lfi_telemetry::Telemetry;
 
-use crate::builder::CampaignBuilder;
 use crate::events::{CampaignEvent, EventSink};
 use crate::history::CampaignHistory;
 use crate::lease::{format_range, Lease, LeaseOutcome};
 use crate::space::{FaultPoint, FaultSpace};
 use crate::state::CampaignState;
-use crate::strategy::Strategy;
+use crate::strategy::{Exhaustive, Strategy};
 use crate::triage::{crash_signatures, triage, CampaignReport, CrashSignature};
 
 /// How one campaign run ended, from the triage point of view.
@@ -353,10 +351,10 @@ pub trait Executor: Sync {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// A fresh VM per unit.
-    #[default]
     Fresh,
     /// Fork each unit from a prepared per-`(target, workload)` snapshot,
     /// falling back to fresh VMs for targets that cannot snapshot.
+    #[default]
     Snapshot,
 }
 
@@ -405,40 +403,9 @@ impl std::str::FromStr for ExecBackend {
     }
 }
 
-/// Campaign configuration, filled in by the [`CampaignBuilder`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CampaignConfig {
-    /// Number of worker threads (clamped to at least 1, and never more than
-    /// the pending units of a batch).
-    pub jobs: usize,
-    /// Base seed; unit seeds are derived from it and the canonical unit id
-    /// via [`derive_seed`].
-    pub seed: u64,
-    /// Execution backend. Not part of the persisted plan identity: both
-    /// backends produce identical records, so a checkpoint written under one
-    /// backend resumes cleanly under the other.
-    pub backend: ExecBackend,
-    /// Minimum interval between [`CampaignEvent::Heartbeat`] events while
-    /// units drain (`None` disables heartbeats). Heartbeats are emitted
-    /// only when an event sink is registered; the first fires once a full
-    /// interval of run time has elapsed.
-    pub heartbeat_interval: Option<Duration>,
-}
-
 /// Default minimum interval between heartbeat events (see
-/// [`CampaignBuilder::heartbeat`]).
+/// [`Campaign::heartbeat`]).
 pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            jobs: 1,
-            seed: 7,
-            backend: ExecBackend::Fresh,
-            heartbeat_interval: Some(DEFAULT_HEARTBEAT_INTERVAL),
-        }
-    }
-}
 
 /// Persist a campaign checkpoint with write-then-rename, so an
 /// interruption mid-write leaves the previous checkpoint intact instead of
@@ -467,73 +434,18 @@ fn write_checkpoint(
     }
 }
 
-/// Shared per-run progress state: the drain workers update it and
-/// throttle heartbeat emission through it.
+/// What the drain workers update while a run goes on: unit timings, the
+/// executed count, and the heartbeat throttle.
 struct RunProgress {
-    telemetry: Telemetry,
     unit_execute_micros: lfi_telemetry::Histogram,
     units_executed: lfi_telemetry::Counter,
-    lease: Lease,
     run_start: Instant,
-    heartbeat_interval: Option<Duration>,
     /// Run time (micros since `run_start`) of the last emitted heartbeat.
     /// Held across the snapshot and the sink call, so heartbeats reach
     /// the sink in the order their progress was read.
     last_heartbeat_micros: Mutex<u64>,
     /// Units executed this session so far.
     executed: AtomicUsize,
-    /// Units planned this session so far (grows batch by batch).
-    planned: AtomicUsize,
-}
-
-impl RunProgress {
-    fn new(telemetry: Telemetry, lease: Lease, heartbeat_interval: Option<Duration>) -> Self {
-        RunProgress {
-            unit_execute_micros: telemetry.histogram("unit_execute_micros"),
-            units_executed: telemetry.counter("units_executed"),
-            telemetry,
-            lease,
-            run_start: Instant::now(),
-            heartbeat_interval,
-            last_heartbeat_micros: Mutex::new(0),
-            executed: AtomicUsize::new(0),
-            planned: AtomicUsize::new(0),
-        }
-    }
-
-    /// Emit a heartbeat if a full interval has elapsed since the last one,
-    /// or whenever `run_over` is set, so a run shorter than one interval
-    /// still reports its progress and metrics once. A worker that finds
-    /// another one mid-heartbeat skips its own: the claim is a `try_lock`
-    /// held until the event is delivered, so successive heartbeats never
-    /// report progress out of order.
-    fn heartbeat(&self, sink: &dyn EventSink, run_over: bool) {
-        let Some(interval) = self.heartbeat_interval else {
-            return;
-        };
-        let Ok(mut last) = self.last_heartbeat_micros.try_lock() else {
-            return;
-        };
-        let elapsed = self.run_start.elapsed().as_micros() as u64;
-        if !run_over && elapsed.saturating_sub(*last) < interval.as_micros() as u64 {
-            return;
-        }
-        *last = elapsed;
-        let units_done = self.executed.load(Ordering::Relaxed);
-        // units/sec scaled by 1000 (the wire format is integer-only):
-        // done / (elapsed/1e6) * 1000 = done * 1e9 / elapsed_micros.
-        let milli_units_per_sec = (units_done as u64)
-            .saturating_mul(1_000_000_000)
-            .checked_div(elapsed)
-            .unwrap_or(0);
-        sink.event(&CampaignEvent::Heartbeat {
-            shard: self.lease.start..self.lease.end,
-            units_done,
-            units_planned: self.planned.load(Ordering::Relaxed),
-            milli_units_per_sec,
-            metrics: self.telemetry.snapshot(),
-        });
-    }
 }
 
 /// Mix a base seed and a stream index into an independent per-stream seed
@@ -546,62 +458,45 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fan out the events of one finished unit: its `UnitFinished`, then a
-/// `CrashFound` for each crash signature first seen in this run, then a
-/// throttled heartbeat. The seen-set lock is released before the sink is
-/// invoked: a slow sink may delay its own worker, but must not serialize
-/// the others through the signature mutex.
-fn announce_finished(
-    sink: &dyn EventSink,
-    record: &RunRecord,
-    duration_micros: u64,
-    seen_signatures: &Mutex<BTreeSet<CrashSignature>>,
-    progress: &RunProgress,
-) {
-    sink.event(&CampaignEvent::UnitFinished {
-        record: record.clone(),
-        duration_micros,
-    });
-    for signature in crash_signatures(record) {
-        let fresh_signature = seen_signatures.lock().unwrap().insert(signature.clone());
-        if fresh_signature {
-            sink.event(&CampaignEvent::CrashFound(signature));
-        }
-    }
-    progress.heartbeat(sink, false);
-}
-
-/// A fault-space exploration campaign.
+/// One fault-space exploration campaign: the space with its canonical unit
+/// layout, and every choice of how to run it. [`Campaign::builder`] sets
+/// the defaults and the setters in [`crate::builder`] change them.
 pub struct Campaign<'a> {
     space: FaultSpace,
     executor: &'a dyn Executor,
-    config: CampaignConfig,
     /// Workload suites per target, in the space's first-seen target order.
     suites: Vec<(String, Vec<Vec<String>>)>,
     /// Canonical id of the first unit of each fault point.
     unit_base: Vec<usize>,
     /// Total canonical units (points × their workload suites).
     total_units: usize,
+    pub(crate) strategy: Box<dyn Strategy + 'a>,
+    /// Not part of the persisted plan identity: both backends produce
+    /// identical records, so a checkpoint written under one backend
+    /// resumes cleanly under the other.
+    pub(crate) backend: ExecBackend,
+    /// Worker threads (clamped to at least 1, and never more than the
+    /// pending units of a batch).
+    pub(crate) jobs: usize,
+    /// Base seed; unit seeds derive from it and the canonical unit id via
+    /// [`derive_seed`].
+    pub(crate) seed: u64,
+    pub(crate) heartbeat: Option<Duration>,
+    pub(crate) lease: Lease,
+    pub(crate) known_signatures: Vec<CrashSignature>,
+    pub(crate) sink: Option<&'a dyn EventSink>,
+    pub(crate) checkpoint: Option<PathBuf>,
 }
 
 impl<'a> Campaign<'a> {
-    /// Start building a campaign over `space` with the fluent
-    /// [`CampaignBuilder`] API — strategy, backend, jobs, seed, lease,
-    /// event sink, and checkpoint path — finished by
-    /// [`CampaignBuilder::build`] into a
-    /// [`CampaignDriver`](crate::builder::CampaignDriver).
-    pub fn builder(space: FaultSpace, executor: &'a dyn Executor) -> CampaignBuilder<'a> {
-        CampaignBuilder::new(space, executor)
-    }
-
-    /// Create a campaign over `space`, executing with `executor`. The
-    /// canonical unit layout (every point × its target's workload suite) is
-    /// fixed here; workload suites are queried once per target.
-    pub(crate) fn new(
-        space: FaultSpace,
-        executor: &'a dyn Executor,
-        config: CampaignConfig,
-    ) -> Self {
+    /// A campaign over `space`, executing with `executor`, with every
+    /// default: the [`Exhaustive`] strategy, the default [`ExecBackend`],
+    /// 1 job, seed 7, a heartbeat every [`DEFAULT_HEARTBEAT_INTERVAL`],
+    /// the whole space as one lease, no known signatures, no event sink
+    /// and no checkpoint path. The canonical unit layout (every point ×
+    /// its target's workload suite) is fixed here; workload suites are
+    /// queried once per target.
+    pub fn builder(space: FaultSpace, executor: &'a dyn Executor) -> Campaign<'a> {
         let mut suites: Vec<(String, Vec<Vec<String>>)> = Vec::new();
         let mut unit_base = Vec::with_capacity(space.len());
         let mut total_units = 0usize;
@@ -619,12 +514,20 @@ impl<'a> Campaign<'a> {
             total_units += suite_len;
         }
         Campaign {
+            lease: Lease::full(space.len()),
             space,
             executor,
-            config,
             suites,
             unit_base,
             total_units,
+            strategy: Box::new(Exhaustive),
+            backend: ExecBackend::default(),
+            jobs: 1,
+            seed: 7,
+            heartbeat: Some(DEFAULT_HEARTBEAT_INTERVAL),
+            known_signatures: Vec::new(),
+            sink: None,
+            checkpoint: None,
         }
     }
 
@@ -667,12 +570,6 @@ impl<'a> Campaign<'a> {
             .unwrap_or(&[])
     }
 
-    /// Expand the full space into the canonical work-unit list (every point
-    /// in enumeration order × its workloads). Unit ids equal positions.
-    pub fn units(&self) -> Vec<WorkUnit> {
-        self.units_for((0..self.space.len()).collect::<Vec<_>>().as_slice())
-    }
-
     /// Expand a batch of fault-point indices into work units with canonical
     /// ids and derived seeds.
     fn units_for(&self, points: &[usize]) -> Vec<WorkUnit> {
@@ -687,7 +584,7 @@ impl<'a> Campaign<'a> {
                     point: point.clone(),
                     scenario: scenario.clone(),
                     args: args.clone(),
-                    seed: derive_seed(self.config.seed, id as u64),
+                    seed: derive_seed(self.seed, id as u64),
                 });
             }
         }
@@ -720,23 +617,68 @@ impl<'a> Campaign<'a> {
         hash
     }
 
+    /// Emit a heartbeat if a full interval has elapsed since the last one,
+    /// or whenever `run_over` is set, so a run shorter than one interval
+    /// still reports its progress and metrics once. A worker that finds
+    /// another one mid-heartbeat skips its own: the claim is a `try_lock`
+    /// held until the event is delivered, so successive heartbeats never
+    /// report progress out of order. `planned` is the history's planned
+    /// unit count, which only changes between batches.
+    fn emit_heartbeat(
+        &self,
+        sink: &dyn EventSink,
+        progress: &RunProgress,
+        planned: usize,
+        run_over: bool,
+    ) {
+        let Some(interval) = self.heartbeat else {
+            return;
+        };
+        let Ok(mut last) = progress.last_heartbeat_micros.try_lock() else {
+            return;
+        };
+        let elapsed = progress.run_start.elapsed().as_micros() as u64;
+        if !run_over && elapsed.saturating_sub(*last) < interval.as_micros() as u64 {
+            return;
+        }
+        *last = elapsed;
+        let units_done = progress.executed.load(Ordering::Relaxed);
+        // units/sec scaled by 1000 (the wire format is integer-only):
+        // done / (elapsed/1e6) * 1000 = done * 1e9 / elapsed_micros.
+        let milli_units_per_sec = (units_done as u64)
+            .saturating_mul(1_000_000_000)
+            .checked_div(elapsed)
+            .unwrap_or(0);
+        sink.event(&CampaignEvent::Heartbeat {
+            shard: self.lease.start..self.lease.end,
+            units_done,
+            units_planned: planned,
+            milli_units_per_sec,
+            metrics: self.executor.telemetry().snapshot(),
+        });
+    }
+
     /// Drain one batch of pending units on the worker pool and return the
     /// completed records, ordered by unit id. Spawns `min(jobs, pending)`
     /// threads — zero when there is nothing to run. Each worker takes the
-    /// next unit and forks its session, or runs it fresh when it has none;
-    /// it announces the unit's start and, through [`announce_finished`],
-    /// its record into `sink` as it goes.
+    /// next unit and forks its session, or runs it fresh when it has none.
+    /// With a sink it announces the unit's start, then its
+    /// `UnitFinished`, a `CrashFound` for each crash signature first seen
+    /// in this run, and a throttled heartbeat. The seen-set lock is
+    /// released before the sink is invoked: a slow sink may delay its own
+    /// worker, but must not serialize the others through the signature
+    /// mutex.
     fn drain(
         &self,
         pending: &[(&WorkUnit, Option<&Session>)],
-        sink: Option<&dyn EventSink>,
         seen_signatures: &Mutex<BTreeSet<CrashSignature>>,
         progress: &RunProgress,
+        planned: usize,
     ) -> (Vec<RunRecord>, usize) {
         if pending.is_empty() {
             return (Vec::new(), 0);
         }
-        let workers = self.config.jobs.max(1).min(pending.len());
+        let workers = self.jobs.max(1).min(pending.len());
         let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<RunRecord>> = Mutex::new(Vec::new());
         thread::scope(|scope| {
@@ -746,7 +688,7 @@ impl<'a> Campaign<'a> {
                     let Some(&(unit, session)) = pending.get(next) else {
                         break;
                     };
-                    if let Some(sink) = sink {
+                    if let Some(sink) = self.sink {
                         sink.event(&CampaignEvent::UnitStarted {
                             unit: unit.id,
                             target: unit.point.target.clone(),
@@ -764,14 +706,19 @@ impl<'a> Campaign<'a> {
                     progress.units_executed.inc();
                     progress.executed.fetch_add(1, Ordering::Relaxed);
                     let record = RunRecord::from_execution(unit, execution);
-                    if let Some(sink) = sink {
-                        announce_finished(
-                            sink,
-                            &record,
+                    if let Some(sink) = self.sink {
+                        sink.event(&CampaignEvent::UnitFinished {
+                            record: record.clone(),
                             duration_micros,
-                            seen_signatures,
-                            progress,
-                        );
+                        });
+                        for signature in crash_signatures(&record) {
+                            let fresh_signature =
+                                seen_signatures.lock().unwrap().insert(signature.clone());
+                            if fresh_signature {
+                                sink.event(&CampaignEvent::CrashFound(signature));
+                            }
+                        }
+                        self.emit_heartbeat(sink, progress, planned, false);
                     }
                     results.lock().unwrap().push(record);
                 });
@@ -782,29 +729,22 @@ impl<'a> Campaign<'a> {
         (fresh, workers)
     }
 
-    /// The engine loop behind [`CampaignDriver`](crate::builder::
-    /// CampaignDriver): repeatedly request a batch from the strategy,
-    /// execute its units that `state` has not already completed, feed the
-    /// results back through the history, and stop when the strategy has
-    /// nothing new to schedule. Fault points outside `lease` are
-    /// pre-marked dispatched, confining any strategy's schedule to the
-    /// run's slice. Progress streams through `sink`, and
-    /// `checkpoint` (when set) persists the state after every batch that
-    /// added records; the last batch's write is sealed, so a one-batch
-    /// run writes once.
-    /// `known_signatures` seeds the run with crash signatures first seen
-    /// elsewhere (a supervisor's broadcasts): adaptive strategies
-    /// escalate around them, and they are not re-announced as
-    /// `CrashFound` events.
-    pub(crate) fn run_driven(
-        &self,
-        strategy: &dyn Strategy,
-        state: &mut CampaignState,
-        lease: Lease,
-        known_signatures: &[CrashSignature],
-        sink: Option<&dyn EventSink>,
-        checkpoint: Option<&Path>,
-    ) -> LeaseOutcome {
+    /// Run this campaign's lease against caller-owned state, updated in
+    /// place: the engine loop, and the resumable entry point for callers
+    /// that manage persistence themselves.
+    ///
+    /// It repeatedly requests a batch from the strategy, executes its
+    /// units that `state` has not already completed, feeds the results
+    /// back through the history, and stops when the strategy has nothing
+    /// new to schedule. Fault points outside the lease are pre-marked
+    /// dispatched, confining any strategy's schedule to the run's slice.
+    /// Progress streams into the event sink, and the checkpoint path, when
+    /// set, persists the state after every batch that added records; the
+    /// last batch's write is sealed, so a one-batch run writes once. The
+    /// known signatures (a supervisor's broadcasts) steer adaptive
+    /// strategies and are not re-announced as `CrashFound` events.
+    pub fn run_with_state(&self, state: &mut CampaignState) -> LeaseOutcome {
+        let lease = self.lease;
         // The state tag covers the strategy's scheduling identity, the plan
         // (point identity incl. annotations + workload suites), AND the
         // run's range: unit ids are indices into this exact expansion and
@@ -815,11 +755,11 @@ impl<'a> Campaign<'a> {
         // re-executes only unfinished work.
         let tag = format!(
             "{}@{:016x}%{}",
-            strategy.fingerprint(),
+            self.strategy.fingerprint(),
             self.plan_hash(),
             format_range(lease.start, lease.end)
         );
-        state.adopt(&tag, self.config.seed);
+        state.adopt(&tag, self.seed);
 
         let mut history = CampaignHistory::new(self.unit_base.clone(), self.total_units);
         // Points outside the lease range are excluded up front: strategies
@@ -834,7 +774,7 @@ impl<'a> Campaign<'a> {
         // set) and suppress duplicate announcements, but never contribute
         // records — merged results stay byte-identical to a run without
         // them for history-independent schedules.
-        for signature in known_signatures {
+        for signature in &self.known_signatures {
             history.add_signature_hint(signature.clone());
             seen_signatures.lock().unwrap().insert(signature.clone());
         }
@@ -849,14 +789,19 @@ impl<'a> Campaign<'a> {
         let telemetry = self.executor.telemetry();
         let triage_micros = telemetry.histogram("triage_micros");
         let checkpoint_write_micros = telemetry.histogram("checkpoint_write_micros");
-        let progress = RunProgress::new(telemetry.clone(), lease, self.config.heartbeat_interval);
+        let progress = RunProgress {
+            unit_execute_micros: telemetry.histogram("unit_execute_micros"),
+            units_executed: telemetry.counter("units_executed"),
+            run_start: Instant::now(),
+            last_heartbeat_micros: Mutex::new(0),
+            executed: AtomicUsize::new(0),
+        };
 
         // The sessions of this run, prepared on this thread the first time
         // a pending unit of their `(target, workload)` pair needs one;
         // `None` records a pair that cannot snapshot. Empty under the
         // fresh backend.
         let mut sessions: BTreeMap<(String, Vec<String>), Option<Session>> = BTreeMap::new();
-        let mut executed_now = 0usize;
         let mut peak_workers = 0usize;
         let mut batch_started = Instant::now();
         // Each point runs at most once per campaign: drop repeats within
@@ -865,16 +810,16 @@ impl<'a> Campaign<'a> {
         // non-empty batches).
         let next_batch = |history: &CampaignHistory| -> Vec<usize> {
             let mut seen = BTreeSet::new();
-            strategy
+            self.strategy
                 .next_batch(&self.space, history)
                 .into_iter()
                 .filter(|&i| !history.dispatched(i) && seen.insert(i))
                 .collect()
         };
         let persist = |state: &CampaignState, batch_started: Instant| {
-            if let Some(path) = checkpoint {
+            if let Some(path) = &self.checkpoint {
                 let span = checkpoint_write_micros.start();
-                write_checkpoint(path, state, sink, batch_started.elapsed());
+                write_checkpoint(path, state, self.sink, batch_started.elapsed());
                 span.finish();
             }
         };
@@ -888,9 +833,8 @@ impl<'a> Campaign<'a> {
         while !batch.is_empty() {
             let units = self.units_for(&batch);
             history.begin_batch(&batch, units.len());
-            progress.planned.fetch_add(units.len(), Ordering::Relaxed);
             let pending: Vec<&WorkUnit> = units.iter().filter(|u| !state.completed(u.id)).collect();
-            if let Some(sink) = sink {
+            if let Some(sink) = self.sink {
                 sink.event(&CampaignEvent::BatchPlanned {
                     batch: history.batches(),
                     points: batch.len(),
@@ -898,7 +842,7 @@ impl<'a> Campaign<'a> {
                     pending: pending.len(),
                 });
             }
-            if self.config.backend == ExecBackend::Snapshot {
+            if self.backend == ExecBackend::Snapshot {
                 for unit in &pending {
                     sessions
                         .entry((unit.point.target.clone(), unit.args.clone()))
@@ -920,10 +864,10 @@ impl<'a> Campaign<'a> {
             // idle. A pure permutation: `drain` sorts records by canonical
             // unit id.
             dispatch.sort_by_key(|(_, session)| session.is_some());
-            let (fresh, workers) = self.drain(&dispatch, sink, &seen_signatures, &progress);
+            let planned = history.planned_units();
+            let (fresh, workers) = self.drain(&dispatch, &seen_signatures, &progress, planned);
             peak_workers = peak_workers.max(workers);
             let batch_executed = fresh.len();
-            executed_now += batch_executed;
             for record in fresh {
                 history.observe(record.clone());
                 state.push(record);
@@ -948,8 +892,9 @@ impl<'a> Campaign<'a> {
         let triage_span = triage_micros.start();
         let final_triage = triage(state.records());
         triage_span.finish();
+        let executed_now = progress.executed.load(Ordering::Relaxed);
         let report = CampaignReport {
-            strategy: strategy.name().to_string(),
+            strategy: self.strategy.name().to_string(),
             space_size: self.space.len(),
             planned_points: history.dispatched_points(),
             units_total: history.planned_units(),
@@ -960,10 +905,10 @@ impl<'a> Campaign<'a> {
             records: state.records().to_vec(),
             metrics: telemetry.enabled().then(|| telemetry.snapshot()),
         };
-        if let Some(sink) = sink {
+        if let Some(sink) = self.sink {
             // The run's last heartbeat, then close the stream. The drain
             // threads are joined, so the heartbeat's claim cannot be taken.
-            progress.heartbeat(sink, true);
+            self.emit_heartbeat(sink, &progress, history.planned_units(), true);
             sink.event(&CampaignEvent::ShardFinished {
                 shard: lease.start..lease.end,
                 executed: executed_now,
@@ -974,7 +919,7 @@ impl<'a> Campaign<'a> {
             start: lease.start,
             end: lease.end,
             tag,
-            seed: self.config.seed,
+            seed: self.seed,
             report,
         }
     }
@@ -1053,6 +998,12 @@ mod tests {
         }
     }
 
+    /// The canonical work-unit list of the whole space (every point in
+    /// enumeration order × its workloads). Unit ids equal positions.
+    fn units(campaign: &Campaign) -> Vec<WorkUnit> {
+        campaign.units_for(&(0..campaign.space().len()).collect::<Vec<_>>())
+    }
+
     fn scenario_map(units: &[WorkUnit]) -> BTreeMap<usize, (u64, Vec<String>)> {
         units
             .iter()
@@ -1063,17 +1014,17 @@ mod tests {
     #[test]
     fn units_expand_points_by_workload_deterministically() {
         let executor = FakeExecutor::new();
-        let campaign = Campaign::new(demo_space(3), &executor, CampaignConfig::default());
-        let units = campaign.units();
-        assert_eq!(units.len(), 6, "3 points x 2 workloads");
+        let campaign = Campaign::builder(demo_space(3), &executor);
+        let expanded = units(&campaign);
+        assert_eq!(expanded.len(), 6, "3 points x 2 workloads");
         assert_eq!(campaign.total_units(), 6);
-        assert_eq!(scenario_map(&units), scenario_map(&campaign.units()));
+        assert_eq!(scenario_map(&expanded), scenario_map(&units(&campaign)));
         // Canonical ids equal positions in the full expansion.
         assert_eq!(
-            units.iter().map(|u| u.id).collect::<Vec<_>>(),
+            expanded.iter().map(|u| u.id).collect::<Vec<_>>(),
             (0..6).collect::<Vec<_>>()
         );
-        for unit in &units {
+        for unit in &expanded {
             unit.scenario.validate().unwrap();
         }
     }
@@ -1082,19 +1033,10 @@ mod tests {
     fn unit_seeds_do_not_collide_across_adjacent_campaign_seeds() {
         let executor = FakeExecutor::new();
         let seeds_of = |seed| {
-            Campaign::new(
-                demo_space(64),
-                &executor,
-                CampaignConfig {
-                    jobs: 1,
-                    seed,
-                    ..CampaignConfig::default()
-                },
-            )
-            .units()
-            .iter()
-            .map(|u| u.seed)
-            .collect::<Vec<u64>>()
+            units(&Campaign::builder(demo_space(64), &executor).seed(seed))
+                .iter()
+                .map(|u| u.seed)
+                .collect::<Vec<u64>>()
         };
         let a = seeds_of(7);
         let b = seeds_of(8);
@@ -1192,15 +1134,15 @@ mod tests {
     #[test]
     fn resumed_campaigns_skip_completed_units() {
         let executor = FakeExecutor::new();
-        let driver = Campaign::builder(demo_space(4), &executor).build();
+        let campaign = Campaign::builder(demo_space(4), &executor).build();
         let mut state = CampaignState::default();
-        let first = driver.run_with_state(&mut state).report;
+        let first = campaign.run_with_state(&mut state).report;
         assert_eq!(first.executed_now, 8);
         assert_eq!(first.batches, 1, "exhaustive is a single-batch schedule");
 
         // Round-trip the state through JSON, then run again: nothing left.
         let mut resumed = CampaignState::from_json(&state.to_json()).unwrap();
-        let second = driver.run_with_state(&mut resumed).report;
+        let second = campaign.run_with_state(&mut resumed).report;
         assert_eq!(second.executed_now, 0, "all units already completed");
         assert_eq!(second.records, first.records);
         assert_eq!(executor.executions.load(Ordering::Relaxed), 8);
@@ -1399,6 +1341,7 @@ mod tests {
     fn snapshot_backend_matches_fresh_backend_records() {
         let fresh_exec = FakeExecutor::new();
         let fresh = Campaign::builder(demo_space(7), &fresh_exec)
+            .backend(ExecBackend::Fresh)
             .build()
             .run_to_completion()
             .report;
@@ -1479,6 +1422,7 @@ mod tests {
             point.target = SESSIONLESS.into();
         }
         let fresh = Campaign::builder(space.clone(), &FakeExecutor::new())
+            .backend(ExecBackend::Fresh)
             .build()
             .run_to_completion()
             .report;

@@ -1,6 +1,6 @@
 //! Typed campaign progress events, streamed through an [`EventSink`].
 //!
-//! A [`CampaignDriver`](crate::builder::CampaignDriver) with a registered
+//! A [`Campaign`](crate::Campaign) with a registered
 //! sink emits [`CampaignEvent`]s *while the campaign runs* — this is what
 //! progress bars, the bench harness, and cross-machine supervisors consume
 //! instead of scraping the final [`CampaignReport`](crate::CampaignReport)
@@ -88,7 +88,7 @@ pub enum CampaignEvent {
     },
     /// A crash signature was observed for the first time this run.
     CrashFound(CrashSignature),
-    /// The driver persisted the campaign state to its checkpoint path.
+    /// The run persisted the campaign state to its checkpoint path.
     CheckpointWritten {
         /// Where the state was written.
         path: PathBuf,
@@ -114,7 +114,7 @@ pub enum CampaignEvent {
         /// scaled by 1000 so the integer wire format keeps three decimal
         /// places.
         milli_units_per_sec: u64,
-        /// Live capture of the executor/driver metrics registry.
+        /// Live capture of the executor/engine metrics registry.
         metrics: MetricsSnapshot,
     },
     /// The run is over; no further events follow.

@@ -2,9 +2,8 @@
 //! the engine and an adaptive [`Strategy`](crate::strategy::Strategy).
 //!
 //! The engine builds one [`CampaignHistory`] per run of a
-//! [`CampaignDriver`](crate::builder::CampaignDriver), seeds it with any
-//! records resumed from a checkpoint, and updates it after every drained
-//! batch. Strategies read it
+//! [`Campaign`](crate::Campaign), seeds it with any records resumed from a
+//! checkpoint, and updates it after every drained batch. Strategies read it
 //! in `next_batch` to decide what to schedule next: which points are still
 //! undispatched, and how the units of already-explored points fared.
 //!

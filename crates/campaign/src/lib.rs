@@ -23,10 +23,10 @@
 //! * [`engine`] — expand each batch into work units with **canonical ids**
 //!   (stable positions in the space × workload expansion) and drain them on
 //!   a parallel worker pool, under one of two [`ExecBackend`]s: a fresh VM
-//!   per unit, or **snapshot-fork** — the workload prefix up to the first
-//!   injectable library call runs once per `(target, workload)` pair and
-//!   every unit forks that one root snapshot, with identical results
-//!   either way;
+//!   per unit, or **snapshot-fork**, the default — the workload prefix up
+//!   to the first injectable library call runs once per `(target,
+//!   workload)` pair and every unit forks that one root snapshot, with
+//!   identical results either way;
 //! * [`mod@triage`] — deduplicate failures into crash signatures, so the report
 //!   lists bugs, not runs;
 //! * [`state`] — persist completed units as JSON and resume interrupted
@@ -34,9 +34,9 @@
 //!   re-annotating, re-profiling, editing a workload suite, or changing
 //!   the run's point range invalidates a checkpoint instead of
 //!   misapplying it;
-//! * [`builder`] — the fluent [`CampaignBuilder`] → [`CampaignDriver`]
-//!   orchestration API: strategy, backend, jobs, seed, lease, event sink,
-//!   and per-batch checkpointing in one chain;
+//! * [`builder`] — the setters of a [`Campaign`], one run: strategy,
+//!   backend, jobs, seed, lease, event sink, and per-batch checkpointing
+//!   in one chain;
 //! * [`lease`] — the one partition type: a [`Lease`] confines a run to a
 //!   contiguous fault-point range (the whole space by default; `--shard
 //!   i/n` is [`Lease::shard`]), its range is part of the checkpoint tag,
@@ -65,11 +65,11 @@
 //! space.retain(|p| p.function == "opendir");
 //! executor.annotate_baseline_reachability(&mut space, 7);
 //!
-//! let driver = Campaign::builder(space, &executor)
+//! let campaign = Campaign::builder(space, &executor)
 //!     .strategy(CoverageAdaptive::default())
 //!     .jobs(2)
 //!     .build();
-//! let outcome = driver.run_to_completion();
+//! let outcome = campaign.run_to_completion();
 //! assert!(outcome.report.triage.distinct_crashes() > 0); // the git-readdir-null bug
 //! ```
 
@@ -87,7 +87,6 @@ pub mod strategy;
 pub mod triage;
 
 pub use adaptive::CoverageAdaptive;
-pub use builder::{CampaignBuilder, CampaignDriver};
 pub use control::ControlMessage;
 pub use engine::{
     derive_seed, Campaign, CrashInfo, ExecBackend, Execution, Executor, InjectedSite, OutcomeKind,

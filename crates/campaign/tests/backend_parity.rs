@@ -129,12 +129,12 @@ fn snapshot_campaign_matches_fresh_vms_at_four_jobs() {
     let run = |executor: &StandardExecutor, backend: ExecBackend| {
         let mut space = git_space(executor);
         executor.annotate_baseline_reachability(&mut space, 7);
-        let driver = Campaign::builder(space, executor)
+        let campaign = Campaign::builder(space, executor)
             .jobs(4)
             .seed(7)
             .backend(backend)
             .build();
-        driver.run_to_completion().report
+        campaign.run_to_completion().report
     };
 
     let snapshot_executor = StandardExecutor::new(&["git-lite"]);
@@ -145,6 +145,33 @@ fn snapshot_campaign_matches_fresh_vms_at_four_jobs() {
     let fresh = run(&StandardExecutor::new(&["git-lite"]), ExecBackend::Fresh);
     assert_eq!(snapshot.records, fresh.records);
     assert_eq!(snapshot.triage.buckets, fresh.triage.buckets);
+}
+
+/// A campaign built with no `.backend(..)` runs on the snapshot backend:
+/// it prepares sessions, and records what an explicit fresh run records.
+#[test]
+fn the_default_backend_forks_sessions() {
+    let executor = StandardExecutor::new(&["git-lite"]);
+    let space = git_space(&executor);
+    assert_eq!(executor.sessions_prepared(), 0);
+    let default = Campaign::builder(space.clone(), &executor)
+        .jobs(2)
+        .seed(7)
+        .build()
+        .run_to_completion()
+        .report;
+    assert!(
+        executor.sessions_prepared() > 0,
+        "the default backend prepared no session"
+    );
+
+    let fresh = run_with(
+        &StandardExecutor::new(&["git-lite"]),
+        &space,
+        2,
+        ExecBackend::Fresh,
+    );
+    assert_eq!(default.records, fresh.records);
 }
 
 /// A session holds one root snapshot, and running units only forks it:

@@ -17,9 +17,9 @@ fn campaign_finds_the_git_readdir_bug_and_triages_it() {
     let executor = StandardExecutor::new(&["git-lite"]);
     let space = git_space(&executor);
     assert!(!space.is_empty());
-    let driver = Campaign::builder(space, &executor).jobs(2).seed(7).build();
+    let campaign = Campaign::builder(space, &executor).jobs(2).seed(7).build();
     let mut state = CampaignState::default();
-    let report = driver.run_with_state(&mut state).report;
+    let report = campaign.run_with_state(&mut state).report;
 
     assert_eq!(report.executed_now, report.units_total);
     assert!(report.triage.crashes > 0, "opendir injection must crash");
@@ -37,7 +37,7 @@ fn campaign_finds_the_git_readdir_bug_and_triages_it() {
     // Resuming from persisted state re-executes nothing and reproduces the
     // same triage.
     let mut resumed = CampaignState::from_json(&state.to_json()).unwrap();
-    let again = driver.run_with_state(&mut resumed).report;
+    let again = campaign.run_with_state(&mut resumed).report;
     assert_eq!(again.executed_now, 0);
     assert_eq!(again.records, report.records);
 }

@@ -205,12 +205,12 @@ fn disabled_telemetry_omits_report_metrics() {
             let mut executor = StandardExecutor::new(&["git-lite"]);
             executor.set_telemetry(telemetry);
             let space = git_space(&executor);
-            let driver = Campaign::builder(space, &executor)
+            let campaign = Campaign::builder(space, &executor)
                 .jobs(2)
                 .seed(7)
                 .backend(backend)
                 .build();
-            driver.run_to_completion().report
+            campaign.run_to_completion().report
         };
         let report = run(Telemetry::disabled());
         assert!(report.metrics.is_none());

@@ -74,9 +74,9 @@ fn demo_space(points: usize) -> FaultSpace {
 /// Run a campaign over `space`, checkpoint it through JSON, and hand back
 /// the parsed state (as a resumed session would hold it).
 fn checkpoint(space: FaultSpace, executor: &CountingExecutor) -> CampaignState {
-    let driver = Campaign::builder(space, executor).build();
+    let campaign = Campaign::builder(space, executor).build();
     let mut state = CampaignState::default();
-    let report = driver.run_with_state(&mut state).report;
+    let report = campaign.run_with_state(&mut state).report;
     assert_eq!(report.executed_now, report.units_total, "first run is full");
     CampaignState::from_json(&state.to_json()).unwrap()
 }

@@ -130,12 +130,12 @@ fn run_budgeted(max_instructions: u64, backend: ExecBackend) -> (CampaignReport,
     let mut space: FaultSpace = executor.fault_space(&["git-lite"], &profile);
     space.retain(|p| p.function == "opendir");
     assert!(!space.is_empty());
-    let driver = Campaign::builder(space, &executor)
+    let campaign = Campaign::builder(space, &executor)
         .jobs(2)
         .seed(7)
         .backend(backend)
         .build();
-    let report = driver.run_to_completion().report;
+    let report = campaign.run_to_completion().report;
     (report, executor.sessions_prepared())
 }
 

@@ -117,13 +117,13 @@ fn merge_from_persisted_states_matches_live_outcomes() {
     let mut parsed = Vec::new();
     for index in 0..2 {
         let executor = StandardExecutor::new(&["git-lite"]);
-        let driver = Campaign::builder(space.clone(), &executor)
+        let campaign = Campaign::builder(space.clone(), &executor)
             .jobs(2)
             .seed(7)
             .lease(Lease::shard(index, 2, space.len()).unwrap())
             .build();
         let mut state = CampaignState::default();
-        driver.run_with_state(&mut state);
+        campaign.run_with_state(&mut state);
         let json = state.to_json();
         let state = CampaignState::from_json(&json).unwrap();
         parsed.push(LeaseOutcome::from_state(&state).unwrap());

@@ -15,8 +15,8 @@ use lfi_analyzer::{
 use lfi_obj::Module;
 use lfi_profiler::{profile_library, FaultProfile};
 use lfi_vm::{
-    Coverage, ExecStats, Fault, HookHandler, Image, LoadError, Loader, Machine, NetHandle,
-    ProcessConfig, RunExit,
+    Coverage, ExecStats, Fault, Image, LoadError, Loader, Machine, NetHandle, ProcessConfig,
+    RunExit,
 };
 
 use crate::runtime::{InjectionEngine, InjectionLog, PauseAtCall};
@@ -67,19 +67,6 @@ pub struct TestReport {
     pub coverage: Coverage,
 }
 
-impl TestReport {
-    /// One-line summary for logs.
-    pub fn summary(&self) -> String {
-        format!(
-            "{:?} after {} injections ({} interceptions, {} ticks)",
-            self.outcome,
-            self.injections.injection_count(),
-            self.injections.interceptions,
-            self.virtual_time
-        )
-    }
-}
-
 /// Test-run configuration.
 #[derive(Debug, Clone)]
 pub struct TestConfig {
@@ -119,28 +106,11 @@ impl Default for TestConfig {
     }
 }
 
-/// A test workload: prepares the environment (filesystem, network, arguments)
-/// and drives the program. The default `drive` simply runs the program to
-/// completion; interactive workloads (servers) override it to interleave
-/// stimulus with execution.
+/// A test workload: prepares the environment (filesystem, network,
+/// queued stimulus) before the program runs to completion.
 pub trait Workload {
-    /// Human-readable name for reports.
-    fn name(&self) -> &str {
-        "default"
-    }
-
     /// Prepare the machine (populate the filesystem, attach a network, ...).
     fn setup(&mut self, _machine: &mut Machine) {}
-
-    /// Drive the program; return how it exited.
-    fn drive(
-        &mut self,
-        machine: &mut Machine,
-        handler: &mut dyn HookHandler,
-        budget: u64,
-    ) -> RunExit {
-        machine.run(handler, budget)
-    }
 }
 
 /// A workload that does nothing beyond running the program.
@@ -372,7 +342,7 @@ impl Controller {
         let mut machine = self.machine_from_image(image, config);
         workload.setup(&mut machine);
         let mut pause = PauseAtCall::at_first(functions.iter().cloned());
-        let prefix_exit = workload.drive(&mut machine, &mut pause, config.max_instructions);
+        let prefix_exit = machine.run(&mut pause, config.max_instructions);
         SessionPrep {
             instructions_used: machine.stats.instructions,
             machine,
@@ -392,14 +362,13 @@ impl Controller {
     ) -> Result<TestReport, ControllerError> {
         let (mut machine, mut engine) = self.prepare(exe, scenario, config)?;
         workload.setup(&mut machine);
-        let exit = workload.drive(&mut machine, &mut engine, config.max_instructions);
+        let exit = machine.run(&mut engine, config.max_instructions);
         let (outcome, fault) = match &exit {
             RunExit::Exited(0) => (TestOutcome::Passed, None),
             RunExit::Exited(code) => (TestOutcome::CleanFailure(*code), None),
             RunExit::Fault(fault) => (TestOutcome::Crashed(fault.to_string()), Some(fault.clone())),
-            // `Paused` can only come from a pause handler; scenario engines
-            // never pause, but a custom workload could — report it as a hang
-            // rather than a pass.
+            // `Paused` can only come from a pause handler, which a scenario
+            // engine never is; were it to happen, it is a hang, not a pass.
             RunExit::Blocked | RunExit::Budget | RunExit::Paused => (TestOutcome::Hung, None),
         };
         Ok(TestReport {

@@ -77,7 +77,7 @@ impl SpaceSpec {
     /// yields the same space (and therefore the same plan hash) in every
     /// process.
     pub fn build(&self, executor: &StandardExecutor) -> FaultSpace {
-        let mut space = self.enumerate(executor);
+        let mut space = self.analyzed(executor).0;
         executor.annotate_baseline_reachability(&mut space, self.baseline_seed);
         space
     }
@@ -100,15 +100,9 @@ impl SpaceSpec {
         (space, message)
     }
 
-    /// The spec's fault points before baseline annotation, which never
-    /// adds or removes a point — so this also sizes the space without the
-    /// baseline runs.
-    pub fn enumerate(&self, executor: &StandardExecutor) -> FaultSpace {
-        self.analyzed(executor).0
-    }
-
-    /// [`SpaceSpec::enumerate`] and the prune counts of its analysis pass
-    /// over every enumerated point, `retain` not yet applied.
+    /// The spec's analyzed fault points before baseline annotation, and
+    /// the prune counts of the analysis pass over every enumerated point,
+    /// `retain` not yet applied.
     fn analyzed(&self, executor: &StandardExecutor) -> (FaultSpace, PruneStats) {
         let profile = standard_controller().profile_libraries();
         let mut space = executor.fault_space(&self.target_names(), &profile);

@@ -89,10 +89,10 @@ pub struct SupervisorOptions {
 }
 
 impl SupervisorOptions {
-    /// Stock options: 2 workers, 1 job each, exhaustive, fresh backend,
-    /// 8-point leases, 30 s heartbeat timeout, at most 2 worker restarts.
-    /// `worker_bin` defaults to the `campaign_worker` sibling of the
-    /// current executable when one exists.
+    /// Stock options: 2 workers, 1 job each, exhaustive, the default
+    /// [`ExecBackend`], 8-point leases, 30 s heartbeat timeout, at most 2
+    /// worker restarts. `worker_bin` defaults to the `campaign_worker`
+    /// sibling of the current executable when one exists.
     pub fn new(spec: SpaceSpec, state_dir: impl Into<PathBuf>) -> SupervisorOptions {
         SupervisorOptions {
             spec,
@@ -100,7 +100,7 @@ impl SupervisorOptions {
             workers: 2,
             jobs: 1,
             seed: 7,
-            backend: ExecBackend::Fresh,
+            backend: ExecBackend::default(),
             lease_points: 8,
             state_dir: state_dir.into(),
             worker_bin: sibling_worker_bin().unwrap_or_else(|| PathBuf::from("campaign_worker")),
@@ -307,10 +307,9 @@ impl Supervisor {
         let span = self.telemetry.histogram(SPACE_BUILD_MICROS).start();
         let executor = StandardExecutor::new(&self.options.spec.target_names());
         let (space, annotations) = self.options.spec.build_with_annotations(&executor);
-        let probe = Campaign::builder(space, &executor)
+        let campaign = Campaign::builder(space, &executor)
             .seed(self.options.seed)
             .build();
-        let campaign = probe.campaign();
         if campaign.space().is_empty() {
             return Err("the fault space is empty; nothing to lease".to_string());
         }

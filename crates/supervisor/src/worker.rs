@@ -76,7 +76,7 @@ impl WorkerConfig {
             strategy: "exhaustive".to_string(),
             jobs: 1,
             seed: 7,
-            backend: ExecBackend::Fresh,
+            backend: ExecBackend::default(),
             state_dir: state_dir.into(),
         }
     }
@@ -158,9 +158,9 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
             &stdout,
             &WorkerMessage::Hello {
                 pid: std::process::id() as u64,
-                points: probe.campaign().space().len(),
-                units: probe.campaign().total_units(),
-                plan: format!("{:016x}", probe.campaign().plan_hash()),
+                points: probe.space().len(),
+                units: probe.total_units(),
+                plan: format!("{:016x}", probe.plan_hash()),
             },
         )?;
     }

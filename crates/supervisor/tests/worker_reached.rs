@@ -92,7 +92,6 @@ fn a_worker_given_the_annotations_on_stdin_greets_with_the_same_plan() {
         Campaign::builder(space, &executor)
             .seed(7)
             .build()
-            .campaign()
             .plan_hash()
     );
 

@@ -20,7 +20,7 @@ pub mod workloads;
 pub use bft::{run_bft_cluster, BftClusterConfig, BftRunResult};
 pub use bugs::{KnownBug, KNOWN_BUGS};
 pub use truth::{ground_truth, GroundTruth};
-pub use workloads::{BindWorkload, FsSetupWorkload, HttpdWorkload};
+pub use workloads::{BindWorkload, FsSetupWorkload};
 
 fn compile_target(name: &str, kind: ModuleKind, libs: &[&str], file: &str, source: &str) -> Module {
     let mut compiler = Compiler::new(name, kind);

@@ -1,7 +1,7 @@
 //! Workloads that drive the target applications.
 
 use lfi_core::Workload;
-use lfi_vm::{Datagram, HookHandler, Machine, NetHandle, RunExit};
+use lfi_vm::{Datagram, Machine, NetHandle};
 
 use crate::standard_fs_setup;
 
@@ -12,19 +12,10 @@ use crate::standard_fs_setup;
 pub struct FsSetupWorkload;
 
 impl Workload for FsSetupWorkload {
-    fn name(&self) -> &str {
-        "fs-setup"
-    }
-
     fn setup(&mut self, machine: &mut Machine) {
         standard_fs_setup(machine);
     }
 }
-
-/// Workload for `httpd-lite`: standard filesystem plus nothing else — the
-/// request count and type are program arguments. Present as its own type so
-/// experiment code reads naturally.
-pub type HttpdWorkload = FsSetupWorkload;
 
 /// Workload for `bind-lite`: prepares the filesystem and queues DNS queries
 /// (and optionally a statistics request) on the server's socket before the
@@ -57,10 +48,6 @@ impl BindWorkload {
 }
 
 impl Workload for BindWorkload {
-    fn name(&self) -> &str {
-        "bind-client"
-    }
-
     fn setup(&mut self, machine: &mut Machine) {
         standard_fs_setup(machine);
         let server_node = machine.node_id();
@@ -87,15 +74,6 @@ impl Workload for BindWorkload {
                 sent_at: 0,
             });
         }
-    }
-
-    fn drive(
-        &mut self,
-        machine: &mut Machine,
-        handler: &mut dyn HookHandler,
-        budget: u64,
-    ) -> RunExit {
-        machine.run(handler, budget)
     }
 }
 

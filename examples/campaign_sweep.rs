@@ -2,10 +2,10 @@
 //!
 //! Demonstrates the campaign subsystem end to end: enumerate the fault
 //! space of all `*-lite` targets, annotate it with analyzer classifications
-//! and baseline reachability, build a `CampaignDriver` with the adaptive
+//! and baseline reachability, build a `Campaign` with the adaptive
 //! coverage-feedback scheduler, stream typed progress events while the
 //! worker pool drains it, triage the crashes into deduplicated signatures,
-//! and resume from the driver's own per-batch checkpoint without
+//! and resume from the campaign's own per-batch checkpoint without
 //! re-running anything. `--shard i/n` runs just one mergeable slice, the
 //! contiguous fault-point range `[i·P/n, (i+1)·P/n)` — the same flag a
 //! multi-process sweep would pass to each worker process.
@@ -43,7 +43,7 @@ where
 
 fn main() {
     let mut jobs = 2usize;
-    let mut backend = ExecBackend::Fresh;
+    let mut backend = ExecBackend::default();
     let mut shard = (0, 1);
     let mut strategy: Box<dyn Strategy> = Box::new(CoverageAdaptive::default());
     let mut args = std::env::args().skip(1);
@@ -102,8 +102,8 @@ fn main() {
             .sum::<usize>()
     );
 
-    // 2. Build the driver: strategy, backend, worker pool, shard slice, a
-    // progress sink, and a checkpoint file the driver maintains per batch.
+    // 2. Build the campaign: strategy, backend, worker pool, shard slice, a
+    // progress sink, and a checkpoint file the campaign maintains per batch.
     // With the adaptive scheduler, completed batches feed back into the
     // schedule: fault points near fresh crash signatures are escalated,
     // repeatedly-passing caller neighborhoods sink to the back.
@@ -128,7 +128,7 @@ fn main() {
         ),
         _ => {}
     };
-    let driver = Campaign::builder(space, &executor)
+    let campaign = Campaign::builder(space, &executor)
         .boxed_strategy(strategy)
         .jobs(jobs)
         .seed(7)
@@ -141,18 +141,18 @@ fn main() {
         "shard {index}/{count} (points {}..{}): {} of {} canonical units\n",
         lease.start,
         lease.end,
-        driver.campaign().lease_units(lease),
-        driver.campaign().total_units()
+        campaign.lease_units(lease),
+        campaign.total_units()
     );
-    let outcome = driver.run_to_completion();
+    let outcome = campaign.run_to_completion();
     println!("\n{}", outcome.report);
 
-    // 3. Resume from the driver's checkpoint: nothing is re-executed. The
+    // 3. Resume from the campaign's checkpoint: nothing is re-executed. The
     // state tag (strategy fingerprint @ plan hash % point range) guarantees
     // the checkpoint is only ever applied to the exact plan and range that
     // produced it — re-annotating the space, editing a test suite, or
     // handing the file to another shard would start fresh instead.
-    let again = driver.run_to_completion();
+    let again = campaign.run_to_completion();
     println!(
         "resumed from {}: {} units re-executed (state held {} records)",
         checkpoint.display(),

@@ -87,9 +87,9 @@ pub mod prelude {
     // The `Strategy` trait itself stays at `lfi::campaign::Strategy`: its
     // name collides with `proptest::prelude::Strategy` under glob imports.
     pub use lfi_campaign::{
-        Campaign, CampaignBuilder, CampaignDriver, CampaignEvent, CampaignHistory, CampaignState,
-        CoverageAdaptive, EventLog, EventSink, ExecBackend, Exhaustive, FaultPoint, FaultSpace,
-        InjectionGuided, Lease, LeaseOutcome, RandomSample, StandardExecutor,
+        Campaign, CampaignEvent, CampaignHistory, CampaignState, CoverageAdaptive, EventLog,
+        EventSink, ExecBackend, Exhaustive, FaultPoint, FaultSpace, InjectionGuided, Lease,
+        LeaseOutcome, RandomSample, StandardExecutor,
     };
     pub use lfi_core::{
         Controller, FrameSpec, FunctionAssoc, InjectionEngine, RunToCompletion, Scenario,
