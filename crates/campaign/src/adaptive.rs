@@ -230,6 +230,7 @@ impl Strategy for CoverageAdaptive {
 mod tests {
     use crate::engine::{CrashInfo, RunRecord};
     use crate::space::FaultPoint;
+    use crate::state::CampaignState;
 
     use super::*;
 
@@ -251,6 +252,13 @@ mod tests {
 
     fn space_of(points: Vec<FaultPoint>) -> FaultSpace {
         FaultSpace { points }
+    }
+
+    /// An empty history over `space` with two workloads per point, so
+    /// units `2p` and `2p + 1` are point `p`'s.
+    fn two_workloads_per_point(space: &FaultSpace) -> CampaignHistory {
+        let unit_base = (0..space.len()).map(|point| 2 * point).collect();
+        CampaignHistory::new(unit_base, 2 * space.len(), CampaignState::default())
     }
 
     fn record(unit: usize, outcome: OutcomeKind, crash_in: Option<&str>) -> RunRecord {
@@ -368,12 +376,13 @@ mod tests {
             points.push(point("fresh", i * 4));
         }
         let space = space_of(points);
-        let mut history = CampaignHistory::for_space_size(space.len());
-        history.begin_batch(&[0, 1], 2);
+        // Two workloads per point: units 0-1 are point 0's, 2-3 point 1's.
+        let mut history = two_workloads_per_point(&space);
+        history.begin_batch(&[0, 1], 4);
         // Three passing runs in `quiet` (threshold) — point 2 still pending.
-        history.observe(record(0, OutcomeKind::Passed, None));
-        history.observe(record(0, OutcomeKind::Passed, None));
-        history.observe(record(1, OutcomeKind::Passed, None));
+        for unit in 0..3 {
+            history.observe(record(unit, OutcomeKind::Passed, None));
+        }
 
         let strategy = CoverageAdaptive {
             batch: 10,
@@ -401,10 +410,9 @@ mod tests {
         unchecked.class = Some(CallSiteClass::Unchecked);
         points.push(unchecked);
         let space = space_of(points);
-        let mut history = CampaignHistory::for_space_size(space.len());
-        history.begin_batch(&[0, 1], 2);
-        for unit in 0..2 {
-            history.observe(record(unit, OutcomeKind::Passed, None));
+        let mut history = two_workloads_per_point(&space);
+        history.begin_batch(&[0, 1], 4);
+        for unit in 0..4 {
             history.observe(record(unit, OutcomeKind::Passed, None));
         }
 

@@ -4,10 +4,10 @@
 //! The engine repeatedly asks the [`Strategy`] for a batch of fault points,
 //! expands the batch into [`WorkUnit`]s (one per fault point and workload),
 //! skips units a resumed [`CampaignState`] has already completed, drains the
-//! rest on `jobs` worker threads, and feeds the completed records back into
-//! the [`CampaignHistory`] before requesting the next batch — so strategies
-//! can react to results mid-campaign. Each worker pulls units off a shared
-//! cursor and hands them to the [`Executor`].
+//! rest on `jobs` worker threads, and adds the completed records to that
+//! state, which the [`CampaignHistory`] holds for the run, before requesting
+//! the next batch — so strategies can react to results mid-campaign. Each
+//! worker pulls units off a shared cursor and hands them to the [`Executor`].
 //!
 //! ## Execution backends
 //!
@@ -761,7 +761,12 @@ impl<'a> Campaign<'a> {
         );
         state.adopt(&tag, self.seed);
 
-        let mut history = CampaignHistory::new(self.unit_base.clone(), self.total_units);
+        // The history holds the run's one record store until the run ends.
+        let mut history = CampaignHistory::new(
+            self.unit_base.clone(),
+            self.total_units,
+            std::mem::take(state),
+        );
         // Points outside the lease range are excluded up front: strategies
         // see them as already dispatched and schedule around them, so the
         // engine never has to second-guess a batch (a strategy that emits
@@ -769,22 +774,16 @@ impl<'a> Campaign<'a> {
         for point in (0..self.space.len()).filter(|&point| !lease.owns_point(point)) {
             history.exclude_point(point);
         }
-        let seen_signatures: Mutex<BTreeSet<CrashSignature>> = Mutex::new(BTreeSet::new());
+        let mut seen = BTreeSet::from_iter(history.records().iter().flat_map(crash_signatures));
         // Broadcast signatures steer scheduling (via the history's hint
         // set) and suppress duplicate announcements, but never contribute
         // records — merged results stay byte-identical to a run without
         // them for history-independent schedules.
         for signature in &self.known_signatures {
             history.add_signature_hint(signature.clone());
-            seen_signatures.lock().unwrap().insert(signature.clone());
+            seen.insert(signature.clone());
         }
-        for record in state.records() {
-            seen_signatures
-                .lock()
-                .unwrap()
-                .extend(crash_signatures(record));
-            history.observe(record.clone());
-        }
+        let seen_signatures = Mutex::new(seen);
 
         let telemetry = self.executor.telemetry();
         let triage_micros = telemetry.histogram("triage_micros");
@@ -827,13 +826,16 @@ impl<'a> Campaign<'a> {
         if batch.is_empty() {
             // Nothing to schedule at all: seal and persist the (possibly
             // resumed) state as it stands.
-            state.mark_complete();
-            persist(state, batch_started);
+            history.state.mark_complete();
+            persist(&history.state, batch_started);
         }
         while !batch.is_empty() {
             let units = self.units_for(&batch);
             history.begin_batch(&batch, units.len());
-            let pending: Vec<&WorkUnit> = units.iter().filter(|u| !state.completed(u.id)).collect();
+            let pending: Vec<&WorkUnit> = units
+                .iter()
+                .filter(|u| !history.state.completed(u.id))
+                .collect();
             if let Some(sink) = self.sink {
                 sink.event(&CampaignEvent::BatchPlanned {
                     batch: history.batches(),
@@ -869,8 +871,7 @@ impl<'a> Campaign<'a> {
             peak_workers = peak_workers.max(workers);
             let batch_executed = fresh.len();
             for record in fresh {
-                history.observe(record.clone());
-                state.push(record);
+                history.observe(record);
             }
             // Ask for the next batch before persisting this one: when the
             // strategy has nothing left, the state is sealed first, so the
@@ -881,14 +882,15 @@ impl<'a> Campaign<'a> {
             batch = next_batch(&history);
             let last = batch.is_empty();
             if last {
-                state.mark_complete();
+                history.state.mark_complete();
             }
             if last || batch_executed > 0 {
-                persist(state, batch_started);
+                persist(&history.state, batch_started);
                 batch_started = Instant::now();
             }
         }
 
+        *state = std::mem::take(&mut history.state);
         let triage_span = triage_micros.start();
         let final_triage = triage(state.records());
         triage_span.finish();

@@ -2,10 +2,13 @@
 //! the engine and an adaptive [`Strategy`](crate::strategy::Strategy).
 //!
 //! The engine builds one [`CampaignHistory`] per run of a
-//! [`Campaign`](crate::Campaign), seeds it with any records resumed from a
-//! checkpoint, and updates it after every drained batch. Strategies read it
-//! in `next_batch` to decide what to schedule next: which points are still
-//! undispatched, and how the units of already-explored points fared.
+//! [`Campaign`](crate::Campaign) and hands it the run's
+//! [`CampaignState`] for the length of the run: the state, with any
+//! records resumed from a checkpoint, is the run's one record store, and
+//! the history adds each drained batch's records to it. Strategies read
+//! the history in `next_batch` to decide what to schedule next: which
+//! points are still undispatched, and how the units of already-explored
+//! points fared.
 //!
 //! Unit ids are **canonical**: unit `id` is the position of its
 //! `(fault point, workload)` pair in the full expansion of the space in
@@ -14,18 +17,20 @@
 //! its fault-point index.
 
 use crate::engine::RunRecord;
+use crate::state::CampaignState;
 use crate::triage::CrashSignature;
 
-/// The observable state of a campaign run: completed records, the canonical
-/// unit layout, and which fault points have been dispatched so far.
+/// The observable state of a campaign run: the run's record store, the
+/// canonical unit layout, and which fault points have been dispatched so
+/// far.
 #[derive(Debug, Clone)]
 pub struct CampaignHistory {
     /// Canonical id of the first unit of each fault point, ascending.
     unit_base: Vec<usize>,
     /// Total canonical units (sum of workload-suite sizes over all points).
     total_units: usize,
-    /// Every completed record, resumed ones included, in completion order.
-    records: Vec<RunRecord>,
+    /// The run's state: every completed record, resumed ones included.
+    pub(crate) state: CampaignState,
     /// Crash signatures first observed *outside* this run (a supervisor's
     /// broadcasts from sibling workers): scheduling hints with no local
     /// record behind them.
@@ -38,12 +43,12 @@ pub struct CampaignHistory {
 }
 
 impl CampaignHistory {
-    pub(crate) fn new(unit_base: Vec<usize>, total_units: usize) -> CampaignHistory {
+    pub(crate) fn new(unit_base: Vec<usize>, total_units: usize, state: CampaignState) -> Self {
         let points = unit_base.len();
         CampaignHistory {
             unit_base,
             total_units,
-            records: Vec::new(),
+            state,
             signature_hints: Vec::new(),
             dispatched: vec![false; points],
             dispatched_points: 0,
@@ -56,12 +61,13 @@ impl CampaignHistory {
     /// single workload (unit id == point index). Intended for exercising
     /// strategies directly in tests, without an engine.
     pub fn for_space_size(points: usize) -> CampaignHistory {
-        CampaignHistory::new((0..points).collect(), points)
+        CampaignHistory::new((0..points).collect(), points, CampaignState::default())
     }
 
-    /// Every completed record so far, resumed ones included.
+    /// Every completed record so far, resumed ones included, ordered by
+    /// unit id.
     pub fn records(&self) -> &[RunRecord] {
-        &self.records
+        self.state.records()
     }
 
     /// Crash signatures first seen elsewhere in a supervised campaign
@@ -100,11 +106,6 @@ impl CampaignHistory {
         self.planned_units
     }
 
-    /// Total canonical units of the space (every point × its workloads).
-    pub fn total_units(&self) -> usize {
-        self.total_units
-    }
-
     /// Map a canonical unit id back to its fault-point index.
     pub fn point_of_unit(&self, unit: usize) -> Option<usize> {
         if unit >= self.total_units {
@@ -112,13 +113,6 @@ impl CampaignHistory {
         }
         // unit_base is ascending; the owning point is the last base <= unit.
         Some(self.unit_base.partition_point(|&base| base <= unit) - 1)
-    }
-
-    /// The completed records attributed to one fault point.
-    pub fn records_for_point(&self, point: usize) -> impl Iterator<Item = &RunRecord> {
-        self.records
-            .iter()
-            .filter(move |r| self.point_of_unit(r.unit) == Some(point))
     }
 
     /// Mark a fault point as off-limits for this run *without* counting it
@@ -144,35 +138,18 @@ impl CampaignHistory {
     }
 
     pub(crate) fn observe(&mut self, record: RunRecord) {
-        self.records.push(record);
+        self.state.push(record);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::OutcomeKind;
-
     use super::*;
-
-    fn record(unit: usize) -> RunRecord {
-        RunRecord {
-            unit,
-            target: "demo".into(),
-            function: "read".into(),
-            offset: 4,
-            args: vec![],
-            outcome: OutcomeKind::Passed,
-            injections: 1,
-            injected_sites: vec![],
-            crashes: vec![],
-            virtual_time: 1,
-        }
-    }
 
     #[test]
     fn units_map_back_to_their_points() {
         // Three points with 2, 3, and 1 workloads: bases 0, 2, 5.
-        let history = CampaignHistory::new(vec![0, 2, 5], 6);
+        let history = CampaignHistory::new(vec![0, 2, 5], 6, CampaignState::default());
         assert_eq!(history.point_of_unit(0), Some(0));
         assert_eq!(history.point_of_unit(1), Some(0));
         assert_eq!(history.point_of_unit(2), Some(1));
@@ -183,7 +160,7 @@ mod tests {
 
     #[test]
     fn batches_track_dispatch_and_unit_counts() {
-        let mut history = CampaignHistory::new(vec![0, 2, 5], 6);
+        let mut history = CampaignHistory::new(vec![0, 2, 5], 6, CampaignState::default());
         assert!(!history.dispatched(1));
         assert!(history.dispatched(99), "out of range counts as dispatched");
         history.begin_batch(&[1], 3);
@@ -192,16 +169,5 @@ mod tests {
         assert_eq!(history.dispatched_points(), 3);
         assert_eq!(history.planned_units(), 6);
         assert!(history.dispatched(0) && history.dispatched(1) && history.dispatched(2));
-    }
-
-    #[test]
-    fn records_filter_by_point() {
-        let mut history = CampaignHistory::new(vec![0, 2, 5], 6);
-        for unit in [0, 1, 3, 5] {
-            history.observe(record(unit));
-        }
-        assert_eq!(history.records_for_point(0).count(), 2);
-        assert_eq!(history.records_for_point(1).count(), 1);
-        assert_eq!(history.records_for_point(2).count(), 1);
     }
 }

@@ -5,6 +5,10 @@
 //! test suites (bind-lite behind its networked client workload), and
 //! bft-lite as a full 4-replica cluster.
 //!
+//! The executor profiles the stock libraries once, on first use
+//! ([`StandardExecutor::profile`]): that profile enumerates and classifies
+//! its fault spaces and names what its session images interpose.
+//!
 //! The executor implements both halves of the campaign engine's session
 //! model:
 //!
@@ -27,6 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use lfi_analyzer::{analyze_program, AnalysisConfig};
 use lfi_core::{Controller, InjectionEngine, InjectionLog, TestConfig, TestReport, Workload};
 use lfi_obj::Module;
 use lfi_profiler::FaultProfile;
@@ -191,14 +196,12 @@ impl ExecMetrics {
 /// Executes campaign work units against the stock `*-lite` targets.
 pub struct StandardExecutor {
     targets: BTreeMap<String, Module>,
-    /// Names of every profiled library function with at least one error
-    /// case — the superset of functions any unit may inject. Session images
-    /// interpose all of them so a single snapshot serves every unit of its
-    /// `(target, workload)` pair; an engine with no association for an
-    /// intercepted function simply forwards the call, which is free.
-    /// Computed on first session use — fresh-backend executors never pay
-    /// for the library profiling pass.
-    injectable: OnceLock<Vec<String>>,
+    /// The merged fault profile of the stock libraries, computed on first
+    /// use. Session images interpose every function it can fail, the
+    /// superset of what any unit injects, so one snapshot serves every unit
+    /// of its `(target, workload)` pair; an engine with no association for
+    /// an intercepted function simply forwards the call, which is free.
+    profile: OnceLock<FaultProfile>,
     /// Loaded session images per target: the loader's layout and
     /// instruction-predecoding work is shared by all of the target's
     /// workload sessions (and their forks).
@@ -245,7 +248,7 @@ impl StandardExecutor {
                 .iter()
                 .map(|name| (name.to_string(), stock_target(name)))
                 .collect(),
-            injectable: OnceLock::new(),
+            profile: OnceLock::new(),
             images: Mutex::new(BTreeMap::new()),
             prepared: Mutex::new(BTreeMap::new()),
             max_instructions: TestConfig::default().max_instructions,
@@ -272,14 +275,10 @@ impl StandardExecutor {
         self.max_instructions = max_instructions;
     }
 
-    /// The union of profiled failing library functions session images
-    /// interpose (computed once, on first use).
-    fn injectable(&self) -> &[String] {
-        self.injectable.get_or_init(|| {
-            standard_controller()
-                .profile_libraries()
-                .failing_functions()
-        })
+    /// The merged fault profile of the stock libraries, computed once.
+    pub fn profile(&self) -> &FaultProfile {
+        self.profile
+            .get_or_init(|| standard_controller().profile_libraries())
     }
 
     /// An executor over every stock target.
@@ -298,8 +297,9 @@ impl StandardExecutor {
     /// verdicts, then run the static-prune pass: points whose error return
     /// is provably handled are demoted (explored last, fast-pruned by the
     /// adaptive scheduler once runtime evidence corroborates the proof).
-    /// The phase's duration and prune counts land in the executor's
-    /// telemetry (`analysis_micros`, `analysis_sites_*`).
+    /// Enumeration and classification both use `profile`. The phase's
+    /// duration and prune counts land in the executor's telemetry
+    /// (`analysis_micros`, `analysis_sites_*`).
     pub fn fault_space(&self, targets: &[&str], profile: &FaultProfile) -> FaultSpace {
         let _span = self.metrics.analysis_micros.start();
         let controller = standard_controller();
@@ -309,7 +309,7 @@ impl StandardExecutor {
                 .target(name)
                 .unwrap_or_else(|| panic!("unknown target {name}"));
             space.add_target(name, exe, profile);
-            let reports = controller.analyze(exe);
+            let reports = analyze_program(exe, profile, AnalysisConfig::default());
             space.annotate_analysis(name, &reports);
             space.annotate_propagation(name, &controller.analyze_propagation(exe, &reports));
         }
@@ -339,7 +339,7 @@ impl StandardExecutor {
                     .target(target)
                     .unwrap_or_else(|| panic!("unknown target {target}"));
                 standard_controller()
-                    .build_image(exe, self.injectable())
+                    .build_image(exe, &self.profile().failing_functions())
                     .expect("stock target must load")
             })
             .clone()
@@ -376,8 +376,8 @@ impl StandardExecutor {
             },
         );
         let image = self.session_image(target);
-        let mut prep =
-            controller.prepare_session(image, self.injectable(), workload.as_mut(), &config);
+        let pause_at = self.profile().failing_functions();
+        let mut prep = controller.prepare_session(image, &pause_at, workload.as_mut(), &config);
         let budget_left = prep.fork_budget(self.max_instructions)?;
         if !prep.machine.rng_is_pristine() {
             return None;
@@ -631,13 +631,10 @@ impl Executor for StandardExecutor {
         self.metrics.fork_hits.inc();
         machine.reseed(unit.seed);
         machine.set_record_coverage(false);
-        // Mirror the fresh path's engine setup exactly: the stock registry
-        // and the trigger-evaluation cost both come from the same defaults
-        // `run_target`'s controller uses, so the two backends cannot drift
-        // apart if either default changes.
+        // The stock registry and trigger-evaluation cost, as on the fresh
+        // path: both defaults come from `lfi_core`.
         let mut engine =
             InjectionEngine::new(unit.scenario.clone()).expect("unit scenario must compile");
-        engine.trigger_eval_cost = TestConfig::default().trigger_eval_cost;
         let (outcome, crashes) = self.classify(&machine.run(&mut engine, budget_left));
         Execution {
             outcome,
@@ -661,6 +658,8 @@ impl Executor for StandardExecutor {
 
 #[cfg(test)]
 mod tests {
+    use lfi_analyzer::{iter_sites, CallSiteClass};
+    use lfi_profiler::ErrorCase;
     use lfi_targets::all_targets;
 
     use super::*;
@@ -681,13 +680,43 @@ mod tests {
         assert!(executor.target("git-lite").is_some());
         assert!(executor.target("httpd-lite").is_none());
         assert!(
-            executor.injectable.get().is_none(),
-            "the failing-function union is not computed until a session is prepared"
+            executor.profile.get().is_none(),
+            "the library profile is not computed until first use"
         );
         assert!(
-            !executor.injectable().is_empty(),
+            !executor.profile().failing_functions().is_empty(),
             "session images need the profiled failing-function union"
         );
+    }
+
+    #[test]
+    fn fault_space_classifies_with_the_profile_it_is_given() {
+        let executor = StandardExecutor::new(&["git-lite"]);
+        let exe = executor.target("git-lite").unwrap();
+        // An extra error return no call site compares against: a site that
+        // checked every stock error code by equality now checks only some.
+        let mut profile = executor.profile().clone();
+        for function in profile.functions.values_mut() {
+            if !function.error_cases.is_empty() {
+                function.error_cases.push(ErrorCase {
+                    retval: 0x5eed,
+                    errno: None,
+                });
+            }
+        }
+        let classes = |profile: &FaultProfile| -> BTreeMap<(String, u64), CallSiteClass> {
+            iter_sites(&analyze_program(exe, profile, AnalysisConfig::default()))
+                .map(|(report, site)| ((report.function.clone(), site.offset), site.class))
+                .collect()
+        };
+        let expected = classes(&profile);
+        assert_ne!(expected, classes(executor.profile()), "no class changed");
+        let space = executor.fault_space(&["git-lite"], &profile);
+        assert!(!space.is_empty());
+        for point in &space.points {
+            let key = (point.function.clone(), point.offset);
+            assert_eq!(point.class, expected.get(&key).copied(), "{key:?}");
+        }
     }
 
     #[test]

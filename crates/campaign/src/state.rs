@@ -1,7 +1,10 @@
 //! Resumable campaign state, persisted as JSON.
 //!
-//! Long campaigns survive interruption by checkpointing every completed run
-//! record. A resumed campaign skips completed units and re-triages the full
+//! A [`CampaignState`] is a run's one record store: its records, kept
+//! sorted by unit id, are what the engine's history feeds strategies, what
+//! the checkpoints persist, and what the final triage reads. Long campaigns
+//! survive interruption by checkpointing every completed run record. A
+//! resumed campaign skips completed units and re-triages the full
 //! record set, so killing a sweep halfway loses only in-flight units. The
 //! state is tagged `fingerprint@plan-hash%start..end` — the strategy
 //! *fingerprint* (name plus any schedule-affecting parameters, e.g. a
@@ -15,8 +18,6 @@
 //! must start fresh rather than attribute records to the wrong units (or
 //! hand one range's records to another).
 
-use std::collections::BTreeSet;
-
 use lfi_json::{int_field, invalid, str_field, JsonError, Value};
 
 use crate::engine::{CrashInfo, InjectedSite, OutcomeKind, RunRecord};
@@ -26,8 +27,8 @@ use crate::engine::{CrashInfo, InjectedSite, OutcomeKind, RunRecord};
 pub struct CampaignState {
     strategy: String,
     seed: u64,
+    /// Completed records, sorted by unit id, at most one per unit.
     records: Vec<RunRecord>,
-    completed: BTreeSet<usize>,
     /// Whether the run that last wrote this state finished its whole
     /// schedule. Mid-run (per-batch) checkpoints persist `false`; the
     /// engine seals the state `true` only when the strategy had nothing
@@ -44,7 +45,6 @@ impl CampaignState {
     pub fn adopt(&mut self, tag: &str, seed: u64) {
         if self.strategy != tag || self.seed != seed {
             self.records.clear();
-            self.completed.clear();
             self.strategy = tag.to_string();
             self.seed = seed;
         }
@@ -80,14 +80,14 @@ impl CampaignState {
 
     /// Whether a unit has already been executed.
     pub fn completed(&self, unit: usize) -> bool {
-        self.completed.contains(&unit)
+        self.records.binary_search_by_key(&unit, |r| r.unit).is_ok()
     }
 
-    /// Record one completed unit.
+    /// Record one completed unit, in unit order; a unit already recorded
+    /// keeps its first record.
     pub fn push(&mut self, record: RunRecord) {
-        if self.completed.insert(record.unit) {
-            self.records.push(record);
-            self.records.sort_by_key(|r| r.unit);
+        if let Err(at) = self.records.binary_search_by_key(&record.unit, |r| r.unit) {
+            self.records.insert(at, record);
         }
     }
 

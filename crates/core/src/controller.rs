@@ -19,7 +19,7 @@ use lfi_vm::{
     RunExit,
 };
 
-use crate::runtime::{InjectionEngine, InjectionLog, PauseAtCall};
+use crate::runtime::{InjectionEngine, InjectionLog, PauseAtCall, TRIGGER_EVAL_COST};
 use crate::scenario::Scenario;
 use crate::triggers::{TriggerBuildError, TriggerRegistry};
 
@@ -100,7 +100,7 @@ impl Default for TestConfig {
             env: Vec::new(),
             args: Vec::new(),
             heap_limit: 64 << 20,
-            trigger_eval_cost: 10,
+            trigger_eval_cost: TRIGGER_EVAL_COST,
             observe_only: false,
         }
     }
@@ -265,8 +265,9 @@ impl Controller {
     /// Generate an injection scenario for all unchecked call sites of the
     /// executable, exactly like the analyzer-driven workflow of §5/§7.1.
     pub fn generate_scenario(&self, exe: &Module, include_partial: bool) -> Scenario {
-        let reports = self.analyze(exe);
-        Scenario::from_reports(&reports, &self.profile_libraries(), include_partial)
+        let profile = self.profile_libraries();
+        let reports = analyze_program(exe, &profile, AnalysisConfig::default());
+        Scenario::from_reports(&reports, &profile, include_partial)
     }
 
     /// Load `exe` against the registered libraries with the given function

@@ -262,6 +262,9 @@ struct TriggerSlot {
     instance: Option<Box<dyn Trigger>>,
 }
 
+/// Virtual-time cost of one trigger evaluation, unless a run sets its own.
+pub const TRIGGER_EVAL_COST: u64 = 10;
+
 /// The LFI injection engine; plugs into the VM as a [`HookHandler`].
 pub struct InjectionEngine {
     registry: TriggerRegistry,
@@ -273,8 +276,6 @@ pub struct InjectionEngine {
     pub log: InjectionLog,
     /// Virtual-time cost charged per trigger evaluation.
     pub trigger_eval_cost: u64,
-    /// Stop injecting after this many injections (None = unlimited).
-    pub max_injections: Option<u64>,
     /// If true, evaluate triggers but never actually inject (used by the
     /// overhead experiments in §7.4, which measure the trigger mechanism
     /// while letting all calls through).
@@ -353,8 +354,7 @@ impl InjectionEngine {
             functions,
             slots,
             log: InjectionLog::default(),
-            trigger_eval_cost: 10,
-            max_injections: None,
+            trigger_eval_cost: TRIGGER_EVAL_COST,
             observe_only: false,
         })
     }
@@ -407,11 +407,6 @@ impl HookHandler for InjectionEngine {
 
         if hooked.assocs.is_empty() {
             return HookAction::Forward;
-        }
-        if let Some(limit) = self.max_injections {
-            if self.log.entries.len() as u64 >= limit {
-                return HookAction::Forward;
-            }
         }
         // Evaluate each association (disjunction). Within one association the
         // triggers form a conjunction evaluated with short-circuiting.

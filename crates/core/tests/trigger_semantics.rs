@@ -327,27 +327,6 @@ fn caller_anywhere_does_not_see_the_function_at_offset_zero_on_every_call() {
     assert_eq!(engine.log.injection_count(), 1);
 }
 
-#[test]
-fn max_injections_caps_the_log_and_forwards_later_calls() {
-    // A call-stack trigger on the module alone fires on every call.
-    let scenario = frame_scenario(FrameSpec {
-        module: Some("app".into()),
-        ..FrameSpec::default()
-    });
-    let mut engine = InjectionEngine::new(scenario).expect("scenario compiles");
-    engine.max_injections = Some(3);
-    let (exit, engine) = run_engine(&five_reads_app(), engine);
-    // Three injected -1s, then two forwarded reads of 10.
-    assert_eq!(exit, RunExit::Exited(-3 + 2 * 10));
-    assert_eq!(engine.log.injection_count(), 3);
-    let counts: Vec<u64> = engine.log.records().map(|r| r.call_count).collect();
-    assert_eq!(counts, vec![1, 2, 3]);
-    assert_eq!(engine.log.interceptions, 5);
-    assert_eq!(engine.call_count("read"), 5);
-    // Calls past the cap are forwarded without evaluating triggers.
-    assert_eq!(engine.log.trigger_evaluations, 3);
-}
-
 /// `to_json` of two association sites, one injected twice, captured before
 /// the log interned its sites: the serialized log must not change.
 const TWO_SITE_LOG_JSON: &str = r#"{

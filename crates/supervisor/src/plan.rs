@@ -1,25 +1,26 @@
 //! What a supervised campaign runs over: the fault-space specification
 //! the supervisor and every worker must agree on.
 //!
-//! A [`SpaceSpec`] is the portable description of one fault space —
-//! which targets to enumerate, which functions to keep per target, and
-//! the baseline-reachability seed. The supervisor ships the spec to each
-//! worker as command-line flags and builds the annotated space itself
-//! ([`SpaceSpec::build_with_annotations`]): the analysis, the static
-//! prune and the baseline runs happen once, in the supervisor, while its
-//! workers start. Each worker only enumerates the bare points
-//! ([`SpaceSpec::enumerate_bare`]: profile, call sites and `retain`) and
-//! takes every point's annotations from the supervisor's
+//! A [`SpaceSpec`] is the portable description of one fault space — which
+//! targets to enumerate, which functions to keep per target, and the
+//! baseline-reachability seed. Every build and enumeration uses the
+//! executor's one library profile ([`StandardExecutor::profile`]). The
+//! supervisor ships the spec to each worker as command-line flags and
+//! builds the annotated space itself
+//! ([`SpaceSpec::build_with_annotations`]): the analysis, the static prune
+//! and the baseline runs happen once, in the supervisor, while its workers
+//! start. Each worker only enumerates the bare points
+//! ([`SpaceSpec::enumerate_bare`]: call sites and `retain`) and takes every
+//! point's annotations from the supervisor's
 //! [`ControlMessage::Annotations`] line. The identity fields still come
 //! from the worker's own enumeration, and it echoes its plan hash back in
-//! the `Hello` handshake, so a supervisor and a worker that would
-//! enumerate different spaces fail loudly instead of merging nonsense.
+//! the `Hello` handshake, so a supervisor and a worker that would enumerate
+//! different spaces fail loudly instead of merging nonsense.
 
 use lfi_campaign::{
-    ControlMessage, CoverageAdaptive, Exhaustive, FaultSpace, InjectionGuided, PruneStats,
-    RandomSample, StandardExecutor, Strategy,
+    ControlMessage, CoverageAdaptive, Exhaustive, FaultSpace, InjectionGuided, RandomSample,
+    StandardExecutor, Strategy,
 };
-use lfi_targets::standard_controller;
 
 /// The targets of the Table 1 hunt.
 pub const TABLE1_TARGETS: [&str; 4] = ["bind-lite", "git-lite", "db-lite", "bft-lite"];
@@ -72,26 +73,27 @@ impl SpaceSpec {
         self.targets.iter().map(String::as_str).collect()
     }
 
-    /// Enumerate, filter, and annotate the space this spec describes.
-    /// Deterministic: the same spec against the same executor build
-    /// yields the same space (and therefore the same plan hash) in every
-    /// process.
+    /// The space [`SpaceSpec::build_with_annotations`] builds, without
+    /// its message.
     pub fn build(&self, executor: &StandardExecutor) -> FaultSpace {
-        let mut space = self.analyzed(executor).0;
-        executor.annotate_baseline_reachability(&mut space, self.baseline_seed);
-        space
+        self.build_with_annotations(executor).0
     }
 
-    /// [`SpaceSpec::build`], plus the [`ControlMessage::Annotations`] that
-    /// turns a worker's [`SpaceSpec::enumerate_bare`] of the same spec into
-    /// this space. The message also carries the analysis pass's prune
-    /// counts, taken before `retain` as [`StandardExecutor::fault_space`]
-    /// records them, so a worker's metrics read the same either way.
+    /// Enumerate, analyze, filter, and baseline-annotate the space this
+    /// spec describes, plus the [`ControlMessage::Annotations`] that turns
+    /// a worker's [`SpaceSpec::enumerate_bare`] of the same spec into this
+    /// space. Deterministic: the same spec against the same executor build
+    /// yields the same space (and therefore the same plan hash) in every
+    /// process. The message also carries the analysis pass's prune counts,
+    /// taken before `retain` as [`StandardExecutor::fault_space`] records
+    /// them, so a worker's metrics read the same either way.
     pub fn build_with_annotations(
         &self,
         executor: &StandardExecutor,
     ) -> (FaultSpace, ControlMessage) {
-        let (mut space, analysis) = self.analyzed(executor);
+        let mut space = executor.fault_space(&self.target_names(), executor.profile());
+        let analysis = space.prune_stats();
+        self.retain(&mut space);
         executor.annotate_baseline_reachability(&mut space, self.baseline_seed);
         let message = ControlMessage::Annotations {
             points: space.annotations(),
@@ -100,30 +102,18 @@ impl SpaceSpec {
         (space, message)
     }
 
-    /// The spec's analyzed fault points before baseline annotation, and
-    /// the prune counts of the analysis pass over every enumerated point,
-    /// `retain` not yet applied.
-    fn analyzed(&self, executor: &StandardExecutor) -> (FaultSpace, PruneStats) {
-        let profile = standard_controller().profile_libraries();
-        let mut space = executor.fault_space(&self.target_names(), &profile);
-        let analysis = space.prune_stats();
-        self.retain(&mut space);
-        (space, analysis)
-    }
-
     /// The spec's fault points with no annotation at all: the profiled
     /// call sites of each target, filtered by `retain`. Skips the analyzer
     /// and the baseline runs; the points' identity fields equal
     /// [`SpaceSpec::build`]'s, so applying that space's annotations
     /// ([`FaultSpace::apply_annotations`]) yields it.
     pub fn enumerate_bare(&self, executor: &StandardExecutor) -> FaultSpace {
-        let profile = standard_controller().profile_libraries();
         let mut space = FaultSpace::new();
         for name in &self.targets {
             let exe = executor
                 .target(name)
                 .unwrap_or_else(|| panic!("unknown target {name}"));
-            space.add_target(name, exe, &profile);
+            space.add_target(name, exe, executor.profile());
         }
         self.retain(&mut space);
         space
