@@ -16,6 +16,7 @@
 //! line each, flushed per event — point `campaign_status` at the files of
 //! concurrent shards for a merged live view of the hunt.
 
+use std::path::Path;
 use std::process::exit;
 
 use lfi_bench::{table1_campaign, table1_merge, HuntOptions};
@@ -45,6 +46,14 @@ where
     })
 }
 
+/// Read a checkpoint, or exit 1 naming the file and what went wrong.
+fn load_or_exit(path: &Path) -> CampaignState {
+    CampaignState::load(path).unwrap_or_else(|err| {
+        eprintln!("table1_bugs: {err}");
+        exit(1);
+    })
+}
+
 /// `table1_bugs merge STATE.json...`: parse the persisted shard states and
 /// recombine them into the unsharded hunt result.
 fn merge_main(paths: &[String]) -> ! {
@@ -53,16 +62,7 @@ fn merge_main(paths: &[String]) -> ! {
     }
     let states: Vec<CampaignState> = paths
         .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|err| {
-                eprintln!("table1_bugs: read {path}: {err}");
-                exit(1);
-            });
-            CampaignState::from_json(&text).unwrap_or_else(|err| {
-                eprintln!("table1_bugs: parse {path}: {}", err.message);
-                exit(1);
-            })
-        })
+        .map(|path| load_or_exit(Path::new(path)))
         .collect();
     match table1_merge(&states) {
         Ok(merged) => {
@@ -122,17 +122,7 @@ fn main() {
         .state
         .as_deref()
         .filter(|path| path.exists())
-        .map(|path| {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|err| {
-                eprintln!("table1_bugs: read {}: {err}", path.display());
-                exit(1);
-            });
-            let state = CampaignState::from_json(&text).unwrap_or_else(|err| {
-                eprintln!("table1_bugs: parse {}: {}", path.display(), err.message);
-                exit(1);
-            });
-            (path.to_path_buf(), state)
-        });
+        .map(|path| (path.to_path_buf(), load_or_exit(path)));
     let result = table1_campaign(&options);
     println!("{}", result.report);
     if let Some((path, prior_state)) = prior {

@@ -1,6 +1,7 @@
 //! Configuring a campaign run: [`Campaign::builder`] fixes the unit layout
 //! and every default, each setter here changes one choice, and
-//! [`Campaign::build`] checks the lease.
+//! [`Campaign::build`] checks the lease. [`Campaign::run_to_completion`]
+//! resumes from the [`Campaign::checkpoint`] file, if there is one.
 //!
 //! ```no_run
 //! use lfi_campaign::{Campaign, CoverageAdaptive, Lease, StandardExecutor};
@@ -155,26 +156,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// The state this run would start from: the parsed checkpoint file
-    /// when a checkpoint path is configured and the file exists, an empty
-    /// state otherwise. A corrupt checkpoint panics instead of being
-    /// silently discarded.
-    fn load_state(&self) -> CampaignState {
-        let Some(path) = self.checkpoint.as_deref().filter(|p| p.exists()) else {
-            return CampaignState::default();
-        };
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|err| panic!("read campaign checkpoint {}: {err}", path.display()));
-        CampaignState::from_json(&text).unwrap_or_else(|err| {
-            panic!(
-                "parse campaign checkpoint {}: {} (at byte {})",
-                path.display(),
-                err.message,
-                err.position
-            )
-        })
-    }
-
     /// Run this lease to completion and return its mergeable outcome.
     ///
     /// With a checkpoint path configured this is a *resumable* entry
@@ -184,9 +165,13 @@ impl<'a> Campaign<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when an existing checkpoint file cannot be read or parsed.
+    /// Panics when an existing checkpoint file cannot be read or parsed:
+    /// a corrupt checkpoint is never silently discarded.
     pub fn run_to_completion(&self) -> LeaseOutcome {
-        let mut state = self.load_state();
+        let mut state = match self.checkpoint.as_deref().filter(|p| p.exists()) {
+            Some(path) => CampaignState::load(path).unwrap_or_else(|err| panic!("{err}")),
+            None => CampaignState::default(),
+        };
         self.run_with_state(&mut state)
     }
 }
@@ -432,7 +417,7 @@ mod tests {
             "exhaustive is one batch, so its one write is the completion seal"
         );
         assert!(
-            campaign.load_state().is_complete(),
+            CampaignState::load(&path).unwrap().is_complete(),
             "the persisted state is sealed complete"
         );
 

@@ -14,7 +14,6 @@ use lfi_json::{int_field, invalid, str_field, JsonError, Value};
 
 use crate::lease::Lease;
 use crate::space::{PointAnnotations, PruneStats};
-use crate::state::opt_str_field;
 use crate::triage::CrashSignature;
 
 /// A message from the supervisor to one worker.
@@ -68,33 +67,16 @@ impl ControlMessage {
                     ("end".to_string(), Value::Int(lease.end as i64)),
                 ],
             ),
-            ControlMessage::SignatureBroadcast(signature) => tagged(
-                "signature_broadcast",
-                vec![
-                    ("target".to_string(), Value::Str(signature.target.clone())),
-                    (
-                        "function".to_string(),
-                        Value::Str(signature.function.clone()),
-                    ),
-                    ("module".to_string(), Value::Str(signature.module.clone())),
-                    ("offset".to_string(), Value::Int(signature.offset as i64)),
-                    (
-                        "frame".to_string(),
-                        signature.frame.clone().map_or(Value::Null, Value::Str),
-                    ),
-                ],
-            ),
+            ControlMessage::SignatureBroadcast(signature) => {
+                tagged("signature_broadcast", signature.to_fields())
+            }
             ControlMessage::Shutdown => tagged("shutdown", Vec::new()),
         }
     }
 
     /// Decode a value produced by [`to_value`](Self::to_value).
     pub fn from_value(value: &Value) -> Result<ControlMessage, JsonError> {
-        let kind = value
-            .get("control")
-            .and_then(Value::as_str)
-            .ok_or_else(|| invalid("missing string field `control`"))?;
-        match kind {
+        match str_field(value, "control")?.as_str() {
             "annotations" => Ok(ControlMessage::Annotations {
                 points: decode_annotations(&str_field(value, "points")?).map_err(invalid)?,
                 analysis: PruneStats {
@@ -108,13 +90,9 @@ impl ControlMessage {
                 start: int_field(value, "start")? as usize,
                 end: int_field(value, "end")? as usize,
             })),
-            "signature_broadcast" => Ok(ControlMessage::SignatureBroadcast(CrashSignature {
-                target: str_field(value, "target")?,
-                function: str_field(value, "function")?,
-                module: str_field(value, "module")?,
-                offset: int_field(value, "offset")? as u64,
-                frame: opt_str_field(value, "frame"),
-            })),
+            "signature_broadcast" => Ok(ControlMessage::SignatureBroadcast(
+                CrashSignature::from_fields(value)?,
+            )),
             "shutdown" => Ok(ControlMessage::Shutdown),
             other => Err(invalid(format!("unknown control kind `{other}`"))),
         }
@@ -290,6 +268,22 @@ mod tests {
                 .unwrap_or_else(|err| panic!("decoding {line}: {err:?}"));
             assert_eq!(back, message);
         }
+    }
+
+    /// The `signature_broadcast` wire bytes, pinned: the same five keys
+    /// as a `crash_found` event, after the `control` key.
+    #[test]
+    fn a_signature_broadcast_line_keeps_its_wire_bytes() {
+        let message = ControlMessage::SignatureBroadcast(CrashSignature {
+            target: "db-lite".into(),
+            function: "close".into(),
+            module: "db-lite".into(),
+            offset: 0x40,
+            frame: None,
+        });
+        let line = r#"{"control":"signature_broadcast","target":"db-lite","function":"close","module":"db-lite","offset":64,"frame":null}"#;
+        assert_eq!(message.to_json_line(), line);
+        assert_eq!(ControlMessage::from_json_line(line).unwrap(), message);
     }
 
     #[test]

@@ -46,7 +46,8 @@
 //! shift unit ids or swap the scenario behind an id — re-annotation, a
 //! different fault profile, an edited test suite, a different range —
 //! therefore invalidates the checkpoint instead of silently misapplying
-//! it.
+//! it. [`crate::state`] owns the tag's grammar and the checkpoint file;
+//! the engine persists each batch with [`CampaignState::save`].
 //!
 //! ## Driving a campaign
 //!
@@ -58,7 +59,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -69,9 +70,9 @@ use lfi_telemetry::Telemetry;
 
 use crate::events::{CampaignEvent, EventSink};
 use crate::history::CampaignHistory;
-use crate::lease::{format_range, Lease, LeaseOutcome};
+use crate::lease::{Lease, LeaseOutcome};
 use crate::space::{FaultPoint, FaultSpace};
-use crate::state::CampaignState;
+use crate::state::{checkpoint_tag, CampaignState};
 use crate::strategy::{Exhaustive, Strategy};
 use crate::triage::{crash_signatures, triage, CampaignReport, CrashSignature};
 
@@ -407,33 +408,6 @@ impl std::str::FromStr for ExecBackend {
 /// [`Campaign::heartbeat`]).
 pub const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 
-/// Persist a campaign checkpoint with write-then-rename, so an
-/// interruption mid-write leaves the previous checkpoint intact instead of
-/// a truncated file the next run would refuse to parse.
-fn write_checkpoint(
-    path: &Path,
-    state: &CampaignState,
-    sink: Option<&dyn EventSink>,
-    batch_duration: Duration,
-) {
-    // Append (never substitute) the marker: `state.0` and `state.1` in one
-    // directory must not share a temp file, and a checkpoint path that
-    // itself ends in `.tmp` must still get a distinct temp sibling.
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, state.to_json())
-        .and_then(|()| std::fs::rename(&tmp, path))
-        .unwrap_or_else(|err| panic!("write campaign checkpoint {}: {err}", path.display()));
-    if let Some(sink) = sink {
-        sink.event(&CampaignEvent::CheckpointWritten {
-            path: path.to_path_buf(),
-            completed: state.records().len(),
-            batch_duration_micros: batch_duration.as_micros() as u64,
-        });
-    }
-}
-
 /// What the drain workers update while a run goes on: unit timings, the
 /// executed count, and the heartbeat throttle.
 struct RunProgress {
@@ -753,12 +727,7 @@ impl<'a> Campaign<'a> {
         // start fresh. Lease identity is the *range* (not the grant id): a
         // reassigned lease adopts the previous worker's checkpoint and
         // re-executes only unfinished work.
-        let tag = format!(
-            "{}@{:016x}%{}",
-            self.strategy.fingerprint(),
-            self.plan_hash(),
-            format_range(lease.start, lease.end)
-        );
+        let tag = checkpoint_tag(&self.strategy.fingerprint(), self.plan_hash(), lease);
         state.adopt(&tag, self.seed);
 
         // The history holds the run's one record store until the run ends.
@@ -818,7 +787,15 @@ impl<'a> Campaign<'a> {
         let persist = |state: &CampaignState, batch_started: Instant| {
             if let Some(path) = &self.checkpoint {
                 let span = checkpoint_write_micros.start();
-                write_checkpoint(path, state, self.sink, batch_started.elapsed());
+                let batch_duration_micros = batch_started.elapsed().as_micros() as u64;
+                state.save(path).unwrap_or_else(|err| panic!("{err}"));
+                if let Some(sink) = self.sink {
+                    sink.event(&CampaignEvent::CheckpointWritten {
+                        path: path.clone(),
+                        completed: state.records().len(),
+                        batch_duration_micros,
+                    });
+                }
                 span.finish();
             }
         };

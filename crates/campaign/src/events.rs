@@ -48,7 +48,7 @@ use lfi_telemetry::MetricsSnapshot;
 
 use crate::engine::RunRecord;
 use crate::lease::{format_range, parse_range};
-use crate::state::{opt_str_field, record_from_value, record_to_value};
+use crate::state::{record_from_value, record_to_value};
 use crate::triage::CrashSignature;
 
 /// One progress event of a running campaign.
@@ -178,22 +178,7 @@ impl CampaignEvent {
                     ),
                 ],
             ),
-            CampaignEvent::CrashFound(signature) => tagged(
-                "crash_found",
-                vec![
-                    ("target".to_string(), Value::Str(signature.target.clone())),
-                    (
-                        "function".to_string(),
-                        Value::Str(signature.function.clone()),
-                    ),
-                    ("module".to_string(), Value::Str(signature.module.clone())),
-                    ("offset".to_string(), Value::Int(signature.offset as i64)),
-                    (
-                        "frame".to_string(),
-                        signature.frame.clone().map_or(Value::Null, Value::Str),
-                    ),
-                ],
-            ),
+            CampaignEvent::CrashFound(signature) => tagged("crash_found", signature.to_fields()),
             CampaignEvent::CheckpointWritten {
                 path,
                 completed,
@@ -251,11 +236,7 @@ impl CampaignEvent {
 
     /// Decode a value produced by [`to_value`](Self::to_value).
     pub fn from_value(value: &Value) -> Result<CampaignEvent, JsonError> {
-        let kind = value
-            .get("event")
-            .and_then(Value::as_str)
-            .ok_or_else(|| invalid("missing string field `event`"))?;
-        match kind {
+        match str_field(value, "event")?.as_str() {
             "batch_planned" => Ok(CampaignEvent::BatchPlanned {
                 batch: int_field(value, "batch")? as usize,
                 points: int_field(value, "points")? as usize,
@@ -276,13 +257,9 @@ impl CampaignEvent {
                 )?,
                 duration_micros: int_field(value, "duration_micros")? as u64,
             }),
-            "crash_found" => Ok(CampaignEvent::CrashFound(CrashSignature {
-                target: str_field(value, "target")?,
-                function: str_field(value, "function")?,
-                module: str_field(value, "module")?,
-                offset: int_field(value, "offset")? as u64,
-                frame: opt_str_field(value, "frame"),
-            })),
+            "crash_found" => Ok(CampaignEvent::CrashFound(CrashSignature::from_fields(
+                value,
+            )?)),
             "checkpoint_written" => Ok(CampaignEvent::CheckpointWritten {
                 path: PathBuf::from(str_field(value, "path")?),
                 completed: int_field(value, "completed")? as usize,
@@ -441,6 +418,22 @@ impl EventSink for JsonlSink {
 mod tests {
     use super::*;
     use crate::engine::{CrashInfo, InjectedSite, OutcomeKind};
+
+    /// The `crash_found` wire bytes, pinned: a codec change that moves,
+    /// renames or re-encodes a signature key fails here.
+    #[test]
+    fn a_crash_found_line_keeps_its_wire_bytes() {
+        let event = CampaignEvent::CrashFound(CrashSignature {
+            target: "git-lite".into(),
+            function: "opendir".into(),
+            module: "git-lite".into(),
+            offset: 0x99,
+            frame: Some("scan_tree".into()),
+        });
+        let line = r#"{"event":"crash_found","target":"git-lite","function":"opendir","module":"git-lite","offset":153,"frame":"scan_tree"}"#;
+        assert_eq!(event.to_json_line(), line);
+        assert_eq!(CampaignEvent::from_json_line(line).unwrap(), event);
+    }
 
     #[test]
     fn closures_and_logs_are_sinks() {

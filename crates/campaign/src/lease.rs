@@ -20,6 +20,8 @@
 //! is `fingerprint@plan-hash%start..end`, so a checkpoint is never resumed
 //! by a different range, and a range reassigned under a fresh grant id
 //! adopts the previous holder's checkpoint and skips its completed units.
+//! [`crate::state`] owns that grammar; [`LeaseOutcome`] reads the plan tag
+//! and the range back through its splitter.
 //!
 //! A finished lease persists a sealed [`CampaignState`];
 //! [`LeaseOutcome::from_state`] recovers the mergeable outcome and
@@ -33,8 +35,8 @@ use std::error::Error;
 use std::fmt;
 
 use crate::engine::RunRecord;
-use crate::state::CampaignState;
-use crate::triage::{triage, CampaignReport, Triage};
+use crate::state::{split_tag, CampaignState};
+use crate::triage::{triage, CampaignReport};
 
 /// One contiguous slice of the fault space.
 ///
@@ -182,9 +184,7 @@ impl LeaseOutcome {
     /// The plan identity shared by every lease of one campaign: the tag
     /// with the `%start..end` suffix stripped.
     pub fn plan_tag(&self) -> &str {
-        self.tag
-            .rsplit_once('%')
-            .map_or(&*self.tag, |(base, _)| base)
+        split_tag(&self.tag).map_or(&self.tag, |(plan, ..)| plan)
     }
 
     /// Reconstruct a lease outcome from a persisted [`CampaignState`] —
@@ -203,13 +203,12 @@ impl LeaseOutcome {
     /// present an incomplete hunt as the full result. Re-run the lease to
     /// completion first.
     pub fn from_state(state: &CampaignState) -> Result<LeaseOutcome, LeaseMergeError> {
-        let tag = state.tag().to_string();
-        let Some((plan, suffix)) = tag.rsplit_once('%') else {
-            return Err(LeaseMergeError::UntaggedState(tag));
+        let tag = state.tag();
+        let Some((_, fingerprint, range)) = split_tag(tag) else {
+            return Err(LeaseMergeError::UntaggedState(tag.to_string()));
         };
-        let strategy = plan.split_once('@').map_or(plan, |(fp, _)| fp).to_string();
-        let Some((start, end)) = parse_range(suffix) else {
-            return Err(LeaseMergeError::BadLeaseTag(tag));
+        let Some((start, end)) = parse_range(range) else {
+            return Err(LeaseMergeError::BadLeaseTag(tag.to_string()));
         };
         if !state.is_complete() {
             return Err(LeaseMergeError::IncompleteLeaseState { start, end });
@@ -218,19 +217,14 @@ impl LeaseOutcome {
         Ok(LeaseOutcome {
             start,
             end,
-            tag,
+            tag: tag.to_string(),
             seed: state.seed(),
             report: CampaignReport {
-                strategy,
-                space_size: 0,
-                planned_points: 0,
+                strategy: fingerprint.to_string(),
                 units_total: records.len(),
-                batches: 0,
-                peak_workers: 0,
-                executed_now: 0,
                 triage: triage(&records),
                 records,
-                metrics: None,
+                ..CampaignReport::default()
             },
         })
     }
@@ -403,14 +397,7 @@ impl CampaignReport {
         let mut report = CampaignReport {
             strategy: first.report.strategy.clone(),
             space_size: total_points,
-            planned_points: 0,
-            units_total: 0,
-            batches: 0,
-            peak_workers: 0,
-            executed_now: 0,
-            triage: Triage::default(),
-            records: Vec::new(),
-            metrics: None,
+            ..CampaignReport::default()
         };
         for outcome in outcomes {
             report.planned_points += outcome.report.planned_points;
@@ -440,6 +427,7 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triage::Triage;
 
     #[test]
     fn lease_ranges_are_half_open() {

@@ -1,26 +1,38 @@
-//! Resumable campaign state, persisted as JSON.
+//! Resumable campaign state, persisted as JSON: the one owner of the
+//! checkpoint file and of its tag.
 //!
 //! A [`CampaignState`] is a run's one record store: its records, kept
 //! sorted by unit id, are what the engine's history feeds strategies, what
 //! the checkpoints persist, and what the final triage reads. Long campaigns
 //! survive interruption by checkpointing every completed run record. A
 //! resumed campaign skips completed units and re-triages the full
-//! record set, so killing a sweep halfway loses only in-flight units. The
-//! state is tagged `fingerprint@plan-hash%start..end` — the strategy
-//! *fingerprint* (name plus any schedule-affecting parameters, e.g. a
-//! sample size and seed) combined with the engine's plan hash over full
-//! fault-point identity (error cases and annotations included) and every
-//! target's workload suite, and the run's [`Lease`](crate::lease::Lease)
-//! range — plus the campaign seed. Adopting a state recorded under a
-//! different tag or seed discards it, because unit ids are only
-//! meaningful within one plan and a record set is one range's slice of
-//! it: a checkpoint taken under one annotation set, test suite, or range
-//! must start fresh rather than attribute records to the wrong units (or
-//! hand one range's records to another).
+//! record set, so killing a sweep halfway loses only in-flight units.
+//!
+//! [`CampaignState::save`] is the one checkpoint writer (write-then-rename)
+//! and [`CampaignState::load`] the one reader; each caller decides what an
+//! error, and a missing file, mean to it. The state is tagged
+//! `fingerprint@plan-hash%start..end` — the strategy *fingerprint* (name
+//! plus any schedule-affecting parameters, e.g. a sample size and seed)
+//! combined with the engine's plan hash over full fault-point identity
+//! (error cases and annotations included) and every target's workload
+//! suite, and the run's [`Lease`] range — plus the campaign seed. This
+//! module builds the tag and takes it apart; nothing else knows its
+//! grammar. Adopting a state recorded under a different tag or seed
+//! discards it, because unit ids are only meaningful within one plan and
+//! a record set is one range's slice of it: a checkpoint taken under one
+//! annotation set, test suite, or range must start fresh rather than
+//! attribute records to the wrong units (or hand one range's records to
+//! another).
+
+use std::fmt;
+use std::fs;
+use std::io;
+use std::path::Path;
 
 use lfi_json::{int_field, invalid, str_field, JsonError, Value};
 
 use crate::engine::{CrashInfo, InjectedSite, OutcomeKind, RunRecord};
+use crate::lease::{format_range, Lease};
 
 /// The persistent state of one campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,11 +49,56 @@ pub struct CampaignState {
     complete: bool,
 }
 
+/// The checkpoint tag of a run: `fingerprint@plan-hash%start..end`, the
+/// plan hash as 16 hex digits and the range of the run's lease.
+pub(crate) fn checkpoint_tag(fingerprint: &str, plan_hash: u64, lease: Lease) -> String {
+    let range = format_range(lease.start, lease.end);
+    format!("{fingerprint}@{plan_hash:016x}%{range}")
+}
+
+/// Split a [`checkpoint_tag`] at its last `%` into the plan tag
+/// `fingerprint@plan-hash` that every lease of one campaign shares, the
+/// strategy fingerprint (the plan tag up to its first `@`) and the lease
+/// range's text; `None` when the tag has no `%` suffix.
+pub(crate) fn split_tag(tag: &str) -> Option<(&str, &str, &str)> {
+    let (plan, range) = tag.rsplit_once('%')?;
+    let fingerprint = plan
+        .split_once('@')
+        .map_or(plan, |(fingerprint, _)| fingerprint);
+    Some((plan, fingerprint, range))
+}
+
 impl CampaignState {
+    /// Persist this state to `path` with write-then-rename, so an
+    /// interruption mid-write leaves the previous checkpoint whole. The
+    /// error names the file.
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        // Append (never substitute) the marker: `state.0` and `state.1` in
+        // one directory must not share a temp file, and a checkpoint path
+        // that itself ends in `.tmp` must still get a distinct temp sibling.
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        fs::write(&tmp, self.to_json())
+            .and_then(|()| fs::rename(&tmp, path))
+            .map_err(|err| file_error("write", path, err.kind(), err))
+    }
+
+    /// Read and parse the checkpoint at `path`. The error names the file;
+    /// a missing file is [`io::ErrorKind::NotFound`], and a parse error is
+    /// [`io::ErrorKind::InvalidData`] and gives the byte position.
+    pub fn load(path: &Path) -> io::Result<CampaignState> {
+        let text =
+            fs::read_to_string(path).map_err(|err| file_error("read", path, err.kind(), err))?;
+        CampaignState::from_json(&text).map_err(|err| {
+            let detail = format!("{} (at byte {})", err.message, err.position);
+            file_error("parse", path, io::ErrorKind::InvalidData, detail)
+        })
+    }
+
     /// Bind this state to a `(state tag, seed)` pair, where the tag is the
-    /// engine's `fingerprint@plan-hash`. If the state was recorded under a
-    /// different pair its records are discarded — their unit ids would not
-    /// line up with the new plan.
+    /// engine's `fingerprint@plan-hash%start..end`. If the state was
+    /// recorded under a different pair its records are discarded — their
+    /// unit ids would not line up with the new plan.
     pub fn adopt(&mut self, tag: &str, seed: u64) {
         if self.strategy != tag || self.seed != seed {
             self.records.clear();
@@ -113,15 +170,8 @@ impl CampaignState {
     /// Parse a state back from its JSON form.
     pub fn from_json(text: &str) -> Result<CampaignState, JsonError> {
         let doc = lfi_json::parse(text)?;
-        let strategy = doc
-            .get("strategy")
-            .and_then(Value::as_str)
-            .ok_or_else(|| invalid("missing string field `strategy`"))?
-            .to_string();
-        let seed = doc
-            .get("seed")
-            .and_then(Value::as_int)
-            .ok_or_else(|| invalid("missing integer field `seed`"))? as u64;
+        let strategy = str_field(&doc, "strategy")?;
+        let seed = int_field(&doc, "seed")? as u64;
         let Some(Value::Arr(items)) = doc.get("records") else {
             return Err(invalid("missing array field `records`"));
         };
@@ -141,6 +191,17 @@ impl CampaignState {
         }
         Ok(state)
     }
+}
+
+/// An error about the checkpoint at `path` that names the file.
+fn file_error(
+    action: &str,
+    path: &Path,
+    kind: io::ErrorKind,
+    detail: impl fmt::Display,
+) -> io::Error {
+    let message = format!("{action} campaign checkpoint {}: {detail}", path.display());
+    io::Error::new(kind, message)
 }
 
 pub(crate) fn opt_str_field(value: &Value, key: &str) -> Option<String> {
@@ -391,6 +452,72 @@ mod tests {
         let rewritten = CampaignState::from_json(&state.to_json()).unwrap();
         assert_eq!(rewritten, state);
         assert!(state.to_json().contains("\"count\": 3"));
+    }
+
+    #[test]
+    fn each_checkpoint_writes_through_its_own_temp_sibling() {
+        let dir = std::env::temp_dir().join(format!("lfi_state_save_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut first = CampaignState::default();
+        first.adopt("exhaustive@00000000000000aa%0..4", 7);
+        first.push(sample_record(0));
+        let mut second = first.clone();
+        second.push(sample_record(1));
+        for name in ["state.0", "state.1", "x.tmp"] {
+            first.save(&dir.join(name)).unwrap();
+        }
+        // A directory squats on `state.0`'s temp sibling, so its write
+        // fails, and leaves the previous checkpoint whole; `state.1` has a
+        // temp file of its own, and so has `x.tmp`.
+        std::fs::create_dir(dir.join("state.0.tmp")).unwrap();
+        let err = second.save(&dir.join("state.0")).unwrap_err().to_string();
+        assert!(err.starts_with("write campaign checkpoint "), "{err}");
+        assert_eq!(CampaignState::load(&dir.join("state.0")).unwrap(), first);
+        for name in ["state.1", "x.tmp"] {
+            second.save(&dir.join(name)).unwrap();
+            assert_eq!(CampaignState::load(&dir.join(name)).unwrap(), second);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_errors_name_the_file_and_the_byte() {
+        let dir = std::env::temp_dir().join(format!("lfi_state_load_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.json");
+        let err = CampaignState::load(&missing).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let err = err.to_string();
+        assert!(err.starts_with("read campaign checkpoint ") && err.contains("missing.json"));
+        let corrupt = dir.join("corrupt.json");
+        std::fs::write(&corrupt, r#"{"strategy": "x", "seed": }"#).unwrap();
+        let err = CampaignState::load(&corrupt).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = err.to_string();
+        assert!(err.contains("corrupt.json"), "{err}");
+        assert!(err.ends_with("(at byte 26)"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tags_split_back_into_their_plan_fingerprint_and_range() {
+        let lease = Lease {
+            id: 3,
+            start: 8,
+            end: 16,
+        };
+        let tag = checkpoint_tag("random(count=40,seed=7)", 0xaa, lease);
+        assert_eq!(tag, "random(count=40,seed=7)@00000000000000aa%8..16");
+        assert_eq!(
+            split_tag(&tag),
+            Some((
+                "random(count=40,seed=7)@00000000000000aa",
+                "random(count=40,seed=7)",
+                "8..16"
+            ))
+        );
+        assert_eq!(split_tag("guided@00000000000000aa"), None);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use lfi_json::{int_field, str_field, JsonError, Value};
 use lfi_telemetry::MetricsSnapshot;
 
 use crate::engine::{CrashInfo, OutcomeKind, RunRecord};
+use crate::state::opt_str_field;
 
 /// A deduplicated crash signature.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -25,6 +27,36 @@ pub struct CrashSignature {
     pub offset: u64,
     /// Innermost symbolized frame (or the containing function).
     pub frame: Option<String>,
+}
+
+impl CrashSignature {
+    /// The signature's five wire fields, in wire order: the one encoder
+    /// behind the `crash_found` event and the `signature_broadcast`
+    /// control line, which prepend their own discriminating key.
+    pub(crate) fn to_fields(&self) -> Vec<(String, Value)> {
+        vec![
+            ("target".to_string(), Value::Str(self.target.clone())),
+            ("function".to_string(), Value::Str(self.function.clone())),
+            ("module".to_string(), Value::Str(self.module.clone())),
+            ("offset".to_string(), Value::Int(self.offset as i64)),
+            (
+                "frame".to_string(),
+                self.frame.clone().map_or(Value::Null, Value::Str),
+            ),
+        ]
+    }
+
+    /// Read the fields [`to_fields`](Self::to_fields) wrote from a tagged
+    /// object: the one decoder of both wire lines.
+    pub(crate) fn from_fields(value: &Value) -> Result<CrashSignature, JsonError> {
+        Ok(CrashSignature {
+            target: str_field(value, "target")?,
+            function: str_field(value, "function")?,
+            module: str_field(value, "module")?,
+            offset: int_field(value, "offset")? as u64,
+            frame: opt_str_field(value, "frame"),
+        })
+    }
 }
 
 /// All runs that collapsed onto one signature.
@@ -124,7 +156,7 @@ pub fn triage(records: &[RunRecord]) -> Triage {
 }
 
 /// The final artifact of a campaign run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CampaignReport {
     /// Strategy that produced the schedule.
     pub strategy: String,

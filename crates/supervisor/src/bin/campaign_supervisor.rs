@@ -36,52 +36,32 @@ use lfi_supervisor::supervisor::{run_supervised, SupervisedOutcome, SupervisorOp
 use lfi_supervisor::SpaceSpec;
 
 fn parse_args() -> Result<(SupervisorOptions, Option<PathBuf>), String> {
-    let mut spec = SpaceSpec::new();
     let mut options = SupervisorOptions::new(SpaceSpec::new(), PathBuf::new());
     let mut state_dir: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
-        let int = |text: String, what: &str| {
-            text.parse::<u64>()
-                .map_err(|_| format!("{what} needs an integer"))
-        };
-        match flag.as_str() {
-            "--preset" => match value()?.as_str() {
-                "table1" => spec = SpaceSpec::table1(),
-                other => return Err(format!("unknown preset `{other}` (expected table1)")),
-            },
-            "--target" => spec.targets.push(value()?),
-            "--retain" => spec.retain.push(SpaceSpec::parse_retain(&value()?)?),
-            "--baseline-seed" => spec.baseline_seed = int(value()?, "--baseline-seed")?,
-            "--workers" => options.workers = int(value()?, "--workers")? as usize,
-            "--jobs" => options.jobs = int(value()?, "--jobs")? as usize,
-            "--lease-points" => options.lease_points = int(value()?, "--lease-points")? as usize,
-            "--strategy" => options.strategy = value()?,
-            "--seed" => options.seed = int(value()?, "--seed")?,
-            "--backend" => options.backend = value()?.parse().map_err(|err| format!("{err}"))?,
+    options.spec = SpaceSpec::parse_args(std::env::args().skip(1), |flag, value| {
+        match flag {
+            "--workers" => options.workers = value.int()? as usize,
+            "--jobs" => options.jobs = value.int()? as usize,
+            "--lease-points" => options.lease_points = value.int()? as usize,
+            "--strategy" => options.strategy = value.text()?,
+            "--seed" => options.seed = value.int()?,
+            "--backend" => {
+                options.backend = value.text()?.parse().map_err(|err| format!("{err}"))?
+            }
             "--heartbeat-timeout-ms" => {
-                options.heartbeat_timeout =
-                    Duration::from_millis(int(value()?, "--heartbeat-timeout-ms")?);
+                options.heartbeat_timeout = Duration::from_millis(value.int()?);
             }
-            "--max-restarts" => options.max_restarts = int(value()?, "--max-restarts")? as usize,
-            "--chaos-kill-after" => {
-                options.chaos_kill_after_units =
-                    Some(int(value()?, "--chaos-kill-after")? as usize);
-            }
-            "--events-jsonl" => options.events_jsonl = Some(PathBuf::from(value()?)),
-            "--worker-bin" => options.worker_bin = PathBuf::from(value()?),
-            "--state-dir" => state_dir = Some(PathBuf::from(value()?)),
-            "--out" => out = Some(PathBuf::from(value()?)),
+            "--max-restarts" => options.max_restarts = value.int()? as usize,
+            "--chaos-kill-after" => options.chaos_kill_after_units = Some(value.int()? as usize),
+            "--events-jsonl" => options.events_jsonl = Some(PathBuf::from(value.text()?)),
+            "--worker-bin" => options.worker_bin = PathBuf::from(value.text()?),
+            "--state-dir" => state_dir = Some(PathBuf::from(value.text()?)),
+            "--out" => out = Some(PathBuf::from(value.text()?)),
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if spec.targets.is_empty() {
-        return Err("no targets: pass --target or --preset table1".to_string());
-    }
-    options.spec = spec;
+        Ok(())
+    })?;
     options.state_dir = state_dir.ok_or_else(|| "--state-dir is required".to_string())?;
     Ok((options, out))
 }

@@ -32,38 +32,22 @@ use lfi_supervisor::worker::{run_worker, WorkerConfig};
 use lfi_supervisor::SpaceSpec;
 
 fn parse_args() -> Result<WorkerConfig, String> {
-    let mut spec = SpaceSpec::new();
     let mut config = WorkerConfig::new(SpaceSpec::new(), PathBuf::new());
     let mut state_dir: Option<PathBuf> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
-        let int = |text: String, what: &str| {
-            text.parse::<u64>()
-                .map_err(|_| format!("{what} needs an integer"))
-        };
-        match flag.as_str() {
-            "--preset" => match value()?.as_str() {
-                "table1" => spec = SpaceSpec::table1(),
-                other => return Err(format!("unknown preset `{other}` (expected table1)")),
-            },
-            "--target" => spec.targets.push(value()?),
-            "--retain" => spec.retain.push(SpaceSpec::parse_retain(&value()?)?),
-            "--baseline-seed" => spec.baseline_seed = int(value()?, "--baseline-seed")?,
+    config.spec = SpaceSpec::parse_args(std::env::args().skip(1), |flag, value| {
+        match flag {
             "--annotations-on-stdin" => config.annotations_on_stdin = true,
-            "--strategy" => config.strategy = value()?,
-            "--jobs" => config.jobs = int(value()?, "--jobs")? as usize,
-            "--seed" => config.seed = int(value()?, "--seed")?,
-            "--backend" => config.backend = value()?.parse().map_err(|err| format!("{err}"))?,
-            "--state-dir" => state_dir = Some(PathBuf::from(value()?)),
+            "--strategy" => config.strategy = value.text()?,
+            "--jobs" => config.jobs = value.int()? as usize,
+            "--seed" => config.seed = value.int()?,
+            "--backend" => {
+                config.backend = value.text()?.parse().map_err(|err| format!("{err}"))?
+            }
+            "--state-dir" => state_dir = Some(PathBuf::from(value.text()?)),
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if spec.targets.is_empty() {
-        return Err("no targets: pass --target or --preset table1".to_string());
-    }
-    config.spec = spec;
+        Ok(())
+    })?;
     config.state_dir = state_dir.ok_or_else(|| "--state-dir is required".to_string())?;
     Ok(config)
 }

@@ -13,7 +13,12 @@
 //!   dead worker's lease comes back, so a reclaimed lease always comes
 //!   before every lease not yet granted.
 //! * **Worker ids** are never reused: a restart gets a fresh id, and a line
-//!   from a dead worker is dropped because its id is dead.
+//!   from a dead worker changes no lease, worker or unit fact because its
+//!   id is dead. One thing in such a line still counts: a crash signature.
+//!   The unit behind it ran, and its record may already sit in a sealed
+//!   checkpoint that the lease's next holder resumes without announcing
+//!   the crash again, so the signature is learned and broadcast as if a
+//!   live worker had sent it.
 //! * **Silence** — a worker that owes a line must send one within the
 //!   heartbeat timeout. It owes its `Hello` from the moment its annotations
 //!   are sent (not from its spawn, so a long space build does not make it
@@ -187,6 +192,9 @@ impl Core {
                     self.handle(worker, message, now);
                 }
             }
+            Input::Line(_, Some(WorkerMessage::Event(CampaignEvent::CrashFound(signature)))) => {
+                self.learn(signature)
+            }
             Input::Eof(worker) => self.bury(worker, "stdout closed".to_string(), now),
             Input::Line(..) | Input::Tick => {}
         }
@@ -201,7 +209,7 @@ impl Core {
     }
 
     /// Whether `worker` is alive: its lines count and it may hold a lease.
-    pub(crate) fn is_live(&self, worker: usize) -> bool {
+    fn is_live(&self, worker: usize) -> bool {
         self.workers[worker].alive
     }
 
@@ -272,34 +280,38 @@ impl Core {
                 if !self.seen_units.insert(record.unit) {
                     self.re_executed += 1;
                 }
-                self.maybe_fire_chaos();
+                self.maybe_fire_chaos(now);
             }
-            // A first-seen signature goes to every greeted worker; the
-            // originator suppresses re-announcing it, so this is
-            // idempotent.
-            WorkerMessage::Event(CampaignEvent::CrashFound(signature))
-                if self.signatures.insert(signature.clone()) =>
-            {
-                let greeted = self.workers.iter().enumerate();
-                self.out
-                    .extend(greeted.filter(|(_, w)| w.alive && w.greeted).map(|(w, _)| {
-                        Action::Send(w, ControlMessage::SignatureBroadcast(signature.clone()))
-                    }));
-            }
+            WorkerMessage::Event(CampaignEvent::CrashFound(signature)) => self.learn(signature),
             WorkerMessage::Event(_) => {}
         }
     }
 
-    fn maybe_fire_chaos(&mut self) {
-        // While nobody holds a lease, stay armed.
+    /// Send a first-seen signature to every live, greeted worker. The
+    /// originator suppresses re-announcing it, so this is idempotent.
+    fn learn(&mut self, signature: CrashSignature) {
+        if self.signatures.insert(signature.clone()) {
+            let greeted = self.workers.iter().enumerate();
+            self.out
+                .extend(greeted.filter(|(_, w)| w.alive && w.greeted).map(|(w, _)| {
+                    Action::Send(w, ControlMessage::SignatureBroadcast(signature.clone()))
+                }));
+        }
+    }
+
+    /// Once the armed number of units has finished, kill the lowest lease
+    /// holder. While nobody holds a lease, stay armed.
+    fn maybe_fire_chaos(&mut self, now: Instant) {
         let finished = self.seen_units.len() + self.re_executed;
         let victim = self.slots.iter().filter_map(|s| s.state.holder()).min();
         if let Some(worker) = victim.filter(|_| self.chaos_armed.is_some_and(|n| finished >= n)) {
             self.chaos_armed = None;
-            // The death is seen through the usual Eof, so reclaim, expiry
-            // and restart stay on one code path.
-            let why = "chaos hook killed it mid-lease".to_string();
-            self.out.push(Action::Kill(worker, why));
+            // The kill is the core's decision, so the victim is buried now,
+            // on the path EOF and silence take: its lease is reclaimed at
+            // once (it held one by construction) and its later lines, a
+            // `LeaseFinished` already in its pipe included, are a dead
+            // worker's.
+            self.bury(worker, "chaos hook killed it mid-lease".to_string(), now);
         }
     }
 

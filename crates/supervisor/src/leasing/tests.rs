@@ -48,21 +48,12 @@ fn line(worker: usize, message: WorkerMessage) -> Input {
 
 fn hello() -> WorkerMessage {
     WorkerMessage::Hello {
-        pid: 1,
-        points: 0,
-        units: 0,
         plan: PLAN.to_string(),
     }
 }
 
 fn lease_finished(lease: Lease) -> WorkerMessage {
-    WorkerMessage::LeaseFinished {
-        lease: lease.id,
-        start: lease.start,
-        end: lease.end,
-        executed: 0,
-        records: 0,
-    }
+    WorkerMessage::LeaseFinished { lease: lease.id }
 }
 
 fn unit_finished(unit: usize) -> WorkerMessage {
@@ -211,6 +202,49 @@ fn a_restart_gets_a_fresh_id_and_lines_of_the_dead_id_are_dropped() {
     assert!(regrant[0].1.id > lease.id);
 }
 
+#[test]
+fn the_chaos_kill_expires_the_victims_lease_even_if_it_already_finished() {
+    // The race the hook used to lose: the victim's `LeaseFinished` is
+    // already in its pipe when the kill is decided. The victim is buried
+    // at the decision, so that line is a dead worker's and its lease
+    // expires and goes to the survivor.
+    let t0 = Instant::now();
+    let mut core = core(4, 2, &options(2, ms(100), 1, Some(1)), t0);
+    let lease = grants(&core.step(t0, line(0, hello())))[0].1;
+    assert_eq!(grants(&core.step(t0, line(1, hello()))).len(), 1);
+    let actions = core.step(t0, line(0, unit_finished(0)));
+    assert!(is_kill(&actions[0], 0), "{actions:?}");
+    assert_eq!(core.leases_expired.value(), 1);
+    assert_eq!(actions[1], Action::Spawn(2));
+    // The rest of the victim's pipe: a crash is still learned and
+    // broadcast to the live, greeted survivor; the lease line is dropped.
+    let actions = core.step(t0, line(0, crash_found("open")));
+    assert!(
+        matches!(
+            &actions[..],
+            [Action::Send(1, ControlMessage::SignatureBroadcast(_))]
+        ),
+        "{actions:?}"
+    );
+    assert!(core.step(t0, line(0, lease_finished(lease))).is_empty());
+    // The survivor finishes its own lease and takes the victim's.
+    let second = grants(&core.step(t0, line(1, lease_finished(lease_of(&core, 1)))));
+    assert_eq!((second[0].0, second[0].1.start), (1, lease.start));
+}
+
+/// The lease `worker` holds.
+fn lease_of(core: &Core, worker: usize) -> Lease {
+    let slot = &core.slots[core.lease_of(worker).unwrap()];
+    let SlotState::Granted { grant, .. } = slot.state else {
+        unreachable!()
+    };
+    Lease {
+        id: grant,
+        start: slot.start,
+        end: slot.end,
+    }
+}
+
 /// A simulated worker process.
 #[derive(Default)]
 struct Proc {
@@ -307,9 +341,12 @@ impl Sim {
             Input::Eof(worker) => Some(worker),
             _ => None,
         };
+        let armed = self.core.chaos_armed.is_some();
+        let expired = self.core.leases_expired.value();
         let actions = self.core.step(self.now, input);
         self.trace.push(format!("  -> {actions:?}"));
         self.check(&before, &alive, eof_of, &actions);
+        self.check_chaos(&before, &alive, armed, expired, &actions);
         self.apply(&actions);
         actions
     }
@@ -377,7 +414,11 @@ impl Sim {
             if !was && is {
                 self.fail(&format!("dead worker {worker} came back"));
             }
-            if was && !is && eof_of != Some(worker) && !self.procs[worker].stopped {
+            let chaos_victim = actions.iter().any(
+                |a| matches!(a, Action::Kill(w, why) if *w == worker && why.contains("chaos")),
+            );
+            if was && !is && eof_of != Some(worker) && !self.procs[worker].stopped && !chaos_victim
+            {
                 self.fail(&format!(
                     "worker {worker} kept answering but was declared hung"
                 ));
@@ -467,6 +508,47 @@ impl Sim {
                 Action::Spawn(_) => fresh += 1,
                 _ => {}
             }
+        }
+    }
+
+    /// Each death in the step reclaims exactly the one lease its worker
+    /// held, and a chaos hook that fires kills exactly one worker, which
+    /// held a lease: so the hook expires exactly one lease in its step.
+    fn check_chaos(
+        &self,
+        before: &[SlotState],
+        alive: &[bool],
+        armed: bool,
+        expired: u64,
+        actions: &[Action],
+    ) {
+        let core = &self.core;
+        let buried_holders: Vec<usize> = (0..alive.len())
+            .filter(|&w| alive[w] && !core.workers[w].alive)
+            .filter(|&w| before.iter().any(|s| s.holder() == Some(w)))
+            .collect();
+        let expired_now = core.leases_expired.value() - expired;
+        if expired_now != buried_holders.len() as u64 {
+            self.fail(&format!(
+                "{expired_now} leases expired, but {} lease holders died",
+                buried_holders.len()
+            ));
+        }
+        let fired = armed && core.chaos_armed.is_none();
+        let chaos_kills: Vec<usize> = actions
+            .iter()
+            .filter_map(|action| match action {
+                Action::Kill(worker, why) if why.contains("chaos") => Some(*worker),
+                _ => None,
+            })
+            .collect();
+        match (fired, chaos_kills.as_slice()) {
+            (false, []) => {}
+            (true, [victim]) if buried_holders.contains(victim) => {}
+            _ => self.fail(&format!(
+                "the chaos hook fired: {fired}, killing {chaos_kills:?}, \
+                 while lease holders {buried_holders:?} died"
+            )),
         }
     }
 

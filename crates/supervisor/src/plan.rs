@@ -16,6 +16,10 @@
 //! from the worker's own enumeration, and it echoes its plan hash back in
 //! the `Hello` handshake, so a supervisor and a worker that would enumerate
 //! different spaces fail loudly instead of merging nonsense.
+//!
+//! The spec flags have one writer, [`SpaceSpec::to_args`], and one reader,
+//! [`SpaceSpec::parse_args`], which both bins call: no other code knows
+//! `--preset`, `--target`, `--retain` or `--baseline-seed`.
 
 use lfi_campaign::{
     ControlMessage, CoverageAdaptive, Exhaustive, FaultSpace, InjectionGuided, RandomSample,
@@ -142,6 +146,40 @@ impl SpaceSpec {
         args
     }
 
+    /// Parse a command line that carries a spec: the inverse of
+    /// [`to_args`](Self::to_args), and the one reader of the spec flags
+    /// (`--preset table1`, `--target`, `--retain`, `--baseline-seed`).
+    /// Every other flag goes to `other` with its [`FlagValue`], which it
+    /// reads if the flag takes a value; `other` fails on a flag it does
+    /// not know. Fails when no target is given.
+    pub fn parse_args(
+        args: impl IntoIterator<Item = String>,
+        mut other: impl FnMut(&str, FlagValue) -> Result<(), String>,
+    ) -> Result<SpaceSpec, String> {
+        let mut spec = SpaceSpec::new();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let value = FlagValue {
+                flag: &flag,
+                args: &mut args,
+            };
+            match flag.as_str() {
+                "--preset" => match value.text()?.as_str() {
+                    "table1" => spec = SpaceSpec::table1(),
+                    other => return Err(format!("unknown preset `{other}` (expected table1)")),
+                },
+                "--target" => spec.targets.push(value.text()?),
+                "--retain" => spec.retain.push(SpaceSpec::parse_retain(&value.text()?)?),
+                "--baseline-seed" => spec.baseline_seed = value.int()?,
+                _ => other(&flag, value)?,
+            }
+        }
+        if spec.targets.is_empty() {
+            return Err("no targets: pass --target or --preset table1".to_string());
+        }
+        Ok(spec)
+    }
+
     /// Parse one `--retain` value of the form `target:fn1,fn2,...`.
     pub fn parse_retain(value: &str) -> Result<(String, Vec<String>), String> {
         let (target, functions) = value
@@ -156,6 +194,31 @@ impl SpaceSpec {
             return Err(format!("--retain `{value}`: expected `target:fn1,fn2,...`"));
         }
         Ok((target.to_string(), functions))
+    }
+}
+
+/// The value of one command-line flag, taken from the arguments only when
+/// read: a flag without a value leaves the next argument alone.
+pub struct FlagValue<'a> {
+    flag: &'a str,
+    args: &'a mut dyn Iterator<Item = String>,
+}
+
+impl FlagValue<'_> {
+    /// The value as given.
+    pub fn text(self) -> Result<String, String> {
+        let flag = self.flag;
+        self.args
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The value as an unsigned integer.
+    pub fn int(self) -> Result<u64, String> {
+        let flag = self.flag;
+        self.text()?
+            .parse()
+            .map_err(|_| format!("{flag} needs an integer"))
     }
 }
 
@@ -212,20 +275,37 @@ mod tests {
     #[test]
     fn specs_round_trip_through_worker_flags() {
         let spec = SpaceSpec::table1();
-        let args = spec.to_args();
-        // Re-parse the flag stream the way the worker bin does.
-        let mut parsed = SpaceSpec::new();
-        let mut iter = args.iter();
-        while let Some(flag) = iter.next() {
-            let value = iter.next().expect("every spec flag takes a value");
-            match flag.as_str() {
-                "--target" => parsed.targets.push(value.clone()),
-                "--retain" => parsed.retain.push(SpaceSpec::parse_retain(value).unwrap()),
-                "--baseline-seed" => parsed.baseline_seed = value.parse().unwrap(),
-                other => panic!("unexpected spec flag {other}"),
+        let no_other = |flag: &str, _: FlagValue| Err(format!("unexpected spec flag {flag}"));
+        assert_eq!(
+            SpaceSpec::parse_args(spec.to_args(), no_other).unwrap(),
+            spec
+        );
+        // The preset is the same spec; other flags reach the caller, with
+        // a value only when it reads one.
+        let args = ["--jobs", "3", "--preset", "table1", "--verbose"].map(String::from);
+        let mut seen = Vec::new();
+        let parsed = SpaceSpec::parse_args(args, |flag, value| {
+            match flag {
+                "--jobs" => seen.push(format!("{flag}={}", value.int()?)),
+                _ => seen.push(flag.to_string()),
             }
-        }
-        assert_eq!(parsed, spec);
+            Ok(())
+        });
+        assert_eq!(parsed.unwrap(), spec);
+        assert_eq!(seen, ["--jobs=3", "--verbose"]);
+        // No target, a missing value and a bad integer are errors.
+        let parse = |args: &[&str]| {
+            SpaceSpec::parse_args(args.iter().map(|a| a.to_string()), |_, _| Ok(()))
+        };
+        assert!(parse(&["--baseline-seed", "7"])
+            .unwrap_err()
+            .contains("no targets"));
+        assert!(parse(&["--target"]).unwrap_err().contains("needs a value"));
+        let bad_seed = parse(&["--target", "git-lite", "--baseline-seed", "x"]);
+        assert!(bad_seed.unwrap_err().contains("needs an integer"));
+        assert!(parse(&["--preset", "table9"])
+            .unwrap_err()
+            .contains("unknown preset"));
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! on the downstream pipe. Every message has a total JSONL codec in both
 //! directions; an undecodable line is a protocol error the supervisor
 //! surfaces, never silently drops framing over.
+//!
+//! A protocol message carries only what the supervisor reads: `Hello`
+//! the plan hash it checks, `LeaseFinished` the grant id it marks done.
+//! Everything else about a lease is in its checkpoint file, which the
+//! merge reads.
 
 use lfi_campaign::CampaignEvent;
 use lfi_json::{int_field, invalid, str_field, JsonError, Value};
@@ -22,27 +27,15 @@ pub enum WorkerMessage {
     /// from its own — same binary, different space means a config or
     /// build drift that would corrupt the merge.
     Hello {
-        /// Worker process id (diagnostics only).
-        pid: u64,
-        /// Fault points the worker's space enumerates.
-        points: usize,
-        /// Canonical work units of the full space.
-        units: usize,
         /// The space/suite plan hash, `{:016x}`-formatted.
         plan: String,
     },
-    /// The worker finished a lease and sealed its checkpoint file.
+    /// The worker finished a lease and sealed its checkpoint file. The
+    /// supervisor reads the lease's range and records from that file, so
+    /// the message names only the grant.
     LeaseFinished {
         /// Grant id from the supervisor's `ControlMessage::Lease`.
         lease: u64,
-        /// First fault-point index of the range.
-        start: usize,
-        /// One past the last fault-point index of the range.
-        end: usize,
-        /// Units executed this session (resumed ones excluded).
-        executed: usize,
-        /// Total records the lease checkpoint now holds.
-        records: usize,
     },
     /// One campaign event from the lease the worker is running,
     /// forwarded verbatim.
@@ -59,35 +52,13 @@ impl WorkerMessage {
             Value::Obj(fields)
         };
         match self {
-            WorkerMessage::Hello {
-                pid,
-                points,
-                units,
-                plan,
-            } => tagged(
+            WorkerMessage::Hello { plan } => tagged(
                 "hello",
-                vec![
-                    ("pid".to_string(), Value::Int(*pid as i64)),
-                    ("points".to_string(), Value::Int(*points as i64)),
-                    ("units".to_string(), Value::Int(*units as i64)),
-                    ("plan".to_string(), Value::Str(plan.clone())),
-                ],
+                vec![("plan".to_string(), Value::Str(plan.clone()))],
             ),
-            WorkerMessage::LeaseFinished {
-                lease,
-                start,
-                end,
-                executed,
-                records,
-            } => tagged(
+            WorkerMessage::LeaseFinished { lease } => tagged(
                 "lease_finished",
-                vec![
-                    ("lease".to_string(), Value::Int(*lease as i64)),
-                    ("start".to_string(), Value::Int(*start as i64)),
-                    ("end".to_string(), Value::Int(*end as i64)),
-                    ("executed".to_string(), Value::Int(*executed as i64)),
-                    ("records".to_string(), Value::Int(*records as i64)),
-                ],
+                vec![("lease".to_string(), Value::Int(*lease as i64))],
             ),
             WorkerMessage::Event(event) => event.to_value(),
         }
@@ -101,17 +72,10 @@ impl WorkerMessage {
         };
         match kind {
             "hello" => Ok(WorkerMessage::Hello {
-                pid: int_field(value, "pid")? as u64,
-                points: int_field(value, "points")? as usize,
-                units: int_field(value, "units")? as usize,
                 plan: str_field(value, "plan")?,
             }),
             "lease_finished" => Ok(WorkerMessage::LeaseFinished {
                 lease: int_field(value, "lease")? as u64,
-                start: int_field(value, "start")? as usize,
-                end: int_field(value, "end")? as usize,
-                executed: int_field(value, "executed")? as usize,
-                records: int_field(value, "records")? as usize,
             }),
             other => Err(invalid(format!("unknown worker message kind `{other}`"))),
         }
@@ -140,18 +104,9 @@ mod tests {
     fn worker_messages_round_trip_through_json_lines() {
         let messages = vec![
             WorkerMessage::Hello {
-                pid: 4242,
-                points: 120,
-                units: 285,
                 plan: "00000000deadbeef".to_string(),
             },
-            WorkerMessage::LeaseFinished {
-                lease: 7,
-                start: 16,
-                end: 24,
-                executed: 19,
-                records: 20,
-            },
+            WorkerMessage::LeaseFinished { lease: 7 },
             WorkerMessage::Event(CampaignEvent::CrashFound(CrashSignature {
                 target: "git-lite".to_string(),
                 function: "opendir".to_string(),

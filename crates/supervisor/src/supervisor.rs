@@ -260,10 +260,12 @@ impl Supervisor {
                     if let Err(err) = &message {
                         eprintln!("supervisor: worker {worker}: undecodable line ({err}): {line}");
                     }
-                    // The merged stream holds the events of live workers.
-                    let live_event =
-                        core.is_live(worker) && matches!(message, Ok(WorkerMessage::Event(_)));
-                    if let Some(file) = self.merged_events.as_mut().filter(|_| live_event) {
+                    // The merged stream holds every worker's events, a dead
+                    // worker's late ones included: they describe units
+                    // that ran, which a resumed lease does not announce
+                    // again.
+                    let event = matches!(message, Ok(WorkerMessage::Event(_)));
+                    if let Some(file) = self.merged_events.as_mut().filter(|_| event) {
                         let _ = writeln!(file, "{line}").and_then(|()| file.flush());
                     }
                     Input::Line(worker, message.ok())
@@ -427,10 +429,7 @@ impl Supervisor {
         let mut outcomes = Vec::new();
         for (start, end) in core.ranges() {
             let path = lease_checkpoint(&self.options.state_dir, start, end);
-            let text = fs::read_to_string(&path)
-                .map_err(|err| format!("read lease checkpoint {}: {err}", path.display()))?;
-            let state = CampaignState::from_json(&text)
-                .map_err(|err| format!("parse lease checkpoint {}: {err}", path.display()))?;
+            let state = CampaignState::load(&path).map_err(|err| err.to_string())?;
             let outcome = LeaseOutcome::from_state(&state)
                 .map_err(|err| format!("lease checkpoint {}: {err}", path.display()))?;
             outcomes.push(outcome);

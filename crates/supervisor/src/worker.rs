@@ -149,21 +149,10 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
     };
     let stdout = Mutex::new(io::stdout());
 
-    {
-        // A probe campaign pins the plan identity for the handshake.
-        let probe = Campaign::builder(space.clone(), &executor)
-            .seed(config.seed)
-            .build();
-        send(
-            &stdout,
-            &WorkerMessage::Hello {
-                pid: std::process::id() as u64,
-                points: probe.space().len(),
-                units: probe.total_units(),
-                plan: format!("{:016x}", probe.plan_hash()),
-            },
-        )?;
-    }
+    // A probe campaign pins the plan identity for the handshake.
+    let probe = Campaign::builder(space.clone(), &executor).seed(config.seed);
+    let plan = format!("{:016x}", probe.build().plan_hash());
+    send(&stdout, &WorkerMessage::Hello { plan })?;
 
     // Control lines arrive on a reader thread so a broadcast sent
     // mid-lease is buffered here instead of blocking the supervisor's
@@ -211,7 +200,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
         // A broken pipe surfaces on the next protocol send; events must
         // not panic worker threads.
         let sink = |event: &CampaignEvent| drop(write_line(&stdout, &event.to_json_line()));
-        let outcome = Campaign::builder(space.clone(), &executor)
+        Campaign::builder(space.clone(), &executor)
             .boxed_strategy(parse_strategy(&config.strategy, config.seed)?)
             .jobs(config.jobs)
             .seed(config.seed)
@@ -222,16 +211,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
             .checkpoint(&checkpoint)
             .build()
             .run_to_completion();
-        send(
-            &stdout,
-            &WorkerMessage::LeaseFinished {
-                lease: lease.id,
-                start: lease.start,
-                end: lease.end,
-                executed: outcome.report.executed_now,
-                records: outcome.report.records.len(),
-            },
-        )?;
+        send(&stdout, &WorkerMessage::LeaseFinished { lease: lease.id })?;
     }
     Ok(())
 }

@@ -7,25 +7,35 @@
 //! Both need the same two behaviours, which used to be duplicated ad
 //! hoc:
 //!
-//! * **Partial-line buffering** — a read may end mid-line; the fragment
-//!   must be held back and prepended to the next chunk instead of being
-//!   parsed (or dropped) early. [`LineFramer`] owns exactly that.
+//! * **Partial-line buffering** — a read may end mid-line, or inside a
+//!   multi-byte character; the fragment must be held back as bytes and
+//!   prepended to the next chunk instead of being decoded, parsed (or
+//!   dropped) early. [`LineFramer`] owns exactly that: it decodes each
+//!   line once, when its terminator arrives.
 //! * **Truncation-tolerant file tailing** — a byte-offset tail over a
 //!   file that assumes append-only stalls forever if the producer
 //!   truncates or rotates the file. [`JsonlTail`] detects a shrink,
 //!   resets to the new beginning, discards any buffered fragment (it
 //!   belonged to the old incarnation), and reports the reset so the
-//!   consumer can surface it instead of silently re-counting.
+//!   consumer can surface it instead of silently re-counting. It reads
+//!   bytes, so a poll that lands while the producer is mid-character
+//!   waits for the rest instead of failing.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// Splits a stream of text chunks into complete `\n`-terminated lines,
-/// buffering any trailing partial line until its terminator arrives.
+/// Splits a byte stream into complete `\n`-terminated lines, buffering
+/// any trailing partial line until its terminator arrives.
+///
+/// Bytes are buffered, not text: a read may end inside a multi-byte
+/// character, so each line is decoded only once it is whole. A line that
+/// is not UTF-8 decodes lossily; JSONL producers in this workspace always
+/// emit UTF-8, so that only happens on a corrupt stream, where a
+/// replacement character is strictly better than losing framing.
 #[derive(Debug, Default)]
 pub struct LineFramer {
-    partial: String,
+    partial: Vec<u8>,
 }
 
 impl LineFramer {
@@ -33,33 +43,25 @@ impl LineFramer {
         Self::default()
     }
 
-    /// Feeds one chunk and returns every line completed by it, without
-    /// trailing newlines. The trailing fragment (if any) is buffered.
-    pub fn push(&mut self, chunk: &str) -> Vec<String> {
-        self.partial.push_str(chunk);
+    /// Feeds raw bytes, as a pipe or file `read` returned them, and
+    /// returns every line completed by them, without trailing newlines.
+    /// The trailing fragment (if any) is buffered.
+    pub fn push_bytes(&mut self, chunk: &[u8]) -> Vec<String> {
+        self.partial.extend_from_slice(chunk);
         let mut lines = Vec::new();
-        while let Some(pos) = self.partial.find('\n') {
-            let mut line: String = self.partial.drain(..=pos).collect();
-            line.pop();
-            if line.ends_with('\r') {
-                line.pop();
-            }
-            lines.push(line);
+        let mut start = 0;
+        while let Some(len) = self.partial[start..].iter().position(|&b| b == b'\n') {
+            let line = &self.partial[start..start + len];
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            lines.push(String::from_utf8_lossy(line).into_owned());
+            start += len + 1;
         }
+        self.partial.drain(..start);
         lines
     }
 
-    /// Feeds raw bytes (decoded lossily as UTF-8). Pipe readers hand the
-    /// framer whatever `read` returned; JSONL producers in this
-    /// workspace always emit UTF-8, so lossy decoding only matters for
-    /// corrupt streams — where a replacement character in the line is
-    /// strictly better than losing framing.
-    pub fn push_bytes(&mut self, chunk: &[u8]) -> Vec<String> {
-        self.push(&String::from_utf8_lossy(chunk))
-    }
-
     /// The buffered partial line, if a chunk ended mid-line.
-    pub fn partial(&self) -> &str {
+    pub fn partial(&self) -> &[u8] {
         &self.partial
     }
 
@@ -130,10 +132,10 @@ impl JsonlTail {
             poll.reset = true;
         }
         file.seek(SeekFrom::Start(self.offset))?;
-        let mut chunk = String::new();
-        let read = file.read_to_string(&mut chunk)?;
+        let mut chunk = Vec::new();
+        let read = file.read_to_end(&mut chunk)?;
         self.offset += read as u64;
-        poll.lines = self.framer.push(&chunk);
+        poll.lines = self.framer.push_bytes(&chunk);
         Ok(poll)
     }
 }
@@ -147,35 +149,35 @@ mod tests {
     #[test]
     fn framer_buffers_partial_lines_across_chunks() {
         let mut framer = LineFramer::new();
-        assert_eq!(framer.push("{\"a\":1}\n{\"b\""), vec!["{\"a\":1}"]);
-        assert_eq!(framer.partial(), "{\"b\"");
-        assert_eq!(framer.push(":2}\n"), vec!["{\"b\":2}"]);
-        assert_eq!(framer.partial(), "");
+        assert_eq!(framer.push_bytes(b"{\"a\":1}\n{\"b\""), vec!["{\"a\":1}"]);
+        assert_eq!(framer.partial(), b"{\"b\"");
+        assert_eq!(framer.push_bytes(b":2}\n"), vec!["{\"b\":2}"]);
+        assert_eq!(framer.partial(), b"");
     }
 
     #[test]
     fn framer_splits_multiple_lines_in_one_chunk() {
         let mut framer = LineFramer::new();
         assert_eq!(
-            framer.push("one\ntwo\nthree\n"),
+            framer.push_bytes(b"one\ntwo\nthree\n"),
             vec!["one", "two", "three"]
         );
-        assert!(framer.push("").is_empty());
+        assert!(framer.push_bytes(b"").is_empty());
     }
 
     #[test]
     fn framer_handles_crlf_and_empty_lines() {
         let mut framer = LineFramer::new();
-        assert_eq!(framer.push("a\r\n\nb\n"), vec!["a", "", "b"]);
+        assert_eq!(framer.push_bytes(b"a\r\n\nb\n"), vec!["a", "", "b"]);
     }
 
     #[test]
-    fn framer_push_bytes_matches_push() {
+    fn framer_clear_drops_the_partial_line() {
         let mut framer = LineFramer::new();
         assert_eq!(framer.push_bytes(b"x\ny"), vec!["x"]);
-        assert_eq!(framer.partial(), "y");
+        assert_eq!(framer.partial(), b"y");
         framer.clear();
-        assert_eq!(framer.partial(), "");
+        assert_eq!(framer.partial(), b"");
     }
 
     #[test]
@@ -227,6 +229,32 @@ mod tests {
         file.write_all(b"newer\n").unwrap();
         drop(file);
         assert_eq!(tail.poll().unwrap().lines, vec!["newer"]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn framer_decodes_a_character_split_across_two_reads() {
+        let mut framer = LineFramer::new();
+        let line = "{\"frame\":\"é\"}\n".as_bytes();
+        let split = line.iter().position(|&b| b == 0xC3).unwrap() + 1;
+        assert!(framer.push_bytes(&line[..split]).is_empty());
+        assert_eq!(framer.push_bytes(&line[split..]), vec!["{\"frame\":\"é\"}"]);
+    }
+
+    #[test]
+    fn tail_waits_out_a_character_still_being_written() {
+        let dir = std::env::temp_dir().join(format!("lfi_tail_utf8_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.jsonl");
+        let text = "done\ncaf\u{e9}\n".as_bytes();
+        // The file ends inside `é`: its second byte is not written yet.
+        fs::write(&path, &text[..text.len() - 2]).unwrap();
+        let mut tail = JsonlTail::new(&path);
+        assert_eq!(tail.poll().unwrap().lines, vec!["done"]);
+        let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&text[text.len() - 2..]).unwrap();
+        drop(file);
+        assert_eq!(tail.poll().unwrap().lines, vec!["caf\u{e9}"]);
         fs::remove_dir_all(&dir).ok();
     }
 
