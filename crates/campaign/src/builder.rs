@@ -172,7 +172,10 @@ impl<'a> Campaign<'a> {
             Some(path) => CampaignState::load(path).unwrap_or_else(|err| panic!("{err}")),
             None => CampaignState::default(),
         };
-        self.run_with_state(&mut state)
+        // The state is dropped here, so its records move into the report.
+        let mut outcome = self.run_in_state(&mut state);
+        outcome.report.records = state.into_records();
+        outcome
     }
 }
 

@@ -716,8 +716,17 @@ impl<'a> Campaign<'a> {
     /// set, persists the state after every batch that added records; the
     /// last batch's write is sealed, so a one-batch run writes once. The
     /// known signatures (a supervisor's broadcasts) steer adaptive
-    /// strategies and are not re-announced as `CrashFound` events.
+    /// strategies and are not re-announced as `CrashFound` events. The
+    /// report holds a copy of the state's records.
     pub fn run_with_state(&self, state: &mut CampaignState) -> LeaseOutcome {
+        let mut outcome = self.run_in_state(state);
+        outcome.report.records = state.records().to_vec();
+        outcome
+    }
+
+    /// [`Campaign::run_with_state`] with the records left only in `state`:
+    /// the report's record list is empty, for a caller to fill.
+    pub(crate) fn run_in_state(&self, state: &mut CampaignState) -> LeaseOutcome {
         let lease = self.lease;
         // The state tag covers the strategy's scheduling identity, the plan
         // (point identity incl. annotations + workload suites), AND the
@@ -881,7 +890,7 @@ impl<'a> Campaign<'a> {
             peak_workers,
             executed_now,
             triage: final_triage,
-            records: state.records().to_vec(),
+            records: Vec::new(),
             metrics: telemetry.enabled().then(|| telemetry.snapshot()),
         };
         if let Some(sink) = self.sink {
@@ -891,7 +900,7 @@ impl<'a> Campaign<'a> {
             sink.event(&CampaignEvent::ShardFinished {
                 shard: lease.start..lease.end,
                 executed: executed_now,
-                records: report.records.len(),
+                records: state.records().len(),
             });
         }
         LeaseOutcome {

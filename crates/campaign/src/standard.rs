@@ -631,10 +631,8 @@ impl Executor for StandardExecutor {
         self.metrics.fork_hits.inc();
         machine.reseed(unit.seed);
         machine.set_record_coverage(false);
-        // The stock registry and trigger-evaluation cost, as on the fresh
-        // path: both defaults come from `lfi_core`.
-        let mut engine =
-            InjectionEngine::new(unit.scenario.clone()).expect("unit scenario must compile");
+        // The stock registry, as on the fresh path.
+        let mut engine = InjectionEngine::new(&unit.scenario).expect("unit scenario must compile");
         let (outcome, crashes) = self.classify(&machine.run(&mut engine, budget_left));
         Execution {
             outcome,

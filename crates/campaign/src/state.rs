@@ -85,14 +85,16 @@ impl CampaignState {
 
     /// Read and parse the checkpoint at `path`. The error names the file;
     /// a missing file is [`io::ErrorKind::NotFound`], and a parse error is
-    /// [`io::ErrorKind::InvalidData`] and gives the byte position.
+    /// [`io::ErrorKind::InvalidData`]. A JSON syntax error gives its byte
+    /// position; a schema error, such as a missing field, has none.
     pub fn load(path: &Path) -> io::Result<CampaignState> {
         let text =
             fs::read_to_string(path).map_err(|err| file_error("read", path, err.kind(), err))?;
-        CampaignState::from_json(&text).map_err(|err| {
-            let detail = format!("{} (at byte {})", err.message, err.position);
-            file_error("parse", path, io::ErrorKind::InvalidData, detail)
-        })
+        let parse_error =
+            |detail: String| file_error("parse", path, io::ErrorKind::InvalidData, detail);
+        let doc = lfi_json::parse(&text)
+            .map_err(|err| parse_error(format!("{} (at byte {})", err.message, err.position)))?;
+        CampaignState::from_value(&doc).map_err(|err| parse_error(err.message))
     }
 
     /// Bind this state to a `(state tag, seed)` pair, where the tag is the
@@ -153,6 +155,11 @@ impl CampaignState {
         &self.records
     }
 
+    /// Take the records, ordered by unit id, dropping the rest.
+    pub(crate) fn into_records(self) -> Vec<RunRecord> {
+        self.records
+    }
+
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         Value::Obj(vec![
@@ -169,9 +176,13 @@ impl CampaignState {
 
     /// Parse a state back from its JSON form.
     pub fn from_json(text: &str) -> Result<CampaignState, JsonError> {
-        let doc = lfi_json::parse(text)?;
-        let strategy = str_field(&doc, "strategy")?;
-        let seed = int_field(&doc, "seed")? as u64;
+        CampaignState::from_value(&lfi_json::parse(text)?)
+    }
+
+    /// Read a state from a parsed JSON document.
+    fn from_value(doc: &Value) -> Result<CampaignState, JsonError> {
+        let strategy = str_field(doc, "strategy")?;
+        let seed = int_field(doc, "seed")? as u64;
         let Some(Value::Arr(items)) = doc.get("records") else {
             return Err(invalid("missing array field `records`"));
         };
@@ -497,6 +508,21 @@ mod tests {
         let err = err.to_string();
         assert!(err.contains("corrupt.json"), "{err}");
         assert!(err.ends_with("(at byte 26)"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn schema_errors_name_the_field_and_no_byte() {
+        let dir = std::env::temp_dir().join(format!("lfi_state_schema_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.json");
+        std::fs::write(&path, r#"{"strategy": 1}"#).unwrap();
+        let err = CampaignState::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = err.to_string();
+        assert!(err.starts_with("parse campaign checkpoint ") && err.contains("bad.json"));
+        assert!(err.contains("`strategy`"), "{err}");
+        assert!(!err.contains("at byte"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

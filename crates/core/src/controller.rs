@@ -19,7 +19,7 @@ use lfi_vm::{
     RunExit,
 };
 
-use crate::runtime::{InjectionEngine, InjectionLog, PauseAtCall, TRIGGER_EVAL_COST};
+use crate::runtime::{InjectionEngine, InjectionLog, PauseAtCall};
 use crate::scenario::Scenario;
 use crate::triggers::{TriggerBuildError, TriggerRegistry};
 
@@ -76,16 +76,8 @@ pub struct TestConfig {
     pub record_coverage: bool,
     /// RNG seed for the process under test.
     pub seed: u64,
-    /// Node id on the simulated network.
-    pub node_id: i64,
-    /// Environment variables.
-    pub env: Vec<(String, String)>,
     /// Program arguments.
     pub args: Vec<String>,
-    /// Heap limit in bytes.
-    pub heap_limit: u64,
-    /// Virtual-time cost charged per trigger evaluation.
-    pub trigger_eval_cost: u64,
     /// Evaluate triggers but never inject (overhead measurements).
     pub observe_only: bool,
 }
@@ -96,11 +88,7 @@ impl Default for TestConfig {
             max_instructions: 200_000_000,
             record_coverage: false,
             seed: 1,
-            node_id: 0,
-            env: Vec::new(),
             args: Vec::new(),
-            heap_limit: 64 << 20,
-            trigger_eval_cost: TRIGGER_EVAL_COST,
             observe_only: false,
         }
     }
@@ -291,10 +279,7 @@ impl Controller {
         let mut machine = Machine::from_image(
             image,
             ProcessConfig {
-                node_id: config.node_id,
                 seed: config.seed,
-                heap_limit: config.heap_limit,
-                env: config.env.clone(),
                 args: config.args.clone(),
                 record_coverage: config.record_coverage,
                 ..ProcessConfig::default()
@@ -304,21 +289,6 @@ impl Controller {
             machine.attach_net(net.clone());
         }
         machine
-    }
-
-    /// Build the machine for a scenario without running it (used by custom
-    /// drivers such as the multi-replica PBFT harness).
-    pub fn prepare(
-        &self,
-        exe: &Module,
-        scenario: &Scenario,
-        config: &TestConfig,
-    ) -> Result<(Machine, InjectionEngine), ControllerError> {
-        let mut engine = InjectionEngine::with_registry(scenario.clone(), self.registry.clone())?;
-        engine.trigger_eval_cost = config.trigger_eval_cost;
-        engine.observe_only = config.observe_only;
-        let image = self.build_image(exe, &engine.interposed_functions())?;
-        Ok((self.machine_from_image(image, config), engine))
     }
 
     /// Run a workload up to its first call to any of `functions` and return
@@ -352,8 +322,9 @@ impl Controller {
         }
     }
 
-    /// Run one test: load the program with the scenario's interpositions,
-    /// run the workload, and collect the report.
+    /// Run one test: compile the scenario (a trigger that fails to build is
+    /// an error before anything loads), load the program with the
+    /// scenario's interpositions, run the workload, and collect the report.
     pub fn run_test(
         &self,
         exe: &Module,
@@ -361,7 +332,10 @@ impl Controller {
         workload: &mut dyn Workload,
         config: &TestConfig,
     ) -> Result<TestReport, ControllerError> {
-        let (mut machine, mut engine) = self.prepare(exe, scenario, config)?;
+        let mut engine = InjectionEngine::with_registry(scenario, &self.registry)?;
+        engine.observe_only = config.observe_only;
+        let image = self.build_image(exe, &engine.interposed_functions())?;
+        let mut machine = self.machine_from_image(image, config);
         workload.setup(&mut machine);
         let exit = machine.run(&mut engine, config.max_instructions);
         let (outcome, fault) = match &exit {
@@ -398,8 +372,8 @@ mod tests {
 
     #[test]
     fn empty_scenario_runs_report_trigger_errors_eagerly() {
-        // A scenario referencing an unknown trigger class fails in `prepare`,
-        // before anything runs.
+        // A scenario referencing an unknown trigger class fails in
+        // `run_test` before the program loads or runs.
         let controller = Controller::new();
         let scenario = Scenario::parse_xml(
             r#"<trigger id="t" class="DoesNotExist" />
@@ -408,7 +382,12 @@ mod tests {
         .unwrap();
         let exe = Module::new("app", lfi_obj::ModuleKind::Executable);
         let err = controller
-            .prepare(&exe, &scenario, &TestConfig::default())
+            .run_test(
+                &exe,
+                &scenario,
+                &mut RunToCompletion,
+                &TestConfig::default(),
+            )
             .expect_err("must fail");
         assert!(matches!(err, ControllerError::Trigger(_)));
     }

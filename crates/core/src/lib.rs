@@ -11,10 +11,12 @@
 //!   declarations, function associations (conjunction within an association,
 //!   disjunction across associations), parametrization, and automatic
 //!   scenario generation from call-site analysis reports.
-//! * [`runtime`] — the injection engine that interposes on library calls,
-//!   evaluates trigger compositions with short-circuiting and lazy
-//!   initialization, injects error return values and errno side effects, and
-//!   keeps a structured injection log.
+//! * [`runtime`] — the injection engine that interposes on library calls.
+//!   It builds each declared trigger once, when the scenario compiles, and
+//!   evaluates trigger compositions lazily with short-circuiting: a trigger
+//!   runs only on a call its association names, and a conjunction stops at
+//!   its first trigger that does not fire. It injects error return values
+//!   and errno side effects, and keeps a structured injection log.
 //! * [`controller`] — test orchestration: library profiling, call-site
 //!   analysis, scenario generation, workload execution, crash monitoring and
 //!   reporting.

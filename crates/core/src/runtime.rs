@@ -2,11 +2,13 @@
 //! application and its shared libraries.
 //!
 //! The [`InjectionEngine`] compiles a [`Scenario`] into per-function trigger
-//! lists (looked up in O(1) per interception, §4.3), evaluates trigger
-//! conjunctions with short-circuiting and lazy instantiation, applies the
-//! injected return value and errno side effect, and records every injection
-//! in a structured log (the paper's test log used to match injections to
-//! observed failures and to replay them).
+//! lists (looked up in O(1) per interception, §4.3), building each declared
+//! trigger once, when the scenario compiles. Triggers are evaluated lazily:
+//! only on an interception of a function their association names, and a
+//! conjunction stops at its first trigger that does not fire. The engine
+//! applies the injected return value and errno side effect, and records
+//! every injection in a structured log (the paper's test log used to match
+//! injections to observed failures and to replay them).
 
 use std::collections::HashMap;
 
@@ -14,7 +16,7 @@ use lfi_arch::Word;
 use lfi_vm::{CallContext, HookAction, HookHandler};
 
 use crate::scenario::Scenario;
-use crate::triggers::{Trigger, TriggerCtx, TriggerRegistry};
+use crate::triggers::{Trigger, TriggerBuildError, TriggerCtx, TriggerRegistry};
 
 /// One recorded injection: a borrowed view into an [`InjectionLog`].
 ///
@@ -241,6 +243,7 @@ struct CompiledAssoc {
     index: u32,
     retval: Option<Word>,
     errno: Option<Word>,
+    /// Indices into the engine's triggers, in conjunction order.
     trigger_indices: Vec<usize>,
 }
 
@@ -248,34 +251,25 @@ struct CompiledAssoc {
 /// count, kept in one map entry so an interception costs one lookup.
 #[derive(Default)]
 struct HookedFunction {
-    /// Compiled associations, in disjunction order (empty for a function
-    /// that is intercepted but named by no association).
+    /// Compiled associations, in disjunction order.
     assocs: Vec<CompiledAssoc>,
     /// Interceptions so far.
     calls: u64,
 }
 
-struct TriggerSlot {
-    id: String,
-    decl_index: usize,
-    /// Lazily instantiated on first evaluation (§4.3 lazy initialization).
-    instance: Option<Box<dyn Trigger>>,
-}
-
-/// Virtual-time cost of one trigger evaluation, unless a run sets its own.
+/// Virtual-time cost of one trigger evaluation.
 pub const TRIGGER_EVAL_COST: u64 = 10;
 
 /// The LFI injection engine; plugs into the VM as a [`HookHandler`].
 pub struct InjectionEngine {
-    registry: TriggerRegistry,
-    scenario: Scenario,
-    /// function name -> compiled associations and interception count.
+    /// function name -> compiled associations and interception count, for
+    /// the functions some association names.
     functions: HashMap<String, HookedFunction>,
-    slots: Vec<TriggerSlot>,
+    /// Each declared trigger's id and its one instance, in declaration
+    /// order; associations that share a trigger share its state.
+    triggers: Vec<(String, Box<dyn Trigger>)>,
     /// Structured injection log.
     pub log: InjectionLog,
-    /// Virtual-time cost charged per trigger evaluation.
-    pub trigger_eval_cost: u64,
     /// If true, evaluate triggers but never actually inject (used by the
     /// overhead experiments in §7.4, which measure the trigger mechanism
     /// while letting all calls through).
@@ -284,10 +278,8 @@ pub struct InjectionEngine {
 
 impl std::fmt::Debug for InjectionEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut functions: Vec<&String> = self.functions.keys().collect();
-        functions.sort();
         f.debug_struct("InjectionEngine")
-            .field("functions", &functions)
+            .field("functions", &self.interposed_functions())
             .field("injections", &self.log.injection_count())
             .finish()
     }
@@ -295,47 +287,41 @@ impl std::fmt::Debug for InjectionEngine {
 
 impl InjectionEngine {
     /// Compile a scenario with the default (stock) trigger registry.
-    pub fn new(scenario: Scenario) -> Result<InjectionEngine, crate::triggers::TriggerBuildError> {
-        InjectionEngine::with_registry(scenario, TriggerRegistry::default())
+    pub fn new(scenario: &Scenario) -> Result<InjectionEngine, TriggerBuildError> {
+        InjectionEngine::with_registry(scenario, &TriggerRegistry::default())
     }
 
-    /// Compile a scenario with a custom registry (for custom trigger classes).
+    /// Compile a scenario with a custom registry (for custom trigger
+    /// classes). Each declared trigger is built here, once: the build
+    /// checks its class and parameters, so configuration errors surface
+    /// before the test runs, and the instance it returns is the one every
+    /// association naming that trigger evaluates.
     pub fn with_registry(
-        scenario: Scenario,
-        registry: TriggerRegistry,
-    ) -> Result<InjectionEngine, crate::triggers::TriggerBuildError> {
-        // Validate the scenario first: duplicate trigger ids and undeclared
-        // references used to slip through to this point and silently drop
-        // associations; now they surface as build errors.
-        scenario
-            .validate()
-            .map_err(|e| crate::triggers::TriggerBuildError {
-                class: "<scenario>".to_string(),
-                message: e.to_string(),
-            })?;
-        // Build one slot per declared trigger (instantiated lazily), and
-        // verify up front that every class is known so configuration errors
-        // surface before the test runs.
-        let mut slots = Vec::new();
-        for (index, decl) in scenario.triggers.iter().enumerate() {
-            registry.build(decl)?;
-            slots.push(TriggerSlot {
-                id: decl.id.clone(),
-                decl_index: index,
-                instance: None,
-            });
-        }
-        let slot_index: HashMap<String, usize> = slots
+        scenario: &Scenario,
+        registry: &TriggerRegistry,
+    ) -> Result<InjectionEngine, TriggerBuildError> {
+        // Duplicate trigger ids and undeclared references are build errors,
+        // not silently dropped associations.
+        scenario.validate().map_err(|e| TriggerBuildError {
+            class: "<scenario>".to_string(),
+            message: e.to_string(),
+        })?;
+        let triggers = scenario
+            .triggers
             .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id.clone(), i))
-            .collect();
+            .map(|decl| Ok((decl.id.clone(), registry.build(decl)?)))
+            .collect::<Result<Vec<_>, TriggerBuildError>>()?;
         let mut functions: HashMap<String, HookedFunction> = HashMap::new();
         for (index, assoc) in scenario.functions.iter().enumerate() {
             let trigger_indices = assoc
                 .triggers
                 .iter()
-                .filter_map(|id| slot_index.get(id).copied())
+                .map(|id| {
+                    triggers
+                        .iter()
+                        .position(|(declared, _)| declared == id)
+                        .expect("a validated scenario declares every referenced trigger")
+                })
                 .collect();
             functions
                 .entry(assoc.function.clone())
@@ -349,85 +335,45 @@ impl InjectionEngine {
                 });
         }
         Ok(InjectionEngine {
-            registry,
-            scenario,
             functions,
-            slots,
+            triggers,
             log: InjectionLog::default(),
-            trigger_eval_cost: TRIGGER_EVAL_COST,
             observe_only: false,
         })
     }
 
-    /// The functions this engine needs the loader to interpose on.
+    /// The functions this engine needs the loader to interpose on, in name
+    /// order.
     pub fn interposed_functions(&self) -> Vec<String> {
-        self.scenario.intercepted_functions()
-    }
-
-    /// The compiled scenario.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// Number of times a function has been intercepted so far.
-    pub fn call_count(&self, function: &str) -> u64 {
-        self.functions.get(function).map_or(0, |f| f.calls)
-    }
-
-    fn eval_slot(
-        slots: &mut [TriggerSlot],
-        registry: &TriggerRegistry,
-        scenario: &Scenario,
-        index: usize,
-        ctx: &mut TriggerCtx<'_, '_>,
-    ) -> bool {
-        let slot = &mut slots[index];
-        if slot.instance.is_none() {
-            let decl = &scenario.triggers[slot.decl_index];
-            slot.instance = registry.build(decl).ok();
-        }
-        match slot.instance.as_mut() {
-            Some(trigger) => trigger.eval(ctx),
-            None => false,
-        }
+        let mut names: Vec<String> = self.functions.keys().cloned().collect();
+        names.sort();
+        names
     }
 }
 
 impl HookHandler for InjectionEngine {
     fn on_call(&mut self, func: &str, ctx: &mut CallContext<'_>) -> HookAction {
-        // One lookup per interception; the name is copied only on a
-        // function's first interception.
-        let hooked = match self.functions.get_mut(func) {
-            Some(hooked) => hooked,
-            None => self.functions.entry(func.to_string()).or_default(),
+        self.log.interceptions += 1;
+        // A function no association names is forwarded untouched.
+        let Some(hooked) = self.functions.get_mut(func) else {
+            return HookAction::Forward;
         };
         hooked.calls += 1;
         let count = hooked.calls;
-        self.log.interceptions += 1;
 
-        if hooked.assocs.is_empty() {
-            return HookAction::Forward;
-        }
         // Evaluate each association (disjunction). Within one association the
         // triggers form a conjunction evaluated with short-circuiting.
         for assoc in &hooked.assocs {
             let mut all_true = !assoc.trigger_indices.is_empty() || assoc.retval.is_some();
-            for &slot_idx in &assoc.trigger_indices {
+            for &index in &assoc.trigger_indices {
                 self.log.trigger_evaluations += 1;
-                ctx.add_cost(self.trigger_eval_cost);
+                ctx.add_cost(TRIGGER_EVAL_COST);
                 let mut trigger_ctx = TriggerCtx {
                     function: func,
                     call_count: count,
                     call: ctx,
                 };
-                let fired = Self::eval_slot(
-                    &mut self.slots,
-                    &self.registry,
-                    &self.scenario,
-                    slot_idx,
-                    &mut trigger_ctx,
-                );
-                if !fired {
+                if !self.triggers[index].1.eval(&mut trigger_ctx) {
                     all_true = false;
                     break; // Short-circuit: remaining triggers are not invoked.
                 }
@@ -457,7 +403,7 @@ impl HookHandler for InjectionEngine {
                     triggers: assoc
                         .trigger_indices
                         .iter()
-                        .map(|&i| self.slots[i].id.clone())
+                        .map(|&i| self.triggers[i].0.clone())
                         .collect(),
                 }),
             };
@@ -544,7 +490,7 @@ mod tests {
 
     #[test]
     fn engine_reports_interposed_functions() {
-        let engine = InjectionEngine::new(singleton_scenario("read")).unwrap();
+        let engine = InjectionEngine::new(&singleton_scenario("read")).unwrap();
         assert_eq!(engine.interposed_functions(), vec!["read".to_string()]);
         assert_eq!(engine.log.injection_count(), 0);
     }
@@ -557,7 +503,7 @@ mod tests {
             params: Default::default(),
             frames: vec![],
         });
-        assert!(InjectionEngine::new(scenario).is_err());
+        assert!(InjectionEngine::new(&scenario).is_err());
     }
 
     #[test]
@@ -570,7 +516,7 @@ mod tests {
             errno: None,
             triggers: vec!["ghost".into()],
         });
-        assert!(InjectionEngine::new(undeclared).is_err());
+        assert!(InjectionEngine::new(&undeclared).is_err());
         // Duplicate trigger id.
         let dup = TriggerDecl {
             id: "once".into(),
@@ -579,7 +525,7 @@ mod tests {
             frames: vec![],
         };
         let duplicated = Scenario::new().with_trigger(dup.clone()).with_trigger(dup);
-        assert!(InjectionEngine::new(duplicated).is_err());
+        assert!(InjectionEngine::new(&duplicated).is_err());
     }
 
     #[test]
@@ -671,7 +617,7 @@ mod tests {
                 triggers: vec![],
             });
         }
-        let engine = InjectionEngine::new(scenario).unwrap();
+        let engine = InjectionEngine::new(&scenario).unwrap();
         assert_eq!(
             format!("{engine:?}"),
             r#"InjectionEngine { functions: ["close", "read", "write"], injections: 0 }"#

@@ -3,9 +3,14 @@
 //! and the structured injection log is checked record by record.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use lfi_cc::Compiler;
-use lfi_core::{FrameSpec, FunctionAssoc, InjectionEngine, Scenario, TriggerDecl};
+use lfi_core::{
+    FrameSpec, FunctionAssoc, InjectionEngine, Scenario, Trigger, TriggerCtx, TriggerDecl,
+    TriggerRegistry,
+};
 use lfi_obj::{Module, ModuleKind};
 use lfi_vm::{Loader, Machine, ProcessConfig, RunExit};
 
@@ -27,7 +32,7 @@ fn stub_lib() -> Module {
 
 /// Run `exe` under `scenario`, returning the exit and the engine's log.
 fn run_scripted(exe: &Module, scenario: &Scenario) -> (RunExit, InjectionEngine) {
-    let engine = InjectionEngine::new(scenario.clone()).expect("scenario compiles");
+    let engine = InjectionEngine::new(scenario).expect("scenario compiles");
     run_engine(exe, engine)
 }
 
@@ -114,6 +119,86 @@ fn call_count_trigger_past_the_last_call_never_fires() {
     assert_eq!(engine.log.injection_count(), 0);
     // Triggers were still evaluated on every interception.
     assert_eq!(engine.log.trigger_evaluations, 2);
+}
+
+#[test]
+fn calls_to_a_function_no_association_names_are_counted_and_forwarded() {
+    let scenario = Scenario::new().with_function(FunctionAssoc {
+        function: "write".into(),
+        argc: 3,
+        retval: Some(-1),
+        errno: None,
+        triggers: vec![],
+    });
+    let mut engine = InjectionEngine::new(&scenario).expect("scenario compiles");
+    // The image interposes `read`, as a session image interposes every
+    // profiled function, though the scenario names only `write`.
+    let mut loader = Loader::new();
+    loader.add_library(stub_lib());
+    loader.interpose_all(["read".to_string()]);
+    let image = loader.load(five_reads_app()).expect("load");
+    let mut machine = Machine::new(image, ProcessConfig::default());
+    assert_eq!(machine.run_to_completion(&mut engine), RunExit::Exited(50));
+    assert_eq!(engine.log.interceptions, 5);
+    assert_eq!(engine.log.trigger_evaluations, 0);
+    assert_eq!(engine.log.injection_count(), 0);
+    // The engine keeps no entry for `read`.
+    assert_eq!(
+        format!("{engine:?}"),
+        r#"InjectionEngine { functions: ["write"], injections: 0 }"#
+    );
+}
+
+/// Fires on its second evaluation only, counting every evaluation of its
+/// one instance.
+struct SecondEvaluation {
+    evaluations: u64,
+}
+
+impl Trigger for SecondEvaluation {
+    fn eval(&mut self, _ctx: &mut TriggerCtx<'_, '_>) -> bool {
+        self.evaluations += 1;
+        self.evaluations == 2
+    }
+}
+
+#[test]
+fn a_trigger_shared_by_two_associations_is_built_once_and_keeps_one_state() {
+    let builds = Arc::new(AtomicUsize::new(0));
+    let mut registry = TriggerRegistry::default();
+    let counter = Arc::clone(&builds);
+    registry.register("SecondEvaluation", move |_decl| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(Box::new(SecondEvaluation { evaluations: 0 }) as Box<dyn Trigger>)
+    });
+    let mut scenario = Scenario::new().with_trigger(TriggerDecl {
+        id: "shared".into(),
+        class: "SecondEvaluation".into(),
+        params: BTreeMap::new(),
+        frames: vec![],
+    });
+    for retval in [-1, -2] {
+        scenario = scenario.with_function(FunctionAssoc {
+            function: "read".into(),
+            argc: 3,
+            retval: Some(retval),
+            errno: None,
+            triggers: vec!["shared".into()],
+        });
+    }
+    let engine = InjectionEngine::with_registry(&scenario, &registry).expect("scenario compiles");
+    assert_eq!(builds.load(Ordering::Relaxed), 1, "built when it compiles");
+
+    let (exit, engine) = run_engine(&five_reads_app(), engine);
+    assert_eq!(builds.load(Ordering::Relaxed), 1, "never built again");
+    // The first read evaluates the trigger under the first association,
+    // then under the second, where its second evaluation fires: separate
+    // instances would each see a first evaluation and let the read through.
+    assert_eq!(exit, RunExit::Exited(4 * 10 - 2));
+    assert_eq!(engine.log.trigger_evaluations, 10);
+    let record = engine.log.records().next().expect("one record");
+    assert_eq!((record.call_count, record.retval), (1, -2));
+    assert_eq!(engine.log.injection_count(), 1);
 }
 
 /// Two distinct `read` call sites in two functions, so stack-frame triggers

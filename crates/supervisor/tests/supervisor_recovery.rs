@@ -221,9 +221,14 @@ fn children_of_this_thread() -> String {
 
 #[test]
 fn silent_lease_holders_are_declared_hung() {
-    // A zero heartbeat timeout makes every lease holder silent for too
-    // long as soon as it is granted; with no restart budget every worker
-    // dies, and the run fails only after reaping them.
+    // What this covers: under a zero heartbeat timeout a worker owes its
+    // `Hello` as soon as its annotations are sent, so the supervisor
+    // declares each worker hung at once, in practice before it greets; with
+    // no restart budget every worker dies, and the run fails only after
+    // reaping them. A worker that dies before `Hello` is never granted a
+    // lease, so the expiry of a silent lease holder is checked only by the
+    // supervisor core's property test
+    // (`random_interleavings_keep_every_invariant` in `leasing`).
     assert_eq!(children_of_this_thread().trim(), "");
     let state_dir = scratch_dir("hung");
     let mut options = SupervisorOptions::new(git_spec(), &state_dir);

@@ -160,9 +160,8 @@ impl Cluster {
         let image = Arc::new(loader.load(bft_lite()).expect("bft-lite must load"));
 
         let make_node = |id: i64, args: Vec<String>| {
-            let engine =
-                InjectionEngine::with_registry(config.scenario.clone(), config.registry.clone())
-                    .expect("scenario must compile");
+            let engine = InjectionEngine::with_registry(&config.scenario, &config.registry)
+                .expect("scenario must compile");
             let mut machine = Machine::from_image(
                 image.clone(),
                 ProcessConfig {

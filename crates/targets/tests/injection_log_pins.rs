@@ -22,7 +22,7 @@ fn every_recvfrom_of_a_lone_client_is_logged_at_one_site() {
         -1,
         Some(lfi_arch::errno::EAGAIN),
     );
-    let mut engine = InjectionEngine::new(scenario).expect("scenario compiles");
+    let mut engine = InjectionEngine::new(&scenario).expect("scenario compiles");
     let mut loader = Loader::new();
     loader.add_library(lfi_libc::build());
     loader.interpose_all(engine.interposed_functions());
