@@ -32,7 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use lfi_analyzer::{analyze_program, AnalysisConfig};
-use lfi_core::{Controller, InjectionEngine, InjectionLog, TestConfig, TestReport, Workload};
+use lfi_core::{
+    Controller, InjectionEngine, InjectionLog, TestConfig, TestReport, TriggerRegistry, Workload,
+};
 use lfi_obj::Module;
 use lfi_profiler::FaultProfile;
 use lfi_targets::{
@@ -200,7 +202,7 @@ pub struct StandardExecutor {
     /// use. Session images interpose every function it can fail, the
     /// superset of what any unit injects, so one snapshot serves every unit
     /// of its `(target, workload)` pair; an engine with no association for
-    /// an intercepted function simply forwards the call, which is free.
+    /// an intercepted function counts the call and forwards it.
     profile: OnceLock<FaultProfile>,
     /// Loaded session images per target: the loader's layout and
     /// instruction-predecoding work is shared by all of the target's
@@ -214,6 +216,9 @@ pub struct StandardExecutor {
     /// (e.g. its prefix consumed randomness, crashed, blocked, or exhausted
     /// the instruction budget before the first injectable call).
     prepared: Mutex<BTreeMap<SessionKey, Option<Arc<PreparedSession>>>>,
+    /// The stock trigger registry every forked unit's engine is compiled
+    /// with, built once per executor.
+    registry: TriggerRegistry,
     /// Per-run instruction budget, applied identically to fresh runs and
     /// session prefixes/forks so the backends exhaust budgets at the same
     /// boundary.
@@ -251,6 +256,7 @@ impl StandardExecutor {
             profile: OnceLock::new(),
             images: Mutex::new(BTreeMap::new()),
             prepared: Mutex::new(BTreeMap::new()),
+            registry: TriggerRegistry::default(),
             max_instructions: TestConfig::default().max_instructions,
             snapshot_bytes: AtomicU64::new(0),
             bft_requests: 4,
@@ -632,7 +638,8 @@ impl Executor for StandardExecutor {
         machine.reseed(unit.seed);
         machine.set_record_coverage(false);
         // The stock registry, as on the fresh path.
-        let mut engine = InjectionEngine::new(&unit.scenario).expect("unit scenario must compile");
+        let mut engine = InjectionEngine::with_registry(&unit.scenario, &self.registry)
+            .expect("unit scenario must compile");
         let (outcome, crashes) = self.classify(&machine.run(&mut engine, budget_left));
         Execution {
             outcome,
